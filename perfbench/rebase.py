@@ -15,10 +15,11 @@ import random
 from hopfex import Coalgebra
 
 NONZERO_ENTRIES = (-2, -1, 1, 2)
+DENSITY = 0.3  # share of the entries above the diagonal that are nonzero
 
 
-def unitriangular(n: int, seed: int, density: float) -> list[list[int]]:
-    """Integer upper unitriangular n x n matrix with round(density * n(n-1)/2)
+def unitriangular(n: int, seed: int) -> list[list[int]]:
+    """Integer upper unitriangular n x n matrix with round(DENSITY * n(n-1)/2)
     nonzero entries above the diagonal, at seeded positions, each +-1 or +-2.
 
     The number of nonzero entries is fixed so that every seed makes the
@@ -27,7 +28,7 @@ def unitriangular(n: int, seed: int, density: float) -> list[list[int]]:
     rng = random.Random(seed)
     above = [(a, i) for a in range(n) for i in range(a + 1, n)]
     p = [[int(a == i) for i in range(n)] for a in range(n)]
-    for a, i in rng.sample(above, round(density * len(above))):
+    for a, i in rng.sample(above, round(DENSITY * len(above))):
         p[a][i] = rng.choice(NONZERO_ENTRIES)
     return p
 
@@ -43,7 +44,7 @@ def unitriangular_inverse(p: list[list[int]]) -> list[list[int]]:
     return q
 
 
-def rebase(coalg, seed: int, density: float = 0.3):
+def rebase(coalg, seed: int):
     """The same coalgebra written in the basis f_i = sum_a P[a][i] e_a.
 
     Only the coalgebra structure is carried over; the basis names are
@@ -51,7 +52,7 @@ def rebase(coalg, seed: int, density: float = 0.3):
     """
     field = coalg.field
     n = coalg.dim
-    p = unitriangular(n, seed, density)
+    p = unitriangular(n, seed)
     q = unitriangular_inverse(p)
     # e_b = sum_j Q[j][b] f_j, so each tensor leg maps through column b of Q
     qcols = [[(j, field.from_int(q[j][b])) for j in range(n) if q[j][b]]

@@ -5,9 +5,9 @@ Run on a commit whose outputs are known to be correct:
     python3 perfbench/record_expected.py
 
 For cli-corpus it records the exit code and report hash of every command
-line in both renderings, so any seed's choice of rendering is covered.
-For the other workloads it records facts that depend neither on the
-seed nor on the basis, from the un-rebased and un-scaled inputs.
+line in both renderings.  For the other workloads it records facts that
+depend neither on the seed nor on the basis, from the un-rebased
+inputs.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def main() -> int:
                        for argv in workloads.cli_argvs(ROOT)
                        for flag in ([], ["--json"])],
         "coradical": workloads.build_coradical(0, ROOT, rebased=False),
-        "extend": workloads.build_extend(0, ROOT, scaled=False),
+        "extend": workloads.build_extend(0, ROOT),
         "hopf-powers": workloads.build_hopf_powers(0, ROOT),
     }
     expected = {}

@@ -4,8 +4,9 @@
 
 Run from anywhere; the repository root is the parent of this directory.
 Each run starts fresh worker processes (worker.py) with HOPFEX_CAP
-removed and PYTHONHASHSEED fixed: SETUP_SAMPLES - 1 that only set up, and
-one that sets up, then runs timed passes over the workload's operations.
+removed and PYTHONHASHSEED fixed: one that sets up, then runs timed
+passes over the workload's operations, and SETUP_SAMPLES - 1 that only
+set up, half of them before that worker and half after it.
 The last line of standard output is one JSON object with the keys
 correct, attempted, failed and metrics.  The exit code is 0 only when
 every operation met its recorded expectation and, in a traced run, every
@@ -28,7 +29,7 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 OUT_DIR = BENCH_DIR / "out"
 WORKLOADS = ["cli-corpus", "coradical", "extend", "hopf-powers"]
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 15
 RUN_LIMIT_S = 170.0  # one workload's run must end well inside 180 s
 
 END_TO_END_UNITS = {"wall_s": "s", "op_p50_s": "s", "op_p90_s": "s",
@@ -85,14 +86,19 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool):
     """Run one workload; returns (correct, attempted, failed, metrics)."""
     deadline = time.perf_counter() + RUN_LIMIT_S
     common = ["--workload", workload, "--seed", str(seed)]
-    setups = [_worker(common + ["--setup-only"], deadline)["setup_s"]
-              for _ in range(SETUP_SAMPLES - 1)]
+
+    def setup_samples(count):
+        return [_worker(common + ["--setup-only"], deadline)["setup_s"]
+                for _ in range(count)]
+
+    setups = setup_samples((SETUP_SAMPLES - 1) // 2)
     OUT_DIR.mkdir(exist_ok=True)
     spans_path = OUT_DIR / f"spans-{workload}-seed{seed}.jsonl"
     extra = ["--spans-out", str(spans_path)] if trace else []
     res = _worker(common + ["--seconds", str(seconds), "--trace",
                             str(int(trace))] + extra, deadline)
     setups.append(res["setup_s"])
+    setups += setup_samples(SETUP_SAMPLES - len(setups))
 
     untraced = [p for p in res["passes"] if not p["traced"]]
     attempted = res["ops_per_pass"] * len(res["passes"])
@@ -103,8 +109,10 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool):
     print(f"== {workload}  seed {seed}  {len(untraced)} untraced pass(es) "
           f"of {res['ops_per_pass']} ops  attempted {attempted}  "
           f"failed {failed}  op_fail_ratio {failed / attempted:.4f}")
+    raw_walls = [p["raw_wall_s"] for p in untraced]
     print(f"   wall_s median {statistics.median(walls):.4f} s over "
-          f"{len(walls)} pass(es), min {min(walls):.4f}, max {max(walls):.4f}")
+          f"{len(walls)} pass(es), min {min(walls):.4f}, max {max(walls):.4f}"
+          f"; unscaled median {statistics.median(raw_walls):.4f} s")
     print(f"   op latencies pooled over {len(op_s)} samples "
           f"(p50 has {len(op_s) // 2}, p90 has {len(op_s) // 10} beyond it)")
     print(f"   setup_s samples {', '.join(f'{s:.4f}' for s in setups)}")
@@ -161,7 +169,9 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=WORKLOADS + ["all"])
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=20.0,
-                    help="measure passes for about this long (at least one)")
+                    help="run about this long: as many passes as fit "
+                         "at the nominal speed (PASS_S in workloads.py), "
+                         "at least one")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0,
                     help="1: two traced passes and one untraced pass, "
                          "per-layer metrics")

@@ -13,7 +13,8 @@ import pytest  # noqa: E402
 from hopfex import QQ  # noqa: E402
 from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,  # noqa: E402
                         symmetric, tensor_product)
-from rebase import rebase, unitriangular, unitriangular_inverse  # noqa: E402
+from rebase import (DENSITY, rebase, unitriangular,  # noqa: E402
+                    unitriangular_inverse)
 
 
 def invariants(coalg):
@@ -25,11 +26,11 @@ def invariants(coalg):
 
 @pytest.mark.parametrize("seed", [3, 17])
 def test_unitriangular_inverse_is_integral(seed):
-    p = unitriangular(12, seed, 0.3)
+    p = unitriangular(12, seed)
     q = unitriangular_inverse(p)
     n = len(p)
     assert sum(1 for a in range(n) for i in range(a + 1, n) if p[a][i]) \
-        == round(0.3 * n * (n - 1) / 2)
+        == round(DENSITY * n * (n - 1) / 2)
     for a in range(n):
         for i in range(n):
             assert sum(p[a][b] * q[b][i] for b in range(n)) == int(a == i)

@@ -123,7 +123,9 @@ def cli_op(argv: list[str]) -> Op:
 
 
 def build_cli_corpus(seed: int, root: Path) -> list[Op]:
-    """The seed picks text or --json for each command line, and the order."""
+    """Command lines alternate between text and --json in their fixed
+    order, so each file and each command runs in both renderings across
+    the corpus; the seed picks only the order of the calls."""
     rng = random.Random(seed)
     argvs = cli_argvs(root)
     # set-up parses each file once, as a user's first run would
@@ -132,8 +134,8 @@ def build_cli_corpus(seed: int, root: Path) -> list[Op]:
         hopfex.structfile.parse_structure_file(text)
     # F_9 for --field-extend: its irreducibility test imports sympy
     FieldSpec(3, modulus=[1, 0, 1])
-    ops = [cli_op(argv + ["--json"] if rng.random() < 0.5 else argv)
-           for argv in argvs]
+    ops = [cli_op(argv + ["--json"] if i % 2 else argv)
+           for i, argv in enumerate(argvs)]
     rng.shuffle(ops)
     return ops
 
@@ -258,7 +260,7 @@ def verify_extension(result) -> list[str]:
     return problems
 
 
-def build_extend(seed: int, root: Path, scaled: bool = True) -> list[Op]:
+def build_extend(seed: int, root: Path) -> list[Op]:
     """The seed picks the nonzero multiple c of the corner element x^n."""
     rng = random.Random(seed)
     ops = []
@@ -268,8 +270,7 @@ def build_extend(seed: int, root: Path, scaled: bool = True) -> list[Op]:
             g = obj.power_vec(obj.basis_element(obj.index_of("g")).vec, n)
         else:
             g = obj.unit
-        c = rng.choice(_unit_multiples(obj.field)) if scaled \
-            else obj.field.one()
+        c = rng.choice(_unit_multiples(obj.field))
         z = tuple(c * v
                   for v in obj.basis_element(obj.index_of(f"x^{n}")).vec)
         data = _coalgebra_data(obj)
@@ -305,11 +306,17 @@ def _taft16_elements(field, rng) -> list[tuple[list, int | None]]:
     Adding one term c g^b x (c != 0) makes the x-part of h^[n] a nonzero
     multiple of sum_i q^(b(n-1-i)) g^(bn+i) x for every n in
     characteristic 0, so h has no Hopf order.
+
+    The elements have Hopf order 4, Hopf order 2, and none.  The seed
+    picks the coefficients and which g^a carry them, not the number of
+    terms or the orders, since the search's cost grows with both.
     """
+    order4 = [(a, b) for a in range(4) for b in range(a + 1, 4)
+              if a % 2 or b % 2]
     out = []
-    for with_x in (False, False, True):
+    for support, with_x in ((rng.choice(order4), False), ((0, 2), False),
+                            (rng.choice(order4), True)):
         coeffs = [0] * 16
-        support = rng.sample(range(4), rng.randint(1, 4))
         for a in support:
             coeffs[a] = rng.randint(1, 3)
         order = math.lcm(*(4 // math.gcd(a, 4) for a in support))
@@ -396,6 +403,22 @@ def build_hopf_powers(seed: int, root: Path) -> list[Op]:
     ops.append(Op("integrals kZ12 over Q", "integrals kZ12 over Q",
                   integrals, integral_facts, verify_integrals))
     return ops
+
+
+# Seconds one pass takes at the nominal host speed (README.md, "Host
+# speed").  A run of --seconds S makes as many passes as fit in S at that
+# speed, at least one: a count fixed by S, not by how fast the host
+# happens to be during the run.
+PASS_S = {
+    "cli-corpus": 26.0,
+    "coradical": 26.0,
+    "extend": 7.0,
+    "hopf-powers": 14.0,
+}
+
+
+def passes(workload: str, seconds: float) -> int:
+    return max(1, int(seconds // PASS_S[workload]))
 
 
 BUILDERS = {
