@@ -16,9 +16,15 @@ The Jacobson radical is computed exactly, split by characteristic:
     pulled back through the inverse Frobenius (our char-p fields are
     finite, hence perfect).
 
-Characteristic polynomials use the Berkowitz algorithm: division-free,
-valid over every field, O(n^4) but n here is the algebra dimension,
-a few dozen at most.
+The trace is linear, so the trace form comes straight from the
+structure constants: Tr L_{e_i e_j} = sum_m c_ij^m tau_m with
+tau_m = Tr L_{e_m} = sum_k c_mk^k, in O(n^3).  It is the whole char-0
+criterion and the first level (c_1 = -Tr) of the char-p chain.  Every
+level I of the chain is an ideal, and I * A inside I is proved before
+I is used; then L_x for x in I maps the algebra into I, and c_q is
+read from the d x d restriction of L_x to I (d = dim I), through
+characteristic polynomials by the division-free Berkowitz algorithm.
+The result is proved nilpotent by its chain of powers.
 """
 
 from __future__ import annotations
@@ -262,6 +268,7 @@ class FiniteAlgebra:
         self.table = table
         self.dim = len(table)
         self.unit = tuple(unit)
+        self._radical_powers: list[SubspaceBasis] | None = None
         if check:
             self._check_axioms()
 
@@ -330,64 +337,109 @@ class FiniteAlgebra:
 
     # -- radical ---------------------------------------------------------------
 
-    def radical(self) -> SubspaceBasis:
-        if self.field.char == 0:
-            gram = Mat(self.field, [
-                tuple(self.left_mult_mat(self.table[i][j]).trace()
-                      for j in range(self.dim))
-                for i in range(self.dim)])
-            rad = kernel(gram)
-        else:
-            rad = self._radical_char_p()
-        self._assert_nilpotent(rad)
-        return rad
+    def left_traces(self) -> tuple:
+        """tau_m = Tr L_{e_m} = sum_k c_mk^k for every basis element e_m."""
+        return tuple(sum((self.table[m][k][k] for k in range(self.dim)),
+                         self.field.zero())
+                     for m in range(self.dim))
 
-    def _radical_char_p(self) -> SubspaceBasis:
+    def _trace_form(self) -> Mat:
+        """Gram matrix Tr L_{e_i e_j} = sum_m c_ij^m tau_m, in O(n^3)."""
+        terms = [(m, t) for m, t in enumerate(self.left_traces())
+                 if not t.is_zero()]
+        zero = self.field.zero()
+        return Mat(self.field, [
+            tuple(sum((self.table[i][j][m] * t for m, t in terms), zero)
+                  for j in range(self.dim))
+            for i in range(self.dim)], self.dim)
+
+    def radical(self) -> SubspaceBasis:
+        """The Jacobson radical J in canonical form, proved nilpotent.
+
+        The proof is the chain [J, J^2, ..., 0] of ideal_powers, which
+        radical_powers hands on.
+        """
+        if self._radical_powers is None:
+            rad = kernel(self._trace_form())
+            if self.field.char:
+                rad = self._radical_char_p(rad)
+            self._radical_powers = self.ideal_powers(rad)
+        return self._radical_powers[0]
+
+    def radical_powers(self) -> list[SubspaceBasis]:
+        """[J, J^2, ..., 0] for the Jacobson radical J."""
+        self.radical()
+        return list(self._radical_powers)
+
+    def _radical_char_p(self, level: SubspaceBasis) -> SubspaceBasis:
+        """Levels q = p, p^2, ... of the chain, from the trace-form level.
+
+        Each level I (dim d) is first proved a right ideal, so for x in I
+        the map L_x sends A into I and det(t - L_x) = t^(n-d) det(t - L_x|I):
+        c_q comes from the d x d restriction, read at I's pivot columns,
+        and vanishes once q > d, which ends the chain.
+        """
         p = self.field.char
-        n = self.dim
-        current = [unit_vec(self.field, n, i) for i in range(n)]
-        q = 1
-        while q <= n and current:
+        current = list(level.rows)
+        q = p
+        while True:
+            pivots = _pivot_columns(current)
+            self._require_right_ideal(current, pivots)
+            d = len(current)
+            if q > d:
+                return SubspaceBasis(self.field, self.dim, current,
+                                     canonical=True)
             # condition: c_q((x y)-regular matrix) = 0 for all y in the span,
             # q-semilinear in x, linear after the Frobenius twist.
             rows = []
             for y in current:
                 row = []
                 for a in current:
-                    cp = char_poly(self.left_mult_mat(self.mult(a, y)))
-                    row.append(cp[q])
+                    x = self.mult(a, y)
+                    cols = [tuple(v[j] for j in pivots)
+                            for v in (self.mult(x, b) for b in current)]
+                    row.append(char_poly(Mat.from_columns(self.field, cols, d))[q])
                 rows.append(tuple(row))
-            ker = kernel(Mat(self.field, rows, len(current)))
+            ker = kernel(Mat(self.field, rows, d))
             # pull the twisted coordinates back through the inverse Frobenius
             twisted = [tuple(_frobenius_root(c, q) for c in v) for v in ker.rows]
             new = []
             for coeffs in twisted:
-                v = zero_vec(self.field, n)
+                v = zero_vec(self.field, self.dim)
                 for c, b in zip(coeffs, current):
                     v = vec_add(v, vec_scale(c, b))
                 new.append(v)
             current, _ = rref_rows(self.field, new)
             current = list(current)
             q *= p
-        return SubspaceBasis(self.field, n, current)
 
-    def _assert_nilpotent(self, rad: SubspaceBasis):
-        layer = list(rad.rows)
-        for _ in range(self.dim + 1):
-            if not layer:
-                return
-            nxt = []
-            for u in layer:
-                for v in rad.rows:
-                    nxt.append(self.mult(u, v))
-            layer, _ = rref_rows(self.field, nxt)
-            layer = list(layer)
-        raise LinAlgError("computed radical is not nilpotent; algebra data corrupt")
+    def _require_right_ideal(self, rows: list[tuple], pivots: list[int]):
+        """Prove span(rows) * A is inside span(rows), or LinAlgError.
+
+        rows are canonical, so a vector of their span is its entries at
+        the pivot columns times the rows.
+        """
+        for b in rows:
+            for k in range(self.dim):
+                v = self.mult(b, unit_vec(self.field, self.dim, k))
+                back = zero_vec(self.field, self.dim)
+                for j, r in zip(pivots, rows):
+                    if not v[j].is_zero():
+                        back = vec_add(back, vec_scale(v[j], r))
+                if back != v:
+                    raise LinAlgError("a level of the radical chain is not a "
+                                      "right ideal; algebra data corrupt")
 
     def ideal_powers(self, ideal: SubspaceBasis) -> list[SubspaceBasis]:
-        """[I, I^2, ...] until the zero ideal (which is included)."""
+        """[I, I^2, ...] until the zero ideal (which is included).
+
+        A nilpotent I reaches zero within dim + 1 products; otherwise
+        LinAlgError.
+        """
         out = [ideal]
         while out[-1].dim:
+            if len(out) > self.dim + 1:
+                raise LinAlgError("ideal is not nilpotent; algebra data corrupt")
             nxt = []
             for u in out[-1].rows:
                 for v in ideal.rows:
@@ -568,6 +620,11 @@ class FiniteAlgebra:
         return list(rows)
 
 
+def _pivot_columns(rows: list[tuple]) -> list[int]:
+    """Leading nonzero column of each canonical row."""
+    return [next(j for j, c in enumerate(r) if not c.is_zero()) for r in rows]
+
+
 def _frobenius_root(s: Scalar, q: int) -> Scalar:
     """The unique q-th root (q a power of char) in a finite field."""
     field = s.field
@@ -594,8 +651,7 @@ class QuotientMap:
     def __init__(self, alg: FiniteAlgebra, ideal: SubspaceBasis):
         self.parent = alg
         self.ideal = ideal
-        pivots = [next(j for j, c in enumerate(r) if not c.is_zero())
-                  for r in ideal.rows]
+        pivots = _pivot_columns(ideal.rows)
         self.section_cols = [j for j in range(alg.dim) if j not in pivots]
         secvecs = [unit_vec(alg.field, alg.dim, j) for j in self.section_cols]
         self._solve_mat = Mat.from_columns(

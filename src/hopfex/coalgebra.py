@@ -526,7 +526,7 @@ class CoradicalAnalysis:
         self.coalgebra = coalgebra
         self.dual = coalgebra.dual_algebra()
         self.radical = self.dual.radical()
-        jpowers = self.dual.ideal_powers(self.radical)
+        jpowers = self.dual.radical_powers()
         # H_m = (J^(m+1))^perp; the chain is strictly increasing and the
         # last term (annihilator of the vanishing power) is all of H.
         self.filtration = [jp.perp() for jp in jpowers]
@@ -653,20 +653,19 @@ def _split_commutative(alg: FiniteAlgebra) -> list[tuple]:
         for b in base:
             v = vec_add(v, vec_scale(alg.field.from_int(rng.randrange(-3, 4)), b))
         cands.append(v)
+    # split_idempotent depends only on (e, x): an idempotent that no
+    # candidate splits stays unsplit, so the scan never goes back.
     pool = [alg.unit]
-    changed = True
-    while changed:
-        changed = False
-        for idx, e in enumerate(pool):
-            for x in cands:
-                xe = alg.mult(alg.mult(e, x), e)
-                f = alg.split_idempotent(e, xe)
-                if f is not None:
-                    pool[idx:idx + 1] = [f, vec_sub(e, f)]
-                    changed = True
-                    break
-            if changed:
+    idx = 0
+    while idx < len(pool):
+        e = pool[idx]
+        for x in cands:
+            f = alg.split_idempotent(e, alg.mult(alg.mult(e, x), e))
+            if f is not None:
+                pool[idx:idx + 1] = [f, vec_sub(e, f)]
                 break
+        else:
+            idx += 1
     return pool
 
 

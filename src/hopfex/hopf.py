@@ -365,11 +365,7 @@ class HopfAlgebra(Coalgebra):
 
     def integral_trace(self) -> IntegralResult:
         """Integral of the dual via traces of left multiplications on H*."""
-        dual = self.dual_algebra()
-        vec = tuple(
-            dual.left_mult_mat(unit_vec(self.field, self.dim, i)).trace()
-            for i in range(self.dim))
-        return self._integral_result(vec)
+        return self._integral_result(self.dual_algebra().left_traces())
 
     def integral_dual_basis(self) -> IntegralResult:
         """The same integral via Lambda = sum e_i* harpoon-> e_i."""
