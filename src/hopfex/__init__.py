@@ -18,7 +18,7 @@ from .extension import (
     extend_coalgebra,
     graded_positive_part,
 )
-from .hopf import ExponentReport, HopfAlgebra, LinMap, default_cap
+from .hopf import ExponentReport, HopfAlgebra, default_cap
 from .linalg import Mat, SubspaceBasis
 from .matforms import (
     BasicMultMatrix,
@@ -53,7 +53,6 @@ __all__ = [
     "HopfAlgebra",
     "HopfexError",
     "IdempotentFamily",
-    "LinMap",
     "Mat",
     "MatrixOverH",
     "PrimitiveDecomposition",

@@ -20,17 +20,29 @@ The trace is linear, so the trace form comes straight from the
 structure constants: Tr L_{e_i e_j} = sum_m c_ij^m tau_m with
 tau_m = Tr L_{e_m} = sum_k c_mk^k, in O(n^3).  It is the whole char-0
 criterion and the first level (c_1 = -Tr) of the char-p chain.  Every
-level I of the chain is an ideal, and I * A inside I is proved before
-I is used; then L_x for x in I maps the algebra into I, and c_q is
-read from the d x d restriction of L_x to I (d = dim I), through
-characteristic polynomials by the division-free Berkowitz algorithm.
-The result is proved nilpotent by its chain of powers.
+level I of the chain is proved a right ideal (I * A inside I) and then
+tested by its chain of powers.  The first nilpotent level is the
+radical: a nilpotent right ideal lies in J, and J lies in every level.
+So the chain stops there, and its powers [J, J^2, ..., 0] are the
+proof.  Only a level that is not nilpotent leads to the next one,
+where L_x for x in I maps the algebra into I and c_q is read from the
+d x d restriction of L_x to I (d = dim I), through characteristic
+polynomials by the division-free Berkowitz algorithm.
+
+Splitting the semisimple quotient is deterministic.  The centre is
+refined by its basis: an idempotent e of a commutative semisimple
+algebra is primitive exactly when eA is one-dimensional, and any other
+e is split by e b e for some basis vector b when eA is split (k^m), so
+split_commutative raises NonSplitField when no basis vector splits e.
+A simple block M_r(k) is split by a bounded search over its corner
+basis, their pairwise sums, differences and products
+(primitive_idempotent_in); a search that runs out proves nothing and
+raises SplittingSearchExhausted.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 
 from .errors import (
@@ -38,6 +50,7 @@ from .errors import (
     NonSplitField,
     NoSolution,
     ShapeMismatch,
+    SplittingSearchExhausted,
 )
 from .linalg import (
     Mat,
@@ -329,12 +342,6 @@ class FiniteAlgebra:
             out = vec_add(self.mult(out, u), vec_scale(c, self.unit))
         return out
 
-    def min_poly(self, u: tuple) -> list[Scalar]:
-        powers = [self.unit]
-        for _ in range(self.dim + 1):
-            powers.append(self.mult(powers[-1], u))
-        return min_poly_of_powers(self.field, powers)
-
     # -- radical ---------------------------------------------------------------
 
     def left_traces(self) -> tuple:
@@ -356,14 +363,31 @@ class FiniteAlgebra:
     def radical(self) -> SubspaceBasis:
         """The Jacobson radical J in canonical form, proved nilpotent.
 
-        The proof is the chain [J, J^2, ..., 0] of ideal_powers, which
-        radical_powers hands on.
+        Levels of the chain, from the trace-form kernel on, are proved
+        right ideals and tested by ideal_powers; the first nilpotent one
+        is J.  Its chain [J, J^2, ..., 0] is the proof, and radical_powers
+        hands it on.
         """
         if self._radical_powers is None:
-            rad = kernel(self._trace_form())
-            if self.field.char:
-                rad = self._radical_char_p(rad)
-            self._radical_powers = self.ideal_powers(rad)
+            p = self.field.char
+            level = kernel(self._trace_form())
+            q = 1
+            while True:
+                pivots = _pivot_columns(level.rows)
+                self._require_right_ideal(level.rows, pivots)
+                try:
+                    self._radical_powers = self.ideal_powers(level)
+                    break
+                except LinAlgError:
+                    pass  # not nilpotent, so not J: go one level down
+                # In char 0 the trace-form kernel is J itself; in char p,
+                # c_q vanishes on a d-dimensional level once q > d.
+                q *= p
+                if not 0 < q <= level.dim:
+                    raise LinAlgError("the radical chain ended at a level "
+                                      "that is not nilpotent; algebra data "
+                                      "corrupt")
+                level = self._next_level(level.rows, pivots, q)
         return self._radical_powers[0]
 
     def radical_powers(self) -> list[SubspaceBasis]:
@@ -371,47 +395,35 @@ class FiniteAlgebra:
         self.radical()
         return list(self._radical_powers)
 
-    def _radical_char_p(self, level: SubspaceBasis) -> SubspaceBasis:
-        """Levels q = p, p^2, ... of the chain, from the trace-form level.
+    def _next_level(self, rows: list[tuple], pivots: list[int],
+                    q: int) -> SubspaceBasis:
+        """Level q of the char-p chain below the right ideal I = span(rows).
 
-        Each level I (dim d) is first proved a right ideal, so for x in I
-        the map L_x sends A into I and det(t - L_x) = t^(n-d) det(t - L_x|I):
-        c_q comes from the d x d restriction, read at I's pivot columns,
-        and vanishes once q > d, which ends the chain.
+        For x in I the map L_x sends A into I and det(t - L_x) =
+        t^(n-d) det(t - L_x|I), so c_q comes from the d x d restriction,
+        read at I's pivot columns.
         """
-        p = self.field.char
-        current = list(level.rows)
-        q = p
-        while True:
-            pivots = _pivot_columns(current)
-            self._require_right_ideal(current, pivots)
-            d = len(current)
-            if q > d:
-                return SubspaceBasis(self.field, self.dim, current,
-                                     canonical=True)
-            # condition: c_q((x y)-regular matrix) = 0 for all y in the span,
-            # q-semilinear in x, linear after the Frobenius twist.
-            rows = []
-            for y in current:
-                row = []
-                for a in current:
-                    x = self.mult(a, y)
-                    cols = [tuple(v[j] for j in pivots)
-                            for v in (self.mult(x, b) for b in current)]
-                    row.append(char_poly(Mat.from_columns(self.field, cols, d))[q])
-                rows.append(tuple(row))
-            ker = kernel(Mat(self.field, rows, d))
-            # pull the twisted coordinates back through the inverse Frobenius
-            twisted = [tuple(_frobenius_root(c, q) for c in v) for v in ker.rows]
-            new = []
-            for coeffs in twisted:
-                v = zero_vec(self.field, self.dim)
-                for c, b in zip(coeffs, current):
-                    v = vec_add(v, vec_scale(c, b))
-                new.append(v)
-            current, _ = rref_rows(self.field, new)
-            current = list(current)
-            q *= p
+        d = len(rows)
+        # condition: c_q((x y)-regular matrix) = 0 for all y in the span,
+        # q-semilinear in x, linear after the Frobenius twist.
+        cond = []
+        for y in rows:
+            row = []
+            for a in rows:
+                x = self.mult(a, y)
+                cols = [tuple(v[j] for j in pivots)
+                        for v in (self.mult(x, b) for b in rows)]
+                row.append(char_poly(Mat.from_columns(self.field, cols, d))[q])
+            cond.append(tuple(row))
+        ker = kernel(Mat(self.field, cond, d))
+        # pull the twisted coordinates back through the inverse Frobenius
+        new = []
+        for coeffs in ker.rows:
+            v = zero_vec(self.field, self.dim)
+            for c, b in zip(coeffs, rows):
+                v = vec_add(v, vec_scale(_frobenius_root(c, q), b))
+            new.append(v)
+        return SubspaceBasis(self.field, self.dim, new)
 
     def _require_right_ideal(self, rows: list[tuple], pivots: list[int]):
         """Prove span(rows) * A is inside span(rows), or LinAlgError.
@@ -433,18 +445,18 @@ class FiniteAlgebra:
     def ideal_powers(self, ideal: SubspaceBasis) -> list[SubspaceBasis]:
         """[I, I^2, ...] until the zero ideal (which is included).
 
-        A nilpotent I reaches zero within dim + 1 products; otherwise
-        LinAlgError.
+        The powers of a right ideal are nested, so a nonzero power no
+        smaller than the one before it is that power again and the chain
+        never reaches zero: LinAlgError.
         """
         out = [ideal]
         while out[-1].dim:
-            if len(out) > self.dim + 1:
+            nxt = SubspaceBasis(self.field, self.dim,
+                                [self.mult(u, v) for u in out[-1].rows
+                                 for v in ideal.rows])
+            if nxt.dim >= out[-1].dim:
                 raise LinAlgError("ideal is not nilpotent; algebra data corrupt")
-            nxt = []
-            for u in out[-1].rows:
-                for v in ideal.rows:
-                    nxt.append(self.mult(u, v))
-            out.append(SubspaceBasis(self.field, self.dim, nxt))
+            out.append(nxt)
         return out
 
     # -- quotients and subalgebras ----------------------------------------------
@@ -462,13 +474,6 @@ class FiniteAlgebra:
             diff = self.left_mult_mat(ej) - self.right_mult_mat(ej)
             rows.extend(diff.rows)
         return kernel(Mat(self.field, rows, self.dim))
-
-    def is_commutative(self) -> bool:
-        for i in range(self.dim):
-            for j in range(i):
-                if self.table[i][j] != self.table[j][i]:
-                    return False
-        return True
 
     # -- idempotents ------------------------------------------------------------
 
@@ -577,39 +582,63 @@ class FiniteAlgebra:
             return None
         return u
 
-    def primitive_idempotent_in(self, e: tuple, seed: int = 0) -> tuple:
-        """A primitive idempotent below e, by deterministic splitting search.
+    def split_commutative(self) -> list[tuple]:
+        """All primitive idempotents of a commutative semisimple algebra.
 
-        Candidates: corner basis elements, their pairwise sums, then
-        seeded pseudo-random small combinations.  Raises NonSplitField
-        when the search exhausts its budget, which is the desk-scale
-        signal that the corner is a division algebra over the base
-        field (or needs a bigger field).
+        Walks a pool that starts at the unit.  An idempotent e is
+        primitive exactly when eA is one-dimensional; any other e is split
+        by x = e b e for the first basis vector b that split_idempotent
+        can use.  If eA is k^m with m >= 2, the e b e span it, so one of
+        them is not a scalar multiple of e; its minimal polynomial has
+        distinct roots in k, and split_idempotent splits e with it.  So
+        when no basis vector splits e, eA is not split and NonSplitField
+        is raised.  Over Q and finite fields field_roots is exhaustive
+        and the raise is a proof; over a char-0 extension field it rests
+        on field_roots' list of candidate roots.
+        """
+        basis = [unit_vec(self.field, self.dim, i) for i in range(self.dim)]
+        pool = [self.unit]
+        idx = 0
+        while idx < len(pool):
+            e = pool[idx]
+            if len(self.corner_basis(e)) == 1:
+                idx += 1
+                continue
+            for b in basis:
+                f = self.split_idempotent(e, self.mult(self.mult(e, b), e))
+                if f is not None:
+                    pool[idx:idx + 1] = [f, vec_sub(e, f)]
+                    break
+            else:
+                raise NonSplitField(
+                    "a simple block of the dual algebra has center larger "
+                    "than the base field; recompute over a field extension")
+        return pool
+
+    def primitive_idempotent_in(self, e: tuple) -> tuple:
+        """A primitive idempotent below e, by a bounded splitting search.
+
+        Candidates x, tried as e x e: the corner basis, then its pairwise
+        sums, differences and products.  When none splits the corner,
+        SplittingSearchExhausted is raised: the bounded search proves
+        nothing about the block.
         """
         corner = self.corner_basis(e)
         if len(corner) == 1:
             return e
-        cands = list(corner)
-        cands.extend(vec_add(a, b) for a, b in itertools.combinations(corner, 2))
-        cands.extend(vec_sub(a, b) for a, b in itertools.combinations(corner, 2))
-        cands.extend(self.mult(a, b) for a, b in
-                     itertools.permutations(corner, 2))
-        rng = random.Random(seed ^ 0x5EED)
-        span = corner
-        for _ in range(200):
-            coeffs = [self.field.from_int(rng.randrange(-3, 4)) for _ in span]
-            v = zero_vec(self.field, self.dim)
-            for c, b in zip(coeffs, span):
-                v = vec_add(v, vec_scale(c, b))
-            cands.append(v)
-        for x in cands:
-            x = self.mult(self.mult(e, x), e)
-            f = self.split_idempotent(e, x)
+        pairs = list(itertools.combinations(corner, 2))
+        for x in itertools.chain(
+                corner,
+                (vec_add(a, b) for a, b in pairs),
+                (vec_sub(a, b) for a, b in pairs),
+                (self.mult(a, b) for a, b in itertools.permutations(corner, 2))):
+            f = self.split_idempotent(e, self.mult(self.mult(e, x), e))
             if f is not None:
-                return self.primitive_idempotent_in(f, seed + 1)
-        raise NonSplitField(
-            "no primitive idempotent found over the base field; a simple "
-            "block appears to be a division algebra, extend the field")
+                return self.primitive_idempotent_in(f)
+        raise SplittingSearchExhausted(
+            "no candidate splits a corner of dimension "
+            f"{len(corner)}; the block may be a division algebra over the "
+            "base field, or may need a larger search")
 
     def corner_basis(self, e: tuple) -> list[tuple]:
         rows = []

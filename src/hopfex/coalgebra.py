@@ -10,6 +10,15 @@ through J gives the orthonormal coradical idempotent family {e_C},
 which in turn powers the hit-action calculus and the bicomponent
 decompositions.
 
+The blocks come from splitting H*/J deterministically.  The primitive
+idempotents of its centre (FiniteAlgebra.split_commutative) are the
+block idempotents z.  In each block a primitive idempotent f
+(FiniteAlgebra.primitive_idempotent_in) gives the matrix size r as the
+dimension of the left ideal (H*/J)f, and r^2 = dim z(H*/J) proves the
+block is M_r(k).  NonSplitField is raised when the centre or a block is
+proved not split over the base field; SplittingSearchExhausted when the
+bounded search inside a block finds nothing, which proves nothing.
+
 Tensors in H (x) H are sparse dicts keyed by basis index pairs; they
 are kept clean (no explicit zeros), so dict equality is tensor
 equality.
@@ -18,7 +27,6 @@ equality.
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 
 from .algebra import FiniteAlgebra
@@ -26,13 +34,10 @@ from .errors import (
     AxiomViolation,
     FieldMismatch,
     IncompatibleBase,
-    NonSplitField,
     UnknownSimple,
 )
 from .linalg import (
-    Mat,
     SubspaceBasis,
-    rref_rows,
     unit_vec,
     vec_add,
     vec_dot,
@@ -108,14 +113,6 @@ def t2_flatten(field: FieldSpec, a: dict, dim: int) -> tuple:
     for (j, k), v in a.items():
         out[j * dim + k] = v
     return tuple(out)
-
-
-def t2_unflatten(vec: tuple, dim: int) -> dict:
-    out = {}
-    for idx, v in enumerate(vec):
-        if not v.is_zero():
-            out[(idx // dim, idx % dim)] = v
-    return out
 
 
 def tensor_square_subspace(v: SubspaceBasis, w: SubspaceBasis) -> SubspaceBasis:
@@ -338,15 +335,26 @@ class Coalgebra:
             raise AxiomViolation("; ".join(bad))
 
     def extend_scalars(self, bigger: FieldSpec) -> "Coalgebra":
-        """The same structure constants read in an extension field."""
+        """The same structure constants read in an extension field.
+
+        A HopfAlgebra (or bialgebra) stays one: every table of its
+        structure file is converted.
+        """
+        from .structfile import StructureFile, structure_from_object
+
+        sf = structure_from_object(self)
         conv = bigger.convert
-        comul = {}
-        for i in range(self.dim):
-            for (j, k), c in self.comul[i].items():
-                comul[(i, j, k)] = conv(c)
-        return Coalgebra(bigger, self.names, comul,
-                         [conv(c) for c in self.counit],
-                         name=f"{self.name} (x) {bigger.describe()}")
+
+        def converted(entries):
+            return None if entries is None else {
+                key: conv(c) for key, c in entries.items()}
+
+        return StructureFile(
+            bigger, sf.names, [conv(c) for c in sf.counit],
+            converted(sf.comul), converted(sf.mul),
+            None if sf.unit is None else [conv(c) for c in sf.unit],
+            converted(sf.antipode),
+            name=f"{self.name} (x) {bigger.describe()}").to_object()
 
     def is_subcoalgebra(self, v: SubspaceBasis) -> bool:
         target = tensor_square_subspace(v, v)
@@ -450,16 +458,6 @@ class Coalgebra:
         assert total == tuple(h), "bicomponents failed to sum back"
         return out
 
-    def bicomponent_decomposition(self, v: SubspaceBasis) -> dict:
-        """Map (C, D) -> ^C V ^D for every pair of simples."""
-        n = len(self.simple_subcoalgebras())
-        out = {}
-        for c in range(n):
-            for d in range(n):
-                rows = [self.component(row, left=c, right=d) for row in v.rows]
-                out[(c, d)] = SubspaceBasis(self.field, self.dim, rows)
-        return out
-
     def bicomponent_subspace(self, left: int, right: int,
                              within: SubspaceBasis | None = None) -> SubspaceBasis:
         v = within if within is not None else SubspaceBasis.full(self.field, self.dim)
@@ -551,14 +549,7 @@ class CoradicalAnalysis:
         q = self.quotient.algebra
         zrows = q.center().rows
         zmap = q.subalgebra_on(list(zrows), q.unit)
-        pool = _split_commutative(zmap.algebra)
-        embedded = []
-        for e in pool:
-            if len(zmap.algebra.corner_basis(e)) > 1:
-                raise NonSplitField(
-                    "a simple block of the dual algebra has center larger "
-                    "than the base field; recompute over a field extension")
-            embedded.append(zmap.embed(e))
+        embedded = [zmap.embed(e) for e in zmap.algebra.split_commutative()]
         blocks = [q.corner_basis(z) for z in embedded]
         raw = []
         for t, z in enumerate(embedded):
@@ -566,7 +557,7 @@ class CoradicalAnalysis:
             if bdim == 1:
                 f, r = z, 1
             else:
-                f = q.primitive_idempotent_in(z, seed=t)
+                f = q.primitive_idempotent_in(z)
                 lrows = [q.mult(unit_vec(field, q.dim, i), f)
                          for i in range(q.dim)]
                 r = SubspaceBasis(field, q.dim, lrows).dim
@@ -634,39 +625,6 @@ class CoradicalAnalysis:
                             "restriction property fails"
             self._idempotents = IdempotentFamily(self.coalgebra, funcs)
         return self._idempotents
-
-
-def _split_commutative(alg: FiniteAlgebra) -> list[tuple]:
-    """All primitive idempotents of a commutative semisimple algebra.
-
-    Splits by base-field roots of minimal polynomials only; factors that
-    are proper field extensions simply stay unsplit (their corners keep
-    dimension > 1, which callers diagnose).
-    """
-    cands = [unit_vec(alg.field, alg.dim, i) for i in range(alg.dim)]
-    cands.extend(vec_add(a, b) for a, b in itertools.combinations(list(cands), 2))
-    base = [unit_vec(alg.field, alg.dim, i) for i in range(alg.dim)]
-    cands.extend(alg.mult(a, b) for a, b in itertools.combinations(base, 2))
-    rng = random.Random(0xC0A16)
-    for _ in range(64):
-        v = zero_vec(alg.field, alg.dim)
-        for b in base:
-            v = vec_add(v, vec_scale(alg.field.from_int(rng.randrange(-3, 4)), b))
-        cands.append(v)
-    # split_idempotent depends only on (e, x): an idempotent that no
-    # candidate splits stays unsplit, so the scan never goes back.
-    pool = [alg.unit]
-    idx = 0
-    while idx < len(pool):
-        e = pool[idx]
-        for x in cands:
-            f = alg.split_idempotent(e, alg.mult(alg.mult(e, x), e))
-            if f is not None:
-                pool[idx:idx + 1] = [f, vec_sub(e, f)]
-                break
-        else:
-            idx += 1
-    return pool
 
 
 # ---------------------------------------------------------------------------

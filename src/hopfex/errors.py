@@ -54,7 +54,14 @@ class AxiomViolation(CoalgebraError):
 
 class NonSplitField(CoalgebraError):
     """A simple component of the dual algebra is not a full matrix algebra
-    over the base field; analysis needs a field extension supplied by the caller."""
+    over the base field; analysis needs a field extension supplied by the caller.
+    Raised on proof only (over a char-0 extension field, the proof rests on
+    the candidate roots of algebra.field_roots)."""
+
+
+class SplittingSearchExhausted(CoalgebraError):
+    """A bounded search found no idempotent splitting a simple block.  This
+    proves nothing: the block may be a division algebra or may be split."""
 
 
 class UnknownSimple(CoalgebraError):

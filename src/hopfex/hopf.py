@@ -39,14 +39,26 @@ from .linalg import (
     SubspaceBasis,
     unit_vec,
     vec_add,
-    vec_is_zero,
     vec_scale,
     zero_vec,
 )
 from .scalars import FieldSpec
 
-#: LinMaps are plain exact matrices acting on coefficient vectors.
-LinMap = Mat
+
+def pointed_exponent_bound(d: int, p: int, n: int) -> int:
+    """d * p^(floor(log_p n) + 1), or d when n = 0.
+
+    The exponent bound of a pointed Hopf algebra in characteristic p
+    with group-like exponent d and coradical filtration depth n, and the
+    order bound of an upper block-triangular multiplicative matrix with
+    n + 1 diagonal blocks of order dividing d.
+    """
+    if n == 0:
+        return d
+    e = 0
+    while p ** (e + 1) <= n:
+        e += 1
+    return d * p ** (e + 1)
 
 
 def default_cap(dim: int) -> int:
@@ -167,9 +179,6 @@ class HopfAlgebra(Coalgebra):
 
     def power_vec(self, u: tuple, n: int) -> tuple:
         return self._alg.power(u, n)
-
-    def as_algebra(self) -> FiniteAlgebra:
-        return self._alg
 
     def antipode_vec(self, v: tuple) -> tuple:
         if self.antipode_mat is None:
@@ -335,32 +344,6 @@ class HopfAlgebra(Coalgebra):
         steps.append(f"no power up to {cap} equals the convolution unit")
         return ExponentReport("exceeds_cap", cap=cap, steps=steps)
 
-    # -- scalar extension ---------------------------------------------------------
-
-    def extend_scalars(self, bigger: FieldSpec) -> "HopfAlgebra":
-        conv = bigger.convert
-        comul = {}
-        for i in range(self.dim):
-            for (j, k), c in self.comul[i].items():
-                comul[(i, j, k)] = conv(c)
-        mul = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for m, c in enumerate(self.mul_table[i][j]):
-                    if not c.is_zero():
-                        mul[(i, j, m)] = conv(c)
-        antipode = None
-        if self.antipode_mat is not None:
-            antipode = {}
-            for i in range(self.dim):
-                for m, c in enumerate(self.antipode_mat.column(i)):
-                    if not c.is_zero():
-                        antipode[(i, m)] = conv(c)
-        return HopfAlgebra(bigger, self.names, comul,
-                           [conv(c) for c in self.counit], mul,
-                           [conv(c) for c in self.unit], antipode,
-                           name=f"{self.name} (x) {bigger.describe()}")
-
     # -- integrals -------------------------------------------------------------
 
     def integral_trace(self) -> IntegralResult:
@@ -486,13 +469,7 @@ class HopfAlgebra(Coalgebra):
                 o = self.grouplike_order(g)
                 d = d * o // math.gcd(d, o)
             n = len(self.coradical_filtration()) - 1
-            if n == 0:
-                bound = d
-            else:
-                e = 0
-                while p ** (e + 1) <= n:
-                    e += 1
-                bound = d * p ** (e + 1)
+            bound = pointed_exponent_bound(d, p, n)
             steps.append(f"characteristic {p}, pointed; group-like group "
                          f"exponent d = {d}, filtration depth n = {n}")
             steps.append(f"exponent bounded by {bound}")
@@ -519,7 +496,6 @@ __all__ = [
     "ExponentReport",
     "HopfAlgebra",
     "IntegralResult",
-    "LinMap",
     "SimpleComponent",
     "default_cap",
 ]

@@ -20,6 +20,7 @@ from .coalgebra import Coalgebra, Element, SimpleComponent, as_scalar, t2_add_te
 from .errors import (DiagonalOrderViolated, FieldMismatch, MatrixFormError,
                      NotDegreeOne, NotInBicomponent, NotMultiplicative,
                      ShapeMismatch)
+from .hopf import pointed_exponent_bound
 from .linalg import (Mat, SubspaceBasis, rref_rows, solve, solve_columns,
                      unit_vec, vec_add, vec_dot, vec_is_zero, vec_scale,
                      vec_sub, zero_vec)
@@ -719,13 +720,6 @@ def block_order_bound_check(z: MatrixOverH, d: int, p: int,
         if block.power(d) != MatrixOverH.identity(parent, sizes[bi]):
             raise DiagonalOrderViolated(
                 f"diagonal block {bi} does not have order dividing {d}")
-    n = len(sizes) - 1
-    if n == 0:
-        bound = d
-    else:
-        e = 0
-        while p ** (e + 1) <= n:
-            e += 1
-        bound = d * p ** (e + 1)
+    bound = pointed_exponent_bound(d, p, len(sizes) - 1)
     holds = z.power(bound) == MatrixOverH.identity(parent, z.nrows)
     return BlockOrderReport(bound, holds, tuple(sizes), d, p)

@@ -1,9 +1,10 @@
-"""FiniteAlgebra: the radical chain, ideal powers, commutative splitting.
+"""FiniteAlgebra: the radical chain, ideal powers, splitting.
 
-The radical and the splitting pool are compared with straightforward
+The radical and the splitting are compared with straightforward
 references kept here: the Gram matrix and characteristic polynomials of
-the full n x n left multiplications, and a splitting scan that restarts
-at the first idempotent after every split.
+the full n x n left multiplications, a splitting scan of the centre that
+restarts at the first idempotent after every split, and the block
+search with its seeded random candidates.
 """
 
 import itertools
@@ -11,14 +12,15 @@ import random
 
 import pytest
 
+import hopfex.algebra
 from hopfex import GF, QQ, FieldSpec
-from hopfex.algebra import _frobenius_root, char_poly
-from hopfex.coalgebra import _split_commutative
-from hopfex.errors import LinAlgError
+from hopfex.algebra import FiniteAlgebra, _frobenius_root, char_poly
+from hopfex.errors import LinAlgError, SplittingSearchExhausted
 from hopfex.linalg import (Mat, SubspaceBasis, kernel, rref_rows, unit_vec,
                            vec_add, vec_scale, vec_sub, zero_vec)
-from hopfex.zoo import (cyclic, group_algebra, restricted_poly, sweedler,
-                        taft, tensor_product)
+from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
+                        restricted_poly, sweedler, symmetric, taft,
+                        tensor_product)
 
 
 def reference_radical(alg):
@@ -50,7 +52,7 @@ def reference_radical(alg):
 
 
 def reference_split(alg):
-    """_split_commutative's candidates, scanned from pool[0] after a split."""
+    """split_commutative's old candidates, scanned from pool[0] after a split."""
     base = [unit_vec(alg.field, alg.dim, i) for i in range(alg.dim)]
     cands = list(base)
     cands.extend(vec_add(a, b) for a, b in itertools.combinations(base, 2))
@@ -77,7 +79,40 @@ def reference_split(alg):
     return pool
 
 
+def reference_primitive_idempotent(alg, e, seed=0):
+    """The block search with its 200 seeded random candidates at the end."""
+    corner = alg.corner_basis(e)
+    if len(corner) == 1:
+        return e
+    cands = list(corner)
+    cands.extend(vec_add(a, b) for a, b in itertools.combinations(corner, 2))
+    cands.extend(vec_sub(a, b) for a, b in itertools.combinations(corner, 2))
+    cands.extend(alg.mult(a, b) for a, b in itertools.permutations(corner, 2))
+    rng = random.Random(seed ^ 0x5EED)
+    for _ in range(200):
+        v = zero_vec(alg.field, alg.dim)
+        for b in corner:
+            v = vec_add(v, vec_scale(alg.field.from_int(rng.randrange(-3, 4)), b))
+        cands.append(v)
+    for x in cands:
+        f = alg.split_idempotent(e, alg.mult(alg.mult(e, x), e))
+        if f is not None:
+            return reference_primitive_idempotent(alg, f, seed + 1)
+    raise AssertionError("reference search exhausted")
+
+
 F3 = GF(3)
+
+
+def kZ2_dual_kS3():
+    return tensor_product(group_algebra(cyclic(2), QQ),
+                          dual_group_algebra(symmetric(3), QQ))
+
+
+def quotient_and_center(h):
+    q = h.analysis().quotient.algebra
+    return q, q.subalgebra_on(list(q.center().rows), q.unit)
+
 
 RADICAL_CASES = [
     ("taft25_Qzeta5",
@@ -101,14 +136,72 @@ def test_radical_matches_full_dimension_reference(make, levels):
     assert powers[0] == want and powers[-1].dim == 0
 
 
-@pytest.mark.parametrize("field", [QQ, GF(13)], ids=["Q", "F_13"])
-def test_split_commutative_matches_restarting_scan(field):
-    analysis = group_algebra(cyclic(12), field).analysis()
-    q = analysis.quotient.algebra
-    center = q.subalgebra_on(list(q.center().rows), q.unit).algebra
-    pool = _split_commutative(center)
-    assert len(pool) == 12
+SPLIT_CASES = [
+    ("Q", lambda: group_algebra(cyclic(12), QQ), 12),
+    ("F_13", lambda: group_algebra(cyclic(12), GF(13)), 12),
+    ("taft25_Qzeta5", lambda: taft(5, FieldSpec(0, cyclotomic_order=5)), 5),
+    ("kZ2_dual_kS3_Q", kZ2_dual_kS3, 6),
+]
+
+
+@pytest.mark.parametrize("make, size", [case[1:] for case in SPLIT_CASES],
+                         ids=[case[0] for case in SPLIT_CASES])
+def test_split_commutative_matches_restarting_scan(make, size):
+    center = quotient_and_center(make())[1].algebra
+    pool = center.split_commutative()
+    assert len(pool) == size
     assert pool == reference_split(center)
+
+
+@pytest.mark.parametrize("make, m2_blocks",
+                         [(lambda: dual_group_algebra(symmetric(3), QQ), 1),
+                          (kZ2_dual_kS3, 2)],
+                         ids=["dual_kS3_Q", "kZ2_dual_kS3_Q"])
+def test_block_idempotent_matches_seeded_search(make, m2_blocks):
+    q, zmap = quotient_and_center(make())
+    blocks = 0
+    for t, e in enumerate(zmap.algebra.split_commutative()):
+        z = zmap.embed(e)
+        if len(q.corner_basis(z)) == 4:
+            blocks += 1
+            assert q.primitive_idempotent_in(z) == \
+                reference_primitive_idempotent(q, z, seed=t)
+    assert blocks == m2_blocks
+
+
+def test_rational_quaternions_exhaust_the_search():
+    # (-1,-1)_Q on 1, i, j, k: a division algebra, so no candidate splits
+    # its unit, and a bounded search that finds nothing proves nothing.
+    field = QQ
+    one, zero = field.one(), field.zero()
+    signs = {(1, 1): (0, -1), (2, 2): (0, -1), (3, 3): (0, -1),
+             (1, 2): (3, 1), (2, 1): (3, -1), (2, 3): (1, 1),
+             (3, 2): (1, -1), (3, 1): (2, 1), (1, 3): (2, -1)}
+    table = []
+    for i in range(4):
+        row = []
+        for j in range(4):
+            m, s = (j, 1) if i == 0 else (i, 1) if j == 0 else signs[(i, j)]
+            row.append(tuple(field.from_int(s) if k == m else zero
+                             for k in range(4)))
+        table.append(row)
+    alg = FiniteAlgebra(field, table, (one, zero, zero, zero), check=True)
+    with pytest.raises(SplittingSearchExhausted):
+        alg.primitive_idempotent_in(alg.unit)
+
+
+def test_taft25_f11_radical_stops_at_the_trace_form_level(monkeypatch):
+    calls = []
+    original = hopfex.algebra.char_poly
+
+    def counted(m):
+        calls.append(m.nrows)
+        return original(m)
+
+    monkeypatch.setattr(hopfex.algebra, "char_poly", counted)
+    alg = taft(5, GF(11)).dual_algebra()
+    assert alg.radical().dim == 20
+    assert calls == []
 
 
 def test_ideal_powers_of_whole_algebra_raises():

@@ -74,16 +74,22 @@ def test_json_and_text_carry_the_same_facts(cmd, golden_dir):
 
 
 def test_subprocess_runs_are_byte_identical(golden_dir):
-    argv = [sys.executable, "-m", "hopfex.cli", "exponent",
-            path_of(golden_dir, "kS3")]
+    # the third run of each command line is under -O, so no printed result
+    # may rest on an assert; the M_2 basic matrix of dual_kS3 depends on
+    # the primitive idempotent chosen
     env = child_env(PYTHONHASHSEED="random")
-    outs = []
-    for _ in range(2):
-        p = subprocess.run(argv, capture_output=True, text=True, env=env,
-                           cwd=ROOT)
-        assert p.returncode == 0, p.stderr
-        outs.append(p.stdout)
-    assert outs[0] == outs[1]
+    for args in (["exponent", path_of(golden_dir, "kS3")],
+                 ["mult-matrix", path_of(golden_dir, "dual_kS3"),
+                  "--simple", "2"]):
+        outs = []
+        for flags in ([], [], ["-O"]):
+            p = subprocess.run([sys.executable, *flags, "-m", "hopfex.cli",
+                                *args],
+                               capture_output=True, text=True, env=env,
+                               cwd=ROOT)
+            assert p.returncode == 0, p.stderr
+            outs.append(p.stdout)
+        assert outs[0] == outs[1] == outs[2], args
 
 
 def test_validate_reports_violations_with_exit_one(tmp_path):

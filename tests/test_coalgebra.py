@@ -142,6 +142,12 @@ def test_nonsplit_simple_raises():
         dual_group_algebra(cyclic(3), GF(2)).simple_subcoalgebras()
 
 
+def test_nonsplit_simple_raises_in_characteristic_zero():
+    # the same over Q: x^2 + x + 1 has no rational root
+    with pytest.raises(NonSplitField):
+        dual_group_algebra(cyclic(3), QQ).simple_subcoalgebras()
+
+
 def test_bicomponent_decomposition_of_degree_one(zoo):
     h = zoo["sweedler"]
     x = h.basis_element(h.index_of("x")).vec
