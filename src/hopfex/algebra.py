@@ -43,6 +43,7 @@ raises SplittingSearchExhausted.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import (
@@ -107,21 +108,46 @@ def char_poly(m: Mat) -> list[Scalar]:
     return poly
 
 
-def min_poly_of_powers(field: FieldSpec, powers: list[tuple]) -> list[Scalar]:
-    """Monic minimal polynomial given the power sequence [x^0, x^1, ...].
+def min_poly_of_powers(field: FieldSpec,
+                       powers: Iterable[tuple]) -> list[Scalar] | None:
+    """Monic minimal polynomial of x from its powers x^0, x^1, ..., or None.
 
-    powers must be long enough for a dependency to appear (length
-    ambient dim + 1 always suffices).  Returns coefficients constant
-    term first, monic.
+    powers is consumed lazily.  Each power is reduced against the
+    echelon rows kept from the ones before it (sparse rows, zeros
+    skipped), tracking which combination of powers each row stands for.
+    The first power that reduces to zero is a combination of the earlier
+    ones, and that relation is the minimal polynomial (constant term
+    first, monic); nothing after it is taken.  None when the powers run
+    out first, all of them independent.
     """
-    for k in range(1, len(powers)):
-        m = Mat.from_columns(field, powers[:k], len(powers[0]))
-        try:
-            coeffs = solve(m, powers[k])
-        except NoSolution:
-            continue
-        return [-c for c in coeffs] + [field.one()]
-    raise LinAlgError("power sequence too short for a minimal polynomial")
+    zero = field.zero()
+    echelon = []  # (pivot, {column: entry} with 1 at pivot, combination)
+    for n, vec in enumerate(powers):
+        row = {j: c for j, c in enumerate(vec) if not c.is_zero()}
+        comb = [zero] * n + [field.one()]
+        for pivot, erow, ecomb in echelon:
+            c = row.get(pivot)
+            if c is None:
+                continue
+            c = -c
+            for j, x in erow.items():
+                y = c * x
+                if j in row:
+                    y = row[j] + y
+                if y.is_zero():
+                    del row[j]
+                else:
+                    row[j] = y
+            for k, x in enumerate(ecomb):
+                if not x.is_zero():
+                    comb[k] = comb[k] + c * x
+        if not row:
+            return comb
+        pivot = min(row)
+        inv = row[pivot].inverse()
+        echelon.append((pivot, {j: inv * x for j, x in row.items()},
+                        [inv * x for x in comb]))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +399,7 @@ class FiniteAlgebra:
             level = kernel(self._trace_form())
             q = 1
             while True:
-                pivots = _pivot_columns(level.rows)
-                self._require_right_ideal(level.rows, pivots)
+                self._require_right_ideal(level)
                 try:
                     self._radical_powers = self.ideal_powers(level)
                     break
@@ -387,7 +412,7 @@ class FiniteAlgebra:
                     raise LinAlgError("the radical chain ended at a level "
                                       "that is not nilpotent; algebra data "
                                       "corrupt")
-                level = self._next_level(level.rows, pivots, q)
+                level = self._next_level(level, q)
         return self._radical_powers[0]
 
     def radical_powers(self) -> list[SubspaceBasis]:
@@ -395,14 +420,14 @@ class FiniteAlgebra:
         self.radical()
         return list(self._radical_powers)
 
-    def _next_level(self, rows: list[tuple], pivots: list[int],
-                    q: int) -> SubspaceBasis:
-        """Level q of the char-p chain below the right ideal I = span(rows).
+    def _next_level(self, level: SubspaceBasis, q: int) -> SubspaceBasis:
+        """Level q of the char-p chain below the right ideal I = level.
 
         For x in I the map L_x sends A into I and det(t - L_x) =
         t^(n-d) det(t - L_x|I), so c_q comes from the d x d restriction,
         read at I's pivot columns.
         """
+        rows, pivots = level.rows, level.pivots
         d = len(rows)
         # condition: c_q((x y)-regular matrix) = 0 for all y in the span,
         # q-semilinear in x, linear after the Frobenius twist.
@@ -425,22 +450,17 @@ class FiniteAlgebra:
             new.append(v)
         return SubspaceBasis(self.field, self.dim, new)
 
-    def _require_right_ideal(self, rows: list[tuple], pivots: list[int]):
-        """Prove span(rows) * A is inside span(rows), or LinAlgError.
-
-        rows are canonical, so a vector of their span is its entries at
-        the pivot columns times the rows.
-        """
-        for b in rows:
+    def _require_right_ideal(self, level: SubspaceBasis):
+        """Prove level * A is inside level, or LinAlgError."""
+        for b in level.rows:
             for k in range(self.dim):
-                v = self.mult(b, unit_vec(self.field, self.dim, k))
-                back = zero_vec(self.field, self.dim)
-                for j, r in zip(pivots, rows):
-                    if not v[j].is_zero():
-                        back = vec_add(back, vec_scale(v[j], r))
-                if back != v:
+                try:
+                    level.coords_of(self.mult(b, unit_vec(self.field,
+                                                          self.dim, k)))
+                except NoSolution:
                     raise LinAlgError("a level of the radical chain is not a "
-                                      "right ideal; algebra data corrupt")
+                                      "right ideal; algebra data corrupt") \
+                        from None
 
     def ideal_powers(self, ideal: SubspaceBasis) -> list[SubspaceBasis]:
         """[I, I^2, ...] until the zero ideal (which is included).
@@ -503,10 +523,9 @@ class FiniteAlgebra:
         lam-eigencomponent, or (when x - lam*e is nilpotent) a proper
         left ideal whose right identity is the wanted idempotent.
         """
-        powers = [e]
-        for _ in range(self.dim + 1):
-            powers.append(self.mult(powers[-1], x))
-        mu = min_poly_of_powers(self.field, powers)
+        # e, x, x^2, ..., x^dim in the corner: dim + 1 vectors, dependent
+        mu = min_poly_of_powers(self.field, itertools.accumulate(
+            itertools.repeat(x, self.dim), self.mult, initial=e))
         if len(mu) <= 2:
             return None
         for lam in field_roots(self.field, mu):
@@ -649,11 +668,6 @@ class FiniteAlgebra:
         return list(rows)
 
 
-def _pivot_columns(rows: list[tuple]) -> list[int]:
-    """Leading nonzero column of each canonical row."""
-    return [next(j for j, c in enumerate(r) if not c.is_zero()) for r in rows]
-
-
 def _frobenius_root(s: Scalar, q: int) -> Scalar:
     """The unique q-th root (q a power of char) in a finite field."""
     field = s.field
@@ -674,18 +688,21 @@ class QuotientMap:
 
     The complement basis is the set of standard basis vectors at the
     non-pivot columns of the ideal's canonical form, so everything here
-    is deterministic.
+    is deterministic.  A vector v is sum_i v[pivot_i] row_i plus its
+    section part, so projecting needs no solve: section coordinate j is
+    v[s_j] - sum_i v[pivot_i] row_i[s_j].
     """
 
     def __init__(self, alg: FiniteAlgebra, ideal: SubspaceBasis):
         self.parent = alg
         self.ideal = ideal
-        pivots = _pivot_columns(ideal.rows)
-        self.section_cols = [j for j in range(alg.dim) if j not in pivots]
+        self.section_cols = [j for j in range(alg.dim)
+                             if j not in ideal.pivots]
         secvecs = [unit_vec(alg.field, alg.dim, j) for j in self.section_cols]
-        self._solve_mat = Mat.from_columns(
-            alg.field, list(ideal.rows) + secvecs, alg.dim)
-        self._nideal = ideal.dim
+        # each ideal row's nonzero entries at the section columns
+        self._row_sections = [
+            [(k, r[s]) for k, s in enumerate(self.section_cols)
+             if not r[s].is_zero()] for r in ideal.rows]
         qdim = len(self.section_cols)
         table = []
         for a in range(qdim):
@@ -698,8 +715,14 @@ class QuotientMap:
         self.section_vectors = secvecs
 
     def project(self, v: tuple) -> tuple:
-        coords = solve(self._solve_mat, v)
-        return tuple(coords[self._nideal:])
+        out = [v[s] for s in self.section_cols]
+        for p, section in zip(self.ideal.pivots, self._row_sections):
+            if v[p].is_zero():
+                continue
+            a = -v[p]
+            for k, c in section:
+                out[k] = out[k] + a * c
+        return tuple(out)
 
     def lift(self, q: tuple) -> tuple:
         out = zero_vec(self.parent.field, self.parent.dim)

@@ -551,6 +551,7 @@ class CoradicalAnalysis:
         zmap = q.subalgebra_on(list(zrows), q.unit)
         embedded = [zmap.embed(e) for e in zmap.algebra.split_commutative()]
         blocks = [q.corner_basis(z) for z in embedded]
+        lifted = [[self.quotient.lift(b) for b in block] for block in blocks]
         raw = []
         for t, z in enumerate(embedded):
             bdim = len(blocks[t])
@@ -567,9 +568,9 @@ class CoradicalAnalysis:
                         f"ideals of dimension {r}; the block is a division "
                         "algebra over the base field, extend the field")
             ann_rows = list(self.radical.rows)
-            for s, other in enumerate(blocks):
+            for s, other in enumerate(lifted):
                 if s != t:
-                    ann_rows.extend(self.quotient.lift(b) for b in other)
+                    ann_rows.extend(other)
             sub = SubspaceBasis(field, H.dim, ann_rows).perp()
             assert sub.dim == bdim, "block/subcoalgebra dimension mismatch"
             assert H.is_subcoalgebra(sub), "perp pullback not a subcoalgebra"

@@ -5,11 +5,26 @@ HopfexError, so callers (and the CLI) can tell our failures apart from
 genuine bugs.  Input problems (a structure file, a flag, an environment
 variable) derive from InputError and map to CLI exit code 2; everything
 else maps to exit code 1.
+
+Internal invariants are checked with require(), which raises
+InvariantViolation.  Unlike assert it stays on under python -O, and the
+CLI reports it with exit code 1 like any other HopfexError.
 """
 
 
 class HopfexError(Exception):
     """Base class for all hopfex errors."""
+
+
+class InvariantViolation(HopfexError):
+    """An exact internal check failed: the input breaks an axiom the
+    computation relies on, or the code is wrong."""
+
+
+def require(cond: bool, msg: str) -> None:
+    """Raise InvariantViolation(msg) unless cond holds."""
+    if not cond:
+        raise InvariantViolation(msg)
 
 
 class FieldError(HopfexError):

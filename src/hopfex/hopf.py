@@ -7,6 +7,18 @@ classification routes implemented in classify_exponent decide
 infiniteness (char 0, Chevalley coradical) or a finite bound
 (char p, pointed) without unbounded iteration.
 
+The exponent search runs in k[id], the subalgebra of End(H) generated
+by id under convolution.  Right convolution by id is a linear map R with
+[n + 1] = R([n]) for all n >= 0 (for n = 0 by the unit and counit laws,
+which exponent() checks), so x -> id identifies k[x]/(mu) with k[id],
+mu the minimal polynomial of id, and the map x^n mod mu -> [n] is
+injective.  So [n] is x^n mod mu, a vector of deg mu scalars, and
+[n] = u o eps or [n] = [k] holds exactly when the same holds for the
+residues.  mu is found from [0], [1], [2], ... by min_poly_of_powers, at
+the cost of deg mu - 1 convolutions.  When the first cap + 1 of these
+are independent, no [n] with n <= cap equals u o eps or an earlier
+power, and the search stops there.
+
 Integrals of the dual are computed twice on purpose: once through
 traces of left multiplications on H*, once through the dual-basis hit
 formula.  The two must agree exactly; tests rely on the redundancy.
@@ -14,11 +26,12 @@ formula.  The two must agree exactly; tests rely on the redundancy.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field as dataclass_field
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, min_poly_of_powers
 from .coalgebra import (
     Coalgebra,
     Element,
@@ -33,6 +46,7 @@ from .errors import (
     InputError,
     NotCosemisimple,
     WitnessNotFound,
+    require,
 )
 from .linalg import (
     Mat,
@@ -318,29 +332,63 @@ class HopfAlgebra(Coalgebra):
         return None
 
     def exponent(self, cap: int | None = None) -> ExponentReport:
-        """Iterate [n] as exact matrices until u o eps, a repeat, or the cap."""
+        """Iterate [n] for n <= cap until u o eps, a repeat, or the cap.
+
+        The powers are residues x^n mod mu in k[x]/(mu) = k[id] (module
+        docstring), so a step costs deg mu scalar products, not a
+        convolution.  mu is found from [0], ..., [cap] at most; if those
+        are independent, no power up to the cap is u o eps or a repeat.
+        Otherwise the loop, its checks, their order and its first 4096
+        remembered powers are those of iterating [n] as matrices, so the
+        report is the same.
+        """
         cap = default_cap(self.dim) if cap is None else cap
-        ueps = self.counit_unit_map()
-        ident = self.identity_map()
-        m = ident
-        seen: dict = {}
+        ueps, ident = self.counit_unit_map(), self.identity_map()
+        require(self.convolution(ueps, ident) == ident,
+                "(u o eps) * id is not id: the unit or counit law fails")
+
+        def powers():
+            yield ueps
+            m = ident
+            while True:
+                yield m
+                m = self.convolution(m, ident)
+
         steps = [f"iterating convolution powers of id up to cap {cap}"]
+        flat = (tuple(itertools.chain.from_iterable(m.rows))
+                for m in powers())
+        mu = min_poly_of_powers(self.field, itertools.islice(flat, cap + 1))
+        if mu is None:
+            steps.append(f"no power up to {cap} equals the convolution unit")
+            return ExponentReport("exceeds_cap", cap=cap, steps=steps)
+        zero = self.field.zero()
+        one = (self.field.one(),) + (zero,) * (len(mu) - 2)
+        tail = [-c for c in mu[:-1]]  # x^deg = sum tail[k] x^k mod mu
+
+        def times_x(r: tuple) -> tuple:
+            top, shifted = r[-1], (zero,) + r[:-1]
+            if top.is_zero():
+                return shifted
+            return tuple(a + top * c for a, c in zip(shifted, tail))
+
+        r = times_x(one)
+        seen: dict = {}
         for n in range(1, cap + 1):
-            if m == ueps:
+            if r == one:
                 steps.append(f"power {n} equals the unit of convolution")
                 return ExponentReport("finite", n=n, cap=cap, steps=steps)
-            if m in seen:
+            if r in seen:
                 # a cycle that avoids u o eps: impossible when id is
                 # convolution-invertible (antipode present)
-                assert self.antipode_mat is None, (
-                    "convolution powers of id repeated without reaching "
-                    "u o eps on a Hopf algebra")
-                steps.append(f"power {n} repeats power {seen[m]} without "
+                require(self.antipode_mat is None,
+                        "convolution powers of id repeated without reaching "
+                        "u o eps on a Hopf algebra")
+                steps.append(f"power {n} repeats power {seen[r]} without "
                              "reaching the convolution unit; no exponent exists")
                 return ExponentReport("exceeds_cap", cap=cap, steps=steps)
             if len(seen) < 4096:
-                seen[m] = n
-            m = self.convolution(m, ident)
+                seen[r] = n
+            r = times_x(r)
         steps.append(f"no power up to {cap} equals the convolution unit")
         return ExponentReport("exceeds_cap", cap=cap, steps=steps)
 
@@ -363,8 +411,9 @@ class HopfAlgebra(Coalgebra):
         if self.involutory():
             for i in range(self.dim):
                 lhs = self.mul_vec(unit_vec(self.field, self.dim, i), vec)
-                assert lhs == vec_scale(self.counit[i], vec), \
-                    "left integral property fails on an involutory Hopf algebra"
+                require(lhs == vec_scale(self.counit[i], vec),
+                        "left integral property fails on an involutory Hopf "
+                        "algebra")
             asserted = True
         return IntegralResult(Element(self, vec), asserted)
 
@@ -389,7 +438,7 @@ class HopfAlgebra(Coalgebra):
             total = vec_add(total, vec_scale(r, tr))
             terms.append((comp.index, comp.matrix_size, Element(self, tr)))
         want = self.integral_dual_basis().element.vec
-        assert total == want, "trace decomposition disagrees with the integral"
+        require(total == want, "trace decomposition disagrees with the integral")
         return CosemisimpleIntegral(Element(self, total), unit_comp, terms)
 
     # -- structure tests ----------------------------------------------------------
@@ -474,8 +523,8 @@ class HopfAlgebra(Coalgebra):
                          f"exponent d = {d}, filtration depth n = {n}")
             steps.append(f"exponent bounded by {bound}")
             inner = self.exponent(bound)
-            assert inner.kind == "finite", \
-                "iteration missed the proven char-p pointed bound"
+            require(inner.kind == "finite",
+                    "iteration missed the proven char-p pointed bound")
             steps.extend(inner.steps[1:])
             return ExponentReport("bounded", n=inner.n, cap=cap, bound=bound,
                                   criterion="pointed in characteristic p: "

@@ -253,21 +253,32 @@ def solve_columns(m: Mat, rhs: Mat) -> Mat:
 # subspaces
 # ---------------------------------------------------------------------------
 
-class SubspaceBasis:
-    """A subspace of k^n held as a canonical RREF basis (rows)."""
+def _pivot_columns(rows) -> list[int]:
+    """Leading nonzero column of each canonical row."""
+    return [next(j for j, c in enumerate(r) if not c.is_zero()) for r in rows]
 
-    __slots__ = ("field", "ambient", "rows")
+
+class SubspaceBasis:
+    """A subspace of k^n held as a canonical RREF basis (rows).
+
+    pivots holds the pivot column of each row.
+    """
+
+    __slots__ = ("field", "ambient", "rows", "pivots")
 
     def __init__(self, field: FieldSpec, ambient: int, rows, *, canonical: bool = False):
         rows = [tuple(r) for r in rows]
         for r in rows:
             if len(r) != ambient:
                 raise ShapeMismatch("basis vector length differs from ambient dimension")
-        if not canonical:
-            rows, _ = rref_rows(field, rows)
+        if canonical:
+            pivots = _pivot_columns(rows)
+        else:
+            rows, pivots = rref_rows(field, rows)
         self.field = field
         self.ambient = ambient
         self.rows = rows
+        self.pivots = pivots
 
     @classmethod
     def full(cls, field: FieldSpec, n: int) -> "SubspaceBasis":
@@ -295,9 +306,25 @@ class SubspaceBasis:
         return len(merged) == self.dim
 
     def coords_of(self, v: tuple) -> tuple:
-        """Coefficients of v over the canonical basis rows, or NoSolution."""
-        m = Mat.from_columns(self.field, self.rows, self.ambient)
-        return solve(m, v)
+        """Coefficients of v over the canonical basis rows, or NoSolution.
+
+        Each row is 1 at its pivot and every other row is 0 there, so
+        the only candidates are v's entries at the pivots; v lies in the
+        span exactly when they rebuild it.
+        """
+        if len(v) != self.ambient:
+            raise ShapeMismatch("vector length differs from ambient dimension")
+        coords = tuple(v[p] for p in self.pivots)
+        back = list(zero_vec(self.field, self.ambient))
+        for c, r in zip(coords, self.rows):
+            if c.is_zero():
+                continue
+            for j, x in enumerate(r):
+                if not x.is_zero():
+                    back[j] = back[j] + c * x
+        if tuple(back) != tuple(v):
+            raise NoSolution("vector is not in the subspace")
+        return coords
 
     def contains(self, other: "SubspaceBasis") -> bool:
         return all(self.contains_vector(r) for r in other.rows)

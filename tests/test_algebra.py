@@ -16,8 +16,8 @@ import hopfex.algebra
 from hopfex import GF, QQ, FieldSpec
 from hopfex.algebra import FiniteAlgebra, _frobenius_root, char_poly
 from hopfex.errors import LinAlgError, SplittingSearchExhausted
-from hopfex.linalg import (Mat, SubspaceBasis, kernel, rref_rows, unit_vec,
-                           vec_add, vec_scale, vec_sub, zero_vec)
+from hopfex.linalg import (Mat, SubspaceBasis, kernel, rref_rows, solve,
+                           unit_vec, vec_add, vec_scale, vec_sub, zero_vec)
 from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
                         restricted_poly, sweedler, symmetric, taft,
                         tensor_product)
@@ -212,6 +212,17 @@ def test_ideal_powers_of_whole_algebra_raises():
 
 def test_radical_chain_rejects_a_level_that_is_not_an_ideal():
     alg = sweedler(F3).dual_algebra()
-    unit_line = [alg.unit]
+    unit_line = SubspaceBasis(alg.field, alg.dim, [alg.unit])
     with pytest.raises(LinAlgError):
-        alg._require_right_ideal(unit_line, [0])
+        alg._require_right_ideal(unit_line)
+
+
+def test_quotient_projection_matches_a_full_solve():
+    # taft9 over F_7: dual algebra of dim 9 with a 6-dimensional radical
+    a = taft(3, GF(7)).dual_algebra()
+    qmap = a.quotient(a.radical())
+    m = Mat.from_columns(a.field, list(qmap.ideal.rows)
+                         + qmap.section_vectors, a.dim)
+    for i, j in itertools.product(range(a.dim), repeat=2):
+        v = vec_add(a.table[i][j], unit_vec(a.field, a.dim, (i + j) % a.dim))
+        assert qmap.project(v) == solve(m, v)[qmap.ideal.dim:], (i, j)

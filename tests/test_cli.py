@@ -92,6 +92,35 @@ def test_subprocess_runs_are_byte_identical(golden_dir):
         assert outs[0] == outs[1] == outs[2], args
 
 
+def test_failed_invariant_exits_one_under_optimize(tmp_path):
+    # k{1, z} with z^2 = z and Delta z = z (x) z, and the identity as a
+    # false antipode: [2] = [1] repeats, which no Hopf algebra allows
+    bad = tmp_path / "monoid.hopf"
+    bad.write_text(
+        f"{HEADER}\n"
+        "field characteristic 0\n"
+        "dim 2\n"
+        "basis 1 z\n"
+        "counit 1 1\n"
+        "comul 0 0 0 1\n"
+        "comul 1 1 1 1\n"
+        "mul 0 0 0 1\n"
+        "mul 0 1 1 1\n"
+        "mul 1 0 1 1\n"
+        "mul 1 1 1 1\n"
+        "unit 1 0\n"
+        "antipode 0 0 1\n"
+        "antipode 1 1 1\n")
+    for flags in ([], ["-O"]):
+        p = subprocess.run([sys.executable, *flags, "-m", "hopfex.cli",
+                            "exponent", str(bad)],
+                           capture_output=True, text=True, env=child_env(),
+                           cwd=ROOT)
+        assert p.returncode == 1, (flags, p.stdout, p.stderr)
+        assert p.stdout.startswith("InvariantViolation: "), flags
+        assert "Traceback" not in p.stderr, flags
+
+
 def test_validate_reports_violations_with_exit_one(tmp_path):
     bad = tmp_path / "bad.hopf"
     bad.write_text(

@@ -1,9 +1,13 @@
 """Hopf layer: powers, exponents, the order classifier, integrals."""
 
+import itertools
+
 import pytest
 
 from hopfex import GF, QQ, FieldSpec
-from hopfex.errors import NotCosemisimple
+from hopfex.algebra import min_poly_of_powers
+from hopfex.errors import InvariantViolation, NotCosemisimple
+from hopfex.hopf import ExponentReport, HopfAlgebra
 from hopfex.linalg import Mat, vec_scale
 from hopfex.zoo import (cyclic, group_algebra, restricted_poly, sweedler,
                         symmetric, taft, tensor_product)
@@ -209,3 +213,115 @@ def test_power_vec_is_associative_powering(zoo):
     assert h.element(h.power_vec(x.vec, 3)).is_zero()  # x^3 = 0 in T_9
     g = h.basis_element(1)
     assert h.element(h.power_vec(g.vec, 3)) == h.one()
+
+
+# -- the exponent in k[id] = k[x]/(mu) against the loop on matrices ---------
+
+def reference_exponent(h, cap: int) -> ExponentReport:
+    """Iterate [n] as exact matrices until u o eps, a repeat, or the cap.
+
+    One convolution per power: the exponent loop as it stood before it
+    moved into k[x]/(mu), kept as the oracle for HopfAlgebra.exponent.
+    """
+    ueps = h.counit_unit_map()
+    ident = h.identity_map()
+    m = ident
+    seen: dict = {}
+    steps = [f"iterating convolution powers of id up to cap {cap}"]
+    for n in range(1, cap + 1):
+        if m == ueps:
+            steps.append(f"power {n} equals the unit of convolution")
+            return ExponentReport("finite", n=n, cap=cap, steps=steps)
+        if m in seen:
+            assert h.antipode_mat is None
+            steps.append(f"power {n} repeats power {seen[m]} without "
+                         "reaching the convolution unit; no exponent exists")
+            return ExponentReport("exceeds_cap", cap=cap, steps=steps)
+        if len(seen) < 4096:
+            seen[m] = n
+        m = h.convolution(m, ident)
+    steps.append(f"no power up to {cap} equals the convolution unit")
+    return ExponentReport("exceeds_cap", cap=cap, steps=steps)
+
+
+def outcome(rep: ExponentReport):
+    return rep.kind, rep.n, rep.cap, rep.steps
+
+
+def idempotent_monoid():
+    """The bialgebra k{1, z} with z^2 = z and Delta z = z (x) z; no antipode."""
+    return HopfAlgebra(QQ, ["1", "z"], {(0, 0, 0): 1, (1, 1, 1): 1}, [1, 1],
+                       {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1,
+                        (1, 1, 1): 1}, [1, 0], name="monoid")
+
+
+def test_exponent_matches_matrix_loop_on_goldens(zoo):
+    for stem, h in zoo.items():
+        assert outcome(h.exponent(32)) == outcome(reference_exponent(h, 32)), \
+            stem
+
+
+# deg mu = 7 for taft16 over Q(zeta_4): caps on both sides of it
+@pytest.mark.parametrize("cap", [1, 3, 6, 7, 8, 256])
+def test_exponent_matches_matrix_loop_on_taft16(zoo, cap):
+    h = zoo["taft16"]
+    assert outcome(h.exponent(cap)) == outcome(reference_exponent(h, cap))
+
+
+def test_exponent_reports_a_repeat_on_a_bialgebra():
+    h = idempotent_monoid()
+    rep = h.exponent(10)
+    assert rep.kind == "exceeds_cap"
+    assert rep.steps[-1].startswith("power 2 repeats power 1 ")
+    assert outcome(rep) == outcome(reference_exponent(h, 10))
+
+
+def test_exponent_repeat_on_a_hopf_algebra_is_an_invariant_violation():
+    h = idempotent_monoid()
+    h.antipode_mat = Mat.identity(QQ, 2)  # not an antipode: S(z) z != 1
+    with pytest.raises(InvariantViolation):
+        h.exponent(10)
+
+
+def test_exponent_requires_the_unit_law():
+    # z as the unit: (u o eps) * id sends 1 to z, so [1] != R([0])
+    h = HopfAlgebra(QQ, ["1", "z"], {(0, 0, 0): 1, (1, 1, 1): 1}, [1, 1],
+                    {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 1): 1},
+                    [0, 1])
+    with pytest.raises(InvariantViolation):
+        h.exponent(10)
+
+
+def test_taft16_exponent_needs_at_most_deg_mu_convolutions(zoo, monkeypatch):
+    h = zoo["taft16"]
+    calls = []
+    real = HopfAlgebra.convolution
+
+    def counted(self, f, g):
+        calls.append(1)
+        return real(self, f, g)
+
+    monkeypatch.setattr(HopfAlgebra, "convolution", counted)
+    assert h.exponent(256).kind == "exceeds_cap"
+    assert len(calls) <= 7
+
+
+def test_min_poly_of_powers_stops_at_the_first_dependency(zoo):
+    h = zoo["taft9"]
+    x = h.basis_element(h.index_of("x")).vec
+    g = h.basis_element(1).vec
+    taken = []
+
+    def powers():
+        p = h.unit
+        while True:
+            taken.append(p)
+            yield p
+            p = h.mul_vec(p, h.mul_vec(g, x))
+
+    mu = min_poly_of_powers(h.field, powers())
+    # (g x)^3 = q^3 g^3 x^3 = 0 and (g x)^2 != 0 in T_9: mu = t^3
+    assert mu == [h.field.zero()] * 3 + [h.field.one()]
+    assert len(taken) == len(mu)
+    # running out of powers before a dependency gives None
+    assert min_poly_of_powers(h.field, itertools.islice(powers(), 3)) is None

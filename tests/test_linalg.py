@@ -151,6 +151,16 @@ def test_subspace_coords_roundtrip():
     assert rebuilt == w
 
 
+def test_subspace_coords_reject_vectors_outside():
+    u = SubspaceBasis(QQ, 3, [qvec([1, 2, 0]), qvec([0, 0, 1])])
+    # the pivot entries (1, 0) would give 1*(1, 2, 0), which is not w
+    with pytest.raises(NoSolution):
+        u.coords_of(qvec([1, 0, 0]))
+    with pytest.raises(NoSolution):
+        SubspaceBasis.zero(QQ, 3).coords_of(qvec([0, 0, 1]))
+    assert SubspaceBasis.zero(QQ, 3).coords_of(zero_vec(QQ, 3)) == ()
+
+
 @settings(max_examples=40, derandomize=True)
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
                 min_size=1, max_size=4))
