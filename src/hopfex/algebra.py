@@ -43,6 +43,7 @@ raises SplittingSearchExhausted.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -204,7 +205,7 @@ def field_roots(field: FieldSpec, coeffs: list[Scalar]) -> list[Scalar]:
     if ok_rational and rational_parts and rational_parts[-1]:
         den = 1
         for fr in rational_parts:
-            den = den * fr.denominator // _gcd(den, fr.denominator)
+            den = den * fr.denominator // math.gcd(den, fr.denominator)
         ints = [int(fr * den) for fr in rational_parts]
         lead, const = ints[-1], ints[0]
         if const == 0:
@@ -234,12 +235,6 @@ def field_roots(field: FieldSpec, coeffs: list[Scalar]) -> list[Scalar]:
         if value(x).is_zero():
             roots.append(x)
     return roots
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # polynomial helpers over Scalar coefficient lists (constant first, trimmed)

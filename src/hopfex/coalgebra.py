@@ -34,7 +34,9 @@ from .errors import (
     AxiomViolation,
     FieldMismatch,
     IncompatibleBase,
+    NonSplitField,
     UnknownSimple,
+    require,
 )
 from .linalg import (
     SubspaceBasis,
@@ -67,6 +69,7 @@ def as_scalar(field: FieldSpec, v) -> Scalar:
 # ---------------------------------------------------------------------------
 
 def t2_add_term(acc: dict, key: tuple, val: Scalar):
+    """Add val at key, keeping acc clean; keys may be pairs or triples."""
     if key in acc:
         s = acc[key] + val
         if s.is_zero():
@@ -357,11 +360,25 @@ class Coalgebra:
             name=f"{self.name} (x) {bigger.describe()}").to_object()
 
     def is_subcoalgebra(self, v: SubspaceBasis) -> bool:
-        target = tensor_square_subspace(v, v)
+        """Whether Delta maps v into v (x) v, read one leg at a time.
+
+        Write Delta(x) as the dim x dim array T with Delta(x) =
+        sum T[j][k] e_j (x) e_k.  Delta(x) lies in V (x) H exactly when
+        every column of T lies in V, and in H (x) V exactly when every
+        row does; V (x) V is the intersection of the two.  So each test
+        is a pivot read of a dim-long vector, never an elimination in
+        the dim^2 ambient of H (x) H.
+        """
+        zero = self.field.zero()
         for row in v.rows:
-            flat = t2_flatten(self.field, self.delta_vec(row), self.dim)
-            if not target.contains_vector(flat):
-                return False
+            rows: dict = {}
+            cols: dict = {}
+            for (j, k), c in self.delta_vec(row).items():
+                rows.setdefault(j, [zero] * self.dim)[k] = c
+                cols.setdefault(k, [zero] * self.dim)[j] = c
+            for leg in itertools.chain(rows.values(), cols.values()):
+                if not v.contains_vector(tuple(leg)):
+                    return False
         return True
 
     # -- the dual algebra and coradical analysis -------------------------------
@@ -455,7 +472,7 @@ class Coalgebra:
                 if not vec_is_zero(v):
                     out[(c, d)] = v
                     total = vec_add(total, v)
-        assert total == tuple(h), "bicomponents failed to sum back"
+        require(total == tuple(h), "bicomponents failed to sum back")
         return out
 
     def bicomponent_subspace(self, left: int, right: int,
@@ -496,7 +513,7 @@ class SimpleComponent:
 class IdempotentFamily:
     """Orthonormal coradical idempotents {e_C} in H*, one per simple.
 
-    Invariants (asserted at construction): e_C e_D = delta e_C, the sum
+    Invariants (checked at construction): e_C e_D = delta e_C, the sum
     is the counit, and each e_C restricts on the coradical as the
     projection onto its simple.
     """
@@ -572,15 +589,16 @@ class CoradicalAnalysis:
                 if s != t:
                     ann_rows.extend(other)
             sub = SubspaceBasis(field, H.dim, ann_rows).perp()
-            assert sub.dim == bdim, "block/subcoalgebra dimension mismatch"
-            assert H.is_subcoalgebra(sub), "perp pullback not a subcoalgebra"
+            require(sub.dim == bdim, "block/subcoalgebra dimension mismatch")
+            require(H.is_subcoalgebra(sub), "perp pullback not a subcoalgebra")
             grouplike = None
             if bdim == 1:
                 v = sub.rows[0]
                 ev = H.counit_vec(v)
-                assert not ev.is_zero(), "counit vanishes on a simple"
+                require(not ev.is_zero(), "counit vanishes on a simple")
                 g = vec_scale(ev.inverse(), v)
-                assert H.delta_vec(g) == t2_from_pair(g, g)
+                require(H.delta_vec(g) == t2_from_pair(g, g),
+                        "normalised 1-dim simple is not group-like")
                 grouplike = g
             raw.append((sub, r, grouplike, z, f, blocks[t]))
         raw.sort(key=lambda item: (item[0].dim,
@@ -591,7 +609,7 @@ class CoradicalAnalysis:
         total = SubspaceBasis.zero(field, H.dim)
         for c in comps:
             total = total.sum(c.subspace)
-        assert total == self.filtration[0], "simples do not sum to the coradical"
+        require(total == self.filtration[0], "simples do not sum to the coradical")
         return comps
 
     def find_simple_containing(self, vec: tuple) -> int:
@@ -614,16 +632,17 @@ class CoradicalAnalysis:
                 f = a.lift_idempotent(a.mult(a.mult(mask, lifted), mask))
                 funcs.append(f)
                 total = vec_add(total, f)
-            assert tuple(total) == a.unit, "idempotents do not sum to the counit"
+            require(tuple(total) == a.unit, "idempotents do not sum to the counit")
             for f, g in itertools.combinations(funcs, 2):
-                assert vec_is_zero(a.mult(f, g)) and vec_is_zero(a.mult(g, f))
+                require(vec_is_zero(a.mult(f, g)) and vec_is_zero(a.mult(g, f)),
+                        "coradical idempotents are not orthogonal")
             for i, f in enumerate(funcs):
                 for comp in comps:
                     for row in comp.subspace.rows:
                         want = (self.coalgebra.counit_vec(row)
                                 if comp.index == i else a.field.zero())
-                        assert vec_dot(f, row) == want, \
-                            "restriction property fails"
+                        require(vec_dot(f, row) == want,
+                                "restriction property fails")
             self._idempotents = IdempotentFamily(self.coalgebra, funcs)
         return self._idempotents
 

@@ -148,13 +148,12 @@ def _flag_basis(coalg: Coalgebra, left: int, right: int, maxdeg: int):
     """
     ana = coalg.analysis()
     field = coalg.field
-    eps_perp = SubspaceBasis(field, coalg.dim, [coalg.counit]).perp()
     out = []
     span = SubspaceBasis.zero(field, coalg.dim)
     for d in range(1, maxdeg + 1):
         level = ana.filtration[min(d, ana.depth)]
         comp = coalg.bicomponent_subspace(left, right, within=level)
-        comp = comp.intersect(eps_perp)
+        comp = comp.cut(coalg.counit)
         for row in comp.rows:
             if not span.contains_vector(row):
                 out.append((row, d))
@@ -294,28 +293,17 @@ def delta_expansion(z: Element, g: Element, h: Element, n: int) -> DeltaExpansio
 def _is_two_cocycle(coalg: Coalgebra, s: dict, sigma: tuple, tau: tuple) -> bool:
     """Whether (delta (x) id)s + s (x) tau equals sigma (x) s + (id (x) delta)s."""
     t3: dict = {}
-
-    def bump(key, val):
-        if key in t3:
-            c = t3[key] + val
-            if c.is_zero():
-                del t3[key]
-            else:
-                t3[key] = c
-        elif not val.is_zero():
-            t3[key] = val
-
     for (a, b), c in s.items():
         for (p, q), v in coalg.comul[a].items():
-            bump((p, q, b), c * v)
+            t2_add_term(t3, (p, q, b), c * v)
         for (p, q), v in coalg.comul[b].items():
-            bump((a, p, q), -(c * v))
+            t2_add_term(t3, (a, p, q), -(c * v))
         for m, v in enumerate(tau):
             if not v.is_zero():
-                bump((a, b, m), c * v)
+                t2_add_term(t3, (a, b, m), c * v)
         for m, v in enumerate(sigma):
             if not v.is_zero():
-                bump((m, a, b), -(c * v))
+                t2_add_term(t3, (m, a, b), -(c * v))
     return not t3
 
 

@@ -50,7 +50,6 @@ from .errors import (
 )
 from .linalg import (
     Mat,
-    SubspaceBasis,
     unit_vec,
     vec_add,
     vec_scale,
@@ -270,11 +269,6 @@ class HopfAlgebra(Coalgebra):
                     bad.append(f"antipode axiom m(id(x)S)Delta fails on {self.names[i]}")
         return bad
 
-    def require_hopf_valid(self):
-        bad = self.check_hopf()
-        if bad:
-            raise AxiomViolation("; ".join(bad))
-
     def involutory(self) -> bool:
         if self.antipode_mat is None:
             return False
@@ -473,10 +467,9 @@ class HopfAlgebra(Coalgebra):
         h1 = filt[1]
         ana = self.analysis()
         unit_idx = ana.find_simple_containing(self.unit)
-        keps = SubspaceBasis(self.field, self.dim, [self.counit]).perp()
         for comp in self.simple_subcoalgebras():
             v = self.bicomponent_subspace(comp.index, unit_idx, within=h1)
-            plus = v.intersect(keps)
+            plus = v.cut(self.counit)
             if plus.dim:
                 return Element(self, plus.rows[0])
         raise WitnessNotFound(

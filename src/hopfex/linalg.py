@@ -6,6 +6,12 @@ increase, zero rows are dropped.  Two subspaces are equal iff their
 canonical bases are equal entry by entry, so subspace comparisons are
 syntactic.
 
+Only construction eliminates.  Once a SubspaceBasis is canonical,
+membership, coordinates and hyperplane cuts read its pivots: v lies in
+the span exactly when its entries at the pivots rebuild it, and cutting
+by a functional clears one row against the others without leaving
+canonical form.
+
 Vectors are tuples of Scalars.  Matrices are Mat objects (row major).
 Sizes here are desk scale (dimension a few dozen), so the classical
 O(n^3) algorithms are used without blocking tricks.
@@ -82,11 +88,6 @@ class Mat:
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = ncols
-
-    @classmethod
-    def zero(cls, field: FieldSpec, nrows: int, ncols: int) -> "Mat":
-        z = field.zero()
-        return cls(field, [(z,) * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Mat":
@@ -300,10 +301,11 @@ class SubspaceBasis:
         return hash((self.ambient, tuple(self.rows)))
 
     def contains_vector(self, v: tuple) -> bool:
-        if len(v) != self.ambient:
-            raise ShapeMismatch("vector length differs from ambient dimension")
-        merged, _ = rref_rows(self.field, self.rows + [v])
-        return len(merged) == self.dim
+        try:
+            self.coords_of(v)
+        except NoSolution:
+            return False
+        return True
 
     def coords_of(self, v: tuple) -> tuple:
         """Coefficients of v over the canonical basis rows, or NoSolution.
@@ -334,8 +336,34 @@ class SubspaceBasis:
         return SubspaceBasis(self.field, self.ambient, self.rows + other.rows)
 
     def intersect(self, other: "SubspaceBasis") -> "SubspaceBasis":
+        """self cut by every functional that kills other."""
         self._like(other)
-        return self.perp().sum(other.perp()).perp()
+        out = self
+        for f in other.perp().rows:
+            out = out.cut(f)
+        return out
+
+    def cut(self, f: tuple) -> "SubspaceBasis":
+        """{v in self : f . v = 0}, canonical, with no elimination.
+
+        Take the last row r_k with f . r_k != 0 and clear f from every
+        earlier row with it, then drop r_k.  r_k is 0 before its pivot,
+        which lies after every earlier pivot, and 0 at the other pivots,
+        so each earlier row keeps its pivot and the rows stay canonical.
+        Later rows already satisfy f . r = 0.
+        """
+        if len(f) != self.ambient:
+            raise ShapeMismatch("functional length differs from ambient dimension")
+        vals = [vec_dot(f, r) for r in self.rows]
+        k = next((i for i in reversed(range(self.dim)) if not vals[i].is_zero()),
+                 None)
+        if k is None:
+            return self
+        rk, inv = self.rows[k], vals[k].inverse()
+        rows = [r if c.is_zero() else vec_sub(r, vec_scale(c * inv, rk))
+                for r, c in zip(self.rows[:k], vals)]
+        rows.extend(self.rows[k + 1:])
+        return SubspaceBasis(self.field, self.ambient, rows, canonical=True)
 
     def perp(self) -> "SubspaceBasis":
         """Annihilator under the standard dot pairing of k^n with itself.

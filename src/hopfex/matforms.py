@@ -16,7 +16,8 @@ positive characteristic.
 
 from __future__ import annotations
 
-from .coalgebra import Coalgebra, Element, SimpleComponent, as_scalar, t2_add_term
+from .coalgebra import (Coalgebra, Element, SimpleComponent, as_scalar,
+                        t2_add_term, t2_flatten, t2_from_pair)
 from .errors import (DiagonalOrderViolated, FieldMismatch, MatrixFormError,
                      NotDegreeOne, NotInBicomponent, NotMultiplicative,
                      ShapeMismatch)
@@ -65,11 +66,6 @@ class MatrixOverH:
         self.entries = tuple(rows)
         self.nrows = len(rows)
         self.ncols = width
-
-    @classmethod
-    def zero(cls, parent: Coalgebra, nrows: int, ncols: int) -> "MatrixOverH":
-        z = zero_vec(parent.field, parent.dim)
-        return cls(parent, [[z] * ncols for _ in range(nrows)])
 
     @classmethod
     def identity(cls, parent, n: int) -> "MatrixOverH":
@@ -207,26 +203,6 @@ class TensorMatrix:
                 row.append(acc)
             grid.append(row)
         return TensorMatrix(self.parent, self.depth, grid)
-
-    def collapse(self) -> MatrixOverH:
-        """Multiply out every tensor entry, e.g. m applied to a box tensor."""
-        mul = getattr(self.parent, "mul_vec", None)
-        if mul is None:
-            raise MatrixFormError("collapsing tensors needs an algebra structure")
-        dim = self.parent.dim
-        grid = []
-        for row in self.entries:
-            out = []
-            for d in row:
-                acc = zero_vec(self.parent.field, dim)
-                for key, val in d.items():
-                    prod = unit_vec(self.parent.field, dim, key[0])
-                    for k in key[1:]:
-                        prod = mul(prod, unit_vec(self.parent.field, dim, k))
-                    acc = vec_add(acc, vec_scale(val, prod))
-                out.append(acc)
-            grid.append(out)
-        return MatrixOverH(self.parent, grid)
 
     def __eq__(self, other):
         return (isinstance(other, TensorMatrix) and other.parent is self.parent
@@ -516,14 +492,7 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
     nb = len(brows)
 
     def flat(u: tuple, v: tuple) -> tuple:
-        out = [field.zero()] * (dim * dim)
-        for a, x in enumerate(u):
-            if x.is_zero():
-                continue
-            for b, y in enumerate(v):
-                if not y.is_zero():
-                    out[a * dim + b] = x * y
-        return tuple(out)
+        return t2_flatten(field, t2_from_pair(u, v), dim)
 
     cols = []
     for ip in range(r):
@@ -534,10 +503,8 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
         for jp in range(s):
             for t in range(nb):
                 cols.append(flat(brows[t], dm.entry(j, jp)))
-    rhs = [field.zero()] * (dim * dim)
-    for (a, b), val in h.delta_vec(wvec).items():
-        rhs[a * dim + b] = val
-    sol = solve(Mat.from_columns(field, cols, dim * dim), tuple(rhs))
+    rhs = t2_flatten(field, h.delta_vec(wvec), dim)
+    sol = solve(Mat.from_columns(field, cols, dim * dim), rhs)
 
     def lincomb(coeffs) -> tuple:
         acc = zero_vec(field, dim)
@@ -587,12 +554,12 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
     recon: dict = {}
     for ip in range(r):
         for i in range(r):
-            for (a, b), val in _pair_terms(cm.entry(ip, i), x[(ip, i)]):
-                t2_add_term(recon, (a, b), val)
+            for key, val in t2_from_pair(cm.entry(ip, i), x[(ip, i)]).items():
+                t2_add_term(recon, key, val)
     for j in range(s):
         for jp in range(s):
-            for (a, b), val in _pair_terms(y[(j, jp)], dm.entry(j, jp)):
-                t2_add_term(recon, (a, b), val)
+            for key, val in t2_from_pair(y[(j, jp)], dm.entry(j, jp)).items():
+                t2_add_term(recon, key, val)
     assert recon == h.delta_vec(wprime), "expansion does not reconstruct Delta"
     total_diag = zero_vec(field, dim)
     for i in range(r):
@@ -612,8 +579,8 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
         for i in range(r):
             t2 = dict(h.delta_vec(x[(ip, i)]))
             for k in range(r):
-                for (a, b), val in _pair_terms(cm.entry(i, k), x[(ip, k)]):
-                    t2_add_term(t2, (a, b), -val)
+                for key, val in t2_from_pair(cm.entry(i, k), x[(ip, k)]).items():
+                    t2_add_term(t2, key, -val)
             per_first = _second_leg_coords(field, t2, dim, minv, s * s)
             for j in range(s):
                 for jp in range(s):
@@ -638,15 +605,6 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
     assert tuple(back) == tuple(wvec), "primitive matrices do not sum back to w"
     return PrimitiveDecomposition(Element(h, wvec), cbasic, dbasic,
                                   matrices, Element(h, remainder))
-
-
-def _pair_terms(u: tuple, v: tuple):
-    for a, xa in enumerate(u):
-        if xa.is_zero():
-            continue
-        for b, yb in enumerate(v):
-            if not yb.is_zero():
-                yield (a, b), xa * yb
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 import pytest
 
 from hopfex import GF, QQ, Coalgebra, FieldSpec
-from hopfex.coalgebra import coalgebra_amalgam, t2_from_pair
+from hopfex.algebra import FiniteAlgebra
+from hopfex.coalgebra import (coalgebra_amalgam, t2_flatten, t2_from_pair,
+                              tensor_square_subspace)
 from hopfex.errors import (AxiomViolation, FieldMismatch, IncompatibleBase,
-                           NonSplitField, UnknownSimple)
-from hopfex.linalg import vec_add, vec_is_zero, zero_vec
+                           InvariantViolation, NonSplitField, UnknownSimple)
+from hopfex.linalg import SubspaceBasis, unit_vec, vec_add, vec_is_zero, zero_vec
 from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
                         restricted_poly, sweedler, symmetric, taft)
 
@@ -146,6 +148,50 @@ def test_nonsplit_simple_raises_in_characteristic_zero():
     # the same over Q: x^2 + x + 1 has no rational root
     with pytest.raises(NonSplitField):
         dual_group_algebra(cyclic(3), QQ).simple_subcoalgebras()
+
+
+def test_block_with_wrong_left_ideal_raises_nonsplit(monkeypatch):
+    # return the block idempotent itself as the "primitive" one: its left
+    # ideal is the whole 4-dim block of kS3, and 4^2 != 4 is the proof
+    monkeypatch.setattr(FiniteAlgebra, "primitive_idempotent_in",
+                        lambda self, z: z)
+    with pytest.raises(NonSplitField):
+        dual_group_algebra(symmetric(3), QQ).simple_subcoalgebras()
+
+
+def test_failed_subcoalgebra_proof_raises_invariant_violation(monkeypatch):
+    monkeypatch.setattr(Coalgebra, "is_subcoalgebra", lambda self, v: False)
+    with pytest.raises(InvariantViolation, match="not a subcoalgebra"):
+        sweedler(QQ).simple_subcoalgebras()
+
+
+def tensor_square_oracle(h, space):
+    """Delta(space) inside space (x) space, asked in the dim^2 ambient."""
+    target = tensor_square_subspace(space, space)
+    return all(target.contains_vector(t2_flatten(h.field, h.delta_vec(r), h.dim))
+               for r in space.rows)
+
+
+def test_is_subcoalgebra_matches_the_tensor_square_oracle(zoo):
+    seen = set()
+    for stem, h in zoo.items():
+        filt = h.coradical_filtration()
+        spaces = list(filt) + [c.subspace for c in h.simple_subcoalgebras()]
+        # the positive part of H_1 is not a subcoalgebra on these inputs
+        spaces.append(filt[min(1, len(filt) - 1)].cut(h.counit))
+        for space in spaces:
+            want = tensor_square_oracle(h, space)
+            assert h.is_subcoalgebra(space) == want, stem
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_sweedler_subcoalgebras_by_hand(zoo):
+    h = zoo["sweedler"]
+    one, g, x = (unit_vec(QQ, h.dim, h.index_of(n)) for n in ("1", "g", "x"))
+    # Delta x = x (x) 1 + g (x) x needs g
+    assert not h.is_subcoalgebra(SubspaceBasis(QQ, h.dim, [one, x]))
+    assert h.is_subcoalgebra(SubspaceBasis(QQ, h.dim, [one, g, x]))
 
 
 def test_bicomponent_decomposition_of_degree_one(zoo):

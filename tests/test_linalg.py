@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfex import GF, QQ
+from hopfex import GF, QQ, linalg
 from hopfex.errors import NoSolution, ShapeMismatch
 from hopfex.linalg import (Mat, SubspaceBasis, kernel, rref, rref_rows, solve,
                            solve_columns, unit_vec, vec_add, vec_is_zero,
-                           vec_scale, zero_vec)
+                           vec_scale, vec_sub, zero_vec)
 
 F5 = GF(5)
 
@@ -175,3 +175,121 @@ def test_rref_preserves_row_space(int_rows):
 def test_unit_and_zero_vectors():
     assert unit_vec(QQ, 3, 1) == qvec([0, 1, 0])
     assert vec_is_zero(zero_vec(F5, 4))
+
+
+# ---------------------------------------------------------------------------
+# membership and cuts read the pivots; the old eliminations are the oracle
+# ---------------------------------------------------------------------------
+
+def reference_contains(space, v):
+    """Membership by row-reducing the basis together with v."""
+    merged, _ = rref_rows(space.field, space.rows + [v])
+    return len(merged) == space.dim
+
+
+def reference_intersect(a, b):
+    """Intersection as the perp of the sum of the perps."""
+    return a.perp().sum(b.perp()).perp()
+
+
+def golden_subspaces(h):
+    return (list(h.coradical_filtration())
+            + [c.subspace for c in h.simple_subcoalgebras()])
+
+
+def probe_vectors(h, space):
+    """Basis rows, their sum, every unit vector and the sum shifted by each."""
+    total = zero_vec(h.field, h.dim)
+    for r in space.rows:
+        total = vec_add(total, r)
+    units = [unit_vec(h.field, h.dim, i) for i in range(h.dim)]
+    return (list(space.rows) + [total] + units
+            + [vec_sub(total, u) for u in units])
+
+
+def probe_functionals(h, space):
+    """Functionals that cut space and functionals that kill it.
+
+    The counit, the coordinate functional at each pivot (each one cuts,
+    on a different last row), the all-ones functional, one coordinate
+    functional off the pivots and one functional from space.perp().
+    """
+    units = [unit_vec(h.field, h.dim, i) for i in range(h.dim)]
+    ones = tuple(h.field.one() for _ in range(h.dim))
+    off = [units[i] for i in range(h.dim) if i not in space.pivots]
+    return ([tuple(h.counit), ones] + [units[p] for p in space.pivots]
+            + off[:1] + space.perp().rows[:1])
+
+
+def test_contains_vector_matches_the_reference(zoo):
+    seen = set()
+    for stem, h in zoo.items():
+        for space in golden_subspaces(h):
+            for v in probe_vectors(h, space):
+                want = reference_contains(space, v)
+                assert space.contains_vector(v) == want, stem
+                seen.add(want)
+    assert seen == {True, False}
+
+
+def test_cut_matches_the_reference(zoo):
+    seen = set()
+    for stem, h in zoo.items():
+        for space in golden_subspaces(h):
+            for f in probe_functionals(h, space):
+                want = reference_intersect(
+                    space, SubspaceBasis(h.field, h.dim, [f]).perp())
+                got = space.cut(f)
+                assert got == want and got.pivots == want.pivots, stem
+                seen.add(got.dim == space.dim)
+    assert seen == {True, False}
+
+
+def test_intersect_matches_the_reference(zoo):
+    for stem in ("sweedler", "taft9", "dual_kS3", "restricted3", "kZ6"):
+        h = zoo[stem]
+        spaces = golden_subspaces(h)
+        for a in spaces:
+            for b in spaces:
+                got = a.intersect(b)
+                assert got == reference_intersect(a, b), stem
+                assert got.pivots == reference_intersect(a, b).pivots
+
+
+def test_cut_by_hand():
+    u = SubspaceBasis(QQ, 3, [qvec([1, 0, 2]), qvec([0, 1, 3])])
+    # f = x + y - z takes a*(1,0,2) + b*(0,1,3) to -a - 2b
+    cut = u.cut(qvec([1, 1, -1]))
+    assert cut.dim == 1
+    assert cut == SubspaceBasis(QQ, 3, [qvec([1, Fraction(-1, 2), Fraction(1, 2)])])
+    assert u.cut(zero_vec(QQ, 3)) is u
+    assert u.cut(qvec([2, 3, -1])) is u  # kills both rows
+    assert SubspaceBasis.zero(QQ, 3).cut(qvec([1, 0, 0])).dim == 0
+    with pytest.raises(ShapeMismatch):
+        u.cut(qvec([1, 1]))
+    with pytest.raises(ShapeMismatch):
+        u.contains_vector(qvec([1, 1]))
+
+
+def test_membership_and_cuts_do_not_row_reduce(zoo, monkeypatch):
+    h = zoo["taft9"]
+    spaces = golden_subspaces(h)
+    probes = [(s, probe_vectors(h, s), probe_functionals(h, s)) for s in spaces]
+    calls = []
+    real = linalg.rref_rows
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "rref_rows", counted)
+    for space, vectors, functionals in probes:
+        for v in vectors:
+            space.contains_vector(v)
+        for f in functionals:
+            space.cut(f)
+        h.is_subcoalgebra(space)
+    assert calls == []
+    # the counter does see an elimination
+    SubspaceBasis(h.field, h.dim, [h.counit])
+    assert len(calls) == 1

@@ -1,0 +1,57 @@
+"""Static checks over the hopfex sources."""
+
+import ast
+import pathlib
+
+import pytest
+
+import hopfex.errors
+
+SRC = pathlib.Path(hopfex.errors.__file__).parent
+ERROR_CLASSES = {name for name, v in vars(hopfex.errors).items()
+                 if isinstance(v, type) and issubclass(v, Exception)}
+
+
+def module_bindings(tree):
+    """Names bound at module level: imports, defs, classes, assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def error_names_used(tree):
+    """(name, line) of every hopfex.errors class raised or caught by bare name.
+
+    Other names (a local variable such as structfile's cls) are not
+    error classes and are left out.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found = [exc]
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            found = (node.type.elts if isinstance(node.type, ast.Tuple)
+                     else [node.type])
+        else:
+            continue
+        for n in found:
+            if isinstance(n, ast.Name) and n.id in ERROR_CLASSES:
+                yield n.id, node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_raised_and_caught_errors_are_bound(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = module_bindings(tree)
+    missing = [f"{path.name}:{line} {name}"
+               for name, line in error_names_used(tree) if name not in bound]
+    assert not missing, "error classes used but never imported: " + ", ".join(missing)
