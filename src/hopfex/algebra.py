@@ -109,24 +109,27 @@ def char_poly(m: Mat) -> list[Scalar]:
     return poly
 
 
-def min_poly_of_powers(field: FieldSpec,
-                       powers: Iterable[tuple]) -> list[Scalar] | None:
-    """Monic minimal polynomial of x from its powers x^0, x^1, ..., or None.
+class MinPolySearch:
+    """min_poly_of_powers fed one power at a time.
 
-    powers is consumed lazily.  Each power is reduced against the
-    echelon rows kept from the ones before it (sparse rows, zeros
+    add(x^n), after x^0, ..., x^(n-1) were added, reduces x^n against the
+    echelon rows kept from the earlier powers (sparse rows, zeros
     skipped), tracking which combination of powers each row stands for.
-    The first power that reduces to zero is a combination of the earlier
-    ones, and that relation is the minimal polynomial (constant term
-    first, monic); nothing after it is taken.  None when the powers run
-    out first, all of them independent.
+    It returns None while the powers stay independent, and the monic
+    minimal polynomial (constant term first) at the first power that
+    reduces to zero, since that relation is a combination of the earlier
+    powers.
     """
-    zero = field.zero()
-    echelon = []  # (pivot, {column: entry} with 1 at pivot, combination)
-    for n, vec in enumerate(powers):
+
+    def __init__(self, field: FieldSpec):
+        self.field = field
+        self.echelon = []  # (pivot, {column: entry} with 1 at pivot, comb)
+
+    def add(self, vec: tuple) -> list[Scalar] | None:
+        zero = self.field.zero()
         row = {j: c for j, c in enumerate(vec) if not c.is_zero()}
-        comb = [zero] * n + [field.one()]
-        for pivot, erow, ecomb in echelon:
+        comb = [zero] * len(self.echelon) + [self.field.one()]
+        for pivot, erow, ecomb in self.echelon:
             c = row.get(pivot)
             if c is None:
                 continue
@@ -146,8 +149,24 @@ def min_poly_of_powers(field: FieldSpec,
             return comb
         pivot = min(row)
         inv = row[pivot].inverse()
-        echelon.append((pivot, {j: inv * x for j, x in row.items()},
-                        [inv * x for x in comb]))
+        self.echelon.append((pivot, {j: inv * x for j, x in row.items()},
+                             [inv * x for x in comb]))
+        return None
+
+
+def min_poly_of_powers(field: FieldSpec,
+                       powers: Iterable[tuple]) -> list[Scalar] | None:
+    """Monic minimal polynomial of x from its powers x^0, x^1, ..., or None.
+
+    powers is consumed lazily through MinPolySearch; nothing after the
+    first dependent power is taken.  None when the powers run out first,
+    all of them independent.
+    """
+    search = MinPolySearch(field)
+    for vec in powers:
+        mu = search.add(vec)
+        if mu is not None:
+            return mu
     return None
 
 

@@ -297,6 +297,21 @@ class Coalgebra:
                 t2_add_term(out, key, c * val)
         return out
 
+    def subcoalgebra_support(self, vec) -> list[int]:
+        """The least S containing supp(vec) with every (j, k) of Delta(e_i),
+        i in S, in S x S; sorted.  span{e_i : i in S} is then the least
+        subcoalgebra spanned by basis vectors that contains vec.
+        """
+        todo = [i for i, c in enumerate(vec) if not c.is_zero()]
+        support = set(todo)
+        while todo:
+            for j, k in self.comul[todo.pop()]:
+                for m in (j, k):
+                    if m not in support:
+                        support.add(m)
+                        todo.append(m)
+        return sorted(support)
+
     def counit_vec(self, vec) -> Scalar:
         return vec_dot(self.counit, vec)
 

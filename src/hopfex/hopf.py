@@ -19,6 +19,20 @@ the cost of deg mu - 1 convolutions.  When the first cap + 1 of these
 are independent, no [n] with n <= cap equals u o eps or an earlier
 power, and the search stops there.
 
+Hopf powers h^[n] = [n](h) of one element need [n] only on the
+subcoalgebra h spans.  Let S be the least set of basis indices that
+holds supp(h) and every j, k with e_j (x) e_k in Delta(e_i) for i in S
+(Coalgebra.subcoalgebra_support).  Then Delta(C_S) lies in C_S (x) C_S
+for C_S = span{e_i : i in S}, so (f * id)(e_i) needs f only on C_S, and
+right convolution by id restricts to a map R_S on maps C_S -> H with
+R_S([n]|_S) = [n + 1]|_S, for n = 0 too once (u o eps) * id = id is
+checked on C_S.  The argument above, with R_S for R, gives
+k[x]/(mu_C) = k[[1]|_S], mu_C the minimal polynomial of [1]|_S, and
+h^[n] = sum_k r[k] h^[k] for r = x^n mod mu_C.  So h^[0], h^[1], ...
+cost one |S|-column step each until mu_C is found (hopf_order tests each
+h^[n] before [n] joins the search, so a low order stops early), then a
+handful of scalar products each.  Nothing here needs an antipode.
+
 Integrals of the dual are computed twice on purpose: once through
 traces of left multiplications on H*, once through the dual-basis hit
 formula.  The two must agree exactly; tests rely on the redundancy.
@@ -29,9 +43,10 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field
 
-from .algebra import FiniteAlgebra, min_poly_of_powers
+from .algebra import FiniteAlgebra, MinPolySearch, min_poly_of_powers
 from .coalgebra import (
     Coalgebra,
     Element,
@@ -45,6 +60,7 @@ from .errors import (
     HopfError,
     InputError,
     NotCosemisimple,
+    ShapeMismatch,
     WitnessNotFound,
     require,
 )
@@ -72,6 +88,34 @@ def pointed_exponent_bound(d: int, p: int, n: int) -> int:
     while p ** (e + 1) <= n:
         e += 1
     return d * p ** (e + 1)
+
+
+def powers_mod(field: FieldSpec, mu: list) -> Iterator[tuple]:
+    """x^0, x^1, x^2, ... mod the monic mu (constant term first), forever.
+
+    Each residue is a tuple of deg mu coefficients; a step costs deg mu
+    scalar products.
+    """
+    zero = field.zero()
+    tail = [-c for c in mu[:-1]]  # x^deg = sum tail[k] x^k mod mu
+    r = (field.one(),) + (zero,) * (len(tail) - 1)
+    while True:
+        yield r
+        top, shifted = r[-1], (zero,) + r[:-1]
+        r = shifted if top.is_zero() else \
+            tuple(a + top * c for a, c in zip(shifted, tail))
+
+
+def _combination(field: FieldSpec, dim: int, coeffs, vecs) -> tuple:
+    """sum c v over the pairs of coeffs and vecs; zero terms are skipped."""
+    acc = list(zero_vec(field, dim))
+    for c, v in zip(coeffs, vecs):
+        if c.is_zero():
+            continue
+        for m, x in enumerate(v):
+            if not x.is_zero():
+                acc[m] = acc[m] + c * x
+    return tuple(acc)
 
 
 def default_cap(dim: int) -> int:
@@ -285,14 +329,18 @@ class HopfAlgebra(Coalgebra):
         return Mat.from_columns(self.field, cols, self.dim)
 
     def convolution(self, f: Mat, g: Mat) -> Mat:
+        cols = self._convolve(f.column, g.column, range(self.dim))
+        return Mat.from_columns(self.field, cols, self.dim)
+
+    def _convolve(self, f, g, indices) -> list[tuple]:
+        """(f * g)(e_i) for i in indices; f(j), g(k) are f(e_j), g(e_k)."""
         cols = []
-        for i in range(self.dim):
+        for i in indices:
             acc = zero_vec(self.field, self.dim)
             for (j, k), c in self.comul[i].items():
-                acc = vec_add(acc, vec_scale(
-                    c, self.mul_vec(f.column(j), g.column(k))))
+                acc = vec_add(acc, vec_scale(c, self.mul_vec(f(j), g(k))))
             cols.append(acc)
-        return Mat.from_columns(self.field, cols, self.dim)
+        return cols
 
     def hopf_power_map(self, n: int) -> Mat:
         """[n] = n-fold convolution power of the identity; [0] = u o eps."""
@@ -307,23 +355,75 @@ class HopfAlgebra(Coalgebra):
         return m
 
     def hopf_power(self, h, n: int):
-        """h^[n]; accepts an Element or a coefficient vector."""
+        """h^[n]; accepts an Element or a coefficient vector.
+
+        Computed on the subcoalgebra h spans (module docstring), not
+        through hopf_power_map(n).
+        """
+        if n < 0:
+            raise HopfError("Hopf power maps are defined for n >= 0")
         if isinstance(h, Element):
             return Element(self, self.hopf_power(h.vec, n))
-        return self.hopf_power_map(n).apply(tuple(h))
+        return next(itertools.islice(self._hopf_powers(tuple(h)), n, None))
 
     def hopf_order(self, h, cap: int | None = None) -> int | None:
-        """Least n >= 1 with h^[n] = eps(h)*1, or None past the cap."""
+        """Least n >= 1 with h^[n] = eps(h)*1, or None past the cap.
+
+        Makes no full convolution: h^[1], h^[2], ... come from the
+        subcoalgebra h spans, then from x^n mod mu_C (module docstring).
+        """
         vec = h.vec if isinstance(h, Element) else tuple(h)
         cap = default_cap(self.dim) if cap is None else cap
         target = vec_scale(self.counit_vec(vec), self.unit)
-        ident = self.identity_map()
-        m = ident
-        for n in range(1, cap + 1):
-            if m.apply(vec) == target:
-                return n
-            m = self.convolution(m, ident)
-        return None
+        powers = itertools.islice(self._hopf_powers(vec), 1, None)
+        return next((n for n, p in zip(range(1, cap + 1), powers)
+                     if p == target), None)
+
+    def _hopf_powers(self, vec: tuple) -> Iterator[tuple]:
+        """h^[0], h^[1], h^[2], ... for h = vec, lazily and forever.
+
+        The powers [n] restricted to the subcoalgebra C_S that h spans
+        (module docstring) are iterated until their minimal polynomial
+        mu_C is known, each h^[n] being yielded before [n] is tested for
+        dependence; from then on h^[n] is read off x^n mod mu_C.  Maps
+        on C_S are dicts from each i in S to the column at e_i.
+        """
+        if len(vec) != self.dim:
+            raise ShapeMismatch(f"element of length {len(vec)} in dimension "
+                                f"{self.dim}")
+        support = self.subcoalgebra_support(vec)
+        if not support:  # h = 0, and so is every h^[n]
+            yield from itertools.repeat(zero_vec(self.field, self.dim))
+        units = {i: unit_vec(self.field, self.dim, i) for i in support}
+        ueps = {i: vec_scale(self.counit[i], self.unit) for i in support}
+        ident = units.__getitem__
+        require(self._convolve(ueps.__getitem__, ident, support)
+                == [units[i] for i in support],
+                "(u o eps) * id is not id on the subcoalgebra an element "
+                "spans: the unit or counit law fails")
+
+        def restricted():
+            yield ueps
+            cols = units
+            while True:
+                yield cols
+                cols = dict(zip(support, self._convolve(
+                    cols.__getitem__, ident, support)))
+
+        coeffs = [vec[i] for i in support]
+        search = MinPolySearch(self.field)
+        values = []  # h^[0], h^[1], ..., h^[deg mu_C]
+        for cols in restricted():
+            values.append(_combination(self.field, self.dim, coeffs,
+                                      [cols[i] for i in support]))
+            yield values[-1]
+            mu = search.add(tuple(itertools.chain.from_iterable(
+                cols[i] for i in support)))
+            if mu is not None:
+                break
+        for r in itertools.islice(powers_mod(self.field, mu),
+                                  len(values), None):
+            yield _combination(self.field, self.dim, r, values)
 
     def exponent(self, cap: int | None = None) -> ExponentReport:
         """Iterate [n] for n <= cap until u o eps, a repeat, or the cap.
@@ -355,19 +455,10 @@ class HopfAlgebra(Coalgebra):
         if mu is None:
             steps.append(f"no power up to {cap} equals the convolution unit")
             return ExponentReport("exceeds_cap", cap=cap, steps=steps)
-        zero = self.field.zero()
-        one = (self.field.one(),) + (zero,) * (len(mu) - 2)
-        tail = [-c for c in mu[:-1]]  # x^deg = sum tail[k] x^k mod mu
-
-        def times_x(r: tuple) -> tuple:
-            top, shifted = r[-1], (zero,) + r[:-1]
-            if top.is_zero():
-                return shifted
-            return tuple(a + top * c for a, c in zip(shifted, tail))
-
-        r = times_x(one)
+        residues = powers_mod(self.field, mu)
+        one = next(residues)
         seen: dict = {}
-        for n in range(1, cap + 1):
+        for n, r in zip(range(1, cap + 1), residues):
             if r == one:
                 steps.append(f"power {n} equals the unit of convolution")
                 return ExponentReport("finite", n=n, cap=cap, steps=steps)
@@ -382,7 +473,6 @@ class HopfAlgebra(Coalgebra):
                 return ExponentReport("exceeds_cap", cap=cap, steps=steps)
             if len(seen) < 4096:
                 seen[r] = n
-            r = times_x(r)
         steps.append(f"no power up to {cap} equals the convolution unit")
         return ExponentReport("exceeds_cap", cap=cap, steps=steps)
 

@@ -245,9 +245,23 @@ def solve(m: Mat, b: tuple) -> tuple:
 
 
 def solve_columns(m: Mat, rhs: Mat) -> Mat:
-    """Solve m @ X = rhs column by column."""
-    cols = [solve(m, rhs.column(j)) for j in range(rhs.ncols)]
-    return Mat.from_columns(m.field, cols, m.ncols)
+    """Solve m @ X = rhs; each column is the solution solve() gives it.
+
+    [m | rhs] is row-reduced once.  Its pivots among m's columns, and the
+    row operations that reach them, are those of [m | b] for every column
+    b of rhs, so X reads off the pivot rows with free variables zero.  A
+    pivot among rhs's columns means some column has no solution.
+    """
+    if rhs.nrows != m.nrows:
+        raise ShapeMismatch(f"rhs with {rhs.nrows} rows vs {m.nrows} rows")
+    n = m.ncols
+    red, pivots = rref_rows(m.field, [a + b for a, b in zip(m.rows, rhs.rows)])
+    if pivots and pivots[-1] >= n:
+        raise NoSolution("inconsistent linear system")
+    x = [(m.field.zero(),) * rhs.ncols] * n
+    for r, p in zip(red, pivots):
+        x[p] = r[n:]
+    return Mat(m.field, x, rhs.ncols)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Hopf layer: powers, exponents, the order classifier, integrals."""
 
 import itertools
+import random
 
 import pytest
 
 from hopfex import GF, QQ, FieldSpec
 from hopfex.algebra import min_poly_of_powers
-from hopfex.errors import InvariantViolation, NotCosemisimple
+from hopfex.errors import InvariantViolation, NotCosemisimple, ShapeMismatch
 from hopfex.hopf import ExponentReport, HopfAlgebra
-from hopfex.linalg import Mat, vec_scale
+from hopfex.linalg import Mat, SubspaceBasis, unit_vec, vec_scale
 from hopfex.zoo import (cyclic, group_algebra, restricted_poly, sweedler,
                         symmetric, taft, tensor_product)
 
@@ -325,3 +326,158 @@ def test_min_poly_of_powers_stops_at_the_first_dependency(zoo):
     assert len(taken) == len(mu)
     # running out of powers before a dependency gives None
     assert min_poly_of_powers(h.field, itertools.islice(powers(), 3)) is None
+
+
+# -- Hopf orders on the subcoalgebra an element spans ------------------------
+
+def reference_hopf_order(h, vec, cap):
+    """Least n <= cap with h^[n] = eps(h) 1 by one full convolution per power.
+
+    hopf_order as it stood before it moved onto the subcoalgebra that h
+    spans, kept as its oracle.
+    """
+    target = vec_scale(h.counit_vec(vec), h.unit)
+    ident = h.identity_map()
+    m = ident
+    for n in range(1, cap + 1):
+        if m.apply(vec) == target:
+            return n
+        m = h.convolution(m, ident)
+    return None
+
+
+def power_maps(h, last):
+    """[0], [1], ..., [last] as matrices, one convolution each past [1]."""
+    ident = h.identity_map()
+    maps = [h.counit_unit_map(), ident]
+    while len(maps) <= last:
+        maps.append(h.convolution(maps[-1], ident))
+    return maps
+
+
+def sample_vectors(h, seed):
+    """The basis vectors of h and three seeded integer combinations."""
+    rng = random.Random(seed)
+    vecs = [h.basis_element(i).vec for i in range(h.dim)]
+    for _ in range(3):
+        vecs.append(tuple(h.field.from_int(rng.randint(-2, 2))
+                          for _ in range(h.dim)))
+    return vecs
+
+
+def test_hopf_order_matches_the_convolution_loop_on_goldens(zoo):
+    for stem, h in zoo.items():
+        maps = power_maps(h, 12)
+        for vec in sample_vectors(h, stem):
+            target = vec_scale(h.counit_vec(vec), h.unit)
+            # the reference loop's answer, read off maps shared by all vectors
+            first = next((n for n in range(1, 13)
+                          if maps[n].apply(vec) == target), None)
+            for cap in (1, 3, 12):
+                want = first if first is not None and first <= cap else None
+                assert h.hopf_order(vec, cap) == want, (stem, vec, cap)
+
+
+def taft16_elements(h):
+    """Elements of taft16 of Hopf order 4, 2 and none (index b*4 + a is
+    g^a x^b): sum c_a g^a has the lcm of the orders of its g^a, and a
+    term in g^b x leaves no Hopf order in characteristic 0."""
+    def vec(terms):
+        return tuple(h.field.from_int(terms.get(i, 0)) for i in range(h.dim))
+    return [(vec({1: 2, 2: 3}), 4), (vec({0: 1, 2: 2}), 2),
+            (vec({0: 3, 3: 1, 6: -2}), None)]
+
+
+def test_hopf_order_on_taft16_elements(zoo):
+    h = zoo["taft16"]
+    for vec, order in taft16_elements(h):
+        assert h.hopf_order(vec, 64) == order
+        assert reference_hopf_order(h, vec, 64) == order
+
+
+def count_convolutions(monkeypatch):
+    calls = []
+    real = HopfAlgebra.convolution
+
+    def counted(self, f, g):
+        calls.append(1)
+        return real(self, f, g)
+
+    monkeypatch.setattr(HopfAlgebra, "convolution", counted)
+    return calls
+
+
+def test_hopf_order_makes_no_full_convolution(zoo, monkeypatch):
+    h = zoo["taft16"]
+    calls = count_convolutions(monkeypatch)
+    vec, order = taft16_elements(h)[2]
+    assert h.hopf_order(vec, 64) is order is None
+    assert calls == []
+
+
+def test_hopf_order_of_zero_and_empty_caps(zoo, monkeypatch):
+    h = zoo["taft9"]
+    zero = h.zero().vec
+    calls = count_convolutions(monkeypatch)
+    assert h.hopf_order(zero, 5) == 1 == reference_hopf_order(h, zero, 5)
+    for vec in (zero, h.one().vec):
+        for cap in (0, -3):
+            assert h.hopf_order(vec, cap) is None
+            assert reference_hopf_order(h, vec, cap) is None
+    assert calls == []
+
+
+def test_hopf_order_rejects_a_vector_of_the_wrong_length(zoo):
+    h = zoo["sweedler"]
+    with pytest.raises(ShapeMismatch):
+        h.hopf_order(h.one().vec[:-1], 5)
+    with pytest.raises(ShapeMismatch):
+        h.hopf_power(h.one().vec + h.one().vec, 2)
+
+
+def test_hopf_order_on_a_bialgebra_without_antipode():
+    h = idempotent_monoid()
+    one, z = h.basis_element(0).vec, h.basis_element(1).vec
+    for vec in (one, z, vec_scale(QQ.from_int(2), one),
+                tuple(a - b for a, b in zip(one, z)),
+                tuple(a + b for a, b in zip(one, z))):
+        for cap in (1, 3, 12):
+            assert h.hopf_order(vec, cap) == \
+                reference_hopf_order(h, vec, cap), (vec, cap)
+
+
+def test_hopf_order_requires_the_unit_law_on_the_subcoalgebra():
+    # z as the unit: (u o eps) * id sends 1 to z on C_S = span{1}
+    h = HopfAlgebra(QQ, ["1", "z"], {(0, 0, 0): 1, (1, 1, 1): 1}, [1, 1],
+                    {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 1): 1},
+                    [0, 1])
+    with pytest.raises(InvariantViolation):
+        h.hopf_order(h.basis_element(0).vec, 10)
+    with pytest.raises(InvariantViolation):
+        h.hopf_power(h.basis_element(0).vec, 3)
+
+
+def test_hopf_power_matches_the_power_maps(zoo):
+    for stem, h in zoo.items():
+        maps = power_maps(h, 6)
+        for vec in sample_vectors(h, stem):
+            for n, m in enumerate(maps):
+                assert h.hopf_power(vec, n) == m.apply(vec), (stem, vec, n)
+
+
+def test_subcoalgebra_support_spans_the_least_coordinate_subcoalgebra(zoo):
+    for stem, h in zoo.items():
+        for vec in sample_vectors(h, stem):
+            support = h.subcoalgebra_support(vec)
+            assert set(support) >= {i for i, c in enumerate(vec)
+                                    if not c.is_zero()}
+            for i in support:
+                assert {m for jk in h.comul[i] for m in jk} <= set(support)
+            space = SubspaceBasis(h.field, h.dim,
+                                  [unit_vec(h.field, h.dim, i) for i in support])
+            assert h.is_subcoalgebra(space), (stem, support)
+    sw = zoo["sweedler"]
+    x = sw.basis_element(sw.index_of("x")).vec
+    # Delta x = x (x) 1 + g (x) x
+    assert sw.subcoalgebra_support(x) == sorted(
+        sw.index_of(n) for n in ("1", "g", "x"))

@@ -94,6 +94,50 @@ def test_solve_columns_matches_columnwise_solve():
         assert m.apply(sol.column(j)) == rhs.column(j)
 
 
+def reference_solve_columns(m, rhs):
+    """One solve() per column: solve_columns before it row-reduced once."""
+    cols = [solve(m, rhs.column(j)) for j in range(rhs.ncols)]
+    return Mat.from_columns(m.field, cols, m.ncols)
+
+
+def test_solve_columns_matches_the_columnwise_reference_on_singular_systems():
+    rng = random.Random(2026)
+    checked = 0
+    for field in (QQ, F5):
+        for _ in range(30):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            # rank at most 2, so most systems are singular
+            a = random_mat(field, rng, nrows, 2)
+            m = a @ random_mat(field, rng, 2, ncols)
+            rhs = m @ random_mat(field, rng, ncols, 3)
+            want = reference_solve_columns(m, rhs)
+            assert solve_columns(m, rhs) == want
+            checked += 1
+    assert checked == 60
+
+
+def test_solve_columns_rejects_one_inconsistent_column():
+    sing = qmat([[1, 2], [2, 4]])
+    good = qvec([1, 2])
+    rhs = Mat.from_columns(QQ, [good, qvec([1, 0]), good])
+    with pytest.raises(NoSolution):
+        reference_solve_columns(sing, rhs)
+    with pytest.raises(NoSolution):
+        solve_columns(sing, rhs)
+    # without the bad column both give the solution with free variables 0
+    ok = Mat.from_columns(QQ, [good, vec_scale(QQ.from_int(3), good)])
+    assert solve_columns(sing, ok) == reference_solve_columns(sing, ok) == \
+        Mat.from_columns(QQ, [qvec([1, 0]), qvec([3, 0])])
+
+
+def test_solve_columns_rejects_mismatched_rows():
+    with pytest.raises(ShapeMismatch):
+        solve_columns(qmat([[1, 0], [0, 1]]), qmat([[1], [2], [3]]))
+    # also with no right-hand columns at all
+    with pytest.raises(ShapeMismatch):
+        solve_columns(qmat([[1, 0], [0, 1]]), Mat(QQ, [(), (), ()], 0))
+
+
 def test_kernel_is_exact_nullspace():
     m = qmat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     ker = kernel(m)
