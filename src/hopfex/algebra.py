@@ -53,6 +53,7 @@ from .errors import (
     NoSolution,
     ShapeMismatch,
     SplittingSearchExhausted,
+    require,
 )
 from .linalg import (
     Mat,
@@ -60,6 +61,7 @@ from .linalg import (
     kernel,
     rref_rows,
     solve,
+    t2_add_term,
     unit_vec,
     vec_add,
     vec_is_zero,
@@ -312,7 +314,8 @@ class FiniteAlgebra:
     """Unital associative algebra with a dense structure-constant table.
 
     table[i][j] is the coefficient vector of e_i * e_j; unit is the
-    coefficient vector of 1.
+    coefficient vector of 1.  check=True raises LinAlgError on the first
+    of violations().
     """
 
     def __init__(self, field: FieldSpec, table: list[list[tuple]], unit: tuple,
@@ -323,22 +326,45 @@ class FiniteAlgebra:
         self.unit = tuple(unit)
         self._radical_powers: list[SubspaceBasis] | None = None
         if check:
-            self._check_axioms()
+            bad = self.violations()
+            if bad:
+                raise LinAlgError(bad[0])
 
-    def _check_axioms(self):
-        for i in range(self.dim):
-            ei = unit_vec(self.field, self.dim, i)
-            if self.mult(self.unit, ei) != ei or self.mult(ei, self.unit) != ei:
-                raise LinAlgError(f"unit fails on basis element {i}")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    lhs = self.mult(self.table[i][j],
-                                    unit_vec(self.field, self.dim, k))
-                    rhs = self.mult(unit_vec(self.field, self.dim, i),
-                                    self.table[j][k])
-                    if lhs != rhs:
-                        raise LinAlgError(f"associativity fails at ({i},{j},{k})")
+    @classmethod
+    def from_terms(cls, field: FieldSpec, dim: int, terms: dict,
+                   unit: tuple) -> "FiniteAlgebra":
+        """The algebra with e_i e_j = sum of c e_m over terms (i, j, m) -> c.
+
+        Indices must lie in range(dim); values are Scalars.
+        """
+        zero = field.zero()
+        table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+        for (i, j, m), c in terms.items():
+            table[i][j][m] = c
+        return cls(field, tuple(tuple(tuple(v) for v in row) for row in table),
+                   unit)
+
+    def violations(self, names=None) -> list[str]:
+        """Unit-law failures, then associativity failures, one line each.
+
+        Basis element i is called names[i], or i when names is None.
+        (e_i e_j) e_k and e_i (e_j e_k) are each one product of a table
+        entry with a basis vector.
+        """
+        names = [str(i) for i in range(self.dim)] if names is None else names
+        units = [unit_vec(self.field, self.dim, i) for i in range(self.dim)]
+        bad = []
+        for i, ei in enumerate(units):
+            if self.mult(self.unit, ei) != ei:
+                bad.append(f"left unit law fails on {names[i]}")
+            if self.mult(ei, self.unit) != ei:
+                bad.append(f"right unit law fails on {names[i]}")
+        for i, j, k in itertools.product(range(self.dim), repeat=3):
+            if self.mult(self.table[i][j], units[k]) != \
+                    self.mult(units[i], self.table[j][k]):
+                bad.append("associativity fails at "
+                           f"({names[i]},{names[j]},{names[k]})")
+        return bad
 
     # -- products ----------------------------------------------------------
 
@@ -355,6 +381,21 @@ class FiniteAlgebra:
                     if not t.is_zero():
                         out[m] = out[m] + c * t
         return tuple(out)
+
+    def tensor_mult(self, a: dict, b: dict) -> dict:
+        """Sparse product on A (x) A: (x(x)y)(x'(x)y') = xx'(x)yy'."""
+        out: dict = {}
+        for (j, k), c in a.items():
+            for (j2, k2), c2 in b.items():
+                coeff = c * c2
+                right = self.table[k][k2]
+                for m, lv in enumerate(self.table[j][j2]):
+                    if lv.is_zero():
+                        continue
+                    for m2, rv in enumerate(right):
+                        if not rv.is_zero():
+                            t2_add_term(out, (m, m2), coeff * lv * rv)
+        return out
 
     def left_mult_mat(self, u: tuple) -> Mat:
         cols = [self.mult(u, unit_vec(self.field, self.dim, j))
@@ -567,7 +608,7 @@ class FiniteAlgebra:
             for _ in range(mult_):
                 primary = poly_mul(self.field, primary, lin)
             g, u, _v = poly_gcdext(self.field, primary, rest)
-            assert len(g) == 1, "primary parts are coprime"
+            require(len(g) == 1, "primary parts are coprime")
             ginv = g[0].inverse()
             # h = u*primary/g is 0 mod primary, 1 mod rest: projection away
             # from the lam eigencomponent; 1-h projects onto it.

@@ -19,9 +19,8 @@ block is M_r(k).  NonSplitField is raised when the centre or a block is
 proved not split over the base field; SplittingSearchExhausted when the
 bounded search inside a block finds nothing, which proves nothing.
 
-Tensors in H (x) H are sparse dicts keyed by basis index pairs; they
-are kept clean (no explicit zeros), so dict equality is tensor
-equality.
+Tensors in H (x) H are the sparse dicts of linalg (t2_add_term and
+its siblings).
 """
 
 from __future__ import annotations
@@ -40,6 +39,9 @@ from .errors import (
 )
 from .linalg import (
     SubspaceBasis,
+    t2_add_term,
+    t2_flatten,
+    t2_from_pair,
     unit_vec,
     vec_add,
     vec_dot,
@@ -67,56 +69,6 @@ def as_scalar(field: FieldSpec, v) -> Scalar:
 # ---------------------------------------------------------------------------
 # sparse tensors in H (x) H
 # ---------------------------------------------------------------------------
-
-def t2_add_term(acc: dict, key: tuple, val: Scalar):
-    """Add val at key, keeping acc clean; keys may be pairs or triples."""
-    if key in acc:
-        s = acc[key] + val
-        if s.is_zero():
-            del acc[key]
-        else:
-            acc[key] = s
-    elif not val.is_zero():
-        acc[key] = val
-
-
-def t2_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        t2_add_term(out, k, v)
-    return out
-
-
-def t2_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        t2_add_term(out, k, -v)
-    return out
-
-
-def t2_scale(c: Scalar, a: dict) -> dict:
-    if c.is_zero():
-        return {}
-    return {k: c * v for k, v in a.items()}
-
-
-def t2_from_pair(u: tuple, v: tuple) -> dict:
-    out = {}
-    for j, x in enumerate(u):
-        if x.is_zero():
-            continue
-        for k, y in enumerate(v):
-            if not y.is_zero():
-                t2_add_term(out, (j, k), x * y)
-    return out
-
-
-def t2_flatten(field: FieldSpec, a: dict, dim: int) -> tuple:
-    out = list(zero_vec(field, dim * dim))
-    for (j, k), v in a.items():
-        out[j * dim + k] = v
-    return tuple(out)
-
 
 def tensor_square_subspace(v: SubspaceBasis, w: SubspaceBasis) -> SubspaceBasis:
     """The subspace V (x) W inside the flattened square of the ambient."""
@@ -312,6 +264,11 @@ class Coalgebra:
                         todo.append(m)
         return sorted(support)
 
+    def is_grouplike(self, vec) -> bool:
+        """Whether eps(vec) = 1 and Delta(vec) = vec (x) vec."""
+        return self.counit_vec(vec) == self.field.one() and \
+            self.delta_vec(vec) == t2_from_pair(vec, vec)
+
     def counit_vec(self, vec) -> Scalar:
         return vec_dot(self.counit, vec)
 
@@ -401,15 +358,11 @@ class Coalgebra:
     def dual_algebra(self) -> FiniteAlgebra:
         """H* with (f.g)(c) = sum f(c_(1)) g(c_(2)), on the dual basis."""
         if self._dual is None:
-            zero = self.field.zero()
-            table = []
-            for i in range(self.dim):
-                row = []
-                for j in range(self.dim):
-                    row.append(tuple(self.comul[m].get((i, j), zero)
-                                     for m in range(self.dim)))
-                table.append(row)
-            self._dual = FiniteAlgebra(self.field, table, self.counit)
+            self._dual = FiniteAlgebra.from_terms(
+                self.field, self.dim,
+                {(j, k, i): c for i in range(self.dim)
+                 for (j, k), c in self.comul[i].items()},
+                self.counit)
         return self._dual
 
     def analysis(self) -> "CoradicalAnalysis":
@@ -612,7 +565,7 @@ class CoradicalAnalysis:
                 ev = H.counit_vec(v)
                 require(not ev.is_zero(), "counit vanishes on a simple")
                 g = vec_scale(ev.inverse(), v)
-                require(H.delta_vec(g) == t2_from_pair(g, g),
+                require(H.is_grouplike(g),
                         "normalised 1-dim simple is not group-like")
                 grouplike = g
             raw.append((sub, r, grouplike, z, f, blocks[t]))

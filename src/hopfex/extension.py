@@ -25,29 +25,25 @@ designated corners sum back to z.
 
 from __future__ import annotations
 
-from .errors import NoSolution, NotInComponent
+from .coalgebra import Coalgebra, Element, coalgebra_amalgam
+from .errors import InvariantViolation, NoSolution, NotInComponent, require
 from .linalg import (
     Mat,
     SubspaceBasis,
     rref_rows,
     solve,
     solve_columns,
-    unit_vec,
-    vec_add,
-    vec_is_zero,
-    vec_sub,
-    zero_vec,
-)
-from .coalgebra import (
-    Coalgebra,
-    Element,
-    coalgebra_amalgam,
     t2_add,
     t2_add_term,
     t2_flatten,
     t2_from_pair,
     t2_scale,
     t2_sub,
+    unit_vec,
+    vec_add,
+    vec_is_zero,
+    vec_sub,
+    zero_vec,
 )
 from .matforms import MatrixOverH, is_multiplicative
 
@@ -55,14 +51,6 @@ from .matforms import MatrixOverH, is_multiplicative
 # ---------------------------------------------------------------------------
 # membership and normalisation
 # ---------------------------------------------------------------------------
-
-def _grouplike_simple_index(coalg: Coalgebra, vec: tuple):
-    """Index of the simple subcoalgebra spanned by vec, or None."""
-    for s in coalg.analysis().simples():
-        if s.is_grouplike and s.grouplike == vec:
-            return s.index
-    return None
-
 
 def _pad(field, vec: tuple, dim: int) -> tuple:
     if len(vec) == dim:
@@ -83,20 +71,21 @@ def graded_positive_part(z: Element, g: Element, h: Element, n: int):
     coalg = z.parent
     if g.parent is not coalg or h.parent is not coalg:
         raise NotInComponent("z, g, h must live in one coalgebra")
-    gi = _grouplike_simple_index(coalg, g.vec)
-    hi = _grouplike_simple_index(coalg, h.vec)
-    if gi is None or hi is None:
+    if not (coalg.is_grouplike(g.vec) and coalg.is_grouplike(h.vec)):
         raise NotInComponent("flanking elements must be group-like")
-    w = z - g * z.eps() if gi == hi else z
+    # distinct group-likes span distinct simples
+    w = z - g * z.eps() if g.vec == h.vec else z
     if n < 0:
         return (w.is_zero(), w)
     ana = coalg.analysis()
     level = ana.filtration[min(n, ana.depth)]
     ok = level.contains_vector(w.vec)
     if ok:
-        ok = coalg.component(w.vec, left=gi, right=hi) == w.vec
+        ok = coalg.component(w.vec, left=ana.find_simple_containing(g.vec),
+                             right=ana.find_simple_containing(h.vec)) == w.vec
     if ok:
-        assert coalg.counit_vec(w.vec).is_zero()
+        require(coalg.counit_vec(w.vec).is_zero(),
+                "positive part of a bicomponent has a nonzero counit")
     return (ok, w)
 
 
@@ -220,24 +209,26 @@ def _factor_middle(coalg: Coalgebra, middle: dict, gi: int, hi: int, n: int):
             continue
         lefts = _flag_basis(coalg, gi, ki, n - 1)
         rights = _flag_basis(coalg, ki, hi, n - 1)
-        assert lefts and rights, "nonzero block over an empty bicomponent"
+        require(lefts and rights, "nonzero block over an empty bicomponent")
         lmat = Mat.from_columns(field, [v for v, _ in lefts], nrows=dim)
         rmat = Mat.from_columns(field, [v for v, _ in rights], nrows=dim)
         try:
             xmat = solve_columns(lmat, _columns_of_tensor(field, block, dim))
         except NoSolution:
-            raise AssertionError("middle leaves the expected left component")
+            raise InvariantViolation(
+                "middle leaves the expected left component") from None
         try:
             lam = solve_columns(rmat, Mat.from_columns(
                 field, [xmat.rows[a] for a in range(len(lefts))], nrows=dim))
         except NoSolution:
-            raise AssertionError("middle leaves the expected right component")
+            raise InvariantViolation(
+                "middle leaves the expected right component") from None
         # staircase: no coefficient pairs a degree with more than n minus it
         for a, (_, da) in enumerate(lefts):
             for b, (_, db) in enumerate(rights):
                 if da + db > n:
-                    assert lam.rows[b][a].is_zero(), \
-                        "expansion coefficient violates the degree bound"
+                    require(lam.rows[b][a].is_zero(),
+                            "expansion coefficient violates the degree bound")
         kel = Element(coalg, s.grouplike)
         for d in sorted({da for _, da in lefts}):
             sel = [a for a, (_, da) in enumerate(lefts) if da == d]
@@ -258,7 +249,7 @@ def _factor_middle(coalg: Coalgebra, middle: dict, gi: int, hi: int, n: int):
                                 Element(coalg, xv), Element(coalg, yv)))
                 recovered = t2_add(recovered, t2_from_pair(xv, yv))
     entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    assert recovered == middle, "expansion does not reconstruct the middle"
+    require(recovered == middle, "expansion does not reconstruct the middle")
     return [(d, serial, kel, x, y) for d, _, serial, kel, x, y in entries]
 
 
@@ -278,11 +269,11 @@ def delta_expansion(z: Element, g: Element, h: Element, n: int) -> DeltaExpansio
                     t2_add(t2_from_pair(g.vec, w.vec),
                            t2_from_pair(w.vec, h.vec)))
     if n <= 1 or w.is_zero():
-        assert not middle, "low-degree element with a nonzero middle"
+        require(not middle, "low-degree element with a nonzero middle")
         return DeltaExpansion(w, g, h, n, ())
-    gi = _grouplike_simple_index(coalg, g.vec)
-    hi = _grouplike_simple_index(coalg, h.vec)
-    terms = _factor_middle(coalg, middle, gi, hi, n)
+    ana = coalg.analysis()
+    terms = _factor_middle(coalg, middle, ana.find_simple_containing(g.vec),
+                           ana.find_simple_containing(h.vec), n)
     return DeltaExpansion(w, g, h, n, terms)
 
 
@@ -337,8 +328,8 @@ class _Grower:
         d = coalg.dim
         sigma = self.pad(sigma)
         tau = self.pad(tau)
-        assert _is_two_cocycle(coalg, middle, sigma, tau), \
-            "adjoined middle is not a two-cocycle"
+        require(_is_two_cocycle(coalg, middle, sigma, tau),
+                "adjoined middle is not a two-cocycle")
         left_eps = zero_vec(field, d)
         right_eps = zero_vec(field, d)
         for (a, b), c in middle.items():
@@ -349,8 +340,8 @@ class _Grower:
             if not eb.is_zero():
                 right_eps = vec_add(right_eps, tuple(
                     (c * eb) if j == a else field.zero() for j in range(d)))
-        assert vec_is_zero(left_eps) and vec_is_zero(right_eps), \
-            "adjoined middle has counit-visible legs"
+        require(vec_is_zero(left_eps) and vec_is_zero(right_eps),
+                "adjoined middle has counit-visible legs")
         comul = {}
         for i in range(d):
             for (j, k), c in coalg.comul[i].items():
@@ -391,7 +382,8 @@ def _solve_skew(coalg: Coalgebra, sigma: tuple, tau: tuple, mid: dict):
         r = solve(mat, t2_flatten(field, mid, dim))
     except NoSolution:
         return None
-    assert coalg.counit_vec(r).is_zero()
+    require(coalg.counit_vec(r).is_zero(),
+            "skew-primitive solution has a nonzero counit")
     return r
 
 
@@ -420,8 +412,8 @@ def _glue(gr: _Grower, agrid, bgrid, gvec: tuple, hvec: tuple):
     field = gr.coalg.field
     p, q = len(agrid), len(bgrid)
     m = p + q - 1
-    assert gr.pad(agrid[p - 1][p - 1]) == gr.pad(bgrid[0][0]), \
-        "glued grids disagree on the shared group-like"
+    require(gr.pad(agrid[p - 1][p - 1]) == gr.pad(bgrid[0][0]),
+            "glued grids disagree on the shared group-like")
     grid = [[None] * m for _ in range(m)]
     for u in range(p):
         for v in range(p):
@@ -473,8 +465,9 @@ def _coideal_witness(gr: _Grower, corner_idx: int, gvec: tuple, hvec: tuple,
     dim = coalg.dim
     gpad = _pad(field, gvec, dim)
     hpad = _pad(field, hvec, dim)
-    gi = _grouplike_simple_index(coalg, gpad)
-    assert gi is not None
+    ana = coalg.analysis()
+    require(coalg.is_grouplike(gpad), "coideal corner g is not group-like")
+    gi = ana.find_simple_containing(gpad)
     corner = unit_vec(field, dim, corner_idx)
     members = []
     span = SubspaceBasis(field, dim, [gpad, corner])
@@ -486,8 +479,8 @@ def _coideal_witness(gr: _Grower, corner_idx: int, gvec: tuple, hvec: tuple,
                      t2_add(t2_from_pair(gpad, vec), t2_from_pair(vec, rvec)))
         if not mid:
             continue
-        ri = _grouplike_simple_index(coalg, rvec)
-        assert ri is not None
+        require(coalg.is_grouplike(rvec), "coideal flank is not group-like")
+        ri = ana.find_simple_containing(rvec)
         for d, _, kel, x, _y in _factor_middle(coalg, mid, gi, ri, deg):
             if span.contains_vector(x.vec):
                 continue
@@ -505,16 +498,18 @@ def _coideal_witness(gr: _Grower, corner_idx: int, gvec: tuple, hvec: tuple,
             coeffs = solve_columns(
                 fmat, _columns_of_tensor(field, coalg.delta_vec(fu), dim))
         except NoSolution:
-            raise AssertionError("closure family is not a left coideal")
+            raise InvariantViolation(
+                "closure family is not a left coideal") from None
         for w in range(size):
             grid[w][u] = tuple(coeffs.rows[w])
     for u in range(size):
         for w in range(u + 1, size):
-            assert vec_is_zero(grid[w][u]), "coideal matrix not triangular"
-        assert _grouplike_simple_index(coalg, grid[u][u]) is not None, \
-            "coideal diagonal entry is not group-like"
-    assert grid[0][size - 1] == corner
-    assert grid[0][0] == gpad and grid[size - 1][size - 1] == hpad
+            require(vec_is_zero(grid[w][u]), "coideal matrix not triangular")
+        require(coalg.is_grouplike(grid[u][u]),
+                "coideal diagonal entry is not group-like")
+    require(grid[0][size - 1] == corner, "coideal corner entry moved")
+    require(grid[0][0] == gpad and grid[size - 1][size - 1] == hpad,
+            "coideal matrix has the wrong flanks")
     return grid
 
 
@@ -589,7 +584,7 @@ def _extend(base: Coalgebra, gvec: tuple, hvec: tuple, wvec: tuple, n: int,
         for e in distinct:
             offsets[id(e)] = off
             off += e.result.dim - base.dim
-        assert off == amal.dim
+        require(off == amal.dim, "amalgam dimension mismatch")
     else:
         amal = base
         offsets = {}
@@ -628,14 +623,14 @@ def _extend(base: Coalgebra, gvec: tuple, hvec: tuple, wvec: tuple, n: int,
     hpad = _pad(field, hvec, result.dim)
     leftover = t2_sub(result.delta_vec(rho),
                       t2_add(t2_from_pair(gpad, rho), t2_from_pair(rho, hpad)))
-    assert not leftover, "residue is not skew-primitive"
+    require(not leftover, "residue is not skew-primitive")
     first = grids[0]
     first[0][len(first) - 1] = vec_add(gr.pad(first[0][len(first) - 1]), rho)
     total = zero_vec(field, result.dim)
     for grid in grids:
         total = vec_add(total, gr.pad(grid[0][len(grid) - 1]))
-    assert total == _pad(field, wvec, result.dim), \
-        "designated entries do not sum to the element"
+    require(total == _pad(field, wvec, result.dim),
+            "designated entries do not sum to the element")
     grids = [[[gr.pad(c) for c in row] for row in grid] for grid in grids]
     ext = _Ext(result, grids)
     memo[key] = ext
@@ -719,29 +714,32 @@ def extend_coalgebra(coalg: Coalgebra, g: Element, h: Element, z: Element,
     field = result.field
     old = coalg.coradical()
     new = result.coradical()
-    assert new.dim == old.dim, "extension changed the coradical"
+    require(new.dim == old.dim, "extension changed the coradical")
     for row in old.rows:
-        assert new.contains_vector(_pad(field, row, result.dim))
+        require(new.contains_vector(_pad(field, row, result.dim)),
+                "extension changed the coradical")
     # the base must sit inside the result unchanged
-    assert result.names[:coalg.dim] == coalg.names
+    require(result.names[:coalg.dim] == coalg.names,
+            "extension renamed the base")
     for i in range(coalg.dim):
-        assert result.comul[i] == coalg.comul[i]
-        assert result.counit[i] == coalg.counit[i]
+        require(result.comul[i] == coalg.comul[i]
+                and result.counit[i] == coalg.counit[i],
+                "extension changed the base")
     gpad = _pad(field, g.vec, result.dim)
     hpad = _pad(field, h.vec, result.dim)
     witnesses = []
     for grid in ext.grids:
         mat = MatrixOverH(result, grid)
-        assert is_multiplicative(mat), "witness is not multiplicative"
+        require(is_multiplicative(mat), "witness is not multiplicative")
         size = mat.nrows
         for u in range(size):
             for v in range(u):
-                assert vec_is_zero(mat.entry(u, v)), \
-                    "witness is not upper-triangular"
-            assert _grouplike_simple_index(result, mat.entry(u, u)) \
-                is not None, "witness diagonal is not group-like"
-        assert mat.entry(0, 0) == gpad
-        assert mat.entry(size - 1, size - 1) == hpad
+                require(vec_is_zero(mat.entry(u, v)),
+                        "witness is not upper-triangular")
+            require(result.is_grouplike(mat.entry(u, u)),
+                    "witness diagonal is not group-like")
+        require(mat.entry(0, 0) == gpad and mat.entry(size - 1, size - 1)
+                == hpad, "witness has the wrong flanks")
         witnesses.append(mat)
     out = ExtendedCoalgebra(
         base=coalg,
@@ -753,5 +751,6 @@ def extend_coalgebra(coalg: Coalgebra, g: Element, h: Element, z: Element,
         h=Element(result, hpad),
         n=n,
     )
-    assert out.designated_sum() == out.z
+    require(out.designated_sum() == out.z,
+            "designated entries do not sum to z")
     return out

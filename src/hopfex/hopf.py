@@ -7,31 +7,32 @@ classification routes implemented in classify_exponent decide
 infiniteness (char 0, Chevalley coradical) or a finite bound
 (char p, pointed) without unbounded iteration.
 
-The exponent search runs in k[id], the subalgebra of End(H) generated
-by id under convolution.  Right convolution by id is a linear map R with
-[n + 1] = R([n]) for all n >= 0 (for n = 0 by the unit and counit laws,
-which exponent() checks), so x -> id identifies k[x]/(mu) with k[id],
-mu the minimal polynomial of id, and the map x^n mod mu -> [n] is
-injective.  So [n] is x^n mod mu, a vector of deg mu scalars, and
-[n] = u o eps or [n] = [k] holds exactly when the same holds for the
-residues.  mu is found from [0], [1], [2], ... by min_poly_of_powers, at
-the cost of deg mu - 1 convolutions.  When the first cap + 1 of these
-are independent, no [n] with n <= cap equals u o eps or an earlier
-power, and the search stops there.
+Convolution powers of id are iterated in one place, _id_powers, on a
+subcoalgebra C_S = span{e_i : i in S}, S a set of basis indices that
+holds every j, k with e_j (x) e_k in Delta(e_i) for i in S.  Then
+Delta(C_S) lies in C_S (x) C_S, so (f * id)(e_i) needs f only on C_S, and
+right convolution by id restricts to a linear map R_S on maps C_S -> H
+with R_S([n]|_S) = [n + 1]|_S for all n >= 0 (for n = 0 by the unit and
+counit laws, which _id_powers checks on C_S).  So x -> [1]|_S identifies
+k[x]/(mu_S) with the algebra R_S generates, mu_S the minimal polynomial
+of [1]|_S, and the map x^n mod mu_S -> [n]|_S is injective: [n]|_S is
+x^n mod mu_S, a vector of deg mu_S scalars.  mu_S is found from [0]|_S,
+[1]|_S, ... by min_poly_of_powers, at the cost of deg mu_S - 1 steps of
+|S| columns each.  Two searches use it:
 
-Hopf powers h^[n] = [n](h) of one element need [n] only on the
-subcoalgebra h spans.  Let S be the least set of basis indices that
-holds supp(h) and every j, k with e_j (x) e_k in Delta(e_i) for i in S
-(Coalgebra.subcoalgebra_support).  Then Delta(C_S) lies in C_S (x) C_S
-for C_S = span{e_i : i in S}, so (f * id)(e_i) needs f only on C_S, and
-right convolution by id restricts to a map R_S on maps C_S -> H with
-R_S([n]|_S) = [n + 1]|_S, for n = 0 too once (u o eps) * id = id is
-checked on C_S.  The argument above, with R_S for R, gives
-k[x]/(mu_C) = k[[1]|_S], mu_C the minimal polynomial of [1]|_S, and
-h^[n] = sum_k r[k] h^[k] for r = x^n mod mu_C.  So h^[0], h^[1], ...
-cost one |S|-column step each until mu_C is found (hopf_order tests each
-h^[n] before [n] joins the search, so a low order stops early), then a
-handful of scalar products each.  Nothing here needs an antipode.
+  * exponent takes S = all indices, so C_S = H and mu_S = mu, the
+    minimal polynomial of id in k[id] = k[x]/(mu).  [n] = u o eps or
+    [n] = [k] holds exactly when the same holds for the residues.  When
+    the first cap + 1 powers are independent, no [n] with n <= cap
+    equals u o eps or an earlier power, and the search stops there.
+  * hopf_order and hopf_power take the least S that holds supp(h)
+    (Coalgebra.subcoalgebra_support), the subcoalgebra h spans.  Then
+    h^[n] = [n](h) = sum_k r[k] h^[k] for r = x^n mod mu_S, so h^[0],
+    h^[1], ... cost one step each until mu_S is found (hopf_order tests
+    each h^[n] before [n] joins the search, so a low order stops
+    early), then a handful of scalar products each.
+
+Nothing here needs an antipode.
 
 Integrals of the dual are computed twice on purpose: once through
 traces of left multiplications on H*, once through the dual-basis hit
@@ -47,14 +48,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import FiniteAlgebra, MinPolySearch, min_poly_of_powers
-from .coalgebra import (
-    Coalgebra,
-    Element,
-    SimpleComponent,
-    as_scalar,
-    t2_add_term,
-    t2_from_pair,
-)
+from .coalgebra import Coalgebra, Element, SimpleComponent, as_scalar
 from .errors import (
     AxiomViolation,
     HopfError,
@@ -66,6 +60,7 @@ from .errors import (
 )
 from .linalg import (
     Mat,
+    t2_from_pair,
     unit_vec,
     vec_add,
     vec_scale,
@@ -116,6 +111,11 @@ def _combination(field: FieldSpec, dim: int, coeffs, vecs) -> tuple:
             if not x.is_zero():
                 acc[m] = acc[m] + c * x
     return tuple(acc)
+
+
+def _flatten(cols: dict, support) -> tuple:
+    """The columns cols[i], i in support, as one coordinate vector."""
+    return tuple(itertools.chain.from_iterable(cols[i] for i in support))
 
 
 def default_cap(dim: int) -> int:
@@ -205,18 +205,19 @@ class HopfAlgebra(Coalgebra):
     def __init__(self, field: FieldSpec, names, comul, counit, mul, unit,
                  antipode=None, name: str = ""):
         super().__init__(field, names, comul, counit, name=name)
-        table = [[list(zero_vec(field, self.dim)) for _ in range(self.dim)]
-                 for _ in range(self.dim)]
-        for (i, j, m), val in mul.items():
+        for i, j, m in mul:
             if not (0 <= i < self.dim and 0 <= j < self.dim
                     and 0 <= m < self.dim):
                 raise AxiomViolation(f"multiplication index ({i},{j},{m}) "
                                      f"out of range for dimension {self.dim}")
-            table[i][j][m] = table[i][j][m] + as_scalar(field, val)
-        self.mul_table = tuple(tuple(tuple(v) for v in row) for row in table)
         self.unit = tuple(as_scalar(field, c) for c in unit)
         if len(self.unit) != self.dim:
             raise AxiomViolation("unit vector length differs from dimension")
+        self._alg = FiniteAlgebra.from_terms(
+            field, self.dim,
+            {key: as_scalar(field, val) for key, val in mul.items()},
+            self.unit)
+        self.mul_table = self._alg.table
         if antipode is None:
             self.antipode_mat = None
         else:
@@ -225,8 +226,6 @@ class HopfAlgebra(Coalgebra):
                 cols[i][m] = cols[i][m] + as_scalar(field, val)
             self.antipode_mat = Mat.from_columns(
                 field, [tuple(c) for c in cols], self.dim)
-        self._alg = FiniteAlgebra(field, [list(r) for r in self.mul_table],
-                                  self.unit)
         self._integral_cache = None
 
     # -- products ----------------------------------------------------------
@@ -245,56 +244,26 @@ class HopfAlgebra(Coalgebra):
     def one(self) -> Element:
         return Element(self, self.unit)
 
-    def t2_mul(self, a: dict, b: dict) -> dict:
-        """Componentwise product on H (x) H: (x(x)y)(x'(x)y') = xx'(x)yy'."""
-        out: dict = {}
-        for (j, k), c in a.items():
-            for (j2, k2), c2 in b.items():
-                coeff = c * c2
-                left = self.mul_table[j][j2]
-                right = self.mul_table[k][k2]
-                for m, lv in enumerate(left):
-                    if lv.is_zero():
-                        continue
-                    for m2, rv in enumerate(right):
-                        if not rv.is_zero():
-                            t2_add_term(out, (m, m2), coeff * lv * rv)
-        return out
-
     # -- axioms ---------------------------------------------------------------
 
     def check_hopf(self) -> list[str]:
         """Exact audit of bialgebra (and antipode) axioms; returns violations."""
-        bad = list(self.check())
+        bad = self.check() + self._alg.violations(self.names)
         one = self.field.one()
         units = [unit_vec(self.field, self.dim, i) for i in range(self.dim)]
-        for i, ei in enumerate(units):
-            if self.mul_vec(self.unit, ei) != ei:
-                bad.append(f"left unit law fails on {self.names[i]}")
-            if self.mul_vec(ei, self.unit) != ei:
-                bad.append(f"right unit law fails on {self.names[i]}")
-        for i, ei in enumerate(units):
-            for j, ej in enumerate(units):
-                pij = self.mul_vec(ei, ej)
-                for k, ek in enumerate(units):
-                    if self.mul_vec(pij, ek) != \
-                            self.mul_vec(ei, self.mul_vec(ej, ek)):
-                        bad.append("associativity fails at "
-                                   f"({self.names[i]},{self.names[j]},{self.names[k]})")
         if self.delta_vec(self.unit) != t2_from_pair(self.unit, self.unit):
             bad.append("comultiplication of 1 is not 1(x)1")
         if self.counit_vec(self.unit) != one:
             bad.append("counit of 1 is not 1")
-        for i, ei in enumerate(units):
-            di = self.comul[i]
-            for j, ej in enumerate(units):
-                prod = self.mul_vec(ei, ej)
-                if self.delta_vec(prod) != self.t2_mul(di, self.comul[j]):
-                    bad.append("comultiplication is not multiplicative on "
-                               f"({self.names[i]},{self.names[j]})")
-                if self.counit_vec(prod) != self.counit[i] * self.counit[j]:
-                    bad.append("counit is not multiplicative on "
-                               f"({self.names[i]},{self.names[j]})")
+        for i, j in itertools.product(range(self.dim), repeat=2):
+            prod = self.mul_table[i][j]
+            if self.delta_vec(prod) != \
+                    self._alg.tensor_mult(self.comul[i], self.comul[j]):
+                bad.append("comultiplication is not multiplicative on "
+                           f"({self.names[i]},{self.names[j]})")
+            if self.counit_vec(prod) != self.counit[i] * self.counit[j]:
+                bad.append("counit is not multiplicative on "
+                           f"({self.names[i]},{self.names[j]})")
         if self.antipode_mat is not None:
             for i in range(self.dim):
                 left = zero_vec(self.field, self.dim)
@@ -302,10 +271,8 @@ class HopfAlgebra(Coalgebra):
                 for (j, k), c in self.comul[i].items():
                     sj = self.antipode_mat.column(j)
                     sk = self.antipode_mat.column(k)
-                    left = vec_add(left, vec_scale(
-                        c, self.mul_vec(sj, unit_vec(self.field, self.dim, k))))
-                    right = vec_add(right, vec_scale(
-                        c, self.mul_vec(unit_vec(self.field, self.dim, j), sk)))
+                    left = vec_add(left, vec_scale(c, self.mul_vec(sj, units[k])))
+                    right = vec_add(right, vec_scale(c, self.mul_vec(units[j], sk)))
                 want = vec_scale(self.counit[i], self.unit)
                 if left != want:
                     bad.append(f"antipode axiom m(S(x)id)Delta fails on {self.names[i]}")
@@ -370,7 +337,7 @@ class HopfAlgebra(Coalgebra):
         """Least n >= 1 with h^[n] = eps(h)*1, or None past the cap.
 
         Makes no full convolution: h^[1], h^[2], ... come from the
-        subcoalgebra h spans, then from x^n mod mu_C (module docstring).
+        subcoalgebra h spans, then from x^n mod mu_S (module docstring).
         """
         vec = h.vec if isinstance(h, Element) else tuple(h)
         cap = default_cap(self.dim) if cap is None else cap
@@ -384,9 +351,8 @@ class HopfAlgebra(Coalgebra):
 
         The powers [n] restricted to the subcoalgebra C_S that h spans
         (module docstring) are iterated until their minimal polynomial
-        mu_C is known, each h^[n] being yielded before [n] is tested for
-        dependence; from then on h^[n] is read off x^n mod mu_C.  Maps
-        on C_S are dicts from each i in S to the column at e_i.
+        mu_S is known, each h^[n] being yielded before [n] is tested for
+        dependence; from then on h^[n] is read off x^n mod mu_S.
         """
         if len(vec) != self.dim:
             raise ShapeMismatch(f"element of length {len(vec)} in dimension "
@@ -394,63 +360,56 @@ class HopfAlgebra(Coalgebra):
         support = self.subcoalgebra_support(vec)
         if not support:  # h = 0, and so is every h^[n]
             yield from itertools.repeat(zero_vec(self.field, self.dim))
-        units = {i: unit_vec(self.field, self.dim, i) for i in support}
-        ueps = {i: vec_scale(self.counit[i], self.unit) for i in support}
-        ident = units.__getitem__
-        require(self._convolve(ueps.__getitem__, ident, support)
-                == [units[i] for i in support],
-                "(u o eps) * id is not id on the subcoalgebra an element "
-                "spans: the unit or counit law fails")
-
-        def restricted():
-            yield ueps
-            cols = units
-            while True:
-                yield cols
-                cols = dict(zip(support, self._convolve(
-                    cols.__getitem__, ident, support)))
-
         coeffs = [vec[i] for i in support]
         search = MinPolySearch(self.field)
-        values = []  # h^[0], h^[1], ..., h^[deg mu_C]
-        for cols in restricted():
+        values = []  # h^[0], h^[1], ..., h^[deg mu_S]
+        for cols in self._id_powers(support):
             values.append(_combination(self.field, self.dim, coeffs,
-                                      [cols[i] for i in support]))
+                                       [cols[i] for i in support]))
             yield values[-1]
-            mu = search.add(tuple(itertools.chain.from_iterable(
-                cols[i] for i in support)))
+            mu = search.add(_flatten(cols, support))
             if mu is not None:
                 break
         for r in itertools.islice(powers_mod(self.field, mu),
                                   len(values), None):
             yield _combination(self.field, self.dim, r, values)
 
+    def _id_powers(self, support) -> Iterator[dict]:
+        """[0], [1], [2], ... restricted to C_S for S = support, forever.
+
+        S must be closed under the support of Delta (module docstring).
+        Each power is a dict from i in S to the column [n](e_i).  The
+        unit law (u o eps) * id = id on C_S is checked first.
+        """
+        units = {i: unit_vec(self.field, self.dim, i) for i in support}
+        ueps = {i: vec_scale(self.counit[i], self.unit) for i in support}
+        ident = units.__getitem__
+        require(self._convolve(ueps.__getitem__, ident, support)
+                == [units[i] for i in support],
+                "(u o eps) * id is not id: the unit or counit law fails")
+        yield ueps
+        cols = units
+        while True:
+            yield cols
+            cols = dict(zip(support, self._convolve(
+                cols.__getitem__, ident, support)))
+
     def exponent(self, cap: int | None = None) -> ExponentReport:
         """Iterate [n] for n <= cap until u o eps, a repeat, or the cap.
 
         The powers are residues x^n mod mu in k[x]/(mu) = k[id] (module
         docstring), so a step costs deg mu scalar products, not a
-        convolution.  mu is found from [0], ..., [cap] at most; if those
-        are independent, no power up to the cap is u o eps or a repeat.
+        convolution.  mu is found from [0], ..., [cap] at most, taken from
+        _id_powers on all indices; if those are independent, no power up
+        to the cap is u o eps or a repeat.
         Otherwise the loop, its checks, their order and its first 4096
         remembered powers are those of iterating [n] as matrices, so the
         report is the same.
         """
         cap = default_cap(self.dim) if cap is None else cap
-        ueps, ident = self.counit_unit_map(), self.identity_map()
-        require(self.convolution(ueps, ident) == ident,
-                "(u o eps) * id is not id: the unit or counit law fails")
-
-        def powers():
-            yield ueps
-            m = ident
-            while True:
-                yield m
-                m = self.convolution(m, ident)
-
         steps = [f"iterating convolution powers of id up to cap {cap}"]
-        flat = (tuple(itertools.chain.from_iterable(m.rows))
-                for m in powers())
+        support = range(self.dim)
+        flat = (_flatten(cols, support) for cols in self._id_powers(support))
         mu = min_poly_of_powers(self.field, itertools.islice(flat, cap + 1))
         if mu is None:
             steps.append(f"no power up to {cap} equals the convolution unit")

@@ -67,6 +67,62 @@ def vec_is_zero(a: tuple) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# sparse tensors: dicts keyed by basis index pairs (or triples), kept
+# clean of explicit zeros, so dict equality is tensor equality
+# ---------------------------------------------------------------------------
+
+def t2_add_term(acc: dict, key: tuple, val: Scalar):
+    """Add val at key, keeping acc clean; keys may be pairs or triples."""
+    if key in acc:
+        s = acc[key] + val
+        if s.is_zero():
+            del acc[key]
+        else:
+            acc[key] = s
+    elif not val.is_zero():
+        acc[key] = val
+
+
+def t2_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, v in b.items():
+        t2_add_term(out, k, v)
+    return out
+
+
+def t2_sub(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, v in b.items():
+        t2_add_term(out, k, -v)
+    return out
+
+
+def t2_scale(c: Scalar, a: dict) -> dict:
+    if c.is_zero():
+        return {}
+    return {k: c * v for k, v in a.items()}
+
+
+def t2_from_pair(u: tuple, v: tuple) -> dict:
+    out = {}
+    for j, x in enumerate(u):
+        if x.is_zero():
+            continue
+        for k, y in enumerate(v):
+            if not y.is_zero():
+                t2_add_term(out, (j, k), x * y)
+    return out
+
+
+def t2_flatten(field: FieldSpec, a: dict, dim: int) -> tuple:
+    out = list(zero_vec(field, dim * dim))
+    for (j, k), v in a.items():
+        out[j * dim + k] = v
+    return tuple(out)
+
+
+
+# ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
 

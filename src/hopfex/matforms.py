@@ -16,15 +16,14 @@ positive characteristic.
 
 from __future__ import annotations
 
-from .coalgebra import (Coalgebra, Element, SimpleComponent, as_scalar,
-                        t2_add_term, t2_flatten, t2_from_pair)
+from .coalgebra import Coalgebra, Element, SimpleComponent, as_scalar
 from .errors import (DiagonalOrderViolated, FieldMismatch, MatrixFormError,
                      NotDegreeOne, NotInBicomponent, NotMultiplicative,
                      ShapeMismatch)
 from .hopf import pointed_exponent_bound
 from .linalg import (Mat, SubspaceBasis, rref_rows, solve, solve_columns,
-                     unit_vec, vec_add, vec_dot, vec_is_zero, vec_scale,
-                     vec_sub, zero_vec)
+                     t2_add_term, t2_flatten, t2_from_pair, unit_vec, vec_add,
+                     vec_dot, vec_is_zero, vec_scale, vec_sub, zero_vec)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ import time
 
 from hopfex import GF, QQ, FieldSpec
 from hopfex.cli import run_command
-from hopfex.coalgebra import t2_from_pair
 from hopfex.extension import extend_coalgebra
-from hopfex.linalg import vec_add, vec_dot, vec_is_zero, vec_scale, zero_vec
+from hopfex.linalg import (t2_from_pair, vec_add, vec_dot, vec_is_zero,
+                           vec_scale, zero_vec)
 from hopfex.matforms import (MatrixOverH, antipode_inverse_check,
                              basic_multiplicative_matrix, is_multiplicative,
                              is_primitive_matrix, matrix_hopf_power, mtensor,

@@ -226,3 +226,38 @@ def test_quotient_projection_matches_a_full_solve():
     for i, j in itertools.product(range(a.dim), repeat=2):
         v = vec_add(a.table[i][j], unit_vec(a.field, a.dim, (i + j) % a.dim))
         assert qmap.project(v) == solve(m, v)[qmap.ideal.dim:], (i, j)
+
+
+def test_check_raises_on_a_unit_failure():
+    # k[z]/(z^2 - z) with z, not 1, as the claimed unit
+    field = QQ
+    one, zero = field.one(), field.zero()
+    table = [[(one, zero), (zero, one)], [(zero, one), (zero, one)]]
+    FiniteAlgebra(field, table, (one, zero), check=True)
+    with pytest.raises(LinAlgError, match="unit law fails"):
+        FiniteAlgebra(field, table, (zero, one), check=True)
+
+
+def test_check_raises_on_an_associativity_failure():
+    # unital, with a^2 = b, ab = ba = a and b^2 = 0: (aa)b = bb = 0 but
+    # a(ab) = aa = b
+    field = QQ
+    one, zero = field.one(), field.zero()
+    e = [tuple(one if k == m else zero for k in range(3)) for m in range(3)]
+    z = (zero,) * 3
+    table = [[e[0], e[1], e[2]],
+             [e[1], e[2], e[1]],
+             [e[2], e[1], z]]
+    alg = FiniteAlgebra(field, table, e[0])
+    assert alg.violations()[0] == "associativity fails at (1,1,2)"
+    with pytest.raises(LinAlgError, match="associativity fails"):
+        FiniteAlgebra(field, table, e[0], check=True)
+
+
+def test_from_terms_places_each_term():
+    field = GF(5)
+    two = field.from_int(2)
+    alg = FiniteAlgebra.from_terms(field, 2, {(1, 1, 1): two, (0, 0, 0): two},
+                                   unit_vec(field, 2, 0))
+    assert alg.table[1][1] == (field.zero(), two)
+    assert alg.table[0][1] == (field.zero(), field.zero())

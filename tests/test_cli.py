@@ -339,6 +339,22 @@ def test_extend_subcommand(golden_dir):
     assert facts["coradical_unchanged"] is True
 
 
+def test_extend_output_is_the_same_under_optimize(golden_dir):
+    # extension checks its invariants with require(), which -O keeps
+    outs = []
+    for flags in ([], ["-O"]):
+        p = subprocess.run([sys.executable, *flags, "-m", "hopfex.cli",
+                            "extend", path_of(golden_dir, "taft9"),
+                            "--element", "x^2", "--grouplike-left", "g^2",
+                            "--grouplike-right", "1", "--degree", "2"],
+                           capture_output=True, text=True, env=child_env(),
+                           cwd=ROOT)
+        assert p.returncode == 0, (flags, p.stderr)
+        outs.append(p.stdout)
+    assert outs[0] == outs[1]
+    assert "designated_sum: x^2" in outs[0]
+
+
 def test_extend_requires_flags(golden_dir):
     code, text = run(["extend", path_of(golden_dir, "taft9"),
                       "--element", "x^2"])

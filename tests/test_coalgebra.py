@@ -4,11 +4,11 @@ import pytest
 
 from hopfex import GF, QQ, Coalgebra, FieldSpec
 from hopfex.algebra import FiniteAlgebra
-from hopfex.coalgebra import (coalgebra_amalgam, t2_flatten, t2_from_pair,
-                              tensor_square_subspace)
+from hopfex.coalgebra import coalgebra_amalgam, tensor_square_subspace
 from hopfex.errors import (AxiomViolation, FieldMismatch, IncompatibleBase,
                            InvariantViolation, NonSplitField, UnknownSimple)
-from hopfex.linalg import SubspaceBasis, unit_vec, vec_add, vec_is_zero, zero_vec
+from hopfex.linalg import (SubspaceBasis, t2_flatten, t2_from_pair, unit_vec,
+                           vec_add, vec_is_zero, zero_vec)
 from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
                         restricted_poly, sweedler, symmetric, taft)
 
@@ -264,3 +264,20 @@ def test_extend_scalars_preserves_structure():
     assert h2.dim == h.dim
     assert h2.check() == []
     assert [layer.dim for layer in h2.coradical_filtration()] == [2, 4]
+
+
+def test_is_grouplike_matches_the_simples(zoo):
+    for stem, h in zoo.items():
+        for comp in h.simple_subcoalgebras():
+            if comp.is_grouplike:
+                g = comp.grouplike
+                assert h.is_grouplike(g), stem
+                two_g = tuple(c + c for c in g)
+                assert not h.is_grouplike(two_g), stem
+            else:
+                assert not any(h.is_grouplike(r) for r in comp.subspace.rows)
+        assert not h.is_grouplike(zero_vec(h.field, h.dim)), stem
+    s = zoo["sweedler"]
+    x = s.basis_element(s.index_of("x")).vec
+    assert not s.is_grouplike(x)
+    assert not s.is_grouplike(vec_add(s.unit, x))

@@ -24,7 +24,7 @@ def embedded(res, elem):
 
 def check_witness_shape(ext):
     """Invariants shared by every extension result."""
-    from hopfex.coalgebra import t2_from_pair
+    from hopfex.linalg import t2_from_pair
     res, base = ext.result, ext.base
     assert res.check() == []
     # coradical is untouched: same dimension, old coradical embedded
@@ -98,7 +98,7 @@ def test_delta_expansion_structure_taft9():
     assert xe == (f.one() + q) * gx
     assert ye == h.basis_element(h.index_of("x"))
     # middle() rebuilds Delta(z) minus the two flank tensors
-    from hopfex.coalgebra import t2_from_pair, t2_sub
+    from hopfex.linalg import t2_from_pair, t2_sub
     want = t2_sub(x2.delta(), t2_from_pair(g2.vec, x2.vec))
     want = t2_sub(want, t2_from_pair(x2.vec, h.one().vec))
     assert exp.middle() == want
@@ -246,3 +246,31 @@ def test_extension_designated_entries_locations():
     assert len(des) == len(ext.witnesses)
     for w, d in zip(ext.witnesses, des):
         assert d == ext.result.element(w.entry(0, w.ncols - 1))
+
+
+def test_extend_computes_the_simples_of_the_base_only(monkeypatch):
+    # group-like checks read Delta g = g (x) g directly, so the grown
+    # coalgebra of a degree-2 extension is never split into simples
+    import hopfex.coalgebra
+    dims = []
+    real = hopfex.coalgebra.CoradicalAnalysis._compute_simples
+
+    def counted(self):
+        dims.append(self.coalgebra.dim)
+        return real(self)
+
+    monkeypatch.setattr(hopfex.coalgebra.CoradicalAnalysis,
+                        "_compute_simples", counted)
+    h = taft(3, GF(7))
+    g2 = h.element(h.power_vec(h.basis_element(h.index_of("g")).vec, 2))
+    ext = extend_coalgebra(h, g2, h.one(), h.basis_element(h.index_of("x^2")),
+                           2)
+    assert ext.result.dim == 10
+    assert dims == [9]
+
+
+def test_flanks_must_be_group_like_not_just_in_a_simple():
+    h = sweedler(QQ)
+    x, g = h.basis_element(h.index_of("x")), h.basis_element(h.index_of("g"))
+    with pytest.raises(NotInComponent, match="group-like"):
+        graded_positive_part(x, 2 * g, h.one(), 1)

@@ -9,7 +9,9 @@ from hopfex import GF, QQ, FieldSpec
 from hopfex.algebra import min_poly_of_powers
 from hopfex.errors import InvariantViolation, NotCosemisimple, ShapeMismatch
 from hopfex.hopf import ExponentReport, HopfAlgebra
-from hopfex.linalg import Mat, SubspaceBasis, unit_vec, vec_scale
+from hopfex.linalg import (Mat, SubspaceBasis, t2_add_term, t2_from_pair,
+                           unit_vec, vec_add, vec_scale, zero_vec)
+from hopfex.structfile import StructureFile, structure_from_object
 from hopfex.zoo import (cyclic, group_algebra, restricted_poly, sweedler,
                         symmetric, taft, tensor_product)
 
@@ -481,3 +483,107 @@ def test_subcoalgebra_support_spans_the_least_coordinate_subcoalgebra(zoo):
     # Delta x = x (x) 1 + g (x) x
     assert sw.subcoalgebra_support(x) == sorted(
         sw.index_of(n) for n in ("1", "g", "x"))
+
+
+# -- the Hopf audit against its own loops ----------------------------------
+
+def reference_t2_mul(h, a: dict, b: dict) -> dict:
+    """Componentwise product on H (x) H read off h.mul_table."""
+    out: dict = {}
+    for (j, k), c in a.items():
+        for (j2, k2), c2 in b.items():
+            for m, lv in enumerate(h.mul_table[j][j2]):
+                for m2, rv in enumerate(h.mul_table[k][k2]):
+                    if not (lv.is_zero() or rv.is_zero()):
+                        t2_add_term(out, (m, m2), c * c2 * lv * rv)
+    return out
+
+
+def reference_check_hopf(h) -> list[str]:
+    """check_hopf with its own unit, associativity and H (x) H loops.
+
+    The audit as it stood before FiniteAlgebra.violations and
+    tensor_mult took those loops over; kept as the oracle for both.
+    """
+    bad = list(h.check())
+    units = [unit_vec(h.field, h.dim, i) for i in range(h.dim)]
+    for i, ei in enumerate(units):
+        if h.mul_vec(h.unit, ei) != ei:
+            bad.append(f"left unit law fails on {h.names[i]}")
+        if h.mul_vec(ei, h.unit) != ei:
+            bad.append(f"right unit law fails on {h.names[i]}")
+    for i, ei in enumerate(units):
+        for j, ej in enumerate(units):
+            pij = h.mul_vec(ei, ej)
+            for k, ek in enumerate(units):
+                if h.mul_vec(pij, ek) != h.mul_vec(ei, h.mul_vec(ej, ek)):
+                    bad.append("associativity fails at "
+                               f"({h.names[i]},{h.names[j]},{h.names[k]})")
+    if h.delta_vec(h.unit) != t2_from_pair(h.unit, h.unit):
+        bad.append("comultiplication of 1 is not 1(x)1")
+    if h.counit_vec(h.unit) != h.field.one():
+        bad.append("counit of 1 is not 1")
+    for i, ei in enumerate(units):
+        for j, ej in enumerate(units):
+            prod = h.mul_vec(ei, ej)
+            if h.delta_vec(prod) != reference_t2_mul(h, h.comul[i], h.comul[j]):
+                bad.append("comultiplication is not multiplicative on "
+                           f"({h.names[i]},{h.names[j]})")
+            if h.counit_vec(prod) != h.counit[i] * h.counit[j]:
+                bad.append("counit is not multiplicative on "
+                           f"({h.names[i]},{h.names[j]})")
+    if h.antipode_mat is not None:
+        for i in range(h.dim):
+            left = right = zero_vec(h.field, h.dim)
+            for (j, k), c in h.comul[i].items():
+                sj, sk = h.antipode_mat.column(j), h.antipode_mat.column(k)
+                left = vec_add(left, vec_scale(c, h.mul_vec(sj, units[k])))
+                right = vec_add(right, vec_scale(c, h.mul_vec(units[j], sk)))
+            want = vec_scale(h.counit[i], h.unit)
+            if left != want:
+                bad.append(f"antipode axiom m(S(x)id)Delta fails on {h.names[i]}")
+            if right != want:
+                bad.append(f"antipode axiom m(id(x)S)Delta fails on {h.names[i]}")
+    return bad
+
+
+def one_entry_mutation(h, kind: str, rng):
+    """h with one entry of its mul, comul, antipode or unit moved."""
+    sf = structure_from_object(h)
+    n, field = sf.dim, sf.field
+    parts = {"mul": sf.mul, "comul": sf.comul, "antipode": sf.antipode,
+             "unit": dict(enumerate(sf.unit))}
+    arity = {"mul": 3, "comul": 3, "antipode": 2, "unit": 1}[kind]
+    key = tuple(rng.randrange(n) for _ in range(arity))
+    key = key[0] if kind == "unit" else key
+    moved = parts[kind] = dict(parts[kind])
+    moved[key] = moved.get(key, field.zero()) + field.from_int(
+        rng.choice([1, -1, 2]))
+    return StructureFile(
+        field, sf.names, sf.counit,
+        {k: v for k, v in parts["comul"].items() if not v.is_zero()},
+        {k: v for k, v in parts["mul"].items() if not v.is_zero()},
+        [parts["unit"][i] for i in range(n)],
+        {k: v for k, v in parts["antipode"].items() if not v.is_zero()},
+        name=sf.name).to_object()
+
+
+def test_check_hopf_matches_its_own_loops_on_mutated_goldens(zoo):
+    # one mutation per golden, the kind taken in turn; taft16 alone
+    # takes seconds through the reference's three products per triple
+    rng = random.Random(8)
+    kinds = itertools.cycle(["mul", "comul", "antipode", "unit"])
+    for (stem, h), kind in zip(zoo.items(), kinds):
+        bad = one_entry_mutation(h, kind, rng)
+        got = bad.check_hopf()
+        assert got, (stem, kind)  # the mutation is seen, not silently valid
+        assert got == reference_check_hopf(bad), (stem, kind)
+
+
+def test_tensor_mult_is_the_componentwise_product(zoo):
+    rng = random.Random(9)
+    for stem, h in zoo.items():
+        for _ in range(3):
+            a = h.comul[rng.randrange(h.dim)]
+            b = h.comul[rng.randrange(h.dim)]
+            assert h._alg.tensor_mult(a, b) == reference_t2_mul(h, a, b), stem

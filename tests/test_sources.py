@@ -55,3 +55,14 @@ def test_raised_and_caught_errors_are_bound(path):
     missing = [f"{path.name}:{line} {name}"
                for name, line in error_names_used(tree) if name not in bound]
     assert not missing, "error classes used but never imported: " + ", ".join(missing)
+
+
+@pytest.mark.parametrize("name", ["algebra.py", "coalgebra.py", "extension.py",
+                                  "hopf.py"])
+def test_no_assert_statements(name):
+    # python -O strips asserts; these modules check invariants with require()
+    path = SRC / name
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert not lines, f"{name} asserts at lines {lines}; use require()"

@@ -6,6 +6,8 @@ import pytest
 
 from hopfex import GF, QQ, FieldSpec
 from hopfex.errors import FieldMismatch, HopfError, NoSuchRoot
+from hopfex.hopf import HopfAlgebra
+from hopfex.structfile import emit_structure_file, structure_from_object
 from hopfex.zoo import (build_named, cyclic, dual_group_algebra,
                         group_algebra, restricted_poly, sweedler, symmetric,
                         taft, tensor_product)
@@ -80,6 +82,97 @@ def test_sweedler_is_taft_two():
     assert a.counit == b.counit
     assert a.mul_table == b.mul_table
     assert a.antipode_mat == b.antipode_mat
+
+
+def reference_taft(n, field):
+    """T_{n^2}(q) with its products of basis monomials written by hand.
+
+    The Taft builder as it stood before it multiplied through
+    FiniteAlgebra; kept as the oracle for taft(n).
+    """
+    q = field.primitive_root_of_unity(n)
+    one, zero = field.one(), field.zero()
+
+    def idx(a, b):
+        return b * n + a
+
+    def mul_basis(i, j):
+        a, b, c, d = i % n, i // n, j % n, j // n
+        return None if b + d >= n else (idx((a + c) % n, b + d), q ** (b * c))
+
+    def add(out, key, val):
+        s = out.get(key, zero) + val
+        if s.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = s
+
+    def dict_mul(u, v):
+        out = {}
+        for i, ci in u.items():
+            for j, cj in v.items():
+                hit = mul_basis(i, j)
+                if hit is not None:
+                    add(out, hit[0], ci * cj * hit[1])
+        return out
+
+    def t2_mul(u, v):
+        out = {}
+        for (j, k), c in u.items():
+            for (j2, k2), c2 in v.items():
+                lhit, rhit = mul_basis(j, j2), mul_basis(k, k2)
+                if lhit is not None and rhit is not None:
+                    add(out, (lhit[0], rhit[0]), c * c2 * lhit[1] * rhit[1])
+        return out
+
+    names = []
+    for b in range(n):
+        for a in range(n):
+            ga = "" if a == 0 else ("g" if a == 1 else f"g^{a}")
+            xb = "" if b == 0 else ("x" if b == 1 else f"x^{b}")
+            names.append(ga + xb or "1")
+    dim = n * n
+    dx = {(idx(0, 1), idx(0, 0)): one, (idx(1, 0), idx(0, 1)): one}
+    comul, counit, antipode = {}, [0] * dim, {}
+    for a in range(n):
+        for b in range(n):
+            d = {(idx(a, 0), idx(a, 0)): one}
+            for _ in range(b):
+                d = t2_mul(d, dx)
+            for (j, k), c in d.items():
+                comul[(idx(a, b), j, k)] = c
+            counit[idx(a, b)] = 1 if b == 0 else 0
+            img = {idx(0, 0): one}
+            for _ in range(b):
+                img = dict_mul(img, {idx(n - 1, 1): -one})
+            for _ in range(a):
+                img = dict_mul(img, {idx(n - 1, 0): one})
+            for m, c in img.items():
+                antipode[(idx(a, b), m)] = c
+    mul = {}
+    for i in range(dim):
+        for j in range(dim):
+            hit = mul_basis(i, j)
+            if hit is not None:
+                mul[(i, j, hit[0])] = hit[1]
+    unit = [1] + [0] * (dim - 1)
+    return HopfAlgebra(field, names, comul, counit, mul, unit, antipode,
+                       name=f"T_{dim}(q={q})")
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 7), (4, 5), (5, 11)])
+def test_taft_matches_the_closed_form_builder(n, p):
+    for field in (FieldSpec(0, cyclotomic_order=n), GF(p)):
+        got, want = taft(n, field), reference_taft(n, field)
+        assert (got.name, got.names, got.counit, got.unit) == \
+            (want.name, want.names, want.counit, want.unit)
+        # same terms in the same order, so every report iterates alike
+        assert [list(d.items()) for d in got.comul] == \
+            [list(d.items()) for d in want.comul]
+        assert got.mul_table == want.mul_table
+        assert got.antipode_mat == want.antipode_mat
+        assert emit_structure_file(structure_from_object(got)) == \
+            emit_structure_file(structure_from_object(want))
 
 
 def test_taft_needs_primitive_root():
