@@ -42,6 +42,7 @@ raises SplittingSearchExhausted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterable
@@ -61,7 +62,6 @@ from .linalg import (
     kernel,
     rref_rows,
     solve,
-    t2_add_term,
     unit_vec,
     vec_add,
     vec_is_zero,
@@ -69,7 +69,7 @@ from .linalg import (
     vec_sub,
     zero_vec,
 )
-from .scalars import FieldSpec, Scalar
+from .scalars import FieldSpec, Scalar, box, raw_values
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +313,12 @@ def poly_gcdext(field: FieldSpec, a: list[Scalar], b: list[Scalar]):
 class FiniteAlgebra:
     """Unital associative algebra with a dense structure-constant table.
 
-    table[i][j] is the coefficient vector of e_i * e_j; unit is the
-    coefficient vector of 1.  check=True raises LinAlgError on the first
-    of violations().
+    table[i][j] is the coefficient vector of e_i * e_j, as Scalars; unit
+    is the coefficient vector of 1.  terms[i][j] lists the nonzero (m, c)
+    of table[i][j] with c a raw field value, built once, at the first
+    product: products walk those lists on raw values, so their cost
+    follows the nonzero structure constants rather than dim^3 per pair.
+    check=True raises LinAlgError on the first of violations().
     """
 
     def __init__(self, field: FieldSpec, table: list[list[tuple]], unit: tuple,
@@ -359,43 +362,60 @@ class FiniteAlgebra:
                 bad.append(f"left unit law fails on {names[i]}")
             if self.mult(ei, self.unit) != ei:
                 bad.append(f"right unit law fails on {names[i]}")
+        terms = self.terms
         for i, j, k in itertools.product(range(self.dim), repeat=3):
-            if self.mult(self.table[i][j], units[k]) != \
-                    self.mult(units[i], self.table[j][k]):
+            # (e_i e_j) e_k = sum c e_m e_k over the terms (m, c) of e_i e_j
+            left = self._combine((c, terms[m][k]) for m, c in terms[i][j])
+            right = self._combine((c, terms[i][m]) for m, c in terms[j][k])
+            if left != right:
                 bad.append("associativity fails at "
                            f"({names[i]},{names[j]},{names[k]})")
         return bad
 
     # -- products ----------------------------------------------------------
 
+    @functools.cached_property
+    def terms(self) -> list[list[list]]:
+        return [[_nonzero_raw(self.field, v) for v in row] for row in self.table]
+
+    def _combine(self, scaled) -> dict:
+        """The sum of c * (sum of t e_m over terms) for (c, terms) in
+        scaled, on raw values, as {m: value} with no zero entries.  The
+        keys m are basis indices, or index pairs on A (x) A."""
+        add, mul, is_zero = self.field.ops.add, self.field.ops.mul, \
+            self.field.ops.is_zero
+        acc: dict = {}
+        for c, terms in scaled:
+            for m, t in terms:
+                y = mul(c, t)
+                acc[m] = add(acc[m], y) if m in acc else y
+        return {m: y for m, y in acc.items() if not is_zero(y)}
+
     def mult(self, u: tuple, v: tuple) -> tuple:
-        out = list(zero_vec(self.field, self.dim))
-        for i, ui in enumerate(u):
-            if ui.is_zero():
-                continue
-            for j, vj in enumerate(v):
-                if vj.is_zero():
-                    continue
-                c = ui * vj
-                for m, t in enumerate(self.table[i][j]):
-                    if not t.is_zero():
-                        out[m] = out[m] + c * t
-        return tuple(out)
+        """u v, from the nonzero entries of u and v and terms, on raw values."""
+        field, terms = self.field, self.terms
+        mul = field.ops.mul
+        vs = _nonzero_raw(field, v)
+        acc = self._combine((mul(x, y), terms[i][j])
+                            for i, x in _nonzero_raw(field, u)
+                            for j, y in vs if terms[i][j])
+        out = [field.ops.zero] * self.dim
+        for m, y in acc.items():
+            out[m] = y
+        return box(field, out)
 
     def tensor_mult(self, a: dict, b: dict) -> dict:
-        """Sparse product on A (x) A: (x(x)y)(x'(x)y') = xx'(x)yy'."""
-        out: dict = {}
-        for (j, k), c in a.items():
-            for (j2, k2), c2 in b.items():
-                coeff = c * c2
-                right = self.table[k][k2]
-                for m, lv in enumerate(self.table[j][j2]):
-                    if lv.is_zero():
-                        continue
-                    for m2, rv in enumerate(right):
-                        if not rv.is_zero():
-                            t2_add_term(out, (m, m2), coeff * lv * rv)
-        return out
+        """Sparse product on A (x) A: (x(x)y)(x'(x)y') = xx'(x)yy', from
+        the terms of e_j e_j' and e_k e_k' on raw values."""
+        field, terms = self.field, self.terms
+        mul = field.ops.mul
+        bv = list(zip(b, raw_values(field, b.values())))
+        acc = self._combine(
+            (mul(c, c2), [((m, m2), mul(lv, rv)) for m, lv in terms[j][j2]
+                          for m2, rv in terms[k][k2]])
+            for (j, k), c in zip(a, raw_values(field, a.values()))
+            for (j2, k2), c2 in bv)
+        return dict(zip(acc, box(field, acc.values())))
 
     def left_mult_mat(self, u: tuple) -> Mat:
         cols = [self.mult(u, unit_vec(self.field, self.dim, j))
@@ -721,6 +741,13 @@ class FiniteAlgebra:
             rows.append(self.mult(self.mult(e, ei), e))
         rows, _ = rref_rows(self.field, rows)
         return list(rows)
+
+
+def _nonzero_raw(field: FieldSpec, vec) -> list:
+    """(index, raw value) of the nonzero entries of a vector of Scalars."""
+    is_zero = field.ops.is_zero
+    return [(i, x) for i, x in enumerate(raw_values(field, vec))
+            if not is_zero(x)]
 
 
 def _frobenius_root(s: Scalar, q: int) -> Scalar:

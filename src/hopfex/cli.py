@@ -16,6 +16,7 @@ read only when no --cap is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -80,7 +81,13 @@ def _report(facts: dict, as_json: bool) -> str:
 # argument handling
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The hopfex argument parser, built once per process.
+
+    parse_args leaves the parser unchanged and returns a fresh namespace
+    each call, so every run_command shares this one.
+    """
     top = argparse.ArgumentParser(
         prog="hopfex",
         description="exact structure-constant computations on coalgebras, "

@@ -20,7 +20,7 @@ O(n^3) algorithms are used without blocking tricks.
 from __future__ import annotations
 
 from .errors import NoSolution, ShapeMismatch
-from .scalars import FieldSpec, Scalar
+from .scalars import FieldSpec, Scalar, box, raw_values
 
 
 # ---------------------------------------------------------------------------
@@ -233,34 +233,43 @@ def rref_rows(field: FieldSpec, rows) -> tuple[list[tuple], list[int]]:
     """Canonical RREF of a list of row vectors; returns (rows, pivot columns).
 
     Zero rows are dropped; remaining rows have leading 1 in strictly
-    increasing pivot columns and pivot columns cleared elsewhere.
+    increasing pivot columns and pivot columns cleared elsewhere.  The
+    rows are unboxed once, eliminated on raw values (only the pivot row's
+    nonzero entries are carried into the other rows) and boxed once;
+    FieldMismatch when an entry is not in field.
     """
-    work = [list(r) for r in rows]
+    work = [raw_values(field, r) for r in rows]
     ncols = len(work[0]) if work else 0
+    ops = field.ops
+    is_zero, mul, sub = ops.is_zero, ops.mul, ops.sub
     pivots: list[int] = []
-    out: list[list] = []
     row_idx = 0
     for col in range(ncols):
         pivot_row = None
         for i in range(row_idx, len(work)):
-            if not work[i][col].is_zero():
+            if not is_zero(work[i][col]):
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         work[row_idx], work[pivot_row] = work[pivot_row], work[row_idx]
-        inv = work[row_idx][col].inverse()
-        work[row_idx] = [inv * x for x in work[row_idx]]
-        for i in range(len(work)):
-            if i != row_idx and not work[i][col].is_zero():
-                c = work[i][col]
-                work[i] = [x - c * y for x, y in zip(work[i], work[row_idx])]
+        prow = work[row_idx]
+        # entries before col are zero in every row from row_idx on
+        inv = ops.inv(prow[col])
+        terms = [(j, mul(inv, prow[j])) for j in range(col, ncols)
+                 if not is_zero(prow[j])]
+        for j, y in terms:
+            prow[j] = y
+        for i, r in enumerate(work):
+            c = r[col]
+            if i != row_idx and not is_zero(c):
+                for j, y in terms:
+                    r[j] = sub(r[j], mul(c, y))
         pivots.append(col)
         row_idx += 1
         if row_idx == len(work):
             break
-    out = [tuple(r) for r in work[:row_idx]]
-    return out, pivots
+    return [box(field, r) for r in work[:row_idx]], pivots
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .coalgebra import Coalgebra, Element, SimpleComponent, as_scalar
 from .errors import (DiagonalOrderViolated, FieldMismatch, MatrixFormError,
                      NotDegreeOne, NotInBicomponent, NotMultiplicative,
-                     ShapeMismatch)
+                     ShapeMismatch, require)
 from .hopf import pointed_exponent_bound
 from .linalg import (Mat, SubspaceBasis, rref_rows, solve, solve_columns,
                      t2_add_term, t2_flatten, t2_from_pair, unit_vec, vec_add,
@@ -309,9 +309,10 @@ def _matrix_units(analysis, comp: SimpleComponent) -> list[list[tuple]]:
     lrows = [q.mult(unit_vec(field, q.dim, i), comp.primitive_idempotent)
              for i in range(q.dim)]
     ideal = SubspaceBasis(field, q.dim, lrows)
-    assert ideal.dim == r, "minimal left ideal dimension disagrees with block size"
+    require(ideal.dim == r,
+            "minimal left ideal dimension disagrees with block size")
     block = comp.block_rows
-    assert len(block) == r * r, "block basis size disagrees with matrix size"
+    require(len(block) == r * r, "block basis size disagrees with matrix size")
     action_cols = []
     for b in block:
         m = Mat.from_columns(field, [ideal.coords_of(q.mult(b, l))
@@ -339,12 +340,12 @@ def _matrix_units(analysis, comp: SimpleComponent) -> list[list[tuple]]:
                 for vp in range(r):
                     prod = q.mult(units[u][v], units[up][vp])
                     want = units[u][vp] if v == up else zero_vec(field, q.dim)
-                    assert prod == tuple(want), "matrix unit relations fail"
+                    require(prod == tuple(want), "matrix unit relations fail")
     total = zero_vec(field, q.dim)
     for k in range(r):
         total = vec_add(total, units[k][k])
-    assert tuple(total) == tuple(comp.central_idempotent), \
-        "matrix units do not sum to the central idempotent"
+    require(tuple(total) == tuple(comp.central_idempotent),
+            "matrix units do not sum to the central idempotent")
     return units
 
 
@@ -395,13 +396,13 @@ def basic_multiplicative_matrix(h: Coalgebra,
         if is_multiplicative(cand):
             matrix = cand
             break
-    assert matrix is not None, "no dualization orientation is multiplicative"
+    require(matrix is not None, "no dualization orientation is multiplicative")
     flat = [matrix.entry(i, j) for i in range(r) for j in range(r)]
-    assert SubspaceBasis(field, h.dim, flat).dim == r * r, \
-        "basic matrix entries are not a basis of the simple"
+    require(SubspaceBasis(field, h.dim, flat).dim == r * r,
+            "basic matrix entries are not a basis of the simple")
     if comp.is_grouplike:
-        assert matrix.entry(0, 0) == comp.grouplike, \
-            "group-like simple must recover its group-like"
+        require(matrix.entry(0, 0) == comp.grouplike,
+                "group-like simple must recover its group-like")
     result = BasicMultMatrix(comp, matrix)
     cache[simple.index] = result
     return result
@@ -449,8 +450,8 @@ def _second_leg_coords(field, t2: dict, dim: int, minv: Mat, keep: int):
         legs.setdefault(a, [field.zero()] * dim)[k] = val
     for a, leg in legs.items():
         co = minv.apply(tuple(leg))
-        assert all(x.is_zero() for x in co[keep:]), \
-            "second tensor leg escapes the target simple"
+        require(all(x.is_zero() for x in co[keep:]),
+                "second tensor leg escapes the target simple")
         out[a] = co[:keep]
     return out
 
@@ -462,7 +463,8 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
     Follows the constructive existence proof: expand Delta(w) against the
     C basis on the left and the D basis on the right, push the counit
     correction into the remainder when C = D, then read each primitive
-    matrix off the second expansion.  Every claimed identity is asserted.
+    matrix off the second expansion.  Every claimed identity is checked
+    with require().
     """
     h = cbasic.matrix.parent
     if dbasic.matrix.parent is not h:
@@ -549,7 +551,8 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
     wprime = vec_sub(wvec, remainder)
 
     for v in list(x.values()) + list(y.values()):
-        assert h.counit_vec(v).is_zero(), "expansion term with nonzero counit"
+        require(h.counit_vec(v).is_zero(),
+                "expansion term with nonzero counit")
     recon: dict = {}
     for ip in range(r):
         for i in range(r):
@@ -559,12 +562,13 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
         for jp in range(s):
             for key, val in t2_from_pair(y[(j, jp)], dm.entry(j, jp)).items():
                 t2_add_term(recon, key, val)
-    assert recon == h.delta_vec(wprime), "expansion does not reconstruct Delta"
+    require(recon == h.delta_vec(wprime),
+            "expansion does not reconstruct Delta")
     total_diag = zero_vec(field, dim)
     for i in range(r):
         total_diag = vec_add(total_diag, x[(i, i)])
-    assert tuple(total_diag) == tuple(wprime), \
-        "diagonal expansion terms do not sum back"
+    require(tuple(total_diag) == tuple(wprime),
+            "diagonal expansion terms do not sum back")
 
     drows = [dm.entry(j, jp) for j in range(s) for jp in range(s)]
     _, pivots = rref_rows(field, drows)
@@ -591,8 +595,8 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
         row = []
         for jp in range(s):
             wm = MatrixOverH(h, grids[ip][jp])
-            assert is_primitive_matrix(wm, cm, dm), \
-                "decomposition output is not primitive"
+            require(is_primitive_matrix(wm, cm, dm),
+                    "decomposition output is not primitive")
             row.append(wm)
         matrices.append(tuple(row))
     matrices = tuple(matrices)
@@ -601,7 +605,8 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
     for i in range(r):
         for j in range(s):
             back = vec_add(back, matrices[i][j].entry(i, j))
-    assert tuple(back) == tuple(wvec), "primitive matrices do not sum back to w"
+    require(tuple(back) == tuple(wvec),
+            "primitive matrices do not sum back to w")
     return PrimitiveDecomposition(Element(h, wvec), cbasic, dbasic,
                                   matrices, Element(h, remainder))
 

@@ -6,12 +6,22 @@ field.  Char-0 extensions are usually cyclotomic and can be requested by
 order; the modulus is then the cyclotomic polynomial, computed here by
 iterated polynomial division.
 
-Scalars are immutable and hashable.  Representations:
+Scalars are immutable and hashable.  Each wraps one canonical raw value:
 
-  * char 0, prime field      -- fractions.Fraction
+  * char 0, prime field      -- fractions.Fraction (never int)
   * char p, prime field      -- int in [0, p)
-  * any extension of degree d -- tuple of d prime-field coefficients,
-                                 constant term first
+  * any extension of degree d -- tuple of exactly d prime-field
+                                 coefficients, constant term first
+
+Two elements of one field are equal exactly when their raw values are.
+Every FieldSpec owns one FieldOps table, built with the field: add, sub,
+neg, mul, inv and is_zero on raw values.  An extension multiplies
+coefficient lists and folds the terms of degree d .. 2d-2 back with a
+precomputed table of t^k mod modulus; addition is coefficient-wise.
+Scalar's operators delegate to the table, and the hot loops (rref_rows,
+FiniteAlgebra.mult) run on raw values directly: they unbox once with
+raw_values and box once with box.  Boxing always goes through
+Scalar(field, v), so counting Scalar.__init__ counts every Scalar made.
 
 No floating point anywhere.
 """
@@ -19,6 +29,7 @@ No floating point anywhere.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -29,6 +40,7 @@ from .errors import (
     NoSuchRoot,
     ReducibleModulus,
     ScalarParseError,
+    require,
 )
 
 MAX_EXTENSION_DEGREE = 16
@@ -136,7 +148,7 @@ def cyclotomic_polynomial(m: int) -> list[Fraction]:
     for d in range(1, m):
         if m % d == 0:
             num, rem = _pdivmod(num, cyclotomic_polynomial(d), 0)
-            assert not rem
+            require(not rem, "a cyclotomic polynomial divides x^m - 1")
     return num
 
 
@@ -172,6 +184,118 @@ def _is_irreducible(coeffs: list, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# raw-value arithmetic
+# ---------------------------------------------------------------------------
+
+class FieldOps:
+    """Arithmetic on the canonical raw values of one field.
+
+    zero and one are raw values; add, sub and mul take two, neg, inv and
+    is_zero one.  Every result is canonical again.  inv of zero is not
+    checked here; Scalar.inverse raises DivisionByZero first.
+    """
+
+    __slots__ = ("zero", "one", "add", "sub", "neg", "mul", "inv", "is_zero")
+
+    def __init__(self, char: int, modulus: tuple | None):
+        if modulus:
+            self._extension(char, modulus)
+        elif char:
+            p = char
+            self.zero, self.one = 0, 1
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.neg = lambda a: -a % p
+            self.mul = lambda a, b: a * b % p
+            self.inv = lambda a: pow(a, p - 2, p)
+            self.is_zero = operator.not_
+        else:
+            one = Fraction(1)
+            self.zero, self.one = Fraction(0), one
+            self.add, self.sub = operator.add, operator.sub
+            self.neg, self.mul = operator.neg, operator.mul
+            self.inv = lambda a: one / a
+            self.is_zero = operator.not_
+
+    def _extension(self, p: int, modulus: tuple):
+        d = len(modulus) - 1
+        z = _coeff_from_int(0, p)
+        self.zero = (z,) * d
+        self.one = (_one_coeff(p),) + (z,) * (d - 1)
+        # red[k - d] holds the nonzero (i, c) of t^k mod modulus, k = d .. 2d-2
+        top = [(-c) % p if p else -c for c in modulus[:d]]  # t^d
+        red, row = [], top
+        for _ in range(d - 1):
+            red.append([(i, c) for i, c in enumerate(row) if c])
+            lead = row[-1]
+            row = [z] + row[:-1]
+            if lead:
+                row = [x + lead * y for x, y in zip(row, top)]
+                if p:
+                    row = [x % p for x in row]
+        span = range(d)
+
+        def mul(a, b):
+            prod = [z] * (2 * d - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        if y:
+                            prod[i + j] += x * y
+            out = prod[:d]
+            for k, terms in enumerate(red, d):
+                c = prod[k]
+                if c:
+                    for i, y in terms:
+                        out[i] += c * y
+            if p:
+                return tuple([x % p for x in out])
+            return tuple(out)
+
+        def inv(a):
+            g, u, _ = _pgcdext(_trim(list(a)), list(modulus), p)
+            require(len(g) == 1, "modulus is irreducible, gcd must be a unit")
+            c = _pinv_scalar(g[0], p)
+            u = [x * c % p if p else x * c for x in u]
+            return tuple(u) + (z,) * (d - len(u))
+
+        if p:
+            self.add = lambda a, b: tuple([(x + y) % p for x, y in zip(a, b)])
+            self.sub = lambda a, b: tuple([(x - y) % p for x, y in zip(a, b)])
+            self.neg = lambda a: tuple([-x % p for x in a])
+        else:
+            self.add = lambda a, b: tuple([a[i] + b[i] if b[i] else a[i]
+                                           for i in span])
+            self.sub = lambda a, b: tuple([a[i] - b[i] if b[i] else a[i]
+                                           for i in span])
+            self.neg = lambda a: tuple([-x for x in a])
+        self.mul = mul
+        self.inv = inv
+        self.is_zero = lambda a: not any(a)
+
+
+def raw_values(field: "FieldSpec", vec) -> list:
+    """The raw values of a sequence of Scalars of field.
+
+    FieldMismatch when an entry belongs to another field.
+    """
+    vals = [x.val for x in vec]
+    for x in vec:
+        if x.field is not field and x.field != field:
+            raise FieldMismatch(
+                f"scalars from {field.describe()} and {x.field.describe()}")
+    return vals
+
+
+def box(field: "FieldSpec", vals) -> tuple:
+    """A tuple of Scalars of field from canonical raw values; the zeros
+    share one Scalar."""
+    is_zero = field.ops.is_zero
+    zero = Scalar(field, field.ops.zero)
+    return tuple([zero if is_zero(v) else Scalar(field, v) for v in vals])
+
+
+# ---------------------------------------------------------------------------
 # field specification
 # ---------------------------------------------------------------------------
 
@@ -181,10 +305,11 @@ class FieldSpec:
     modulus, when present, is the monic irreducible defining polynomial
     with constant term first.  cyclotomic_order is a char-0 convenience:
     the modulus is then the cyclotomic polynomial of that order and the
-    generator t plays the primitive root of unity.
+    generator t plays the primitive root of unity.  ops is the field's
+    FieldOps table, built once here.
     """
 
-    __slots__ = ("char", "modulus", "cyclotomic_order", "_hash")
+    __slots__ = ("char", "modulus", "cyclotomic_order", "ops", "_hash")
 
     def __init__(self, char: int = 0, modulus=None, cyclotomic_order: int | None = None):
         if char < 0 or (char > 0 and not _is_prime(char)):
@@ -218,6 +343,7 @@ class FieldSpec:
         self.char = char
         self.modulus = modulus
         self.cyclotomic_order = cyclotomic_order
+        self.ops = FieldOps(char, modulus)
         self._hash = hash((char, modulus))
 
     # -- basic protocol ----------------------------------------------------
@@ -467,7 +593,7 @@ class Scalar:
 
     def _check(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(
                     f"scalars from {self.field.describe()} and {other.field.describe()}")
             return other
@@ -478,9 +604,7 @@ class Scalar:
         return NotImplemented
 
     def is_zero(self) -> bool:
-        if isinstance(self.val, tuple):
-            return not any(self.val)
-        return not self.val
+        return self.field.ops.is_zero(self.val)
 
     def __bool__(self):
         return not self.is_zero()
@@ -492,68 +616,42 @@ class Scalar:
         if o is NotImplemented:
             return NotImplemented
         f = self.field
-        if f.modulus:
-            v = f._pad(_padd(list(self.val), list(o.val), f.char))
-        elif f.char:
-            v = (self.val + o.val) % f.char
-        else:
-            v = self.val + o.val
-        return Scalar(f, v)
+        return Scalar(f, f.ops.add(self.val, o.val))
 
     __radd__ = __add__
 
     def __neg__(self):
         f = self.field
-        if f.modulus:
-            v = f._pad(_pneg(list(self.val), f.char))
-        elif f.char:
-            v = (-self.val) % f.char
-        else:
-            v = -self.val
-        return Scalar(f, v)
+        return Scalar(f, f.ops.neg(self.val))
 
     def __sub__(self, other):
         o = self._check(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        f = self.field
+        return Scalar(f, f.ops.sub(self.val, o.val))
 
     def __rsub__(self, other):
         o = self._check(other)
         if o is NotImplemented:
             return NotImplemented
-        return o + (-self)
+        f = self.field
+        return Scalar(f, f.ops.sub(o.val, self.val))
 
     def __mul__(self, other):
         o = self._check(other)
         if o is NotImplemented:
             return NotImplemented
         f = self.field
-        if f.modulus:
-            prod = _pmul(list(self.val), list(o.val), f.char)
-            _, rem = _pdivmod(prod, list(f.modulus), f.char)
-            v = f._pad(rem)
-        elif f.char:
-            v = self.val * o.val % f.char
-        else:
-            v = self.val * o.val
-        return Scalar(f, v)
+        return Scalar(f, f.ops.mul(self.val, o.val))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         f = self.field
-        if self.is_zero():
+        if f.ops.is_zero(self.val):
             raise DivisionByZero(f"division by zero in {f.describe()}")
-        if f.modulus:
-            g, u, _ = _pgcdext(_trim(list(self.val)), list(f.modulus), f.char)
-            assert len(g) == 1, "modulus is irreducible, gcd must be a unit"
-            c = _pinv_scalar(g[0], f.char)
-            v = f._pad([x * c % f.char if f.char else x * c for x in u])
-            return Scalar(f, v)
-        if f.char:
-            return Scalar(f, pow(self.val, f.char - 2, f.char))
-        return Scalar(f, Fraction(1) / self.val)
+        return Scalar(f, f.ops.inv(self.val))
 
     def __truediv__(self, other):
         o = self._check(other)
@@ -589,7 +687,8 @@ class Scalar:
             other = self._check(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.field == other.field and self.val == other.val
+        return ((self.field is other.field or self.field == other.field)
+                and self.val == other.val)
 
     def __hash__(self):
         return hash((self.field, self.val))

@@ -9,7 +9,7 @@ import json
 import random
 import time
 
-from hopfex import GF, QQ, FieldSpec
+from hopfex import GF, FieldSpec
 from hopfex.cli import run_command
 from hopfex.extension import extend_coalgebra
 from hopfex.linalg import (t2_from_pair, vec_add, vec_dot, vec_is_zero,
@@ -19,7 +19,7 @@ from hopfex.matforms import (MatrixOverH, antipode_inverse_check,
                              is_primitive_matrix, matrix_hopf_power, mtensor,
                              primitive_decompose, stack_triangular)
 from hopfex.structfile import HEADER
-from hopfex.zoo import group_algebra, restricted_poly, sweedler, symmetric, taft
+from hopfex.zoo import restricted_poly, taft
 
 from golden_defs import golden_objects
 

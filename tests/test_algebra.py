@@ -261,3 +261,36 @@ def test_from_terms_places_each_term():
                                    unit_vec(field, 2, 0))
     assert alg.table[1][1] == (field.zero(), two)
     assert alg.table[0][1] == (field.zero(), field.zero())
+
+
+def reference_mult(alg, u, v):
+    """FiniteAlgebra.mult as a Scalar loop over every entry of table."""
+    out = list(zero_vec(alg.field, alg.dim))
+    for i, ui in enumerate(u):
+        if ui.is_zero():
+            continue
+        for j, vj in enumerate(v):
+            if vj.is_zero():
+                continue
+            c = ui * vj
+            for m, t in enumerate(alg.table[i][j]):
+                if not t.is_zero():
+                    out[m] = out[m] + c * t
+    return tuple(out)
+
+
+def test_mult_matches_the_dense_reference(zoo):
+    rng = random.Random(3)
+    for stem, h in zoo.items():
+        alg = FiniteAlgebra(h.field, h.mul_table, h.unit)
+        units = [unit_vec(h.field, h.dim, i) for i in range(h.dim)]
+        for i, j in itertools.product(range(h.dim), repeat=2):
+            got = alg.mult(units[i], units[j])
+            assert got == reference_mult(alg, units[i], units[j]), (stem, i, j)
+            assert got == tuple(h.mul_table[i][j]), (stem, i, j)
+        t = h.field.gen() if h.field.modulus else h.field.one()
+        for _ in range(4):
+            u, v = ([h.field.from_int(rng.randint(-3, 3))
+                     + h.field.from_int(rng.randint(-3, 3)) * t
+                     for _ in range(h.dim)] for _ in range(2))
+            assert alg.mult(u, v) == reference_mult(alg, u, v), stem

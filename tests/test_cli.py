@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from hopfex.cli import render_text, run_command
+from hopfex.cli import build_parser, render_text, run_command
 from hopfex.structfile import HEADER
 
 GOLD = None  # filled per-test via the golden_dir fixture
@@ -383,3 +383,29 @@ def test_mult_matrix_simple_selection(golden_dir):
     code, text = run(["mult-matrix", path_of(golden_dir, "dual_kS3"),
                       "--simple", "9"])
     assert code == 2
+
+
+def test_parser_is_shared_without_leaking_parsed_state(golden_dir, capsys):
+    # build_parser is built once per process; one call's flags must not
+    # reach the next, and a bad flag keeps its usage text and exit code 2
+    sweedler = path_of(golden_dir, "sweedler")
+    assert build_parser() is build_parser()
+    code, text = run(["decompose", sweedler, "--element", "x",
+                      "--simple", "0", "--simple", "1"])
+    assert code == 0, text
+    code, text = run(["decompose", sweedler, "--element", "x"])
+    assert code == 2
+    assert text == "input error: decompose needs --simple LEFT --simple RIGHT\n"
+    assert build_parser().parse_args(["coradical", sweedler]).simple is None
+    bad = ["coradical", sweedler, "--no-such-flag"]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(bad)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        build_parser.__wrapped__().parse_args(bad)  # a parser of its own
+    assert exc.value.code == 2
+    assert err == capsys.readouterr().err
+    assert err.startswith("usage: hopfex ")
+    assert err.endswith("error: unrecognized arguments: --no-such-flag\n")

@@ -7,7 +7,7 @@ from hopfex.errors import NotInComponent
 from hopfex.extension import (delta_expansion, extend_coalgebra,
                               graded_positive_part)
 from hopfex.linalg import vec_is_zero
-from hopfex.matforms import MatrixOverH, is_multiplicative
+from hopfex.matforms import is_multiplicative
 from hopfex.zoo import restricted_poly, sweedler, taft
 
 

@@ -13,7 +13,7 @@ from hopfex.linalg import (Mat, SubspaceBasis, t2_add_term, t2_from_pair,
                            unit_vec, vec_add, vec_scale, zero_vec)
 from hopfex.structfile import StructureFile, structure_from_object
 from hopfex.zoo import (cyclic, group_algebra, restricted_poly, sweedler,
-                        symmetric, taft, tensor_product)
+                        symmetric, taft)
 
 
 def test_hopf_axioms_pass_on_zoo(zoo):

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfex import GF, QQ, linalg
-from hopfex.errors import NoSolution, ShapeMismatch
+from hopfex import GF, QQ, FieldSpec, linalg
+from hopfex.errors import FieldMismatch, NoSolution, ShapeMismatch
 from hopfex.linalg import (Mat, SubspaceBasis, kernel, rref, rref_rows, solve,
                            solve_columns, unit_vec, vec_add, vec_is_zero,
                            vec_scale, vec_sub, zero_vec)
@@ -337,3 +337,82 @@ def test_membership_and_cuts_do_not_row_reduce(zoo, monkeypatch):
     # the counter does see an elimination
     SubspaceBasis(h.field, h.dim, [h.counit])
     assert len(calls) == 1
+
+
+def reference_rref_rows(rows):
+    """rref_rows as a loop of Scalar operations, before it ran on raw values."""
+    work = [list(r) for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    row_idx = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(row_idx, len(work))
+                          if not work[i][col].is_zero()), None)
+        if pivot_row is None:
+            continue
+        work[row_idx], work[pivot_row] = work[pivot_row], work[row_idx]
+        inv = work[row_idx][col].inverse()
+        work[row_idx] = [inv * x for x in work[row_idx]]
+        for i in range(len(work)):
+            if i != row_idx and not work[i][col].is_zero():
+                c = work[i][col]
+                work[i] = [x - c * y for x, y in zip(work[i], work[row_idx])]
+        pivots.append(col)
+        row_idx += 1
+        if row_idx == len(work):
+            break
+    return [tuple(r) for r in work[:row_idx]], pivots
+
+
+def random_scalar(field, rng):
+    """A seeded element of field, zero about a third of the time."""
+    if rng.random() < 0.35:
+        return field.zero()
+    if field.char == 0:
+        coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                  for _ in range(field.degree)]
+    else:
+        coeffs = [rng.randrange(field.char) for _ in range(field.degree)]
+    if field.modulus:
+        return field.from_coeffs(coeffs)
+    return field.from_fraction(Fraction(coeffs[0]))
+
+
+def raw_types(rows):
+    """The type of each raw value, and of each coefficient of a tuple."""
+    return [[(type(x.val), tuple(map(type, x.val))
+              if isinstance(x.val, tuple) else ()) for x in r] for r in rows]
+
+
+RAW_FIELDS = [QQ, F5, GF(2, modulus=[1, 1, 1]),
+              FieldSpec(0, cyclotomic_order=3), FieldSpec(0, cyclotomic_order=5)]
+
+
+@pytest.mark.parametrize("field", RAW_FIELDS, ids=lambda f: f.describe())
+def test_rref_rows_matches_the_scalar_reference(field):
+    rng = random.Random(9)
+    for _ in range(15):
+        nrows, ncols, rank = rng.randint(1, 6), rng.randint(1, 7), rng.randint(0, 3)
+        basis = [[random_scalar(field, rng) for _ in range(ncols)]
+                 for _ in range(rank)]
+        rows = []
+        for _ in range(nrows):
+            row = list(zero_vec(field, ncols))
+            for b in basis:
+                c = random_scalar(field, rng)
+                row = [x + c * y for x, y in zip(row, b)]
+            rows.append(tuple(row))
+        got, want = rref_rows(field, rows), reference_rref_rows(rows)
+        assert got == want
+        assert len(got[0]) <= rank
+        assert raw_types(got[0]) == raw_types(want[0])
+        if field == QQ:
+            assert all(type(x.val) is Fraction for r in got[0] for x in r)
+
+
+def test_rref_rows_rejects_rows_from_two_fields():
+    f7 = GF(7)
+    with pytest.raises(FieldMismatch):
+        rref_rows(F5, [(F5.one(), F5.zero()), (f7.one(), f7.one())])
+    with pytest.raises(FieldMismatch):
+        rref_rows(F5, [(F5.one(), f7.zero())])

@@ -2,7 +2,6 @@
 
 import pytest
 
-from hopfex import GF, QQ
 from hopfex.errors import (DiagonalOrderViolated, MatrixFormError,
                            NotDegreeOne, NotInBicomponent, NotMultiplicative,
                            ShapeMismatch)

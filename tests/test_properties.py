@@ -5,8 +5,8 @@ import functools
 from hypothesis import given, settings, strategies as st
 
 from hopfex.coalgebra import tensor_square_subspace
-from hopfex.linalg import (SubspaceBasis, t2_flatten, t2_from_pair, vec_add,
-                           vec_is_zero, vec_scale, zero_vec)
+from hopfex.linalg import (t2_flatten, vec_add, vec_is_zero, vec_scale,
+                           zero_vec)
 from hopfex.matforms import basic_multiplicative_matrix, matrix_hopf_power
 from golden_defs import golden_objects
 

@@ -1,5 +1,7 @@
 """Exact scalar arithmetic: field axioms, parsing, roots of unity."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from hopfex import GF, QQ, FieldSpec
 from hopfex.errors import (DivisionByZero, IncompatibleExtension, NoSuchRoot,
                            ReducibleModulus, ScalarParseError)
-from hopfex.scalars import MAX_EXTENSION_DEGREE, cyclotomic_polynomial
+from hopfex.scalars import (MAX_EXTENSION_DEGREE, _pdivmod, _pmul,
+                            cyclotomic_polynomial)
 
 F4 = GF(2, modulus=[1, 1, 1])
 Q_I = FieldSpec(0, cyclotomic_order=4)
@@ -168,3 +171,36 @@ def test_format_extension_scalars():
     assert Q_W.format(Q_W.one()) == "1"
     assert Q_W.parse("[1/2,-1]") == Q_W.from_coeffs([Fraction(1, 2),
                                                      Fraction(-1)])
+
+
+def reference_product(field, a, b):
+    """Raw product in an extension by polynomial multiply and long division."""
+    prod = _pmul(list(a), list(b), field.char)
+    _, rem = _pdivmod(prod, list(field.modulus), field.char)
+    return field._pad(rem)
+
+
+@pytest.mark.parametrize("field", [F4, GF(3, modulus=[1, 0, 1])],
+                         ids=lambda f: f.describe())
+def test_reduction_table_product_matches_long_division_on_all_pairs(field):
+    elements = list(itertools.product(range(field.char), repeat=field.degree))
+    for a, b in itertools.product(elements, repeat=2):
+        assert field.ops.mul(a, b) == reference_product(field, a, b), (a, b)
+        assert (field.from_coeffs(list(a)) * field.from_coeffs(list(b))).val \
+            == reference_product(field, a, b)
+
+
+def test_reduction_table_product_matches_long_division_over_q_zeta5():
+    field = FieldSpec(0, cyclotomic_order=5)
+    rng = random.Random(5)
+
+    def pick():
+        return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                     if rng.random() < 0.7 else Fraction(0)
+                     for _ in range(field.degree))
+
+    for _ in range(300):
+        a, b = pick(), pick()
+        got = field.ops.mul(a, b)
+        assert got == reference_product(field, a, b), (a, b)
+        assert all(type(c) is Fraction for c in got)

@@ -58,7 +58,7 @@ def test_raised_and_caught_errors_are_bound(path):
 
 
 @pytest.mark.parametrize("name", ["algebra.py", "coalgebra.py", "extension.py",
-                                  "hopf.py"])
+                                  "hopf.py", "matforms.py", "scalars.py"])
 def test_no_assert_statements(name):
     # python -O strips asserts; these modules check invariants with require()
     path = SRC / name

@@ -3,7 +3,7 @@
 import pytest
 
 from golden_defs import golden_objects
-from hopfex import GF, QQ
+from hopfex import GF
 from hopfex.errors import (DuplicateEntry, IndexOutOfRange, ScalarParseError,
                            StructureFileError)
 from hopfex.structfile import (HEADER, emit_structure_file,
