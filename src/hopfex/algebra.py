@@ -29,6 +29,14 @@ where L_x for x in I maps the algebra into I and c_q is read from the
 d x d restriction of L_x to I (d = dim I), through characteristic
 polynomials by the division-free Berkowitz algorithm.
 
+Products by basis vectors are not formed as products with unit vectors
+here.  u e_j and e_j u are the columns of L_u and R_u, which one pass
+over the nonzero entries of u and the nonzero structure constants
+(FiniteAlgebra.terms) yields on raw values; the multiplication matrices,
+the right-ideal test of each level and the centre (rows c_kj^m - c_jk^m)
+read them off directly.  The corner eAe is (eA)e: the columns of L_e are
+row-reduced to a basis of eA, and only those rows are multiplied by e.
+
 Splitting the semisimple quotient is deterministic.  The centre is
 refined by its basis: an idempotent e of a commutative semisimple
 algebra is primitive exactly when eA is one-dimensional, and any other
@@ -60,6 +68,8 @@ from .linalg import (
     Mat,
     SubspaceBasis,
     kernel,
+    kernel_raw,
+    rref_raw,
     rref_rows,
     solve,
     unit_vec,
@@ -351,16 +361,20 @@ class FiniteAlgebra:
         """Unit-law failures, then associativity failures, one line each.
 
         Basis element i is called names[i], or i when names is None.
-        (e_i e_j) e_k and e_i (e_j e_k) are each one product of a table
-        entry with a basis vector.
+        The unit law reads L_1 and R_1 off terms; (e_i e_j) e_k and
+        e_i (e_j e_k) are each one product of a table entry with a basis
+        vector.
         """
         names = [str(i) for i in range(self.dim)] if names is None else names
-        units = [unit_vec(self.field, self.dim, i) for i in range(self.dim)]
+        unit = _nonzero_raw(self.field, self.unit)
+        one = self.field.ops.one
         bad = []
-        for i, ei in enumerate(units):
-            if self.mult(self.unit, ei) != ei:
+        # 1 e_i and e_i 1 are column i of L_1 and of R_1
+        for i, (left, right) in enumerate(zip(
+                self._basis_products(unit), self._basis_products(unit, False))):
+            if left != {i: one}:
                 bad.append(f"left unit law fails on {names[i]}")
-            if self.mult(ei, self.unit) != ei:
+            if right != {i: one}:
                 bad.append(f"right unit law fails on {names[i]}")
         terms = self.terms
         for i, j, k in itertools.product(range(self.dim), repeat=3):
@@ -391,18 +405,42 @@ class FiniteAlgebra:
                 acc[m] = add(acc[m], y) if m in acc else y
         return {m: y for m, y in acc.items() if not is_zero(y)}
 
+    def _product(self, u, v) -> dict:
+        """u v as {m: raw value} with no zeros, from the nonzero (index,
+        raw value) pairs u and v of two vectors."""
+        mul, terms = self.field.ops.mul, self.terms
+        v = list(v)
+        return self._combine((mul(x, y), terms[i][j])
+                             for i, x in u for j, y in v if terms[i][j])
+
+    def _basis_products(self, u, left: bool = True) -> list[dict]:
+        """u e_j (left) or e_j u, for every j, as {m: raw value} with no
+        zeros: the columns of L_u (or R_u), from one pass over the nonzero
+        (index, raw value) pairs u and the terms they meet."""
+        ops, terms, dim = self.field.ops, self.terms, self.dim
+        add, mul, is_zero = ops.add, ops.mul, ops.is_zero
+        cols: list[dict] = [{} for _ in range(dim)]
+        for i, c in u:
+            # u_i e_i e_j, or e_j u_i e_i, for every j
+            row = terms[i] if left else [terms[j][i] for j in range(dim)]
+            for col, tij in zip(cols, row):
+                for m, t in tij:
+                    y = mul(c, t)
+                    col[m] = add(col[m], y) if m in col else y
+        return [{m: y for m, y in col.items() if not is_zero(y)} for col in cols]
+
+    def _dense(self, sparse: dict) -> list:
+        """The raw vector with the entries of {m: raw value} sparse."""
+        out = [self.field.ops.zero] * self.dim
+        for m, y in sparse.items():
+            out[m] = y
+        return out
+
     def mult(self, u: tuple, v: tuple) -> tuple:
         """u v, from the nonzero entries of u and v and terms, on raw values."""
-        field, terms = self.field, self.terms
-        mul = field.ops.mul
-        vs = _nonzero_raw(field, v)
-        acc = self._combine((mul(x, y), terms[i][j])
-                            for i, x in _nonzero_raw(field, u)
-                            for j, y in vs if terms[i][j])
-        out = [field.ops.zero] * self.dim
-        for m, y in acc.items():
-            out[m] = y
-        return box(field, out)
+        field = self.field
+        return box(field, self._dense(self._product(_nonzero_raw(field, u),
+                                                    _nonzero_raw(field, v))))
 
     def tensor_mult(self, a: dict, b: dict) -> dict:
         """Sparse product on A (x) A: (x(x)y)(x'(x)y') = xx'(x)yy', from
@@ -418,14 +456,17 @@ class FiniteAlgebra:
         return dict(zip(acc, box(field, acc.values())))
 
     def left_mult_mat(self, u: tuple) -> Mat:
-        cols = [self.mult(u, unit_vec(self.field, self.dim, j))
-                for j in range(self.dim)]
-        return Mat.from_columns(self.field, cols, self.dim)
+        return self._mult_mat(self._basis_products(_nonzero_raw(self.field, u)))
 
     def right_mult_mat(self, u: tuple) -> Mat:
-        cols = [self.mult(unit_vec(self.field, self.dim, j), u)
-                for j in range(self.dim)]
-        return Mat.from_columns(self.field, cols, self.dim)
+        return self._mult_mat(
+            self._basis_products(_nonzero_raw(self.field, u), False))
+
+    def _mult_mat(self, cols: list[dict]) -> Mat:
+        zero = self.field.ops.zero
+        return Mat(self.field,
+                   [box(self.field, [c.get(m, zero) for c in cols])
+                    for m in range(self.dim)], self.dim)
 
     def power(self, u: tuple, n: int) -> tuple:
         acc = self.unit
@@ -526,16 +567,21 @@ class FiniteAlgebra:
         return SubspaceBasis(self.field, self.dim, new)
 
     def _require_right_ideal(self, level: SubspaceBasis):
-        """Prove level * A is inside level, or LinAlgError."""
-        for b in level.rows:
-            for k in range(self.dim):
-                try:
-                    level.coords_of(self.mult(b, unit_vec(self.field,
-                                                          self.dim, k)))
-                except NoSolution:
+        """Prove level * A is inside level, or LinAlgError.
+
+        Each b e_k is column k of L_b, on raw values.  Its entries at the
+        level's pivots are its only possible coordinates, so it lies in
+        the level exactly when they rebuild it.
+        """
+        rows = [_nonzero_raw(self.field, r) for r in level.rows]
+        for b in rows:
+            for col in self._basis_products(b):
+                back = self._combine((col[p], r)
+                                     for p, r in zip(level.pivots, rows)
+                                     if p in col)
+                if back != col:
                     raise LinAlgError("a level of the radical chain is not a "
-                                      "right ideal; algebra data corrupt") \
-                        from None
+                                      "right ideal; algebra data corrupt")
 
     def ideal_powers(self, ideal: SubspaceBasis) -> list[SubspaceBasis]:
         """[I, I^2, ...] until the zero ideal (which is included).
@@ -544,14 +590,19 @@ class FiniteAlgebra:
         smaller than the one before it is that power again and the chain
         never reaches zero: LinAlgError.
         """
+        field = self.field
+        gens = last = [_nonzero_raw(field, v) for v in ideal.rows]
         out = [ideal]
         while out[-1].dim:
-            nxt = SubspaceBasis(self.field, self.dim,
-                                [self.mult(u, v) for u in out[-1].rows
-                                 for v in ideal.rows])
+            # every product u v on raw values, then one elimination
+            work = [self._dense(self._product(u, v)) for u in last for v in gens]
+            rref_raw(field, work)
+            nxt = SubspaceBasis(field, self.dim, [box(field, r) for r in work],
+                                canonical=True)
             if nxt.dim >= out[-1].dim:
                 raise LinAlgError("ideal is not nilpotent; algebra data corrupt")
             out.append(nxt)
+            last = [_sparse(field, r) for r in work]
         return out
 
     # -- quotients and subalgebras ----------------------------------------------
@@ -563,12 +614,19 @@ class FiniteAlgebra:
         return SubalgebraMap(self, rows, identity)
 
     def center(self) -> SubspaceBasis:
-        rows = []
-        for j in range(self.dim):
-            ej = unit_vec(self.field, self.dim, j)
-            diff = self.left_mult_mat(ej) - self.right_mult_mat(ej)
-            rows.extend(diff.rows)
-        return kernel(Mat(self.field, rows, self.dim))
+        """{z : z e_j = e_j z for every j}, the kernel of the rows (j, m)
+        with entry c_kj^m - c_jk^m at k, read off terms."""
+        ops, terms, dim = self.field.ops, self.terms, self.dim
+        rows: dict = {}
+        for j, k in itertools.product(range(dim), repeat=2):
+            for m, c in terms[k][j]:
+                row = rows.setdefault((j, m), [ops.zero] * dim)
+                row[k] = ops.add(row[k], c)
+            for m, c in terms[j][k]:
+                row = rows.setdefault((j, m), [ops.zero] * dim)
+                row[k] = ops.sub(row[k], c)
+        return kernel_raw(self.field, [r for r in rows.values()
+                                       if not all(map(ops.is_zero, r))], dim)
 
     # -- idempotents ------------------------------------------------------------
 
@@ -690,7 +748,7 @@ class FiniteAlgebra:
         and the raise is a proof; over a char-0 extension field it rests
         on field_roots' list of candidate roots.
         """
-        basis = [unit_vec(self.field, self.dim, i) for i in range(self.dim)]
+        field = self.field
         pool = [self.unit]
         idx = 0
         while idx < len(pool):
@@ -698,8 +756,11 @@ class FiniteAlgebra:
             if len(self.corner_basis(e)) == 1:
                 idx += 1
                 continue
-            for b in basis:
-                f = self.split_idempotent(e, self.mult(self.mult(e, b), e))
+            enz = _nonzero_raw(field, e)
+            for b in range(self.dim):
+                eb = self._product(enz, [(b, field.ops.one)])  # e e_b
+                x = box(field, self._dense(self._product(eb.items(), enz)))
+                f = self.split_idempotent(e, x)
                 if f is not None:
                     pool[idx:idx + 1] = [f, vec_sub(e, f)]
                     break
@@ -735,19 +796,26 @@ class FiniteAlgebra:
             "base field, or may need a larger search")
 
     def corner_basis(self, e: tuple) -> list[tuple]:
-        rows = []
-        for i in range(self.dim):
-            ei = unit_vec(self.field, self.dim, i)
-            rows.append(self.mult(self.mult(e, ei), e))
-        rows, _ = rref_rows(self.field, rows)
-        return list(rows)
+        """Canonical basis of eAe = (eA)e: the columns e e_i of L_e are
+        row-reduced to a basis of eA, and only its rows are multiplied by e."""
+        field = self.field
+        enz = _nonzero_raw(field, e)
+        work = [self._dense(col) for col in self._basis_products(enz)]
+        rref_raw(field, work)
+        work = [self._dense(self._product(_sparse(field, r), enz)) for r in work]
+        rref_raw(field, work)
+        return [box(field, r) for r in work]
 
 
 def _nonzero_raw(field: FieldSpec, vec) -> list:
     """(index, raw value) of the nonzero entries of a vector of Scalars."""
+    return _sparse(field, raw_values(field, vec))
+
+
+def _sparse(field: FieldSpec, vals) -> list:
+    """(index, raw value) of the nonzero entries of a raw vector."""
     is_zero = field.ops.is_zero
-    return [(i, x) for i, x in enumerate(raw_values(field, vec))
-            if not is_zero(x)]
+    return [(i, x) for i, x in enumerate(vals) if not is_zero(x)]
 
 
 def _frobenius_root(s: Scalar, q: int) -> Scalar:
@@ -780,21 +848,16 @@ class QuotientMap:
         self.ideal = ideal
         self.section_cols = [j for j in range(alg.dim)
                              if j not in ideal.pivots]
-        secvecs = [unit_vec(alg.field, alg.dim, j) for j in self.section_cols]
         # each ideal row's nonzero entries at the section columns
         self._row_sections = [
             [(k, r[s]) for k, s in enumerate(self.section_cols)
              if not r[s].is_zero()] for r in ideal.rows]
-        qdim = len(self.section_cols)
-        table = []
-        for a in range(qdim):
-            row = []
-            for b in range(qdim):
-                prod = alg.mult(secvecs[a], secvecs[b])
-                row.append(self.project(prod))
-            table.append(row)
+        # e_{s_a} e_{s_b} is a table entry
+        table = [[self.project(alg.table[sa][sb]) for sb in self.section_cols]
+                 for sa in self.section_cols]
         self.algebra = FiniteAlgebra(alg.field, table, self.project(alg.unit))
-        self.section_vectors = secvecs
+        self.section_vectors = [unit_vec(alg.field, alg.dim, j)
+                                for j in self.section_cols]
 
     def project(self, v: tuple) -> tuple:
         out = [v[s] for s in self.section_cols]
@@ -807,10 +870,11 @@ class QuotientMap:
         return tuple(out)
 
     def lift(self, q: tuple) -> tuple:
-        out = zero_vec(self.parent.field, self.parent.dim)
-        for c, vec in zip(q, self.section_vectors):
-            out = vec_add(out, vec_scale(c, vec))
-        return out
+        """q written at the section columns, zero elsewhere."""
+        out = list(zero_vec(self.parent.field, self.parent.dim))
+        for c, s in zip(q, self.section_cols):
+            out[s] = c
+        return tuple(out)
 
 
 class SubalgebraMap:

@@ -544,9 +544,9 @@ class CoradicalAnalysis:
                 f, r = z, 1
             else:
                 f = q.primitive_idempotent_in(z)
-                lrows = [q.mult(unit_vec(field, q.dim, i), f)
-                         for i in range(q.dim)]
-                r = SubspaceBasis(field, q.dim, lrows).dim
+                # Qf is spanned by the e_i f, the columns of R_f
+                r = SubspaceBasis(field, q.dim,
+                                  q.right_mult_mat(f).columns()).dim
                 if r * r != bdim:
                     raise NonSplitField(
                         f"simple block of dimension {bdim} has minimal left "

@@ -452,8 +452,9 @@ class HopfAlgebra(Coalgebra):
     def _integral_result(self, vec: tuple) -> IntegralResult:
         asserted = False
         if self.involutory():
-            for i in range(self.dim):
-                lhs = self.mul_vec(unit_vec(self.field, self.dim, i), vec)
+            # e_i vec is column i of R_vec
+            cols = self._alg.right_mult_mat(vec).columns()
+            for i, lhs in enumerate(cols):
                 require(lhs == vec_scale(self.counit[i], vec),
                         "left integral property fails on an involutory Hopf "
                         "algebra")

@@ -4,7 +4,10 @@ Everything funnels through one canonical reduced row echelon form:
 pivots are 1, pivot columns are cleared, pivot positions strictly
 increase, zero rows are dropped.  Two subspaces are equal iff their
 canonical bases are equal entry by entry, so subspace comparisons are
-syntactic.
+syntactic.  rref_raw is the one elimination: it reduces lists of raw
+field values in place.  rref_rows, kernel and the rest unbox their rows
+for it and box what it returns; callers that already hold raw values
+(kernel_raw, the algebra layer) call it directly.
 
 Only construction eliminates.  Once a SubspaceBasis is canonical,
 membership, coordinates and hyperplane cuts read its pivots: v lies in
@@ -229,16 +232,15 @@ class Mat:
 # canonical row reduction
 # ---------------------------------------------------------------------------
 
-def rref_rows(field: FieldSpec, rows) -> tuple[list[tuple], list[int]]:
-    """Canonical RREF of a list of row vectors; returns (rows, pivot columns).
+def rref_raw(field: FieldSpec, work: list[list]) -> list[int]:
+    """Canonical RREF of raw rows, in place; returns the pivot columns.
 
-    Zero rows are dropped; remaining rows have leading 1 in strictly
-    increasing pivot columns and pivot columns cleared elsewhere.  The
-    rows are unboxed once, eliminated on raw values (only the pivot row's
-    nonzero entries are carried into the other rows) and boxed once;
-    FieldMismatch when an entry is not in field.
+    work is a list of equal-length lists of canonical raw values of field.
+    On return it holds only the reduced rows: each has a leading 1 at its
+    pivot, pivot positions strictly increase, and pivot columns are
+    cleared elsewhere.  Only the pivot row's nonzero entries are carried
+    into the other rows.  This is the one elimination routine.
     """
-    work = [raw_values(field, r) for r in rows]
     ncols = len(work[0]) if work else 0
     ops = field.ops
     is_zero, mul, sub = ops.is_zero, ops.mul, ops.sub
@@ -269,7 +271,19 @@ def rref_rows(field: FieldSpec, rows) -> tuple[list[tuple], list[int]]:
         row_idx += 1
         if row_idx == len(work):
             break
-    return [box(field, r) for r in work[:row_idx]], pivots
+    del work[row_idx:]
+    return pivots
+
+
+def rref_rows(field: FieldSpec, rows) -> tuple[list[tuple], list[int]]:
+    """Canonical RREF of a list of row vectors; returns (rows, pivot columns).
+
+    Zero rows are dropped.  The rows are unboxed once, reduced by rref_raw
+    and boxed once; FieldMismatch when an entry is not in field.
+    """
+    work = [raw_values(field, r) for r in rows]
+    pivots = rref_raw(field, work)
+    return [box(field, r) for r in work], pivots
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
@@ -279,18 +293,27 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
 
 def kernel(m: Mat) -> "SubspaceBasis":
     """Canonical basis of the right null space {v : m @ v = 0}."""
-    red, pivots = rref_rows(m.field, m.rows)
-    n = m.ncols
-    z, o = m.field.zero(), m.field.one()
-    free = [j for j in range(n) if j not in pivots]
+    return kernel_raw(m.field, [raw_values(m.field, r) for r in m.rows],
+                      m.ncols)
+
+
+def kernel_raw(field: FieldSpec, work: list[list], n: int) -> "SubspaceBasis":
+    """kernel() of the matrix with n columns whose raw rows are work.
+
+    work is row-reduced in place.
+    """
+    pivots = rref_raw(field, work)
+    neg, zero, one = field.ops.neg, field.ops.zero, field.ops.one
     basis = []
-    for f in free:
-        v = [z] * n
-        v[f] = o
-        for r, p in zip(red, pivots):
-            v[p] = -r[f]
-        basis.append(tuple(v))
-    return SubspaceBasis(m.field, n, basis)
+    for f in (j for j in range(n) if j not in pivots):
+        v = [zero] * n
+        v[f] = one
+        for r, p in zip(work, pivots):
+            v[p] = neg(r[f])
+        basis.append(v)
+    rref_raw(field, basis)
+    return SubspaceBasis(field, n, [box(field, v) for v in basis],
+                         canonical=True)
 
 
 def solve(m: Mat, b: tuple) -> tuple:

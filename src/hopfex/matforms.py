@@ -306,9 +306,9 @@ def _matrix_units(analysis, comp: SimpleComponent) -> list[list[tuple]]:
     q = analysis.quotient.algebra
     field = q.field
     r = comp.matrix_size
-    lrows = [q.mult(unit_vec(field, q.dim, i), comp.primitive_idempotent)
-             for i in range(q.dim)]
-    ideal = SubspaceBasis(field, q.dim, lrows)
+    # Q*f is spanned by the e_i f, the columns of R_f
+    ideal = SubspaceBasis(field, q.dim,
+                          q.right_mult_mat(comp.primitive_idempotent).columns())
     require(ideal.dim == r,
             "minimal left ideal dimension disagrees with block size")
     block = comp.block_rows

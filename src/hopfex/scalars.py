@@ -28,6 +28,7 @@ No floating point anywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from fractions import Fraction
@@ -187,6 +188,9 @@ def _is_irreducible(coeffs: list, p: int) -> bool:
 # raw-value arithmetic
 # ---------------------------------------------------------------------------
 
+_INV_CACHE_SIZE = 1024  # inverses remembered per extension field
+
+
 class FieldOps:
     """Arithmetic on the canonical raw values of one field.
 
@@ -252,6 +256,9 @@ class FieldOps:
                 return tuple([x % p for x in out])
             return tuple(out)
 
+        # a pass inverts few distinct values many times (pivots, leading
+        # coefficients), so the extended Euclid runs once per value
+        @functools.lru_cache(maxsize=_INV_CACHE_SIZE)
         def inv(a):
             g, u, _ = _pgcdext(_trim(list(a)), list(modulus), p)
             require(len(g) == 1, "modulus is irreducible, gcd must be a unit")

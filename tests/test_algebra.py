@@ -4,7 +4,10 @@ The radical and the splitting are compared with straightforward
 references kept here: the Gram matrix and characteristic polynomials of
 the full n x n left multiplications, a splitting scan of the centre that
 restarts at the first idempotent after every split, and the block
-search with its seeded random candidates.
+search with its seeded random candidates.  The routines that read
+products by basis vectors off the structure constants (multiplication
+matrices, centre, corners, the right-ideal test and ideal powers) are
+compared with their earlier forms, which multiply by unit vectors.
 """
 
 import itertools
@@ -294,3 +297,121 @@ def test_mult_matches_the_dense_reference(zoo):
                      + h.field.from_int(rng.randint(-3, 3)) * t
                      for _ in range(h.dim)] for _ in range(2))
             assert alg.mult(u, v) == reference_mult(alg, u, v), stem
+
+
+# -- products by basis vectors: the unit-vector references ----------------
+
+def reference_left_mult_mat(alg, u):
+    cols = [alg.mult(u, unit_vec(alg.field, alg.dim, j)) for j in range(alg.dim)]
+    return Mat.from_columns(alg.field, cols, alg.dim)
+
+
+def reference_right_mult_mat(alg, u):
+    cols = [alg.mult(unit_vec(alg.field, alg.dim, j), u) for j in range(alg.dim)]
+    return Mat.from_columns(alg.field, cols, alg.dim)
+
+
+def reference_center(alg):
+    rows = []
+    for j in range(alg.dim):
+        ej = unit_vec(alg.field, alg.dim, j)
+        diff = reference_left_mult_mat(alg, ej) - reference_right_mult_mat(alg, ej)
+        rows.extend(diff.rows)
+    return kernel(Mat(alg.field, rows, alg.dim))
+
+
+def reference_corner_basis(alg, e):
+    rows = [alg.mult(alg.mult(e, unit_vec(alg.field, alg.dim, i)), e)
+            for i in range(alg.dim)]
+    return list(rref_rows(alg.field, rows)[0])
+
+
+def reference_is_right_ideal(alg, level):
+    return all(level.contains_vector(alg.mult(b, unit_vec(alg.field, alg.dim, k)))
+               for b in level.rows for k in range(alg.dim))
+
+
+def reference_ideal_powers(alg, ideal):
+    out = [ideal]
+    while out[-1].dim:
+        nxt = SubspaceBasis(alg.field, alg.dim,
+                            [alg.mult(u, v) for u in out[-1].rows
+                             for v in ideal.rows])
+        if nxt.dim >= out[-1].dim:
+            raise LinAlgError("ideal is not nilpotent")
+        out.append(nxt)
+    return out
+
+
+def is_right_ideal(alg, level):
+    try:
+        alg._require_right_ideal(level)
+    except LinAlgError:
+        return False
+    return True
+
+
+def basis_product_cases(h):
+    """(name, algebra, idempotents) for the dual algebra of h, its
+    semisimple quotient with the embedded central idempotents, and the
+    centre with the idempotents split_commutative returns."""
+    q, zmap = quotient_and_center(h)
+    pool = zmap.algebra.split_commutative()
+    return [("dual", h.dual_algebra(), [h.dual_algebra().unit]),
+            ("quotient", q, [q.unit] + [zmap.embed(e) for e in pool]),
+            ("centre", zmap.algebra, pool)]
+
+
+def test_basis_products_match_the_unit_vector_references(zoo):
+    for stem, h in zoo.items():
+        for name, alg, idempotents in basis_product_cases(h):
+            where = (stem, name)
+            units = [unit_vec(alg.field, alg.dim, i) for i in range(alg.dim)]
+            for u in units + idempotents:
+                assert alg.left_mult_mat(u) == reference_left_mult_mat(alg, u), where
+                assert alg.right_mult_mat(u) == reference_right_mult_mat(alg, u), where
+            assert alg.center() == reference_center(alg), where
+            for e in idempotents:
+                assert alg.corner_basis(e) == reference_corner_basis(alg, e), where
+            powers = alg.radical_powers()
+            assert alg.ideal_powers(powers[0]) == \
+                reference_ideal_powers(alg, powers[0]), where
+            lines = [SubspaceBasis(alg.field, alg.dim, [u]) for u in units]
+            for level in powers + lines:
+                assert is_right_ideal(alg, level) == \
+                    reference_is_right_ideal(alg, level), where
+
+
+def test_ideal_powers_reject_a_non_nilpotent_ideal_like_the_reference(zoo):
+    for stem, h in zoo.items():
+        alg = h.dual_algebra()
+        full = SubspaceBasis.full(alg.field, alg.dim)
+        with pytest.raises(LinAlgError):
+            reference_ideal_powers(alg, full)
+        with pytest.raises(LinAlgError):
+            alg.ideal_powers(full)
+
+
+def test_basis_product_routines_make_no_products(monkeypatch):
+    h = taft(3, GF(7))
+    alg = h.dual_algebra()
+    q, zmap = quotient_and_center(h)
+    powers = alg.radical_powers()
+    idempotents = [zmap.embed(e) for e in zmap.algebra.split_commutative()]
+    calls = []
+    original = FiniteAlgebra.mult
+
+    def counted(self, u, v):
+        calls.append(1)
+        return original(self, u, v)
+
+    monkeypatch.setattr(FiniteAlgebra, "mult", counted)
+    for level in powers:
+        alg._require_right_ideal(level)
+    alg.left_mult_mat(alg.unit)
+    alg.right_mult_mat(alg.unit)
+    assert q.center().dim == len(idempotents)
+    for e in idempotents:
+        q.corner_basis(e)
+    alg.ideal_powers(powers[0])
+    assert calls == []

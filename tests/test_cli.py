@@ -76,11 +76,14 @@ def test_json_and_text_carry_the_same_facts(cmd, golden_dir):
 def test_subprocess_runs_are_byte_identical(golden_dir):
     # the third run of each command line is under -O, so no printed result
     # may rest on an assert; the M_2 basic matrix of dual_kS3 depends on
-    # the primitive idempotent chosen
+    # the primitive idempotent chosen, and its simples and idempotents on
+    # the centre and the corners of the semisimple quotient
     env = child_env(PYTHONHASHSEED="random")
+    dual_ks3 = path_of(golden_dir, "dual_kS3")
     for args in (["exponent", path_of(golden_dir, "kS3")],
-                 ["mult-matrix", path_of(golden_dir, "dual_kS3"),
-                  "--simple", "2"]):
+                 ["mult-matrix", dual_ks3, "--simple", "2"],
+                 ["simples", dual_ks3],
+                 ["idempotents", dual_ks3, "--json"]):
         outs = []
         for flags in ([], [], ["-O"]):
             p = subprocess.run([sys.executable, *flags, "-m", "hopfex.cli",

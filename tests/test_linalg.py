@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from hopfex import GF, QQ, FieldSpec, linalg
 from hopfex.errors import FieldMismatch, NoSolution, ShapeMismatch
-from hopfex.linalg import (Mat, SubspaceBasis, kernel, rref, rref_rows, solve,
-                           solve_columns, unit_vec, vec_add, vec_is_zero,
-                           vec_scale, vec_sub, zero_vec)
+from hopfex.linalg import (Mat, SubspaceBasis, kernel, rref, rref_raw,
+                           rref_rows, solve, solve_columns, unit_vec, vec_add,
+                           vec_is_zero, vec_scale, vec_sub, zero_vec)
 
 F5 = GF(5)
 
@@ -388,26 +388,47 @@ RAW_FIELDS = [QQ, F5, GF(2, modulus=[1, 1, 1]),
               FieldSpec(0, cyclotomic_order=3), FieldSpec(0, cyclotomic_order=5)]
 
 
+def random_low_rank_rows(field, rng):
+    """A seeded matrix of at most 6 rows and 7 columns, of rank at most 3."""
+    nrows, ncols, rank = rng.randint(1, 6), rng.randint(1, 7), rng.randint(0, 3)
+    basis = [[random_scalar(field, rng) for _ in range(ncols)]
+             for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        row = list(zero_vec(field, ncols))
+        for b in basis:
+            c = random_scalar(field, rng)
+            row = [x + c * y for x, y in zip(row, b)]
+        rows.append(tuple(row))
+    return rows, rank
+
+
 @pytest.mark.parametrize("field", RAW_FIELDS, ids=lambda f: f.describe())
 def test_rref_rows_matches_the_scalar_reference(field):
     rng = random.Random(9)
     for _ in range(15):
-        nrows, ncols, rank = rng.randint(1, 6), rng.randint(1, 7), rng.randint(0, 3)
-        basis = [[random_scalar(field, rng) for _ in range(ncols)]
-                 for _ in range(rank)]
-        rows = []
-        for _ in range(nrows):
-            row = list(zero_vec(field, ncols))
-            for b in basis:
-                c = random_scalar(field, rng)
-                row = [x + c * y for x, y in zip(row, b)]
-            rows.append(tuple(row))
+        rows, rank = random_low_rank_rows(field, rng)
         got, want = rref_rows(field, rows), reference_rref_rows(rows)
         assert got == want
         assert len(got[0]) <= rank
         assert raw_types(got[0]) == raw_types(want[0])
         if field == QQ:
             assert all(type(x.val) is Fraction for r in got[0] for x in r)
+
+
+@pytest.mark.parametrize("field", RAW_FIELDS, ids=lambda f: f.describe())
+def test_rref_raw_matches_the_scalar_reference(field):
+    rng = random.Random(11)
+    for _ in range(15):
+        rows, _ = random_low_rank_rows(field, rng)
+        work = [[x.val for x in r] for r in rows]
+        pivots = rref_raw(field, work)
+        want_rows, want_pivots = reference_rref_rows(rows)
+        assert pivots == want_pivots
+        assert len(work) == len(want_rows)
+        assert [[x.val for x in r] for r in want_rows] == work
+        if field == QQ:
+            assert all(type(x) is Fraction for r in work for x in r)
 
 
 def test_rref_rows_rejects_rows_from_two_fields():

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from hopfex import GF, QQ, FieldSpec
 from hopfex.errors import (DivisionByZero, IncompatibleExtension, NoSuchRoot,
                            ReducibleModulus, ScalarParseError)
-from hopfex.scalars import (MAX_EXTENSION_DEGREE, _pdivmod, _pmul,
-                            cyclotomic_polynomial)
+from hopfex.scalars import (MAX_EXTENSION_DEGREE, _pdivmod, _pgcdext,
+                            _pinv_scalar, _pmul, _trim, cyclotomic_polynomial)
 
 F4 = GF(2, modulus=[1, 1, 1])
 Q_I = FieldSpec(0, cyclotomic_order=4)
@@ -204,3 +204,32 @@ def test_reduction_table_product_matches_long_division_over_q_zeta5():
         got = field.ops.mul(a, b)
         assert got == reference_product(field, a, b), (a, b)
         assert all(type(c) is Fraction for c in got)
+
+
+def reference_inverse(field, a):
+    """Raw inverse in an extension by the extended Euclid, uncached."""
+    p = field.char
+    g, u, _ = _pgcdext(_trim(list(a)), list(field.modulus), p)
+    c = _pinv_scalar(g[0], p)
+    return field._pad([x * c % p if p else x * c for x in u])
+
+
+def test_cached_extension_inverse_matches_the_extended_euclid():
+    f9 = GF(3, modulus=[1, 0, 1])
+    for a in itertools.product(range(3), repeat=2):
+        if any(a):
+            for _ in range(2):  # the second call is answered by the cache
+                assert f9.ops.inv(a) == reference_inverse(f9, a), a
+    qz5 = FieldSpec(0, cyclotomic_order=5)
+    rng = random.Random(10)
+    for _ in range(300):
+        a = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                  for _ in range(qz5.degree))
+        if any(a):
+            got = qz5.ops.inv(a)
+            assert got == reference_inverse(qz5, a), a
+            assert all(type(c) is Fraction for c in got)
+            assert qz5.ops.mul(a, got) == qz5.ops.one
+    for field in (f9, qz5):
+        with pytest.raises(DivisionByZero):
+            field.zero().inverse()
