@@ -32,10 +32,16 @@ polynomials by the division-free Berkowitz algorithm.
 Products by basis vectors are not formed as products with unit vectors
 here.  u e_j and e_j u are the columns of L_u and R_u, which one pass
 over the nonzero entries of u and the nonzero structure constants
-(FiniteAlgebra.terms) yields on raw values; the multiplication matrices,
-the right-ideal test of each level and the centre (rows c_kj^m - c_jk^m)
+(FiniteAlgebra.terms) yields; the multiplication matrices, the
+right-ideal test of each level and the centre (rows c_kj^m - c_jk^m)
 read them off directly.  The corner eAe is (eA)e: the columns of L_e are
 row-reduced to a basis of eA, and only those rows are multiplied by e.
+
+The structure constants are held lifted (FieldOps.lift): over Q as
+integers over one table denominator D.  Every product kernel (_product,
+_basis_products, tensor_mult, the trace form) is then a run of integer
+multiply-adds, normalised once per nonzero output entry by
+FieldOps.settle, instead of one gcd-normalised Fraction per term.
 
 Splitting the semisimple quotient is deterministic.  The centre is
 refined by its basis: an idempotent e of a commutative semisimple
@@ -79,7 +85,7 @@ from .linalg import (
     vec_sub,
     zero_vec,
 )
-from .scalars import FieldSpec, Scalar, box, raw_values
+from .scalars import FieldSpec, Scalar, box, lift_pairs, raw_values, settle_all
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +330,11 @@ class FiniteAlgebra:
     """Unital associative algebra with a dense structure-constant table.
 
     table[i][j] is the coefficient vector of e_i * e_j, as Scalars; unit
-    is the coefficient vector of 1.  terms[i][j] lists the nonzero (m, c)
-    of table[i][j] with c a raw field value, built once, at the first
-    product: products walk those lists on raw values, so their cost
+    is the coefficient vector of 1.  terms is (D, lifted): lifted[i][j]
+    lists the nonzero (m, c) of table[i][j] with c lifted over the one
+    table denominator D (FieldOps.lift), built once, at the first
+    product.  Products walk those lists as plain multiply-adds on lifted
+    values and settle once per nonzero output entry, so their cost
     follows the nonzero structure constants rather than dim^3 per pair.
     check=True raises LinAlgError on the first of violations().
     """
@@ -361,13 +369,14 @@ class FiniteAlgebra:
         """Unit-law failures, then associativity failures, one line each.
 
         Basis element i is called names[i], or i when names is None.
-        The unit law reads L_1 and R_1 off terms; (e_i e_j) e_k and
-        e_i (e_j e_k) are each one product of a table entry with a basis
-        vector.
+        The unit law reads L_1 and R_1 off terms.  For each j, (e_i e_j) e_k
+        is column k of L_{e_i e_j} and e_i (e_j e_k) is column i of
+        R_{e_j e_k}, so 2 dim products by basis vectors cover every i, k.
         """
-        names = [str(i) for i in range(self.dim)] if names is None else names
-        unit = _nonzero_raw(self.field, self.unit)
-        one = self.field.ops.one
+        field, dim = self.field, self.dim
+        names = [str(i) for i in range(dim)] if names is None else names
+        unit = _nonzero_raw(field, self.unit)
+        one = field.ops.one
         bad = []
         # 1 e_i and e_i 1 are column i of L_1 and of R_1
         for i, (left, right) in enumerate(zip(
@@ -376,58 +385,73 @@ class FiniteAlgebra:
                 bad.append(f"left unit law fails on {names[i]}")
             if right != {i: one}:
                 bad.append(f"right unit law fails on {names[i]}")
-        terms = self.terms
-        for i, j, k in itertools.product(range(self.dim), repeat=3):
-            # (e_i e_j) e_k = sum c e_m e_k over the terms (m, c) of e_i e_j
-            left = self._combine((c, terms[m][k]) for m, c in terms[i][j])
-            right = self._combine((c, terms[i][m]) for m, c in terms[j][k])
-            if left != right:
-                bad.append("associativity fails at "
-                           f"({names[i]},{names[j]},{names[k]})")
+        table = [[_nonzero_raw(field, v) for v in row] for row in self.table]
+        failed = []
+        for j in range(dim):
+            left = [self._basis_products(table[i][j]) for i in range(dim)]
+            right = [self._basis_products(table[j][k], False)
+                     for k in range(dim)]
+            failed.extend((i, j, k)
+                          for i, k in itertools.product(range(dim), repeat=2)
+                          if left[i][k] != right[k][i])
+        bad.extend(f"associativity fails at ({names[i]},{names[j]},{names[k]})"
+                   for i, j, k in sorted(failed))
         return bad
 
     # -- products ----------------------------------------------------------
 
     @functools.cached_property
-    def terms(self) -> list[list[list]]:
-        return [[_nonzero_raw(self.field, v) for v in row] for row in self.table]
-
-    def _combine(self, scaled) -> dict:
-        """The sum of c * (sum of t e_m over terms) for (c, terms) in
-        scaled, on raw values, as {m: value} with no zero entries.  The
-        keys m are basis indices, or index pairs on A (x) A."""
-        add, mul, is_zero = self.field.ops.add, self.field.ops.mul, \
-            self.field.ops.is_zero
-        acc: dict = {}
-        for c, terms in scaled:
-            for m, t in terms:
-                y = mul(c, t)
-                acc[m] = add(acc[m], y) if m in acc else y
-        return {m: y for m, y in acc.items() if not is_zero(y)}
+    def terms(self) -> tuple:
+        """(D, lifted) with lifted[i][j] the nonzero (m, c) of table[i][j],
+        every c lifted over the one table denominator D."""
+        field = self.field
+        table = [[_nonzero_raw(field, v) for v in row] for row in self.table]
+        flat, denom = field.ops.lift(
+            [c for row in table for tij in row for _, c in tij])
+        it = iter(flat)
+        return denom, [[[(m, next(it)) for m, _ in tij] for tij in row]
+                       for row in table]
 
     def _product(self, u, v) -> dict:
         """u v as {m: raw value} with no zeros, from the nonzero (index,
-        raw value) pairs u and v of two vectors."""
-        mul, terms = self.field.ops.mul, self.terms
-        v = list(v)
-        return self._combine((mul(x, y), terms[i][j])
-                             for i, x in u for j, y in v if terms[i][j])
+        raw value) pairs u and v of two vectors: multiply-adds on lifted
+        values, settled once per output entry."""
+        ops = self.field.ops
+        mul, add = ops.lmul, ops.ladd
+        denom, terms = self.terms
+        u, su = lift_pairs(ops, u)
+        v, sv = lift_pairs(ops, v)
+        acc: dict = {}
+        for i, x in u:
+            row = terms[i]
+            for j, y in v:
+                tij = row[j]
+                if tij:
+                    xy = mul(x, y)
+                    for m, t in tij:
+                        c = mul(xy, t)
+                        acc[m] = add(acc[m], c) if m in acc else c
+        return settle_all(ops, acc, su * sv * denom)
 
     def _basis_products(self, u, left: bool = True) -> list[dict]:
         """u e_j (left) or e_j u, for every j, as {m: raw value} with no
         zeros: the columns of L_u (or R_u), from one pass over the nonzero
-        (index, raw value) pairs u and the terms they meet."""
-        ops, terms, dim = self.field.ops, self.terms, self.dim
-        add, mul, is_zero = ops.add, ops.mul, ops.is_zero
-        cols: list[dict] = [{} for _ in range(dim)]
+        (index, raw value) pairs u and the terms they meet, settled once
+        per output entry."""
+        ops = self.field.ops
+        mul, add = ops.lmul, ops.ladd
+        denom, terms = self.terms
+        u, su = lift_pairs(ops, u)
+        cols: list[dict] = [{} for _ in range(self.dim)]
         for i, c in u:
             # u_i e_i e_j, or e_j u_i e_i, for every j
-            row = terms[i] if left else [terms[j][i] for j in range(dim)]
+            row = terms[i] if left else [r[i] for r in terms]
             for col, tij in zip(cols, row):
                 for m, t in tij:
                     y = mul(c, t)
                     col[m] = add(col[m], y) if m in col else y
-        return [{m: y for m, y in col.items() if not is_zero(y)} for col in cols]
+        scale = su * denom
+        return [settle_all(ops, col, scale) for col in cols]
 
     def _dense(self, sparse: dict) -> list:
         """The raw vector with the entries of {m: raw value} sparse."""
@@ -444,15 +468,24 @@ class FiniteAlgebra:
 
     def tensor_mult(self, a: dict, b: dict) -> dict:
         """Sparse product on A (x) A: (x(x)y)(x'(x)y') = xx'(x)yy', from
-        the terms of e_j e_j' and e_k e_k' on raw values."""
-        field, terms = self.field, self.terms
-        mul = field.ops.mul
-        bv = list(zip(b, raw_values(field, b.values())))
-        acc = self._combine(
-            (mul(c, c2), [((m, m2), mul(lv, rv)) for m, lv in terms[j][j2]
-                          for m2, rv in terms[k][k2]])
-            for (j, k), c in zip(a, raw_values(field, a.values()))
-            for (j2, k2), c2 in bv)
+        the lifted terms of e_j e_j' and e_k e_k', settled once per entry."""
+        field = self.field
+        ops = field.ops
+        mul, add = ops.lmul, ops.ladd
+        denom, terms = self.terms
+        a, sa = lift_pairs(ops, zip(a, raw_values(field, a.values())))
+        b, sb = lift_pairs(ops, zip(b, raw_values(field, b.values())))
+        acc: dict = {}
+        for (j, k), c in a:
+            for (j2, k2), c2 in b:
+                c12, right = mul(c, c2), terms[k][k2]
+                for m, t in terms[j][j2]:
+                    ct = mul(c12, t)
+                    for m2, t2 in right:
+                        y = mul(ct, t2)
+                        key = (m, m2)
+                        acc[key] = add(acc[key], y) if key in acc else y
+        acc = settle_all(ops, acc, sa * sb * denom * denom)
         return dict(zip(acc, box(field, acc.values())))
 
     def left_mult_mat(self, u: tuple) -> Mat:
@@ -486,21 +519,42 @@ class FiniteAlgebra:
 
     # -- radical ---------------------------------------------------------------
 
+    def _lifted_traces(self) -> dict:
+        """{m: tau_m} for the tau_m = sum_k c_mk^k that may be nonzero,
+        lifted over the table denominator D."""
+        add = self.field.ops.ladd
+        taus: dict = {}
+        for m, row in enumerate(self.terms[1]):
+            for k, tmk in enumerate(row):
+                for idx, t in tmk:
+                    if idx == k:
+                        taus[m] = add(taus[m], t) if m in taus else t
+        return taus
+
     def left_traces(self) -> tuple:
         """tau_m = Tr L_{e_m} = sum_k c_mk^k for every basis element e_m."""
-        return tuple(sum((self.table[m][k][k] for k in range(self.dim)),
-                         self.field.zero())
-                     for m in range(self.dim))
+        ops = self.field.ops
+        taus = settle_all(ops, self._lifted_traces(), self.terms[0])
+        return box(self.field, self._dense(taus))
 
     def _trace_form(self) -> Mat:
-        """Gram matrix Tr L_{e_i e_j} = sum_m c_ij^m tau_m, in O(n^3)."""
-        terms = [(m, t) for m, t in enumerate(self.left_traces())
-                 if not t.is_zero()]
-        zero = self.field.zero()
-        return Mat(self.field, [
-            tuple(sum((self.table[i][j][m] * t for m, t in terms), zero)
-                  for j in range(self.dim))
-            for i in range(self.dim)], self.dim)
+        """Gram matrix Tr L_{e_i e_j} = sum_m c_ij^m tau_m, in O(n^3), as
+        lifted multiply-adds over D^2 settled once per entry."""
+        ops = self.field.ops
+        mul, add = ops.lmul, ops.ladd
+        denom, terms = self.terms
+        taus = self._lifted_traces()
+        rows = []
+        for row in terms:
+            acc: dict = {}
+            for j, tij in enumerate(row):
+                for m, t in tij:
+                    if m in taus:
+                        y = mul(t, taus[m])
+                        acc[j] = add(acc[j], y) if j in acc else y
+            rows.append(box(self.field,
+                            self._dense(settle_all(ops, acc, denom * denom))))
+        return Mat(self.field, rows, self.dim)
 
     def radical(self) -> SubspaceBasis:
         """The Jacobson radical J in canonical form, proved nilpotent.
@@ -569,17 +623,12 @@ class FiniteAlgebra:
     def _require_right_ideal(self, level: SubspaceBasis):
         """Prove level * A is inside level, or LinAlgError.
 
-        Each b e_k is column k of L_b, on raw values.  Its entries at the
-        level's pivots are its only possible coordinates, so it lies in
-        the level exactly when they rebuild it.
+        Each b e_k is column k of L_b, on raw values, and the level's
+        membership test reads it at its pivots.
         """
-        rows = [_nonzero_raw(self.field, r) for r in level.rows]
-        for b in rows:
-            for col in self._basis_products(b):
-                back = self._combine((col[p], r)
-                                     for p, r in zip(level.pivots, rows)
-                                     if p in col)
-                if back != col:
+        for b in level.rows:
+            for col in self._basis_products(_nonzero_raw(self.field, b)):
+                if not level.contains_raw(self._dense(col)):
                     raise LinAlgError("a level of the radical chain is not a "
                                       "right ideal; algebra data corrupt")
 
@@ -615,18 +664,23 @@ class FiniteAlgebra:
 
     def center(self) -> SubspaceBasis:
         """{z : z e_j = e_j z for every j}, the kernel of the rows (j, m)
-        with entry c_kj^m - c_jk^m at k, read off terms."""
-        ops, terms, dim = self.field.ops, self.terms, self.dim
+        with entry c_kj^m - c_jk^m at k, read off the lifted terms."""
+        ops, dim = self.field.ops, self.dim
+        mul, add = ops.lmul, ops.ladd
+        denom, terms = self.terms
+        minus_one = ops.lift([ops.neg(ops.one)])[0][0]
         rows: dict = {}
         for j, k in itertools.product(range(dim), repeat=2):
             for m, c in terms[k][j]:
-                row = rows.setdefault((j, m), [ops.zero] * dim)
-                row[k] = ops.add(row[k], c)
+                row = rows.setdefault((j, m), {})
+                row[k] = add(row[k], c) if k in row else c
             for m, c in terms[j][k]:
-                row = rows.setdefault((j, m), [ops.zero] * dim)
-                row[k] = ops.sub(row[k], c)
-        return kernel_raw(self.field, [r for r in rows.values()
-                                       if not all(map(ops.is_zero, r))], dim)
+                row = rows.setdefault((j, m), {})
+                c = mul(minus_one, c)
+                row[k] = add(row[k], c) if k in row else c
+        settled = (settle_all(ops, r, denom) for r in rows.values())
+        return kernel_raw(self.field, [self._dense(r) for r in settled if r],
+                          dim)
 
     # -- idempotents ------------------------------------------------------------
 

@@ -20,11 +20,13 @@ proved not split over the base field; SplittingSearchExhausted when the
 bounded search inside a block finds nothing, which proves nothing.
 
 Tensors in H (x) H are the sparse dicts of linalg (t2_add_term and
-its siblings).
+its siblings).  delta_vec multiplies and adds on the comultiplication
+table lifted once (FieldOps.lift) and settles once per tensor entry.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -50,7 +52,8 @@ from .linalg import (
     vec_sub,
     zero_vec,
 )
-from .scalars import FieldSpec, Scalar
+from .scalars import (FieldSpec, Scalar, box, lift_pairs, raw_values,
+                      settle_all)
 
 
 def as_scalar(field: FieldSpec, v) -> Scalar:
@@ -240,14 +243,33 @@ class Coalgebra:
             out += (" - " + t[1:]) if t.startswith("-") else (" + " + t)
         return out
 
+    @functools.cached_property
+    def _lifted_comul(self) -> tuple:
+        """(scale, lifted): lifted[i] lists the ((j, k), c) of Delta(e_i),
+        every c lifted over the one scale."""
+        field = self.field
+        entries = [list(d.items()) for d in self.comul]
+        flat, scale = field.ops.lift(
+            raw_values(field, [c for e in entries for _, c in e]))
+        it = iter(flat)
+        return scale, [[(key, next(it)) for key, _ in e] for e in entries]
+
     def delta_vec(self, vec) -> dict:
-        out: dict = {}
-        for i, c in enumerate(vec):
-            if c.is_zero():
-                continue
-            for key, val in self.comul[i].items():
-                t2_add_term(out, key, c * val)
-        return out
+        """Delta(vec) as a sparse tensor {(j, k): Scalar} with no zeros."""
+        field = self.field
+        ops = field.ops
+        mul, add, is_zero = ops.lmul, ops.ladd, ops.is_zero
+        scale, table = self._lifted_comul
+        coeffs, sc = lift_pairs(ops, ((i, x) for i, x in
+                                      enumerate(raw_values(field, vec))
+                                      if not is_zero(x)))
+        acc: dict = {}
+        for i, c in coeffs:
+            for key, t in table[i]:
+                y = mul(c, t)
+                acc[key] = add(acc[key], y) if key in acc else y
+        acc = settle_all(ops, acc, sc * scale)
+        return dict(zip(acc, box(field, acc.values())))
 
     def subcoalgebra_support(self, vec) -> list[int]:
         """The least S containing supp(vec) with every (j, k) of Delta(e_i),

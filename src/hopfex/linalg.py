@@ -13,7 +13,8 @@ Only construction eliminates.  Once a SubspaceBasis is canonical,
 membership, coordinates and hyperplane cuts read its pivots: v lies in
 the span exactly when its entries at the pivots rebuild it, and cutting
 by a functional clears one row against the others without leaving
-canonical form.
+canonical form.  The rebuild is a sum of products on the rows lifted
+once (FieldOps.lift), settled once per entry it checks.
 
 Vectors are tuples of Scalars.  Matrices are Mat objects (row major).
 Sizes here are desk scale (dimension a few dozen), so the classical
@@ -23,7 +24,8 @@ O(n^3) algorithms are used without blocking tricks.
 from __future__ import annotations
 
 from .errors import NoSolution, ShapeMismatch
-from .scalars import FieldSpec, Scalar, box, raw_values
+from .scalars import (FieldSpec, Scalar, box, lift_pairs, raw_values,
+                      settle_all)
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +318,32 @@ def kernel_raw(field: FieldSpec, work: list[list], n: int) -> "SubspaceBasis":
                          canonical=True)
 
 
+def _rref_augmented(m: Mat, rhs_rows) -> tuple[list[list], list[int]]:
+    """Canonical RREF of [m | rhs] on raw values, and its pivot columns.
+
+    The all-zero rows are dropped before elimination: they carry no
+    condition, and the RREF is unique, so the result is the same.  A zero
+    row of m beside a nonzero right-hand side is not all-zero and stays.
+    """
+    field = m.field
+    is_zero = field.ops.is_zero
+    work = [raw_values(field, a + b) for a, b in zip(m.rows, rhs_rows)]
+    work = [r for r in work if not all(map(is_zero, r))]
+    return work, rref_raw(field, work)
+
+
 def solve(m: Mat, b: tuple) -> tuple:
     """One exact solution of m @ x = b (free variables zero), or NoSolution."""
     if len(b) != m.nrows:
         raise ShapeMismatch(f"rhs length {len(b)} vs {m.nrows} rows")
-    aug = [m.rows[i] + (b[i],) for i in range(m.nrows)]
-    red, pivots = rref_rows(m.field, aug)
+    red, pivots = _rref_augmented(m, [(c,) for c in b])
     n = m.ncols
-    z = m.field.zero()
-    x = [z] * n
+    x = [m.field.ops.zero] * n
     for r, p in zip(red, pivots):
         if p == n:
             raise NoSolution("inconsistent linear system")
         x[p] = r[n]
-    return tuple(x)
+    return box(m.field, x)
 
 
 def solve_columns(m: Mat, rhs: Mat) -> Mat:
@@ -343,12 +357,12 @@ def solve_columns(m: Mat, rhs: Mat) -> Mat:
     if rhs.nrows != m.nrows:
         raise ShapeMismatch(f"rhs with {rhs.nrows} rows vs {m.nrows} rows")
     n = m.ncols
-    red, pivots = rref_rows(m.field, [a + b for a, b in zip(m.rows, rhs.rows)])
+    red, pivots = _rref_augmented(m, rhs.rows)
     if pivots and pivots[-1] >= n:
         raise NoSolution("inconsistent linear system")
     x = [(m.field.zero(),) * rhs.ncols] * n
     for r, p in zip(red, pivots):
-        x[p] = r[n:]
+        x[p] = box(m.field, r[n:])
     return Mat(m.field, x, rhs.ncols)
 
 
@@ -364,10 +378,11 @@ def _pivot_columns(rows) -> list[int]:
 class SubspaceBasis:
     """A subspace of k^n held as a canonical RREF basis (rows).
 
-    pivots holds the pivot column of each row.
+    pivots holds the pivot column of each row.  The rows' entries off the
+    pivots are lifted once, at the first membership test.
     """
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    __slots__ = ("field", "ambient", "rows", "pivots", "_lifted")
 
     def __init__(self, field: FieldSpec, ambient: int, rows, *, canonical: bool = False):
         rows = [tuple(r) for r in rows]
@@ -382,6 +397,7 @@ class SubspaceBasis:
         self.ambient = ambient
         self.rows = rows
         self.pivots = pivots
+        self._lifted = None
 
     @classmethod
     def full(cls, field: FieldSpec, n: int) -> "SubspaceBasis":
@@ -414,21 +430,53 @@ class SubspaceBasis:
 
         Each row is 1 at its pivot and every other row is 0 there, so
         the only candidates are v's entries at the pivots; v lies in the
-        span exactly when they rebuild it.
+        span exactly when they rebuild it (contains_raw).
         """
         if len(v) != self.ambient:
             raise ShapeMismatch("vector length differs from ambient dimension")
-        coords = tuple(v[p] for p in self.pivots)
-        back = list(zero_vec(self.field, self.ambient))
-        for c, r in zip(coords, self.rows):
-            if c.is_zero():
-                continue
-            for j, x in enumerate(r):
-                if not x.is_zero():
-                    back[j] = back[j] + c * x
-        if tuple(back) != tuple(v):
+        if not self.contains_raw(raw_values(self.field, v)):
             raise NoSolution("vector is not in the subspace")
-        return coords
+        return tuple(v[p] for p in self.pivots)
+
+    def contains_raw(self, vals: list) -> bool:
+        """Whether the raw vector vals lies in the span.
+
+        Its entries at the pivots, lifted, times the lifted rows rebuild
+        it at the pivots by construction; the rebuild is settled and
+        compared at the other columns only.
+        """
+        ops = self.field.ops
+        mul, add, is_zero = ops.lmul, ops.ladd, ops.is_zero
+        scale, free, rows = self._lifted_rows()
+        coords, sc = lift_pairs(ops, ((k, vals[p])
+                                      for k, p in enumerate(self.pivots)
+                                      if not is_zero(vals[p])))
+        back: dict = {}
+        for k, c in coords:
+            for j, x in rows[k]:
+                y = mul(c, x)
+                back[j] = add(back[j], y) if j in back else y
+        back = settle_all(ops, back, sc * scale)
+        raw_zero = ops.zero
+        return all(back.get(j, raw_zero) == vals[j] for j in free)
+
+    def _lifted_rows(self) -> tuple:
+        """(scale, free columns, rows): each row's nonzero entries at the
+        non-pivot columns, lifted over one scale."""
+        if self._lifted is None:
+            ops = self.field.ops
+            pivots = set(self.pivots)
+            free = [j for j in range(self.ambient) if j not in pivots]
+            entries = []
+            for r in self.rows:
+                vals = raw_values(self.field, r)
+                entries.append([(j, vals[j]) for j in free
+                                if not ops.is_zero(vals[j])])
+            flat, scale = ops.lift([x for e in entries for _, x in e])
+            it = iter(flat)
+            self._lifted = (scale, free,
+                            [[(j, next(it)) for j, _ in e] for e in entries])
+        return self._lifted
 
     def contains(self, other: "SubspaceBasis") -> bool:
         return all(self.contains_vector(r) for r in other.rows)

@@ -23,6 +23,15 @@ FiniteAlgebra.mult) run on raw values directly: they unbox once with
 raw_values and box once with box.  Boxing always goes through
 Scalar(field, v), so counting Scalar.__init__ counts every Scalar made.
 
+Sums of products are evaluated with delayed normalisation.  FieldOps.lift
+turns raw values into integers over one common scale (numerators over
+the lcm of the denominators on Q; the values themselves, scale 1, on
+F_p), a kernel multiplies and adds those integers with no reduction,
+and FieldOps.settle turns each nonzero output entry back into one
+canonical raw value: one gcd on Q, one reduction mod p on F_p.  An
+extension field lifts by the identity, so the same kernels run on its
+own mul and add.
+
 No floating point anywhere.
 """
 
@@ -30,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -191,20 +201,44 @@ def _is_irreducible(coeffs: list, p: int) -> bool:
 _INV_CACHE_SIZE = 1024  # inverses remembered per extension field
 
 
+def _lift_rationals(vals) -> tuple[list[int], int]:
+    """Integer numerators of Fractions over the lcm of their denominators."""
+    vals = list(vals)
+    dens = {v.denominator for v in vals}
+    if dens <= {1}:
+        return [v.numerator for v in vals], 1
+    d = math.lcm(*dens)
+    return [v.numerator * (d // v.denominator) for v in vals], d
+
+
 class FieldOps:
     """Arithmetic on the canonical raw values of one field.
 
     zero and one are raw values; add, sub and mul take two, neg, inv and
     is_zero one.  Every result is canonical again.  inv of zero is not
     checked here; Scalar.inverse raises DivisionByZero first.
+
+    lift and settle delay normalisation in sums of products.  lift(vals)
+    returns (lifted, scale): on Q, integers over one common scale, the lcm
+    of the denominators; on F_p, the values themselves with scale 1.
+    Lifted values are multiplied with lmul and added with ladd; on Q and
+    F_p these are plain integer operations, never reduced mod p, so a
+    product of lifted values lies over the product of their scales.
+    settle(acc, scale) returns the canonical raw value of acc over scale:
+    Fraction(acc, scale) on Q, acc % p on F_p.  A kernel settles once per
+    output entry, so it normalises once per entry, not once per term.  An
+    extension field lifts by the identity (scale 1), its lmul and ladd
+    are its own mul and add, and settle returns acc.
     """
 
-    __slots__ = ("zero", "one", "add", "sub", "neg", "mul", "inv", "is_zero")
+    __slots__ = ("zero", "one", "add", "sub", "neg", "mul", "inv", "is_zero",
+                 "lift", "settle", "lmul", "ladd")
 
     def __init__(self, char: int, modulus: tuple | None):
         if modulus:
             self._extension(char, modulus)
-        elif char:
+            return
+        if char:
             p = char
             self.zero, self.one = 0, 1
             self.add = lambda a, b: (a + b) % p
@@ -212,14 +246,18 @@ class FieldOps:
             self.neg = lambda a: -a % p
             self.mul = lambda a, b: a * b % p
             self.inv = lambda a: pow(a, p - 2, p)
-            self.is_zero = operator.not_
+            self.lift = lambda vals: (list(vals), 1)
+            self.settle = lambda acc, scale: acc % p
         else:
             one = Fraction(1)
             self.zero, self.one = Fraction(0), one
             self.add, self.sub = operator.add, operator.sub
             self.neg, self.mul = operator.neg, operator.mul
             self.inv = lambda a: one / a
-            self.is_zero = operator.not_
+            self.lift = _lift_rationals
+            self.settle = Fraction
+        self.is_zero = operator.not_
+        self.lmul, self.ladd = operator.mul, operator.add
 
     def _extension(self, p: int, modulus: tuple):
         d = len(modulus) - 1
@@ -279,6 +317,10 @@ class FieldOps:
         self.mul = mul
         self.inv = inv
         self.is_zero = lambda a: not any(a)
+        # the identity lift: kernels run on this field's own mul and add
+        self.lift = lambda vals: (list(vals), 1)
+        self.settle = lambda acc, scale: acc
+        self.lmul, self.ladd = mul, self.add
 
 
 def raw_values(field: "FieldSpec", vec) -> list:
@@ -292,6 +334,25 @@ def raw_values(field: "FieldSpec", vec) -> list:
             raise FieldMismatch(
                 f"scalars from {field.describe()} and {x.field.describe()}")
     return vals
+
+
+def lift_pairs(ops: FieldOps, pairs) -> tuple[list, object]:
+    """The (key, raw value) pairs with their values lifted, and the scale."""
+    pairs = list(pairs)
+    vals, scale = ops.lift([v for _, v in pairs])
+    return [(k, x) for (k, _), x in zip(pairs, vals)], scale
+
+
+def settle_all(ops: FieldOps, acc: dict, scale) -> dict:
+    """{key: raw value} of the lifted entries of acc over scale, zeros
+    dropped: one settle per entry."""
+    settle, is_zero = ops.settle, ops.is_zero
+    out = {}
+    for k, a in acc.items():
+        y = settle(a, scale)
+        if not is_zero(y):
+            out[k] = y
+    return out
 
 
 def box(field: "FieldSpec", vals) -> tuple:

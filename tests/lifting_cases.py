@@ -1,0 +1,117 @@
+"""Inputs with real denominators for the lifted kernels' reference tests.
+
+The lifted kernels put every value over one common scale and normalise
+once per output entry, so their inputs here carry denominators 2 to 7:
+scalars made by from_fraction, and structure constants rescaled by such
+scalars.  The fields include a char-0 extension whose modulus is not
+integral, two finite extensions and a prime field larger than any
+denominator.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+from hopfex import GF, QQ, Coalgebra, FieldSpec
+from hopfex.algebra import FiniteAlgebra
+from hopfex.zoo import dual_group_algebra, sweedler, symmetric, taft
+
+HALF_ROOT = FieldSpec(0, modulus=[Fraction(-1, 2), 0, 1])  # Q[t]/(t^2 - 1/2)
+F4 = GF(2, modulus=[1, 1, 1])
+F9 = GF(3, modulus=[1, 0, 1])
+F13 = GF(13)
+QZ5 = FieldSpec(0, cyclotomic_order=5)
+
+# (test id, field)
+LIFT_FIELDS = [("Q", QQ), ("Q_sqrt_half", HALF_ROOT), ("F_4", F4), ("F_9", F9),
+               ("F_13", F13), ("Q_zeta5", QZ5)]
+
+
+def hopf_case(field):
+    """A small Hopf algebra over field, non-commutative or non-semisimple."""
+    if field == QQ:
+        return dual_group_algebra(symmetric(3), QQ)
+    if field == HALF_ROOT:
+        return sweedler(field)
+    if field == F9:
+        return taft(4, field)
+    return taft(5 if field == QZ5 else 3, field)
+
+
+def fraction(field, rng):
+    """A nonzero from_fraction scalar with numerator and denominator in
+    2 .. 7, neither divisible by the characteristic."""
+    while True:
+        a, b = rng.randint(2, 7), rng.randint(2, 7)
+        if not field.char or (a % field.char and b % field.char):
+            return field.from_fraction(Fraction(rng.choice((a, -a)), b))
+
+
+def fraction_scalar(field, rng):
+    """A seeded scalar of field built from fractions, zero about a
+    quarter of the time; on an extension it also has a t-coefficient."""
+    if rng.random() < 0.25:
+        return field.zero()
+    s = fraction(field, rng)
+    if field.modulus and rng.random() < 0.7:
+        s = s + fraction(field, rng) * field.gen()
+    return s
+
+
+def fraction_vector(field, rng, n):
+    return tuple(fraction_scalar(field, rng) for _ in range(n))
+
+
+def basis_scales(field, dim, seed):
+    """Nonzero scalars d_0, ..., d_{dim-1} with denominators."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < dim:
+        d = fraction_scalar(field, rng)
+        if not d.is_zero():
+            out.append(d)
+    return out
+
+
+def rescaled_algebra(alg, scales):
+    """alg on the basis e'_i = d_i e_i: c'_ij^m = c_ij^m d_i d_j / d_m."""
+    inv = [d.inverse() for d in scales]
+    terms = {(i, j, m): c * scales[i] * scales[j] * inv[m]
+             for i, j in itertools.product(range(alg.dim), repeat=2)
+             for m, c in enumerate(alg.table[i][j]) if not c.is_zero()}
+    unit = tuple(u * d for u, d in zip(alg.unit, inv))
+    return FiniteAlgebra.from_terms(alg.field, alg.dim, terms, unit)
+
+
+def rescaled_coalgebra(h, scales):
+    """h's coalgebra on e'_i = d_i e_i:
+    Delta(e'_i) = sum c d_i / (d_j d_k) e'_j (x) e'_k."""
+    inv = [d.inverse() for d in scales]
+    comul = {(i, j, k): c * scales[i] * inv[j] * inv[k]
+             for i in range(h.dim) for (j, k), c in h.comul[i].items()}
+    return Coalgebra(h.field, h.names, comul,
+                     [e * d for e, d in zip(h.counit, scales)])
+
+
+def has_denominators(values) -> bool:
+    """Whether some rational coefficient among the Scalars is not an
+    integer."""
+    for s in values:
+        coeffs = s.val if isinstance(s.val, tuple) else (s.val,)
+        if any(isinstance(c, Fraction) and c.denominator != 1 for c in coeffs):
+            return True
+    return False
+
+
+def is_canonical(field, raw) -> bool:
+    """Whether raw has the canonical type of field's raw values: Fraction
+    on Q, int on F_p, a tuple of those on an extension."""
+    def coeff_ok(c):
+        if field.char:
+            return type(c) is int and 0 <= c < field.char
+        return type(c) is Fraction
+
+    if field.modulus:
+        return (type(raw) is tuple and len(raw) == field.degree
+                and all(map(coeff_ok, raw)))
+    return coeff_ok(raw)

@@ -7,9 +7,13 @@ restarts at the first idempotent after every split, and the block
 search with its seeded random candidates.  The routines that read
 products by basis vectors off the structure constants (multiplication
 matrices, centre, corners, the right-ideal test and ideal powers) are
-compared with their earlier forms, which multiply by unit vectors.
+compared with their earlier forms, which multiply by unit vectors.  The
+lifted kernels (products, products by basis vectors, traces and the
+trace form) are compared with the Scalar loops they replaced, on
+structure constants and vectors with denominators 2 to 7.
 """
 
+import functools
 import itertools
 import random
 
@@ -24,6 +28,9 @@ from hopfex.linalg import (Mat, SubspaceBasis, kernel, rref_rows, solve,
 from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
                         restricted_poly, sweedler, symmetric, taft,
                         tensor_product)
+from lifting_cases import (F13, LIFT_FIELDS, basis_scales, fraction_vector,
+                           has_denominators, hopf_case, is_canonical,
+                           rescaled_algebra, rescaled_coalgebra)
 
 
 def reference_radical(alg):
@@ -415,3 +422,133 @@ def test_basis_product_routines_make_no_products(monkeypatch):
         q.corner_basis(e)
     alg.ideal_powers(powers[0])
     assert calls == []
+
+
+# -- lifted kernels: the Scalar loops they replaced -------------------------
+
+def reference_basis_products(alg, u, left=True):
+    """The columns u e_j (or e_j u) of L_u (or R_u) as a Scalar loop over
+    table."""
+    cols = []
+    for j in range(alg.dim):
+        out = list(zero_vec(alg.field, alg.dim))
+        for i, ui in enumerate(u):
+            if ui.is_zero():
+                continue
+            for m, t in enumerate(alg.table[i][j] if left else alg.table[j][i]):
+                if not t.is_zero():
+                    out[m] = out[m] + ui * t
+        cols.append(tuple(out))
+    return cols
+
+
+def reference_left_traces(alg):
+    """left_traces as the Scalar sum it replaced."""
+    return tuple(sum((alg.table[m][k][k] for k in range(alg.dim)),
+                     alg.field.zero())
+                 for m in range(alg.dim))
+
+
+def reference_trace_form(alg):
+    """_trace_form as the Scalar loop over table it replaced."""
+    taus = [(m, t) for m, t in enumerate(reference_left_traces(alg))
+            if not t.is_zero()]
+    zero = alg.field.zero()
+    return Mat(alg.field, [
+        tuple(sum((alg.table[i][j][m] * t for m, t in taus), zero)
+              for j in range(alg.dim))
+        for i in range(alg.dim)], alg.dim)
+
+
+def raw_sparse(vec):
+    """(index, raw value) of the nonzero entries of a Scalar vector."""
+    return [(i, x.val) for i, x in enumerate(vec) if not x.is_zero()]
+
+
+def lifted_algebra(field, dual):
+    """H, or the dual algebra of H, for the Hopf algebra of lifting_cases
+    over field, on a basis rescaled by scalars with denominators."""
+    h = hopf_case(field)
+    scales = basis_scales(field, h.dim, 5)
+    if dual:
+        return rescaled_coalgebra(h, scales).dual_algebra()
+    return rescaled_algebra(FiniteAlgebra(field, h.mul_table, h.unit), scales)
+
+
+def rescaled_quotient_and_center():
+    """The semisimple quotient of kZ2 (x) dual-kS3 and its centre, whose
+    constants are the integers 0 to 3, on bases rescaled by scalars with
+    denominators."""
+    q, zmap = quotient_and_center(kZ2_dual_kS3())
+    return tuple(rescaled_algebra(a, basis_scales(QQ, a.dim, 7))
+                 for a in (q, zmap.algebra))
+
+
+LIFTED_ALGEBRAS = [
+    (f"{name}-{kind}", functools.partial(lifted_algebra, field, kind == "dual"))
+    for name, field in LIFT_FIELDS for kind in ("H", "dual")] + [
+    ("kZ2_dual_kS3-quotient", lambda: rescaled_quotient_and_center()[0]),
+    ("kZ2_dual_kS3-centre", lambda: rescaled_quotient_and_center()[1])]
+
+
+@pytest.mark.parametrize("make", [case[1] for case in LIFTED_ALGEBRAS],
+                         ids=[case[0] for case in LIFTED_ALGEBRAS])
+def test_lifted_kernels_match_the_scalar_references(make):
+    alg = make()
+    field = alg.field
+    if field.char == 0:
+        assert has_denominators(x for row in alg.table for v in row for x in v)
+    rng = random.Random(17)
+    vecs = [fraction_vector(field, rng, alg.dim) for _ in range(3)]
+    assert field.char or has_denominators(x for v in vecs for x in v)
+    for u in vecs + [alg.unit, unit_vec(field, alg.dim, alg.dim - 1)]:
+        for left in (True, False):
+            got = alg._basis_products(raw_sparse(u), left)
+            want = reference_basis_products(alg, u, left)
+            assert got == [dict(raw_sparse(c)) for c in want]
+            assert all(is_canonical(field, y)
+                       for col in got for y in col.values())
+    for u, v in zip(vecs, vecs[1:] + [alg.unit]):
+        got = alg._product(raw_sparse(u), raw_sparse(v))
+        assert got == dict(raw_sparse(reference_mult(alg, u, v)))
+        assert all(is_canonical(field, y) for y in got.values())
+    traces, form = alg.left_traces(), alg._trace_form()
+    assert traces == reference_left_traces(alg)
+    assert form == reference_trace_form(alg)
+    assert all(is_canonical(field, x.val)
+               for x in itertools.chain(traces, *form.rows))
+
+
+@pytest.mark.parametrize("field", [QQ, F13], ids=["Q", "F_13"])
+def test_lifted_kernels_make_no_field_products(field, monkeypatch):
+    h = hopf_case(field)
+    coalg = rescaled_coalgebra(h, basis_scales(field, h.dim, 5))
+    alg = coalg.dual_algebra()
+    rng = random.Random(3)
+    u, v = (fraction_vector(field, rng, h.dim) for _ in range(2))
+    space = SubspaceBasis(field, h.dim, [u, v])
+    member, other = vec_sub(u, v), fraction_vector(field, rng, h.dim)
+    calls = []
+
+    def counting(name):
+        original = getattr(field.ops, name)
+
+        def counted(a, b):
+            calls.append(name)
+            return original(a, b)
+        return counted
+
+    for name in ("mul", "add"):
+        monkeypatch.setattr(field.ops, name, counting(name))
+    alg._product(raw_sparse(u), raw_sparse(v))
+    alg._basis_products(raw_sparse(u))
+    alg._basis_products(raw_sparse(v), False)
+    alg._trace_form()
+    alg.left_traces()
+    alg.tensor_mult(coalg.delta_vec(u), coalg.delta_vec(v))
+    space.coords_of(member)
+    assert not space.contains_vector(other)
+    assert calls == []
+    # the counter does see the Scalar loop the kernels replaced
+    reference_mult(alg, u, v)
+    assert "mul" in calls and "add" in calls

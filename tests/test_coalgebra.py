@@ -1,5 +1,7 @@
 """Coalgebra engine: axioms, coradical filtration, simples, bicomponents."""
 
+import random
+
 import pytest
 
 from hopfex import GF, QQ, Coalgebra, FieldSpec
@@ -7,10 +9,13 @@ from hopfex.algebra import FiniteAlgebra
 from hopfex.coalgebra import coalgebra_amalgam, tensor_square_subspace
 from hopfex.errors import (AxiomViolation, FieldMismatch, IncompatibleBase,
                            InvariantViolation, NonSplitField, UnknownSimple)
-from hopfex.linalg import (SubspaceBasis, t2_flatten, t2_from_pair, unit_vec,
-                           vec_add, vec_is_zero, zero_vec)
+from hopfex.linalg import (SubspaceBasis, t2_add_term, t2_flatten, t2_from_pair,
+                           unit_vec, vec_add, vec_is_zero, zero_vec)
 from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
                         restricted_poly, sweedler, symmetric, taft)
+from lifting_cases import (LIFT_FIELDS, basis_scales, fraction_vector,
+                           has_denominators, hopf_case, is_canonical,
+                           rescaled_coalgebra)
 
 
 def test_axiom_check_passes_on_zoo(zoo):
@@ -281,3 +286,31 @@ def test_is_grouplike_matches_the_simples(zoo):
     x = s.basis_element(s.index_of("x")).vec
     assert not s.is_grouplike(x)
     assert not s.is_grouplike(vec_add(s.unit, x))
+
+
+def reference_delta_vec(h, vec):
+    """delta_vec as the Scalar loop it replaced."""
+    out: dict = {}
+    for i, c in enumerate(vec):
+        if c.is_zero():
+            continue
+        for key, val in h.comul[i].items():
+            t2_add_term(out, key, c * val)
+    return out
+
+
+@pytest.mark.parametrize("field", [f for _, f in LIFT_FIELDS],
+                         ids=[name for name, _ in LIFT_FIELDS])
+def test_delta_vec_matches_the_scalar_reference(field):
+    h = hopf_case(field)
+    coalg = rescaled_coalgebra(h, basis_scales(field, h.dim, 5))
+    if field.char == 0:
+        assert has_denominators(c for d in coalg.comul for c in d.values())
+    rng = random.Random(23)
+    vecs = [fraction_vector(field, rng, h.dim) for _ in range(4)]
+    units = [unit_vec(field, h.dim, i) for i in range(h.dim)]
+    for v in vecs + units:
+        got = coalg.delta_vec(v)
+        assert got == reference_delta_vec(coalg, v)
+        assert all(is_canonical(field, c.val) and not c.is_zero()
+                   for c in got.values())

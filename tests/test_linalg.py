@@ -6,11 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfex import GF, QQ, FieldSpec, linalg
+import hopfex.extension
+from hopfex import GF, QQ, Element, FieldSpec, linalg
 from hopfex.errors import FieldMismatch, NoSolution, ShapeMismatch
 from hopfex.linalg import (Mat, SubspaceBasis, kernel, rref, rref_raw,
                            rref_rows, solve, solve_columns, unit_vec, vec_add,
                            vec_is_zero, vec_scale, vec_sub, zero_vec)
+from hopfex.extension import extend_coalgebra
+from hopfex.zoo import taft
+from lifting_cases import (LIFT_FIELDS, fraction_scalar, fraction_vector,
+                           has_denominators)
 
 F5 = GF(5)
 
@@ -437,3 +442,117 @@ def test_rref_rows_rejects_rows_from_two_fields():
         rref_rows(F5, [(F5.one(), F5.zero()), (f7.one(), f7.one())])
     with pytest.raises(FieldMismatch):
         rref_rows(F5, [(F5.one(), f7.zero())])
+
+
+# -- lifted membership and solving without the zero rows --------------------
+
+def reference_coords_of(space, v):
+    """coords_of as the Scalar loop it replaced."""
+    coords = tuple(v[p] for p in space.pivots)
+    back = list(zero_vec(space.field, space.ambient))
+    for c, r in zip(coords, space.rows):
+        if c.is_zero():
+            continue
+        for j, x in enumerate(r):
+            if not x.is_zero():
+                back[j] = back[j] + c * x
+    if tuple(back) != tuple(v):
+        raise NoSolution("vector is not in the subspace")
+    return coords
+
+
+def value_or_none(f, arg):
+    """f(arg), or None when it raises NoSolution."""
+    try:
+        return f(arg)
+    except NoSolution:
+        return None
+
+
+@pytest.mark.parametrize("field", [f for _, f in LIFT_FIELDS],
+                         ids=[name for name, _ in LIFT_FIELDS])
+def test_coords_of_matches_the_scalar_reference(field):
+    rng = random.Random(29)
+    found = set()
+    for _ in range(12):
+        n, k = rng.randint(2, 7), rng.randint(1, 4)
+        gens = [fraction_vector(field, rng, n) for _ in range(k)]
+        space = SubspaceBasis(field, n, gens)
+        members = []
+        for _ in range(3):
+            v = zero_vec(field, n)
+            for g in gens:
+                v = vec_add(v, vec_scale(fraction_scalar(field, rng), g))
+            members.append(v)
+        for v in members + [fraction_vector(field, rng, n) for _ in range(3)]:
+            want = value_or_none(lambda w: reference_coords_of(space, w), v)
+            assert value_or_none(space.coords_of, v) == want
+            assert space.contains_vector(v) == (want is not None)
+            found.add(want is not None)
+        if field.char == 0:
+            found.add(has_denominators(x for r in space.rows for x in r))
+    assert found == {True, False}
+
+
+def reference_solve(m, b):
+    """solve before it dropped the all-zero rows of [m | b]."""
+    n = m.ncols
+    red, pivots = rref_rows(m.field, [m.rows[i] + (b[i],) for i in range(m.nrows)])
+    x = [m.field.zero()] * n
+    for r, p in zip(red, pivots):
+        if p == n:
+            raise NoSolution("inconsistent linear system")
+        x[p] = r[n]
+    return tuple(x)
+
+
+def skew_systems(z, g, h, n):
+    """The systems (m, b) that the skew-primitive solver hands to solve
+    while z, in the (g, h) bicomponent of taft16 over Q(zeta_4), is
+    extended to a corner at degree n."""
+    taft16 = taft(4, FieldSpec(0, cyclotomic_order=4))
+    systems = []
+    original = hopfex.extension.solve
+
+    def recording(m, b):
+        systems.append((m, b))
+        return original(m, b)
+
+    def power_of_g(k):
+        return Element(taft16, taft16.power_vec(taft16.basis_element(1).vec, k))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hopfex.extension, "solve", recording)
+        extend_coalgebra(taft16, power_of_g(g), power_of_g(h),
+                         taft16.basis_element(taft16.index_of(z)), n)
+    return systems
+
+
+# Taft9 extensions have degree at most 2 and never reach the solver.
+@pytest.mark.parametrize("z, g, h", [("x^3", 3, 0), ("gx^3", 0, 1)],
+                         ids=["x^3", "gx^3"])
+def test_solve_without_zero_rows_matches_the_full_reference(z, g, h):
+    systems = skew_systems(z, g, h, 3)
+    assert systems
+    for m, b in systems:
+        zero_rows = [i for i, (r, c) in enumerate(zip(m.rows, b))
+                     if vec_is_zero(r + (c,))]
+        assert zero_rows
+        # a zero row of m beside a nonzero right-hand side has no solution
+        bad = list(b)
+        bad[zero_rows[0]] = m.field.one()
+        for rhs in (b, tuple(bad)):
+            want = value_or_none(lambda r: reference_solve(m, r), rhs)
+            assert value_or_none(lambda r: solve(m, r), rhs) == want
+            assert (want is None) == (rhs is not b)
+
+
+def test_a_zero_row_with_a_nonzero_rhs_still_has_no_solution():
+    m = qmat([[1, 2], [0, 0], [0, 0]])
+    assert solve(m, qvec([3, 0, 0])) == qvec([3, 0])
+    with pytest.raises(NoSolution):
+        solve(m, qvec([3, 0, 1]))
+    with pytest.raises(NoSolution):
+        solve_columns(m, qmat([[1, 3], [0, 0], [0, 1]]))
+    assert solve_columns(m, qmat([[1, 3], [0, 0], [0, 0]])) == \
+        qmat([[1, 3], [0, 0]])

@@ -57,12 +57,10 @@ def test_raised_and_caught_errors_are_bound(path):
     assert not missing, "error classes used but never imported: " + ", ".join(missing)
 
 
-@pytest.mark.parametrize("name", ["algebra.py", "coalgebra.py", "extension.py",
-                                  "hopf.py", "matforms.py", "scalars.py"])
-def test_no_assert_statements(name):
-    # python -O strips asserts; these modules check invariants with require()
-    path = SRC / name
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips asserts; the modules check invariants with require()
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
-    assert not lines, f"{name} asserts at lines {lines}; use require()"
+    assert not lines, f"{path.name} asserts at lines {lines}; use require()"
