@@ -85,7 +85,8 @@ from .linalg import (
     vec_sub,
     zero_vec,
 )
-from .scalars import FieldSpec, Scalar, box, lift_pairs, raw_values, settle_all
+from .scalars import (FieldSpec, Scalar, box, lift_pairs, nonzero_raw,
+                      raw_values, settle_all)
 
 
 # ---------------------------------------------------------------------------
@@ -128,61 +129,65 @@ def char_poly(m: Mat) -> list[Scalar]:
 
 
 class MinPolySearch:
-    """min_poly_of_powers fed one power at a time.
+    """min_poly_of_powers fed one power at a time, on raw values.
 
-    add(x^n), after x^0, ..., x^(n-1) were added, reduces x^n against the
-    echelon rows kept from the earlier powers (sparse rows, zeros
-    skipped), tracking which combination of powers each row stands for.
+    A power is a sparse raw row {key: raw value} with no zeros; keys are
+    any orderable labels of coordinates (an index m, or a pair (i, m) of
+    a column and an entry).  add(x^n), after x^0, ..., x^(n-1) were
+    added, reduces x^n against the echelon rows kept from the earlier
+    powers, tracking which combination of powers each row stands for.
     It returns None while the powers stay independent, and the monic
-    minimal polynomial (constant term first) at the first power that
-    reduces to zero, since that relation is a combination of the earlier
-    powers.
+    minimal polynomial as raw values (constant term first) at the first
+    power that reduces to zero, since that relation is a combination of
+    the earlier powers.
     """
 
     def __init__(self, field: FieldSpec):
-        self.field = field
-        self.echelon = []  # (pivot, {column: entry} with 1 at pivot, comb)
+        self.ops = field.ops
+        self.echelon = []  # (pivot, {key: raw} with one at pivot, comb)
 
-    def add(self, vec: tuple) -> list[Scalar] | None:
-        zero = self.field.zero()
-        row = {j: c for j, c in enumerate(vec) if not c.is_zero()}
-        comb = [zero] * len(self.echelon) + [self.field.one()]
+    def add(self, row: dict) -> list | None:
+        ops = self.ops
+        mul, add, is_zero = ops.mul, ops.add, ops.is_zero
+        row = dict(row)
+        comb = [ops.zero] * len(self.echelon) + [ops.one]
         for pivot, erow, ecomb in self.echelon:
             c = row.get(pivot)
             if c is None:
                 continue
-            c = -c
+            c = ops.neg(c)
             for j, x in erow.items():
-                y = c * x
+                y = mul(c, x)
                 if j in row:
-                    y = row[j] + y
-                if y.is_zero():
-                    del row[j]
-                else:
-                    row[j] = y
+                    y = add(row[j], y)
+                    if is_zero(y):
+                        del row[j]
+                        continue
+                row[j] = y
             for k, x in enumerate(ecomb):
-                if not x.is_zero():
-                    comb[k] = comb[k] + c * x
+                if not is_zero(x):
+                    comb[k] = add(comb[k], mul(c, x))
         if not row:
             return comb
         pivot = min(row)
-        inv = row[pivot].inverse()
-        self.echelon.append((pivot, {j: inv * x for j, x in row.items()},
-                             [inv * x for x in comb]))
+        inv = ops.inv(row[pivot])
+        self.echelon.append((pivot, {j: mul(inv, x) for j, x in row.items()},
+                             [mul(inv, x) for x in comb]))
         return None
 
 
 def min_poly_of_powers(field: FieldSpec,
-                       powers: Iterable[tuple]) -> list[Scalar] | None:
-    """Monic minimal polynomial of x from its powers x^0, x^1, ..., or None.
+                       powers: Iterable[dict]) -> list | None:
+    """Monic minimal polynomial of x, as raw values (constant term first),
+    from its powers x^0, x^1, ... as sparse raw rows, or None.
 
     powers is consumed lazily through MinPolySearch; nothing after the
     first dependent power is taken.  None when the powers run out first,
     all of them independent.
     """
     search = MinPolySearch(field)
-    for vec in powers:
-        mu = search.add(vec)
+    for row in powers:
+        mu = search.add(row)
         if mu is not None:
             return mu
     return None
@@ -375,7 +380,7 @@ class FiniteAlgebra:
         """
         field, dim = self.field, self.dim
         names = [str(i) for i in range(dim)] if names is None else names
-        unit = _nonzero_raw(field, self.unit)
+        unit = nonzero_raw(field, self.unit)
         one = field.ops.one
         bad = []
         # 1 e_i and e_i 1 are column i of L_1 and of R_1
@@ -385,7 +390,7 @@ class FiniteAlgebra:
                 bad.append(f"left unit law fails on {names[i]}")
             if right != {i: one}:
                 bad.append(f"right unit law fails on {names[i]}")
-        table = [[_nonzero_raw(field, v) for v in row] for row in self.table]
+        table = [[nonzero_raw(field, v) for v in row] for row in self.table]
         failed = []
         for j in range(dim):
             left = [self._basis_products(table[i][j]) for i in range(dim)]
@@ -405,7 +410,7 @@ class FiniteAlgebra:
         """(D, lifted) with lifted[i][j] the nonzero (m, c) of table[i][j],
         every c lifted over the one table denominator D."""
         field = self.field
-        table = [[_nonzero_raw(field, v) for v in row] for row in self.table]
+        table = [[nonzero_raw(field, v) for v in row] for row in self.table]
         flat, denom = field.ops.lift(
             [c for row in table for tij in row for _, c in tij])
         it = iter(flat)
@@ -463,18 +468,25 @@ class FiniteAlgebra:
     def mult(self, u: tuple, v: tuple) -> tuple:
         """u v, from the nonzero entries of u and v and terms, on raw values."""
         field = self.field
-        return box(field, self._dense(self._product(_nonzero_raw(field, u),
-                                                    _nonzero_raw(field, v))))
+        return box(field, self._dense(self._product(nonzero_raw(field, u),
+                                                    nonzero_raw(field, v))))
 
     def tensor_mult(self, a: dict, b: dict) -> dict:
-        """Sparse product on A (x) A: (x(x)y)(x'(x)y') = xx'(x)yy', from
-        the lifted terms of e_j e_j' and e_k e_k', settled once per entry."""
+        """Sparse product on A (x) A of two {(j, k): Scalar} tensors."""
         field = self.field
-        ops = field.ops
+        acc = self._tensor_product(zip(a, raw_values(field, a.values())),
+                                   zip(b, raw_values(field, b.values())))
+        return dict(zip(acc, box(field, acc.values())))
+
+    def _tensor_product(self, a, b) -> dict:
+        """(x(x)y)(x'(x)y') = xx'(x)yy' on the ((j, k), raw value) pairs a
+        and b of two tensors, as {(m, m'): raw value} with no zeros: from
+        the lifted terms of e_j e_j' and e_k e_k', settled once per entry."""
+        ops = self.field.ops
         mul, add = ops.lmul, ops.ladd
         denom, terms = self.terms
-        a, sa = lift_pairs(ops, zip(a, raw_values(field, a.values())))
-        b, sb = lift_pairs(ops, zip(b, raw_values(field, b.values())))
+        a, sa = lift_pairs(ops, a)
+        b, sb = lift_pairs(ops, b)
         acc: dict = {}
         for (j, k), c in a:
             for (j2, k2), c2 in b:
@@ -485,15 +497,14 @@ class FiniteAlgebra:
                         y = mul(ct, t2)
                         key = (m, m2)
                         acc[key] = add(acc[key], y) if key in acc else y
-        acc = settle_all(ops, acc, sa * sb * denom * denom)
-        return dict(zip(acc, box(field, acc.values())))
+        return settle_all(ops, acc, sa * sb * denom * denom)
 
     def left_mult_mat(self, u: tuple) -> Mat:
-        return self._mult_mat(self._basis_products(_nonzero_raw(self.field, u)))
+        return self._mult_mat(self._basis_products(nonzero_raw(self.field, u)))
 
     def right_mult_mat(self, u: tuple) -> Mat:
         return self._mult_mat(
-            self._basis_products(_nonzero_raw(self.field, u), False))
+            self._basis_products(nonzero_raw(self.field, u), False))
 
     def _mult_mat(self, cols: list[dict]) -> Mat:
         zero = self.field.ops.zero
@@ -627,7 +638,7 @@ class FiniteAlgebra:
         membership test reads it at its pivots.
         """
         for b in level.rows:
-            for col in self._basis_products(_nonzero_raw(self.field, b)):
+            for col in self._basis_products(nonzero_raw(self.field, b)):
                 if not level.contains_raw(self._dense(col)):
                     raise LinAlgError("a level of the radical chain is not a "
                                       "right ideal; algebra data corrupt")
@@ -640,7 +651,7 @@ class FiniteAlgebra:
         never reaches zero: LinAlgError.
         """
         field = self.field
-        gens = last = [_nonzero_raw(field, v) for v in ideal.rows]
+        gens = last = [nonzero_raw(field, v) for v in ideal.rows]
         out = [ideal]
         while out[-1].dim:
             # every product u v on raw values, then one elimination
@@ -711,8 +722,13 @@ class FiniteAlgebra:
         left ideal whose right identity is the wanted idempotent.
         """
         # e, x, x^2, ..., x^dim in the corner: dim + 1 vectors, dependent
-        mu = min_poly_of_powers(self.field, itertools.accumulate(
-            itertools.repeat(x, self.dim), self.mult, initial=e))
+        field = self.field
+        xnz = nonzero_raw(field, x)
+        mu = min_poly_of_powers(field, itertools.accumulate(
+            itertools.repeat(xnz, self.dim),
+            lambda p, xs: self._product(p.items(), xs),
+            initial=dict(nonzero_raw(field, e))))
+        mu = list(box(field, mu))
         if len(mu) <= 2:
             return None
         for lam in field_roots(self.field, mu):
@@ -810,7 +826,7 @@ class FiniteAlgebra:
             if len(self.corner_basis(e)) == 1:
                 idx += 1
                 continue
-            enz = _nonzero_raw(field, e)
+            enz = nonzero_raw(field, e)
             for b in range(self.dim):
                 eb = self._product(enz, [(b, field.ops.one)])  # e e_b
                 x = box(field, self._dense(self._product(eb.items(), enz)))
@@ -853,17 +869,12 @@ class FiniteAlgebra:
         """Canonical basis of eAe = (eA)e: the columns e e_i of L_e are
         row-reduced to a basis of eA, and only its rows are multiplied by e."""
         field = self.field
-        enz = _nonzero_raw(field, e)
+        enz = nonzero_raw(field, e)
         work = [self._dense(col) for col in self._basis_products(enz)]
         rref_raw(field, work)
         work = [self._dense(self._product(_sparse(field, r), enz)) for r in work]
         rref_raw(field, work)
         return [box(field, r) for r in work]
-
-
-def _nonzero_raw(field: FieldSpec, vec) -> list:
-    """(index, raw value) of the nonzero entries of a vector of Scalars."""
-    return _sparse(field, raw_values(field, vec))
 
 
 def _sparse(field: FieldSpec, vals) -> list:

@@ -36,6 +36,7 @@ from .errors import (
     FieldMismatch,
     IncompatibleBase,
     NonSplitField,
+    ShapeMismatch,
     UnknownSimple,
     require,
 )
@@ -52,8 +53,8 @@ from .linalg import (
     vec_sub,
     zero_vec,
 )
-from .scalars import (FieldSpec, Scalar, box, lift_pairs, raw_values,
-                      settle_all)
+from .scalars import (FieldSpec, Scalar, box, lift_pairs, nonzero_raw,
+                      raw_values, settle_all)
 
 
 def as_scalar(field: FieldSpec, v) -> Scalar:
@@ -257,19 +258,40 @@ class Coalgebra:
     def delta_vec(self, vec) -> dict:
         """Delta(vec) as a sparse tensor {(j, k): Scalar} with no zeros."""
         field = self.field
-        ops = field.ops
-        mul, add, is_zero = ops.lmul, ops.ladd, ops.is_zero
+        acc = self._delta_raw(nonzero_raw(field, vec))
+        return dict(zip(acc, box(field, acc.values())))
+
+    def _delta_raw(self, pairs) -> dict:
+        """Delta of the vector with nonzero (index, raw value) pairs, as
+        {(j, k): raw value} with no zeros, settled once per entry."""
+        ops = self.field.ops
+        mul, add = ops.lmul, ops.ladd
         scale, table = self._lifted_comul
-        coeffs, sc = lift_pairs(ops, ((i, x) for i, x in
-                                      enumerate(raw_values(field, vec))
-                                      if not is_zero(x)))
+        coeffs, sc = lift_pairs(ops, pairs)
         acc: dict = {}
         for i, c in coeffs:
             for key, t in table[i]:
                 y = mul(c, t)
                 acc[key] = add(acc[key], y) if key in acc else y
-        acc = settle_all(ops, acc, sc * scale)
-        return dict(zip(acc, box(field, acc.values())))
+        return settle_all(ops, acc, sc * scale)
+
+    @functools.cached_property
+    def _lifted_counit(self) -> tuple:
+        """(scale, lifted): the counit's values lifted over one scale."""
+        flat, scale = self.field.ops.lift(raw_values(self.field, self.counit))
+        return scale, flat
+
+    def _counit_raw(self, pairs):
+        """eps of the vector with nonzero (index, raw value) pairs, as a
+        raw value: lifted multiply-adds, settled once."""
+        ops = self.field.ops
+        mul, add = ops.lmul, ops.ladd
+        scale, eps = self._lifted_counit
+        coeffs, sc = lift_pairs(ops, pairs)
+        terms = [mul(c, eps[i]) for i, c in coeffs]
+        if not terms:
+            return ops.zero
+        return ops.settle(functools.reduce(add, terms), sc * scale)
 
     def subcoalgebra_support(self, vec) -> list[int]:
         """The least S containing supp(vec) with every (j, k) of Delta(e_i),
@@ -292,7 +314,11 @@ class Coalgebra:
             self.delta_vec(vec) == t2_from_pair(vec, vec)
 
     def counit_vec(self, vec) -> Scalar:
-        return vec_dot(self.counit, vec)
+        """eps(vec), from the nonzero entries of vec against the counit."""
+        if len(vec) != self.dim:
+            raise ShapeMismatch(f"vector lengths {self.dim} vs {len(vec)}")
+        field = self.field
+        return box(field, [self._counit_raw(nonzero_raw(field, vec))])[0]
 
     def __repr__(self):
         return (f"<{type(self).__name__} {self.name!r} dim={self.dim} "

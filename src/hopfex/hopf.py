@@ -34,6 +34,15 @@ x^n mod mu_S, a vector of deg mu_S scalars.  mu_S is found from [0]|_S,
 
 Nothing here needs an antipode.
 
+All of this runs on raw field values (scalars.FieldOps), not Scalars.
+A column [n](e_i) is a sparse {m: raw value}; _convolve reads the
+comultiplication and the structure constants lifted once and settles
+each output entry once, and g = id is the column {k: 1}, so no unit
+vectors are built.  The search eliminates rows keyed by (column, entry),
+mu and the residues x^n mod mu are tuples of raw values, and the
+exponent loop remembers residues by those tuples.  Values are boxed only
+where a public method returns them.
+
 Integrals of the dual are computed twice on purpose: once through
 traces of left multiplications on H*, once through the dual-basis hit
 formula.  The two must agree exactly; tests rely on the redundancy.
@@ -60,13 +69,13 @@ from .errors import (
 )
 from .linalg import (
     Mat,
-    t2_from_pair,
     unit_vec,
     vec_add,
     vec_scale,
     zero_vec,
 )
-from .scalars import FieldSpec
+from .scalars import (FieldOps, FieldSpec, box, lift_pairs, nonzero_raw,
+                      raw_values, settle_all)
 
 
 def pointed_exponent_bound(d: int, p: int, n: int) -> int:
@@ -86,36 +95,52 @@ def pointed_exponent_bound(d: int, p: int, n: int) -> int:
 
 
 def powers_mod(field: FieldSpec, mu: list) -> Iterator[tuple]:
-    """x^0, x^1, x^2, ... mod the monic mu (constant term first), forever.
+    """x^0, x^1, x^2, ... mod the monic mu, forever.
 
-    Each residue is a tuple of deg mu coefficients; a step costs deg mu
-    scalar products.
+    mu is a list of raw values, constant term first.  Each residue is a
+    tuple of deg mu raw values; a step costs deg mu field products.
     """
-    zero = field.zero()
-    tail = [-c for c in mu[:-1]]  # x^deg = sum tail[k] x^k mod mu
-    r = (field.one(),) + (zero,) * (len(tail) - 1)
+    ops = field.ops
+    mul, add, zero = ops.mul, ops.add, ops.zero
+    tail = [ops.neg(c) for c in mu[:-1]]  # x^deg = sum tail[k] x^k mod mu
+    r = (ops.one,) + (zero,) * (len(tail) - 1)
     while True:
         yield r
         top, shifted = r[-1], (zero,) + r[:-1]
-        r = shifted if top.is_zero() else \
-            tuple(a + top * c for a, c in zip(shifted, tail))
+        r = shifted if ops.is_zero(top) else \
+            tuple([add(a, mul(top, c)) for a, c in zip(shifted, tail)])
 
 
-def _combination(field: FieldSpec, dim: int, coeffs, vecs) -> tuple:
-    """sum c v over the pairs of coeffs and vecs; zero terms are skipped."""
-    acc = list(zero_vec(field, dim))
-    for c, v in zip(coeffs, vecs):
-        if c.is_zero():
-            continue
-        for m, x in enumerate(v):
-            if not x.is_zero():
-                acc[m] = acc[m] + c * x
-    return tuple(acc)
+def _lift_columns(ops: FieldOps, cols: dict) -> tuple[dict, object]:
+    """The sparse raw columns {i: {m: raw value}} as {i: [(m, lifted)]},
+    every value lifted over one scale, and the scale."""
+    flat, scale = ops.lift([x for col in cols.values() for x in col.values()])
+    it = iter(flat)
+    return {i: [(m, next(it)) for m in col] for i, col in cols.items()}, scale
 
 
-def _flatten(cols: dict, support) -> tuple:
-    """The columns cols[i], i in support, as one coordinate vector."""
-    return tuple(itertools.chain.from_iterable(cols[i] for i in support))
+def _combination(ops: FieldOps, coeffs, lifted, scale) -> dict:
+    """sum of coeffs[k] lifted[k] as {m: raw value} with no zeros.
+
+    coeffs are raw values, zero ones skipped; lifted[k] lists the (m,
+    lifted value) of a vector, all over scale (_lift_columns).  Each
+    entry is settled once.
+    """
+    mul, add, is_zero = ops.lmul, ops.ladd, ops.is_zero
+    cs, sc = lift_pairs(ops, [(k, c) for k, c in enumerate(coeffs)
+                              if not is_zero(c)])
+    acc: dict = {}
+    for k, c in cs:
+        for m, x in lifted[k]:
+            y = mul(c, x)
+            acc[m] = add(acc[m], y) if m in acc else y
+    return settle_all(ops, acc, sc * scale)
+
+
+def _flatten(cols: dict) -> dict:
+    """The sparse raw columns {i: {m: raw value}} as one row keyed by
+    (i, m), the form MinPolySearch eliminates."""
+    return {(i, m): x for i, col in cols.items() for m, x in col.items()}
 
 
 def default_cap(dim: int) -> int:
@@ -247,44 +272,85 @@ class HopfAlgebra(Coalgebra):
     # -- axioms ---------------------------------------------------------------
 
     def check_hopf(self) -> list[str]:
-        """Exact audit of bialgebra (and antipode) axioms; returns violations."""
+        """Exact audit of bialgebra (and antipode) axioms; returns violations.
+
+        Runs on raw values: Delta(e_i e_j) against Delta(e_i) Delta(e_j)
+        as sparse tensors, eps(e_i e_j) off the nonzero terms of e_i e_j,
+        and the antipode axioms from the products by basis vectors:
+        S(e_j) e_k is column k of L_{S(e_j)}, e_j S(e_k) column j of
+        R_{S(e_k)}.
+        """
         bad = self.check() + self._alg.violations(self.names)
-        one = self.field.one()
-        units = [unit_vec(self.field, self.dim, i) for i in range(self.dim)]
-        if self.delta_vec(self.unit) != t2_from_pair(self.unit, self.unit):
+        field, dim = self.field, self.dim
+        ops = field.ops
+        unit = nonzero_raw(field, self.unit)
+        if self._delta_raw(unit) != {(j, k): ops.mul(x, y)
+                                     for j, x in unit for k, y in unit}:
             bad.append("comultiplication of 1 is not 1(x)1")
-        if self.counit_vec(self.unit) != one:
+        if self._counit_raw(unit) != ops.one:
             bad.append("counit of 1 is not 1")
-        for i, j in itertools.product(range(self.dim), repeat=2):
-            prod = self.mul_table[i][j]
-            if self.delta_vec(prod) != \
-                    self._alg.tensor_mult(self.comul[i], self.comul[j]):
+        eps = raw_values(field, self.counit)
+        comul = [list(zip(d, raw_values(field, d.values())))
+                 for d in self.comul]
+        for i, j in itertools.product(range(dim), repeat=2):
+            prod = nonzero_raw(field, self.mul_table[i][j])
+            if self._delta_raw(prod) != \
+                    self._alg._tensor_product(comul[i], comul[j]):
                 bad.append("comultiplication is not multiplicative on "
                            f"({self.names[i]},{self.names[j]})")
-            if self.counit_vec(prod) != self.counit[i] * self.counit[j]:
+            if self._counit_raw(prod) != ops.mul(eps[i], eps[j]):
                 bad.append("counit is not multiplicative on "
                            f"({self.names[i]},{self.names[j]})")
         if self.antipode_mat is not None:
-            for i in range(self.dim):
-                left = zero_vec(self.field, self.dim)
-                right = zero_vec(self.field, self.dim)
-                for (j, k), c in self.comul[i].items():
-                    sj = self.antipode_mat.column(j)
-                    sk = self.antipode_mat.column(k)
-                    left = vec_add(left, vec_scale(c, self.mul_vec(sj, units[k])))
-                    right = vec_add(right, vec_scale(c, self.mul_vec(units[j], sk)))
-                want = vec_scale(self.counit[i], self.unit)
-                if left != want:
-                    bad.append(f"antipode axiom m(S(x)id)Delta fails on {self.names[i]}")
-                if right != want:
-                    bad.append(f"antipode axiom m(id(x)S)Delta fails on {self.names[i]}")
+            antipode = self._columns(self.antipode_mat)
+            left = [self._alg._basis_products(antipode[j].items())
+                    for j in range(dim)]
+            right = [self._alg._basis_products(antipode[k].items(), False)
+                     for k in range(dim)]
+            for i in range(dim):
+                keys = [key for key, _ in comul[i]]
+                coeffs = [c for _, c in comul[i]]
+                want = self._unit_times(eps[i])
+                for axiom, prods in (
+                        ("m(S(x)id)Delta", [left[j][k] for j, k in keys]),
+                        ("m(id(x)S)Delta", [right[k][j] for j, k in keys])):
+                    lifted, scale = _lift_columns(ops, dict(enumerate(prods)))
+                    if _combination(ops, coeffs, lifted, scale) != want:
+                        bad.append(f"antipode axiom {axiom} fails on "
+                                   f"{self.names[i]}")
         return bad
 
     def involutory(self) -> bool:
+        """Whether S o S = id, with S(S(e_i)) read off the nonzero entries
+        of the columns of S."""
         if self.antipode_mat is None:
             return False
-        return self.antipode_mat @ self.antipode_mat == \
-            Mat.identity(self.field, self.dim)
+        ops = self.field.ops
+        mul, add = ops.lmul, ops.ladd
+        cols, scale = _lift_columns(ops, self._columns(self.antipode_mat))
+        for i, col in cols.items():
+            acc: dict = {}
+            for m, x in col:
+                for k, y in cols[m]:
+                    z = mul(x, y)
+                    acc[k] = add(acc[k], z) if k in acc else z
+            if settle_all(ops, acc, scale * scale) != {i: ops.one}:
+                return False
+        return True
+
+    def _columns(self, m: Mat) -> dict:
+        """The columns of m as {j: {row: raw value}} with no zeros."""
+        field = self.field
+        return {j: dict(nonzero_raw(field, col))
+                for j, col in enumerate(m.columns())}
+
+    def _unit_times(self, c) -> dict:
+        """c 1 for a raw value c, as {m: raw value} with no zeros."""
+        ops = self.field.ops
+        if ops.is_zero(c):
+            return {}
+        unit = nonzero_raw(self.field, self.unit)
+        return {m: ops.mul(c, u) for m, u in unit}
 
     # -- convolution and Hopf powers ---------------------------------------------
 
@@ -296,18 +362,43 @@ class HopfAlgebra(Coalgebra):
         return Mat.from_columns(self.field, cols, self.dim)
 
     def convolution(self, f: Mat, g: Mat) -> Mat:
-        cols = self._convolve(f.column, g.column, range(self.dim))
-        return Mat.from_columns(self.field, cols, self.dim)
+        cols = self._convolve(self._columns(f), self._columns(g),
+                              range(self.dim))
+        return self._alg._mult_mat([cols[i] for i in range(self.dim)])
 
-    def _convolve(self, f, g, indices) -> list[tuple]:
-        """(f * g)(e_i) for i in indices; f(j), g(k) are f(e_j), g(e_k)."""
-        cols = []
+    def _convolve(self, f: dict, g: dict, indices) -> dict:
+        """(f * g)(e_i) for i in indices, as {i: {m: raw value}}.
+
+        f[j] and g[k] are f(e_j) and g(e_k) as {m: raw value}, given for
+        every j, k that Delta(e_i) meets.  (f * g)(e_i) is the sum of
+        c f(e_j)[m'] g(e_k)[k'] c_{m'k'}^m over the terms c e_j (x) e_k of
+        Delta(e_i): one pass per column over the comultiplication, the
+        columns of f and g and the structure constants, all lifted once,
+        and one settle per output entry.
+        """
+        ops = self.field.ops
+        mul, add = ops.lmul, ops.ladd
+        denom, terms = self._alg.terms
+        sc, comul = self._lifted_comul
+        f, sf = _lift_columns(ops, f)
+        g, sg = _lift_columns(ops, g)
+        scale = sc * sf * sg * denom
+        out = {}
         for i in indices:
-            acc = zero_vec(self.field, self.dim)
-            for (j, k), c in self.comul[i].items():
-                acc = vec_add(acc, vec_scale(c, self.mul_vec(f(j), g(k))))
-            cols.append(acc)
-        return cols
+            acc: dict = {}
+            for (j, k), c in comul[i]:
+                right = g[k]
+                for m1, x in f[j]:
+                    cx, row = mul(c, x), terms[m1]
+                    for k1, y in right:
+                        tk = row[k1]
+                        if tk:
+                            cxy = mul(cx, y)
+                            for m, t in tk:
+                                z = mul(cxy, t)
+                                acc[m] = add(acc[m], z) if m in acc else z
+            out[i] = settle_all(ops, acc, scale)
+        return out
 
     def hopf_power_map(self, n: int) -> Mat:
         """[n] = n-fold convolution power of the identity; [0] = u o eps."""
@@ -331,7 +422,8 @@ class HopfAlgebra(Coalgebra):
             raise HopfError("Hopf power maps are defined for n >= 0")
         if isinstance(h, Element):
             return Element(self, self.hopf_power(h.vec, n))
-        return next(itertools.islice(self._hopf_powers(tuple(h)), n, None))
+        power = next(itertools.islice(self._hopf_powers(tuple(h)), n, None))
+        return box(self.field, self._alg._dense(power))
 
     def hopf_order(self, h, cap: int | None = None) -> int | None:
         """Least n >= 1 with h^[n] = eps(h)*1, or None past the cap.
@@ -341,13 +433,14 @@ class HopfAlgebra(Coalgebra):
         """
         vec = h.vec if isinstance(h, Element) else tuple(h)
         cap = default_cap(self.dim) if cap is None else cap
-        target = vec_scale(self.counit_vec(vec), self.unit)
+        target = self._unit_times(self.counit_vec(vec).val)
         powers = itertools.islice(self._hopf_powers(vec), 1, None)
         return next((n for n, p in zip(range(1, cap + 1), powers)
                      if p == target), None)
 
-    def _hopf_powers(self, vec: tuple) -> Iterator[tuple]:
-        """h^[0], h^[1], h^[2], ... for h = vec, lazily and forever.
+    def _hopf_powers(self, vec: tuple) -> Iterator[dict]:
+        """h^[0], h^[1], h^[2], ... for h = vec, lazily and forever, each
+        as {m: raw value} with no zeros.
 
         The powers [n] restricted to the subcoalgebra C_S that h spans
         (module docstring) are iterated until their minimal polynomial
@@ -357,59 +450,62 @@ class HopfAlgebra(Coalgebra):
         if len(vec) != self.dim:
             raise ShapeMismatch(f"element of length {len(vec)} in dimension "
                                 f"{self.dim}")
+        field = self.field
+        ops = field.ops
         support = self.subcoalgebra_support(vec)
         if not support:  # h = 0, and so is every h^[n]
-            yield from itertools.repeat(zero_vec(self.field, self.dim))
-        coeffs = [vec[i] for i in support]
-        search = MinPolySearch(self.field)
+            yield from itertools.repeat({})
+        raw = raw_values(field, vec)
+        coeffs = [raw[i] for i in support]
+        search = MinPolySearch(field)
         values = []  # h^[0], h^[1], ..., h^[deg mu_S]
         for cols in self._id_powers(support):
-            values.append(_combination(self.field, self.dim, coeffs,
-                                       [cols[i] for i in support]))
+            lifted, scale = _lift_columns(ops, cols)
+            values.append(_combination(ops, coeffs,
+                                       [lifted[i] for i in support], scale))
             yield values[-1]
-            mu = search.add(_flatten(cols, support))
+            mu = search.add(_flatten(cols))
             if mu is not None:
                 break
-        for r in itertools.islice(powers_mod(self.field, mu),
-                                  len(values), None):
-            yield _combination(self.field, self.dim, r, values)
+        lifted, scale = _lift_columns(ops, dict(enumerate(values)))
+        for r in itertools.islice(powers_mod(field, mu), len(values), None):
+            yield _combination(ops, r, lifted, scale)
 
     def _id_powers(self, support) -> Iterator[dict]:
         """[0], [1], [2], ... restricted to C_S for S = support, forever.
 
         S must be closed under the support of Delta (module docstring).
-        Each power is a dict from i in S to the column [n](e_i).  The
-        unit law (u o eps) * id = id on C_S is checked first.
+        Each power is a dict from i in S to the column [n](e_i) as
+        {m: raw value} with no zeros.  The unit law (u o eps) * id = id
+        on C_S is checked first.
         """
-        units = {i: unit_vec(self.field, self.dim, i) for i in support}
-        ueps = {i: vec_scale(self.counit[i], self.unit) for i in support}
-        ident = units.__getitem__
-        require(self._convolve(ueps.__getitem__, ident, support)
-                == [units[i] for i in support],
+        one = self.field.ops.one
+        eps = raw_values(self.field, self.counit)
+        ident = {i: {i: one} for i in support}
+        ueps = {i: self._unit_times(eps[i]) for i in support}
+        require(self._convolve(ueps, ident, support) == ident,
                 "(u o eps) * id is not id: the unit or counit law fails")
         yield ueps
-        cols = units
+        cols = ident
         while True:
             yield cols
-            cols = dict(zip(support, self._convolve(
-                cols.__getitem__, ident, support)))
+            cols = self._convolve(cols, ident, support)
 
     def exponent(self, cap: int | None = None) -> ExponentReport:
         """Iterate [n] for n <= cap until u o eps, a repeat, or the cap.
 
         The powers are residues x^n mod mu in k[x]/(mu) = k[id] (module
-        docstring), so a step costs deg mu scalar products, not a
-        convolution.  mu is found from [0], ..., [cap] at most, taken from
-        _id_powers on all indices; if those are independent, no power up
-        to the cap is u o eps or a repeat.
+        docstring), so a step costs deg mu field products on raw values,
+        not a convolution.  mu is found from [0], ..., [cap] at most,
+        taken from _id_powers on all indices; if those are independent,
+        no power up to the cap is u o eps or a repeat.
         Otherwise the loop, its checks, their order and its first 4096
         remembered powers are those of iterating [n] as matrices, so the
         report is the same.
         """
         cap = default_cap(self.dim) if cap is None else cap
         steps = [f"iterating convolution powers of id up to cap {cap}"]
-        support = range(self.dim)
-        flat = (_flatten(cols, support) for cols in self._id_powers(support))
+        flat = map(_flatten, self._id_powers(range(self.dim)))
         mu = min_poly_of_powers(self.field, itertools.islice(flat, cap + 1))
         if mu is None:
             steps.append(f"no power up to {cap} equals the convolution unit")

@@ -336,6 +336,13 @@ def raw_values(field: "FieldSpec", vec) -> list:
     return vals
 
 
+def nonzero_raw(field: "FieldSpec", vec) -> list:
+    """(index, raw value) of the nonzero entries of a vector of Scalars."""
+    is_zero = field.ops.is_zero
+    return [(i, x) for i, x in enumerate(raw_values(field, vec))
+            if not is_zero(x)]
+
+
 def lift_pairs(ops: FieldOps, pairs) -> tuple[list, object]:
     """The (key, raw value) pairs with their values lifted, and the scale."""
     pairs = list(pairs)

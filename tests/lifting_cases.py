@@ -3,7 +3,8 @@
 The lifted kernels put every value over one common scale and normalise
 once per output entry, so their inputs here carry denominators 2 to 7:
 scalars made by from_fraction, and structure constants rescaled by such
-scalars.  The fields include a char-0 extension whose modulus is not
+scalars (an algebra, a coalgebra or a whole Hopf algebra on a basis
+e'_i = d_i e_i).  The fields include a char-0 extension whose modulus is not
 integral, two finite extensions and a prime field larger than any
 denominator.
 """
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 from hopfex import GF, QQ, Coalgebra, FieldSpec
 from hopfex.algebra import FiniteAlgebra
+from hopfex.hopf import HopfAlgebra
 from hopfex.zoo import dual_group_algebra, sweedler, symmetric, taft
 
 HALF_ROOT = FieldSpec(0, modulus=[Fraction(-1, 2), 0, 1])  # Q[t]/(t^2 - 1/2)
@@ -73,24 +75,55 @@ def basis_scales(field, dim, seed):
     return out
 
 
-def rescaled_algebra(alg, scales):
-    """alg on the basis e'_i = d_i e_i: c'_ij^m = c_ij^m d_i d_j / d_m."""
+def rescaled_mul(table, unit, scales):
+    """The multiplication terms (i, j, m) -> c and the unit of the table
+    on the basis e'_i = d_i e_i: c'_ij^m = c_ij^m d_i d_j / d_m and
+    1 = sum u_m / d_m e'_m."""
     inv = [d.inverse() for d in scales]
     terms = {(i, j, m): c * scales[i] * scales[j] * inv[m]
-             for i, j in itertools.product(range(alg.dim), repeat=2)
-             for m, c in enumerate(alg.table[i][j]) if not c.is_zero()}
-    unit = tuple(u * d for u, d in zip(alg.unit, inv))
+             for i, j in itertools.product(range(len(table)), repeat=2)
+             for m, c in enumerate(table[i][j]) if not c.is_zero()}
+    return terms, tuple(u * d for u, d in zip(unit, inv))
+
+
+def rescaled_algebra(alg, scales):
+    """alg on the basis e'_i = d_i e_i: c'_ij^m = c_ij^m d_i d_j / d_m."""
+    terms, unit = rescaled_mul(alg.table, alg.unit, scales)
     return FiniteAlgebra.from_terms(alg.field, alg.dim, terms, unit)
 
 
-def rescaled_coalgebra(h, scales):
-    """h's coalgebra on e'_i = d_i e_i:
-    Delta(e'_i) = sum c d_i / (d_j d_k) e'_j (x) e'_k."""
+def rescaled_comul(h, scales):
+    """The comultiplication terms (i, j, k) -> c and the counit of h on
+    e'_i = d_i e_i: Delta(e'_i) = sum c d_i / (d_j d_k) e'_j (x) e'_k and
+    eps(e'_i) = d_i eps(e_i)."""
     inv = [d.inverse() for d in scales]
     comul = {(i, j, k): c * scales[i] * inv[j] * inv[k]
              for i in range(h.dim) for (j, k), c in h.comul[i].items()}
-    return Coalgebra(h.field, h.names, comul,
-                     [e * d for e, d in zip(h.counit, scales)])
+    return comul, [e * d for e, d in zip(h.counit, scales)]
+
+
+def rescaled_coalgebra(h, scales):
+    """h's coalgebra on e'_i = d_i e_i."""
+    return Coalgebra(h.field, h.names, *rescaled_comul(h, scales))
+
+
+def rescaled_hopf(h, scales):
+    """The Hopf algebra h on e'_i = d_i e_i: mul, unit, comul and counit
+    as rescaled_mul and rescaled_comul, and
+    S(e'_i) = sum s_im d_i / d_m e'_m."""
+    inv = [d.inverse() for d in scales]
+    comul, counit = rescaled_comul(h, scales)
+    mul, unit = rescaled_mul(h.mul_table, h.unit, scales)
+    antipode = {(i, m): s * scales[i] * inv[m]
+                for i, col in enumerate(h.antipode_mat.columns())
+                for m, s in enumerate(col) if not s.is_zero()}
+    return HopfAlgebra(h.field, h.names, comul, counit, mul, unit, antipode,
+                       name=h.name)
+
+
+def rescaled_vector(vec, scales):
+    """The coordinates on e'_i = d_i e_i of the vector vec on e_i."""
+    return tuple(v * d.inverse() for v, d in zip(vec, scales))
 
 
 def has_denominators(values) -> bool:

@@ -6,14 +6,21 @@ import random
 import pytest
 
 from hopfex import GF, QQ, FieldSpec
-from hopfex.algebra import min_poly_of_powers
+from hopfex.algebra import MinPolySearch, min_poly_of_powers
 from hopfex.errors import InvariantViolation, NotCosemisimple, ShapeMismatch
-from hopfex.hopf import ExponentReport, HopfAlgebra
+from hopfex.hopf import ExponentReport, HopfAlgebra, powers_mod
 from hopfex.linalg import (Mat, SubspaceBasis, t2_add_term, t2_from_pair,
-                           unit_vec, vec_add, vec_scale, zero_vec)
+                           unit_vec, vec_add, vec_dot, vec_scale,
+                           zero_vec)
+from hopfex.scalars import Scalar, box, nonzero_raw
 from hopfex.structfile import StructureFile, structure_from_object
 from hopfex.zoo import (cyclic, group_algebra, restricted_poly, sweedler,
                         symmetric, taft)
+
+from golden_defs import golden_objects
+from lifting_cases import (F9, LIFT_FIELDS, basis_scales, fraction_vector,
+                           has_denominators, hopf_case,
+                           is_canonical, rescaled_hopf, rescaled_vector)
 
 
 def test_hopf_axioms_pass_on_zoo(zoo):
@@ -319,12 +326,12 @@ def test_min_poly_of_powers_stops_at_the_first_dependency(zoo):
         p = h.unit
         while True:
             taken.append(p)
-            yield p
+            yield dict(nonzero_raw(h.field, p))
             p = h.mul_vec(p, h.mul_vec(g, x))
 
     mu = min_poly_of_powers(h.field, powers())
     # (g x)^3 = q^3 g^3 x^3 = 0 and (g x)^2 != 0 in T_9: mu = t^3
-    assert mu == [h.field.zero()] * 3 + [h.field.one()]
+    assert mu == [h.field.ops.zero] * 3 + [h.field.ops.one]
     assert len(taken) == len(mu)
     # running out of powers before a dependency gives None
     assert min_poly_of_powers(h.field, itertools.islice(powers(), 3)) is None
@@ -521,7 +528,7 @@ def reference_check_hopf(h) -> list[str]:
                                f"({h.names[i]},{h.names[j]},{h.names[k]})")
     if h.delta_vec(h.unit) != t2_from_pair(h.unit, h.unit):
         bad.append("comultiplication of 1 is not 1(x)1")
-    if h.counit_vec(h.unit) != h.field.one():
+    if vec_dot(h.counit, h.unit) != h.field.one():
         bad.append("counit of 1 is not 1")
     for i, ei in enumerate(units):
         for j, ej in enumerate(units):
@@ -529,7 +536,7 @@ def reference_check_hopf(h) -> list[str]:
             if h.delta_vec(prod) != reference_t2_mul(h, h.comul[i], h.comul[j]):
                 bad.append("comultiplication is not multiplicative on "
                            f"({h.names[i]},{h.names[j]})")
-            if h.counit_vec(prod) != h.counit[i] * h.counit[j]:
+            if vec_dot(h.counit, prod) != h.counit[i] * h.counit[j]:
                 bad.append("counit is not multiplicative on "
                            f"({h.names[i]},{h.names[j]})")
     if h.antipode_mat is not None:
@@ -548,19 +555,20 @@ def reference_check_hopf(h) -> list[str]:
 
 
 def one_entry_mutation(h, kind: str, rng):
-    """h with one entry of its mul, comul, antipode or unit moved."""
+    """h with one entry of its mul, comul, antipode, unit or counit moved."""
     sf = structure_from_object(h)
     n, field = sf.dim, sf.field
     parts = {"mul": sf.mul, "comul": sf.comul, "antipode": sf.antipode,
-             "unit": dict(enumerate(sf.unit))}
-    arity = {"mul": 3, "comul": 3, "antipode": 2, "unit": 1}[kind]
+             "unit": dict(enumerate(sf.unit)),
+             "counit": dict(enumerate(sf.counit))}
+    arity = {"mul": 3, "comul": 3, "antipode": 2, "unit": 1, "counit": 1}[kind]
     key = tuple(rng.randrange(n) for _ in range(arity))
-    key = key[0] if kind == "unit" else key
+    key = key[0] if arity == 1 else key
     moved = parts[kind] = dict(parts[kind])
     moved[key] = moved.get(key, field.zero()) + field.from_int(
         rng.choice([1, -1, 2]))
     return StructureFile(
-        field, sf.names, sf.counit,
+        field, sf.names, [parts["counit"][i] for i in range(n)],
         {k: v for k, v in parts["comul"].items() if not v.is_zero()},
         {k: v for k, v in parts["mul"].items() if not v.is_zero()},
         [parts["unit"][i] for i in range(n)],
@@ -572,12 +580,15 @@ def test_check_hopf_matches_its_own_loops_on_mutated_goldens(zoo):
     # one mutation per golden, the kind taken in turn; taft16 alone
     # takes seconds through the reference's three products per triple
     rng = random.Random(8)
-    kinds = itertools.cycle(["mul", "comul", "antipode", "unit"])
+    kinds = itertools.cycle(["mul", "comul", "antipode", "unit", "counit"])
     for (stem, h), kind in zip(zoo.items(), kinds):
         bad = one_entry_mutation(h, kind, rng)
         got = bad.check_hopf()
         assert got, (stem, kind)  # the mutation is seen, not silently valid
         assert got == reference_check_hopf(bad), (stem, kind)
+        if kind == "counit":  # the raw counit branch itself sees it
+            assert any(line.startswith("counit is not multiplicative")
+                       for line in got), stem
 
 
 def test_tensor_mult_is_the_componentwise_product(zoo):
@@ -587,3 +598,228 @@ def test_tensor_mult_is_the_componentwise_product(zoo):
             a = h.comul[rng.randrange(h.dim)]
             b = h.comul[rng.randrange(h.dim)]
             assert h._alg.tensor_mult(a, b) == reference_t2_mul(h, a, b), stem
+
+
+# -- the Hopf layer on raw values against its Scalar references -------------
+
+def reference_convolution(h, f, g):
+    """f * g by dense Scalar sums of products by unit vectors: the
+    convolution as it stood before it ran on lifted sparse columns, kept
+    as its oracle."""
+    cols = []
+    for i in range(h.dim):
+        acc = zero_vec(h.field, h.dim)
+        for (j, k), c in h.comul[i].items():
+            acc = vec_add(acc, vec_scale(c, h.mul_vec(f.column(j),
+                                                      g.column(k))))
+        cols.append(acc)
+    return Mat.from_columns(h.field, cols, h.dim)
+
+
+class ReferenceMinPolySearch:
+    """MinPolySearch on dense Scalar vectors, as it stood before it moved
+    onto sparse raw rows; kept as its oracle."""
+
+    def __init__(self, field):
+        self.field = field
+        self.echelon = []
+
+    def add(self, vec):
+        zero = self.field.zero()
+        row = {j: c for j, c in enumerate(vec) if not c.is_zero()}
+        comb = [zero] * len(self.echelon) + [self.field.one()]
+        for pivot, erow, ecomb in self.echelon:
+            c = row.get(pivot)
+            if c is None:
+                continue
+            c = -c
+            for j, x in erow.items():
+                y = c * x
+                if j in row:
+                    y = row[j] + y
+                if y.is_zero():
+                    del row[j]
+                else:
+                    row[j] = y
+            for k, x in enumerate(ecomb):
+                if not x.is_zero():
+                    comb[k] = comb[k] + c * x
+        if not row:
+            return comb
+        pivot = min(row)
+        inv = row[pivot].inverse()
+        self.echelon.append((pivot, {j: inv * x for j, x in row.items()},
+                             [inv * x for x in comb]))
+        return None
+
+
+def reference_powers_mod(field, mu):
+    """powers_mod on Scalars, as it stood before it ran on raw values."""
+    zero = field.zero()
+    tail = [-c for c in mu[:-1]]
+    r = (field.one(),) + (zero,) * (len(tail) - 1)
+    while True:
+        yield r
+        top, shifted = r[-1], (zero,) + r[:-1]
+        r = shifted if top.is_zero() else \
+            tuple(a + top * c for a, c in zip(shifted, tail))
+
+
+def raw_columns(m):
+    """The columns of a Mat as {j: {row: raw value}} with no zeros."""
+    return {j: dict(nonzero_raw(m.field, col))
+            for j, col in enumerate(m.columns())}
+
+
+def raw_row(cols):
+    """Sparse raw columns {i: {m: raw value}} as one row keyed by (i, m)."""
+    return {(i, m): x for i, col in cols.items() for m, x in col.items()}
+
+
+def dense_row(field, dim, cols):
+    """The same columns as one dense vector of Scalars, column after
+    column, the form the Scalar search took."""
+    zero = field.ops.zero
+    return box(field, [col.get(m, zero) for col in cols.values()
+                       for m in range(dim)])
+
+
+RAW_HOPF_CASES = [(name, lambda field=field: hopf_case(field))
+                  for name, field in LIFT_FIELDS] + golden_objects()
+
+
+def with_rescaling(make):
+    """The Hopf algebra make() builds, its rescaling on e'_i = d_i e_i
+    (lifting_cases.rescaled_hopf) and the scales d_i."""
+    h = make()
+    scales = basis_scales(h.field, h.dim, 11)
+    hr = rescaled_hopf(h, scales)
+    if h.field.char == 0:
+        assert has_denominators(c for d in hr.comul for c in d.values())
+    return h, hr, scales
+
+
+raw_hopf_cases = pytest.mark.parametrize(
+    "make", [make for _, make in RAW_HOPF_CASES],
+    ids=[name for name, _ in RAW_HOPF_CASES])
+
+
+@raw_hopf_cases
+def test_id_powers_match_the_boxed_convolution_powers(make):
+    for h in with_rescaling(make)[:2]:
+        ident = h.identity_map()
+        want = h.counit_unit_map()
+        search = ReferenceMinPolySearch(h.field)
+        mu = None
+        for n, cols in enumerate(h._id_powers(range(h.dim))):
+            assert cols == raw_columns(want), (h.name, n)
+            assert all(is_canonical(h.field, x)
+                       for col in cols.values() for x in col.values())
+            last = mu is not None and n == len(mu)  # n = deg mu + 1
+            # hopf_power_map(n) makes n - 1 convolutions from scratch
+            if n <= 1 or last:
+                assert h.hopf_power_map(n) == want, (h.name, n)
+            if last:
+                break
+            if mu is None:
+                mu = search.add(tuple(itertools.chain(*want.columns())))
+            want = ident if n == 0 else reference_convolution(h, want, ident)
+        # the public convolution, with denominators on both sides
+        s = h.antipode_mat
+        assert h.convolution(want, s) == reference_convolution(h, want, s)
+        assert h.convolution(s, ident) == h.counit_unit_map() == \
+            h.convolution(ident, s)
+
+
+@raw_hopf_cases
+def test_min_poly_search_and_powers_mod_match_the_scalar_references(make):
+    for h in with_rescaling(make)[:2]:
+        field = h.field
+        rng = random.Random(5)
+        x = dict(nonzero_raw(field, fraction_vector(field, rng, h.dim)))
+        # the powers of id under convolution, and of x in the algebra
+        id_powers = itertools.islice(h._id_powers(range(h.dim)),
+                                     h.dim ** 2 + 1)
+        x_powers = itertools.accumulate(
+            itertools.repeat(x, h.dim),
+            lambda p, y: h._alg._product(p.items(), y.items()),
+            initial=dict(nonzero_raw(field, h.unit)))
+        sequences = [id_powers, x_powers]  # consumed up to mu only
+        for seq, keyed in zip(sequences, (True, False)):
+            raw, ref = MinPolySearch(field), ReferenceMinPolySearch(field)
+            for power in seq:
+                if keyed:
+                    got = raw.add(raw_row(power))
+                    want = ref.add(dense_row(field, h.dim, power))
+                else:
+                    got = raw.add(power)
+                    want = ref.add(box(field, h._alg._dense(power)))
+                assert (got is None) == (want is None), h.name
+                if got is not None:
+                    break
+            assert got == [c.val for c in want], h.name
+            assert all(is_canonical(field, c) for c in got)
+            pairs = zip(powers_mod(field, got),
+                        reference_powers_mod(field, want))
+            for r, r_ref in itertools.islice(pairs, 3 * len(got) + 5):
+                assert r == tuple(c.val for c in r_ref), h.name
+                assert all(is_canonical(field, c) for c in r)
+
+
+def without_witness(rep):
+    """The report's fields that do not depend on the basis: all but the
+    witness vector and the step that prints it."""
+    return (rep.kind, rep.n, rep.cap, rep.bound, rep.criterion,
+            [s for s in rep.steps if not s.startswith("witness ")])
+
+
+@raw_hopf_cases
+def test_exponent_reports_survive_rescaling(make):
+    h, hr, scales = with_rescaling(make)
+    assert hr.check_hopf() == []
+    assert outcome(h.exponent(64)) == outcome(hr.exponent(64))
+    assert without_witness(h.classify_exponent()) == \
+        without_witness(hr.classify_exponent())
+    vecs = sample_vectors(h, h.name)  # the basis, then 3 combinations
+    for vec in vecs[:4] + vecs[-1:]:
+        assert h.hopf_order(vec, 12) == \
+            hr.hopf_order(rescaled_vector(vec, scales), 12), (h.name, vec)
+
+
+@raw_hopf_cases
+def test_involutory_matches_the_squared_antipode(make):
+    for h in with_rescaling(make)[:2]:
+        s = h.antipode_mat
+        assert h.involutory() == (s @ s == Mat.identity(h.field, h.dim))
+
+
+def test_involutory_on_rescaled_inputs():
+    # Taft algebras are not involutory (S^2 is conjugation by g), the dual
+    # of kS3 is
+    for field, want in ((F9, False), (QQ, True)):
+        h = hopf_case(field)
+        hr = rescaled_hopf(h, basis_scales(field, h.dim, 11))
+        assert h.involutory() is hr.involutory() is want
+
+
+def count_scalar_arithmetic(monkeypatch):
+    """Record every Scalar addition and multiplication from now on."""
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        def counted(self, other, name=name, real=getattr(Scalar, name)):
+            calls.append(name)
+            return real(self, other)
+        monkeypatch.setattr(Scalar, name, counted)
+    return calls
+
+
+def test_hopf_power_path_does_no_scalar_arithmetic(zoo, monkeypatch):
+    h = zoo["taft16"]
+    calls = count_scalar_arithmetic(monkeypatch)
+    assert h.exponent(256).kind == "exceeds_cap"
+    for vec, order in taft16_elements(h):
+        assert h.hopf_order(vec, 64) == order
+    assert calls == []
+    # the counter does see the Scalar convolution the kernel replaced
+    reference_convolution(h, h.identity_map(), h.identity_map())
+    assert "__mul__" in calls and "__add__" in calls
