@@ -236,14 +236,11 @@ def field_roots(field: FieldSpec, coeffs: list[Scalar]) -> list[Scalar]:
     rational_parts: list[Fraction] = []
     ok_rational = True
     for c in coeffs:
-        if field.modulus:
-            tup = c.val
-            if any(tup[1:]):
-                ok_rational = False
-                break
-            rational_parts.append(tup[0])
-        else:
-            rational_parts.append(c.val)
+        cs = field.coefficients(c)
+        if any(cs[1:]):
+            ok_rational = False
+            break
+        rational_parts.append(cs[0])
     if ok_rational and rational_parts and rational_parts[-1]:
         den = 1
         for fr in rational_parts:

@@ -109,7 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simple subcoalgebra index (repeatable)")
         p.add_argument("--field-extend", default=None, metavar="MODULUS",
                        help="extend scalars by a monic modulus, constant "
-                            "term first, comma-separated")
+                            "term first, comma-separated; write a negative "
+                            "constant term with '=', as in "
+                            "--field-extend=-1/2,0,1")
         p.add_argument("--grouplike-left", default=None, metavar="ELT",
                        help="left group-like for extend")
         p.add_argument("--grouplike-right", default=None, metavar="ELT",

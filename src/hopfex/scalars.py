@@ -8,16 +8,32 @@ iterated polynomial division.
 
 Scalars are immutable and hashable.  Each wraps one canonical raw value:
 
-  * char 0, prime field      -- fractions.Fraction (never int)
-  * char p, prime field      -- int in [0, p)
-  * any extension of degree d -- tuple of exactly d prime-field
-                                 coefficients, constant term first
+  * char 0, prime field -- fractions.Fraction (never int)
+  * char p, prime field -- int in [0, p)
+  * F_p[t]/(m), degree d -- tuple of exactly d ints in [0, p), constant
+                            term first
+  * Q[t]/(m), degree d  -- tuple of d + 1 ints (n_0, ..., n_{d-1}, den):
+                            the element sum n_i t^i / den, with den > 0
+                            and gcd(n_0, ..., n_{d-1}, den) = 1, so zero
+                            is (0, ..., 0, 1)
 
 Two elements of one field are equal exactly when their raw values are.
+FieldSpec._pad is the one place where extension raw values are made
+from prime-field coefficients, and FieldSpec.coefficients the one place
+where they are read back; no other module looks inside them.
+
 Every FieldSpec owns one FieldOps table, built with the field: add, sub,
 neg, mul, inv and is_zero on raw values.  An extension multiplies
 coefficient lists and folds the terms of degree d .. 2d-2 back with a
-precomputed table of t^k mod modulus; addition is coefficient-wise.
+precomputed table of t^k mod modulus; addition is coefficient-wise.  On a
+char-0 extension all of this is integer arithmetic (an algebraic number
+as an integer vector over one denominator, H. Cohen, A Course in
+Computational Algebraic Number Theory, GTM 138, section 4.2): the table
+holds D t^k mod modulus, D the lcm of its denominators (1 on every
+cyclotomic field), and each result divides out one multi-argument gcd.
+Only the inverse, cached per value, runs the extended Euclid on
+Fractions.
+
 Scalar's operators delegate to the table, and the hot loops (rref_rows,
 FiniteAlgebra.mult) run on raw values directly: they unbox once with
 raw_values and box once with box.  Boxing always goes through
@@ -30,7 +46,8 @@ F_p), a kernel multiplies and adds those integers with no reduction,
 and FieldOps.settle turns each nonzero output entry back into one
 canonical raw value: one gcd on Q, one reduction mod p on F_p.  An
 extension field lifts by the identity, so the same kernels run on its
-own mul and add.
+own mul and add; on a char-0 extension those are already integer
+operations with one gcd per result.
 
 No floating point anywhere.
 """
@@ -229,6 +246,12 @@ class FieldOps:
     output entry, so it normalises once per entry, not once per term.  An
     extension field lifts by the identity (scale 1), its lmul and ladd
     are its own mul and add, and settle returns acc.
+
+    On a char-0 extension of degree d the raw values are integer tuples
+    (n_0, ..., n_{d-1}, den) (module docstring).  add, sub and mul work
+    on ints and divide out one gcd per result, skipped when the
+    denominator is 1; is_zero is one tuple comparison with zero; inv runs
+    the extended Euclid on Fractions, once per value (lru_cache).
     """
 
     __slots__ = ("zero", "one", "add", "sub", "neg", "mul", "inv", "is_zero",
@@ -261,24 +284,25 @@ class FieldOps:
 
     def _extension(self, p: int, modulus: tuple):
         d = len(modulus) - 1
-        z = _coeff_from_int(0, p)
-        self.zero = (z,) * d
-        self.one = (_one_coeff(p),) + (z,) * (d - 1)
-        # red[k - d] holds the nonzero (i, c) of t^k mod modulus, k = d .. 2d-2
+        # t^k mod modulus for k = d .. 2d-2, prime-field coefficients
         top = [(-c) % p if p else -c for c in modulus[:d]]  # t^d
-        red, row = [], top
+        rows, row = [], top
         for _ in range(d - 1):
-            red.append([(i, c) for i, c in enumerate(row) if c])
+            rows.append(row)
             lead = row[-1]
-            row = [z] + row[:-1]
+            row = [0] + row[:-1]
             if lead:
                 row = [x + lead * y for x, y in zip(row, top)]
                 if p:
                     row = [x % p for x in row]
-        span = range(d)
+        if not p:
+            self._rational_extension(d, modulus, rows)
+            return
+        # red[k - d] holds the nonzero (i, c) of t^k mod modulus
+        red = [[(i, c) for i, c in enumerate(r) if c] for r in rows]
 
         def mul(a, b):
-            prod = [z] * (2 * d - 1)
+            prod = [0] * (2 * d - 1)
             for i, x in enumerate(a):
                 if x:
                     for j, y in enumerate(b):
@@ -290,9 +314,7 @@ class FieldOps:
                 if c:
                     for i, y in terms:
                         out[i] += c * y
-            if p:
-                return tuple([x % p for x in out])
-            return tuple(out)
+            return tuple([x % p for x in out])
 
         # a pass inverts few distinct values many times (pivots, leading
         # coefficients), so the extended Euclid runs once per value
@@ -300,27 +322,105 @@ class FieldOps:
         def inv(a):
             g, u, _ = _pgcdext(_trim(list(a)), list(modulus), p)
             require(len(g) == 1, "modulus is irreducible, gcd must be a unit")
-            c = _pinv_scalar(g[0], p)
-            u = [x * c % p if p else x * c for x in u]
-            return tuple(u) + (z,) * (d - len(u))
+            c = pow(g[0], p - 2, p)
+            return tuple([x * c % p for x in u]) + (0,) * (d - len(u))
 
-        if p:
-            self.add = lambda a, b: tuple([(x + y) % p for x, y in zip(a, b)])
-            self.sub = lambda a, b: tuple([(x - y) % p for x, y in zip(a, b)])
-            self.neg = lambda a: tuple([-x % p for x in a])
-        else:
-            self.add = lambda a, b: tuple([a[i] + b[i] if b[i] else a[i]
-                                           for i in span])
-            self.sub = lambda a, b: tuple([a[i] - b[i] if b[i] else a[i]
-                                           for i in span])
-            self.neg = lambda a: tuple([-x for x in a])
+        self.zero, self.one = (0,) * d, (1,) + (0,) * (d - 1)
+        self.add = lambda a, b: tuple([(x + y) % p for x, y in zip(a, b)])
+        self.sub = lambda a, b: tuple([(x - y) % p for x, y in zip(a, b)])
+        self.neg = lambda a: tuple([-x % p for x in a])
         self.mul = mul
         self.inv = inv
         self.is_zero = lambda a: not any(a)
-        # the identity lift: kernels run on this field's own mul and add
+        self._identity_lift()
+
+    def _rational_extension(self, d: int, modulus: tuple, rows: list):
+        """Q[t]/(modulus) on integer tuples (n_0, ..., n_{d-1}, den)."""
+        # the reduction table over one denominator: D t^k mod modulus
+        D = math.lcm(*(c.denominator for r in rows for c in r))
+        red = [[(i, int(c * D)) for i, c in enumerate(r) if c] for r in rows]
+        span = range(d)
+
+        def canon(nums):
+            # nums ends with a positive denominator; divide out the content
+            if nums[-1] != 1:
+                g = math.gcd(*nums)
+                if g != 1:
+                    return tuple([x // g for x in nums])
+            return tuple(nums)
+
+        def add(a, b):
+            da, db = a[-1], b[-1]
+            if da == db:
+                nums = [x + y for x, y in zip(a, b)]
+                nums[-1] = da
+            else:
+                nums = [x * db + y * da for x, y in zip(a, b)]
+                nums[-1] = da * db
+            return canon(nums)
+
+        def sub(a, b):
+            da, db = a[-1], b[-1]
+            if da == db:
+                nums = [x - y for x, y in zip(a, b)]
+                nums[-1] = da
+            else:
+                nums = [x * db - y * da for x, y in zip(a, b)]
+                nums[-1] = da * db
+            return canon(nums)
+
+        def neg(a):
+            nums = [-x for x in a]
+            nums[-1] = a[-1]
+            return tuple(nums)
+
+        def mul(a, b):
+            prod = [0] * (2 * d - 1)
+            for i in span:
+                x = a[i]
+                if x:
+                    for j in span:
+                        y = b[j]
+                        if y:
+                            prod[i + j] += x * y
+            out = prod[:d] if D == 1 else [D * c for c in prod[:d]]
+            for k, terms in enumerate(red, d):
+                c = prod[k]
+                if c:
+                    for i, y in terms:
+                        out[i] += c * y
+            out.append(a[-1] * b[-1] * D)
+            return canon(out)
+
+        # the extended Euclid runs on Fractions, once per value
+        @functools.lru_cache(maxsize=_INV_CACHE_SIZE)
+        def inv(a):
+            den = a[-1]
+            g, u, _ = _pgcdext(_trim([Fraction(x, den) for x in a[:-1]]),
+                               list(modulus), 0)
+            require(len(g) == 1, "modulus is irreducible, gcd must be a unit")
+            c = 1 / g[0]
+            return _integer_tuple([x * c for x in u], d)
+
+        self.zero, self.one = (0,) * d + (1,), (1,) + (0,) * (d - 1) + (1,)
+        self.add, self.sub, self.neg, self.mul, self.inv = add, sub, neg, mul, inv
+        self.is_zero = functools.partial(operator.eq, self.zero)
+        self._identity_lift()
+
+    def _identity_lift(self):
+        # kernels run on this field's own mul and add
         self.lift = lambda vals: (list(vals), 1)
         self.settle = lambda acc, scale: acc
-        self.lmul, self.ladd = mul, self.add
+        self.lmul, self.ladd = self.mul, self.add
+
+
+def _integer_tuple(coeffs, d: int) -> tuple:
+    """The raw value (n_0, ..., n_{d-1}, den) of at most d rational
+    coefficients, constant first: numerators over the lcm of the
+    denominators, which leaves no common factor."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    return tuple(nums) + (0,) * (d - len(nums)) + (den,)
 
 
 def raw_values(field: "FieldSpec", vec) -> list:
@@ -478,7 +578,7 @@ class FieldSpec:
             val = fr.numerator * pow(den, self.char - 2, self.char) % self.char
             return self.from_int(val)
         if self.modulus:
-            return Scalar(self, self._pad([fr] if fr else []))
+            return Scalar(self, self._pad([fr]))
         return Scalar(self, fr)
 
     def from_coeffs(self, coeffs) -> "Scalar":
@@ -497,7 +597,24 @@ class FieldSpec:
         return self.from_coeffs([0, 1])
 
     def _pad(self, coeffs: list) -> tuple:
-        return tuple(coeffs) + (_coeff_from_int(0, self.char),) * (self.degree - len(coeffs))
+        """The raw value of an extension element from at most degree
+        prime-field coefficients, constant first: the one place where
+        raw extension values are made from coefficients."""
+        if self.char:
+            return tuple(coeffs) + (0,) * (self.degree - len(coeffs))
+        return _integer_tuple(coeffs, self.degree)
+
+    def coefficients(self, s: "Scalar") -> tuple:
+        """The prime-field coefficients of s, constant term first: degree
+        of them, one on a prime field.  The one place where raw extension
+        values are read back."""
+        v = s.val
+        if not self.modulus:
+            return (v,)
+        if self.char:
+            return v
+        den = v[-1]
+        return tuple([Fraction(n, den) for n in v[:-1]])
 
     # -- scalar text format --------------------------------------------------
 
@@ -535,11 +652,10 @@ class FieldSpec:
     def format(self, s: "Scalar") -> str:
         if s.field != self:
             raise FieldMismatch("formatting a scalar from another field")
-        if self.modulus:
-            if not any(s.val[1:]):
-                return _format_prime_coeff(s.val[0])
-            return "[" + ",".join(_format_prime_coeff(c) for c in s.val) + "]"
-        return _format_prime_coeff(s.val)
+        cs = self.coefficients(s)
+        if any(cs[1:]):
+            return "[" + ",".join(map(str, cs)) + "]"
+        return str(cs[0])
 
     # -- roots of unity ------------------------------------------------------
 
@@ -632,10 +748,6 @@ def _coerce_prime_coeff(c, p: int):
             return c.numerator * pow(c.denominator % p, p - 2, p) % p
         return int(c) % p
     return Fraction(c)
-
-
-def _format_prime_coeff(c) -> str:
-    return str(c)
 
 
 def _multiplicative_order(s: "Scalar", bound: int) -> int:

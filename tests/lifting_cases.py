@@ -10,6 +10,7 @@ denominator.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -130,21 +131,24 @@ def has_denominators(values) -> bool:
     """Whether some rational coefficient among the Scalars is not an
     integer."""
     for s in values:
-        coeffs = s.val if isinstance(s.val, tuple) else (s.val,)
-        if any(isinstance(c, Fraction) and c.denominator != 1 for c in coeffs):
+        if any(isinstance(c, Fraction) and c.denominator != 1
+               for c in s.field.coefficients(s)):
             return True
     return False
 
 
 def is_canonical(field, raw) -> bool:
-    """Whether raw has the canonical type of field's raw values: Fraction
-    on Q, int on F_p, a tuple of those on an extension."""
-    def coeff_ok(c):
-        if field.char:
-            return type(c) is int and 0 <= c < field.char
-        return type(c) is Fraction
-
-    if field.modulus:
+    """Whether raw is a canonical raw value of field: a Fraction on Q,
+    an int in [0, p) on F_p, a tuple of degree such ints on F_p[t]/(m),
+    and on a char-0 extension a tuple of degree + 1 ints
+    (n_0, ..., n_{d-1}, den) with den > 0 and no common factor."""
+    if field.modulus and field.char:
         return (type(raw) is tuple and len(raw) == field.degree
-                and all(map(coeff_ok, raw)))
-    return coeff_ok(raw)
+                and all(type(c) is int and 0 <= c < field.char for c in raw))
+    if field.modulus:
+        return (type(raw) is tuple and len(raw) == field.degree + 1
+                and all(type(c) is int for c in raw)
+                and raw[-1] > 0 and math.gcd(*raw) == 1)
+    if field.char:
+        return type(raw) is int and 0 <= raw < field.char
+    return type(raw) is Fraction

@@ -255,6 +255,35 @@ def test_field_extend_keeps_exponent_outcome(golden_dir):
     assert f1["field"] != f2["field"]
 
 
+FIELD_EXTEND_REPORTS = json.loads(
+    (pathlib.Path(__file__).parent / "field_extend_reports.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(FIELD_EXTEND_REPORTS))
+def test_char0_field_extend_reports_are_unchanged(argv, golden_dir):
+    # reports recorded when char-0 extension values were Fraction tuples:
+    # sweedler over Q[t]/(t^2 - 1/2), whose modulus is not integral, and
+    # kS3 and its dual over Q[t]/(t^2 + t + 1)
+    cmd, stem, *flags = argv.split(" ")
+    code, text = run([cmd, golden_dir / stem, *flags])
+    want = FIELD_EXTEND_REPORTS[argv]
+    assert (code, text) == (want["code"], want["report"])
+
+
+def test_field_extend_with_a_negative_constant_term_needs_equals(
+        golden_dir, capsys, monkeypatch):
+    path = path_of(golden_dir, "sweedler")
+    with pytest.raises(SystemExit) as exc:
+        run(["exponent", path, "--field-extend", "-1/2,0,1"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    assert run(["exponent", path, "--field-extend=-1/2,0,1"])[0] == 0
+    monkeypatch.setenv("COLUMNS", "500")  # one help line per option
+    with pytest.raises(SystemExit):
+        run(["exponent", "--help"])
+    assert "--field-extend=-1/2,0,1" in capsys.readouterr().out
+
+
 def test_integral_facts(golden_dir):
     code, jtext = run(["integral", path_of(golden_dir, "sweedler"),
                        "--json"])

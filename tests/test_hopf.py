@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,13 +13,14 @@ from hopfex.hopf import ExponentReport, HopfAlgebra, powers_mod
 from hopfex.linalg import (Mat, SubspaceBasis, t2_add_term, t2_from_pair,
                            unit_vec, vec_add, vec_dot, vec_scale,
                            zero_vec)
-from hopfex.scalars import Scalar, box, nonzero_raw
+from hopfex.scalars import Scalar, box, nonzero_raw, raw_values
 from hopfex.structfile import StructureFile, structure_from_object
 from hopfex.zoo import (cyclic, group_algebra, restricted_poly, sweedler,
                         symmetric, taft)
 
 from golden_defs import golden_objects
-from lifting_cases import (F9, LIFT_FIELDS, basis_scales, fraction_vector,
+from lifting_cases import (F9, LIFT_FIELDS, QZ5, basis_scales,
+                           fraction_scalar, fraction_vector,
                            has_denominators, hopf_case,
                            is_canonical, rescaled_hopf, rescaled_vector)
 
@@ -823,3 +825,47 @@ def test_hopf_power_path_does_no_scalar_arithmetic(zoo, monkeypatch):
     # the counter does see the Scalar convolution the kernel replaced
     reference_convolution(h, h.identity_map(), h.identity_map())
     assert "__mul__" in calls and "__add__" in calls
+
+
+def count_fractions(monkeypatch):
+    """Record every Fraction made from now on."""
+    made = []
+    real_new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    if "_from_coprime_ints" in vars(Fraction):  # arithmetic skips __new__
+        real_coprime = Fraction._from_coprime_ints
+
+        def counted_coprime(cls, n, d):
+            made.append((n, d))
+            return real_coprime(n, d)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(counted_coprime))
+    return made
+
+
+def test_char0_extension_arithmetic_makes_no_fraction(zoo, monkeypatch):
+    # inv is left out: it runs the extended Euclid on Fractions, cached
+    ops, rng = QZ5.ops, random.Random(41)
+    vals = [fraction_scalar(QZ5, rng).val for _ in range(60)]
+    assert has_denominators(Scalar(QZ5, v) for v in vals)
+    h = zoo["taft16"]
+    comul = [list(zip(d, raw_values(h.field, d.values()))) for d in h.comul]
+    made = count_fractions(monkeypatch)
+    for a, b in zip(vals, vals[1:]):
+        for r in (ops.add(a, b), ops.sub(a, b), ops.neg(a), ops.mul(a, b)):
+            ops.is_zero(r)
+    for i, j in itertools.product(range(h.dim), repeat=2):
+        h._alg._tensor_product(comul[i], comul[j])
+    powers = h._id_powers(range(h.dim))
+    for _ in range(8):
+        next(powers)
+    assert made == []
+    # the counter does see Fraction arithmetic
+    Fraction(1, 3) + Fraction(1, 6)
+    assert len(made) >= 2

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: field axioms, parsing, roots of unity."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 from hopfex import GF, QQ, FieldSpec
 from hopfex.errors import (DivisionByZero, IncompatibleExtension, NoSuchRoot,
                            ReducibleModulus, ScalarParseError)
-from hopfex.scalars import (MAX_EXTENSION_DEGREE, _pdivmod, _pgcdext,
+from hopfex.scalars import (MAX_EXTENSION_DEGREE, Scalar, _pdivmod, _pgcdext,
                             _pinv_scalar, _pmul, _trim, cyclotomic_polynomial)
+
+from lifting_cases import HALF_ROOT, QZ5, is_canonical
 
 F4 = GF(2, modulus=[1, 1, 1])
 Q_I = FieldSpec(0, cyclotomic_order=4)
@@ -173,11 +176,50 @@ def test_format_extension_scalars():
                                                      Fraction(-1)])
 
 
+# The extension-field ops on coefficient tuples, by polynomial arithmetic
+# and long division: Fractions on a char-0 extension, as its raw values
+# were before they became integer tuples over one denominator, and ints
+# mod p on F_p[t]/(m).  They stay here as the reference.
+
+def reference_pad(field, coeffs):
+    p = field.char
+    return (tuple(x % p if p else x for x in coeffs)
+            + (0,) * (field.degree - len(coeffs)))
+
+
+def reference_add(field, a, b):
+    return reference_pad(field, [x + y for x, y in zip(a, b)])
+
+
+def reference_sub(field, a, b):
+    return reference_pad(field, [x - y for x, y in zip(a, b)])
+
+
+def reference_neg(field, a):
+    return reference_pad(field, [-x for x in a])
+
+
+def reference_is_zero(a):
+    return not any(a)
+
+
 def reference_product(field, a, b):
-    """Raw product in an extension by polynomial multiply and long division."""
     prod = _pmul(list(a), list(b), field.char)
     _, rem = _pdivmod(prod, list(field.modulus), field.char)
-    return field._pad(rem)
+    return reference_pad(field, rem)
+
+
+def reference_inverse(field, a):
+    """The inverse by the extended Euclid, uncached."""
+    p = field.char
+    g, u, _ = _pgcdext(_trim(list(a)), list(field.modulus), p)
+    c = _pinv_scalar(g[0], p)
+    return reference_pad(field, [x * c for x in u])
+
+
+def coeffs_of(field, raw):
+    """The coefficient tuple of a raw value of field."""
+    return field.coefficients(Scalar(field, raw))
 
 
 @pytest.mark.parametrize("field", [F4, GF(3, modulus=[1, 0, 1])],
@@ -190,28 +232,22 @@ def test_reduction_table_product_matches_long_division_on_all_pairs(field):
             == reference_product(field, a, b)
 
 
+def rational_coeffs(field, rng, num=9, den=6):
+    """Seeded Fraction coefficients of an element of a char-0 extension,
+    each zero 30% of the time."""
+    return tuple(Fraction(rng.randint(-num, num), rng.randint(1, den))
+                 if rng.random() < 0.7 else Fraction(0)
+                 for _ in range(field.degree))
+
+
 def test_reduction_table_product_matches_long_division_over_q_zeta5():
-    field = FieldSpec(0, cyclotomic_order=5)
+    field = QZ5
     rng = random.Random(5)
-
-    def pick():
-        return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                     if rng.random() < 0.7 else Fraction(0)
-                     for _ in range(field.degree))
-
     for _ in range(300):
-        a, b = pick(), pick()
-        got = field.ops.mul(a, b)
-        assert got == reference_product(field, a, b), (a, b)
-        assert all(type(c) is Fraction for c in got)
-
-
-def reference_inverse(field, a):
-    """Raw inverse in an extension by the extended Euclid, uncached."""
-    p = field.char
-    g, u, _ = _pgcdext(_trim(list(a)), list(field.modulus), p)
-    c = _pinv_scalar(g[0], p)
-    return field._pad([x * c % p if p else x * c for x in u])
+        a, b = rational_coeffs(field, rng), rational_coeffs(field, rng)
+        got = field.ops.mul(field.from_coeffs(a).val, field.from_coeffs(b).val)
+        assert coeffs_of(field, got) == reference_product(field, a, b), (a, b)
+        assert is_canonical(field, got)
 
 
 def test_cached_extension_inverse_matches_the_extended_euclid():
@@ -220,16 +256,86 @@ def test_cached_extension_inverse_matches_the_extended_euclid():
         if any(a):
             for _ in range(2):  # the second call is answered by the cache
                 assert f9.ops.inv(a) == reference_inverse(f9, a), a
-    qz5 = FieldSpec(0, cyclotomic_order=5)
     rng = random.Random(10)
     for _ in range(300):
-        a = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                  for _ in range(qz5.degree))
+        a = rational_coeffs(QZ5, rng, num=4, den=3)
         if any(a):
-            got = qz5.ops.inv(a)
-            assert got == reference_inverse(qz5, a), a
-            assert all(type(c) is Fraction for c in got)
-            assert qz5.ops.mul(a, got) == qz5.ops.one
-    for field in (f9, qz5):
+            raw = QZ5.from_coeffs(a).val
+            got = QZ5.ops.inv(raw)
+            assert coeffs_of(QZ5, got) == reference_inverse(QZ5, a), a
+            assert is_canonical(QZ5, got)
+            assert QZ5.ops.mul(raw, got) == QZ5.ops.one
+    for field in (f9, QZ5):
         with pytest.raises(DivisionByZero):
             field.zero().inverse()
+
+
+CHAR0_EXTENSIONS = [Q_W, Q_I, QZ5, HALF_ROOT]
+
+
+@pytest.mark.parametrize("field", CHAR0_EXTENSIONS, ids=lambda f: f.describe())
+def test_char0_extension_ops_match_the_fraction_reference(field):
+    ops, rng = field.ops, random.Random(31)
+    for _ in range(200):
+        a, b = rational_coeffs(field, rng), rational_coeffs(field, rng)
+        ra, rb = field.from_coeffs(a).val, field.from_coeffs(b).val
+        got = {"add": ops.add(ra, rb), "sub": ops.sub(ra, rb),
+               "neg": ops.neg(ra), "mul": ops.mul(ra, rb)}
+        want = {"add": reference_add(field, a, b),
+                "sub": reference_sub(field, a, b),
+                "neg": reference_neg(field, a),
+                "mul": reference_product(field, a, b)}
+        if reference_is_zero(a):
+            assert ops.is_zero(ra)
+        else:
+            assert not ops.is_zero(ra)
+            got["inv"], want["inv"] = ops.inv(ra), reference_inverse(field, a)
+        for name, raw in got.items():
+            assert coeffs_of(field, raw) == want[name], (name, a, b)
+            assert is_canonical(field, raw), (name, raw)
+            assert ops.is_zero(raw) is reference_is_zero(want[name])
+
+
+@pytest.mark.parametrize("field", CHAR0_EXTENSIONS, ids=lambda f: f.describe())
+def test_char0_extension_values_are_integer_tuples_with_one_zero(field):
+    ops, d = field.ops, field.degree
+    assert ops.zero == (0,) * d + (1,)
+    assert ops.one == (1,) + (0,) * (d - 1) + (1,)
+    half = field.from_fraction(Fraction(1, 2)).val
+    assert half == (1,) + (0,) * (d - 1) + (2,)
+    # negative and cancelling denominators come back to the one canonical
+    # form, and every way of reaching zero gives the one zero
+    rng = random.Random(32)
+    for _ in range(100):
+        a = field.from_coeffs(rational_coeffs(field, rng)).val
+        assert is_canonical(field, a)
+        assert a[-1] > 0 and math.gcd(*a) == 1
+        assert ops.sub(a, a) == ops.add(a, ops.neg(a)) == ops.zero
+        assert ops.mul(a, ops.zero) == ops.zero
+        twice = ops.add(a, a)
+        assert ops.mul(twice, half) == a
+        assert ops.sub(twice, a) == a
+    for zero in (field.zero(), field.from_int(0), field.from_fraction(Fraction(0, 7)),
+                 field.from_coeffs([0] * d), field.parse("[0,0]"),
+                 field.from_int(3) - field.from_int(3)):
+        assert zero.val == ops.zero and zero.is_zero()
+
+
+@pytest.mark.parametrize("field", CHAR0_EXTENSIONS, ids=lambda f: f.describe())
+def test_char0_extension_constructors_agree(field):
+    for n in (-3, 0, 1, 7):
+        same = [field.from_int(n), field.from_fraction(Fraction(n)),
+                field.from_coeffs([n]), field.from_coeffs([Fraction(2 * n, 2), 0]),
+                field.parse(str(n)), field.parse(f"[{n}]"), field.convert(QQ.from_int(n))]
+        assert len(set(same)) == 1 and len({hash(x) for x in same}) == 1, same
+    for fr in (Fraction(3, 4), Fraction(-5, 6)):
+        same = [field.from_fraction(fr),
+                field.from_coeffs([Fraction(fr.numerator * 3, fr.denominator * 3)]),
+                field.parse(str(fr)), field.parse(f"[{fr.numerator * 2}/{fr.denominator * 2},0]"),
+                field.convert(QQ.from_fraction(fr))]
+        assert len(set(same)) == 1 and len({hash(x) for x in same}) == 1, same
+    # t^d folds back through the modulus in from_coeffs
+    top = field.from_coeffs([0] * field.degree + [1])
+    assert top == field.gen() ** field.degree
+    assert top == field.from_coeffs([-c for c in field.modulus[:-1]])
+    assert hash(top) == hash(field.gen() ** field.degree)
