@@ -26,8 +26,8 @@ radical: a nilpotent right ideal lies in J, and J lies in every level.
 So the chain stops there, and its powers [J, J^2, ..., 0] are the
 proof.  Only a level that is not nilpotent leads to the next one,
 where L_x for x in I maps the algebra into I and c_q is read from the
-d x d restriction of L_x to I (d = dim I), through characteristic
-polynomials by the division-free Berkowitz algorithm.
+d x d restriction of L_x to I (d = dim I), through its characteristic
+polynomial (poly.char_poly, by Hessenberg reduction).
 
 Products by basis vectors are not formed as products with unit vectors
 here.  u e_j and e_j u are the columns of L_u and R_u, which one pass
@@ -59,14 +59,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterable
 from fractions import Fraction
 
+from . import poly
 from .errors import (
     LinAlgError,
     NonSplitField,
     NoSolution,
-    ShapeMismatch,
     SplittingSearchExhausted,
     require,
 )
@@ -85,112 +84,9 @@ from .linalg import (
     vec_sub,
     zero_vec,
 )
-from .scalars import (FieldSpec, Scalar, box, lift_pairs, nonzero_raw,
-                      raw_values, settle_all)
-
-
-# ---------------------------------------------------------------------------
-# characteristic polynomial (Berkowitz, division-free)
-# ---------------------------------------------------------------------------
-
-def char_poly(m: Mat) -> list[Scalar]:
-    """Coefficients [1, c_1, ..., c_n] of det(tI - m) = sum c_k t^(n-k)."""
-    if m.nrows != m.ncols:
-        raise ShapeMismatch("characteristic polynomial of a non-square matrix")
-    field = m.field
-    one, zero = field.one(), field.zero()
-    n = m.nrows
-    if n == 0:
-        return [one]
-    poly = [one, -m[0, 0]]
-    for r in range(1, n):
-        row = m.rows[r][:r]
-        col = tuple(m.rows[i][r] for i in range(r))
-        corner = m[r, r]
-        # q_k = row . (leading block)^(k-1) . col
-        qs = [corner]
-        vec = col
-        for _ in range(r):
-            acc = zero
-            for a, b in zip(row, vec):
-                acc = acc + a * b
-            qs.append(acc)
-            vec = tuple(
-                sum((m.rows[i][j] * vec[j] for j in range(r)), zero) for i in range(r))
-        toep = [one] + [-q for q in qs]
-        new = [zero] * (r + 2)
-        for i in range(r + 2):
-            acc = zero
-            for j in range(max(0, i - len(toep) + 1), min(i, r) + 1):
-                acc = acc + toep[i - j] * poly[j]
-            new[i] = acc
-        poly = new
-    return poly
-
-
-class MinPolySearch:
-    """min_poly_of_powers fed one power at a time, on raw values.
-
-    A power is a sparse raw row {key: raw value} with no zeros; keys are
-    any orderable labels of coordinates (an index m, or a pair (i, m) of
-    a column and an entry).  add(x^n), after x^0, ..., x^(n-1) were
-    added, reduces x^n against the echelon rows kept from the earlier
-    powers, tracking which combination of powers each row stands for.
-    It returns None while the powers stay independent, and the monic
-    minimal polynomial as raw values (constant term first) at the first
-    power that reduces to zero, since that relation is a combination of
-    the earlier powers.
-    """
-
-    def __init__(self, field: FieldSpec):
-        self.ops = field.ops
-        self.echelon = []  # (pivot, {key: raw} with one at pivot, comb)
-
-    def add(self, row: dict) -> list | None:
-        ops = self.ops
-        mul, add, is_zero = ops.mul, ops.add, ops.is_zero
-        row = dict(row)
-        comb = [ops.zero] * len(self.echelon) + [ops.one]
-        for pivot, erow, ecomb in self.echelon:
-            c = row.get(pivot)
-            if c is None:
-                continue
-            c = ops.neg(c)
-            for j, x in erow.items():
-                y = mul(c, x)
-                if j in row:
-                    y = add(row[j], y)
-                    if is_zero(y):
-                        del row[j]
-                        continue
-                row[j] = y
-            for k, x in enumerate(ecomb):
-                if not is_zero(x):
-                    comb[k] = add(comb[k], mul(c, x))
-        if not row:
-            return comb
-        pivot = min(row)
-        inv = ops.inv(row[pivot])
-        self.echelon.append((pivot, {j: mul(inv, x) for j, x in row.items()},
-                             [mul(inv, x) for x in comb]))
-        return None
-
-
-def min_poly_of_powers(field: FieldSpec,
-                       powers: Iterable[dict]) -> list | None:
-    """Monic minimal polynomial of x, as raw values (constant term first),
-    from its powers x^0, x^1, ... as sparse raw rows, or None.
-
-    powers is consumed lazily through MinPolySearch; nothing after the
-    first dependent power is taken.  None when the powers run out first,
-    all of them independent.
-    """
-    search = MinPolySearch(field)
-    for row in powers:
-        mu = search.add(row)
-        if mu is not None:
-            return mu
-    return None
+from .poly import MinPolySearch, char_poly
+from .scalars import (FieldSpec, Scalar, box, combination, lift_columns,
+                      lift_pairs, nonzero_raw, raw_values, settle_all)
 
 
 # ---------------------------------------------------------------------------
@@ -198,130 +94,66 @@ def min_poly_of_powers(field: FieldSpec,
 # ---------------------------------------------------------------------------
 
 def _divisors(n: int) -> list[int]:
+    """The positive divisors of n != 0, increasing, by trial division up
+    to sqrt(|n|)."""
     n = abs(n)
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def field_roots(field: FieldSpec, coeffs: list[Scalar]) -> list[Scalar]:
+def field_roots(field: FieldSpec, coeffs: list) -> list:
     """All roots in the base field of a nonzero polynomial, exactly.
 
+    The coefficients (constant term first) and the roots are raw values.
     Finite fields are searched exhaustively.  Over the rationals the
-    rational root theorem is used.  Over a char-0 extension the
-    candidates are the rational-root candidates together with +-(powers
-    of the extension generator), which covers the root-of-unity spectra
-    that arise from group-like actions; other irrational roots are out
-    of scope and simply not reported.
+    rational root theorem is applied to the lowest nonzero coefficient
+    and the leading one.  Over a char-0 extension the candidates are the
+    rational-root candidates of a polynomial with rational coefficients
+    together with +-(powers of the extension generator), which covers
+    the root-of-unity spectra that arise from group-like actions; other
+    irrational roots are out of scope and simply not reported.
     """
-    zero = field.zero()
-    while coeffs and coeffs[-1].is_zero():
-        coeffs = coeffs[:-1]
+    ops = field.ops
+    coeffs = poly.trim(ops, list(coeffs))
     if not coeffs:
         raise LinAlgError("root search on the zero polynomial")
-
-    def value(x: Scalar) -> Scalar:
-        acc = zero
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
-    roots = []
     if field.char:
-        for x in itertools.chain([zero], field._nonzero_elements()):
-            if value(x).is_zero():
-                roots.append(x)
-        return roots
+        candidates = itertools.chain(
+            [ops.zero], (x.val for x in field._nonzero_elements()))
+        return [x for x in candidates
+                if ops.is_zero(poly.evaluate(ops, coeffs, x))]
 
-    candidates: list[Scalar] = [zero]
-    rational_parts: list[Fraction] = []
-    ok_rational = True
-    for c in coeffs:
-        cs = field.coefficients(c)
-        if any(cs[1:]):
-            ok_rational = False
-            break
-        rational_parts.append(cs[0])
-    if ok_rational and rational_parts and rational_parts[-1]:
-        den = 1
-        for fr in rational_parts:
-            den = den * fr.denominator // math.gcd(den, fr.denominator)
-        ints = [int(fr * den) for fr in rational_parts]
-        lead, const = ints[-1], ints[0]
-        if const == 0:
-            candidates.append(zero)
+    candidates, last = [ops.zero], []
+    parts = [field.coefficients(Scalar(field, c)) for c in coeffs]
+    if not any(any(cs[1:]) for cs in parts):
+        den = math.lcm(*(cs[0].denominator for cs in parts))
+        ints = [int(cs[0] * den) for cs in parts]
+        low = next(c for c in ints if c)
+        rational = [field.from_fraction(Fraction(s * p_, q_)).val
+                    for p_ in _divisors(low) for q_ in _divisors(ints[-1])
+                    for s in (1, -1)]
+        # when 0 is a root these come last, after the roots of unity, so
+        # the roots the other candidates find keep the order in which
+        # split_idempotent tries them
+        if ints[0]:
+            candidates.extend(rational)
         else:
-            for p_ in _divisors(const):
-                for q_ in _divisors(lead):
-                    for s in (1, -1):
-                        candidates.append(field.from_fraction(Fraction(s * p_, q_)))
+            last = rational
+    one = ops.one
     if field.modulus:
-        t = field.gen()
-        acc = field.one()
+        t, acc = field.gen().val, one
         for _ in range(2 * field.degree + 2):
-            acc = acc * t
-            candidates.append(acc)
-            candidates.append(-acc)
-        candidates.append(field.one())
-        candidates.append(-field.one())
-    else:
-        candidates.extend([field.one(), -field.one()])
+            acc = ops.mul(acc, t)
+            candidates.extend([acc, ops.neg(acc)])
+    candidates.extend([one, ops.neg(one)] + last)
 
-    seen = set()
+    roots, seen = [], set()
     for x in candidates:
-        if x in seen:
-            continue
-        seen.add(x)
-        if value(x).is_zero():
-            roots.append(x)
+        if x not in seen:
+            seen.add(x)
+            if ops.is_zero(poly.evaluate(ops, coeffs, x)):
+                roots.append(x)
     return roots
-
-
-# polynomial helpers over Scalar coefficient lists (constant first, trimmed)
-
-def poly_trim(p: list[Scalar]) -> list[Scalar]:
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def poly_mul(field: FieldSpec, a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
-    if not a or not b:
-        return []
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return poly_trim(out)
-
-
-def poly_divmod(field: FieldSpec, a: list[Scalar], b: list[Scalar]):
-    a = list(a)
-    q = [field.zero()] * max(0, len(a) - len(b) + 1)
-    inv = b[-1].inverse()
-    while len(a) >= len(b) and a:
-        k = len(a) - len(b)
-        c = a[-1] * inv
-        q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] = a[k + i] - c * y
-        poly_trim(a)
-    return q, a
-
-
-def poly_gcdext(field: FieldSpec, a: list[Scalar], b: list[Scalar]):
-    r0, r1 = list(a), list(b)
-    u0, u1 = [field.one()], []
-    v0, v1 = [], [field.one()]
-    while r1:
-        q, r = poly_divmod(field, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, poly_trim([x - y for x, y in
-                                itertools.zip_longest(u0, poly_mul(field, q, u1),
-                                                      fillvalue=field.zero())])
-        v0, v1 = v1, poly_trim([x - y for x, y in
-                                itertools.zip_longest(v0, poly_mul(field, q, v1),
-                                                      fillvalue=field.zero())])
-    return r0, u0, v0
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +351,6 @@ class FiniteAlgebra:
             n >>= 1
         return acc
 
-    def evaluate_poly(self, coeffs: list[Scalar], u: tuple) -> tuple:
-        out = zero_vec(self.field, self.dim)
-        for c in reversed(coeffs):
-            out = vec_add(self.mult(out, u), vec_scale(c, self.unit))
-        return out
-
     # -- radical ---------------------------------------------------------------
 
     def _lifted_traces(self) -> dict:
@@ -603,22 +429,27 @@ class FiniteAlgebra:
 
         For x in I the map L_x sends A into I and det(t - L_x) =
         t^(n-d) det(t - L_x|I), so c_q comes from the d x d restriction,
-        read at I's pivot columns.
+        read at I's pivot columns.  char_poly is given the columns of the
+        restriction as its rows, as a matrix and its transpose have the
+        same characteristic polynomial.
         """
+        field, ops = self.field, self.field.ops
         rows, pivots = level.rows, level.pivots
         d = len(rows)
+        basis = [nonzero_raw(field, b) for b in rows]
         # condition: c_q((x y)-regular matrix) = 0 for all y in the span,
         # q-semilinear in x, linear after the Frobenius twist.
         cond = []
-        for y in rows:
+        for y in basis:
             row = []
-            for a in rows:
-                x = self.mult(a, y)
-                cols = [tuple(v[j] for j in pivots)
-                        for v in (self.mult(x, b) for b in rows)]
-                row.append(char_poly(Mat.from_columns(self.field, cols, d))[q])
-            cond.append(tuple(row))
-        ker = kernel(Mat(self.field, cond, d))
+            for a in basis:
+                x = self._product(a, y).items()
+                cols = [self._product(x, b) for b in basis]
+                restriction = [[col.get(j, ops.zero) for j in pivots]
+                               for col in cols]
+                row.append(char_poly(ops, restriction)[d - q])
+            cond.append(box(field, row))
+        ker = kernel(Mat(field, cond, d))
         # pull the twisted coordinates back through the inverse Frobenius
         new = []
         for coeffs in ker.rows:
@@ -713,56 +544,54 @@ class FiniteAlgebra:
         """Try to split idempotent e using the element x = e x e.
 
         Returns a proper subidempotent 0 != f < e, or None.  Two routes:
-        a base-field root lam of the minimal polynomial of x in the
+        a base-field root lam of the minimal polynomial mu of x in the
         corner gives either a CRT projection onto the generalized
         lam-eigencomponent, or (when x - lam*e is nilpotent) a proper
-        left ideal whose right identity is the wanted idempotent.
+        left ideal whose right identity is the wanted idempotent.  Both
+        are polynomials in x of degree below deg mu, read off the powers
+        e, x, x^2, ... that the search for mu builds: e is the unit of
+        the corner, and x = e x e.
         """
-        # e, x, x^2, ..., x^dim in the corner: dim + 1 vectors, dependent
         field = self.field
+        ops = field.ops
         xnz = nonzero_raw(field, x)
-        mu = min_poly_of_powers(field, itertools.accumulate(
-            itertools.repeat(xnz, self.dim),
-            lambda p, xs: self._product(p.items(), xs),
-            initial=dict(nonzero_raw(field, e))))
-        mu = list(box(field, mu))
+        # e, x, x^2, ... in the corner: dependent after at most dim + 1
+        search, powers = MinPolySearch(field), [dict(nonzero_raw(field, e))]
+        while (mu := search.add(powers[-1])) is None:
+            powers.append(self._product(powers[-1].items(), xnz))
         if len(mu) <= 2:
             return None
-        for lam in field_roots(self.field, mu):
-            lin = [-lam, self.field.one()]
-            rest, mult_ = list(mu), 0
+        lifted, scale = lift_columns(ops, dict(enumerate(powers)))
+
+        def at_x(h: list) -> tuple:
+            return box(field, self._dense(combination(ops, h, lifted, scale)))
+
+        for lam in field_roots(field, mu):
+            lin = [ops.neg(lam), ops.one]
+            rest, mult_ = mu, 0
             while True:
-                qq, rr = poly_divmod(self.field, rest, lin)
+                qq, rr = poly.divmod(ops, rest, lin)
                 if rr:
                     break
                 rest, mult_ = qq, mult_ + 1
-            if not rest or len(rest) == 1:
+            nil = [ops.one]  # (x - lam)^(mult_ - 1)
+            for _ in range(mult_ - 1):
+                nil = poly.mul(ops, nil, lin)
+            if len(rest) == 1:
                 # x - lam*e is nilpotent in the corner; its last nonzero
                 # power spans a proper left ideal of the corner.
-                nilp = vec_sub(x, vec_scale(lam, e))
-                n = nilp
-                for _ in range(mult_ - 2):
-                    n = self.mult(n, nilp)
-                if vec_is_zero(n):
-                    continue
-                f = self._left_ideal_idempotent(e, n)
+                f = self._left_ideal_idempotent(e, at_x(nil))
                 if f is not None and not vec_is_zero(f) and f != e:
                     return f
                 continue
-            primary = [self.field.one()]
-            for _ in range(mult_):
-                primary = poly_mul(self.field, primary, lin)
-            g, u, _v = poly_gcdext(self.field, primary, rest)
+            primary = poly.mul(ops, nil, lin)
+            g, u, _ = poly.gcdext(ops, primary, rest)
             require(len(g) == 1, "primary parts are coprime")
-            ginv = g[0].inverse()
+            ginv = ops.inv(g[0])
             # h = u*primary/g is 0 mod primary, 1 mod rest: projection away
             # from the lam eigencomponent; 1-h projects onto it.
-            h = poly_mul(self.field, [c * ginv for c in u], primary)
-            _, h = poly_divmod(self.field, h, mu)
-            f = self.evaluate_poly(h, x)
-            # force into the corner (h has a constant term times the algebra
-            # unit; replace the unit contribution by e)
-            f = self.mult(self.mult(e, f), e)
+            h = poly.mul(ops, [ops.mul(c, ginv) for c in u], primary)
+            f = at_x(poly.divmod(ops, h, mu)[1])
             if vec_is_zero(f) or f == e:
                 continue
             if self.mult(f, f) == f:

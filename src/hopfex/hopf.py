@@ -17,8 +17,8 @@ counit laws, which _id_powers checks on C_S).  So x -> [1]|_S identifies
 k[x]/(mu_S) with the algebra R_S generates, mu_S the minimal polynomial
 of [1]|_S, and the map x^n mod mu_S -> [n]|_S is injective: [n]|_S is
 x^n mod mu_S, a vector of deg mu_S scalars.  mu_S is found from [0]|_S,
-[1]|_S, ... by min_poly_of_powers, at the cost of deg mu_S - 1 steps of
-|S| columns each.  Two searches use it:
+[1]|_S, ... by poly.min_poly_of_powers, at the cost of deg mu_S - 1
+steps of |S| columns each.  Two searches use it:
 
   * exponent takes S = all indices, so C_S = H and mu_S = mu, the
     minimal polynomial of id in k[id] = k[x]/(mu).  [n] = u o eps or
@@ -39,9 +39,9 @@ A column [n](e_i) is a sparse {m: raw value}; _convolve reads the
 comultiplication and the structure constants lifted once and settles
 each output entry once, and g = id is the column {k: 1}, so no unit
 vectors are built.  The search eliminates rows keyed by (column, entry),
-mu and the residues x^n mod mu are tuples of raw values, and the
-exponent loop remembers residues by those tuples.  Values are boxed only
-where a public method returns them.
+mu and the residues x^n mod mu (poly.powers_mod) are tuples of raw
+values, and the exponent loop remembers residues by those tuples.
+Values are boxed only where a public method returns them.
 
 Integrals of the dual are computed twice on purpose: once through
 traces of left multiplications on H*, once through the dual-basis hit
@@ -56,7 +56,7 @@ import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field
 
-from .algebra import FiniteAlgebra, MinPolySearch, min_poly_of_powers
+from .algebra import FiniteAlgebra
 from .coalgebra import Coalgebra, Element, SimpleComponent, as_scalar
 from .errors import (
     AxiomViolation,
@@ -74,7 +74,8 @@ from .linalg import (
     vec_scale,
     zero_vec,
 )
-from .scalars import (FieldOps, FieldSpec, box, lift_pairs, nonzero_raw,
+from .poly import MinPolySearch, min_poly_of_powers, powers_mod
+from .scalars import (FieldSpec, box, combination, lift_columns, nonzero_raw,
                       raw_values, settle_all)
 
 
@@ -92,49 +93,6 @@ def pointed_exponent_bound(d: int, p: int, n: int) -> int:
     while p ** (e + 1) <= n:
         e += 1
     return d * p ** (e + 1)
-
-
-def powers_mod(field: FieldSpec, mu: list) -> Iterator[tuple]:
-    """x^0, x^1, x^2, ... mod the monic mu, forever.
-
-    mu is a list of raw values, constant term first.  Each residue is a
-    tuple of deg mu raw values; a step costs deg mu field products.
-    """
-    ops = field.ops
-    mul, add, zero = ops.mul, ops.add, ops.zero
-    tail = [ops.neg(c) for c in mu[:-1]]  # x^deg = sum tail[k] x^k mod mu
-    r = (ops.one,) + (zero,) * (len(tail) - 1)
-    while True:
-        yield r
-        top, shifted = r[-1], (zero,) + r[:-1]
-        r = shifted if ops.is_zero(top) else \
-            tuple([add(a, mul(top, c)) for a, c in zip(shifted, tail)])
-
-
-def _lift_columns(ops: FieldOps, cols: dict) -> tuple[dict, object]:
-    """The sparse raw columns {i: {m: raw value}} as {i: [(m, lifted)]},
-    every value lifted over one scale, and the scale."""
-    flat, scale = ops.lift([x for col in cols.values() for x in col.values()])
-    it = iter(flat)
-    return {i: [(m, next(it)) for m in col] for i, col in cols.items()}, scale
-
-
-def _combination(ops: FieldOps, coeffs, lifted, scale) -> dict:
-    """sum of coeffs[k] lifted[k] as {m: raw value} with no zeros.
-
-    coeffs are raw values, zero ones skipped; lifted[k] lists the (m,
-    lifted value) of a vector, all over scale (_lift_columns).  Each
-    entry is settled once.
-    """
-    mul, add, is_zero = ops.lmul, ops.ladd, ops.is_zero
-    cs, sc = lift_pairs(ops, [(k, c) for k, c in enumerate(coeffs)
-                              if not is_zero(c)])
-    acc: dict = {}
-    for k, c in cs:
-        for m, x in lifted[k]:
-            y = mul(c, x)
-            acc[m] = add(acc[m], y) if m in acc else y
-    return settle_all(ops, acc, sc * scale)
 
 
 def _flatten(cols: dict) -> dict:
@@ -314,8 +272,8 @@ class HopfAlgebra(Coalgebra):
                 for axiom, prods in (
                         ("m(S(x)id)Delta", [left[j][k] for j, k in keys]),
                         ("m(id(x)S)Delta", [right[k][j] for j, k in keys])):
-                    lifted, scale = _lift_columns(ops, dict(enumerate(prods)))
-                    if _combination(ops, coeffs, lifted, scale) != want:
+                    lifted, scale = lift_columns(ops, dict(enumerate(prods)))
+                    if combination(ops, coeffs, lifted, scale) != want:
                         bad.append(f"antipode axiom {axiom} fails on "
                                    f"{self.names[i]}")
         return bad
@@ -327,7 +285,7 @@ class HopfAlgebra(Coalgebra):
             return False
         ops = self.field.ops
         mul, add = ops.lmul, ops.ladd
-        cols, scale = _lift_columns(ops, self._columns(self.antipode_mat))
+        cols, scale = lift_columns(ops, self._columns(self.antipode_mat))
         for i, col in cols.items():
             acc: dict = {}
             for m, x in col:
@@ -380,8 +338,8 @@ class HopfAlgebra(Coalgebra):
         mul, add = ops.lmul, ops.ladd
         denom, terms = self._alg.terms
         sc, comul = self._lifted_comul
-        f, sf = _lift_columns(ops, f)
-        g, sg = _lift_columns(ops, g)
+        f, sf = lift_columns(ops, f)
+        g, sg = lift_columns(ops, g)
         scale = sc * sf * sg * denom
         out = {}
         for i in indices:
@@ -460,16 +418,16 @@ class HopfAlgebra(Coalgebra):
         search = MinPolySearch(field)
         values = []  # h^[0], h^[1], ..., h^[deg mu_S]
         for cols in self._id_powers(support):
-            lifted, scale = _lift_columns(ops, cols)
-            values.append(_combination(ops, coeffs,
+            lifted, scale = lift_columns(ops, cols)
+            values.append(combination(ops, coeffs,
                                        [lifted[i] for i in support], scale))
             yield values[-1]
             mu = search.add(_flatten(cols))
             if mu is not None:
                 break
-        lifted, scale = _lift_columns(ops, dict(enumerate(values)))
+        lifted, scale = lift_columns(ops, dict(enumerate(values)))
         for r in itertools.islice(powers_mod(field, mu), len(values), None):
-            yield _combination(ops, r, lifted, scale)
+            yield combination(ops, r, lifted, scale)
 
     def _id_powers(self, support) -> Iterator[dict]:
         """[0], [1], [2], ... restricted to C_S for S = support, forever.

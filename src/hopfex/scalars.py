@@ -4,7 +4,9 @@ A field is described by a FieldSpec: characteristic 0 or a prime p,
 optionally extended by a monic irreducible polynomial over the prime
 field.  Char-0 extensions are usually cyclotomic and can be requested by
 order; the modulus is then the cyclotomic polynomial, computed here by
-iterated polynomial division.
+iterated polynomial division.  That division, the irreducibility test,
+the reduction in from_coeffs and the extended Euclid of the extension
+inverses run on hopfex.poly with the prime field's FieldOps.
 
 Scalars are immutable and hashable.  Each wraps one canonical raw value:
 
@@ -60,6 +62,7 @@ import math
 import operator
 from fractions import Fraction
 
+from . import poly
 from .errors import (
     DivisionByZero,
     FieldError,
@@ -74,108 +77,16 @@ from .errors import (
 MAX_EXTENSION_DEGREE = 16
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial helpers over the prime field
-#
-# Coefficients are lists, constant term first, with no trailing zeros.
-# char == 0 entries are Fractions, char == p entries are ints in [0, p).
-# ---------------------------------------------------------------------------
-
-def _trim(c: list) -> list:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _padd(a: list, b: list, p: int) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        s = x + y
-        out.append(s % p if p else s)
-    return _trim(out)
-
-
-def _pneg(a: list, p: int) -> list:
-    return [(-x) % p if p else -x for x in a]
-
-
-def _psub(a: list, b: list, p: int) -> list:
-    return _padd(a, _pneg(b, p), p)
-
-
-def _pmul(a: list, b: list, p: int) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    if p:
-        out = [v % p for v in out]
-    return _trim(out)
-
-
-def _pinv_scalar(x, p: int):
-    if p:
-        return pow(x, p - 2, p)
-    return Fraction(1) / x
-
-
-def _pdivmod(a: list, b: list, p: int) -> tuple[list, list]:
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    a = list(a)
-    binv = _pinv_scalar(b[-1], p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        k = len(a) - len(b)
-        c = a[-1] * binv
-        if p:
-            c %= p
-        q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] -= c * y
-            if p:
-                a[k + i] %= p
-        _trim(a)
-    return _trim(q), a
-
-
-def _pgcdext(a: list, b: list, p: int) -> tuple[list, list, list]:
-    """Return (g, u, v) with u*a + v*b = g."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [_one_coeff(p)], []
-    v0, v1 = [], [_one_coeff(p)]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        u0, u1 = u1, _psub(u0, _pmul(q, u1, p), p)
-        v0, v1 = v1, _psub(v0, _pmul(q, v1, p), p)
-    return r0, u0, v0
-
-
-def _one_coeff(p: int):
-    return 1 if p else Fraction(1)
-
-
-def _coeff_from_int(n: int, p: int):
-    return n % p if p else Fraction(n)
-
-
 def cyclotomic_polynomial(m: int) -> list[Fraction]:
     """Monic cyclotomic polynomial of order m over the rationals,
     constant term first, computed by dividing x^m - 1 by the lower orders."""
     if m < 1:
         raise FieldError("cyclotomic order must be positive")
     num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    rationals = FieldOps(0, None)
     for d in range(1, m):
         if m % d == 0:
-            num, rem = _pdivmod(num, cyclotomic_polynomial(d), 0)
+            num, rem = poly.divmod(rationals, num, cyclotomic_polynomial(d))
             require(not rem, "a cyclotomic polynomial divides x^m - 1")
     return num
 
@@ -193,10 +104,10 @@ def _is_irreducible(coeffs: list, p: int) -> bool:
     if deg == 1:
         return True
     if p and p ** (deg // 2 + 1) <= 4096:
+        ops = FieldOps(p, None)
         for d in range(1, deg // 2 + 1):
             for tail in itertools.product(range(p), repeat=d):
-                cand = list(tail) + [1]
-                _, rem = _pdivmod(list(coeffs), cand, p)
+                _, rem = poly.divmod(ops, coeffs, list(tail) + [1])
                 if not rem:
                     return False
         return True
@@ -205,10 +116,10 @@ def _is_irreducible(coeffs: list, p: int) -> bool:
     x = sympy.Symbol("x")
     expr = sum(sympy.Rational(c) * x**i for i, c in enumerate(coeffs))
     if p:
-        poly = sympy.Poly(expr, x, modulus=p)
+        f = sympy.Poly(expr, x, modulus=p)
     else:
-        poly = sympy.Poly(expr, x, domain="QQ")
-    return bool(poly.is_irreducible)
+        f = sympy.Poly(expr, x, domain="QQ")
+    return bool(f.is_irreducible)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +229,11 @@ class FieldOps:
 
         # a pass inverts few distinct values many times (pivots, leading
         # coefficients), so the extended Euclid runs once per value
+        prime = FieldOps(p, None)
+
         @functools.lru_cache(maxsize=_INV_CACHE_SIZE)
         def inv(a):
-            g, u, _ = _pgcdext(_trim(list(a)), list(modulus), p)
+            g, u, _ = poly.gcdext(prime, a, modulus)
             require(len(g) == 1, "modulus is irreducible, gcd must be a unit")
             c = pow(g[0], p - 2, p)
             return tuple([x * c % p for x in u]) + (0,) * (d - len(u))
@@ -393,11 +306,13 @@ class FieldOps:
             return canon(out)
 
         # the extended Euclid runs on Fractions, once per value
+        rationals = FieldOps(0, None)
+
         @functools.lru_cache(maxsize=_INV_CACHE_SIZE)
         def inv(a):
             den = a[-1]
-            g, u, _ = _pgcdext(_trim([Fraction(x, den) for x in a[:-1]]),
-                               list(modulus), 0)
+            g, u, _ = poly.gcdext(
+                rationals, [Fraction(x, den) for x in a[:-1]], modulus)
             require(len(g) == 1, "modulus is irreducible, gcd must be a unit")
             c = 1 / g[0]
             return _integer_tuple([x * c for x in u], d)
@@ -462,6 +377,32 @@ def settle_all(ops: FieldOps, acc: dict, scale) -> dict:
     return out
 
 
+def lift_columns(ops: FieldOps, cols: dict) -> tuple[dict, object]:
+    """The sparse raw columns {i: {m: raw value}} as {i: [(m, lifted)]},
+    every value lifted over one scale, and the scale."""
+    flat, scale = ops.lift([x for col in cols.values() for x in col.values()])
+    it = iter(flat)
+    return {i: [(m, next(it)) for m in col] for i, col in cols.items()}, scale
+
+
+def combination(ops: FieldOps, coeffs, lifted, scale) -> dict:
+    """sum of coeffs[k] lifted[k] as {m: raw value} with no zeros.
+
+    coeffs are raw values, zero ones skipped; lifted[k] lists the (m,
+    lifted value) of a vector, all over scale (lift_columns).  Each
+    entry is settled once.
+    """
+    mul, add, is_zero = ops.lmul, ops.ladd, ops.is_zero
+    cs, sc = lift_pairs(ops, [(k, c) for k, c in enumerate(coeffs)
+                              if not is_zero(c)])
+    acc: dict = {}
+    for k, c in cs:
+        for m, x in lifted[k]:
+            y = mul(c, x)
+            acc[m] = add(acc[m], y) if m in acc else y
+    return settle_all(ops, acc, sc * scale)
+
+
 def box(field: "FieldSpec", vals) -> tuple:
     """A tuple of Scalars of field from canonical raw values; the zeros
     share one Scalar."""
@@ -503,14 +444,14 @@ class FieldSpec:
                 modulus = cyclotomic_polynomial(cyclotomic_order)
         if modulus is not None:
             modulus = [_coerce_prime_coeff(c, char) for c in modulus]
-            _trim(modulus)
+            poly.trim(FieldOps(char, None), modulus)
             deg = len(modulus) - 1
             if deg < 1:
                 raise FieldError("extension modulus must have positive degree")
             if deg > MAX_EXTENSION_DEGREE:
                 raise FieldError(
                     f"extension degree {deg} exceeds the supported cap {MAX_EXTENSION_DEGREE}")
-            if modulus[-1] != _one_coeff(char):
+            if modulus[-1] != 1:
                 raise FieldError("extension modulus must be monic")
             if cyclotomic_order is None and not _is_irreducible(modulus, char):
                 raise ReducibleModulus("extension modulus is reducible")
@@ -561,12 +502,8 @@ class FieldSpec:
         return self.from_int(1)
 
     def from_int(self, n: int) -> "Scalar":
-        if self.modulus:
-            c = _coeff_from_int(n, self.char)
-            return Scalar(self, self._pad([c] if c else []))
-        if self.char:
-            return Scalar(self, n % self.char)
-        return Scalar(self, Fraction(n))
+        c = n % self.char if self.char else Fraction(n)
+        return Scalar(self, self._pad([c]) if self.modulus else c)
 
     def from_fraction(self, fr: Fraction) -> "Scalar":
         fr = Fraction(fr)
@@ -587,7 +524,7 @@ class FieldSpec:
             raise FieldError("coefficient lists only make sense in an extension field")
         cs = [_coerce_prime_coeff(c, self.char) for c in coeffs]
         if len(cs) > self.degree:
-            cs = _pdivmod(cs, list(self.modulus), self.char)[1]
+            cs = poly.divmod(FieldOps(self.char, None), cs, self.modulus)[1]
         return Scalar(self, self._pad(cs))
 
     def gen(self) -> "Scalar":

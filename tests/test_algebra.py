@@ -1,8 +1,9 @@
 """FiniteAlgebra: the radical chain, ideal powers, splitting.
 
 The radical and the splitting are compared with straightforward
-references kept here: the Gram matrix and characteristic polynomials of
-the full n x n left multiplications, a splitting scan of the centre that
+references kept here: the Gram matrix and characteristic polynomials
+(Berkowitz, on Scalars; also the reference of the Hessenberg char_poly)
+of the full n x n left multiplications, a splitting scan of the centre that
 restarts at the first idempotent after every split, and the block
 search with its seeded random candidates.  The routines that read
 products by basis vectors off the structure constants (multiplication
@@ -16,21 +17,59 @@ structure constants and vectors with denominators 2 to 7.
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 import hopfex.algebra
 from hopfex import GF, QQ, FieldSpec
-from hopfex.algebra import FiniteAlgebra, _frobenius_root, char_poly
+from hopfex.algebra import (FiniteAlgebra, _divisors, _frobenius_root,
+                            field_roots)
 from hopfex.errors import LinAlgError, SplittingSearchExhausted
 from hopfex.linalg import (Mat, SubspaceBasis, kernel, rref_rows, solve,
                            unit_vec, vec_add, vec_scale, vec_sub, zero_vec)
+from hopfex.poly import char_poly
 from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
                         restricted_poly, sweedler, symmetric, taft,
                         tensor_product)
-from lifting_cases import (F13, LIFT_FIELDS, basis_scales, fraction_vector,
-                           has_denominators, hopf_case, is_canonical,
-                           rescaled_algebra, rescaled_coalgebra)
+from lifting_cases import (F9, F13, HALF_ROOT, LIFT_FIELDS, QZ5, basis_scales,
+                           fraction_scalar, fraction_vector, has_denominators,
+                           hopf_case, is_canonical, rescaled_algebra,
+                           rescaled_coalgebra)
+
+
+def reference_char_poly(m):
+    """Coefficients [1, c_1, ..., c_n] of det(tI - m) = sum c_k t^(n-k),
+    by the division-free Berkowitz algorithm on Scalars."""
+    field = m.field
+    one, zero = field.one(), field.zero()
+    n = m.nrows
+    if n == 0:
+        return [one]
+    poly = [one, -m[0, 0]]
+    for r in range(1, n):
+        row = m.rows[r][:r]
+        col = tuple(m.rows[i][r] for i in range(r))
+        corner = m[r, r]
+        # q_k = row . (leading block)^(k-1) . col
+        qs = [corner]
+        vec = col
+        for _ in range(r):
+            acc = zero
+            for a, b in zip(row, vec):
+                acc = acc + a * b
+            qs.append(acc)
+            vec = tuple(
+                sum((m.rows[i][j] * vec[j] for j in range(r)), zero) for i in range(r))
+        toep = [one] + [-q for q in qs]
+        new = [zero] * (r + 2)
+        for i in range(r + 2):
+            acc = zero
+            for j in range(max(0, i - len(toep) + 1), min(i, r) + 1):
+                acc = acc + toep[i - j] * poly[j]
+            new[i] = acc
+        poly = new
+    return poly
 
 
 def reference_radical(alg):
@@ -45,8 +84,9 @@ def reference_radical(alg):
     current = [unit_vec(alg.field, n, i) for i in range(n)]
     q, levels = 1, 0
     while q <= n and current:
-        rows = [tuple(char_poly(alg.left_mult_mat(alg.mult(a, y)))[q]
-                      for a in current)
+        rows = [tuple(
+                    reference_char_poly(alg.left_mult_mat(alg.mult(a, y)))[q]
+                    for a in current)
                 for y in current]
         ker = kernel(Mat(alg.field, rows, len(current)))
         new = []
@@ -200,18 +240,97 @@ def test_rational_quaternions_exhaust_the_search():
         alg.primitive_idempotent_in(alg.unit)
 
 
-def test_taft25_f11_radical_stops_at_the_trace_form_level(monkeypatch):
+def count_char_polys(monkeypatch):
+    """The sizes of the matrices given to the char_poly that the radical
+    chain calls, hopfex.algebra.char_poly, from now on."""
     calls = []
     original = hopfex.algebra.char_poly
 
-    def counted(m):
-        calls.append(m.nrows)
-        return original(m)
+    def counted(ops, m):
+        calls.append(len(m))
+        return original(ops, m)
 
     monkeypatch.setattr(hopfex.algebra, "char_poly", counted)
+    return calls
+
+
+def test_taft25_f11_radical_stops_at_the_trace_form_level(monkeypatch):
+    calls = count_char_polys(monkeypatch)
     alg = taft(5, GF(11)).dual_algebra()
     assert alg.radical().dim == 20
     assert calls == []
+
+
+def test_restricted3_radical_reaches_the_char_poly_level(monkeypatch):
+    # the positive control of the test above: the trace-form level is the
+    # whole dual algebra, so the chain goes on to c_3
+    calls = count_char_polys(monkeypatch)
+    alg = restricted_poly(3).dual_algebra()
+    assert alg.radical() == reference_radical(alg)[0]
+    assert calls and set(calls) == {alg.dim}
+
+
+CHAR_POLY_FIELDS = [("F_2", GF(2)), ("F_5", GF(5)), ("F_7", GF(7)),
+                    ("F_9", F9), ("Q", QQ), ("Q_zeta5", QZ5),
+                    ("Q_sqrt_half", HALF_ROOT)]
+
+
+def random_matrix(field, rng, n, kind):
+    """A seeded n x n matrix of Scalars with denominators (on char 0):
+    dense, sparse (zero pivots, row swaps), singular (a multiple of row 0
+    last) or block upper triangular (a zero subdiagonal entry)."""
+    zero = field.zero()
+    rows = [list(fraction_vector(field, rng, n)) for _ in range(n)]
+    if kind == "sparse":
+        rows = [[c if rng.random() < 0.3 else zero for c in r] for r in rows]
+    elif kind == "singular" and n > 1:
+        s = fraction_scalar(field, rng)
+        rows[-1] = [s * c for c in rows[0]]
+    elif kind == "block" and n > 1:
+        k = rng.randrange(1, n)
+        for r in rows[k:]:
+            r[:k] = [zero] * k
+    return Mat(field, [tuple(r) for r in rows], n)
+
+
+@pytest.mark.parametrize("field", [f for _, f in CHAR_POLY_FIELDS],
+                         ids=[name for name, _ in CHAR_POLY_FIELDS])
+def test_hessenberg_char_poly_matches_berkowitz(field):
+    rng = random.Random(2029)
+    ops = field.ops
+    for n, kind in itertools.product(
+            range(9), ("dense", "sparse", "singular", "block")):
+        for _ in range(2):
+            m = random_matrix(field, rng, n, kind)
+            want = [c.val for c in reversed(reference_char_poly(m))]
+            raw = [[c.val for c in row] for row in m.rows]
+            assert char_poly(ops, raw) == want, (n, kind, m)
+            assert char_poly(ops, [list(c) for c in zip(*raw)]) == want
+            if kind == "singular" and n > 1:
+                assert ops.is_zero(want[0])
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(0, cyclotomic_order=4)],
+                         ids=lambda f: f.describe())
+def test_field_roots_with_root_zero_finds_the_other_rational_roots(field):
+    def raw(*cs):
+        return [field.from_fraction(Fraction(c)).val for c in cs]
+
+    # x^2 - 7x, and x^3 (2x - 3)(x + 5) = 2x^5 + 7x^4 - 15x^3
+    assert field_roots(field, raw(0, -7, 1)) == raw(0, 7)
+    assert field_roots(field, raw(0, 0, 0, -15, 7, 2)) == raw(0, "3/2", -5)
+    # a nonzero constant term keeps its candidates first
+    assert field_roots(field, raw(-6, 1, 1)) == raw(2, -3)
+
+
+def test_field_roots_finds_divisors_of_large_coefficients():
+    n = 10 ** 8 - 1
+    assert field_roots(QQ, [Fraction(-n), Fraction(1)]) == [Fraction(n)]
+    assert field_roots(QQ, [Fraction(n), Fraction(0), Fraction(-1)]) == []
+    for k in range(-60, 61):
+        if k:
+            assert _divisors(k) == [d for d in range(1, abs(k) + 1)
+                                    if k % d == 0]
 
 
 def test_ideal_powers_of_whole_algebra_raises():

@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 
 from hopfex import GF, QQ, FieldSpec
-from hopfex.algebra import MinPolySearch, min_poly_of_powers
 from hopfex.errors import InvariantViolation, NotCosemisimple, ShapeMismatch
-from hopfex.hopf import ExponentReport, HopfAlgebra, powers_mod
+from hopfex.hopf import ExponentReport, HopfAlgebra
 from hopfex.linalg import (Mat, SubspaceBasis, t2_add_term, t2_from_pair,
                            unit_vec, vec_add, vec_dot, vec_scale,
                            zero_vec)
+from hopfex.poly import MinPolySearch, min_poly_of_powers, powers_mod
 from hopfex.scalars import Scalar, box, nonzero_raw, raw_values
 from hopfex.structfile import StructureFile, structure_from_object
 from hopfex.zoo import (cyclic, group_algebra, restricted_poly, sweedler,

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from hopfex import GF, QQ, FieldSpec
 from hopfex.errors import (DivisionByZero, IncompatibleExtension, NoSuchRoot,
                            ReducibleModulus, ScalarParseError)
-from hopfex.scalars import (MAX_EXTENSION_DEGREE, Scalar, _pdivmod, _pgcdext,
-                            _pinv_scalar, _pmul, _trim, cyclotomic_polynomial)
+from hopfex import poly
+from hopfex.scalars import MAX_EXTENSION_DEGREE, Scalar, cyclotomic_polynomial
 
 from lifting_cases import HALF_ROOT, QZ5, is_canonical
 
@@ -174,6 +174,127 @@ def test_format_extension_scalars():
     assert Q_W.format(Q_W.one()) == "1"
     assert Q_W.parse("[1/2,-1]") == Q_W.from_coeffs([Fraction(1, 2),
                                                      Fraction(-1)])
+
+
+# Dense polynomials over the prime field, on lists constant term first with
+# no trailing zeros: Fractions when p == 0, ints in [0, p) otherwise.  They
+# are the reference for hopfex.poly and for the extension-field ops below.
+
+def _trim(c: list) -> list:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _padd(a: list, b: list, p: int) -> list:
+    n = max(len(a), len(b))
+    out = []
+    for i in range(n):
+        x = a[i] if i < len(a) else 0
+        y = b[i] if i < len(b) else 0
+        s = x + y
+        out.append(s % p if p else s)
+    return _trim(out)
+
+
+def _pneg(a: list, p: int) -> list:
+    return [(-x) % p if p else -x for x in a]
+
+
+def _psub(a: list, b: list, p: int) -> list:
+    return _padd(a, _pneg(b, p), p)
+
+
+def _pmul(a: list, b: list, p: int) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    if p:
+        out = [v % p for v in out]
+    return _trim(out)
+
+
+def _pinv_scalar(x, p: int):
+    if p:
+        return pow(x, p - 2, p)
+    return Fraction(1) / x
+
+
+def _pdivmod(a: list, b: list, p: int) -> tuple[list, list]:
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    a = list(a)
+    binv = _pinv_scalar(b[-1], p)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b) and a:
+        k = len(a) - len(b)
+        c = a[-1] * binv
+        if p:
+            c %= p
+        q[k] = c
+        for i, y in enumerate(b):
+            a[k + i] -= c * y
+            if p:
+                a[k + i] %= p
+        _trim(a)
+    return _trim(q), a
+
+
+def _pgcdext(a: list, b: list, p: int) -> tuple[list, list, list]:
+    """Return (g, u, v) with u*a + v*b = g."""
+    r0, r1 = list(a), list(b)
+    one = 1 if p else Fraction(1)
+    u0, u1 = [one], []
+    v0, v1 = [], [one]
+    while r1:
+        q, r = _pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        u0, u1 = u1, _psub(u0, _pmul(q, u1, p), p)
+        v0, v1 = v1, _psub(v0, _pmul(q, v1, p), p)
+    return r0, u0, v0
+
+
+def random_prime_poly(p, rng, deg):
+    """A seeded trimmed polynomial of degree at most deg over the prime
+    field, with denominators on Q; zero coefficients 30% of the time."""
+    if p:
+        cs = [rng.randrange(p) if rng.random() < 0.7 else 0
+              for _ in range(deg + 1)]
+    else:
+        cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+              if rng.random() < 0.7 else Fraction(0) for _ in range(deg + 1)]
+    return _trim(cs)
+
+
+@pytest.mark.parametrize("p", [0, 2, 5, 7, 13])
+def test_poly_arithmetic_matches_the_prime_field_reference(p):
+    rng = random.Random(1409 + p)
+    ops = FieldSpec(p).ops
+    for _ in range(300):
+        a = random_prime_poly(p, rng, rng.randrange(9))
+        b = random_prime_poly(p, rng, rng.randrange(9))
+        assert poly.add(ops, a, b) == _padd(a, b, p)
+        assert poly.sub(ops, a, b) == _psub(a, b, p)
+        assert poly.mul(ops, a, b) == _pmul(a, b, p)
+        x = rng.randrange(p) if p else Fraction(rng.randint(-9, 9), 4)
+        value = sum(c * x ** k for k, c in enumerate(a))
+        assert poly.evaluate(ops, a, x) == (value % p if p else value)
+        if not b:
+            with pytest.raises(DivisionByZero):
+                poly.divmod(ops, a, b)
+            continue
+        assert poly.divmod(ops, a, b) == _pdivmod(a, b, p)
+        # untrimmed inputs give the same results
+        assert poly.divmod(ops, a + [ops.zero], b + [ops.zero]) \
+            == _pdivmod(a, b, p)
+        g, u, v = poly.gcdext(ops, a, b)
+        assert (g, u, v) == _pgcdext(a, b, p)
+        assert _padd(_pmul(u, a, p), _pmul(v, b, p), p) == g
 
 
 # The extension-field ops on coefficient tuples, by polynomial arithmetic
