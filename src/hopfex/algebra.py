@@ -70,13 +70,14 @@ from .errors import (
     require,
 )
 from .linalg import (
+    Echelon,
     Mat,
     SubspaceBasis,
+    combine,
     kernel,
     kernel_raw,
     rref_raw,
     rref_rows,
-    solve,
     unit_vec,
     vec_add,
     vec_is_zero,
@@ -88,6 +89,8 @@ from .poly import MinPolySearch, char_poly
 from .scalars import (FieldSpec, Scalar, box, combination, lift_columns,
                       lift_pairs, nonzero_raw, raw_values, settle_all)
 
+# Newton steps of lift_idempotent: each squares the nilpotent error
+LIFT_ITERATIONS = 64
 
 # ---------------------------------------------------------------------------
 # root hunting in the base field
@@ -451,12 +454,8 @@ class FiniteAlgebra:
             cond.append(box(field, row))
         ker = kernel(Mat(field, cond, d))
         # pull the twisted coordinates back through the inverse Frobenius
-        new = []
-        for coeffs in ker.rows:
-            v = zero_vec(self.field, self.dim)
-            for c, b in zip(coeffs, rows):
-                v = vec_add(v, vec_scale(_frobenius_root(c, q), b))
-            new.append(v)
+        new = [combine(field, [_frobenius_root(c, q) for c in coeffs], rows)
+               for coeffs in ker.rows]
         return SubspaceBasis(self.field, self.dim, new)
 
     def _require_right_ideal(self, level: SubspaceBasis):
@@ -523,14 +522,15 @@ class FiniteAlgebra:
 
     # -- idempotents ------------------------------------------------------------
 
-    def lift_idempotent(self, v: tuple, max_iter: int = 64) -> tuple:
+    def lift_idempotent(self, v: tuple) -> tuple:
         """Newton lift e <- 3e^2 - 2e^3 until exactly idempotent.
 
         Converges when v is idempotent modulo a nil ideal; quadratic, so
-        the iteration count is logarithmic in the nilpotency index.
+        the iteration count is logarithmic in the nilpotency index, and
+        LIFT_ITERATIONS steps cover any nilpotency index below 2^64.
         """
         e = v
-        for _ in range(max_iter):
+        for _ in range(LIFT_ITERATIONS):
             e2 = self.mult(e, e)
             if e2 == e:
                 return e
@@ -605,27 +605,25 @@ class FiniteAlgebra:
         idempotent, which is precisely a right identity of the ideal;
         finding it is a linear solve.
         """
-        rows = []
-        for b in self.corner_basis(e):
-            rows.append(self.mult(b, n))
-        rows, _ = rref_rows(self.field, rows)
+        field = self.field
+        rows, _ = rref_rows(field, [self.mult(b, n)
+                                    for b in self.corner_basis(e)])
         if not rows:
             return None
-        stacked = []
-        rhs = []
-        for v in rows:
-            lm = self.left_mult_mat(v)
-            # restrict the unknown u to coordinates in the ideal basis
-            cols = [lm.apply(b) for b in rows]
-            stacked.extend(Mat.from_columns(self.field, cols, self.dim).rows)
-            rhs.extend(v)
+        # u = sum c_k rows[k] with v u = v for every v in rows: column k
+        # holds the products v rows[k], keyed by (v, entry)
+        raw = [nonzero_raw(field, v) for v in rows]
+        system = Echelon(field)
+        for b in raw:
+            system.add({(i, m): x for i, v in enumerate(raw)
+                        for m, x in self._product(v, b).items()})
         try:
-            coords = solve(Mat(self.field, stacked, len(rows)), tuple(rhs))
+            comb = system.coords({(i, m): x for i, v in enumerate(raw)
+                                  for m, x in v})
         except NoSolution:
             return None
-        u = zero_vec(self.field, self.dim)
-        for c, b in zip(coords, rows):
-            u = vec_add(u, vec_scale(c, b))
+        u = combine(field, box(field, [comb.get(k, field.ops.zero)
+                                       for k in range(len(rows))]), rows)
         if vec_is_zero(u) or self.mult(u, u) != u:
             return None
         return u
@@ -790,7 +788,4 @@ class SubalgebraMap:
         return self.basis.coords_of(v)
 
     def embed(self, q: tuple) -> tuple:
-        out = zero_vec(self.parent.field, self.parent.dim)
-        for c, vec in zip(q, self.rows):
-            out = vec_add(out, vec_scale(c, vec))
-        return out
+        return combine(self.parent.field, q, self.rows)

@@ -47,7 +47,6 @@ from .linalg import (
     t2_from_pair,
     unit_vec,
     vec_add,
-    vec_dot,
     vec_is_zero,
     vec_scale,
     vec_sub,
@@ -652,13 +651,18 @@ class CoradicalAnalysis:
             for f, g in itertools.combinations(funcs, 2):
                 require(vec_is_zero(a.mult(f, g)) and vec_is_zero(a.mult(g, f)),
                         "coradical idempotents are not orthogonal")
+            # f_i restricts to the counit on simple i and to 0 on the others
+            ops = a.field.ops
+            rows = [(comp.index, nonzero_raw(a.field, row))
+                    for comp in comps for row in comp.subspace.rows]
             for i, f in enumerate(funcs):
-                for comp in comps:
-                    for row in comp.subspace.rows:
-                        want = (self.coalgebra.counit_vec(row)
-                                if comp.index == i else a.field.zero())
-                        require(vec_dot(f, row) == want,
-                                "restriction property fails")
+                fraw = raw_values(a.field, f)
+                for index, row in rows:
+                    got = functools.reduce(ops.add, [ops.mul(fraw[j], x)
+                                                     for j, x in row])
+                    want = self.coalgebra._counit_raw(row) if index == i \
+                        else ops.zero
+                    require(got == want, "restriction property fails")
             self._idempotents = IdempotentFamily(self.coalgebra, funcs)
         return self._idempotents
 

@@ -28,14 +28,14 @@ from __future__ import annotations
 from .coalgebra import Coalgebra, Element, coalgebra_amalgam
 from .errors import InvariantViolation, NoSolution, NotInComponent, require
 from .linalg import (
-    Mat,
-    SubspaceBasis,
+    Echelon,
+    add_scaled,
+    combine,
+    leg_coords,
+    raw_pair,
     rref_rows,
-    solve,
-    solve_columns,
     t2_add,
     t2_add_term,
-    t2_flatten,
     t2_from_pair,
     t2_scale,
     t2_sub,
@@ -46,6 +46,7 @@ from .linalg import (
     zero_vec,
 )
 from .matforms import MatrixOverH, is_multiplicative
+from .scalars import box, nonzero_raw, raw_values
 
 
 # ---------------------------------------------------------------------------
@@ -138,22 +139,21 @@ def _flag_basis(coalg: Coalgebra, left: int, right: int, maxdeg: int):
     ana = coalg.analysis()
     field = coalg.field
     out = []
-    span = SubspaceBasis.zero(field, coalg.dim)
+    span = Echelon(field)
     for d in range(1, maxdeg + 1):
         level = ana.filtration[min(d, ana.depth)]
         comp = coalg.bicomponent_subspace(left, right, within=level)
         comp = comp.cut(coalg.counit)
         for row in comp.rows:
-            if not span.contains_vector(row):
+            if span.add(dict(nonzero_raw(field, row))) is None:
                 out.append((row, d))
-                span = span.sum(SubspaceBasis(field, coalg.dim, [row]))
         if d >= ana.depth:
             break
     return out
 
 
 def _middle_block(coalg: Coalgebra, middle: dict, gi: int, ki: int, hi: int):
-    """Project a middle tensor onto ^gH^k (x) ^kH^h, leg by leg."""
+    """Project a raw middle tensor onto ^gH^k (x) ^kH^h, leg by leg."""
     field = coalg.field
     dim = coalg.dim
     lcache: dict = {}
@@ -161,29 +161,15 @@ def _middle_block(coalg: Coalgebra, middle: dict, gi: int, ki: int, hi: int):
     out: dict = {}
     for (a, b), c in middle.items():
         if a not in lcache:
-            lcache[a] = coalg.component(unit_vec(field, dim, a),
-                                        left=gi, right=ki)
+            lcache[a] = nonzero_raw(field, coalg.component(
+                unit_vec(field, dim, a), left=gi, right=ki))
         if b not in rcache:
-            rcache[b] = coalg.component(unit_vec(field, dim, b),
-                                        left=ki, right=hi)
-        pa, pb = lcache[a], rcache[b]
-        if vec_is_zero(pa) or vec_is_zero(pb):
-            continue
-        for j, xj in enumerate(pa):
-            if xj.is_zero():
-                continue
-            cj = c * xj
-            for l, yl in enumerate(pb):
-                if not yl.is_zero():
-                    t2_add_term(out, (j, l), cj * yl)
+            rcache[b] = nonzero_raw(field, coalg.component(
+                unit_vec(field, dim, b), left=ki, right=hi))
+        if lcache[a] and rcache[b]:
+            add_scaled(field.ops, out, c,
+                       raw_pair(field.ops, lcache[a], rcache[b]))
     return out
-
-
-def _columns_of_tensor(field, t2: dict, dim: int) -> Mat:
-    cols = [list(zero_vec(field, dim)) for _ in range(dim)]
-    for (a, b), c in t2.items():
-        cols[b][a] = c
-    return Mat.from_columns(field, [tuple(c) for c in cols], nrows=dim)
 
 
 def _factor_middle(coalg: Coalgebra, middle: dict, gi: int, hi: int, n: int):
@@ -198,53 +184,47 @@ def _factor_middle(coalg: Coalgebra, middle: dict, gi: int, hi: int, n: int):
     if not coalg.is_pointed():
         raise NotInComponent("expansion requires a pointed coalgebra")
     ana = coalg.analysis()
-    field = coalg.field
-    dim = coalg.dim
+    field, ops = coalg.field, coalg.field.ops
+    raw_middle = dict(zip(middle, raw_values(field, middle.values())))
     entries = []
     recovered: dict = {}
     for s in ana.simples():
         ki = s.index
-        block = _middle_block(coalg, middle, gi, ki, hi)
+        block = _middle_block(coalg, raw_middle, gi, ki, hi)
         if not block:
             continue
         lefts = _flag_basis(coalg, gi, ki, n - 1)
         rights = _flag_basis(coalg, ki, hi, n - 1)
         require(lefts and rights, "nonzero block over an empty bicomponent")
-        lmat = Mat.from_columns(field, [v for v, _ in lefts], nrows=dim)
-        rmat = Mat.from_columns(field, [v for v, _ in rights], nrows=dim)
+        # block = sum over a, b of lam[a][b] lefts[a] (x) rights[b]
+        rraw = [nonzero_raw(field, v) for v, _ in rights]
+        pairs = Echelon(field)
+        for u, _ in lefts:
+            u = nonzero_raw(field, u)
+            for v in rraw:
+                pairs.add(raw_pair(ops, u, v))
         try:
-            xmat = solve_columns(lmat, _columns_of_tensor(field, block, dim))
+            comb = pairs.coords(block)
         except NoSolution:
             raise InvariantViolation(
-                "middle leaves the expected left component") from None
-        try:
-            lam = solve_columns(rmat, Mat.from_columns(
-                field, [xmat.rows[a] for a in range(len(lefts))], nrows=dim))
-        except NoSolution:
-            raise InvariantViolation(
-                "middle leaves the expected right component") from None
+                "middle leaves the expected bicomponents") from None
+        lam = [[comb.get(a * len(rights) + b, ops.zero)
+                for b in range(len(rights))] for a in range(len(lefts))]
         # staircase: no coefficient pairs a degree with more than n minus it
         for a, (_, da) in enumerate(lefts):
             for b, (_, db) in enumerate(rights):
                 if da + db > n:
-                    require(lam.rows[b][a].is_zero(),
+                    require(ops.is_zero(lam[a][b]),
                             "expansion coefficient violates the degree bound")
         kel = Element(coalg, s.grouplike)
         for d in sorted({da for _, da in lefts}):
             sel = [a for a, (_, da) in enumerate(lefts) if da == d]
-            lam_rows = [tuple(lam.rows[b][a] for b in range(len(rights)))
-                        for a in sel]
+            lam_rows = [box(field, lam[a]) for a in sel]
             reduced, piv = rref_rows(field, lam_rows)
             for t, prow in enumerate(reduced):
-                xv = zero_vec(field, dim)
-                for pos, a in enumerate(sel):
-                    c = lam_rows[pos][piv[t]]
-                    if not c.is_zero():
-                        xv = vec_add(xv, tuple(c * e for e in lefts[a][0]))
-                yv = zero_vec(field, dim)
-                for b, c in enumerate(prow):
-                    if not c.is_zero():
-                        yv = vec_add(yv, tuple(c * e for e in rights[b][0]))
+                xv = combine(field, [row[piv[t]] for row in lam_rows],
+                             [lefts[a][0] for a in sel])
+                yv = combine(field, prow, [v for v, _ in rights])
                 entries.append((d, ki, t + 1, kel,
                                 Element(coalg, xv), Element(coalg, yv)))
                 recovered = t2_add(recovered, t2_from_pair(xv, yv))
@@ -364,24 +344,27 @@ class _Grower:
 
 
 def _solve_skew(coalg: Coalgebra, sigma: tuple, tau: tuple, mid: dict):
-    """Solve delta(r) = sigma (x) r + mid + r (x) tau inside coalg, or None."""
+    """Solve delta(r) = sigma (x) r + mid + r (x) tau inside coalg, or None.
+
+    The unknown r = sum r_e e has the sparse columns
+    delta(e) - sigma (x) e - e (x) tau in H (x) H, keyed by pairs; mid is
+    reduced against their Echelon.
+    """
     field = coalg.field
-    dim = coalg.dim
-    cols = []
-    for e in range(dim):
-        col = dict(coalg.comul[e])
-        for a, c in enumerate(sigma):
-            if not c.is_zero():
-                t2_add_term(col, (a, e), -c)
-        for b, c in enumerate(tau):
-            if not c.is_zero():
-                t2_add_term(col, (e, b), -c)
-        cols.append(t2_flatten(field, col, dim))
-    mat = Mat.from_columns(field, cols, nrows=dim * dim)
+    ops = field.ops
+    minus_one = ops.neg(ops.one)
+    sig, ta = nonzero_raw(field, sigma), nonzero_raw(field, tau)
+    system = Echelon(field)
+    for e in range(coalg.dim):
+        col = coalg._delta_raw([(e, ops.one)])
+        add_scaled(ops, col, minus_one, {(a, e): c for a, c in sig})
+        add_scaled(ops, col, minus_one, {(e, b): c for b, c in ta})
+        system.add(col)
     try:
-        r = solve(mat, t2_flatten(field, mid, dim))
+        comb = system.coords(dict(zip(mid, raw_values(field, mid.values()))))
     except NoSolution:
         return None
+    r = box(field, [comb.get(e, ops.zero) for e in range(coalg.dim)])
     require(coalg.counit_vec(r).is_zero(),
             "skew-primitive solution has a nonzero counit")
     return r
@@ -470,7 +453,7 @@ def _coideal_witness(gr: _Grower, corner_idx: int, gvec: tuple, hvec: tuple,
     gi = ana.find_simple_containing(gpad)
     corner = unit_vec(field, dim, corner_idx)
     members = []
-    span = SubspaceBasis(field, dim, [gpad, corner])
+    span = Echelon.of_vectors(field, [gpad, corner])
     queue = [(corner, hpad, n)]
     serial = 0
     while queue:
@@ -482,26 +465,26 @@ def _coideal_witness(gr: _Grower, corner_idx: int, gvec: tuple, hvec: tuple,
         require(coalg.is_grouplike(rvec), "coideal flank is not group-like")
         ri = ana.find_simple_containing(rvec)
         for d, _, kel, x, _y in _factor_middle(coalg, mid, gi, ri, deg):
-            if span.contains_vector(x.vec):
+            if span.add(dict(nonzero_raw(field, x.vec))) is not None:
                 continue
             members.append((x.vec, d, serial))
             serial += 1
-            span = span.sum(SubspaceBasis(field, dim, [x.vec]))
             queue.append((x.vec, kel.vec, d))
     members.sort(key=lambda t: (t[1], t[2]))
     fam = [gpad] + [v for v, _, _ in members] + [corner]
     size = len(fam)
-    fmat = Mat.from_columns(field, fam, nrows=dim)
+    basis = Echelon.of_vectors(field, fam)
     grid = [[None] * size for _ in range(size)]
     for u, fu in enumerate(fam):
+        # delta(f_u) = sum over w, b of coeffs[w][b] f_w (x) e_b
         try:
-            coeffs = solve_columns(
-                fmat, _columns_of_tensor(field, coalg.delta_vec(fu), dim))
+            coeffs = leg_coords(basis, coalg._delta_raw(nonzero_raw(field, fu)),
+                                dim)
         except NoSolution:
             raise InvariantViolation(
                 "closure family is not a left coideal") from None
         for w in range(size):
-            grid[w][u] = tuple(coeffs.rows[w])
+            grid[w][u] = box(field, coeffs[w])
     for u in range(size):
         for w in range(u + 1, size):
             require(vec_is_zero(grid[w][u]), "coideal matrix not triangular")

@@ -1,20 +1,22 @@
-"""Exact dense linear algebra over a FieldSpec.
+"""Exact linear algebra over a FieldSpec, on raw field values.
 
-Everything funnels through one canonical reduced row echelon form:
-pivots are 1, pivot columns are cleared, pivot positions strictly
-increase, zero rows are dropped.  Two subspaces are equal iff their
-canonical bases are equal entry by entry, so subspace comparisons are
-syntactic.  rref_raw is the one elimination: it reduces lists of raw
-field values in place.  rref_rows, kernel and the rest unbox their rows
-for it and box what it returns; callers that already hold raw values
-(kernel_raw, the algebra layer) call it directly.
+Two routines do every elimination.  rref_raw reduces raw rows in place
+to the canonical reduced row echelon form (pivots 1, pivot columns
+cleared, pivot positions increasing, zero rows dropped), so two
+subspaces are equal iff their canonical bases are equal entry by entry;
+rref_rows, kernel and SubspaceBasis construction call it.  Echelon grows
+sparse raw rows {key: raw value} one at a time and writes each new row
+over the rows added before it: solve, the minimal-polynomial search and
+the H (x) H systems of the extension and the primitive decomposition
+(keyed by pairs (a, b), never a dense dim^2 ambient) find solutions,
+coordinates and dependencies with it.
 
-Only construction eliminates.  Once a SubspaceBasis is canonical,
-membership, coordinates and hyperplane cuts read its pivots: v lies in
-the span exactly when its entries at the pivots rebuild it, and cutting
-by a functional clears one row against the others without leaving
-canonical form.  The rebuild is a sum of products on the rows lifted
-once (FieldOps.lift), settled once per entry it checks.
+Once a SubspaceBasis is canonical, membership, coordinates and
+hyperplane cuts read its pivots: v lies in the span exactly when its
+entries at the pivots rebuild it, and cutting by a functional clears one
+row against the others without leaving canonical form.  That rebuild and
+combine are sums of products on rows lifted once (FieldOps.lift),
+settled once per entry.
 
 Vectors are tuples of Scalars.  Matrices are Mat objects (row major).
 Sizes here are desk scale (dimension a few dozen), so the classical
@@ -24,8 +26,8 @@ O(n^3) algorithms are used without blocking tricks.
 from __future__ import annotations
 
 from .errors import NoSolution, ShapeMismatch
-from .scalars import (FieldSpec, Scalar, box, lift_pairs, raw_values,
-                      settle_all)
+from .scalars import (FieldSpec, Scalar, box, combination, lift_columns,
+                      lift_pairs, nonzero_raw, raw_values, settle_all)
 
 
 # ---------------------------------------------------------------------------
@@ -318,52 +320,142 @@ def kernel_raw(field: FieldSpec, work: list[list], n: int) -> "SubspaceBasis":
                          canonical=True)
 
 
-def _rref_augmented(m: Mat, rhs_rows) -> tuple[list[list], list[int]]:
-    """Canonical RREF of [m | rhs] on raw values, and its pivot columns.
+# ---------------------------------------------------------------------------
+# sparse solving and combinations
+# ---------------------------------------------------------------------------
 
-    The all-zero rows are dropped before elimination: they carry no
-    condition, and the RREF is unique, so the result is the same.  A zero
-    row of m beside a nonzero right-hand side is not all-zero and stays.
+def add_scaled(ops, acc: dict, c, row: dict):
+    """acc += c row on sparse raw dicts, in place, keeping acc free of
+    zeros; c is a nonzero raw value."""
+    mul, add, is_zero = ops.mul, ops.add, ops.is_zero
+    for j, x in row.items():
+        y = mul(c, x)
+        if j in acc:
+            y = add(acc[j], y)
+            if is_zero(y):
+                del acc[j]
+                continue
+        acc[j] = y
+
+
+def raw_pair(ops, u: list, v: list) -> dict:
+    """u (x) v as {(a, b): raw value}, from the nonzero (index, raw value)
+    pairs of u and v."""
+    return {(a, b): ops.mul(x, y) for a, x in u for b, y in v}
+
+
+def leg_coords(basis: "Echelon", t2: dict, n: int) -> list[list]:
+    """The raw tensor t2 = {(a, b): raw value} = sum c[k][b] v_k (x) e_b
+    over the rows v_k of basis, as c: basis.count lists of n raw values.
+
+    NoSolution when a first leg leaves the span of basis.
     """
-    field = m.field
-    is_zero = field.ops.is_zero
-    work = [raw_values(field, a + b) for a, b in zip(m.rows, rhs_rows)]
-    work = [r for r in work if not all(map(is_zero, r))]
-    return work, rref_raw(field, work)
+    legs: dict = {}
+    for (a, b), x in t2.items():
+        legs.setdefault(b, {})[a] = x
+    out = [[basis.ops.zero] * n for _ in range(basis.count)]
+    for b, leg in legs.items():
+        for k, x in basis.coords(leg).items():
+            out[k][b] = x
+    return out
+
+
+class Echelon:
+    """An incremental echelon of sparse raw rows.
+
+    A row is a dict {key: raw value} with no zeros, keyed by orderable
+    labels (an index, or a pair (a, b) of H (x) H); rows are numbered in
+    the order they are added.  reduce(row) clears row at every pivot and
+    returns (remainder, comb) with row = remainder + sum comb[k] (row k);
+    the remainder is {} exactly when row lies in the span of the rows
+    added so far.  A row that depends on the rows before it is not kept.
+    Added in index order, the columns of a matrix keep exactly the pivot
+    columns of its canonical RREF, so coords(b) solves m x = b with free
+    variables zero.
+    """
+
+    __slots__ = ("ops", "rows", "count")
+
+    def __init__(self, field: FieldSpec):
+        self.ops = field.ops
+        self.rows = []  # (pivot, {key: raw} with one at pivot, comb)
+        self.count = 0
+
+    @classmethod
+    def of_vectors(cls, field: FieldSpec, vecs) -> "Echelon":
+        """The echelon of vectors of Scalars, keyed by index."""
+        out = cls(field)
+        for v in vecs:
+            out.add(dict(nonzero_raw(field, v)))
+        return out
+
+    def reduce(self, row: dict) -> tuple[dict, dict]:
+        ops = self.ops
+        row, comb = dict(row), {}
+        for pivot, erow, ecomb in self.rows:
+            c = row.get(pivot)
+            if c is not None:
+                add_scaled(ops, row, ops.neg(c), erow)
+                add_scaled(ops, comb, c, ecomb)
+        return row, comb
+
+    def add(self, row: dict) -> dict | None:
+        """comb of row when it depends on the rows before it; otherwise
+        keep row, pivoted at its least remaining key, and return None."""
+        remainder, comb = self.reduce(row)
+        k = self.count
+        self.count += 1
+        if not remainder:
+            return comb
+        ops = self.ops
+        pivot = min(remainder)
+        inv = ops.inv(remainder[pivot])
+        ecomb = {j: ops.neg(ops.mul(inv, c)) for j, c in comb.items()}
+        ecomb[k] = inv
+        self.rows.append((pivot, {j: ops.mul(inv, x)
+                                  for j, x in remainder.items()}, ecomb))
+        return None
+
+    def coords(self, row: dict) -> dict:
+        """comb of row, or NoSolution when row is not in the span."""
+        remainder, comb = self.reduce(row)
+        if remainder:
+            raise NoSolution("inconsistent linear system")
+        return comb
 
 
 def solve(m: Mat, b: tuple) -> tuple:
     """One exact solution of m @ x = b (free variables zero), or NoSolution."""
     if len(b) != m.nrows:
         raise ShapeMismatch(f"rhs length {len(b)} vs {m.nrows} rows")
-    red, pivots = _rref_augmented(m, [(c,) for c in b])
-    n = m.ncols
-    x = [m.field.ops.zero] * n
-    for r, p in zip(red, pivots):
-        if p == n:
-            raise NoSolution("inconsistent linear system")
-        x[p] = r[n]
-    return box(m.field, x)
+    return solve_columns(m, Mat.from_columns(m.field, [b], m.nrows)).column(0)
 
 
 def solve_columns(m: Mat, rhs: Mat) -> Mat:
-    """Solve m @ X = rhs; each column is the solution solve() gives it.
-
-    [m | rhs] is row-reduced once.  Its pivots among m's columns, and the
-    row operations that reach them, are those of [m | b] for every column
-    b of rhs, so X reads off the pivot rows with free variables zero.  A
-    pivot among rhs's columns means some column has no solution.
-    """
+    """Solve m @ X = rhs: each column of rhs reduced against the Echelon
+    of m's columns."""
     if rhs.nrows != m.nrows:
         raise ShapeMismatch(f"rhs with {rhs.nrows} rows vs {m.nrows} rows")
-    n = m.ncols
-    red, pivots = _rref_augmented(m, rhs.rows)
-    if pivots and pivots[-1] >= n:
-        raise NoSolution("inconsistent linear system")
-    x = [(m.field.zero(),) * rhs.ncols] * n
-    for r, p in zip(red, pivots):
-        x[p] = box(m.field, r[n:])
-    return Mat(m.field, x, rhs.ncols)
+    field = m.field
+    columns = Echelon.of_vectors(field, m.columns())
+    x = [[field.ops.zero] * rhs.ncols for _ in range(m.ncols)]
+    for j, b in enumerate(rhs.columns()):
+        for k, c in columns.coords(dict(nonzero_raw(field, b))).items():
+            x[k][j] = c
+    return Mat(field, [box(field, r) for r in x], rhs.ncols)
+
+
+def combine(field: FieldSpec, coeffs, rows) -> tuple:
+    """sum coeffs[k] rows[k] for Scalars coeffs and a nonempty list of
+    vectors rows, lifted once, settled once per entry, boxed once."""
+    ops = field.ops
+    lifted, scale = lift_columns(ops, {k: dict(nonzero_raw(field, r))
+                                       for k, r in enumerate(rows)})
+    out = [ops.zero] * len(rows[0])
+    for j, x in combination(ops, raw_values(field, coeffs), lifted,
+                            scale).items():
+        out[j] = x
+    return box(field, out)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +616,7 @@ class SubspaceBasis:
         """
         if not self.rows:
             return SubspaceBasis.full(self.field, self.ambient)
-        ker = kernel(Mat(self.field, self.rows, self.ambient))
-        return SubspaceBasis(self.field, self.ambient, ker.rows)
+        return kernel(Mat(self.field, self.rows, self.ambient))
 
     def _like(self, other: "SubspaceBasis"):
         if self.field != other.field or self.ambient != other.ambient:

@@ -17,13 +17,16 @@ positive characteristic.
 from __future__ import annotations
 
 from .coalgebra import Coalgebra, Element, SimpleComponent, as_scalar
-from .errors import (DiagonalOrderViolated, FieldMismatch, MatrixFormError,
+from .errors import (DiagonalOrderViolated, FieldMismatch,
+                     InvariantViolation, MatrixFormError, NoSolution,
                      NotDegreeOne, NotInBicomponent, NotMultiplicative,
                      ShapeMismatch, require)
 from .hopf import pointed_exponent_bound
-from .linalg import (Mat, SubspaceBasis, rref_rows, solve, solve_columns,
-                     t2_add_term, t2_flatten, t2_from_pair, unit_vec, vec_add,
-                     vec_dot, vec_is_zero, vec_scale, vec_sub, zero_vec)
+from .linalg import (Echelon, Mat, SubspaceBasis, add_scaled, combine,
+                     leg_coords, raw_pair, solve_columns, t2_add_term,
+                     unit_vec, vec_add, vec_dot, vec_is_zero, vec_scale,
+                     vec_sub, zero_vec)
+from .scalars import box, nonzero_raw
 
 
 # ---------------------------------------------------------------------------
@@ -319,21 +322,9 @@ def _matrix_units(analysis, comp: SimpleComponent) -> list[list[tuple]]:
                                      for l in ideal.rows], r)
         action_cols.append(tuple(m.rows[u][v] for u in range(r) for v in range(r)))
     p = Mat.from_columns(field, action_cols, r * r)
-    targets = Mat.from_columns(
-        field,
-        [unit_vec(field, r * r, u * r + v) for u in range(r) for v in range(r)],
-        r * r)
-    coeffs = solve_columns(p, targets)
-    units = []
-    for u in range(r):
-        row = []
-        for v in range(r):
-            xi = coeffs.column(u * r + v)
-            e = zero_vec(field, q.dim)
-            for m, b in zip(xi, block):
-                e = vec_add(e, vec_scale(m, b))
-            row.append(e)
-        units.append(row)
+    coeffs = solve_columns(p, Mat.identity(field, r * r))
+    units = [[combine(field, coeffs.column(u * r + v), block)
+              for v in range(r)] for u in range(r)]
     for u in range(r):
         for v in range(r):
             for up in range(r):
@@ -382,17 +373,8 @@ def basic_multiplicative_matrix(h: Coalgebra,
                 a, b = (j, i) if transpose else (i, j)
                 cols.append(unit_vec(field, r * r, a * r + b))
         coeffs = solve_columns(pairing, Mat.from_columns(field, cols, r * r))
-        grid = []
-        for i in range(r):
-            row = []
-            for j in range(r):
-                xi = coeffs.column(i * r + j)
-                e = zero_vec(field, h.dim)
-                for m, c in zip(xi, crows):
-                    e = vec_add(e, vec_scale(m, c))
-                row.append(e)
-            grid.append(row)
-        cand = MatrixOverH(h, grid)
+        cand = MatrixOverH(h, [[combine(field, coeffs.column(i * r + j), crows)
+                                for j in range(r)] for i in range(r)])
         if is_multiplicative(cand):
             matrix = cand
             break
@@ -442,20 +424,6 @@ class PrimitiveDecomposition:
         return f"PrimitiveDecomposition({r * s} matrices of shape {r}x{s})"
 
 
-def _second_leg_coords(field, t2: dict, dim: int, minv: Mat, keep: int):
-    """Split sum a (x) v into per-first-index coordinate rows over minv's basis."""
-    out = [zero_vec(field, keep) for _ in range(dim)]
-    legs: dict[int, list] = {}
-    for (a, k), val in t2.items():
-        legs.setdefault(a, [field.zero()] * dim)[k] = val
-    for a, leg in legs.items():
-        co = minv.apply(tuple(leg))
-        require(all(x.is_zero() for x in co[keep:]),
-                "second tensor leg escapes the target simple")
-        out[a] = co[:keep]
-    return out
-
-
 def primitive_decompose(w, cbasic: BasicMultMatrix,
                         dbasic: BasicMultMatrix) -> PrimitiveDecomposition:
     """Split a degree-one bicomponent element into primitive matrices.
@@ -491,105 +459,78 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
     bico = h.bicomponent_subspace(ci, di, within=h1)
     brows = bico.rows
     nb = len(brows)
+    ops = field.ops
+    braw = [nonzero_raw(field, b) for b in brows]
 
-    def flat(u: tuple, v: tuple) -> tuple:
-        return t2_flatten(field, t2_from_pair(u, v), dim)
-
-    cols = []
-    for ip in range(r):
-        for i in range(r):
-            for t in range(nb):
-                cols.append(flat(cm.entry(ip, i), brows[t]))
-    for j in range(s):
-        for jp in range(s):
-            for t in range(nb):
-                cols.append(flat(brows[t], dm.entry(j, jp)))
-    rhs = t2_flatten(field, h.delta_vec(wvec), dim)
-    sol = solve(Mat.from_columns(field, cols, dim * dim), rhs)
-
-    def lincomb(coeffs) -> tuple:
-        acc = zero_vec(field, dim)
-        for c, b in zip(coeffs, brows):
-            acc = vec_add(acc, vec_scale(c, b))
-        return acc
-
-    pos = 0
-    x = {}
-    for ip in range(r):
-        for i in range(r):
-            x[(ip, i)] = lincomb(sol[pos:pos + nb])
-            pos += nb
-    y = {}
-    for j in range(s):
-        for jp in range(s):
-            y[(j, jp)] = lincomb(sol[pos:pos + nb])
-            pos += nb
+    cpos = [(ip, i) for ip in range(r) for i in range(r)]
+    dpos = [(j, jp) for j in range(s) for jp in range(s)]
+    # Delta(w) over the sparse columns c_(i'i) (x) b_t, then b_t (x) d_(jj')
+    system = Echelon(field)
+    for key in cpos:
+        c = nonzero_raw(field, cm.entry(*key))
+        for b in braw:
+            system.add(raw_pair(ops, c, b))
+    for key in dpos:
+        d = nonzero_raw(field, dm.entry(*key))
+        for b in braw:
+            system.add(raw_pair(ops, b, d))
+    comb = system.coords(h._delta_raw(nonzero_raw(field, wvec)))
+    sol = box(field, [comb.get(k, ops.zero) for k in range(system.count)])
+    parts = [combine(field, sol[k * nb:(k + 1) * nb], brows) if brows
+             else zero_vec(field, dim) for k in range(r * r + s * s)]
+    x, y = dict(zip(cpos, parts)), dict(zip(dpos, parts[r * r:]))
 
     remainder = zero_vec(field, dim)
+    one, eps = field.one(), h.counit_vec
     if same:
         # counit correction: push sum eps(x_i^(i') + y_(i')^(i)) c_(i'i)
         # into the remainder, then recenter every term inside ker eps
-        for ip in range(r):
-            for i in range(r):
-                coeff = h.counit_vec(x[(ip, i)]) + h.counit_vec(y[(ip, i)])
-                remainder = vec_add(remainder, vec_scale(coeff, cm.entry(ip, i)))
-        xt = {}
-        for ip in range(r):
-            for i in range(r):
-                v = x[(ip, i)]
-                for k in range(r):
-                    v = vec_sub(v, vec_scale(h.counit_vec(x[(ip, k)]), cm.entry(i, k)))
-                xt[(ip, i)] = v
-        yt = {}
-        for j in range(s):
-            for jp in range(s):
-                v = y[(j, jp)]
-                for l in range(s):
-                    v = vec_sub(v, vec_scale(h.counit_vec(y[(l, jp)]), dm.entry(l, j)))
-                yt[(j, jp)] = v
-        x, y = xt, yt
+        remainder = combine(field, [eps(x[k]) + eps(y[k]) for k in cpos],
+                            [cm.entry(*k) for k in cpos])
+        x, y = ({(ip, i): combine(field,
+                                  [one] + [-eps(x[(ip, k)]) for k in range(r)],
+                                  [x[(ip, i)]] + [cm.entry(i, k)
+                                                  for k in range(r)])
+                 for ip, i in cpos},
+                {(j, jp): combine(field,
+                                  [one] + [-eps(y[(l, jp)]) for l in range(s)],
+                                  [y[(j, jp)]] + [dm.entry(l, j)
+                                                  for l in range(s)])
+                 for j, jp in dpos})
     wprime = vec_sub(wvec, remainder)
 
     for v in list(x.values()) + list(y.values()):
-        require(h.counit_vec(v).is_zero(),
-                "expansion term with nonzero counit")
+        require(eps(v).is_zero(), "expansion term with nonzero counit")
     recon: dict = {}
-    for ip in range(r):
-        for i in range(r):
-            for key, val in t2_from_pair(cm.entry(ip, i), x[(ip, i)]).items():
-                t2_add_term(recon, key, val)
-    for j in range(s):
-        for jp in range(s):
-            for key, val in t2_from_pair(y[(j, jp)], dm.entry(j, jp)).items():
-                t2_add_term(recon, key, val)
-    require(recon == h.delta_vec(wprime),
+    for u, v in ([(cm.entry(*k), x[k]) for k in cpos]
+                 + [(y[k], dm.entry(*k)) for k in dpos]):
+        add_scaled(ops, recon, ops.one, raw_pair(ops, nonzero_raw(field, u),
+                                                 nonzero_raw(field, v)))
+    require(recon == h._delta_raw(nonzero_raw(field, wprime)),
             "expansion does not reconstruct Delta")
-    total_diag = zero_vec(field, dim)
-    for i in range(r):
-        total_diag = vec_add(total_diag, x[(i, i)])
-    require(tuple(total_diag) == tuple(wprime),
-            "diagonal expansion terms do not sum back")
+    require(combine(field, [one] * r, [x[(i, i)] for i in range(r)])
+            == tuple(wprime), "diagonal expansion terms do not sum back")
 
-    drows = [dm.entry(j, jp) for j in range(s) for jp in range(s)]
-    _, pivots = rref_rows(field, drows)
-    basis_cols = list(drows) + [unit_vec(field, dim, c)
-                                for c in range(dim) if c not in pivots]
-    m = Mat.from_columns(field, basis_cols, dim)
-    minv = solve_columns(m, Mat.identity(field, dim))
-
+    # the second legs of Delta(x) - sum_k c_ik (x) x_k over the entries of D
+    dbasis = Echelon.of_vectors(field, [dm.entry(*k) for k in dpos])
+    minus_one = ops.neg(ops.one)
     grids = [[[[None] * s for _ in range(r)] for _ in range(s)] for _ in range(r)]
     for ip in range(r):
         for i in range(r):
-            t2 = dict(h.delta_vec(x[(ip, i)]))
+            t2 = h._delta_raw(nonzero_raw(field, x[(ip, i)]))
             for k in range(r):
-                for key, val in t2_from_pair(cm.entry(i, k), x[(ip, k)]).items():
-                    t2_add_term(t2, key, -val)
-            per_first = _second_leg_coords(field, t2, dim, minv, s * s)
+                add_scaled(ops, t2, minus_one, raw_pair(
+                    ops, nonzero_raw(field, cm.entry(i, k)),
+                    nonzero_raw(field, x[(ip, k)])))
+            try:
+                per_entry = leg_coords(dbasis, {(k, a): c for (a, k), c
+                                                in t2.items()}, dim)
+            except NoSolution:
+                raise InvariantViolation(
+                    "second tensor leg escapes the target simple") from None
             for j in range(s):
                 for jp in range(s):
-                    idx = j * s + jp
-                    grids[ip][jp][i][j] = tuple(per_first[a][idx]
-                                                for a in range(dim))
+                    grids[ip][jp][i][j] = box(field, per_entry[j * s + jp])
     matrices = []
     for ip in range(r):
         row = []

@@ -7,7 +7,8 @@ polynomials of field construction (the prime field's FieldOps(char,
 None)), the extension inverses and the minimal polynomials of the
 algebra and Hopf layers all run on this one module.  The searches over
 the powers of an element (MinPolySearch, min_poly_of_powers, powers_mod)
-take the FieldSpec their callers hold.
+take the FieldSpec their callers hold; MinPolySearch finds the first
+dependent power with linalg.Echelon, the one sparse solver.
 
 char_poly reduces a square matrix to Hessenberg form by similarity
 transformations and reads det(tI - m) off the Hessenberg recurrence:
@@ -112,47 +113,28 @@ class MinPolySearch:
 
     A power is a sparse raw row {key: raw value} with no zeros; keys are
     any orderable labels of coordinates (an index m, or a pair (i, m) of
-    a column and an entry).  add(x^n), after x^0, ..., x^(n-1) were
-    added, reduces x^n against the echelon rows kept from the earlier
-    powers, tracking which combination of powers each row stands for.
-    It returns None while the powers stay independent, and the monic
-    minimal polynomial as raw values (constant term first) at the first
-    power that reduces to zero, since that relation is a combination of
-    the earlier powers.
+    a column and an entry).  The powers go into one linalg.Echelon:
+    add(x^n), after x^0, ..., x^(n-1) were added, returns None while the
+    powers stay independent, and the monic minimal polynomial as raw
+    values (constant term first) at the first power that is a
+    combination sum c_k x^k of the earlier ones, namely
+    x^n - sum c_k x^k.
     """
 
     def __init__(self, field):
+        from .linalg import Echelon  # linalg imports scalars, which imports poly
+
         self.ops = field.ops
-        self.echelon = []  # (pivot, {key: raw} with one at pivot, comb)
+        self.echelon = Echelon(field)
 
     def add(self, row: dict) -> list | None:
+        comb = self.echelon.add(row)
+        if comb is None:
+            return None
         ops = self.ops
-        mul, add, is_zero = ops.mul, ops.add, ops.is_zero
-        row = dict(row)
-        comb = [ops.zero] * len(self.echelon) + [ops.one]
-        for pivot, erow, ecomb in self.echelon:
-            c = row.get(pivot)
-            if c is None:
-                continue
-            c = ops.neg(c)
-            for j, x in erow.items():
-                y = mul(c, x)
-                if j in row:
-                    y = add(row[j], y)
-                    if is_zero(y):
-                        del row[j]
-                        continue
-                row[j] = y
-            for k, x in enumerate(ecomb):
-                if not is_zero(x):
-                    comb[k] = add(comb[k], mul(c, x))
-        if not row:
-            return comb
-        pivot = min(row)
-        inv = ops.inv(row[pivot])
-        self.echelon.append((pivot, {j: mul(inv, x) for j, x in row.items()},
-                             [mul(inv, x) for x in comb]))
-        return None
+        n = self.echelon.count - 1
+        return [ops.neg(comb[k]) if k in comb else ops.zero
+                for k in range(n)] + [ops.one]
 
 
 def min_poly_of_powers(field, powers: Iterable[dict]) -> list | None:

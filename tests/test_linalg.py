@@ -9,13 +9,15 @@ from hypothesis import given, settings, strategies as st
 import hopfex.extension
 from hopfex import GF, QQ, Element, FieldSpec, linalg
 from hopfex.errors import FieldMismatch, NoSolution, ShapeMismatch
-from hopfex.linalg import (Mat, SubspaceBasis, kernel, rref, rref_raw,
-                           rref_rows, solve, solve_columns, unit_vec, vec_add,
+from hopfex.linalg import (Echelon, Mat, SubspaceBasis, combine, kernel, rref,
+                           rref_raw, rref_rows, solve, solve_columns,
+                           t2_add_term, t2_flatten, unit_vec, vec_add,
                            vec_is_zero, vec_scale, vec_sub, zero_vec)
 from hopfex.extension import extend_coalgebra
+from hopfex.scalars import box, nonzero_raw
 from hopfex.zoo import taft
-from lifting_cases import (LIFT_FIELDS, fraction_scalar, fraction_vector,
-                           has_denominators)
+from lifting_cases import (F9, HALF_ROOT, LIFT_FIELDS, QZ5, fraction_scalar,
+                           fraction_vector, has_denominators)
 
 F5 = GF(5)
 
@@ -506,44 +508,68 @@ def reference_solve(m, b):
     return tuple(x)
 
 
-def skew_systems(z, g, h, n):
-    """The systems (m, b) that the skew-primitive solver hands to solve
+def skew_calls(z, g, h, n):
+    """The inputs (coalg, sigma, tau, mid) of the skew-primitive solver
     while z, in the (g, h) bicomponent of taft16 over Q(zeta_4), is
     extended to a corner at degree n."""
     taft16 = taft(4, FieldSpec(0, cyclotomic_order=4))
-    systems = []
-    original = hopfex.extension.solve
+    calls = []
+    original = hopfex.extension._solve_skew
 
-    def recording(m, b):
-        systems.append((m, b))
-        return original(m, b)
+    def recording(coalg, sigma, tau, mid):
+        calls.append((coalg, sigma, tau, mid))
+        return original(coalg, sigma, tau, mid)
 
     def power_of_g(k):
         return Element(taft16, taft16.power_vec(taft16.basis_element(1).vec, k))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hopfex.extension, "solve", recording)
+        mp.setattr(hopfex.extension, "_solve_skew", recording)
         extend_coalgebra(taft16, power_of_g(g), power_of_g(h),
                          taft16.basis_element(taft16.index_of(z)), n)
-    return systems
+    return calls
+
+
+def dense_skew_system(coalg, sigma, tau, mid):
+    """delta(r) = sigma (x) r + mid + r (x) tau as the dense dim^2 x dim
+    system (m, b) of the H (x) H ambient, as the solver once built it."""
+    field, dim = coalg.field, coalg.dim
+    cols = []
+    for e in range(dim):
+        col = dict(coalg.comul[e])
+        for a, c in enumerate(sigma):
+            if not c.is_zero():
+                t2_add_term(col, (a, e), -c)
+        for b, c in enumerate(tau):
+            if not c.is_zero():
+                t2_add_term(col, (e, b), -c)
+        cols.append(t2_flatten(field, col, dim))
+    return (Mat.from_columns(field, cols, nrows=dim * dim),
+            t2_flatten(field, mid, dim))
 
 
 # Taft9 extensions have degree at most 2 and never reach the solver.
 @pytest.mark.parametrize("z, g, h", [("x^3", 3, 0), ("gx^3", 0, 1)],
                          ids=["x^3", "gx^3"])
 def test_solve_without_zero_rows_matches_the_full_reference(z, g, h):
-    systems = skew_systems(z, g, h, 3)
-    assert systems
-    for m, b in systems:
+    calls = skew_calls(z, g, h, 3)
+    assert calls
+    for coalg, sigma, tau, mid in calls:
+        m, b = dense_skew_system(coalg, sigma, tau, mid)
         zero_rows = [i for i, (r, c) in enumerate(zip(m.rows, b))
                      if vec_is_zero(r + (c,))]
         assert zero_rows
         # a zero row of m beside a nonzero right-hand side has no solution
+        one = m.field.one()
         bad = list(b)
-        bad[zero_rows[0]] = m.field.one()
-        for rhs in (b, tuple(bad)):
+        bad[zero_rows[0]] = one
+        bad_mid = dict(mid)
+        bad_mid[divmod(zero_rows[0], coalg.dim)] = one
+        for rhs, tensor in ((b, mid), (tuple(bad), bad_mid)):
             want = value_or_none(lambda r: reference_solve(m, r), rhs)
             assert value_or_none(lambda r: solve(m, r), rhs) == want
+            assert hopfex.extension._solve_skew(coalg, sigma, tau,
+                                                tensor) == want
             assert (want is None) == (rhs is not b)
 
 
@@ -556,3 +582,99 @@ def test_a_zero_row_with_a_nonzero_rhs_still_has_no_solution():
         solve_columns(m, qmat([[1, 3], [0, 0], [0, 1]]))
     assert solve_columns(m, qmat([[1, 3], [0, 0], [0, 0]])) == \
         qmat([[1, 3], [0, 0]])
+
+
+ECHELON_FIELDS = [("F_2", GF(2)), ("F_5", F5), ("F_9", F9), ("Q", QQ),
+                  ("Q_zeta5", QZ5), ("Q_sqrt_half", HALF_ROOT)]
+
+
+def pair_keyed(field, vec):
+    """vec as a sparse raw row keyed by the pairs (i // 3, i % 3), which
+    sort as the indices do."""
+    return {divmod(i, 3): x for i, x in nonzero_raw(field, vec)}
+
+
+def dense_of_pairs(field, row, n):
+    out = [field.zero()] * n
+    for (a, b), x in row.items():
+        out[3 * a + b] = box(field, [x])[0]
+    return tuple(out)
+
+
+def seeded_columns(field, rng, nrows, ncols):
+    """Seeded columns with denominators, about a third of them
+    combinations of earlier ones."""
+    cols = []
+    while len(cols) < ncols:
+        if cols and rng.random() < 0.35:
+            v = zero_vec(field, nrows)
+            for c in rng.sample(cols, min(len(cols), rng.randint(1, 3))):
+                v = vec_add(v, vec_scale(fraction_scalar(field, rng), c))
+            cols.append(v)
+        else:
+            cols.append(fraction_vector(field, rng, nrows))
+    return cols
+
+
+def raw_comb(x):
+    """A solution vector as the {column: raw value} an Echelon returns."""
+    return {k: c.val for k, c in enumerate(x) if not c.is_zero()}
+
+
+@pytest.mark.parametrize("field", [f for _, f in ECHELON_FIELDS],
+                         ids=[name for name, _ in ECHELON_FIELDS])
+def test_echelon_matches_the_rref_reference(field):
+    rng = random.Random(20261018)
+    dependent, consistent = set(), set()
+    for _ in range(15):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        cols = seeded_columns(field, rng, nrows, ncols)
+        ech = Echelon(field)
+        for k, col in enumerate(cols):
+            # comb: the column over the earlier ones, free variables zero
+            earlier = Mat.from_columns(field, cols[:k], nrows)
+            want = value_or_none(lambda b: reference_solve(earlier, b), col)
+            got = ech.add(pair_keyed(field, col))
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got == raw_comb(want)
+            dependent.add(got is not None)
+        m = Mat.from_columns(field, cols, nrows)
+        pivots = {p for p, _, _ in ech.rows}
+        inside = zero_vec(field, nrows)
+        for c in cols:
+            inside = vec_add(inside, vec_scale(fraction_scalar(field, rng), c))
+        for b in (inside, fraction_vector(field, rng, nrows)):
+            want = value_or_none(lambda r: reference_solve(m, r), b)
+            assert value_or_none(lambda r: solve(m, r), b) == want
+            remainder, comb = ech.reduce(pair_keyed(field, b))
+            # b = remainder + sum comb[k] cols[k], the remainder cleared
+            # at every pivot and empty exactly when b is in the span
+            back = dense_of_pairs(field, remainder, nrows)
+            for k, c in comb.items():
+                back = vec_add(back, vec_scale(box(field, [c])[0], cols[k]))
+            assert back == b
+            assert not pivots & set(remainder)
+            assert (not remainder) == (want is not None)
+            if want is not None:
+                assert comb == raw_comb(want)
+                assert ech.coords(pair_keyed(field, b)) == comb
+            else:
+                with pytest.raises(NoSolution):
+                    ech.coords(pair_keyed(field, b))
+            consistent.add(want is not None)
+    assert dependent == consistent == {True, False}
+
+
+@pytest.mark.parametrize("field", [f for _, f in LIFT_FIELDS],
+                         ids=[name for name, _ in LIFT_FIELDS])
+def test_combine_matches_the_boxed_sum(field):
+    rng = random.Random(7)
+    for _ in range(10):
+        n, k = rng.randint(1, 6), rng.randint(1, 4)
+        rows = [fraction_vector(field, rng, n) for _ in range(k)]
+        coeffs = fraction_vector(field, rng, k)
+        want = zero_vec(field, n)
+        for c, r in zip(coeffs, rows):
+            want = vec_add(want, vec_scale(c, r))
+        assert combine(field, coeffs, rows) == want
