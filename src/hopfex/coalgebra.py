@@ -443,37 +443,58 @@ class Coalgebra:
 
     def hit_left(self, f: tuple, h: tuple) -> tuple:
         """f harpoon-> h = sum h_(1) f(h_(2)): f eats the right tensor leg."""
-        out = list(zero_vec(self.field, self.dim))
-        for i, c in enumerate(h):
-            if c.is_zero():
-                continue
-            for (j, k), val in self.comul[i].items():
-                fk = f[k]
-                if not fk.is_zero():
-                    out[j] = out[j] + c * val * fk
-        return tuple(out)
+        return self._box(self._hit(nonzero_raw(self.field, h), f, 1))
 
     def hit_right(self, h: tuple, f: tuple) -> tuple:
         """h <-harpoon f = sum f(h_(1)) h_(2): f eats the left tensor leg."""
-        out = list(zero_vec(self.field, self.dim))
-        for i, c in enumerate(h):
-            if c.is_zero():
-                continue
-            for (j, k), val in self.comul[i].items():
-                fj = f[j]
-                if not fj.is_zero():
-                    out[k] = out[k] + c * val * fj
-        return tuple(out)
+        return self._box(self._hit(nonzero_raw(self.field, h), f, 0))
+
+    def _hit(self, pairs, f: tuple, leg: int) -> dict:
+        """sum c_i f(e_(leg)) e_(other leg) over the terms of Delta(e_i),
+        for the nonzero (i, raw c_i) of a vector, as {m: raw value} with
+        no zeros.  Only the entries of f that a term reaches are read;
+        the values are lifted once and each entry is settled once."""
+        field = self.field
+        ops = field.ops
+        mul, add = ops.lmul, ops.ladd
+        scale, table = self._lifted_comul
+        coeffs, hs = lift_pairs(ops, pairs)
+        reached = sorted({key[leg] for i, _ in coeffs for key, _ in table[i]})
+        fl, fs = lift_pairs(ops, [
+            (k, x) for k, x in zip(reached, raw_values(field, [f[k] for k in reached]))
+            if not ops.is_zero(x)])
+        fl = dict(fl)
+        acc: dict = {}
+        for i, c in coeffs:
+            for key, t in table[i]:
+                x = fl.get(key[leg])
+                if x is not None:
+                    y = mul(mul(c, t), x)
+                    m = key[1 - leg]
+                    acc[m] = add(acc[m], y) if m in acc else y
+        return settle_all(ops, acc, hs * scale * fs)
+
+    def _box(self, sparse: dict) -> tuple:
+        """The vector of Scalars of the raw entries {m: value}."""
+        zero = self.field.ops.zero
+        return box(self.field, [sparse.get(m, zero) for m in range(self.dim)])
 
     def component(self, h: tuple, left: int | None = None,
                   right: int | None = None) -> tuple:
         """Bicomponent ^C h ^D: left index applies h <- e_C, right e_D -> h."""
+        return self._box(self._component_raw(nonzero_raw(self.field, h),
+                                             left, right))
+
+    def _component_raw(self, pairs, left: int | None = None,
+                       right: int | None = None) -> dict:
+        """component of the vector with nonzero (index, raw value) pairs,
+        as {m: raw value} with no zeros."""
         fam = self.coradical_idempotents()
-        v = tuple(h)
+        v = dict(pairs)
         if left is not None:
-            v = self.hit_right(v, fam.functional(left))
+            v = self._hit(v.items(), fam.functional(left), 0)
         if right is not None:
-            v = self.hit_left(fam.functional(right), v)
+            v = self._hit(v.items(), fam.functional(right), 1)
         return v
 
     def bicomponent_decomposition_vec(self, h: tuple) -> dict:

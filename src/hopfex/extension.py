@@ -154,21 +154,17 @@ def _flag_basis(coalg: Coalgebra, left: int, right: int, maxdeg: int):
 
 def _middle_block(coalg: Coalgebra, middle: dict, gi: int, ki: int, hi: int):
     """Project a raw middle tensor onto ^gH^k (x) ^kH^h, leg by leg."""
-    field = coalg.field
-    dim = coalg.dim
+    ops = coalg.field.ops
     lcache: dict = {}
     rcache: dict = {}
     out: dict = {}
     for (a, b), c in middle.items():
         if a not in lcache:
-            lcache[a] = nonzero_raw(field, coalg.component(
-                unit_vec(field, dim, a), left=gi, right=ki))
+            lcache[a] = sorted(coalg._component_raw([(a, ops.one)], gi, ki).items())
         if b not in rcache:
-            rcache[b] = nonzero_raw(field, coalg.component(
-                unit_vec(field, dim, b), left=ki, right=hi))
+            rcache[b] = sorted(coalg._component_raw([(b, ops.one)], ki, hi).items())
         if lcache[a] and rcache[b]:
-            add_scaled(field.ops, out, c,
-                       raw_pair(field.ops, lcache[a], rcache[b]))
+            add_scaled(ops, out, c, raw_pair(ops, lcache[a], rcache[b]))
     return out
 
 

@@ -10,7 +10,8 @@ inverses run on hopfex.poly with the prime field's FieldOps.
 
 Scalars are immutable and hashable.  Each wraps one canonical raw value:
 
-  * char 0, prime field -- fractions.Fraction (never int)
+  * char 0, prime field -- int when the element is an integer, else a
+                            fractions.Fraction with denominator > 1
   * char p, prime field -- int in [0, p)
   * F_p[t]/(m), degree d -- tuple of exactly d ints in [0, p), constant
                             term first
@@ -34,7 +35,7 @@ Computational Algebraic Number Theory, GTM 138, section 4.2): the table
 holds D t^k mod modulus, D the lcm of its denominators (1 on every
 cyclotomic field), and each result divides out one multi-argument gcd.
 Only the inverse, cached per value, runs the extended Euclid on
-Fractions.
+rationals.
 
 Scalar's operators delegate to the table, and the hot loops (rref_rows,
 FiniteAlgebra.mult) run on raw values directly: they unbox once with
@@ -46,12 +47,14 @@ turns raw values into integers over one common scale (numerators over
 the lcm of the denominators on Q; the values themselves, scale 1, on
 F_p), a kernel multiplies and adds those integers with no reduction,
 and FieldOps.settle turns each nonzero output entry back into one
-canonical raw value: one gcd on Q, one reduction mod p on F_p.  An
+canonical raw value: one divmod on Q (and one gcd when the entry is
+not an integer), one reduction mod p on F_p.  An
 extension field lifts by the identity, so the same kernels run on its
 own mul and add; on a char-0 extension those are already integer
 operations with one gcd per result.
 
-No floating point anywhere.
+No floating point anywhere: a raw value over Q is never divided with
+'/', which would turn two ints into a float.
 """
 
 from __future__ import annotations
@@ -77,12 +80,12 @@ from .errors import (
 MAX_EXTENSION_DEGREE = 16
 
 
-def cyclotomic_polynomial(m: int) -> list[Fraction]:
+def cyclotomic_polynomial(m: int) -> list[int]:
     """Monic cyclotomic polynomial of order m over the rationals,
     constant term first, computed by dividing x^m - 1 by the lower orders."""
     if m < 1:
         raise FieldError("cyclotomic order must be positive")
-    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    num = [-1] + [0] * (m - 1) + [1]
     rationals = FieldOps(0, None)
     for d in range(1, m):
         if m % d == 0:
@@ -129,12 +132,52 @@ def _is_irreducible(coeffs: list, p: int) -> bool:
 _INV_CACHE_SIZE = 1024  # inverses remembered per extension field
 
 
+# Q: a raw value is an int when the element is an integer and a Fraction
+# with denominator > 1 otherwise.  int arithmetic is C-level; a Fraction
+# result that happens to be integral is turned back into an int.
+
+def _rational(x):
+    """The canonical raw value over Q of an int, a Fraction, or anything
+    Fraction accepts."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _add_rationals(a, b):
+    c = a + b
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _sub_rationals(a, b):
+    c = a - b
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _mul_rationals(a, b):
+    c = a * b
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _invert_rational(a):
+    n, d = a.numerator, a.denominator
+    if n < 0:
+        n, d = -n, -d
+    return d if n == 1 else Fraction(d, n)
+
+
+def _settle_rational(acc: int, scale: int):
+    q, r = divmod(acc, scale)
+    return Fraction(acc, scale) if r else q
+
+
 def _lift_rationals(vals) -> tuple[list[int], int]:
-    """Integer numerators of Fractions over the lcm of their denominators."""
+    """Integer numerators of rationals over the lcm of their denominators."""
     vals = list(vals)
-    dens = {v.denominator for v in vals}
-    if dens <= {1}:
-        return [v.numerator for v in vals], 1
+    dens = {v.denominator for v in vals if type(v) is not int}
+    if not dens:
+        return vals, 1
     d = math.lcm(*dens)
     return [v.numerator * (d // v.denominator) for v in vals], d
 
@@ -146,6 +189,11 @@ class FieldOps:
     is_zero one.  Every result is canonical again.  inv of zero is not
     checked here; Scalar.inverse raises DivisionByZero first.
 
+    On Q the raw values are ints and Fractions (module docstring): two
+    ints add, subtract and multiply as C-level ints, and a Fraction
+    result with denominator 1 is returned as its numerator.  inv returns
+    an int exactly when the value is +-1/n.
+
     lift and settle delay normalisation in sums of products.  lift(vals)
     returns (lifted, scale): on Q, integers over one common scale, the lcm
     of the denominators; on F_p, the values themselves with scale 1.
@@ -153,7 +201,8 @@ class FieldOps:
     F_p these are plain integer operations, never reduced mod p, so a
     product of lifted values lies over the product of their scales.
     settle(acc, scale) returns the canonical raw value of acc over scale:
-    Fraction(acc, scale) on Q, acc % p on F_p.  A kernel settles once per
+    on Q the int quotient when scale divides acc, else Fraction(acc,
+    scale); acc % p on F_p.  A kernel settles once per
     output entry, so it normalises once per entry, not once per term.  An
     extension field lifts by the identity (scale 1), its lmul and ladd
     are its own mul and add, and settle returns acc.
@@ -162,7 +211,7 @@ class FieldOps:
     (n_0, ..., n_{d-1}, den) (module docstring).  add, sub and mul work
     on ints and divide out one gcd per result, skipped when the
     denominator is 1; is_zero is one tuple comparison with zero; inv runs
-    the extended Euclid on Fractions, once per value (lru_cache).
+    the extended Euclid on Q's raw values, once per value (lru_cache).
     """
 
     __slots__ = ("zero", "one", "add", "sub", "neg", "mul", "inv", "is_zero",
@@ -183,13 +232,12 @@ class FieldOps:
             self.lift = lambda vals: (list(vals), 1)
             self.settle = lambda acc, scale: acc % p
         else:
-            one = Fraction(1)
-            self.zero, self.one = Fraction(0), one
-            self.add, self.sub = operator.add, operator.sub
-            self.neg, self.mul = operator.neg, operator.mul
-            self.inv = lambda a: one / a
+            self.zero, self.one = 0, 1
+            self.add, self.sub = _add_rationals, _sub_rationals
+            self.neg, self.mul = operator.neg, _mul_rationals
+            self.inv = _invert_rational
             self.lift = _lift_rationals
-            self.settle = Fraction
+            self.settle = _settle_rational
         self.is_zero = operator.not_
         self.lmul, self.ladd = operator.mul, operator.add
 
@@ -305,17 +353,17 @@ class FieldOps:
             out.append(a[-1] * b[-1] * D)
             return canon(out)
 
-        # the extended Euclid runs on Fractions, once per value
+        # the extended Euclid runs on Q's raw values, once per value
         rationals = FieldOps(0, None)
 
         @functools.lru_cache(maxsize=_INV_CACHE_SIZE)
         def inv(a):
             den = a[-1]
             g, u, _ = poly.gcdext(
-                rationals, [Fraction(x, den) for x in a[:-1]], modulus)
+                rationals, [_settle_rational(x, den) for x in a[:-1]], modulus)
             require(len(g) == 1, "modulus is irreducible, gcd must be a unit")
-            c = 1 / g[0]
-            return _integer_tuple([x * c for x in u], d)
+            c = rationals.inv(g[0])
+            return _integer_tuple([rationals.mul(x, c) for x in u], d)
 
         self.zero, self.one = (0,) * d + (1,), (1,) + (0,) * (d - 1) + (1,)
         self.add, self.sub, self.neg, self.mul, self.inv = add, sub, neg, mul, inv
@@ -502,11 +550,11 @@ class FieldSpec:
         return self.from_int(1)
 
     def from_int(self, n: int) -> "Scalar":
-        c = n % self.char if self.char else Fraction(n)
+        c = n % self.char if self.char else _rational(n)
         return Scalar(self, self._pad([c]) if self.modulus else c)
 
     def from_fraction(self, fr: Fraction) -> "Scalar":
-        fr = Fraction(fr)
+        fr = _rational(fr)
         if self.char:
             den = fr.denominator % self.char
             if den == 0:
@@ -551,12 +599,13 @@ class FieldSpec:
         if self.char:
             return v
         den = v[-1]
-        return tuple([Fraction(n, den) for n in v[:-1]])
+        return tuple([_settle_rational(n, den) for n in v[:-1]])
 
     # -- scalar text format --------------------------------------------------
 
     def parse(self, text: str) -> "Scalar":
-        """Parse 'a', 'a/b' or a coefficient list '[c0,c1,...]'."""
+        """Parse 'a', 'a/b', an exact decimal such as '0.5' or '1e3', or a
+        coefficient list '[c0,c1,...]' of those."""
         text = text.strip()
         try:
             if text.startswith("["):
@@ -564,11 +613,11 @@ class FieldSpec:
                     raise ValueError("unterminated coefficient list")
                 body = text[1:-1].strip()
                 parts = [p.strip() for p in body.split(",")] if body else []
-                fracs = [Fraction(p) if p else Fraction(0) for p in parts]
+                fracs = [_parse_rational(p) if p else 0 for p in parts]
                 if not self.modulus:
                     if len(fracs) > 1 and any(fracs[1:]):
                         raise ValueError("coefficient list too long for a prime field")
-                    return self.from_fraction(fracs[0] if fracs else Fraction(0))
+                    return self.from_fraction(fracs[0] if fracs else 0)
                 if len(fracs) > self.degree:
                     raise ValueError(
                         f"coefficient list longer than extension degree {self.degree}")
@@ -582,7 +631,7 @@ class FieldSpec:
                                       % self.char)
                     return self.from_coeffs(coeffs)
                 return self.from_coeffs(fracs)
-            return self.from_fraction(Fraction(text))
+            return self.from_fraction(_parse_rational(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ScalarParseError(f"cannot parse scalar {text!r}: {exc}") from None
 
@@ -684,7 +733,16 @@ def _coerce_prime_coeff(c, p: int):
                 raise DivisionByZero("coefficient denominator vanishes mod p")
             return c.numerator * pow(c.denominator % p, p - 2, p) % p
         return int(c) % p
-    return Fraction(c)
+    return _rational(c)
+
+
+def _parse_rational(text: str):
+    """The canonical raw value over Q of a rational literal: int() for
+    the ASCII integers -?[0-9]+, Fraction's own syntax for the rest."""
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
+        return int(text)
+    return _rational(text)
 
 
 def _multiplicative_order(s: "Scalar", bound: int) -> int:

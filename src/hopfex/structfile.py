@@ -17,9 +17,10 @@ algebra by its structure constants:
     unit 1 0 0 0                    (required with mul)
     antipode 1 1 1                  (optional: S(e_i) = sum scalar e_m)
 
-Scalars are fractions ('2', '-5/7') or, in extension fields, coefficient
-lists constant-first ('[0,1]').  '#' starts a comment; blank lines are
-ignored.  The emitter is canonical: fixed directive order, sparse blocks
+Scalars are fractions ('2', '-5/7'), exact decimals ('0.5', '1e3') or,
+in extension fields, coefficient lists of those, constant-first
+('[0,1]').  Each distinct scalar token is parsed once per file.  '#'
+starts a comment; blank lines are ignored.  The emitter is canonical: fixed directive order, sparse blocks
 sorted by index, zero entries omitted, full-length coefficient lists.
 Canonical files round-trip byte-identically through parse and emit.
 
@@ -181,6 +182,9 @@ class _Parser:
         self.antipode: dict = {}
         self.saw_mul = False
         self.saw_antipode = False
+        # token -> Scalar: a file repeats a few distinct scalar tokens
+        # many times; only successful parses are kept
+        self.scalars: dict = {}
 
     def fail(self, msg: str, lineno: int, cls=StructureFileError):
         raise cls(msg, line=lineno)
@@ -216,11 +220,14 @@ class _Parser:
         return i
 
     def parse_scalar(self, tok: str, lineno: int):
-        field = self.need_field(lineno)
-        try:
-            return field.parse(tok)
-        except ScalarParseError as exc:
-            self.fail(str(exc), lineno, ScalarParseError)
+        s = self.scalars.get(tok)
+        if s is None:
+            field = self.need_field(lineno)
+            try:
+                s = self.scalars[tok] = field.parse(tok)
+            except ScalarParseError as exc:
+                self.fail(str(exc), lineno, ScalarParseError)
+        return s
 
     def parse_vector(self, toks, what: str, lineno: int):
         if len(toks) != self.need_dim(lineno):

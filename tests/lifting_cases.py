@@ -138,8 +138,10 @@ def has_denominators(values) -> bool:
 
 
 def is_canonical(field, raw) -> bool:
-    """Whether raw is a canonical raw value of field: a Fraction on Q,
-    an int in [0, p) on F_p, a tuple of degree such ints on F_p[t]/(m),
+    """Whether raw is a canonical raw value of field: on Q an int when it
+    is an integer and otherwise a Fraction with denominator > 1 (never a
+    bool, a float or a Fraction with denominator 1), an int in [0, p) on
+    F_p, a tuple of degree such ints on F_p[t]/(m),
     and on a char-0 extension a tuple of degree + 1 ints
     (n_0, ..., n_{d-1}, den) with den > 0 and no common factor."""
     if field.modulus and field.char:
@@ -151,4 +153,5 @@ def is_canonical(field, raw) -> bool:
                 and raw[-1] > 0 and math.gcd(*raw) == 1)
     if field.char:
         return type(raw) is int and 0 <= raw < field.char
-    return type(raw) is Fraction
+    return type(raw) is int or (type(raw) is Fraction
+                                and raw.denominator > 1)

@@ -8,8 +8,11 @@ import sys
 
 import pytest
 
+from hopfex import QQ
 from hopfex.cli import build_parser, render_text, run_command
+from hopfex.scalars import Scalar
 from hopfex.structfile import HEADER
+from lifting_cases import is_canonical
 
 GOLD = None  # filled per-test via the golden_dir fixture
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -441,3 +444,33 @@ def test_parser_is_shared_without_leaking_parsed_state(golden_dir, capsys):
     assert err == capsys.readouterr().err
     assert err.startswith("usage: hopfex ")
     assert err.endswith("error: unrecognized arguments: --no-such-flag\n")
+
+
+Q_STEMS = ["kZ2", "kZ6", "kS3", "dual_kS3", "sweedler", "tensor_kZ2_kZ3"]
+
+
+def test_reports_over_q_make_only_canonical_rationals(golden_dir, monkeypatch):
+    # over Q a Scalar holds an int or a Fraction with denominator > 1:
+    # never a float and never a Fraction with denominator 1
+    made, bad = [], []
+    real_init = Scalar.__init__
+
+    def checked_init(self, field, val):
+        if field == QQ:
+            made.append(type(val))
+            if not is_canonical(QQ, val):
+                bad.append(val)
+        real_init(self, field, val)
+
+    monkeypatch.setattr(Scalar, "__init__", checked_init)
+    for stem in Q_STEMS:
+        for cmd in REPORT_COMMANDS:
+            if "--element" in cmd and stem != "sweedler":
+                continue
+            argv = cmd + [path_of(golden_dir, stem)]
+            if cmd[0] in ("exponent", "hopf-order"):
+                argv += ["--cap", "32"]
+            code, text = run(argv)
+            assert code == 0, (stem, cmd, text)
+    assert bad == []
+    assert int in made and any(t is not int for t in made)

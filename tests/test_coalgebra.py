@@ -314,3 +314,43 @@ def test_delta_vec_matches_the_scalar_reference(field):
         assert got == reference_delta_vec(coalg, v)
         assert all(is_canonical(field, c.val) and not c.is_zero()
                    for c in got.values())
+
+
+def reference_hit(h, f, vec, leg):
+    """hit_left (leg 1) or hit_right (leg 0) as the boxed Scalar triple
+    products they replaced."""
+    out = list(zero_vec(h.field, h.dim))
+    for i, c in enumerate(vec):
+        if c.is_zero():
+            continue
+        for key, val in h.comul[i].items():
+            fx = f[key[leg]]
+            if not fx.is_zero():
+                m = key[1 - leg]
+                out[m] = out[m] + c * val * fx
+    return tuple(out)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(13), FieldSpec(0, cyclotomic_order=5)],
+                         ids=["Q", "F_13", "Q_zeta5"])
+def test_hit_actions_match_the_boxed_reference(field):
+    h = hopf_case(field)
+    coalg = rescaled_coalgebra(h, basis_scales(field, h.dim, 7))
+    rng = random.Random(29)
+    vecs = [fraction_vector(field, rng, h.dim) for _ in range(4)]
+    funcs = [fraction_vector(field, rng, h.dim) for _ in range(3)]
+    if field.char == 0:
+        assert has_denominators(c for d in coalg.comul for c in d.values())
+        assert has_denominators(x for v in vecs + funcs for x in v)
+    funcs += list(coalg.coradical_idempotents()) + [coalg.counit]
+    units = [unit_vec(field, h.dim, i) for i in range(h.dim)]
+    for f in funcs:
+        for v in vecs + units + [zero_vec(field, h.dim)]:
+            got_l, got_r = coalg.hit_left(f, v), coalg.hit_right(v, f)
+            assert got_l == reference_hit(coalg, f, v, 1)
+            assert got_r == reference_hit(coalg, f, v, 0)
+            assert all(is_canonical(field, c.val) for c in got_l + got_r)
+    # eps acts as the identity from both sides
+    for v in vecs:
+        assert coalg.hit_left(coalg.counit, v) == v
+        assert coalg.hit_right(v, coalg.counit) == v

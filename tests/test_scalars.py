@@ -460,3 +460,118 @@ def test_char0_extension_constructors_agree(field):
     assert top == field.gen() ** field.degree
     assert top == field.from_coeffs([-c for c in field.modulus[:-1]])
     assert hash(top) == hash(field.gen() ** field.degree)
+
+
+def rational_samples(rng, n):
+    """Seeded rationals: small and huge integers, integral Fractions,
+    and fractions with small and huge numerators and denominators."""
+    big = 2 ** 90
+    out = [Fraction(0), Fraction(1), Fraction(-1), Fraction(big),
+           Fraction(1, big), Fraction(-big, big + 1)]
+    while len(out) < n:
+        kind = rng.randrange(4)
+        if kind == 0:
+            out.append(Fraction(rng.randint(-9, 9)))
+        elif kind == 1:
+            out.append(Fraction(rng.randint(-big, big)))
+        elif kind == 2:
+            out.append(Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
+        else:
+            out.append(Fraction(rng.randint(-big, big), rng.randint(1, big)))
+    return out
+
+
+def test_rational_ops_match_fractions_and_stay_canonical():
+    ops, rng = QQ.ops, random.Random(61)
+    fracs = rational_samples(rng, 40)
+    raws = [QQ.from_fraction(x).val for x in fracs]
+    for x, a in zip(fracs, raws):
+        assert a == x and is_canonical(QQ, a)
+        assert QQ.parse(str(x)).val == a and is_canonical(QQ, QQ.parse(str(x)).val)
+        if x.denominator == 1:
+            assert QQ.from_int(x.numerator).val == a
+        assert ops.neg(a) == -x and is_canonical(QQ, ops.neg(a))
+        if x:
+            assert ops.inv(a) == 1 / x and is_canonical(QQ, ops.inv(a))
+        assert ops.is_zero(a) == (x == 0)
+    for (x, a), (y, b) in itertools.product(zip(fracs, raws), repeat=2):
+        for got, want in ((ops.add(a, b), x + y), (ops.sub(a, b), x - y),
+                          (ops.mul(a, b), x * y)):
+            assert got == want and is_canonical(QQ, got), (x, y)
+    # integral results of Fraction arithmetic come back as ints
+    half = QQ.from_fraction(Fraction(1, 2)).val
+    assert type(ops.add(half, half)) is int and type(ops.mul(half, 2)) is int
+    assert type(ops.sub(half, half)) is int and type(ops.inv(half)) is int
+    assert ops.zero == 0 and ops.one == 1
+    assert type(ops.zero) is int and type(ops.one) is int
+
+
+def test_rational_lift_and_settle_match_fractions():
+    ops, rng = QQ.ops, random.Random(67)
+    for _ in range(30):
+        fracs = rational_samples(rng, rng.randint(1, 8))
+        raws = [QQ.from_fraction(x).val for x in fracs]
+        lifted, scale = ops.lift(raws)
+        assert type(scale) is int and scale >= 1
+        assert scale == math.lcm(*(x.denominator for x in fracs))
+        assert all(type(v) is int for v in lifted)
+        for x, v in zip(fracs, lifted):
+            got = ops.settle(v, scale)
+            assert got == x and is_canonical(QQ, got)
+        acc = sum(lifted)
+        got = ops.settle(acc, scale * 7)
+        assert got == sum(fracs) / 7 and is_canonical(QQ, got)
+    for acc, scale in ((0, 5), (12, 4), (-12, 4), (7, 1), (2 ** 95, 2 ** 5),
+                       (3, 6), (-2 ** 95 - 1, 2 ** 5)):
+        got = ops.settle(acc, scale)
+        assert got == Fraction(acc, scale) and is_canonical(QQ, got)
+
+
+# Every token Fraction accepted before integers got their fast path;
+# each must still parse to Fraction(token).
+ACCEPTED_TOKENS = ["0", "-0", "7", "-7", "007", "+3", " 2 ", "1_000", "0.5",
+                   "-0.25", "1e3", "1.5e-3", ".5", "3.", "10/4", "-5/7",
+                   "٣", str(2 ** 100), "-" + str(2 ** 100)]
+REJECTED_TOKENS = ["", "-", "--3", "- 3", "²", "1/0", "x", "1.0/2", "0x10",
+                   "1 2", "1e", "∞"]
+
+
+def test_scalar_tokens_parse_as_before():
+    f11, f9 = GF(11), GF(3, modulus=[1, 0, 1])
+    for tok in ACCEPTED_TOKENS:
+        want = Fraction(tok)
+        got = QQ.parse(tok).val
+        assert got == want and is_canonical(QQ, got), tok
+        assert f11.parse(tok) == f11.from_fraction(want), tok
+        assert Q_W.parse(tok) == Q_W.from_fraction(want), tok
+        assert Q_W.parse(f"[{tok},1]") == Q_W.from_coeffs([want, 1]), tok
+        if want.denominator % 3:
+            assert f9.parse(f"[{tok}]") == f9.from_fraction(want), tok
+    for tok in REJECTED_TOKENS:
+        try:
+            Fraction(tok.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            msg = f"cannot parse scalar {tok.strip()!r}: {exc}"
+        else:
+            raise AssertionError(f"Fraction accepts {tok!r}")
+        with pytest.raises(ScalarParseError) as ei:
+            QQ.parse(tok)
+        assert str(ei.value) == msg
+
+
+@pytest.mark.parametrize("field", [Q_W, QZ5, HALF_ROOT],
+                         ids=lambda f: f.describe())
+def test_char0_extension_inverses_hold_only_ints(field):
+    ops, rng = field.ops, random.Random(71)
+    vals = [field.from_coeffs(rational_coeffs(field, rng)).val
+            for _ in range(40)]
+    vals = [v for v in vals if not ops.is_zero(v)]
+    for v in vals:
+        inv = ops.inv(v)
+        assert is_canonical(field, inv)
+        assert all(type(c) is int for c in inv)
+        assert ops.mul(v, inv) == ops.one
+        hits = ops.inv.cache_info().hits
+        assert ops.inv(v) is inv and ops.inv.cache_info().hits == hits + 1
+    assert all(type(c) is int for c in cyclotomic_polynomial(12))
+    assert all(is_canonical(QQ, c) for c in HALF_ROOT.modulus)

@@ -173,3 +173,33 @@ def test_modulus_field_line():
     sf = parse_structure_file(text)
     assert sf.field == h
     assert emit_structure_file(sf) == text
+
+
+GROUPLIKES = (
+    f"{HEADER}\n"
+    "field characteristic 0\n"
+    "dim 2\n"
+    "basis a b\n"
+    "counit 1 1.0\n"
+    "comul 0 0 0 1\n"
+    "comul 1 1 1 {last}\n")
+
+
+def test_scalar_tokens_parse_once_per_file():
+    sf = parse_structure_file(GROUPLIKES.format(last="1"))
+    ones = [sf.counit[0], sf.comul[(0, 0, 0)], sf.comul[(1, 1, 1)]]
+    assert all(s is ones[0] for s in ones)
+    assert sf.counit[1] == ones[0] and sf.counit[1] is not ones[0]
+    assert all(type(s.val) is int for s in ones + [sf.counit[1]])
+    assert sf.to_object().check() == []
+
+
+def test_scalar_errors_keep_their_line_numbers():
+    with pytest.raises(ScalarParseError) as ei:
+        parse_structure_file(GROUPLIKES.format(last="1/0"))
+    assert ei.value.line == 7 and "'1/0'" in str(ei.value)
+    # a bad token that repeats is reported on its first line
+    text = GROUPLIKES.format(last="x").replace("comul 0 0 0 1", "comul 0 0 0 x")
+    with pytest.raises(ScalarParseError) as ei:
+        parse_structure_file(text)
+    assert ei.value.line == 6
