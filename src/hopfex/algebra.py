@@ -44,14 +44,22 @@ multiply-adds, normalised once per nonzero output entry by
 FieldOps.settle, instead of one gcd-normalised Fraction per term.
 
 Splitting the semisimple quotient is deterministic.  The centre is
-refined by its basis: an idempotent e of a commutative semisimple
-algebra is primitive exactly when eA is one-dimensional, and any other
-e is split by e b e for some basis vector b when eA is split (k^m), so
-split_commutative raises NonSplitField when no basis vector splits e.
-A simple block M_r(k) is split by a bounded search over its corner
-basis, their pairwise sums, differences and products
-(primitive_idempotent_in); a search that runs out proves nothing and
-raises SplittingSearchExhausted.
+split in one refinement pass over its basis (split_commutative): each
+piece e of a pool of orthogonal idempotents is replaced by the
+eigen-components of x = e b in eA, one CRT idempotent per root of the
+minimal polynomial of x that field_roots finds, and one piece for the
+factors with no root found.  n orthogonal idempotents of an
+n-dimensional commutative algebra are primitive, so the pass stops at
+dim A pieces with no primitivity test.  If a pass over the whole basis
+splits nothing and fewer pieces remain, some piece e has eA not split:
+were eA = k^m with m >= 2, some e b would not be a multiple of e, and
+its minimal polynomial would have deg distinct roots in k.  So
+NonSplitField is raised; over Q and finite fields field_roots is
+exhaustive and this is a proof, over a char-0 extension it rests on
+field_roots' candidates.  A simple block M_r(k) is split by a bounded
+search over its corner basis, their pairwise sums, differences and
+products (primitive_idempotent_in); a search that runs out proves
+nothing and raises SplittingSearchExhausted.
 """
 
 from __future__ import annotations
@@ -73,6 +81,7 @@ from .linalg import (
     Echelon,
     Mat,
     SubspaceBasis,
+    add_scaled,
     combine,
     kernel,
     kernel_raw,
@@ -81,7 +90,6 @@ from .linalg import (
     unit_vec,
     vec_add,
     vec_is_zero,
-    vec_scale,
     vec_sub,
     zero_vec,
 )
@@ -528,17 +536,40 @@ class FiniteAlgebra:
         Converges when v is idempotent modulo a nil ideal; quadratic, so
         the iteration count is logarithmic in the nilpotency index, and
         LIFT_ITERATIONS steps cover any nilpotency index below 2^64.
+        The steps run on sparse raw values and the result is boxed once.
         """
-        e = v
+        field, ops = self.field, self.field.ops
+        three, minus_two = field.from_int(3).val, field.from_int(-2).val
+        e = dict(nonzero_raw(field, v))
         for _ in range(LIFT_ITERATIONS):
-            e2 = self.mult(e, e)
+            e2 = self._product(e.items(), e.items())
             if e2 == e:
-                return e
-            e3 = self.mult(e2, e)
-            e = vec_sub(vec_scale(self.field.from_int(3), e2),
-                        vec_scale(self.field.from_int(2), e3))
+                return box(field, self._dense(e))
+            e3 = self._product(e2.items(), e.items())
+            e = {}
+            for c, power in ((three, e2), (minus_two, e3)):
+                if not ops.is_zero(c):  # 3 = 0 in char 3, 2 = 0 in char 2
+                    add_scaled(ops, e, c, power)
         raise LinAlgError("idempotent lifting did not converge; input not "
                           "idempotent modulo a nil ideal")
+
+    def _min_poly(self, e: dict, x: list) -> tuple[list, list[dict]]:
+        """(mu, powers): the monic minimal polynomial mu of x in the corner
+        with unit e, and the powers e, x, ..., x^(deg mu) that the search
+        for it builds, as sparse raw rows.  e is {m: raw value}, x the
+        nonzero (index, raw value) pairs of an element of eAe."""
+        search, powers = MinPolySearch(self.field), [e]
+        while (mu := search.add(powers[-1])) is None:
+            powers.append(self._product(powers[-1].items(), x))
+        return mu, powers
+
+    def _at_powers(self, powers: list[dict]):
+        """h -> h(x) = sum h_k x^k as {m: raw value}, for a polynomial h
+        of degree below len(powers), from the powers of _min_poly lifted
+        once."""
+        ops = self.field.ops
+        lifted, scale = lift_columns(ops, dict(enumerate(powers)))
+        return lambda h: combination(ops, h, lifted, scale)
 
     def split_idempotent(self, e: tuple, x: tuple) -> tuple | None:
         """Try to split idempotent e using the element x = e x e.
@@ -553,45 +584,25 @@ class FiniteAlgebra:
         the corner, and x = e x e.
         """
         field = self.field
-        ops = field.ops
-        xnz = nonzero_raw(field, x)
-        # e, x, x^2, ... in the corner: dependent after at most dim + 1
-        search, powers = MinPolySearch(field), [dict(nonzero_raw(field, e))]
-        while (mu := search.add(powers[-1])) is None:
-            powers.append(self._product(powers[-1].items(), xnz))
+        mu, powers = self._min_poly(dict(nonzero_raw(field, e)),
+                                    nonzero_raw(field, x))
         if len(mu) <= 2:
             return None
-        lifted, scale = lift_columns(ops, dict(enumerate(powers)))
+        at = self._at_powers(powers)
 
         def at_x(h: list) -> tuple:
-            return box(field, self._dense(combination(ops, h, lifted, scale)))
+            return box(field, self._dense(at(h)))
 
         for lam in field_roots(field, mu):
-            lin = [ops.neg(lam), ops.one]
-            rest, mult_ = mu, 0
-            while True:
-                qq, rr = poly.divmod(ops, rest, lin)
-                if rr:
-                    break
-                rest, mult_ = qq, mult_ + 1
-            nil = [ops.one]  # (x - lam)^(mult_ - 1)
-            for _ in range(mult_ - 1):
-                nil = poly.mul(ops, nil, lin)
-            if len(rest) == 1:
+            nil, away = _eigen_projection(field.ops, mu, lam)
+            if away is None:
                 # x - lam*e is nilpotent in the corner; its last nonzero
                 # power spans a proper left ideal of the corner.
                 f = self._left_ideal_idempotent(e, at_x(nil))
                 if f is not None and not vec_is_zero(f) and f != e:
                     return f
                 continue
-            primary = poly.mul(ops, nil, lin)
-            g, u, _ = poly.gcdext(ops, primary, rest)
-            require(len(g) == 1, "primary parts are coprime")
-            ginv = ops.inv(g[0])
-            # h = u*primary/g is 0 mod primary, 1 mod rest: projection away
-            # from the lam eigencomponent; 1-h projects onto it.
-            h = poly.mul(ops, [ops.mul(c, ginv) for c in u], primary)
-            f = at_x(poly.divmod(ops, h, mu)[1])
+            f = at_x(away)
             if vec_is_zero(f) or f == e:
                 continue
             if self.mult(f, f) == f:
@@ -629,40 +640,70 @@ class FiniteAlgebra:
         return u
 
     def split_commutative(self) -> list[tuple]:
-        """All primitive idempotents of a commutative semisimple algebra.
+        """All primitive idempotents of a commutative semisimple algebra,
+        sorted by their raw coefficient vectors (raw_values), compared
+        entry by entry.
 
-        Walks a pool that starts at the unit.  An idempotent e is
-        primitive exactly when eA is one-dimensional; any other e is split
-        by x = e b e for the first basis vector b that split_idempotent
-        can use.  If eA is k^m with m >= 2, the e b e span it, so one of
-        them is not a scalar multiple of e; its minimal polynomial has
-        distinct roots in k, and split_idempotent splits e with it.  So
-        when no basis vector splits e, eA is not split and NonSplitField
-        is raised.  Over Q and finite fields field_roots is exhaustive
-        and the raise is a proof; over a char-0 extension field it rests
-        on field_roots' list of candidate roots.
+        One refinement of a pool of orthogonal idempotents that starts
+        at the unit (Eberly-Giesbrecht, J. Symb. Comp. 29 (2000)): for
+        each basis vector b in turn, every piece e is replaced by the
+        eigen-components of x = e e_b inside eA, one CRT idempotent
+        h_lam(x) per root lam of the minimal polynomial mu of x that
+        field_roots finds, and one piece for the factors of mu with no
+        root found (_eigen_pieces).  n = dim A orthogonal idempotents of
+        an n-dimensional algebra are all primitive, so the refinement
+        stops when the pool holds n pieces, with no primitivity test;
+        passes over the basis repeat while the one before split a piece.
+
+        When a pass splits nothing and fewer than n pieces remain, some
+        piece e has eA = k^m with m >= 2 or is not split.  If it is k^m,
+        the e e_b span eA, so some x = e e_b is not a multiple of e; its
+        mu has deg mu distinct roots in k, and the pass would have split
+        e.  So NonSplitField is raised.  Over Q and finite fields
+        field_roots is exhaustive and the raise is a proof; over a char-0
+        extension field it rests on field_roots' list of candidate roots.
         """
-        field = self.field
-        pool = [self.unit]
-        idx = 0
-        while idx < len(pool):
-            e = pool[idx]
-            if len(self.corner_basis(e)) == 1:
-                idx += 1
-                continue
-            enz = nonzero_raw(field, e)
-            for b in range(self.dim):
-                eb = self._product(enz, [(b, field.ops.one)])  # e e_b
-                x = box(field, self._dense(self._product(eb.items(), enz)))
-                f = self.split_idempotent(e, x)
-                if f is not None:
-                    pool[idx:idx + 1] = [f, vec_sub(e, f)]
+        field, n = self.field, self.dim
+        pool = [dict(nonzero_raw(field, self.unit))]
+        changed = True
+        while changed and len(pool) < n:
+            changed = False
+            for b in range(n):
+                i = 0
+                while i < len(pool) < n:
+                    parts = self._eigen_pieces(pool[i], b)
+                    pool[i:i + 1] = parts
+                    i += len(parts)
+                    changed = changed or len(parts) > 1
+                if len(pool) == n:
                     break
-            else:
-                raise NonSplitField(
-                    "a simple block of the dual algebra has center larger "
-                    "than the base field; recompute over a field extension")
-        return pool
+        if len(pool) < n:
+            raise NonSplitField(
+                "a simple block of the dual algebra has center larger "
+                "than the base field; recompute over a field extension")
+        dense = sorted(self._dense(e) for e in pool)
+        return [box(field, e) for e in dense]
+
+    def _eigen_pieces(self, e: dict, b: int) -> list[dict]:
+        """The eigen-components of x = e e_b inside eA, for an idempotent
+        e {m: raw value} of a commutative algebra: e h_lam(x) for each
+        root lam of mu that field_roots finds, then the rest of e when
+        some factor of mu has no root found; [e] when x is a multiple of
+        e.  The h_lam and the rest are orthogonal idempotents of k[x]/mu
+        summing to 1 (CRT)."""
+        ops = self.field.ops
+        x = list(self._product(e.items(), [(b, ops.one)]).items())
+        mu, powers = self._min_poly(e, x)
+        if len(mu) <= 2:
+            return [e]
+        projections, rest = [], [ops.one]
+        for lam in field_roots(self.field, mu):
+            away = _eigen_projection(ops, mu, lam)[1]
+            if away is not None:
+                projections.append(poly.sub(ops, [ops.one], away))
+                rest = poly.sub(ops, rest, projections[-1])
+        at = self._at_powers(powers)
+        return [at(h) for h in projections + [rest] if h]
 
     def primitive_idempotent_in(self, e: tuple) -> tuple:
         """A primitive idempotent below e, by a bounded splitting search.
@@ -705,6 +746,32 @@ def _sparse(field: FieldSpec, vals) -> list:
     """(index, raw value) of the nonzero entries of a raw vector."""
     is_zero = field.ops.is_zero
     return [(i, x) for i, x in enumerate(vals) if not is_zero(x)]
+
+
+def _eigen_projection(ops, mu: list, lam) -> tuple[list, list | None]:
+    """(nil, away) for a root lam of multiplicity m of mu: nil is
+    (t - lam)^(m - 1), and away is h mod mu with h = 0 mod (t - lam)^m
+    and h = 1 mod the rest of mu, so that h(x) projects away from the
+    generalized lam-eigencomponent and 1 - h(x) onto it.  away is None
+    when mu is a power of t - lam (x - lam is nilpotent)."""
+    lin = [ops.neg(lam), ops.one]
+    rest, mult_ = mu, 0
+    while True:
+        qq, rr = poly.divmod(ops, rest, lin)
+        if rr:
+            break
+        rest, mult_ = qq, mult_ + 1
+    nil = [ops.one]
+    for _ in range(mult_ - 1):
+        nil = poly.mul(ops, nil, lin)
+    if len(rest) == 1:
+        return nil, None
+    primary = poly.mul(ops, nil, lin)
+    g, u, _ = poly.gcdext(ops, primary, rest)
+    require(len(g) == 1, "primary parts are coprime")
+    ginv = ops.inv(g[0])
+    h = poly.mul(ops, [ops.mul(c, ginv) for c in u], primary)
+    return nil, poly.divmod(ops, h, mu)[1]
 
 
 def _frobenius_root(s: Scalar, q: int) -> Scalar:

@@ -12,22 +12,38 @@ decompositions.
 
 The blocks come from splitting H*/J deterministically.  The primitive
 idempotents of its centre (FiniteAlgebra.split_commutative) are the
-block idempotents z.  In each block a primitive idempotent f
+block idempotents z; when H*/J is commutative (every pointed coalgebra)
+it is split directly, and each z spans a 1-dimensional block.  In each
+larger block a primitive idempotent f
 (FiniteAlgebra.primitive_idempotent_in) gives the matrix size r as the
 dimension of the left ideal (H*/J)f, and r^2 = dim z(H*/J) proves the
-block is M_r(k).  NonSplitField is raised when the centre or a block is
-proved not split over the base field; SplittingSearchExhausted when the
-bounded search inside a block finds nothing, which proves nothing.
+block is M_r(k).  NonSplitField is raised when a block is proved not
+split over the base field, and when the refinement of the centre ends
+short of dim Z pieces: a proof over Q and finite fields, and resting on
+field_roots' candidate roots over a char-0 extension.
+SplittingSearchExhausted is raised when the bounded search inside a
+block finds nothing, which proves nothing.
+
+The rows of J and the lifted rows of every block form a basis of H*;
+it is inverted once, and the simple subcoalgebra C_t of block t is the
+span of the dual vectors of its rows, the perp of J and the other
+blocks.  Each C_t is proved a subcoalgebra on raw values, and the C_t
+are proved to sum to the coradical by one elimination.  The coradical
+idempotents are lifted in turn, and each one is proved orthogonal to
+the sum of those before it, two products each: by induction the family
+is pairwise orthogonal.
 
 Tensors in H (x) H are the sparse dicts of linalg (t2_add_term and
 its siblings).  delta_vec multiplies and adds on the comultiplication
 table lifted once (FieldOps.lift) and settles once per tensor entry.
+The hit actions read a functional lifted once (lift_functional); the
+coradical idempotents keep theirs (IdempotentFamily.lifted), so
+component and bicomponent_subspace do not lift them again.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from fractions import Fraction
 
 from .algebra import FiniteAlgebra
@@ -42,6 +58,8 @@ from .errors import (
 )
 from .linalg import (
     SubspaceBasis,
+    rref_raw,
+    rref_rows,
     t2_add_term,
     t2_flatten,
     t2_from_pair,
@@ -54,6 +72,13 @@ from .linalg import (
 )
 from .scalars import (FieldSpec, Scalar, box, lift_pairs, nonzero_raw,
                       raw_values, settle_all)
+
+
+def lift_functional(field: FieldSpec, f: tuple) -> tuple:
+    """({k: lifted value}, scale) for the nonzero entries f_k of a
+    functional of Scalars, lifted over one scale (FieldOps.lift)."""
+    pairs, scale = lift_pairs(field.ops, nonzero_raw(field, f))
+    return dict(pairs), scale
 
 
 def as_scalar(field: FieldSpec, v) -> Scalar:
@@ -385,19 +410,17 @@ class Coalgebra:
         sum T[j][k] e_j (x) e_k.  Delta(x) lies in V (x) H exactly when
         every column of T lies in V, and in H (x) V exactly when every
         row does; V (x) V is the intersection of the two.  So each test
-        is a pivot read of a dim-long vector, never an elimination in
+        is a pivot read of a dim-long raw vector, never an elimination in
         the dim^2 ambient of H (x) H.
         """
-        zero = self.field.zero()
+        field, zero = self.field, self.field.ops.zero
         for row in v.rows:
-            rows: dict = {}
-            cols: dict = {}
-            for (j, k), c in self.delta_vec(row).items():
-                rows.setdefault(j, [zero] * self.dim)[k] = c
-                cols.setdefault(k, [zero] * self.dim)[j] = c
-            for leg in itertools.chain(rows.values(), cols.values()):
-                if not v.contains_vector(tuple(leg)):
-                    return False
+            legs: dict = {}
+            for (j, k), c in self._delta_raw(nonzero_raw(field, row)).items():
+                legs.setdefault((0, j), [zero] * self.dim)[k] = c
+                legs.setdefault((1, k), [zero] * self.dim)[j] = c
+            if not all(v.contains_raw(leg) for leg in legs.values()):
+                return False
         return True
 
     # -- the dual algebra and coradical analysis -------------------------------
@@ -443,27 +466,24 @@ class Coalgebra:
 
     def hit_left(self, f: tuple, h: tuple) -> tuple:
         """f harpoon-> h = sum h_(1) f(h_(2)): f eats the right tensor leg."""
-        return self._box(self._hit(nonzero_raw(self.field, h), f, 1))
+        return self._box(self._hit(nonzero_raw(self.field, h),
+                                   lift_functional(self.field, f), 1))
 
     def hit_right(self, h: tuple, f: tuple) -> tuple:
         """h <-harpoon f = sum f(h_(1)) h_(2): f eats the left tensor leg."""
-        return self._box(self._hit(nonzero_raw(self.field, h), f, 0))
+        return self._box(self._hit(nonzero_raw(self.field, h),
+                                   lift_functional(self.field, f), 0))
 
     def _hit(self, pairs, f: tuple, leg: int) -> dict:
         """sum c_i f(e_(leg)) e_(other leg) over the terms of Delta(e_i),
         for the nonzero (i, raw c_i) of a vector, as {m: raw value} with
-        no zeros.  Only the entries of f that a term reaches are read;
-        the values are lifted once and each entry is settled once."""
-        field = self.field
-        ops = field.ops
+        no zeros.  f is a functional as lift_functional gives it; the
+        vector is lifted once and each entry is settled once."""
+        ops = self.field.ops
         mul, add = ops.lmul, ops.ladd
         scale, table = self._lifted_comul
         coeffs, hs = lift_pairs(ops, pairs)
-        reached = sorted({key[leg] for i, _ in coeffs for key, _ in table[i]})
-        fl, fs = lift_pairs(ops, [
-            (k, x) for k, x in zip(reached, raw_values(field, [f[k] for k in reached]))
-            if not ops.is_zero(x)])
-        fl = dict(fl)
+        fl, fs = f
         acc: dict = {}
         for i, c in coeffs:
             for key, t in table[i]:
@@ -492,9 +512,9 @@ class Coalgebra:
         fam = self.coradical_idempotents()
         v = dict(pairs)
         if left is not None:
-            v = self._hit(v.items(), fam.functional(left), 0)
+            v = self._hit(v.items(), fam.lifted(left), 0)
         if right is not None:
-            v = self._hit(v.items(), fam.functional(right), 1)
+            v = self._hit(v.items(), fam.lifted(right), 1)
         return v
 
     def bicomponent_decomposition_vec(self, h: tuple) -> dict:
@@ -557,6 +577,7 @@ class IdempotentFamily:
     def __init__(self, coalgebra: Coalgebra, functionals: list[tuple]):
         self.coalgebra = coalgebra
         self.functionals = tuple(tuple(f) for f in functionals)
+        self._lifted: list = [None] * len(self.functionals)
 
     def __len__(self):
         return len(self.functionals)
@@ -565,6 +586,13 @@ class IdempotentFamily:
         if not 0 <= i < len(self.functionals):
             raise UnknownSimple(f"no simple subcoalgebra with index {i}")
         return self.functionals[i]
+
+    def lifted(self, i: int) -> tuple:
+        """functional(i) as lift_functional gives it, lifted once."""
+        f = self.functional(i)
+        if self._lifted[i] is None:
+            self._lifted[i] = lift_functional(self.coalgebra.field, f)
+        return self._lifted[i]
 
     def __iter__(self):
         return iter(self.functionals)
@@ -600,11 +628,18 @@ class CoradicalAnalysis:
         H = self.coalgebra
         field = H.field
         q = self.quotient.algebra
-        zrows = q.center().rows
-        zmap = q.subalgebra_on(list(zrows), q.unit)
-        embedded = [zmap.embed(e) for e in zmap.algebra.split_commutative()]
-        blocks = [q.corner_basis(z) for z in embedded]
-        lifted = [[self.quotient.lift(b) for b in block] for block in blocks]
+        centre = q.center()
+        if centre.dim == q.dim:
+            # H*/J is commutative: it splits directly, and each primitive
+            # idempotent spans its own 1-dimensional block
+            embedded = q.split_commutative()
+            blocks = [rref_rows(field, [z])[0] for z in embedded]
+        else:
+            zmap = q.subalgebra_on(list(centre.rows), q.unit)
+            embedded = [zmap.embed(e) for e in zmap.algebra.split_commutative()]
+            blocks = [q.corner_basis(z) for z in embedded]
+        duals = self._dual_vectors([[self.quotient.lift(b) for b in block]
+                                    for block in blocks])
         raw = []
         for t, z in enumerate(embedded):
             bdim = len(blocks[t])
@@ -620,12 +655,7 @@ class CoradicalAnalysis:
                         f"simple block of dimension {bdim} has minimal left "
                         f"ideals of dimension {r}; the block is a division "
                         "algebra over the base field, extend the field")
-            ann_rows = list(self.radical.rows)
-            for s, other in enumerate(lifted):
-                if s != t:
-                    ann_rows.extend(other)
-            sub = SubspaceBasis(field, H.dim, ann_rows).perp()
-            require(sub.dim == bdim, "block/subcoalgebra dimension mismatch")
+            sub = SubspaceBasis(field, H.dim, duals[t])
             require(H.is_subcoalgebra(sub), "perp pullback not a subcoalgebra")
             grouplike = None
             if bdim == 1:
@@ -642,11 +672,36 @@ class CoradicalAnalysis:
                                          for x in row)))
         comps = [SimpleComponent(i, sub, r, g, z, f, rows)
                  for i, (sub, r, g, z, f, rows) in enumerate(raw)]
-        total = SubspaceBasis.zero(field, H.dim)
-        for c in comps:
-            total = total.sum(c.subspace)
+        total = SubspaceBasis(field, H.dim,
+                              [row for c in comps for row in c.subspace.rows])
         require(total == self.filtration[0], "simples do not sum to the coradical")
         return comps
+
+    def _dual_vectors(self, blocks: list[list[tuple]]) -> list[list[tuple]]:
+        """For each block, the vectors of H dual to its rows in the basis
+        M = [rows of J; rows of every block] of H*.
+
+        C_t, the span of the duals of block t, is the perp of J and the
+        other blocks, so one inversion of M gives every simple
+        subcoalgebra.  [M | I] is row-reduced to [I | M^-1], and the dual
+        of row i of M is column i of M^-1; an M that is not a basis means
+        the blocks and J do not fill H*.
+        """
+        field, n = self.coalgebra.field, self.coalgebra.dim
+        ops = field.ops
+        rows = list(self.radical.rows) + [row for block in blocks
+                                          for row in block]
+        work = [raw_values(field, row) + [ops.one if j == i else ops.zero
+                                          for j in range(n)]
+                for i, row in enumerate(rows)]
+        require(len(work) == n and rref_raw(field, work) == list(range(n)),
+                "block/subcoalgebra dimension mismatch")
+        out, i = [], self.radical.dim
+        for block in blocks:
+            out.append([box(field, [r[n + k] for r in work])
+                        for k in range(i, i + len(block))])
+            i += len(block)
+        return out
 
     def find_simple_containing(self, vec: tuple) -> int:
         for c in self.simples():
@@ -660,18 +715,25 @@ class CoradicalAnalysis:
         if self._idempotents is None:
             comps = self.simples()
             a = self.dual
-            total = zero_vec(a.field, a.dim)
+            field = a.field
+            zero = zero_vec(field, a.dim)
+            total = zero
             funcs = []
             for comp in comps:
-                lifted = self.quotient.lift(comp.central_idempotent)
-                mask = vec_sub(a.unit, total)
-                f = a.lift_idempotent(a.mult(a.mult(mask, lifted), mask))
+                lifted = nonzero_raw(field, self.quotient.lift(
+                    comp.central_idempotent))
+                mask = nonzero_raw(field, vec_sub(a.unit, total))
+                x = a._product(a._product(mask, lifted).items(), mask)
+                f = a.lift_idempotent(box(field, a._dense(x)))
+                # f F = F f = 0 for the sum F of the earlier idempotents:
+                # then f g = f F g = 0 and g f = g F f = 0 for each earlier
+                # g, so by induction the family is pairwise orthogonal
+                if funcs:
+                    require(a.mult(f, total) == zero and a.mult(total, f) == zero,
+                            "coradical idempotents are not orthogonal")
                 funcs.append(f)
                 total = vec_add(total, f)
             require(tuple(total) == a.unit, "idempotents do not sum to the counit")
-            for f, g in itertools.combinations(funcs, 2):
-                require(vec_is_zero(a.mult(f, g)) and vec_is_zero(a.mult(g, f)),
-                        "coradical idempotents are not orthogonal")
             # f_i restricts to the counit on simple i and to 0 on the others
             ops = a.field.ops
             rows = [(comp.index, nonzero_raw(a.field, row))

@@ -122,6 +122,34 @@ def rescaled_hopf(h, scales):
                        name=h.name)
 
 
+def rebased_coalgebra(h, seed):
+    """h's coalgebra on f_i = e_i + sum_(a < i) p_ai e_a, with seeded
+    integers p_ai in -2..2: an integer unitriangular change of basis, so
+    a delta-function basis becomes a dense one and the minimal
+    polynomials of products by basis vectors get several roots."""
+    rng = random.Random(seed)
+    n, field = h.dim, h.field
+    p = [[int(a == i) if a >= i else rng.randint(-2, 2) for i in range(n)]
+         for a in range(n)]
+    # e_b = sum_j q_jb f_j for the unitriangular inverse q of p
+    q = [[int(a == i) for i in range(n)] for a in range(n)]
+    for i in range(n):
+        for a in range(i - 1, -1, -1):
+            q[a][i] = -sum(p[a][b] * q[b][i] for b in range(a + 1, i + 1))
+    comul: dict = {}
+    for i in range(n):
+        for a in range(i + 1):
+            for (b, c), val in h.comul[a].items():
+                for j, k in itertools.product(range(b + 1), range(c + 1)):
+                    w = p[a][i] * q[j][b] * q[k][c]
+                    if w:
+                        key = (i, j, k)
+                        comul[key] = comul.get(key, field.zero()) + val * w
+    counit = [sum((h.counit[a] * p[a][i] for a in range(i + 1)), field.zero())
+              for i in range(n)]
+    return Coalgebra(field, h.names, comul, counit)
+
+
 def rescaled_vector(vec, scales):
     """The coordinates on e'_i = d_i e_i of the vector vec on e_i."""
     return tuple(v * d.inverse() for v, d in zip(vec, scales))

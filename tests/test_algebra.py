@@ -32,10 +32,11 @@ from hopfex.poly import char_poly
 from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
                         restricted_poly, sweedler, symmetric, taft,
                         tensor_product)
+from hopfex.scalars import raw_values
 from lifting_cases import (F9, F13, HALF_ROOT, LIFT_FIELDS, QZ5, basis_scales,
                            fraction_scalar, fraction_vector, has_denominators,
-                           hopf_case, is_canonical, rescaled_algebra,
-                           rescaled_coalgebra)
+                           hopf_case, is_canonical, rebased_coalgebra,
+                           rescaled_algebra, rescaled_coalgebra)
 
 
 def reference_char_poly(m):
@@ -186,11 +187,27 @@ def test_radical_matches_full_dimension_reference(make, levels):
     assert powers[0] == want and powers[-1].dim == 0
 
 
+def rescaled_taft25_qzeta5():
+    h = hopf_case(QZ5)
+    return rescaled_coalgebra(h, basis_scales(QZ5, h.dim, 7))
+
+
 SPLIT_CASES = [
     ("Q", lambda: group_algebra(cyclic(12), QQ), 12),
     ("F_13", lambda: group_algebra(cyclic(12), GF(13)), 12),
     ("taft25_Qzeta5", lambda: taft(5, FieldSpec(0, cyclotomic_order=5)), 5),
     ("kZ2_dual_kS3_Q", kZ2_dual_kS3, 6),
+    # dim Z above the size of the field: several basis vectors refine
+    ("kZ5_F2", lambda: group_algebra(cyclic(5), GF(2)), 5),
+    ("kZ8_F3", lambda: group_algebra(cyclic(8), GF(3)), 8),
+    # dense bases: minimal polynomials with several roots
+    ("kZ6_Q_rebased",
+     lambda: rebased_coalgebra(group_algebra(cyclic(6), QQ), 1), 6),
+    ("kZ4_F5_rebased",
+     lambda: rebased_coalgebra(group_algebra(cyclic(4), GF(5)), 2), 4),
+    # field_roots misses the roots with a t-coefficient: the rest of a
+    # piece becomes a piece of its own
+    ("taft25_Qzeta5_rescaled", rescaled_taft25_qzeta5, 5),
 ]
 
 
@@ -200,7 +217,42 @@ def test_split_commutative_matches_restarting_scan(make, size):
     center = quotient_and_center(make())[1].algebra
     pool = center.split_commutative()
     assert len(pool) == size
-    assert pool == reference_split(center)
+    # the reference in split_commutative's order, by raw coefficient vector
+    assert pool == sorted(reference_split(center),
+                          key=lambda e: raw_values(center.field, e))
+
+
+def count_calls(monkeypatch, owner, name):
+    """The calls of owner.name from now on, one entry each."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_split_commutative_tests_no_piece_for_primitivity(monkeypatch):
+    # dim A orthogonal idempotents are primitive: no corner is reduced
+    # and no piece goes through the split_idempotent of the block search
+    q = group_algebra(cyclic(12), QQ).analysis().quotient.algebra
+    corners = count_calls(monkeypatch, FiniteAlgebra, "corner_basis")
+    splits = count_calls(monkeypatch, FiniteAlgebra, "split_idempotent")
+    assert len(q.split_commutative()) == 12
+    assert corners == [] and splits == []
+
+
+def test_idempotents_prove_orthogonality_with_two_products_each(monkeypatch):
+    for h in (group_algebra(cyclic(12), QQ), kZ2_dual_kS3()):
+        analysis = h.analysis()
+        simples = analysis.simples()
+        products = count_calls(monkeypatch, FiniteAlgebra, "mult")
+        assert len(analysis.idempotents()) == len(simples)
+        assert 0 < len(products) <= 2 * len(simples)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("make, m2_blocks",

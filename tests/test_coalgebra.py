@@ -1,9 +1,16 @@
-"""Coalgebra engine: axioms, coradical filtration, simples, bicomponents."""
+"""Coalgebra engine: axioms, coradical filtration, simples, bicomponents.
 
+The simples and the coradical idempotents are compared with the routes
+they replaced: each simple as the perp of J and the other blocks, and
+the idempotents' orthogonality product by product.
+"""
+
+import itertools
 import random
 
 import pytest
 
+import hopfex.coalgebra
 from hopfex import GF, QQ, Coalgebra, FieldSpec
 from hopfex.algebra import FiniteAlgebra
 from hopfex.coalgebra import coalgebra_amalgam, tensor_square_subspace
@@ -168,6 +175,69 @@ def test_failed_subcoalgebra_proof_raises_invariant_violation(monkeypatch):
     monkeypatch.setattr(Coalgebra, "is_subcoalgebra", lambda self, v: False)
     with pytest.raises(InvariantViolation, match="not a subcoalgebra"):
         sweedler(QQ).simple_subcoalgebras()
+
+
+def test_block_rows_that_do_not_fill_the_dual_raise_invariant_violation(
+        monkeypatch):
+    # a repeated block: J and the blocks are no basis of H*
+    original = FiniteAlgebra.split_commutative
+
+    def repeated(self):
+        pool = original(self)
+        return [pool[0]] + pool[:-1]
+
+    monkeypatch.setattr(FiniteAlgebra, "split_commutative", repeated)
+    with pytest.raises(InvariantViolation, match="dimension mismatch"):
+        group_algebra(cyclic(6), QQ).simple_subcoalgebras()
+
+
+def test_simples_off_the_coradical_raise_invariant_violation():
+    h = sweedler(QQ)
+    analysis = h.analysis()
+    analysis.filtration[0] = SubspaceBasis.full(QQ, h.dim)
+    with pytest.raises(InvariantViolation, match="sum to the coradical"):
+        analysis.simples()
+
+
+def test_overlapping_idempotents_raise_invariant_violation(monkeypatch):
+    monkeypatch.setattr(FiniteAlgebra, "lift_idempotent",
+                        lambda self, v: self.unit)
+    with pytest.raises(InvariantViolation, match="not orthogonal"):
+        sweedler(QQ).coradical_idempotents()
+
+
+def reference_simple_subspaces(h):
+    """Each simple as the perp of J and the lifted blocks of the others."""
+    analysis = h.analysis()
+    lifted = [[analysis.quotient.lift(b) for b in c.block_rows]
+              for c in analysis.simples()]
+    out = []
+    for t in range(len(lifted)):
+        rows = list(analysis.radical.rows)
+        for s, block in enumerate(lifted):
+            if s != t:
+                rows.extend(block)
+        out.append(SubspaceBasis(h.field, h.dim, rows).perp())
+    return out
+
+
+def reference_orthogonal(h):
+    """e_C e_D = 0 for every pair C != D, product by product."""
+    dual = h.dual_algebra()
+    return all(vec_is_zero(dual.mult(f, g))
+               for f, g in itertools.permutations(h.coradical_idempotents(), 2))
+
+
+def test_simples_and_idempotents_match_the_pairwise_references(zoo):
+    cases = dict(zoo)
+    for name, field in LIFT_FIELDS:
+        h = hopf_case(field)
+        cases[f"rescaled {name}"] = rescaled_coalgebra(
+            h, basis_scales(field, h.dim, 7))
+    for stem, h in cases.items():
+        assert [c.subspace for c in h.simple_subcoalgebras()] == \
+            reference_simple_subspaces(h), stem
+        assert reference_orthogonal(h), stem
 
 
 def tensor_square_oracle(h, space):
@@ -350,7 +420,32 @@ def test_hit_actions_match_the_boxed_reference(field):
             assert got_l == reference_hit(coalg, f, v, 1)
             assert got_r == reference_hit(coalg, f, v, 0)
             assert all(is_canonical(field, c.val) for c in got_l + got_r)
+    # components from the family's functionals, lifted once
+    fam = coalg.coradical_idempotents()
+    for v in vecs:
+        for c, d in itertools.product(range(len(fam)), repeat=2):
+            left = reference_hit(coalg, fam.functional(c), v, 0)
+            assert coalg.component(v, left=c, right=d) == \
+                reference_hit(coalg, fam.functional(d), left, 1)
     # eps acts as the identity from both sides
     for v in vecs:
         assert coalg.hit_left(coalg.counit, v) == v
         assert coalg.hit_right(v, coalg.counit) == v
+
+
+def test_component_lifts_each_idempotent_functional_once(monkeypatch):
+    h = rescaled_coalgebra(hopf_case(QQ), basis_scales(QQ, 6, 7))
+    fam = h.coradical_idempotents()
+    lifted = []
+    original = hopfex.coalgebra.lift_functional
+
+    def counted(field, f):
+        lifted.append(f)
+        return original(field, f)
+
+    monkeypatch.setattr(hopfex.coalgebra, "lift_functional", counted)
+    pairs = list(itertools.product(range(len(fam)), repeat=2))
+    for _ in range(3):
+        for i, (c, d) in itertools.product(range(h.dim), pairs):
+            h.component(unit_vec(QQ, h.dim, i), left=c, right=d)
+    assert len(lifted) == len(fam) and set(lifted) == set(fam.functionals)
