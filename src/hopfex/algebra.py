@@ -37,10 +37,11 @@ right-ideal test of each level and the centre (rows c_kj^m - c_jk^m)
 read them off directly.  The corner eAe is (eA)e: the columns of L_e are
 row-reduced to a basis of eA, and only those rows are multiplied by e.
 
-The structure constants are held lifted (FieldOps.lift): over Q as
-integers over one table denominator D.  Every product kernel (_product,
-_basis_products, tensor_mult, the trace form) is then a run of integer
-multiply-adds, normalised once per nonzero output entry by
+An algebra holds only its nonzero structure constants, for each (i, j)
+the (m, raw c_ij^m) in increasing m, and the same lifted (FieldOps.lift):
+over Q as integers over one denominator D.  Every product kernel
+(_product, _basis_products, tensor_mult, the trace form) is then a run
+of integer multiply-adds, normalised once per nonzero output entry by
 FieldOps.settle, instead of one gcd-normalised Fraction per term.
 
 Splitting the semisimple quotient is deterministic.  The centre is
@@ -76,6 +77,7 @@ from .errors import (
     NoSolution,
     SplittingSearchExhausted,
     require,
+    require_indices,
 )
 from .linalg import (
     Echelon,
@@ -87,7 +89,6 @@ from .linalg import (
     kernel_raw,
     rref_raw,
     rref_rows,
-    unit_vec,
     vec_add,
     vec_is_zero,
     vec_sub,
@@ -172,43 +173,45 @@ def field_roots(field: FieldSpec, coeffs: list) -> list:
 # ---------------------------------------------------------------------------
 
 class FiniteAlgebra:
-    """Unital associative algebra with a dense structure-constant table.
+    """Unital associative algebra by sparse structure constants.
 
-    table[i][j] is the coefficient vector of e_i * e_j, as Scalars; unit
-    is the coefficient vector of 1.  terms is (D, lifted): lifted[i][j]
-    lists the nonzero (m, c) of table[i][j] with c lifted over the one
-    table denominator D (FieldOps.lift), built once, at the first
-    product.  Products walk those lists as plain multiply-adds on lifted
-    values and settle once per nonzero output entry, so their cost
-    follows the nonzero structure constants rather than dim^3 per pair.
-    check=True raises LinAlgError on the first of violations().
+    constants maps (i, j, m) -> Scalar c with e_i e_j = sum c e_m; an index
+    outside range(dim) is an AxiomViolation.  unit is the coefficient
+    vector of 1.  self.constants[i][j] lists the nonzero (m, raw c) of
+    e_i e_j in increasing m, and terms is (D, lifted), the same lists with
+    every c lifted over one denominator D (FieldOps.lift), built at the
+    first product.  Products walk them as multiply-adds on lifted values
+    and settle once per nonzero output entry, so their cost follows the
+    nonzero constants, not dim^3 per pair.  check=True raises
+    LinAlgError on the first of violations().
     """
 
-    def __init__(self, field: FieldSpec, table: list[list[tuple]], unit: tuple,
-                 check: bool = False):
+    def __init__(self, field: FieldSpec, dim: int, constants: dict,
+                 unit: tuple, check: bool = False):
         self.field = field
-        self.table = table
-        self.dim = len(table)
+        self.dim = dim
         self.unit = tuple(unit)
+        require_indices("multiplication", constants, dim)
+        is_zero, products = field.ops.is_zero, {}
+        for (i, j, m), c in sorted(zip(constants, raw_values(
+                field, constants.values()))):
+            if not is_zero(c):
+                products.setdefault((i, j), []).append((m, c))
+        self.constants = [[products.get((i, j), ()) for j in range(dim)]
+                          for i in range(dim)]
         self._radical_powers: list[SubspaceBasis] | None = None
         if check:
             bad = self.violations()
             if bad:
                 raise LinAlgError(bad[0])
 
-    @classmethod
-    def from_terms(cls, field: FieldSpec, dim: int, terms: dict,
-                   unit: tuple) -> "FiniteAlgebra":
-        """The algebra with e_i e_j = sum of c e_m over terms (i, j, m) -> c.
-
-        Indices must lie in range(dim); values are Scalars.
-        """
-        zero = field.zero()
-        table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j, m), c in terms.items():
-            table[i][j][m] = c
-        return cls(field, tuple(tuple(tuple(v) for v in row) for row in table),
-                   unit)
+    def scalar_constants(self) -> dict:
+        """The nonzero constants as {(i, j, m): Scalar}, in (i, j, m)
+        order; FiniteAlgebra(field, dim, these, unit) is this algebra."""
+        pairs = [((i, j, m), c) for i, row in enumerate(self.constants)
+                 for j, tij in enumerate(row) for m, c in tij]
+        return dict(zip([k for k, _ in pairs],
+                        box(self.field, [c for _, c in pairs])))
 
     def violations(self, names=None) -> list[str]:
         """Unit-law failures, then associativity failures, one line each.
@@ -230,12 +233,10 @@ class FiniteAlgebra:
                 bad.append(f"left unit law fails on {names[i]}")
             if right != {i: one}:
                 bad.append(f"right unit law fails on {names[i]}")
-        table = [[nonzero_raw(field, v) for v in row] for row in self.table]
         failed = []
-        for j in range(dim):
-            left = [self._basis_products(table[i][j]) for i in range(dim)]
-            right = [self._basis_products(table[j][k], False)
-                     for k in range(dim)]
+        for j, row in enumerate(self.constants):
+            left = [self._basis_products(r[j]) for r in self.constants]
+            right = [self._basis_products(t, False) for t in row]
             failed.extend((i, j, k)
                           for i, k in itertools.product(range(dim), repeat=2)
                           if left[i][k] != right[k][i])
@@ -247,15 +248,16 @@ class FiniteAlgebra:
 
     @functools.cached_property
     def terms(self) -> tuple:
-        """(D, lifted) with lifted[i][j] the nonzero (m, c) of table[i][j],
-        every c lifted over the one table denominator D."""
-        field = self.field
-        table = [[nonzero_raw(field, v) for v in row] for row in self.table]
-        flat, denom = field.ops.lift(
-            [c for row in table for tij in row for _, c in tij])
+        """(D, lifted): the constants with every c lifted over the one
+        denominator D.  With D = 1 the lift is the identity, and lifted
+        is constants itself."""
+        flat, denom = self.field.ops.lift(
+            [c for row in self.constants for tij in row for _, c in tij])
+        if denom == 1:
+            return 1, self.constants
         it = iter(flat)
         return denom, [[[(m, next(it)) for m, _ in tij] for tij in row]
-                       for row in table]
+                       for row in self.constants]
 
     def _product(self, u, v) -> dict:
         """u v as {m: raw value} with no zeros, from the nonzero (index,
@@ -366,7 +368,7 @@ class FiniteAlgebra:
 
     def _lifted_traces(self) -> dict:
         """{m: tau_m} for the tau_m = sum_k c_mk^k that may be nonzero,
-        lifted over the table denominator D."""
+        lifted over the denominator D of terms."""
         add = self.field.ops.ladd
         taus: dict = {}
         for m, row in enumerate(self.terms[1]):
@@ -796,34 +798,46 @@ class QuotientMap:
     non-pivot columns of the ideal's canonical form, so everything here
     is deterministic.  A vector v is sum_i v[pivot_i] row_i plus its
     section part, so projecting needs no solve: section coordinate j is
-    v[s_j] - sum_i v[pivot_i] row_i[s_j].
+    v[s_j] - sum_i v[pivot_i] row_i[s_j].  The quotient's constants are
+    the projections of the parent's nonzero products e_{s_a} e_{s_b}.
     """
 
     def __init__(self, alg: FiniteAlgebra, ideal: SubspaceBasis):
         self.parent = alg
         self.ideal = ideal
-        self.section_cols = [j for j in range(alg.dim)
-                             if j not in ideal.pivots]
-        # each ideal row's nonzero entries at the section columns
-        self._row_sections = [
-            [(k, r[s]) for k, s in enumerate(self.section_cols)
-             if not r[s].is_zero()] for r in ideal.rows]
-        # e_{s_a} e_{s_b} is a table entry
-        table = [[self.project(alg.table[sa][sb]) for sb in self.section_cols]
-                 for sa in self.section_cols]
-        self.algebra = FiniteAlgebra(alg.field, table, self.project(alg.unit))
-        self.section_vectors = [unit_vec(alg.field, alg.dim, j)
-                                for j in self.section_cols]
+        field, ops = alg.field, alg.field.ops
+        cols = self.section_cols = [j for j in range(alg.dim)
+                                    if j not in ideal.pivots]
+        # the section coordinates of each e_m, as {k: raw value}: e_{s_k}
+        # is section vector k, and e_p for a pivot p is row_p minus its
+        # section part
+        index = {s: k for k, s in enumerate(cols)}
+        self._images = {s: {k: ops.one} for s, k in index.items()}
+        for p, r in zip(ideal.pivots, ideal.rows):
+            self._images[p] = {index[s]: ops.neg(c)
+                               for s, c in nonzero_raw(field, r) if s in index}
+        constants = {(a, b, k): c for a, sa in enumerate(cols)
+                     for b, sb in enumerate(cols)
+                     for k, c in self._project_raw(
+                         alg.constants[sa][sb]).items()}
+        self.algebra = FiniteAlgebra(
+            field, len(cols),
+            dict(zip(constants, box(field, constants.values()))),
+            self.project(alg.unit))
+
+    def _project_raw(self, pairs) -> dict:
+        """The section coordinates {k: raw value}, with no zeros, of the
+        vector with nonzero (index, raw value) pairs."""
+        ops, out = self.parent.field.ops, {}
+        for m, c in pairs:
+            add_scaled(ops, out, c, self._images[m])
+        return out
 
     def project(self, v: tuple) -> tuple:
-        out = [v[s] for s in self.section_cols]
-        for p, section in zip(self.ideal.pivots, self._row_sections):
-            if v[p].is_zero():
-                continue
-            a = -v[p]
-            for k, c in section:
-                out[k] = out[k] + a * c
-        return tuple(out)
+        field = self.parent.field
+        out = self._project_raw(nonzero_raw(field, v))
+        return box(field, [out.get(k, field.ops.zero)
+                           for k in range(len(self.section_cols))])
 
     def lift(self, q: tuple) -> tuple:
         """q written at the section columns, zero elsewhere."""
@@ -842,14 +856,12 @@ class SubalgebraMap:
         self.rows = list(rows)
         self.basis = SubspaceBasis(alg.field, alg.dim, self.rows, canonical=True)
         dim = len(self.rows)
-        table = []
-        for a in range(dim):
-            row = []
-            for b in range(dim):
-                prod = alg.mult(self.rows[a], self.rows[b])
-                row.append(self.coords(prod))
-            table.append(row)
-        self.algebra = FiniteAlgebra(alg.field, table, self.coords(identity))
+        constants = {}
+        for a, b in itertools.product(range(dim), repeat=2):
+            prod = self.coords(alg.mult(self.rows[a], self.rows[b]))
+            constants.update(((a, b, k), c) for k, c in enumerate(prod) if c)
+        self.algebra = FiniteAlgebra(alg.field, dim, constants,
+                                     self.coords(identity))
 
     def coords(self, v: tuple) -> tuple:
         return self.basis.coords_of(v)

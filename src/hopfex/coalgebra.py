@@ -55,6 +55,7 @@ from .errors import (
     ShapeMismatch,
     UnknownSimple,
     require,
+    require_indices,
 )
 from .linalg import (
     SubspaceBasis,
@@ -213,10 +214,8 @@ class Coalgebra:
             raise AxiomViolation("counit length differs from dimension")
         self.counit = tuple(as_scalar(field, c) for c in counit)
         table: list[dict] = [dict() for _ in range(self.dim)]
+        require_indices("comultiplication", comul, self.dim)
         for (i, j, k), val in comul.items():
-            if not (0 <= i < self.dim and 0 <= j < self.dim and 0 <= k < self.dim):
-                raise AxiomViolation(f"comultiplication index ({i},{j},{k}) "
-                                     f"out of range for dimension {self.dim}")
             s = as_scalar(field, val)
             if not s.is_zero():
                 t2_add_term(table[i], (j, k), s)
@@ -428,7 +427,7 @@ class Coalgebra:
     def dual_algebra(self) -> FiniteAlgebra:
         """H* with (f.g)(c) = sum f(c_(1)) g(c_(2)), on the dual basis."""
         if self._dual is None:
-            self._dual = FiniteAlgebra.from_terms(
+            self._dual = FiniteAlgebra(
                 self.field, self.dim,
                 {(j, k, i): c for i in range(self.dim)
                  for (j, k), c in self.comul[i].items()},

@@ -67,6 +67,14 @@ class AxiomViolation(CoalgebraError):
     """A coalgebra/bialgebra/Hopf axiom failed an exact check."""
 
 
+def require_indices(what: str, keys, dim: int):
+    """AxiomViolation unless every index of every key lies in range(dim)."""
+    for key in keys:
+        if min(key) < 0 or max(key) >= dim:
+            raise AxiomViolation(f"{what} index ({','.join(map(str, key))}) "
+                                 f"out of range for dimension {dim}")
+
+
 class NonSplitField(CoalgebraError):
     """A simple component of the dual algebra is not a full matrix algebra
     over the base field; analysis needs a field extension supplied by the caller.

@@ -66,6 +66,7 @@ from .errors import (
     ShapeMismatch,
     WitnessNotFound,
     require,
+    require_indices,
 )
 from .linalg import (
     Mat,
@@ -182,28 +183,24 @@ class HopfAlgebra(Coalgebra):
 
     mul maps (i, j, m) -> scalar with e_i e_j = sum c e_m; unit is the
     coefficient vector of 1; antipode, when present, maps (i, m) ->
-    scalar with S(e_i) = sum c e_m.
+    scalar with S(e_i) = sum c e_m.  algebra is the FiniteAlgebra of mul
+    and unit, which holds mul as its sparse constants.
     """
 
     def __init__(self, field: FieldSpec, names, comul, counit, mul, unit,
                  antipode=None, name: str = ""):
         super().__init__(field, names, comul, counit, name=name)
-        for i, j, m in mul:
-            if not (0 <= i < self.dim and 0 <= j < self.dim
-                    and 0 <= m < self.dim):
-                raise AxiomViolation(f"multiplication index ({i},{j},{m}) "
-                                     f"out of range for dimension {self.dim}")
         self.unit = tuple(as_scalar(field, c) for c in unit)
         if len(self.unit) != self.dim:
             raise AxiomViolation("unit vector length differs from dimension")
-        self._alg = FiniteAlgebra.from_terms(
+        self.algebra = FiniteAlgebra(
             field, self.dim,
             {key: as_scalar(field, val) for key, val in mul.items()},
             self.unit)
-        self.mul_table = self._alg.table
         if antipode is None:
             self.antipode_mat = None
         else:
+            require_indices("antipode", antipode, self.dim)
             cols = [list(zero_vec(field, self.dim)) for _ in range(self.dim)]
             for (i, m), val in antipode.items():
                 cols[i][m] = cols[i][m] + as_scalar(field, val)
@@ -214,10 +211,10 @@ class HopfAlgebra(Coalgebra):
     # -- products ----------------------------------------------------------
 
     def mul_vec(self, u: tuple, v: tuple) -> tuple:
-        return self._alg.mult(u, v)
+        return self.algebra.mult(u, v)
 
     def power_vec(self, u: tuple, n: int) -> tuple:
-        return self._alg.power(u, n)
+        return self.algebra.power(u, n)
 
     def antipode_vec(self, v: tuple) -> tuple:
         if self.antipode_mat is None:
@@ -238,7 +235,7 @@ class HopfAlgebra(Coalgebra):
         S(e_j) e_k is column k of L_{S(e_j)}, e_j S(e_k) column j of
         R_{S(e_k)}.
         """
-        bad = self.check() + self._alg.violations(self.names)
+        bad = self.check() + self.algebra.violations(self.names)
         field, dim = self.field, self.dim
         ops = field.ops
         unit = nonzero_raw(field, self.unit)
@@ -251,9 +248,9 @@ class HopfAlgebra(Coalgebra):
         comul = [list(zip(d, raw_values(field, d.values())))
                  for d in self.comul]
         for i, j in itertools.product(range(dim), repeat=2):
-            prod = nonzero_raw(field, self.mul_table[i][j])
+            prod = self.algebra.constants[i][j]
             if self._delta_raw(prod) != \
-                    self._alg._tensor_product(comul[i], comul[j]):
+                    self.algebra._tensor_product(comul[i], comul[j]):
                 bad.append("comultiplication is not multiplicative on "
                            f"({self.names[i]},{self.names[j]})")
             if self._counit_raw(prod) != ops.mul(eps[i], eps[j]):
@@ -261,9 +258,9 @@ class HopfAlgebra(Coalgebra):
                            f"({self.names[i]},{self.names[j]})")
         if self.antipode_mat is not None:
             antipode = self._columns(self.antipode_mat)
-            left = [self._alg._basis_products(antipode[j].items())
+            left = [self.algebra._basis_products(antipode[j].items())
                     for j in range(dim)]
-            right = [self._alg._basis_products(antipode[k].items(), False)
+            right = [self.algebra._basis_products(antipode[k].items(), False)
                      for k in range(dim)]
             for i in range(dim):
                 keys = [key for key, _ in comul[i]]
@@ -322,7 +319,7 @@ class HopfAlgebra(Coalgebra):
     def convolution(self, f: Mat, g: Mat) -> Mat:
         cols = self._convolve(self._columns(f), self._columns(g),
                               range(self.dim))
-        return self._alg._mult_mat([cols[i] for i in range(self.dim)])
+        return self.algebra._mult_mat([cols[i] for i in range(self.dim)])
 
     def _convolve(self, f: dict, g: dict, indices) -> dict:
         """(f * g)(e_i) for i in indices, as {i: {m: raw value}}.
@@ -336,7 +333,7 @@ class HopfAlgebra(Coalgebra):
         """
         ops = self.field.ops
         mul, add = ops.lmul, ops.ladd
-        denom, terms = self._alg.terms
+        denom, terms = self.algebra.terms
         sc, comul = self._lifted_comul
         f, sf = lift_columns(ops, f)
         g, sg = lift_columns(ops, g)
@@ -381,7 +378,7 @@ class HopfAlgebra(Coalgebra):
         if isinstance(h, Element):
             return Element(self, self.hopf_power(h.vec, n))
         power = next(itertools.islice(self._hopf_powers(tuple(h)), n, None))
-        return box(self.field, self._alg._dense(power))
+        return box(self.field, self.algebra._dense(power))
 
     def hopf_order(self, h, cap: int | None = None) -> int | None:
         """Least n >= 1 with h^[n] = eps(h)*1, or None past the cap.
@@ -507,7 +504,7 @@ class HopfAlgebra(Coalgebra):
         asserted = False
         if self.involutory():
             # e_i vec is column i of R_vec
-            cols = self._alg.right_mult_mat(vec).columns()
+            cols = self.algebra.right_mult_mat(vec).columns()
             for i, lhs in enumerate(cols):
                 require(lhs == vec_scale(self.counit[i], vec),
                         "left integral property fails on an involutory Hopf "

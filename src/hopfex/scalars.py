@@ -387,15 +387,17 @@ def _integer_tuple(coeffs, d: int) -> tuple:
 
 
 def raw_values(field: "FieldSpec", vec) -> list:
-    """The raw values of a sequence of Scalars of field.
+    """The raw values of an iterable of Scalars of field, read in one
+    pass with each entry's field.
 
     FieldMismatch when an entry belongs to another field.
     """
-    vals = [x.val for x in vec]
+    vals = []
     for x in vec:
         if x.field is not field and x.field != field:
             raise FieldMismatch(
                 f"scalars from {field.describe()} and {x.field.describe()}")
+        vals.append(x.val)
     return vals
 
 

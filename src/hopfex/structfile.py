@@ -98,12 +98,7 @@ def structure_from_object(obj: Coalgebra) -> StructureFile:
     unit = None
     antipode = None
     if isinstance(obj, HopfAlgebra):
-        mul = {}
-        for i in range(obj.dim):
-            for j in range(obj.dim):
-                for m, c in enumerate(obj.mul_table[i][j]):
-                    if not c.is_zero():
-                        mul[(i, j, m)] = c
+        mul = obj.algebra.scalar_constants()
         unit = obj.unit
         if obj.antipode_mat is not None:
             antipode = {}

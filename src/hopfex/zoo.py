@@ -109,8 +109,8 @@ def taft(n: int, field: FieldSpec, q: Scalar | None = None) -> HopfAlgebra:
 
     Basis g^a x^b at index b*n + a.  The comultiplication of a general
     monomial is computed by multiplying Delta(g)^a Delta(x)^b inside
-    H (x) H (FiniteAlgebra.tensor_mult on the table of the two generator
-    rules).
+    H (x) H (FiniteAlgebra.tensor_mult on the constants of the two
+    generator rules).
     """
     if n < 2:
         raise HopfError("Taft algebras need n >= 2")
@@ -145,7 +145,7 @@ def taft(n: int, field: FieldSpec, q: Scalar | None = None) -> HopfAlgebra:
             if hit is not None:
                 mul[(i, j, hit[0])] = hit[1]
     unit = unit_vec(field, dim, 0)
-    alg = FiniteAlgebra.from_terms(field, dim, mul, unit)
+    alg = FiniteAlgebra(field, dim, mul, unit)
     dx = {(idx(0, 1), idx(0, 0)): one, (idx(1, 0), idx(0, 1)): one}
     comul = {}
     counit = [0] * dim
@@ -226,34 +226,20 @@ def tensor_product(a: HopfAlgebra, b: HopfAlgebra) -> HopfAlgebra:
                     comul[(idx(i, i2), idx(j, j2), idx(k, k2))] = c * c2
     counit = [a.counit[i] * b.counit[j]
               for i in range(a.dim) for j in range(b.dim)]
-    mul = {}
-    for i in range(a.dim):
-        for j in range(a.dim):
-            arow = a.mul_table[i][j]
-            for i2 in range(b.dim):
-                for j2 in range(b.dim):
-                    brow = b.mul_table[i2][j2]
-                    for m, cm in enumerate(arow):
-                        if cm.is_zero():
-                            continue
-                        for m2, cm2 in enumerate(brow):
-                            if not cm2.is_zero():
-                                mul[(idx(i, i2), idx(j, j2),
-                                     idx(m, m2))] = cm * cm2
+    b_mul = b.algebra.scalar_constants().items()
+    mul = {(idx(i, i2), idx(j, j2), idx(m, m2)): c * c2
+           for (i, j, m), c in a.algebra.scalar_constants().items()
+           for (i2, j2, m2), c2 in b_mul}
     unit = [a.unit[i] * b.unit[j] for i in range(a.dim) for j in range(b.dim)]
     antipode = None
     if a.antipode_mat is not None and b.antipode_mat is not None:
-        antipode = {}
-        for i in range(a.dim):
-            acol = a.antipode_mat.column(i)
-            for i2 in range(b.dim):
-                bcol = b.antipode_mat.column(i2)
-                for m, cm in enumerate(acol):
-                    if cm.is_zero():
-                        continue
-                    for m2, cm2 in enumerate(bcol):
-                        if not cm2.is_zero():
-                            antipode[(idx(i, i2), idx(m, m2))] = cm * cm2
+        b_antipode = [((i2, m2), c2)
+                      for i2, col in enumerate(b.antipode_mat.columns())
+                      for m2, c2 in enumerate(col) if c2]
+        antipode = {(idx(i, i2), idx(m, m2)): c * c2
+                    for i, col in enumerate(a.antipode_mat.columns())
+                    for m, c in enumerate(col) if c
+                    for (i2, m2), c2 in b_antipode}
     return HopfAlgebra(field, names, comul, counit, mul, unit, antipode,
                        name=f"{a.name} (x) {b.name}")
 

@@ -7,8 +7,12 @@ scalars (an algebra, a coalgebra or a whole Hopf algebra on a basis
 e'_i = d_i e_i).  The fields include a char-0 extension whose modulus is not
 integral, two finite extensions and a prime field larger than any
 denominator.
+
+dense_table is the dense reference table that the Scalar reference
+loops of the tests read, built from an algebra's sparse constants.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -76,21 +80,33 @@ def basis_scales(field, dim, seed):
     return out
 
 
-def rescaled_mul(table, unit, scales):
-    """The multiplication terms (i, j, m) -> c and the unit of the table
-    on the basis e'_i = d_i e_i: c'_ij^m = c_ij^m d_i d_j / d_m and
+@functools.lru_cache(maxsize=8)
+def dense_table(alg):
+    """table[i][j], the coefficient tuple of e_i e_j as Scalars, for
+    every i, j: the dense dim^3 reference built from the sparse
+    constants (cached, as the reference loops read it per product)."""
+    zero = alg.field.zero()
+    table = [[[zero] * alg.dim for _ in range(alg.dim)]
+             for _ in range(alg.dim)]
+    for (i, j, m), c in alg.scalar_constants().items():
+        table[i][j][m] = c
+    return tuple(tuple(tuple(v) for v in row) for row in table)
+
+
+def rescaled_mul(alg, scales):
+    """The multiplication terms (i, j, m) -> c and the unit of alg on the
+    basis e'_i = d_i e_i: c'_ij^m = c_ij^m d_i d_j / d_m and
     1 = sum u_m / d_m e'_m."""
     inv = [d.inverse() for d in scales]
     terms = {(i, j, m): c * scales[i] * scales[j] * inv[m]
-             for i, j in itertools.product(range(len(table)), repeat=2)
-             for m, c in enumerate(table[i][j]) if not c.is_zero()}
-    return terms, tuple(u * d for u, d in zip(unit, inv))
+             for (i, j, m), c in alg.scalar_constants().items()}
+    return terms, tuple(u * d for u, d in zip(alg.unit, inv))
 
 
 def rescaled_algebra(alg, scales):
     """alg on the basis e'_i = d_i e_i: c'_ij^m = c_ij^m d_i d_j / d_m."""
-    terms, unit = rescaled_mul(alg.table, alg.unit, scales)
-    return FiniteAlgebra.from_terms(alg.field, alg.dim, terms, unit)
+    terms, unit = rescaled_mul(alg, scales)
+    return FiniteAlgebra(alg.field, alg.dim, terms, unit)
 
 
 def rescaled_comul(h, scales):
@@ -114,7 +130,7 @@ def rescaled_hopf(h, scales):
     S(e'_i) = sum s_im d_i / d_m e'_m."""
     inv = [d.inverse() for d in scales]
     comul, counit = rescaled_comul(h, scales)
-    mul, unit = rescaled_mul(h.mul_table, h.unit, scales)
+    mul, unit = rescaled_mul(h.algebra, scales)
     antipode = {(i, m): s * scales[i] * inv[m]
                 for i, col in enumerate(h.antipode_mat.columns())
                 for m, s in enumerate(col) if not s.is_zero()}

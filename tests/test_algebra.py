@@ -17,6 +17,7 @@ structure constants and vectors with denominators 2 to 7.
 import functools
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,8 @@ import hopfex.algebra
 from hopfex import GF, QQ, FieldSpec
 from hopfex.algebra import (FiniteAlgebra, _divisors, _frobenius_root,
                             field_roots)
-from hopfex.errors import LinAlgError, SplittingSearchExhausted
+from hopfex.errors import (AxiomViolation, LinAlgError,
+                           SplittingSearchExhausted)
 from hopfex.linalg import (Mat, SubspaceBasis, kernel, rref_rows, solve,
                            unit_vec, vec_add, vec_scale, vec_sub, zero_vec)
 from hopfex.poly import char_poly
@@ -34,9 +36,10 @@ from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
                         tensor_product)
 from hopfex.scalars import raw_values
 from lifting_cases import (F9, F13, HALF_ROOT, LIFT_FIELDS, QZ5, basis_scales,
-                           fraction_scalar, fraction_vector, has_denominators,
-                           hopf_case, is_canonical, rebased_coalgebra,
-                           rescaled_algebra, rescaled_coalgebra)
+                           dense_table, fraction_scalar, fraction_vector,
+                           has_denominators, hopf_case, is_canonical,
+                           rebased_coalgebra, rescaled_algebra,
+                           rescaled_coalgebra)
 
 
 def reference_char_poly(m):
@@ -77,8 +80,9 @@ def reference_radical(alg):
     """Jacobson radical from full-dimension traces and char polys."""
     n = alg.dim
     if alg.field.char == 0:
+        table = dense_table(alg)
         gram = Mat(alg.field, [
-            tuple(alg.left_mult_mat(alg.table[i][j]).trace() for j in range(n))
+            tuple(alg.left_mult_mat(table[i][j]).trace() for j in range(n))
             for i in range(n)])
         return kernel(gram), 1
     p = alg.field.char
@@ -279,15 +283,12 @@ def test_rational_quaternions_exhaust_the_search():
     signs = {(1, 1): (0, -1), (2, 2): (0, -1), (3, 3): (0, -1),
              (1, 2): (3, 1), (2, 1): (3, -1), (2, 3): (1, 1),
              (3, 2): (1, -1), (3, 1): (2, 1), (1, 3): (2, -1)}
-    table = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            m, s = (j, 1) if i == 0 else (i, 1) if j == 0 else signs[(i, j)]
-            row.append(tuple(field.from_int(s) if k == m else zero
-                             for k in range(4)))
-        table.append(row)
-    alg = FiniteAlgebra(field, table, (one, zero, zero, zero), check=True)
+    constants = {}
+    for i, j in itertools.product(range(4), repeat=2):
+        m, s = (j, 1) if i == 0 else (i, 1) if j == 0 else signs[(i, j)]
+        constants[(i, j, m)] = field.from_int(s)
+    alg = FiniteAlgebra(field, 4, constants, (one, zero, zero, zero),
+                        check=True)
     with pytest.raises(SplittingSearchExhausted):
         alg.primitive_idempotent_in(alg.unit)
 
@@ -403,9 +404,11 @@ def test_quotient_projection_matches_a_full_solve():
     a = taft(3, GF(7)).dual_algebra()
     qmap = a.quotient(a.radical())
     m = Mat.from_columns(a.field, list(qmap.ideal.rows)
-                         + qmap.section_vectors, a.dim)
+                         + [unit_vec(a.field, a.dim, j)
+                            for j in qmap.section_cols], a.dim)
+    table = dense_table(a)
     for i, j in itertools.product(range(a.dim), repeat=2):
-        v = vec_add(a.table[i][j], unit_vec(a.field, a.dim, (i + j) % a.dim))
+        v = vec_add(table[i][j], unit_vec(a.field, a.dim, (i + j) % a.dim))
         assert qmap.project(v) == solve(m, v)[qmap.ideal.dim:], (i, j)
 
 
@@ -413,10 +416,11 @@ def test_check_raises_on_a_unit_failure():
     # k[z]/(z^2 - z) with z, not 1, as the claimed unit
     field = QQ
     one, zero = field.one(), field.zero()
-    table = [[(one, zero), (zero, one)], [(zero, one), (zero, one)]]
-    FiniteAlgebra(field, table, (one, zero), check=True)
+    constants = {(0, 0, 0): one, (0, 1, 1): one, (1, 0, 1): one,
+                 (1, 1, 1): one}
+    FiniteAlgebra(field, 2, constants, (one, zero), check=True)
     with pytest.raises(LinAlgError, match="unit law fails"):
-        FiniteAlgebra(field, table, (zero, one), check=True)
+        FiniteAlgebra(field, 2, constants, (zero, one), check=True)
 
 
 def test_check_raises_on_an_associativity_failure():
@@ -424,28 +428,69 @@ def test_check_raises_on_an_associativity_failure():
     # a(ab) = aa = b
     field = QQ
     one, zero = field.one(), field.zero()
-    e = [tuple(one if k == m else zero for k in range(3)) for m in range(3)]
-    z = (zero,) * 3
-    table = [[e[0], e[1], e[2]],
-             [e[1], e[2], e[1]],
-             [e[2], e[1], z]]
-    alg = FiniteAlgebra(field, table, e[0])
+    products = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (1, 1): 2,
+                (1, 2): 1, (2, 0): 2, (2, 1): 1}
+    constants = {(i, j, m): one for (i, j), m in products.items()}
+    unit = (one, zero, zero)
+    alg = FiniteAlgebra(field, 3, constants, unit)
     assert alg.violations()[0] == "associativity fails at (1,1,2)"
     with pytest.raises(LinAlgError, match="associativity fails"):
-        FiniteAlgebra(field, table, e[0], check=True)
+        FiniteAlgebra(field, 3, constants, unit, check=True)
 
 
-def test_from_terms_places_each_term():
+def test_constructor_keeps_the_nonzero_constants_in_order():
     field = GF(5)
-    two = field.from_int(2)
-    alg = FiniteAlgebra.from_terms(field, 2, {(1, 1, 1): two, (0, 0, 0): two},
-                                   unit_vec(field, 2, 0))
-    assert alg.table[1][1] == (field.zero(), two)
-    assert alg.table[0][1] == (field.zero(), field.zero())
+    two, three, zero = field.from_int(2), field.from_int(3), field.zero()
+    constants = {(1, 1, 2): two, (0, 0, 0): two, (1, 1, 0): three,
+                 (0, 1, 1): zero, (1, 1, 1): zero, (2, 2, 2): field.one()}
+    alg = FiniteAlgebra(field, 3, constants, unit_vec(field, 3, 0))
+    # explicit zeros are dropped, each (i, j) lists its (m, raw) by m
+    assert alg.constants[1][1] == [(0, 3), (2, 2)]
+    assert alg.constants[0][0] == [(0, 2)]
+    assert not alg.constants[0][1] and not alg.constants[2][0]
+    assert list(alg.scalar_constants().items()) == [
+        ((0, 0, 0), two), ((1, 1, 0), three), ((1, 1, 2), two),
+        ((2, 2, 2), field.one())]
+    # the dict order of the constants does not matter, also where terms
+    # lifts them over a denominator
+    halves = {(1, 1, 2): QQ.from_fraction(Fraction(1, 2)), (0, 0, 0): QQ.one(),
+              (1, 1, 0): QQ.from_fraction(Fraction(-2, 3))}
+    for f, cs in ((field, constants), (QQ, halves)):
+        first, again = (FiniteAlgebra(f, 3, dict(items), unit_vec(f, 3, 0))
+                        for items in (cs.items(), reversed(cs.items())))
+        assert again.constants == first.constants
+        assert again.terms == first.terms
+    denom, lifted = first.terms
+    assert (denom, lifted[0][0], lifted[1][1]) == (6, [(0, 6)],
+                                                   [(0, -4), (2, 3)])
+    # an index outside range(dim) is an error, not a dropped or wrapped term
+    for bad in ((3, 0, 0), (0, -1, 0), (0, 0, 3)):
+        with pytest.raises(AxiomViolation, match="multiplication index"):
+            FiniteAlgebra(field, 3, {bad: two}, unit_vec(field, 3, 0))
+
+
+def test_constructor_keeps_no_dense_table():
+    # a dim-256 algebra with 511 constants: a dense table would hold
+    # 256^3 = 16.7M slots, over 130 MB of pointers alone
+    field, dim = GF(5), 256
+    constants = {(i, 0, i): field.one() for i in range(dim)}
+    constants.update({(0, i, i): field.one() for i in range(dim)})
+    tracemalloc.start()
+    try:
+        alg = FiniteAlgebra(field, dim, constants, unit_vec(field, dim, 0))
+        alg.terms
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak
+    e7 = unit_vec(field, dim, 7)
+    assert alg.mult(e7, alg.unit) == e7
 
 
 def reference_mult(alg, u, v):
-    """FiniteAlgebra.mult as a Scalar loop over every entry of table."""
+    """FiniteAlgebra.mult as a Scalar loop over every entry of the dense
+    table."""
+    table = dense_table(alg)
     out = list(zero_vec(alg.field, alg.dim))
     for i, ui in enumerate(u):
         if ui.is_zero():
@@ -454,7 +499,7 @@ def reference_mult(alg, u, v):
             if vj.is_zero():
                 continue
             c = ui * vj
-            for m, t in enumerate(alg.table[i][j]):
+            for m, t in enumerate(table[i][j]):
                 if not t.is_zero():
                     out[m] = out[m] + c * t
     return tuple(out)
@@ -463,12 +508,12 @@ def reference_mult(alg, u, v):
 def test_mult_matches_the_dense_reference(zoo):
     rng = random.Random(3)
     for stem, h in zoo.items():
-        alg = FiniteAlgebra(h.field, h.mul_table, h.unit)
+        alg = h.algebra
         units = [unit_vec(h.field, h.dim, i) for i in range(h.dim)]
         for i, j in itertools.product(range(h.dim), repeat=2):
             got = alg.mult(units[i], units[j])
             assert got == reference_mult(alg, units[i], units[j]), (stem, i, j)
-            assert got == tuple(h.mul_table[i][j]), (stem, i, j)
+            assert got == dense_table(alg)[i][j], (stem, i, j)
         t = h.field.gen() if h.field.modulus else h.field.one()
         for _ in range(4):
             u, v = ([h.field.from_int(rng.randint(-3, 3))
@@ -599,14 +644,15 @@ def test_basis_product_routines_make_no_products(monkeypatch):
 
 def reference_basis_products(alg, u, left=True):
     """The columns u e_j (or e_j u) of L_u (or R_u) as a Scalar loop over
-    table."""
+    the dense table."""
+    table = dense_table(alg)
     cols = []
     for j in range(alg.dim):
         out = list(zero_vec(alg.field, alg.dim))
         for i, ui in enumerate(u):
             if ui.is_zero():
                 continue
-            for m, t in enumerate(alg.table[i][j] if left else alg.table[j][i]):
+            for m, t in enumerate(table[i][j] if left else table[j][i]):
                 if not t.is_zero():
                     out[m] = out[m] + ui * t
         cols.append(tuple(out))
@@ -615,18 +661,20 @@ def reference_basis_products(alg, u, left=True):
 
 def reference_left_traces(alg):
     """left_traces as the Scalar sum it replaced."""
-    return tuple(sum((alg.table[m][k][k] for k in range(alg.dim)),
+    table = dense_table(alg)
+    return tuple(sum((table[m][k][k] for k in range(alg.dim)),
                      alg.field.zero())
                  for m in range(alg.dim))
 
 
 def reference_trace_form(alg):
-    """_trace_form as the Scalar loop over table it replaced."""
+    """_trace_form as the Scalar loop over the dense table it replaced."""
+    table = dense_table(alg)
     taus = [(m, t) for m, t in enumerate(reference_left_traces(alg))
             if not t.is_zero()]
     zero = alg.field.zero()
     return Mat(alg.field, [
-        tuple(sum((alg.table[i][j][m] * t for m, t in taus), zero)
+        tuple(sum((table[i][j][m] * t for m, t in taus), zero)
               for j in range(alg.dim))
         for i in range(alg.dim)], alg.dim)
 
@@ -643,7 +691,7 @@ def lifted_algebra(field, dual):
     scales = basis_scales(field, h.dim, 5)
     if dual:
         return rescaled_coalgebra(h, scales).dual_algebra()
-    return rescaled_algebra(FiniteAlgebra(field, h.mul_table, h.unit), scales)
+    return rescaled_algebra(h.algebra, scales)
 
 
 def rescaled_quotient_and_center():
@@ -668,7 +716,7 @@ def test_lifted_kernels_match_the_scalar_references(make):
     alg = make()
     field = alg.field
     if field.char == 0:
-        assert has_denominators(x for row in alg.table for v in row for x in v)
+        assert has_denominators(alg.scalar_constants().values())
     rng = random.Random(17)
     vecs = [fraction_vector(field, rng, alg.dim) for _ in range(3)]
     assert field.char or has_denominators(x for v in vecs for x in v)

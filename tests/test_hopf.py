@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from hopfex import GF, QQ, FieldSpec
-from hopfex.errors import InvariantViolation, NotCosemisimple, ShapeMismatch
+from hopfex.errors import (AxiomViolation, InvariantViolation,
+                           NotCosemisimple, ShapeMismatch)
 from hopfex.hopf import ExponentReport, HopfAlgebra
 from hopfex.linalg import (Mat, SubspaceBasis, t2_add_term, t2_from_pair,
                            unit_vec, vec_add, vec_dot, vec_scale,
@@ -19,7 +20,7 @@ from hopfex.zoo import (cyclic, group_algebra, restricted_poly, sweedler,
                         symmetric, taft)
 
 from golden_defs import golden_objects
-from lifting_cases import (F9, LIFT_FIELDS, QZ5, basis_scales,
+from lifting_cases import (F9, LIFT_FIELDS, QZ5, basis_scales, dense_table,
                            fraction_scalar, fraction_vector,
                            has_denominators, hopf_case,
                            is_canonical, rescaled_hopf, rescaled_vector)
@@ -28,6 +29,21 @@ from lifting_cases import (F9, LIFT_FIELDS, QZ5, basis_scales,
 def test_hopf_axioms_pass_on_zoo(zoo):
     for stem, obj in zoo.items():
         assert obj.check_hopf() == [], stem
+
+
+def test_antipode_indices_out_of_range_are_rejected():
+    # Sweedler with the term (3, 2) of S moved to an index outside 0..3:
+    # a negative one must not wrap round to S(e_3), nor a large one raise
+    # a bare IndexError
+    h = sweedler(QQ)
+    sf = structure_from_object(h)
+    assert (3, 2) in sf.antipode
+    for bad in ((-1, 2), (9, 2), (3, 4)):
+        antipode = dict(sf.antipode)
+        antipode[bad] = antipode.pop((3, 2))
+        with pytest.raises(AxiomViolation, match="antipode index"):
+            HopfAlgebra(QQ, h.names, sf.comul, h.counit, sf.mul, h.unit,
+                        antipode)
 
 
 def test_antipode_is_convolution_inverse(zoo):
@@ -497,12 +513,13 @@ def test_subcoalgebra_support_spans_the_least_coordinate_subcoalgebra(zoo):
 # -- the Hopf audit against its own loops ----------------------------------
 
 def reference_t2_mul(h, a: dict, b: dict) -> dict:
-    """Componentwise product on H (x) H read off h.mul_table."""
+    """Componentwise product on H (x) H read off the dense table of h."""
+    table = dense_table(h.algebra)
     out: dict = {}
     for (j, k), c in a.items():
         for (j2, k2), c2 in b.items():
-            for m, lv in enumerate(h.mul_table[j][j2]):
-                for m2, rv in enumerate(h.mul_table[k][k2]):
+            for m, lv in enumerate(table[j][j2]):
+                for m2, rv in enumerate(table[k][k2]):
                     if not (lv.is_zero() or rv.is_zero()):
                         t2_add_term(out, (m, m2), c * c2 * lv * rv)
     return out
@@ -599,7 +616,7 @@ def test_tensor_mult_is_the_componentwise_product(zoo):
         for _ in range(3):
             a = h.comul[rng.randrange(h.dim)]
             b = h.comul[rng.randrange(h.dim)]
-            assert h._alg.tensor_mult(a, b) == reference_t2_mul(h, a, b), stem
+            assert h.algebra.tensor_mult(a, b) == reference_t2_mul(h, a, b), stem
 
 
 # -- the Hopf layer on raw values against its Scalar references -------------
@@ -744,7 +761,7 @@ def test_min_poly_search_and_powers_mod_match_the_scalar_references(make):
                                      h.dim ** 2 + 1)
         x_powers = itertools.accumulate(
             itertools.repeat(x, h.dim),
-            lambda p, y: h._alg._product(p.items(), y.items()),
+            lambda p, y: h.algebra._product(p.items(), y.items()),
             initial=dict(nonzero_raw(field, h.unit)))
         sequences = [id_powers, x_powers]  # consumed up to mu only
         for seq, keyed in zip(sequences, (True, False)):
@@ -755,7 +772,7 @@ def test_min_poly_search_and_powers_mod_match_the_scalar_references(make):
                     want = ref.add(dense_row(field, h.dim, power))
                 else:
                     got = raw.add(power)
-                    want = ref.add(box(field, h._alg._dense(power)))
+                    want = ref.add(box(field, h.algebra._dense(power)))
                 assert (got is None) == (want is None), h.name
                 if got is not None:
                     break
@@ -861,7 +878,7 @@ def test_char0_extension_arithmetic_makes_no_fraction(zoo, monkeypatch):
         for r in (ops.add(a, b), ops.sub(a, b), ops.neg(a), ops.mul(a, b)):
             ops.is_zero(r)
     for i, j in itertools.product(range(h.dim), repeat=2):
-        h._alg._tensor_product(comul[i], comul[j])
+        h.algebra._tensor_product(comul[i], comul[j])
     powers = h._id_powers(range(h.dim))
     for _ in range(8):
         next(powers)

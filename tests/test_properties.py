@@ -110,7 +110,7 @@ def test_counit_and_comul_are_algebra_maps(stem, c1, c2):
     assert h.counit_vec(h.mul_vec(u, v)) == \
         h.counit_vec(u) * h.counit_vec(v)
     assert h.delta_vec(h.mul_vec(u, v)) == \
-        h._alg.tensor_mult(h.delta_vec(u), h.delta_vec(v))
+        h.algebra.tensor_mult(h.delta_vec(u), h.delta_vec(v))
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

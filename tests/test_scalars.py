@@ -10,10 +10,12 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from hopfex import GF, QQ, FieldSpec
-from hopfex.errors import (DivisionByZero, IncompatibleExtension, NoSuchRoot,
+from hopfex.errors import (DivisionByZero, FieldMismatch,
+                           IncompatibleExtension, NoSuchRoot,
                            ReducibleModulus, ScalarParseError)
 from hopfex import poly
-from hopfex.scalars import MAX_EXTENSION_DEGREE, Scalar, cyclotomic_polynomial
+from hopfex.scalars import (MAX_EXTENSION_DEGREE, Scalar,
+                            cyclotomic_polynomial, raw_values)
 
 from lifting_cases import HALF_ROOT, QZ5, is_canonical
 
@@ -575,3 +577,13 @@ def test_char0_extension_inverses_hold_only_ints(field):
         assert ops.inv(v) is inv and ops.inv.cache_info().hits == hits + 1
     assert all(type(c) is int for c in cyclotomic_polynomial(12))
     assert all(is_canonical(QQ, c) for c in HALF_ROOT.modulus)
+
+
+def test_raw_values_checks_the_field_of_a_one_shot_iterator():
+    f7 = GF(7)
+    assert raw_values(f7, (f7.from_int(k) for k in (1, 9))) == [1, 2]
+    mixed = (x for x in (f7.from_int(3), GF(5).from_int(3)))
+    with pytest.raises(FieldMismatch):
+        raw_values(f7, mixed)
+    with pytest.raises(FieldMismatch):
+        raw_values(QQ, iter([QQ.one(), f7.one()]))

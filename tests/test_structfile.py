@@ -8,6 +8,7 @@ from hopfex.errors import (DuplicateEntry, IndexOutOfRange, ScalarParseError,
                            StructureFileError)
 from hopfex.structfile import (HEADER, emit_structure_file,
                                parse_structure_file, structure_from_object)
+from lifting_cases import dense_table
 
 STEMS = [stem for stem, _ in golden_objects()]
 
@@ -37,7 +38,7 @@ def test_golden_objects_rebuild_and_validate(stem, zoo, golden_dir):
     assert obj.comul == want.comul
     assert obj.counit == want.counit
     assert sf.is_bialgebra()
-    assert obj.mul_table == want.mul_table
+    assert dense_table(obj.algebra) == dense_table(want.algebra)
     assert obj.check_hopf() == []
 
 
