@@ -391,6 +391,8 @@ def _cmd_extend(obj, args):
                       ("--degree", args.degree)):
         if val is None:
             raise InputError(f"extend needs {flag}")
+    if args.degree < 1:
+        raise InputError("--degree must be positive")
     z = _parse_element(obj, args.element)
     g = _parse_element(obj, args.grouplike_left)
     h = _parse_element(obj, args.grouplike_right)

@@ -33,9 +33,10 @@ idempotents are lifted in turn, and each one is proved orthogonal to
 the sum of those before it, two products each: by induction the family
 is pairwise orthogonal.
 
-Tensors in H (x) H are the sparse dicts of linalg (t2_add_term and
-its siblings).  delta_vec multiplies and adds on the comultiplication
-table lifted once (FieldOps.lift) and settles once per tensor entry.
+Tensors in H (x) H are sparse dicts {(j, k): value} with no zeros, of
+Scalars in comul and delta_vec and of raw values elsewhere: _delta_raw
+multiplies and adds on the comultiplication table lifted once
+(FieldOps.lift) and settles once per tensor entry.
 The hit actions read a functional lifted once (lift_functional); the
 coradical idempotents keep theirs (IdempotentFamily.lifted), so
 component and bicomponent_subspace do not lift them again.
@@ -59,11 +60,11 @@ from .errors import (
 )
 from .linalg import (
     SubspaceBasis,
+    raw_pair,
     rref_raw,
     rref_rows,
     t2_add_term,
-    t2_flatten,
-    t2_from_pair,
+    tensor_legs,
     unit_vec,
     vec_add,
     vec_is_zero,
@@ -93,21 +94,6 @@ def as_scalar(field: FieldSpec, v) -> Scalar:
     if isinstance(v, Fraction):
         return field.from_fraction(v)
     raise TypeError(f"cannot coerce {v!r} to a scalar")
-
-
-# ---------------------------------------------------------------------------
-# sparse tensors in H (x) H
-# ---------------------------------------------------------------------------
-
-def tensor_square_subspace(v: SubspaceBasis, w: SubspaceBasis) -> SubspaceBasis:
-    """The subspace V (x) W inside the flattened square of the ambient."""
-    field = v.field
-    dim = v.ambient
-    rows = []
-    for a in v.rows:
-        for b in w.rows:
-            rows.append(t2_flatten(field, t2_from_pair(a, b), dim))
-    return SubspaceBasis(field, dim * w.ambient, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +319,16 @@ class Coalgebra:
 
     def is_grouplike(self, vec) -> bool:
         """Whether eps(vec) = 1 and Delta(vec) = vec (x) vec."""
-        return self.counit_vec(vec) == self.field.one() and \
-            self.delta_vec(vec) == t2_from_pair(vec, vec)
+        if len(vec) != self.dim:
+            raise ShapeMismatch(f"vector lengths {self.dim} vs {len(vec)}")
+        return self._grouplike_raw(nonzero_raw(self.field, vec))
+
+    def _grouplike_raw(self, pairs) -> bool:
+        """is_grouplike of the vector with nonzero (index, raw value) pairs."""
+        ops = self.field.ops
+        pairs = list(pairs)
+        return self._counit_raw(pairs) == ops.one and \
+            self._delta_raw(pairs) == raw_pair(ops, pairs, pairs)
 
     def counit_vec(self, vec) -> Scalar:
         """eps(vec), from the nonzero entries of vec against the counit."""
@@ -350,29 +344,27 @@ class Coalgebra:
     # -- axioms ---------------------------------------------------------------
 
     def check(self) -> list[str]:
-        """Exact axiom audit; returns human-readable violations."""
+        """Exact axiom audit on raw values; returns human-readable violations.
+
+        (Delta (x) id) Delta(e_i) is the Delta of each column of the array
+        T of Delta(e_i) = sum T[j][k] e_j (x) e_k, (id (x) Delta) Delta(e_i)
+        that of each row; the counit laws apply eps to the same legs.
+        """
+        ops = self.field.ops
         bad = []
         for i in range(self.dim):
-            d = self.comul[i]
-            left: dict = {}
-            right: dict = {}
-            for (j, k), c in d.items():
-                for (a, b), c2 in self.comul[j].items():
-                    t2_add_term(left, (a, b, k), c * c2)
-                for (a, b), c2 in self.comul[k].items():
-                    t2_add_term(right, (j, a, b), c * c2)
+            columns, rows = tensor_legs(self._delta_raw([(i, ops.one)]))
+            left = {(a, b, k): x for k, col in columns.items()
+                    for (a, b), x in self._delta_raw(col.items()).items()}
+            right = {(j, a, b): x for j, row in rows.items()
+                     for (a, b), x in self._delta_raw(row.items()).items()}
             if left != right:
                 bad.append(f"coassociativity fails on {self.names[i]}")
-            lvec = list(zero_vec(self.field, self.dim))
-            rvec = list(zero_vec(self.field, self.dim))
-            for (j, k), c in d.items():
-                lvec[k] = lvec[k] + c * self.counit[j]
-                rvec[j] = rvec[j] + c * self.counit[k]
-            e_i = unit_vec(self.field, self.dim, i)
-            if tuple(lvec) != e_i:
-                bad.append(f"left counit law fails on {self.names[i]}")
-            if tuple(rvec) != e_i:
-                bad.append(f"right counit law fails on {self.names[i]}")
+            for side, legs in (("left", columns), ("right", rows)):
+                eps = {k: self._counit_raw(leg.items()) for k, leg in legs.items()}
+                if {k: x for k, x in eps.items()
+                        if not ops.is_zero(x)} != {i: ops.one}:
+                    bad.append(f"{side} counit law fails on {self.names[i]}")
         return bad
 
     def require_valid(self):

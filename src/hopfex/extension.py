@@ -21,43 +21,48 @@ current coalgebra whenever possible; corner cells always adjoin a fresh
 basis vector carrying the corner's two-cocycle, and the leftover
 skew-primitive residue is folded into the first designated entry so the
 designated corners sum back to z.
+
+Inside, a vector is a sparse dict {index: raw value} and a tensor of
+H (x) H a dict {(a, b): raw value}, both free of zeros, so nothing is
+padded when the coalgebra grows and an amalgam only remaps indices.
+Values become Scalars at the edges only: graded_positive_part and
+delta_expansion box what their raw routines return, _Grower.adjoin boxes
+a new vector's constants once, extend_coalgebra boxes the witnesses and
+z, g, h, and a public method that takes Scalars is given them at the
+call (find_simple_containing, bicomponent_subspace, SubspaceBasis.cut).
 """
 
 from __future__ import annotations
 
 from .coalgebra import Coalgebra, Element, coalgebra_amalgam
 from .errors import InvariantViolation, NoSolution, NotInComponent, require
-from .linalg import (
-    Echelon,
-    add_scaled,
-    combine,
-    leg_coords,
-    raw_pair,
-    rref_rows,
-    t2_add,
-    t2_add_term,
-    t2_from_pair,
-    t2_scale,
-    t2_sub,
-    unit_vec,
-    vec_add,
-    vec_is_zero,
-    vec_sub,
-    zero_vec,
-)
+from .linalg import (Echelon, add_scaled, leg_coords, raw_pair, rref_raw,
+                     tensor_legs)
 from .matforms import MatrixOverH, is_multiplicative
-from .scalars import box, nonzero_raw, raw_values
+from .scalars import box, combination, lift_columns, nonzero_raw, raw_values
+
+
+def _reduced_delta(coalg: Coalgebra, g: dict, v: dict, h: dict) -> dict:
+    """delta(v) - g (x) v - v (x) h, raw."""
+    ops = coalg.field.ops
+    minus_one = ops.neg(ops.one)
+    out = coalg._delta_raw(v.items())
+    add_scaled(ops, out, minus_one, raw_pair(ops, g.items(), v.items()))
+    add_scaled(ops, out, minus_one, raw_pair(ops, v.items(), h.items()))
+    return out
+
+
+def _unboxed(z: Element, g: Element, h: Element):
+    """(parent, g, h, z) with the elements as raw vectors."""
+    coalg = z.parent
+    if g.parent is not coalg or h.parent is not coalg:
+        raise NotInComponent("z, g, h must live in one coalgebra")
+    return (coalg, *(dict(nonzero_raw(coalg.field, e.vec)) for e in (g, h, z)))
 
 
 # ---------------------------------------------------------------------------
 # membership and normalisation
 # ---------------------------------------------------------------------------
-
-def _pad(field, vec: tuple, dim: int) -> tuple:
-    if len(vec) == dim:
-        return vec
-    return tuple(vec) + tuple(zero_vec(field, dim - len(vec)))
-
 
 def graded_positive_part(z: Element, g: Element, h: Element, n: int):
     """Normalise z against its group-like direction and test membership.
@@ -69,23 +74,32 @@ def graded_positive_part(z: Element, g: Element, h: Element, n: int):
     Raises NotInComponent when g or h is not group-like in the parent
     of z, or when the three elements live in different coalgebras.
     """
-    coalg = z.parent
-    if g.parent is not coalg or h.parent is not coalg:
-        raise NotInComponent("z, g, h must live in one coalgebra")
-    if not (coalg.is_grouplike(g.vec) and coalg.is_grouplike(h.vec)):
+    coalg, g, h, z = _unboxed(z, g, h)
+    ok, w = _positive_part(coalg, g, h, z, n)
+    return ok, Element(coalg, coalg._box(w))
+
+
+def _positive_part(coalg: Coalgebra, g: dict, h: dict, z: dict, n: int):
+    """graded_positive_part on raw vectors."""
+    if not (coalg._grouplike_raw(g.items()) and coalg._grouplike_raw(h.items())):
         raise NotInComponent("flanking elements must be group-like")
+    ops = coalg.field.ops
+    w = dict(z)
     # distinct group-likes span distinct simples
-    w = z - g * z.eps() if g.vec == h.vec else z
+    eps = coalg._counit_raw(z.items()) if g == h else ops.zero
+    if not ops.is_zero(eps):
+        add_scaled(ops, w, ops.neg(eps), g)
     if n < 0:
-        return (w.is_zero(), w)
+        return (not w, w)
     ana = coalg.analysis()
     level = ana.filtration[min(n, ana.depth)]
-    ok = level.contains_vector(w.vec)
+    ok = level.contains_raw([w.get(j, ops.zero) for j in range(coalg.dim)])
     if ok:
-        ok = coalg.component(w.vec, left=ana.find_simple_containing(g.vec),
-                             right=ana.find_simple_containing(h.vec)) == w.vec
+        ok = coalg._component_raw(
+            w.items(), ana.find_simple_containing(coalg._box(g)),
+            ana.find_simple_containing(coalg._box(h))) == w
     if ok:
-        require(coalg.counit_vec(w.vec).is_zero(),
+        require(ops.is_zero(coalg._counit_raw(w.items())),
                 "positive part of a bicomponent has a nonzero counit")
     return (ok, w)
 
@@ -108,21 +122,21 @@ class DeltaExpansion:
     one block starting from 1.
     """
 
-    __slots__ = ("z", "g", "h", "n", "terms")
+    __slots__ = ("z", "g", "h", "n", "terms", "_middle")
 
-    def __init__(self, z: Element, g: Element, h: Element, n: int, terms):
+    def __init__(self, z: Element, g: Element, h: Element, n: int, terms,
+                 middle: dict):
         self.z = z
         self.g = g
         self.h = h
         self.n = n
         self.terms = tuple(terms)
+        self._middle = middle
 
     def middle(self) -> dict:
         """Sparse tensor equal to the sum of x (x) y over all terms."""
-        out: dict = {}
-        for _, _, _, x, y in self.terms:
-            out = t2_add(out, t2_from_pair(x.vec, y.vec))
-        return out
+        return dict(zip(self._middle,
+                        box(self.z.parent.field, self._middle.values())))
 
     def __repr__(self):
         return (f"<DeltaExpansion degree={self.n} "
@@ -132,9 +146,9 @@ class DeltaExpansion:
 def _flag_basis(coalg: Coalgebra, left: int, right: int, maxdeg: int):
     """Degree-tagged basis of the positive part of a bicomponent.
 
-    Returns a list of (vec, degree) whose prefix through degree d spans
-    the positive part of ^gH_d^h; the tag is the first filtration level
-    in which the vector appears.
+    Returns a list of (raw vector, degree) whose prefix through degree d
+    spans the positive part of ^gH_d^h; the tag is the first filtration
+    level in which the vector appears.
     """
     ana = coalg.analysis()
     field = coalg.field
@@ -143,10 +157,10 @@ def _flag_basis(coalg: Coalgebra, left: int, right: int, maxdeg: int):
     for d in range(1, maxdeg + 1):
         level = ana.filtration[min(d, ana.depth)]
         comp = coalg.bicomponent_subspace(left, right, within=level)
-        comp = comp.cut(coalg.counit)
-        for row in comp.rows:
-            if span.add(dict(nonzero_raw(field, row))) is None:
-                out.append((row, d))
+        for row in comp.cut(coalg.counit).rows:
+            vec = dict(nonzero_raw(field, row))
+            if span.add(vec) is None:
+                out.append((vec, d))
         if d >= ana.depth:
             break
     return out
@@ -169,9 +183,9 @@ def _middle_block(coalg: Coalgebra, middle: dict, gi: int, ki: int, hi: int):
 
 
 def _factor_middle(coalg: Coalgebra, middle: dict, gi: int, hi: int, n: int):
-    """Factor a middle tensor through group-like channels at minimal rank.
+    """Factor a raw middle tensor through group-like channels at minimal rank.
 
-    Returns a sorted list of (degree, serial, k, x, y) Elements with
+    Returns a sorted list of (degree, serial, k, x, y) raw vectors with
     sum of x (x) y equal to middle, x of exact first-leg degree and y in
     the complementary filtration level.  Requires a pointed coalgebra.
     """
@@ -181,24 +195,21 @@ def _factor_middle(coalg: Coalgebra, middle: dict, gi: int, hi: int, n: int):
         raise NotInComponent("expansion requires a pointed coalgebra")
     ana = coalg.analysis()
     field, ops = coalg.field, coalg.field.ops
-    raw_middle = dict(zip(middle, raw_values(field, middle.values())))
     entries = []
     recovered: dict = {}
     for s in ana.simples():
         ki = s.index
-        block = _middle_block(coalg, raw_middle, gi, ki, hi)
+        block = _middle_block(coalg, middle, gi, ki, hi)
         if not block:
             continue
         lefts = _flag_basis(coalg, gi, ki, n - 1)
         rights = _flag_basis(coalg, ki, hi, n - 1)
         require(lefts and rights, "nonzero block over an empty bicomponent")
         # block = sum over a, b of lam[a][b] lefts[a] (x) rights[b]
-        rraw = [nonzero_raw(field, v) for v, _ in rights]
         pairs = Echelon(field)
         for u, _ in lefts:
-            u = nonzero_raw(field, u)
-            for v in rraw:
-                pairs.add(raw_pair(ops, u, v))
+            for v, _ in rights:
+                pairs.add(raw_pair(ops, u.items(), v.items()))
         try:
             comb = pairs.coords(block)
         except NoSolution:
@@ -212,18 +223,19 @@ def _factor_middle(coalg: Coalgebra, middle: dict, gi: int, hi: int, n: int):
                 if da + db > n:
                     require(ops.is_zero(lam[a][b]),
                             "expansion coefficient violates the degree bound")
-        kel = Element(coalg, s.grouplike)
+        kel = dict(nonzero_raw(field, s.grouplike))
+        ys = lift_columns(ops, {b: v for b, (v, _) in enumerate(rights)})
         for d in sorted({da for _, da in lefts}):
             sel = [a for a, (_, da) in enumerate(lefts) if da == d]
-            lam_rows = [box(field, lam[a]) for a in sel]
-            reduced, piv = rref_rows(field, lam_rows)
+            xs = lift_columns(ops, {t: lefts[a][0] for t, a in enumerate(sel)})
+            reduced = [list(lam[a]) for a in sel]
+            piv = rref_raw(field, reduced)
             for t, prow in enumerate(reduced):
-                xv = combine(field, [row[piv[t]] for row in lam_rows],
-                             [lefts[a][0] for a in sel])
-                yv = combine(field, prow, [v for v, _ in rights])
-                entries.append((d, ki, t + 1, kel,
-                                Element(coalg, xv), Element(coalg, yv)))
-                recovered = t2_add(recovered, t2_from_pair(xv, yv))
+                xv = combination(ops, [lam[a][piv[t]] for a in sel], *xs)
+                yv = combination(ops, prow, *ys)
+                entries.append((d, ki, t + 1, kel, xv, yv))
+                add_scaled(ops, recovered, ops.one,
+                           raw_pair(ops, xv.items(), yv.items()))
     entries.sort(key=lambda e: (e[0], e[1], e[2]))
     require(recovered == middle, "expansion does not reconstruct the middle")
     return [(d, serial, kel, x, y) for d, _, serial, kel, x, y in entries]
@@ -236,42 +248,52 @@ def delta_expansion(z: Element, g: Element, h: Element, n: int) -> DeltaExpansio
     must be pointed; raises NotInComponent otherwise.  Degree-one (and
     empty) middles give an expansion with no terms.
     """
-    coalg = z.parent
-    ok, w = graded_positive_part(z, g, h, n)
+    coalg, graw, hraw, zraw = _unboxed(z, g, h)
+    w, middle, terms = _expand(coalg, graw, hraw, zraw, n)
+
+    def el(v):
+        return Element(coalg, coalg._box(v))
+
+    return DeltaExpansion(el(w), g, h, n, [
+        (d, serial, el(k), el(x), el(y)) for d, serial, k, x, y in terms],
+        middle)
+
+
+def _expand(coalg: Coalgebra, g: dict, h: dict, z: dict, n: int):
+    """delta_expansion on raw vectors: (w, middle, terms)."""
+    ok, w = _positive_part(coalg, g, h, z, n)
     if not ok:
         raise NotInComponent(
             f"element is not in the degree-{n} part of the bicomponent")
-    middle = t2_sub(coalg.delta_vec(w.vec),
-                    t2_add(t2_from_pair(g.vec, w.vec),
-                           t2_from_pair(w.vec, h.vec)))
-    if n <= 1 or w.is_zero():
+    middle = _reduced_delta(coalg, g, w, h)
+    if n <= 1 or not w:
         require(not middle, "low-degree element with a nonzero middle")
-        return DeltaExpansion(w, g, h, n, ())
+        return w, middle, []
     ana = coalg.analysis()
-    terms = _factor_middle(coalg, middle, ana.find_simple_containing(g.vec),
-                           ana.find_simple_containing(h.vec), n)
-    return DeltaExpansion(w, g, h, n, terms)
+    return w, middle, _factor_middle(
+        coalg, middle, ana.find_simple_containing(coalg._box(g)),
+        ana.find_simple_containing(coalg._box(h)), n)
 
 
 # ---------------------------------------------------------------------------
 # growing a coalgebra one vector at a time
 # ---------------------------------------------------------------------------
 
-def _is_two_cocycle(coalg: Coalgebra, s: dict, sigma: tuple, tau: tuple) -> bool:
+def _is_two_cocycle(coalg: Coalgebra, s: dict, sigma: dict, tau: dict) -> bool:
     """Whether (delta (x) id)s + s (x) tau equals sigma (x) s + (id (x) delta)s."""
-    t3: dict = {}
-    for (a, b), c in s.items():
-        for (p, q), v in coalg.comul[a].items():
-            t2_add_term(t3, (p, q, b), c * v)
-        for (p, q), v in coalg.comul[b].items():
-            t2_add_term(t3, (a, p, q), -(c * v))
-        for m, v in enumerate(tau):
-            if not v.is_zero():
-                t2_add_term(t3, (a, b, m), c * v)
-        for m, v in enumerate(sigma):
-            if not v.is_zero():
-                t2_add_term(t3, (m, a, b), -(c * v))
-    return not t3
+    ops = coalg.field.ops
+    columns, rows = tensor_legs(s)
+    left = {(p, q, b): x for b, col in columns.items()
+            for (p, q), x in coalg._delta_raw(col.items()).items()}
+    right = {(a, p, q): x for a, row in rows.items()
+             for (p, q), x in coalg._delta_raw(row.items()).items()}
+    add_scaled(ops, left, ops.one, {(a, b, m): ops.mul(c, t)
+                                    for (a, b), c in s.items()
+                                    for m, t in tau.items()})
+    add_scaled(ops, right, ops.one, {(m, a, b): ops.mul(t, c)
+                                     for m, t in sigma.items()
+                                     for (a, b), c in s.items()})
+    return left == right
 
 
 class _Grower:
@@ -288,10 +310,7 @@ class _Grower:
         self._serial[prefix] = k
         return f"{prefix}{k}"
 
-    def pad(self, vec: tuple) -> tuple:
-        return _pad(self.coalg.field, vec, self.coalg.dim)
-
-    def adjoin(self, label: str, sigma: tuple, middle: dict, tau: tuple) -> int:
+    def adjoin(self, label: str, sigma: dict, middle: dict, tau: dict) -> int:
         """Adjoin u with delta(u) = sigma (x) u + middle + u (x) tau.
 
         sigma, tau, middle live over the current coalgebra; middle must
@@ -300,68 +319,49 @@ class _Grower:
         of the new basis vector.
         """
         coalg = self.coalg
-        field = coalg.field
+        ops = coalg.field.ops
         d = coalg.dim
-        sigma = self.pad(sigma)
-        tau = self.pad(tau)
         require(_is_two_cocycle(coalg, middle, sigma, tau),
                 "adjoined middle is not a two-cocycle")
-        left_eps = zero_vec(field, d)
-        right_eps = zero_vec(field, d)
-        for (a, b), c in middle.items():
-            ea, eb = coalg.counit[a], coalg.counit[b]
-            if not ea.is_zero():
-                left_eps = vec_add(left_eps, tuple(
-                    (c * ea) if j == b else field.zero() for j in range(d)))
-            if not eb.is_zero():
-                right_eps = vec_add(right_eps, tuple(
-                    (c * eb) if j == a else field.zero() for j in range(d)))
-        require(vec_is_zero(left_eps) and vec_is_zero(right_eps),
+        require(all(ops.is_zero(coalg._counit_raw(leg.items()))
+                    for legs in tensor_legs(middle) for leg in legs.values()),
                 "adjoined middle has counit-visible legs")
-        comul = {}
-        for i in range(d):
-            for (j, k), c in coalg.comul[i].items():
-                comul[(i, j, k)] = c
-        for a, c in enumerate(sigma):
-            if not c.is_zero():
-                comul[(d, a, d)] = c
-        for b, c in enumerate(tau):
-            if not c.is_zero():
-                comul[(d, d, b)] = c
-        for (a, b), c in middle.items():
-            comul[(d, a, b)] = c
+        comul = {(i, j, k): c for i in range(d)
+                 for (j, k), c in coalg.comul[i].items()}
+        new = ([((d, a, d), c) for a, c in sorted(sigma.items())]
+               + [((d, d, b), c) for b, c in sorted(tau.items())]
+               + [((d, a, b), c) for (a, b), c in middle.items()])
+        comul.update(zip([key for key, _ in new],
+                         box(coalg.field, [c for _, c in new])))
         names = list(coalg.names)
         lab = label
         while lab in names:
             lab += "'"
-        self.coalg = Coalgebra(field, names + [lab], comul,
+        self.coalg = Coalgebra(coalg.field, names + [lab], comul,
                                list(coalg.counit) + [0], name=coalg.name)
         return d
 
 
-def _solve_skew(coalg: Coalgebra, sigma: tuple, tau: tuple, mid: dict):
+def _solve_skew(coalg: Coalgebra, sigma: dict, tau: dict, mid: dict):
     """Solve delta(r) = sigma (x) r + mid + r (x) tau inside coalg, or None.
 
     The unknown r = sum r_e e has the sparse columns
     delta(e) - sigma (x) e - e (x) tau in H (x) H, keyed by pairs; mid is
-    reduced against their Echelon.
+    reduced against their Echelon.  r is returned as a raw vector.
     """
-    field = coalg.field
-    ops = field.ops
+    ops = coalg.field.ops
     minus_one = ops.neg(ops.one)
-    sig, ta = nonzero_raw(field, sigma), nonzero_raw(field, tau)
-    system = Echelon(field)
+    system = Echelon(coalg.field)
     for e in range(coalg.dim):
         col = coalg._delta_raw([(e, ops.one)])
-        add_scaled(ops, col, minus_one, {(a, e): c for a, c in sig})
-        add_scaled(ops, col, minus_one, {(e, b): c for b, c in ta})
+        add_scaled(ops, col, minus_one, {(a, e): c for a, c in sigma.items()})
+        add_scaled(ops, col, minus_one, {(e, b): c for b, c in tau.items()})
         system.add(col)
     try:
-        comb = system.coords(dict(zip(mid, raw_values(field, mid.values()))))
+        r = system.coords(mid)
     except NoSolution:
         return None
-    r = box(field, [comb.get(e, ops.zero) for e in range(coalg.dim)])
-    require(coalg.counit_vec(r).is_zero(),
+    require(ops.is_zero(coalg._counit_raw(r.items())),
             "skew-primitive solution has a nonzero counit")
     return r
 
@@ -370,14 +370,15 @@ def _solve_skew(coalg: Coalgebra, sigma: tuple, tau: tuple, mid: dict):
 # gluing witnesses along a shared group-like
 # ---------------------------------------------------------------------------
 
-def _ladder_middle(gr: _Grower, grid, u: int, v: int) -> dict:
+def _ladder_middle(ops, grid, u: int, v: int) -> dict:
     out: dict = {}
     for w in range(u + 1, v):
-        out = t2_add(out, t2_from_pair(gr.pad(grid[u][w]), gr.pad(grid[w][v])))
+        add_scaled(ops, out, ops.one,
+                   raw_pair(ops, grid[u][w].items(), grid[w][v].items()))
     return out
 
 
-def _glue(gr: _Grower, agrid, bgrid, gvec: tuple, hvec: tuple):
+def _glue(gr: _Grower, agrid, bgrid, g: dict, h: dict):
     """Glue two witness grids at their shared group-like corner.
 
     agrid ends where bgrid begins: the bottom-right entry of agrid
@@ -386,41 +387,33 @@ def _glue(gr: _Grower, agrid, bgrid, gvec: tuple, hvec: tuple):
     between are filled in ascending anti-diagonal order, each either
     solved inside the current coalgebra or adjoined as a fresh vector
     carrying the cell's two-cocycle.  The top-right corner always
-    adjoins.  Returns (grid, corner index, corner middle).
+    adjoins.  Returns (grid, corner index, corner middle).  Cells are
+    raw vectors, replaced but never changed in place.
     """
-    field = gr.coalg.field
+    ops = gr.coalg.field.ops
     p, q = len(agrid), len(bgrid)
     m = p + q - 1
-    require(gr.pad(agrid[p - 1][p - 1]) == gr.pad(bgrid[0][0]),
+    require(agrid[p - 1][p - 1] == bgrid[0][0],
             "glued grids disagree on the shared group-like")
-    grid = [[None] * m for _ in range(m)]
-    for u in range(p):
-        for v in range(p):
-            grid[u][v] = agrid[u][v]
-    for u in range(q):
-        for v in range(q):
-            grid[p - 1 + u][p - 1 + v] = bgrid[u][v]
-    zero = zero_vec(field, gr.coalg.dim)
-    for u in range(m):
-        for v in range(m):
-            if grid[u][v] is None:
-                grid[u][v] = zero
+    grid = [[{}] * m for _ in range(m)]
+    for u, row in enumerate(agrid):
+        grid[u][:p] = row
+    for u, row in enumerate(bgrid):
+        grid[p - 1 + u][p - 1:] = row
     cells = [(u, v) for u in range(p - 1) for v in range(p, m)]
     cells.sort(key=lambda uv: (uv[1] - uv[0], uv[0]))
     for u, v in cells:
         if u == 0 and v == m - 1:
             continue
-        mid = _ladder_middle(gr, grid, u, v)
-        sigma = gr.pad(grid[u][u])
-        tau = gr.pad(grid[v][v])
+        mid = _ladder_middle(ops, grid, u, v)
+        sigma, tau = grid[u][u], grid[v][v]
         cell = _solve_skew(gr.coalg, sigma, tau, mid)
         if cell is None:
-            idx = gr.adjoin(gr.fresh("u"), sigma, mid, tau)
-            cell = unit_vec(field, gr.coalg.dim, idx)
+            cell = {gr.adjoin(gr.fresh("u"), sigma, mid, tau): ops.one}
         grid[u][v] = cell
-    mid = _ladder_middle(gr, grid, 0, m - 1)
-    idx = gr.adjoin(gr.fresh("z"), gr.pad(gvec), mid, gr.pad(hvec))
-    grid[0][m - 1] = unit_vec(field, gr.coalg.dim, idx)
+    mid = _ladder_middle(ops, grid, 0, m - 1)
+    idx = gr.adjoin(gr.fresh("z"), g, mid, h)
+    grid[0][m - 1] = {idx: ops.one}
     return grid, idx, mid
 
 
@@ -428,8 +421,7 @@ def _glue(gr: _Grower, agrid, bgrid, gvec: tuple, hvec: tuple):
 # the closing witness: coefficient matrix of a left coideal
 # ---------------------------------------------------------------------------
 
-def _coideal_witness(gr: _Grower, corner_idx: int, gvec: tuple, hvec: tuple,
-                     n: int):
+def _coideal_witness(gr: _Grower, corner_idx: int, g: dict, h: dict, n: int):
     """Witness matrix for an adjoined corner, from its left coideal.
 
     The span of g, the corner, and every first tensor leg reachable from
@@ -441,53 +433,49 @@ def _coideal_witness(gr: _Grower, corner_idx: int, gvec: tuple, hvec: tuple,
     """
     coalg = gr.coalg
     field = coalg.field
-    dim = coalg.dim
-    gpad = _pad(field, gvec, dim)
-    hpad = _pad(field, hvec, dim)
     ana = coalg.analysis()
-    require(coalg.is_grouplike(gpad), "coideal corner g is not group-like")
-    gi = ana.find_simple_containing(gpad)
-    corner = unit_vec(field, dim, corner_idx)
+    require(coalg._grouplike_raw(g.items()), "coideal corner g is not group-like")
+    gi = ana.find_simple_containing(coalg._box(g))
+    corner = {corner_idx: field.ops.one}
     members = []
-    span = Echelon.of_vectors(field, [gpad, corner])
-    queue = [(corner, hpad, n)]
+    span = Echelon(field)
+    span.add(g)
+    span.add(corner)
+    queue = [(corner, h, n)]
     serial = 0
     while queue:
         vec, rvec, deg = queue.pop(0)
-        mid = t2_sub(coalg.delta_vec(vec),
-                     t2_add(t2_from_pair(gpad, vec), t2_from_pair(vec, rvec)))
+        mid = _reduced_delta(coalg, g, vec, rvec)
         if not mid:
             continue
-        require(coalg.is_grouplike(rvec), "coideal flank is not group-like")
-        ri = ana.find_simple_containing(rvec)
+        require(coalg._grouplike_raw(rvec.items()),
+                "coideal flank is not group-like")
+        ri = ana.find_simple_containing(coalg._box(rvec))
         for d, _, kel, x, _y in _factor_middle(coalg, mid, gi, ri, deg):
-            if span.add(dict(nonzero_raw(field, x.vec))) is not None:
+            if span.add(x) is not None:
                 continue
-            members.append((x.vec, d, serial))
+            members.append((x, d, serial))
             serial += 1
-            queue.append((x.vec, kel.vec, d))
+            queue.append((x, kel, d))
     members.sort(key=lambda t: (t[1], t[2]))
-    fam = [gpad] + [v for v, _, _ in members] + [corner]
+    fam = [g] + [v for v, _, _ in members] + [corner]
     size = len(fam)
-    basis = Echelon.of_vectors(field, fam)
-    grid = [[None] * size for _ in range(size)]
-    for u, fu in enumerate(fam):
-        # delta(f_u) = sum over w, b of coeffs[w][b] f_w (x) e_b
-        try:
-            coeffs = leg_coords(basis, coalg._delta_raw(nonzero_raw(field, fu)),
-                                dim)
-        except NoSolution:
-            raise InvariantViolation(
-                "closure family is not a left coideal") from None
-        for w in range(size):
-            grid[w][u] = box(field, coeffs[w])
+    basis = Echelon(field)
+    for v in fam:
+        basis.add(v)
+    # delta(f_u) = sum over w of f_w (x) grid[w][u]
+    try:
+        columns = [leg_coords(basis, coalg._delta_raw(f.items())) for f in fam]
+    except NoSolution:
+        raise InvariantViolation("closure family is not a left coideal") from None
+    grid = [list(row) for row in zip(*columns)]
     for u in range(size):
         for w in range(u + 1, size):
-            require(vec_is_zero(grid[w][u]), "coideal matrix not triangular")
-        require(coalg.is_grouplike(grid[u][u]),
+            require(not grid[w][u], "coideal matrix not triangular")
+        require(coalg._grouplike_raw(grid[u][u].items()),
                 "coideal diagonal entry is not group-like")
     require(grid[0][size - 1] == corner, "coideal corner entry moved")
-    require(grid[0][0] == gpad and grid[size - 1][size - 1] == hpad,
+    require(grid[0][0] == g and grid[size - 1][size - 1] == h,
             "coideal matrix has the wrong flanks")
     return grid
 
@@ -506,51 +494,38 @@ class _Ext:
         self.grids = grids
 
 
-def _remap_vec(field, vec: tuple, base_dim: int, offset: int,
-               new_dim: int) -> tuple:
-    out = list(zero_vec(field, new_dim))
-    for i, c in enumerate(vec):
-        if not c.is_zero():
-            out[i if i < base_dim else offset + (i - base_dim)] = c
-    return tuple(out)
-
-
-def _extend(base: Coalgebra, gvec: tuple, hvec: tuple, wvec: tuple, n: int,
+def _extend(base: Coalgebra, g: dict, h: dict, w: dict, n: int,
             memo: dict) -> _Ext:
-    """Build witnesses for wvec over extensions of the fixed base.
+    """Build witnesses for w over extensions of the fixed base.
 
     Every recursion level works over the original base: sub-extensions
     of the expansion legs are built first, amalgamated along the base,
     and then one glued witness is produced per pair of sub-witnesses.
-    The skew-primitive residue of wvec against the adjoined corners is
+    The skew-primitive residue of w against the adjoined corners is
     folded into the first designated entry, so the top-right entries of
-    the returned grids sum to wvec.
+    the returned grids sum to w.
     """
-    key = (gvec, hvec, wvec, n)
+    key = tuple(tuple(sorted(v.items())) for v in (g, h, w)) + (n,)
     if key in memo:
         return memo[key]
-    field = base.field
-    g_el = Element(base, gvec)
-    h_el = Element(base, hvec)
-    exp = delta_expansion(Element(base, wvec), g_el, h_el, n)
-    if not exp.terms:
+    ops = base.field.ops
+    minus_one = ops.neg(ops.one)
+    _, middle, terms = _expand(base, g, h, w, n)
+    if not terms:
         # skew-primitive: a single witness with the element in the corner
         order = n + 1
-        zero = zero_vec(field, base.dim)
-        grid = [[zero] * order for _ in range(order)]
+        grid = [[{}] * order for _ in range(order)]
         for u in range(order - 1):
-            grid[u][u] = gvec
-        grid[order - 1][order - 1] = hvec
-        grid[0][order - 1] = wvec
+            grid[u][u] = g
+        grid[order - 1][order - 1] = h
+        grid[0][order - 1] = w
         ext = _Ext(base, [grid])
         memo[key] = ext
         return ext
 
-    subpairs = []
-    for deg, _serial, kel, x, y in exp.terms:
-        ex = _extend(base, gvec, kel.vec, x.vec, deg, memo)
-        ey = _extend(base, kel.vec, hvec, y.vec, n - deg, memo)
-        subpairs.append((ex, ey))
+    subpairs = [(_extend(base, g, k, x, deg, memo),
+                 _extend(base, k, h, y, n - deg, memo))
+                for deg, _serial, k, x, y in terms]
     distinct = []
     for ex, ey in subpairs:
         for e in (ex, ey):
@@ -569,9 +544,9 @@ def _extend(base: Coalgebra, gvec: tuple, hvec: tuple, wvec: tuple, n: int,
         offsets = {}
 
     def embed(e: _Ext, grid):
-        off = offsets.get(id(e), base.dim)
-        return [[_remap_vec(field, c, base.dim, off, amal.dim) for c in row]
-                for row in grid]
+        shift = offsets.get(id(e), base.dim) - base.dim
+        return [[{i if i < base.dim else i + shift: c for i, c in cell.items()}
+                 for cell in row] for row in grid]
 
     gr = _Grower(amal)
     total_mid: dict = {}
@@ -581,36 +556,32 @@ def _extend(base: Coalgebra, gvec: tuple, hvec: tuple, wvec: tuple, n: int,
         for agrid in ex.grids:
             ea = embed(ex, agrid)
             for bgrid in ey.grids:
-                eb = embed(ey, bgrid)
-                grid, idx, mid = _glue(gr, ea, eb, gvec, hvec)
+                grid, idx, mid = _glue(gr, ea, embed(ey, bgrid), g, h)
                 grids.append(grid)
                 corner_idxs.append(idx)
-                total_mid = t2_add(total_mid, mid)
-    gamma = t2_sub(total_mid, exp.middle())
-    if gamma:
-        # the glued corners overshoot the middle of wvec; adjoin one
+                add_scaled(ops, total_mid, ops.one, mid)
+    closing = dict(middle)
+    add_scaled(ops, closing, minus_one, total_mid)
+    if closing:
+        # the glued corners overshoot the middle of w; adjoin one
         # closing vector whose middle cancels the defect exactly
-        neg = t2_scale(field.from_int(-1), gamma)
-        zc_idx = gr.adjoin(gr.fresh("zc"), gr.pad(gvec), neg, gr.pad(hvec))
-        grids.append(_coideal_witness(gr, zc_idx, gvec, hvec, n))
+        zc_idx = gr.adjoin(gr.fresh("zc"), g, closing, h)
+        grids.append(_coideal_witness(gr, zc_idx, g, h, n))
         corner_idxs.append(zc_idx)
     result = gr.coalg
-    rho = _pad(field, wvec, result.dim)
+    rho = dict(w)
     for idx in corner_idxs:
-        rho = vec_sub(rho, unit_vec(field, result.dim, idx))
-    gpad = _pad(field, gvec, result.dim)
-    hpad = _pad(field, hvec, result.dim)
-    leftover = t2_sub(result.delta_vec(rho),
-                      t2_add(t2_from_pair(gpad, rho), t2_from_pair(rho, hpad)))
-    require(not leftover, "residue is not skew-primitive")
+        add_scaled(ops, rho, minus_one, {idx: ops.one})
+    require(not _reduced_delta(result, g, rho, h),
+            "residue is not skew-primitive")
     first = grids[0]
-    first[0][len(first) - 1] = vec_add(gr.pad(first[0][len(first) - 1]), rho)
-    total = zero_vec(field, result.dim)
+    corner = dict(first[0][-1])
+    add_scaled(ops, corner, ops.one, rho)
+    first[0][-1] = corner
+    total: dict = {}
     for grid in grids:
-        total = vec_add(total, gr.pad(grid[0][len(grid) - 1]))
-    require(total == _pad(field, wvec, result.dim),
-            "designated entries do not sum to the element")
-    grids = [[[gr.pad(c) for c in row] for row in grid] for grid in grids]
+        add_scaled(ops, total, ops.one, grid[0][-1])
+    require(total == w, "designated entries do not sum to the element")
     ext = _Ext(result, grids)
     memo[key] = ext
     return ext
@@ -656,10 +627,7 @@ class ExtendedCoalgebra:
         return [w.element(0, w.ncols - 1) for w in self.witnesses]
 
     def designated_sum(self) -> Element:
-        total = self.result.zero()
-        for e in self.designated_entries():
-            total = total + e
-        return total
+        return sum(self.designated_entries(), self.result.zero())
 
     def __repr__(self):
         return (f"<ExtendedCoalgebra {self.base.dim}->{self.result.dim} "
@@ -682,20 +650,22 @@ def extend_coalgebra(coalg: Coalgebra, g: Element, h: Element, z: Element,
     """
     if n < 1:
         raise NotInComponent("degree must be at least 1")
-    ok, w = graded_positive_part(z, g, h, n)
+    parent, g, h, z = _unboxed(z, g, h)
+    ok, w = _positive_part(parent, g, h, z, n)
     if not ok:
         raise NotInComponent(
             f"element is not in the degree-{n} part of the bicomponent")
     memo: dict = {}
-    ext = _extend(coalg, g.vec, h.vec, w.vec, n, memo)
+    ext = _extend(coalg, g, h, w, n, memo)
     result = ext.result
     result.require_valid()
     field = result.field
     old = coalg.coradical()
     new = result.coradical()
     require(new.dim == old.dim, "extension changed the coradical")
+    extra = [field.ops.zero] * (result.dim - coalg.dim)
     for row in old.rows:
-        require(new.contains_vector(_pad(field, row, result.dim)),
+        require(new.contains_raw(raw_values(field, row) + extra),
                 "extension changed the coradical")
     # the base must sit inside the result unchanged
     require(result.names[:coalg.dim] == coalg.names,
@@ -704,30 +674,27 @@ def extend_coalgebra(coalg: Coalgebra, g: Element, h: Element, z: Element,
         require(result.comul[i] == coalg.comul[i]
                 and result.counit[i] == coalg.counit[i],
                 "extension changed the base")
-    gpad = _pad(field, g.vec, result.dim)
-    hpad = _pad(field, h.vec, result.dim)
     witnesses = []
     for grid in ext.grids:
-        mat = MatrixOverH(result, grid)
+        mat = MatrixOverH(result, [[result._box(c) for c in row]
+                                   for row in grid])
         require(is_multiplicative(mat), "witness is not multiplicative")
-        size = mat.nrows
+        size = len(grid)
         for u in range(size):
-            for v in range(u):
-                require(vec_is_zero(mat.entry(u, v)),
-                        "witness is not upper-triangular")
-            require(result.is_grouplike(mat.entry(u, u)),
+            require(not any(grid[u][:u]), "witness is not upper-triangular")
+            require(result._grouplike_raw(grid[u][u].items()),
                     "witness diagonal is not group-like")
-        require(mat.entry(0, 0) == gpad and mat.entry(size - 1, size - 1)
-                == hpad, "witness has the wrong flanks")
+        require(grid[0][0] == g and grid[size - 1][size - 1] == h,
+                "witness has the wrong flanks")
         witnesses.append(mat)
     out = ExtendedCoalgebra(
         base=coalg,
         result=result,
         new_basis=result.names[coalg.dim:],
         witnesses=witnesses,
-        z=Element(result, _pad(field, w.vec, result.dim)),
-        g=Element(result, gpad),
-        h=Element(result, hpad),
+        z=Element(result, result._box(w)),
+        g=Element(result, result._box(g)),
+        h=Element(result, result._box(h)),
         n=n,
     )
     require(out.designated_sum() == out.z,

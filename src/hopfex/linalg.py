@@ -90,45 +90,6 @@ def t2_add_term(acc: dict, key: tuple, val: Scalar):
         acc[key] = val
 
 
-def t2_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        t2_add_term(out, k, v)
-    return out
-
-
-def t2_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        t2_add_term(out, k, -v)
-    return out
-
-
-def t2_scale(c: Scalar, a: dict) -> dict:
-    if c.is_zero():
-        return {}
-    return {k: c * v for k, v in a.items()}
-
-
-def t2_from_pair(u: tuple, v: tuple) -> dict:
-    out = {}
-    for j, x in enumerate(u):
-        if x.is_zero():
-            continue
-        for k, y in enumerate(v):
-            if not y.is_zero():
-                t2_add_term(out, (j, k), x * y)
-    return out
-
-
-def t2_flatten(field: FieldSpec, a: dict, dim: int) -> tuple:
-    out = list(zero_vec(field, dim * dim))
-    for (j, k), v in a.items():
-        out[j * dim + k] = v
-    return tuple(out)
-
-
-
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
@@ -344,17 +305,25 @@ def raw_pair(ops, u: list, v: list) -> dict:
     return {(a, b): ops.mul(x, y) for a, x in u for b, y in v}
 
 
-def leg_coords(basis: "Echelon", t2: dict, n: int) -> list[list]:
+def tensor_legs(t2: dict) -> tuple[dict, dict]:
+    """(columns, rows) of the raw tensor t2 = {(a, b): raw value}:
+    columns[b] = {a: t2[a, b]} and rows[a] = {b: t2[a, b]}."""
+    columns: dict = {}
+    rows: dict = {}
+    for (a, b), x in t2.items():
+        columns.setdefault(b, {})[a] = x
+        rows.setdefault(a, {})[b] = x
+    return columns, rows
+
+
+def leg_coords(basis: "Echelon", t2: dict) -> list[dict]:
     """The raw tensor t2 = {(a, b): raw value} = sum c[k][b] v_k (x) e_b
-    over the rows v_k of basis, as c: basis.count lists of n raw values.
+    over the rows v_k of basis, as c: basis.count raw vectors {b: raw}.
 
     NoSolution when a first leg leaves the span of basis.
     """
-    legs: dict = {}
-    for (a, b), x in t2.items():
-        legs.setdefault(b, {})[a] = x
-    out = [[basis.ops.zero] * n for _ in range(basis.count)]
-    for b, leg in legs.items():
+    out = [{} for _ in range(basis.count)]
+    for b, leg in tensor_legs(t2)[0].items():
         for k, x in basis.coords(leg).items():
             out[k][b] = x
     return out

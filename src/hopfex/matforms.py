@@ -524,13 +524,13 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
                     nonzero_raw(field, x[(ip, k)])))
             try:
                 per_entry = leg_coords(dbasis, {(k, a): c for (a, k), c
-                                                in t2.items()}, dim)
+                                                in t2.items()})
             except NoSolution:
                 raise InvariantViolation(
                     "second tensor leg escapes the target simple") from None
             for j in range(s):
                 for jp in range(s):
-                    grids[ip][jp][i][j] = box(field, per_entry[j * s + jp])
+                    grids[ip][jp][i][j] = h._box(per_entry[j * s + jp])
     matrices = []
     for ip in range(r):
         row = []

@@ -9,7 +9,11 @@ integral, two finite extensions and a prime field larger than any
 denominator.
 
 dense_table is the dense reference table that the Scalar reference
-loops of the tests read, built from an algebra's sparse constants.
+loops of the tests read, built from an algebra's sparse constants, and
+reference_coalgebra_check is Coalgebra.check as the Scalar loop it was
+before it ran on raw values.  t2_from_pair, t2_flatten and
+tensor_square_subspace are the Scalar tensor helpers that only the tests
+use: u (x) v as a sparse tensor, its dense flattening, and V (x) W.
 """
 
 import functools
@@ -21,6 +25,7 @@ from fractions import Fraction
 from hopfex import GF, QQ, Coalgebra, FieldSpec
 from hopfex.algebra import FiniteAlgebra
 from hopfex.hopf import HopfAlgebra
+from hopfex.linalg import SubspaceBasis, t2_add_term, unit_vec, zero_vec
 from hopfex.zoo import dual_group_algebra, sweedler, symmetric, taft
 
 HALF_ROOT = FieldSpec(0, modulus=[Fraction(-1, 2), 0, 1])  # Q[t]/(t^2 - 1/2)
@@ -91,6 +96,64 @@ def dense_table(alg):
     for (i, j, m), c in alg.scalar_constants().items():
         table[i][j][m] = c
     return tuple(tuple(tuple(v) for v in row) for row in table)
+
+
+def t2_from_pair(u: tuple, v: tuple) -> dict:
+    out = {}
+    for j, x in enumerate(u):
+        if x.is_zero():
+            continue
+        for k, y in enumerate(v):
+            if not y.is_zero():
+                t2_add_term(out, (j, k), x * y)
+    return out
+
+
+def t2_flatten(field, a: dict, dim: int) -> tuple:
+    out = list(zero_vec(field, dim * dim))
+    for (j, k), v in a.items():
+        out[j * dim + k] = v
+    return tuple(out)
+
+
+def tensor_square_subspace(v, w):
+    """The subspace V (x) W inside the flattened square of the ambient."""
+    field = v.field
+    dim = v.ambient
+    rows = []
+    for a in v.rows:
+        for b in w.rows:
+            rows.append(t2_flatten(field, t2_from_pair(a, b), dim))
+    return SubspaceBasis(field, dim * w.ambient, rows)
+
+
+def reference_coalgebra_check(c) -> list[str]:
+    """Coalgebra.check as a loop over Scalars: (Delta (x) id) Delta(e_i)
+    and (id (x) Delta) Delta(e_i) term by term, and the two counit laws
+    as dense vectors."""
+    bad = []
+    for i in range(c.dim):
+        d = c.comul[i]
+        left: dict = {}
+        right: dict = {}
+        for (j, k), x in d.items():
+            for (a, b), y in c.comul[j].items():
+                t2_add_term(left, (a, b, k), x * y)
+            for (a, b), y in c.comul[k].items():
+                t2_add_term(right, (j, a, b), x * y)
+        if left != right:
+            bad.append(f"coassociativity fails on {c.names[i]}")
+        lvec = list(zero_vec(c.field, c.dim))
+        rvec = list(zero_vec(c.field, c.dim))
+        for (j, k), x in d.items():
+            lvec[k] = lvec[k] + x * c.counit[j]
+            rvec[j] = rvec[j] + x * c.counit[k]
+        e_i = unit_vec(c.field, c.dim, i)
+        if tuple(lvec) != e_i:
+            bad.append(f"left counit law fails on {c.names[i]}")
+        if tuple(rvec) != e_i:
+            bad.append(f"right counit law fails on {c.names[i]}")
+    return bad
 
 
 def rescaled_mul(alg, scales):

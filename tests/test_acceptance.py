@@ -12,8 +12,7 @@ import time
 from hopfex import GF, FieldSpec
 from hopfex.cli import run_command
 from hopfex.extension import extend_coalgebra
-from hopfex.linalg import (t2_from_pair, vec_add, vec_dot, vec_is_zero,
-                           vec_scale, zero_vec)
+from hopfex.linalg import vec_add, vec_dot, vec_is_zero, vec_scale, zero_vec
 from hopfex.matforms import (MatrixOverH, antipode_inverse_check,
                              basic_multiplicative_matrix, is_multiplicative,
                              is_primitive_matrix, matrix_hopf_power, mtensor,
@@ -22,6 +21,7 @@ from hopfex.structfile import HEADER
 from hopfex.zoo import restricted_poly, taft
 
 from golden_defs import golden_objects
+from lifting_cases import t2_from_pair
 
 RESULTS = []
 

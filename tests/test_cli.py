@@ -396,6 +396,14 @@ def test_extend_requires_flags(golden_dir):
     assert code == 2
 
 
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_extend_rejects_a_degree_below_one_as_bad_input(degree, golden_dir):
+    code, text = run(["extend", path_of(golden_dir, "taft9"),
+                      "--element", "x^2", "--grouplike-left", "g^2",
+                      "--grouplike-right", "1", "--degree", degree])
+    assert (code, text) == (2, "input error: --degree must be positive\n")
+
+
 def test_zoo_dump_matches_golden(golden_dir):
     code, text = run(["zoo-dump", "sweedler"])
     assert code == 0

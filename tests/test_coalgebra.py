@@ -7,22 +7,25 @@ the idempotents' orthogonality product by product.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 import hopfex.coalgebra
 from hopfex import GF, QQ, Coalgebra, FieldSpec
 from hopfex.algebra import FiniteAlgebra
-from hopfex.coalgebra import coalgebra_amalgam, tensor_square_subspace
+from hopfex.coalgebra import coalgebra_amalgam
 from hopfex.errors import (AxiomViolation, FieldMismatch, IncompatibleBase,
-                           InvariantViolation, NonSplitField, UnknownSimple)
-from hopfex.linalg import (SubspaceBasis, t2_add_term, t2_flatten, t2_from_pair,
-                           unit_vec, vec_add, vec_is_zero, zero_vec)
+                           InvariantViolation, NonSplitField, ShapeMismatch,
+                           UnknownSimple)
+from hopfex.linalg import (SubspaceBasis, t2_add_term, unit_vec, vec_add,
+                           vec_is_zero, zero_vec)
 from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
                         restricted_poly, sweedler, symmetric, taft)
 from lifting_cases import (LIFT_FIELDS, basis_scales, fraction_vector,
                            has_denominators, hopf_case, is_canonical,
-                           rescaled_coalgebra)
+                           reference_coalgebra_check, rescaled_coalgebra,
+                           t2_flatten, t2_from_pair, tensor_square_subspace)
 
 
 def test_axiom_check_passes_on_zoo(zoo):
@@ -47,6 +50,71 @@ def test_counit_law_violation_detected():
     # group-like-looking Delta with the wrong counit value
     bad = Coalgebra(f, ("a",), {(0, 0, 0): f.one()}, [f.from_int(2)])
     assert any("counit" in p for p in bad.check())
+
+
+def hand_made_broken_coalgebras():
+    """Small coalgebras that break coassociativity or a counit law."""
+    f = QQ
+    one, half = f.one(), f.from_fraction(Fraction(1, 2))
+    yield Coalgebra(f, ("a", "b"), {(0, 0, 1): one, (1, 1, 1): one},
+                    [one, one])
+    yield Coalgebra(f, ("a",), {(0, 0, 0): one}, [f.from_int(2)])
+    # Delta(x) = 1 (x) x: coassociative, only the left counit law holds
+    yield Coalgebra(f, ("1", "x"), {(0, 0, 0): one, (1, 0, 1): one},
+                    [one, f.zero()])
+    # Delta(x) = 1 (x) x + 1/2 x (x) 1: coassociativity fails as well
+    yield Coalgebra(f, ("1", "x"), {(0, 0, 0): one, (1, 0, 1): one,
+                                    (1, 1, 0): half}, [one, f.zero()])
+    # Delta(u) = t u (x) u + g (x) u with eps(u) = 1
+    for field in (GF(5), FieldSpec(0, cyclotomic_order=3)):
+        t = field.gen() if field.modulus else field.from_int(3)
+        yield Coalgebra(field, ("g", "u"),
+                        {(0, 0, 0): field.one(), (1, 1, 1): t,
+                         (1, 0, 1): field.one()}, [field.one(), field.one()])
+
+
+def comul_mutations(zoo, seed):
+    """Each golden's coalgebra with one comul or counit entry moved."""
+    rng = random.Random(seed)
+    for stem, h in zoo.items():
+        comul = {(i, j, k): c for i, d in enumerate(h.comul)
+                 for (j, k), c in d.items()}
+        counit = list(h.counit)
+        if rng.random() < 0.75:
+            key = tuple(rng.randrange(h.dim) for _ in range(3))
+            comul[key] = comul.get(key, h.field.zero()) + h.field.one()
+        else:
+            i = rng.randrange(h.dim)
+            counit[i] = counit[i] + h.field.one()
+        yield stem, Coalgebra(h.field, h.names, comul, counit)
+
+
+def test_check_matches_the_scalar_reference(zoo):
+    broken = list(hand_made_broken_coalgebras())
+    for c in broken:
+        got = c.check()
+        assert got, c
+        assert got == reference_coalgebra_check(c), c
+    for stem, c in comul_mutations(zoo, 21):
+        got = c.check()
+        assert got, stem
+        assert got == reference_coalgebra_check(c), stem
+    for stem, h in zoo.items():
+        assert h.check() == reference_coalgebra_check(h) == [], stem
+
+
+@pytest.mark.parametrize("field", [f for _, f in LIFT_FIELDS],
+                         ids=[name for name, _ in LIFT_FIELDS])
+def test_check_matches_the_scalar_reference_with_denominators(field):
+    h = hopf_case(field)
+    c = rescaled_coalgebra(h, basis_scales(field, h.dim, 5))
+    assert c.check() == reference_coalgebra_check(c) == []
+    comul = {(i, j, k): v for i, d in enumerate(c.comul)
+             for (j, k), v in d.items()}
+    key = next(iter(comul))
+    comul[key] = comul[key] + field.one()
+    bad = Coalgebra(field, c.names, comul, c.counit)
+    assert bad.check() == reference_coalgebra_check(bad) != []
 
 
 def test_delta_and_counit_are_linear():
@@ -356,6 +424,29 @@ def test_is_grouplike_matches_the_simples(zoo):
     x = s.basis_element(s.index_of("x")).vec
     assert not s.is_grouplike(x)
     assert not s.is_grouplike(vec_add(s.unit, x))
+
+
+def reference_is_grouplike(h, vec):
+    """is_grouplike as it stood before it ran on raw values."""
+    return h.counit_vec(vec) == h.field.one() and \
+        h.delta_vec(vec) == t2_from_pair(vec, vec)
+
+
+def test_is_grouplike_matches_the_t2_from_pair_reference(zoo):
+    for stem, h in zoo.items():
+        basis = [h.basis_element(i).vec for i in range(h.dim)]
+        grouplikes = [g.vec for g in h.group_likes()]
+        vecs = basis + grouplikes + [zero_vec(h.field, h.dim)]
+        for g in grouplikes:
+            vecs.append(tuple(c + c for c in g))
+            vecs.extend(vec_add(g, x) for x in basis)
+        seen = {h.is_grouplike(v) for v in vecs}
+        assert seen == {True, False}, stem
+        for v in vecs:
+            assert h.is_grouplike(v) == reference_is_grouplike(h, v), (stem, v)
+        for bad in (basis[0][:-1], basis[0] + (h.field.zero(),)):
+            with pytest.raises(ShapeMismatch):
+                h.is_grouplike(bad)
 
 
 def reference_delta_vec(h, vec):

@@ -10,9 +10,8 @@ from hopfex import GF, QQ, FieldSpec
 from hopfex.errors import (AxiomViolation, InvariantViolation,
                            NotCosemisimple, ShapeMismatch)
 from hopfex.hopf import ExponentReport, HopfAlgebra
-from hopfex.linalg import (Mat, SubspaceBasis, t2_add_term, t2_from_pair,
-                           unit_vec, vec_add, vec_dot, vec_scale,
-                           zero_vec)
+from hopfex.linalg import (Mat, SubspaceBasis, t2_add_term, unit_vec, vec_add,
+                           vec_dot, vec_scale, zero_vec)
 from hopfex.poly import MinPolySearch, min_poly_of_powers, powers_mod
 from hopfex.scalars import Scalar, box, nonzero_raw, raw_values
 from hopfex.structfile import StructureFile, structure_from_object
@@ -23,7 +22,8 @@ from golden_defs import golden_objects
 from lifting_cases import (F9, LIFT_FIELDS, QZ5, basis_scales, dense_table,
                            fraction_scalar, fraction_vector,
                            has_denominators, hopf_case,
-                           is_canonical, rescaled_hopf, rescaled_vector)
+                           is_canonical, reference_coalgebra_check,
+                           rescaled_hopf, rescaled_vector, t2_from_pair)
 
 
 def test_hopf_axioms_pass_on_zoo(zoo):
@@ -529,9 +529,10 @@ def reference_check_hopf(h) -> list[str]:
     """check_hopf with its own unit, associativity and H (x) H loops.
 
     The audit as it stood before FiniteAlgebra.violations and
-    tensor_mult took those loops over; kept as the oracle for both.
+    tensor_mult took those loops over, on the Scalar coalgebra audit
+    (reference_coalgebra_check); kept as the oracle for all three.
     """
-    bad = list(h.check())
+    bad = reference_coalgebra_check(h)
     units = [unit_vec(h.field, h.dim, i) for i in range(h.dim)]
     for i, ei in enumerate(units):
         if h.mul_vec(h.unit, ei) != ei:

@@ -11,13 +11,14 @@ from hopfex import GF, QQ, Element, FieldSpec, linalg
 from hopfex.errors import FieldMismatch, NoSolution, ShapeMismatch
 from hopfex.linalg import (Echelon, Mat, SubspaceBasis, combine, kernel, rref,
                            rref_raw, rref_rows, solve, solve_columns,
-                           t2_add_term, t2_flatten, unit_vec, vec_add,
+                           t2_add_term, unit_vec, vec_add,
                            vec_is_zero, vec_scale, vec_sub, zero_vec)
 from hopfex.extension import extend_coalgebra
 from hopfex.scalars import box, nonzero_raw
 from hopfex.zoo import taft
 from lifting_cases import (F9, HALF_ROOT, LIFT_FIELDS, QZ5, fraction_scalar,
-                           fraction_vector, has_denominators, is_canonical)
+                           fraction_vector, has_denominators, is_canonical,
+                           t2_flatten)
 
 F5 = GF(5)
 
@@ -507,9 +508,9 @@ def reference_solve(m, b):
 
 
 def skew_calls(z, g, h, n):
-    """The inputs (coalg, sigma, tau, mid) of the skew-primitive solver
-    while z, in the (g, h) bicomponent of taft16 over Q(zeta_4), is
-    extended to a corner at degree n."""
+    """The raw inputs (coalg, sigma, tau, mid) of the skew-primitive
+    solver while z, in the (g, h) bicomponent of taft16 over Q(zeta_4),
+    is extended to a corner at degree n."""
     taft16 = taft(4, FieldSpec(0, cyclotomic_order=4))
     calls = []
     original = hopfex.extension._solve_skew
@@ -530,8 +531,11 @@ def skew_calls(z, g, h, n):
 
 def dense_skew_system(coalg, sigma, tau, mid):
     """delta(r) = sigma (x) r + mid + r (x) tau as the dense dim^2 x dim
-    system (m, b) of the H (x) H ambient, as the solver once built it."""
+    system (m, b) of the H (x) H ambient, as the solver once built it,
+    from the raw vectors sigma, tau and the raw tensor mid."""
     field, dim = coalg.field, coalg.dim
+    sigma, tau = coalg._box(sigma), coalg._box(tau)
+    mid = dict(zip(mid, box(field, mid.values())))
     cols = []
     for e in range(dim):
         col = dict(coalg.comul[e])
@@ -558,16 +562,15 @@ def test_solve_without_zero_rows_matches_the_full_reference(z, g, h):
                      if vec_is_zero(r + (c,))]
         assert zero_rows
         # a zero row of m beside a nonzero right-hand side has no solution
-        one = m.field.one()
         bad = list(b)
-        bad[zero_rows[0]] = one
+        bad[zero_rows[0]] = m.field.one()
         bad_mid = dict(mid)
-        bad_mid[divmod(zero_rows[0], coalg.dim)] = one
+        bad_mid[divmod(zero_rows[0], coalg.dim)] = m.field.ops.one
         for rhs, tensor in ((b, mid), (tuple(bad), bad_mid)):
             want = value_or_none(lambda r: reference_solve(m, r), rhs)
             assert value_or_none(lambda r: solve(m, r), rhs) == want
-            assert hopfex.extension._solve_skew(coalg, sigma, tau,
-                                                tensor) == want
+            got = hopfex.extension._solve_skew(coalg, sigma, tau, tensor)
+            assert (None if got is None else coalg._box(got)) == want
             assert (want is None) == (rhs is not b)
 
 

@@ -4,11 +4,10 @@ import functools
 
 from hypothesis import given, settings, strategies as st
 
-from hopfex.coalgebra import tensor_square_subspace
-from hopfex.linalg import (t2_flatten, vec_add, vec_is_zero, vec_scale,
-                           zero_vec)
+from hopfex.linalg import vec_add, vec_is_zero, vec_scale, zero_vec
 from hopfex.matforms import basic_multiplicative_matrix, matrix_hopf_power
 from golden_defs import golden_objects
+from lifting_cases import t2_flatten, tensor_square_subspace
 
 BUILDERS = dict(golden_objects())
 STEMS = ("sweedler", "taft9", "restricted3", "dual_kS3", "sweedler_f3")

@@ -64,3 +64,22 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} asserts at lines {lines}; use require()"
+
+
+SCALAR_VECTOR_HELPERS = {"zero_vec", "unit_vec", "vec_add", "vec_sub",
+                         "vec_scale", "vec_is_zero"}
+
+
+def test_extension_runs_on_raw_vectors():
+    # extension.py holds vectors and tensors as sparse raw dicts, so it
+    # needs no Scalar-vector or Scalar-tensor helper of linalg
+    tree = ast.parse((SRC / "extension.py").read_text())
+    imported = {a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    helpers = sorted(name for name in imported
+                     if name in SCALAR_VECTOR_HELPERS or name.startswith("t2_"))
+    assert not helpers, f"extension.py imports {helpers}"
+    linalg = ast.parse((SRC / "linalg.py").read_text())
+    defined = {node.name for node in linalg.body
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"t2_add", "t2_sub", "t2_scale"}
