@@ -60,6 +60,7 @@ from .errors import (
 )
 from .linalg import (
     SubspaceBasis,
+    add_scaled,
     raw_pair,
     rref_raw,
     rref_rows,
@@ -401,16 +402,14 @@ class Coalgebra:
         sum T[j][k] e_j (x) e_k.  Delta(x) lies in V (x) H exactly when
         every column of T lies in V, and in H (x) V exactly when every
         row does; V (x) V is the intersection of the two.  So each test
-        is a pivot read of a dim-long raw vector, never an elimination in
+        is a pivot read of a sparse raw vector, never an elimination in
         the dim^2 ambient of H (x) H.
         """
-        field, zero = self.field, self.field.ops.zero
         for row in v.rows:
-            legs: dict = {}
-            for (j, k), c in self._delta_raw(nonzero_raw(field, row)).items():
-                legs.setdefault((0, j), [zero] * self.dim)[k] = c
-                legs.setdefault((1, k), [zero] * self.dim)[j] = c
-            if not all(v.contains_raw(leg) for leg in legs.values()):
+            columns, rows = tensor_legs(
+                self._delta_raw(nonzero_raw(self.field, row)))
+            if not all(v.contains_raw(leg)
+                       for leg in [*rows.values(), *columns.values()]):
                 return False
         return True
 
@@ -617,7 +616,7 @@ class CoradicalAnalysis:
 
     def _compute_simples(self) -> list[SimpleComponent]:
         H = self.coalgebra
-        field = H.field
+        field, ops = H.field, H.field.ops
         q = self.quotient.algebra
         centre = q.center()
         if centre.dim == q.dim:
@@ -650,13 +649,14 @@ class CoradicalAnalysis:
             require(H.is_subcoalgebra(sub), "perp pullback not a subcoalgebra")
             grouplike = None
             if bdim == 1:
-                v = sub.rows[0]
-                ev = H.counit_vec(v)
-                require(not ev.is_zero(), "counit vanishes on a simple")
-                g = vec_scale(ev.inverse(), v)
-                require(H.is_grouplike(g),
+                v = nonzero_raw(field, sub.rows[0])
+                ev = H._counit_raw(v)
+                require(not ops.is_zero(ev), "counit vanishes on a simple")
+                inv = ops.inv(ev)
+                g = {j: ops.mul(inv, x) for j, x in v}
+                require(H._grouplike_raw(g.items()),
                         "normalised 1-dim simple is not group-like")
-                grouplike = g
+                grouplike = H._box(g)
             raw.append((sub, r, grouplike, z, f, blocks[t]))
         raw.sort(key=lambda item: (item[0].dim,
                                    tuple(str(x) for row in item[0].rows
@@ -706,31 +706,35 @@ class CoradicalAnalysis:
         if self._idempotents is None:
             comps = self.simples()
             a = self.dual
-            field = a.field
-            zero = zero_vec(field, a.dim)
-            total = zero
+            field, ops = a.field, a.field.ops
+            unit = dict(nonzero_raw(field, a.unit))
+            minus_one = ops.neg(ops.one)
+            total: dict = {}
             funcs = []
             for comp in comps:
                 lifted = nonzero_raw(field, self.quotient.lift(
                     comp.central_idempotent))
-                mask = nonzero_raw(field, vec_sub(a.unit, total))
-                x = a._product(a._product(mask, lifted).items(), mask)
+                mask = dict(unit)
+                add_scaled(ops, mask, minus_one, total)
+                x = a._product(a._product(mask.items(), lifted).items(),
+                               mask.items())
                 f = a.lift_idempotent(box(field, a._dense(x)))
+                fr = dict(nonzero_raw(field, f))
                 # f F = F f = 0 for the sum F of the earlier idempotents:
                 # then f g = f F g = 0 and g f = g F f = 0 for each earlier
                 # g, so by induction the family is pairwise orthogonal
                 if funcs:
-                    require(a.mult(f, total) == zero and a.mult(total, f) == zero,
+                    require(not a._product(fr.items(), total.items())
+                            and not a._product(total.items(), fr.items()),
                             "coradical idempotents are not orthogonal")
                 funcs.append(f)
-                total = vec_add(total, f)
-            require(tuple(total) == a.unit, "idempotents do not sum to the counit")
+                add_scaled(ops, total, ops.one, fr)
+            require(total == unit, "idempotents do not sum to the counit")
             # f_i restricts to the counit on simple i and to 0 on the others
-            ops = a.field.ops
-            rows = [(comp.index, nonzero_raw(a.field, row))
+            rows = [(comp.index, nonzero_raw(field, row))
                     for comp in comps for row in comp.subspace.rows]
             for i, f in enumerate(funcs):
-                fraw = raw_values(a.field, f)
+                fraw = raw_values(field, f)
                 for index, row in rows:
                     got = functools.reduce(ops.add, [ops.mul(fraw[j], x)
                                                      for j, x in row])

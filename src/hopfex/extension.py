@@ -39,7 +39,7 @@ from .errors import InvariantViolation, NoSolution, NotInComponent, require
 from .linalg import (Echelon, add_scaled, leg_coords, raw_pair, rref_raw,
                      tensor_legs)
 from .matforms import MatrixOverH, is_multiplicative
-from .scalars import box, combination, lift_columns, nonzero_raw, raw_values
+from .scalars import box, combination, lift_columns, nonzero_raw
 
 
 def _reduced_delta(coalg: Coalgebra, g: dict, v: dict, h: dict) -> dict:
@@ -93,7 +93,7 @@ def _positive_part(coalg: Coalgebra, g: dict, h: dict, z: dict, n: int):
         return (not w, w)
     ana = coalg.analysis()
     level = ana.filtration[min(n, ana.depth)]
-    ok = level.contains_raw([w.get(j, ops.zero) for j in range(coalg.dim)])
+    ok = level.contains_raw(w)
     if ok:
         ok = coalg._component_raw(
             w.items(), ana.find_simple_containing(coalg._box(g)),
@@ -663,9 +663,8 @@ def extend_coalgebra(coalg: Coalgebra, g: Element, h: Element, z: Element,
     old = coalg.coradical()
     new = result.coradical()
     require(new.dim == old.dim, "extension changed the coradical")
-    extra = [field.ops.zero] * (result.dim - coalg.dim)
     for row in old.rows:
-        require(new.contains_raw(raw_values(field, row) + extra),
+        require(new.contains_raw(dict(nonzero_raw(field, row))),
                 "extension changed the coradical")
     # the base must sit inside the result unchanged
     require(result.names[:coalg.dim] == coalg.names,

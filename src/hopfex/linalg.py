@@ -4,7 +4,9 @@ Two routines do every elimination.  rref_raw reduces raw rows in place
 to the canonical reduced row echelon form (pivots 1, pivot columns
 cleared, pivot positions increasing, zero rows dropped), so two
 subspaces are equal iff their canonical bases are equal entry by entry;
-rref_rows, kernel and SubspaceBasis construction call it.  Echelon grows
+rref_rows, kernel and SubspaceBasis construction call it; over Q it
+eliminates fraction-free on primitive integer rows and divides by the
+pivots once at the end, so it makes no Fraction per step.  Echelon grows
 sparse raw rows {key: raw value} one at a time and writes each new row
 over the rows added before it: solve, the minimal-polynomial search and
 the H (x) H systems of the extension and the primitive decomposition
@@ -14,9 +16,10 @@ coordinates and dependencies with it.
 Once a SubspaceBasis is canonical, membership, coordinates and
 hyperplane cuts read its pivots: v lies in the span exactly when its
 entries at the pivots rebuild it, and cutting by a functional clears one
-row against the others without leaving canonical form.  That rebuild and
-combine are sums of products on rows lifted once (FieldOps.lift),
-settled once per entry.
+row against the others without leaving canonical form.  Membership takes
+a sparse raw vector and reads only its nonzero entries.  The rebuild, the
+cut's f . r and combine are sums of products on rows lifted once
+(FieldOps.lift).
 
 Vectors are tuples of Scalars.  Matrices are Mat objects (row major).
 Sizes here are desk scale (dimension a few dozen), so the classical
@@ -25,9 +28,12 @@ O(n^3) algorithms are used without blocking tricks.
 
 from __future__ import annotations
 
+import functools
+import math
+
 from .errors import NoSolution, ShapeMismatch
 from .scalars import (FieldSpec, Scalar, box, combination, lift_columns,
-                      lift_pairs, nonzero_raw, raw_values, settle_all)
+                      lift_pairs, nonzero_raw, raw_values)
 
 
 # ---------------------------------------------------------------------------
@@ -205,31 +211,44 @@ def rref_raw(field: FieldSpec, work: list[list]) -> list[int]:
     pivot, pivot positions strictly increase, and pivot columns are
     cleared elsewhere.  Only the pivot row's nonzero entries are carried
     into the other rows.  This is the one elimination routine.
+
+    Over Q it runs fraction-free (after Bareiss, Math. Comp. 22 (1968)):
+    the rows are scaled to primitive integer rows (FieldOps.lift), and a
+    row r is cleared at the pivot p of row s by r <- (p / g) r - (r_p / g)
+    s with g = gcd(p, r_p), then divided by its content (_cleared).  Each
+    row stays a nonzero multiple of the row the field loop would hold, so
+    the same entries vanish and the pivots and swaps are the same; a kept
+    row is divided by its pivot entry once per entry at the end.
     """
-    ncols = len(work[0]) if work else 0
     ops = field.ops
     is_zero, mul, sub = ops.is_zero, ops.mul, ops.sub
+    integral = not field.char and not field.modulus
+    if integral:  # each row as a primitive integer row
+        work[:] = [_cleared(ops.lift(r)[0], 1, 0, ()) for r in work]
+    ncols = len(work[0]) if work else 0
     pivots: list[int] = []
     row_idx = 0
     for col in range(ncols):
-        pivot_row = None
-        for i in range(row_idx, len(work)):
-            if not is_zero(work[i][col]):
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(row_idx, len(work))
+                          if not is_zero(work[i][col])), None)
         if pivot_row is None:
             continue
         work[row_idx], work[pivot_row] = work[pivot_row], work[row_idx]
         prow = work[row_idx]
         # entries before col are zero in every row from row_idx on
-        inv = ops.inv(prow[col])
-        terms = [(j, mul(inv, prow[j])) for j in range(col, ncols)
+        terms = [(j, prow[j]) for j in range(col, ncols)
                  if not is_zero(prow[j])]
-        for j, y in terms:
-            prow[j] = y
+        if not integral:
+            inv = ops.inv(prow[col])
+            terms = [(j, mul(inv, y)) for j, y in terms]
+            for j, y in terms:
+                prow[j] = y
         for i, r in enumerate(work):
             c = r[col]
             if i != row_idx and not is_zero(c):
+                if integral:
+                    work[i] = _cleared(r, prow[col], c, terms)
+                    continue
                 for j, y in terms:
                     r[j] = sub(r[j], mul(c, y))
         pivots.append(col)
@@ -237,7 +256,25 @@ def rref_raw(field: FieldSpec, work: list[list]) -> list[int]:
         if row_idx == len(work):
             break
     del work[row_idx:]
+    if integral:
+        for r, col in zip(work, pivots):
+            p = r[col]
+            if p != 1:
+                r[:] = [ops.settle(x, p) if x else 0 for x in r]
     return pivots
+
+
+def _cleared(r: list, p: int, c: int, terms) -> list:
+    """The primitive integer row of (p / g) r - (c / g) s, g = gcd(p, c),
+    for the nonzero (j, s_j) terms of a row s."""
+    g = math.gcd(p, c)
+    a, b = p // g, c // g
+    if a != 1:
+        r = [a * x for x in r]
+    for j, y in terms:
+        r[j] -= b * y
+    g = math.gcd(*r)
+    return [x // g for x in r] if g > 1 else r
 
 
 def rref_rows(field: FieldSpec, rows) -> tuple[list[tuple], list[int]]:
@@ -249,11 +286,6 @@ def rref_rows(field: FieldSpec, rows) -> tuple[list[tuple], list[int]]:
     work = [raw_values(field, r) for r in rows]
     pivots = rref_raw(field, work)
     return [box(field, r) for r in work], pivots
-
-
-def rref(m: Mat) -> tuple[Mat, list[int]]:
-    rows, pivots = rref_rows(m.field, m.rows)
-    return Mat(m.field, rows, m.ncols), pivots
 
 
 def kernel(m: Mat) -> "SubspaceBasis":
@@ -495,48 +527,51 @@ class SubspaceBasis:
         """
         if len(v) != self.ambient:
             raise ShapeMismatch("vector length differs from ambient dimension")
-        if not self.contains_raw(raw_values(self.field, v)):
+        if not self.contains_raw(dict(nonzero_raw(self.field, v))):
             raise NoSolution("vector is not in the subspace")
         return tuple(v[p] for p in self.pivots)
 
-    def contains_raw(self, vals: list) -> bool:
-        """Whether the raw vector vals lies in the span.
+    def contains_raw(self, vec: dict) -> bool:
+        """Whether the sparse raw vector vec {index: raw value}, free of
+        zeros, lies in the span; ShapeMismatch on an index outside
+        range(ambient).
 
-        Its entries at the pivots, lifted, times the lifted rows rebuild
-        it at the pivots by construction; the rebuild is settled and
-        compared at the other columns only.
+        Its entries at the pivots times the rows rebuild it at the pivots
+        by construction.  At the other columns the rebuild minus vec is
+        formed on lifted values (vec over one scale, the rows over
+        another) from vec's nonzero entries and must settle to zero: over
+        Q an integer cross-multiplication, which makes no Fraction unless
+        an entry differs.
         """
+        if vec and (min(vec) < 0 or max(vec) >= self.ambient):
+            raise ShapeMismatch("vector index outside the ambient dimension")
         ops = self.field.ops
-        mul, add, is_zero = ops.lmul, ops.ladd, ops.is_zero
-        scale, free, rows = self._lifted_rows()
-        coords, sc = lift_pairs(ops, ((k, vals[p])
-                                      for k, p in enumerate(self.pivots)
-                                      if not is_zero(vals[p])))
-        back: dict = {}
-        for k, c in coords:
-            for j, x in rows[k]:
-                y = mul(c, x)
-                back[j] = add(back[j], y) if j in back else y
-        back = settle_all(ops, back, sc * scale)
-        raw_zero = ops.zero
-        return all(back.get(j, raw_zero) == vals[j] for j in free)
+        mul, add = ops.lmul, ops.ladd
+        scale, index, rows, minus = self._lifted_rows()
+        vals, sc = lift_pairs(ops, vec.items())
+        acc: dict = {}
+        for j, x in vals:
+            k = index.get(j)
+            # x times row k at the pivot of row k, -x at any other column
+            for m, y in (rows[k] if k is not None else [(j, minus)]):
+                y = mul(x, y)
+                acc[m] = add(acc[m], y) if m in acc else y
+        settle, is_zero, scale = ops.settle, ops.is_zero, sc * scale
+        return all(is_zero(settle(a, scale)) for a in acc.values())
 
     def _lifted_rows(self) -> tuple:
-        """(scale, free columns, rows): each row's nonzero entries at the
-        non-pivot columns, lifted over one scale."""
+        """(scale, index, rows, minus): index maps each pivot to its row,
+        rows[k] lists the nonzero (j, lifted value) of row k off the
+        pivots, and minus is -1; all lifted over one scale."""
         if self._lifted is None:
-            ops = self.field.ops
-            pivots = set(self.pivots)
-            free = [j for j in range(self.ambient) if j not in pivots]
-            entries = []
-            for r in self.rows:
-                vals = raw_values(self.field, r)
-                entries.append([(j, vals[j]) for j in free
-                                if not ops.is_zero(vals[j])])
-            flat, scale = ops.lift([x for e in entries for _, x in e])
-            it = iter(flat)
-            self._lifted = (scale, free,
-                            [[(j, next(it)) for j, _ in e] for e in entries])
+            field, ops = self.field, self.field.ops
+            index = {p: k for k, p in enumerate(self.pivots)}
+            cols = {k: {j: x for j, x in nonzero_raw(field, r) if j not in index}
+                    for k, r in enumerate(self.rows)}
+            cols[-1] = {0: ops.neg(ops.one)}
+            rows, scale = lift_columns(ops, cols)
+            (_, minus), = rows.pop(-1)
+            self._lifted = (scale, index, rows, minus)
         return self._lifted
 
     def contains(self, other: "SubspaceBasis") -> bool:
@@ -561,20 +596,40 @@ class SubspaceBasis:
         earlier row with it, then drop r_k.  r_k is 0 before its pivot,
         which lies after every earlier pivot, and 0 at the other pivots,
         so each earlier row keeps its pivot and the rows stay canonical.
-        Later rows already satisfy f . r = 0.
+        Later rows already satisfy f . r = 0.  For the same reason
+        f . r_k is f at the pivot of r_k plus f against the lifted
+        entries of r_k off the pivots; the changed rows are computed on
+        raw values and boxed once.
         """
         if len(f) != self.ambient:
             raise ShapeMismatch("functional length differs from ambient dimension")
-        vals = [vec_dot(f, r) for r in self.rows]
-        k = next((i for i in reversed(range(self.dim)) if not vals[i].is_zero()),
-                 None)
+        field, ops = self.field, self.field.ops
+        mul, add = ops.lmul, ops.ladd
+        scale, _, rows, minus = self._lifted_rows()
+        one = ops.neg(minus)  # a lift is linear: the lift of 1
+        fl, sf = lift_pairs(ops, nonzero_raw(field, f))
+        fl = dict(fl)
+        vals = []
+        for k, p in enumerate(self.pivots):
+            terms = [mul(fl[j], y) for j, y in rows[k] if j in fl]
+            if p in fl:
+                terms.append(mul(fl[p], one))
+            vals.append(ops.settle(functools.reduce(add, terms), sf * scale)
+                        if terms else ops.zero)
+        k = next((i for i in reversed(range(self.dim))
+                  if not ops.is_zero(vals[i])), None)
         if k is None:
             return self
-        rk, inv = self.rows[k], vals[k].inverse()
-        rows = [r if c.is_zero() else vec_sub(r, vec_scale(c * inv, rk))
-                for r, c in zip(self.rows[:k], vals)]
-        rows.extend(self.rows[k + 1:])
-        return SubspaceBasis(self.field, self.ambient, rows, canonical=True)
+        inv, rk = ops.inv(vals[k]), nonzero_raw(field, self.rows[k])
+        out = list(self.rows[:k])
+        for i, c in enumerate(vals[:k]):
+            if not ops.is_zero(c):
+                c, r = ops.mul(c, inv), raw_values(field, out[i])
+                for j, y in rk:
+                    r[j] = ops.sub(r[j], ops.mul(c, y))
+                out[i] = box(field, r)
+        out.extend(self.rows[k + 1:])
+        return SubspaceBasis(self.field, self.ambient, out, canonical=True)
 
     def perp(self) -> "SubspaceBasis":
         """Annihilator under the standard dot pairing of k^n with itself.

@@ -23,6 +23,7 @@ from fractions import Fraction
 import pytest
 
 import hopfex.algebra
+import hopfex.poly
 from hopfex import GF, QQ, FieldSpec
 from hopfex.algebra import (FiniteAlgebra, _divisors, _frobenius_root,
                             field_roots)
@@ -226,6 +227,68 @@ def test_split_commutative_matches_restarting_scan(make, size):
                           key=lambda e: raw_values(center.field, e))
 
 
+def root_path_pieces(alg, e, b):
+    """_eigen_pieces without its idempotent case: e h_lam(x) for each
+    root lam of mu, then the rest of e."""
+    ops = alg.field.ops
+    x = list(alg._product(e.items(), [(b, ops.one)]).items())
+    mu, powers = alg._min_poly(e, x)
+    if len(mu) <= 2:
+        return [e]
+    projections, rest = [], [ops.one]
+    for lam in field_roots(alg.field, mu):
+        away = hopfex.algebra._eigen_projection(ops, mu, lam)[1]
+        if away is not None:
+            projections.append(hopfex.poly.sub(ops, [ops.one], away))
+            rest = hopfex.poly.sub(ops, rest, projections[-1])
+    at = alg._at_powers(powers)
+    return [at(h) for h in projections + [rest] if h]
+
+
+@pytest.mark.parametrize("make", [case[1] for case in SPLIT_CASES],
+                         ids=[case[0] for case in SPLIT_CASES])
+def test_eigen_pieces_match_the_root_path(make, monkeypatch):
+    # an idempotent x = e e_b (mu = t^2 - t) is split into [e - x, x]
+    # without the root search; every call, that case included, gives the
+    # pieces of the roots of mu, in the same order
+    center = quotient_and_center(make())[1].algebra
+    calls = []
+    original = FiniteAlgebra._eigen_pieces
+
+    def recorded(self, e, b):
+        pieces = original(self, e, b)
+        calls.append((dict(e), b, pieces))
+        return pieces
+
+    monkeypatch.setattr(FiniteAlgebra, "_eigen_pieces", recorded)
+    center.split_commutative()
+    monkeypatch.undo()
+    assert calls
+    for e, b, pieces in calls:
+        assert pieces == root_path_pieces(center, e, b)
+
+
+def test_eigen_pieces_split_an_idempotent_without_the_root_search(
+        monkeypatch):
+    # the centre of the dual of kZ12 is spanned by the delta functions,
+    # so every x = e e_b is 0, e or an idempotent that splits e; a zero x
+    # needs no minimal polynomial
+    center = quotient_and_center(group_algebra(cyclic(12), QQ))[1].algebra
+    roots = count_calls(monkeypatch, hopfex.algebra, "field_roots")
+    pieces = count_calls(monkeypatch, FiniteAlgebra, "_eigen_pieces")
+    xs = []
+    min_poly = FiniteAlgebra._min_poly
+
+    def recorded(self, e, x):
+        xs.append(x)
+        return min_poly(self, e, x)
+
+    monkeypatch.setattr(FiniteAlgebra, "_min_poly", recorded)
+    assert len(center.split_commutative()) == 12
+    assert roots == []
+    assert all(xs) and 0 < len(xs) < len(pieces)
+
+
 def count_calls(monkeypatch, owner, name):
     """The calls of owner.name from now on, one entry each."""
     calls = []
@@ -250,13 +313,35 @@ def test_split_commutative_tests_no_piece_for_primitivity(monkeypatch):
 
 
 def test_idempotents_prove_orthogonality_with_two_products_each(monkeypatch):
+    # idempotents() forms its products on raw values (FiniteAlgebra._product).
+    # Outside lift_idempotent those are 2 per simple for the mask (1 - F) e (1 - F)
+    # and 2 per later simple for f F = F f = 0 against the sum F of the earlier
+    # idempotents; a pairwise check of f against each earlier g would form
+    # n (n - 1) orthogonality products, past the bound for n >= 4 simples
     for h in (group_algebra(cyclic(12), QQ), kZ2_dual_kS3()):
         analysis = h.analysis()
-        simples = analysis.simples()
-        products = count_calls(monkeypatch, FiniteAlgebra, "mult")
-        assert len(analysis.idempotents()) == len(simples)
-        assert 0 < len(products) <= 2 * len(simples)
+        n = len(analysis.simples())
+        assert n >= 4
+        products, lifting = [], []
+        product, lift = FiniteAlgebra._product, FiniteAlgebra.lift_idempotent
+
+        def counted(self, u, v):
+            if not lifting:
+                products.append(1)
+            return product(self, u, v)
+
+        def lifted(self, v):
+            lifting.append(1)
+            try:
+                return lift(self, v)
+            finally:
+                lifting.pop()
+
+        monkeypatch.setattr(FiniteAlgebra, "_product", counted)
+        monkeypatch.setattr(FiniteAlgebra, "lift_idempotent", lifted)
+        assert len(analysis.idempotents()) == n
         monkeypatch.undo()
+        assert 2 * n < len(products) <= 4 * n
 
 
 @pytest.mark.parametrize("make, m2_blocks",
@@ -603,6 +688,22 @@ def test_basis_products_match_the_unit_vector_references(zoo):
             for level in powers + lines:
                 assert is_right_ideal(alg, level) == \
                     reference_is_right_ideal(alg, level), where
+
+
+def test_ideal_powers_match_the_all_pairs_reference(zoo):
+    # the radical of every golden's dual, and of taft25 over Q(zeta_5),
+    # where most products u v of J^k and J are zero
+    algebras = {stem: h.dual_algebra() for stem, h in zoo.items()}
+    algebras["taft25 over Q(zeta_5)"] = taft(5, QZ5).dual_algebra()
+    depths = set()
+    for stem, alg in algebras.items():
+        radical = alg.radical()
+        want = reference_ideal_powers(alg, radical)
+        got = alg.ideal_powers(radical)
+        assert got == want, stem
+        assert [p.pivots for p in got] == [p.pivots for p in want], stem
+        depths.add(len(got))
+    assert {1, 2} < depths and max(depths) >= 5
 
 
 def test_ideal_powers_reject_a_non_nilpotent_ideal_like_the_reference(zoo):

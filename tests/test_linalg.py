@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import hopfex.extension
 from hopfex import GF, QQ, Element, FieldSpec, linalg
 from hopfex.errors import FieldMismatch, NoSolution, ShapeMismatch
-from hopfex.linalg import (Echelon, Mat, SubspaceBasis, combine, kernel, rref,
+from hopfex.linalg import (Echelon, Mat, SubspaceBasis, combine, kernel,
                            rref_raw, rref_rows, solve, solve_columns,
                            t2_add_term, unit_vec, vec_add,
                            vec_is_zero, vec_scale, vec_sub, zero_vec)
@@ -29,6 +29,12 @@ def qmat(rows):
 
 def qvec(entries):
     return tuple(QQ.from_fraction(Fraction(c)) for c in entries)
+
+
+def rref(m):
+    """Canonical RREF of a Mat and its pivot columns."""
+    rows, pivots = rref_rows(m.field, m.rows)
+    return Mat(m.field, rows, m.ncols), pivots
 
 
 def random_mat(field, rng, nrows, ncols):
@@ -443,6 +449,126 @@ def test_rref_rows_rejects_rows_from_two_fields():
         rref_rows(F5, [(F5.one(), F5.zero()), (f7.one(), f7.one())])
     with pytest.raises(FieldMismatch):
         rref_rows(F5, [(F5.one(), f7.zero())])
+
+
+# -- fraction-free elimination over Q and sparse membership ----------------
+
+def q_rows(entries):
+    return [tuple(QQ.from_fraction(Fraction(c)) for c in r) for r in entries]
+
+
+BIG = 10 ** 12
+
+
+def rational_cases():
+    """Matrices over Q: more rows than columns, zero rows, repeated rows,
+    negative pivots, numerators and denominators up to 10^12, and none."""
+    rng = random.Random(20261019)
+
+    def big():
+        return Fraction(rng.randint(-BIG, BIG), rng.randint(1, BIG))
+
+    wide = [[big() for _ in range(4)] for _ in range(2)]
+    return {
+        "tall": [[1, 2], [3, 4], [5, 6], [7, Fraction(8, 3)], [0, 1]],
+        "zero rows": [[0, 0, 0], [1, Fraction(-1, 2), 3], [0, 0, 0],
+                      [2, -1, 6], [0, 0, 0]],
+        "repeated rows": [[Fraction(2, 3), 1, 0]] * 3 + [[0, 1, Fraction(1, 5)]] * 2,
+        "negative pivots": [[-3, 1, 2], [0, -7, Fraction(1, 2)],
+                            [-6, -12, Fraction(9, 2)]],
+        "big entries": [[big() for _ in range(5)] for _ in range(4)],
+        "big dependent": wide + [[a - 7 * b for a, b in zip(*wide)],
+                                 [Fraction(BIG - 1, BIG) * a for a in wide[1]]],
+        "no rows": [],
+    }
+
+
+@pytest.mark.parametrize("name", list(rational_cases()))
+def test_rref_raw_over_q_matches_the_reference(name):
+    rows = q_rows(rational_cases()[name])
+    want_rows, want_pivots = reference_rref_rows(rows)
+    work = [[x.val for x in r] for r in rows]
+    assert rref_raw(QQ, work) == want_pivots
+    assert work == [[x.val for x in r] for r in want_rows]
+    assert all(is_canonical(QQ, x) for r in work for x in r)
+    assert rref_rows(QQ, rows) == (want_rows, want_pivots)
+
+
+def test_rref_raw_over_q_makes_at_most_one_fraction_per_entry(monkeypatch):
+    rng = random.Random(5)
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)]
+            for _ in range(7)]
+    work = [[QQ.from_fraction(x).val for x in r] for r in rows]
+    made = []
+    original = Fraction.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        made.append(1)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    rref_raw(QQ, work)
+    monkeypatch.undo()
+    entries = sum(len(r) for r in work)
+    assert entries and any(type(x) is Fraction for r in work for x in r)
+    assert len(made) <= entries
+    # the counter does see the field loop's Fractions
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    made.clear()
+    reference_rref_rows(q_rows(rows))
+    monkeypatch.undo()
+    assert len(made) > entries
+
+
+def sparse(field, v):
+    return dict(nonzero_raw(field, v))
+
+
+@pytest.mark.parametrize("field", RAW_FIELDS, ids=lambda f: f.describe())
+def test_sparse_contains_raw_matches_the_reference(field):
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(12):
+        rows, _ = random_low_rank_rows(field, rng)
+        n = len(rows[0])
+        space = SubspaceBasis(field, n, rows)
+        free = [j for j in range(n) if j not in space.pivots]
+        probes = [zero_vec(field, n)]
+        for support in (space.pivots, free):
+            probes.append(tuple(random_scalar(field, rng) if j in support
+                                else field.zero() for j in range(n)))
+            probes.append(tuple(field.one() if j in support else field.zero()
+                                for j in range(n)))
+        probes.extend(space.rows)
+        probes.append(tuple(random_scalar(field, rng) for _ in range(n)))
+        for v in probes:
+            want = reference_contains(space, v)
+            assert space.contains_raw(sparse(field, v)) == want
+            seen.add(want)
+        assert space.contains_raw({})
+        with pytest.raises(ShapeMismatch):
+            space.contains_raw({n: field.ops.one})
+        with pytest.raises(ShapeMismatch):
+            space.contains_raw({-1: field.ops.one})
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("field", RAW_FIELDS, ids=lambda f: f.describe())
+def test_cut_on_raw_values_matches_the_reference(field):
+    rng = random.Random(37)
+    kept = set()
+    for _ in range(12):
+        rows, _ = random_low_rank_rows(field, rng)
+        n = len(rows[0])
+        space = SubspaceBasis(field, n, rows)
+        for f in ([random_scalar(field, rng) for _ in range(n)],
+                  [field.one()] * n, zero_vec(field, n)):
+            want = reference_intersect(
+                space, SubspaceBasis(field, n, [tuple(f)]).perp())
+            got = space.cut(tuple(f))
+            assert got == want and got.pivots == want.pivots
+            kept.add(got.dim == space.dim)
+    assert kept == {True, False}
 
 
 # -- lifted membership and solving without the zero rows --------------------
