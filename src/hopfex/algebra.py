@@ -85,9 +85,7 @@ from .linalg import (
     SubspaceBasis,
     add_scaled,
     combine,
-    kernel,
-    kernel_raw,
-    rref_raw,
+    dense_raw,
     rref_rows,
     vec_add,
     vec_is_zero,
@@ -308,10 +306,7 @@ class FiniteAlgebra:
 
     def _dense(self, sparse: dict) -> list:
         """The raw vector with the entries of {m: raw value} sparse."""
-        out = [self.field.ops.zero] * self.dim
-        for m, y in sparse.items():
-            out[m] = y
-        return out
+        return dense_raw(self.field.ops, self.dim, sparse.items())
 
     def mult(self, u: tuple, v: tuple) -> tuple:
         """u v, from the nonzero entries of u and v and terms, on raw values."""
@@ -390,9 +385,10 @@ class FiniteAlgebra:
         taus = settle_all(ops, self._lifted_traces(), self.terms[0])
         return box(self.field, self._dense(taus))
 
-    def _trace_form(self) -> Mat:
+    def _trace_form(self) -> list[dict]:
         """Gram matrix Tr L_{e_i e_j} = sum_m c_ij^m tau_m, in O(n^3), as
-        lifted multiply-adds over D^2 settled once per entry."""
+        sparse raw rows {j: raw value}: lifted multiply-adds over D^2
+        settled once per entry."""
         ops = self.field.ops
         mul, add = ops.lmul, ops.ladd
         denom, terms = self.terms
@@ -405,9 +401,8 @@ class FiniteAlgebra:
                     if m in taus:
                         y = mul(t, taus[m])
                         acc[j] = add(acc[j], y) if j in acc else y
-            rows.append(box(self.field,
-                            self._dense(settle_all(ops, acc, denom * denom))))
-        return Mat(self.field, rows, self.dim)
+            rows.append(settle_all(ops, acc, denom * denom))
+        return rows
 
     def radical(self) -> SubspaceBasis:
         """The Jacobson radical J in canonical form, proved nilpotent.
@@ -419,7 +414,8 @@ class FiniteAlgebra:
         """
         if self._radical_powers is None:
             p = self.field.char
-            level = kernel(self._trace_form())
+            level = SubspaceBasis.of_raw(self.field, self.dim,
+                                         self._trace_form()).perp()
             q = 1
             while True:
                 self._require_right_ideal(level)
@@ -453,9 +449,7 @@ class FiniteAlgebra:
         same characteristic polynomial.
         """
         field, ops = self.field, self.field.ops
-        rows, pivots = level.rows, level.pivots
-        d = len(rows)
-        basis = [nonzero_raw(field, b) for b in rows]
+        basis, pivots, d = level.raw, level.pivots, level.dim
         # condition: c_q((x y)-regular matrix) = 0 for all y in the span,
         # q-semilinear in x, linear after the Frobenius twist.
         cond = []
@@ -467,12 +461,13 @@ class FiniteAlgebra:
                 restriction = [[col.get(j, ops.zero) for j in pivots]
                                for col in cols]
                 row.append(char_poly(ops, restriction)[d - q])
-            cond.append(box(field, row))
-        ker = kernel(Mat(field, cond, d))
+            cond.append(dict(enumerate(row)))
         # pull the twisted coordinates back through the inverse Frobenius
-        new = [combine(field, [_frobenius_root(c, q) for c in coeffs], rows)
-               for coeffs in ker.rows]
-        return SubspaceBasis(self.field, self.dim, new)
+        ker = SubspaceBasis.of_raw(field, d, cond).perp()
+        lifted = lift_columns(ops, dict(enumerate(map(dict, basis))))
+        return SubspaceBasis.of_raw(field, self.dim, [combination(
+            ops, [_frobenius_root(field, c, q) for c in dense_raw(ops, d, r)],
+            *lifted) for r in ker.raw])
 
     def _require_right_ideal(self, level: SubspaceBasis):
         """Prove level * A is inside level, or LinAlgError.
@@ -482,8 +477,8 @@ class FiniteAlgebra:
         skipping those (450 of 500 in the radical chain of taft25 over
         Q(zeta_5)) halves the time of these checks there.
         """
-        for b in level.rows:
-            for col in self._basis_products(nonzero_raw(self.field, b)):
+        for b in level.raw:
+            for col in self._basis_products(b):
                 if col and not level.contains_raw(col):
                     raise LinAlgError("a level of the radical chain is not a "
                                       "right ideal; algebra data corrupt")
@@ -496,8 +491,7 @@ class FiniteAlgebra:
         never reaches zero: LinAlgError.
         """
         field, ops = self.field, self.field.ops
-        gens, sg = lift_columns(ops, {k: dict(nonzero_raw(field, v))
-                                      for k, v in enumerate(ideal.rows)})
+        gens, sg = lift_columns(ops, dict(enumerate(map(dict, ideal.raw))))
         last, sl = gens, sg
         out = [ideal]
         while out[-1].dim:
@@ -505,16 +499,13 @@ class FiniteAlgebra:
             # product u v is settled once, and only the nonzero ones are
             # eliminated, once per power
             scale = sl * sg * self.terms[0]
-            work = [self._dense(p) for u in last.values() for v in gens.values()
-                    if (p := settle_all(ops, self._lifted_product(u, v), scale))]
-            rref_raw(field, work)
-            nxt = SubspaceBasis(field, self.dim, [box(field, r) for r in work],
-                                canonical=True)
+            nxt = SubspaceBasis.of_raw(field, self.dim, [
+                p for u in last.values() for v in gens.values()
+                if (p := settle_all(ops, self._lifted_product(u, v), scale))])
             if nxt.dim >= out[-1].dim:
                 raise LinAlgError("ideal is not nilpotent; algebra data corrupt")
             out.append(nxt)
-            last, sl = lift_columns(ops, {k: dict(_sparse(field, r))
-                                          for k, r in enumerate(work)})
+            last, sl = lift_columns(ops, dict(enumerate(map(dict, nxt.raw))))
         return out
 
     # -- quotients and subalgebras ----------------------------------------------
@@ -542,8 +533,8 @@ class FiniteAlgebra:
                 c = mul(minus_one, c)
                 row[k] = add(row[k], c) if k in row else c
         settled = (settle_all(ops, r, denom) for r in rows.values())
-        return kernel_raw(self.field, [self._dense(r) for r in settled if r],
-                          dim)
+        return SubspaceBasis.of_raw(self.field, dim,
+                                    [r for r in settled if r]).perp()
 
     # -- idempotents ------------------------------------------------------------
 
@@ -757,19 +748,10 @@ class FiniteAlgebra:
     def corner_basis(self, e: tuple) -> list[tuple]:
         """Canonical basis of eAe = (eA)e: the columns e e_i of L_e are
         row-reduced to a basis of eA, and only its rows are multiplied by e."""
-        field = self.field
-        enz = nonzero_raw(field, e)
-        work = [self._dense(col) for col in self._basis_products(enz)]
-        rref_raw(field, work)
-        work = [self._dense(self._product(_sparse(field, r), enz)) for r in work]
-        rref_raw(field, work)
-        return [box(field, r) for r in work]
-
-
-def _sparse(field: FieldSpec, vals) -> list:
-    """(index, raw value) of the nonzero entries of a raw vector."""
-    is_zero = field.ops.is_zero
-    return [(i, x) for i, x in enumerate(vals) if not is_zero(x)]
+        enz = nonzero_raw(self.field, e)
+        ea = SubspaceBasis.of_raw(self.field, self.dim, self._basis_products(enz))
+        return SubspaceBasis.of_raw(self.field, self.dim, [
+            self._product(r, enz) for r in ea.raw]).rows
 
 
 def _eigen_projection(ops, mu: list, lam) -> tuple[list, list | None]:
@@ -798,18 +780,18 @@ def _eigen_projection(ops, mu: list, lam) -> tuple[list, list | None]:
     return nil, poly.divmod(ops, h, mu)[1]
 
 
-def _frobenius_root(s: Scalar, q: int) -> Scalar:
-    """The unique q-th root (q a power of char) in a finite field."""
-    field = s.field
-    p = field.char
-    if q == 1 or s.is_zero():
-        return s
-    deg = field.degree
-    # x -> x^(p^(deg-1)) inverts one Frobenius; apply once per factor of p in q
-    out = s
+def _frobenius_root(field: FieldSpec, x, q: int):
+    """The unique q-th root (q a power of char) of the raw value x in a
+    finite field.  x -> x^(p^(deg-1)) inverts one Frobenius; it is applied
+    once per factor of p in q, as one power by squaring on raw values."""
+    ops, n = field.ops, 1
     while q > 1:
-        out = out ** (p ** (deg - 1))
-        q //= p
+        n, q = n * field.char ** (field.degree - 1), q // field.char
+    out = ops.one
+    while n:
+        if n & 1:
+            out = ops.mul(out, x)
+        x, n = ops.mul(x, x), n >> 1
     return out
 
 
@@ -835,9 +817,8 @@ class QuotientMap:
         # section part
         index = {s: k for k, s in enumerate(cols)}
         self._images = {s: {k: ops.one} for s, k in index.items()}
-        for p, r in zip(ideal.pivots, ideal.rows):
-            self._images[p] = {index[s]: ops.neg(c)
-                               for s, c in nonzero_raw(field, r) if s in index}
+        for p, r in zip(ideal.pivots, ideal.raw):
+            self._images[p] = {index[s]: ops.neg(c) for s, c in r if s in index}
         constants = {(a, b, k): c for a, sa in enumerate(cols)
                      for b, sb in enumerate(cols)
                      for k, c in self._project_raw(
@@ -874,19 +855,22 @@ class SubalgebraMap:
 
     def __init__(self, alg: FiniteAlgebra, rows: list[tuple], identity: tuple):
         self.parent = alg
-        rows, _ = rref_rows(alg.field, list(rows))
-        self.rows = list(rows)
-        self.basis = SubspaceBasis(alg.field, alg.dim, self.rows, canonical=True)
-        dim = len(self.rows)
+        basis = self.basis = SubspaceBasis(alg.field, alg.dim, rows)
+        # a product of basis rows in the span has its coordinates at the
+        # pivots; the constants are boxed once
         constants = {}
-        for a, b in itertools.product(range(dim), repeat=2):
-            prod = self.coords(alg.mult(self.rows[a], self.rows[b]))
-            constants.update(((a, b, k), c) for k, c in enumerate(prod) if c)
-        self.algebra = FiniteAlgebra(alg.field, dim, constants,
-                                     self.coords(identity))
+        for (a, u), (b, v) in itertools.product(enumerate(basis.raw), repeat=2):
+            prod = alg._product(u, v)
+            if not basis.contains_raw(prod):
+                raise NoSolution("vector is not in the subspace")
+            constants.update(((a, b, k), prod[p]) for k, p in
+                             enumerate(basis.pivots) if p in prod)
+        self.algebra = FiniteAlgebra(
+            alg.field, basis.dim, dict(zip(constants, box(
+                alg.field, constants.values()))), self.coords(identity))
 
     def coords(self, v: tuple) -> tuple:
         return self.basis.coords_of(v)
 
     def embed(self, q: tuple) -> tuple:
-        return combine(self.parent.field, q, self.rows)
+        return combine(self.parent.field, q, self.basis.rows)

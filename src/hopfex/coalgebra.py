@@ -61,9 +61,9 @@ from .errors import (
 from .linalg import (
     SubspaceBasis,
     add_scaled,
+    dense_raw,
     raw_pair,
     rref_raw,
-    rref_rows,
     t2_add_term,
     tensor_legs,
     unit_vec,
@@ -405,9 +405,8 @@ class Coalgebra:
         is a pivot read of a sparse raw vector, never an elimination in
         the dim^2 ambient of H (x) H.
         """
-        for row in v.rows:
-            columns, rows = tensor_legs(
-                self._delta_raw(nonzero_raw(self.field, row)))
+        for row in v.raw:
+            columns, rows = tensor_legs(self._delta_raw(row))
             if not all(v.contains_raw(leg)
                        for leg in [*rows.values(), *columns.values()]):
                 return False
@@ -486,8 +485,7 @@ class Coalgebra:
 
     def _box(self, sparse: dict) -> tuple:
         """The vector of Scalars of the raw entries {m: value}."""
-        zero = self.field.ops.zero
-        return box(self.field, [sparse.get(m, zero) for m in range(self.dim)])
+        return box(self.field, dense_raw(self.field.ops, self.dim, sparse.items()))
 
     def component(self, h: tuple, left: int | None = None,
                   right: int | None = None) -> tuple:
@@ -524,8 +522,8 @@ class Coalgebra:
     def bicomponent_subspace(self, left: int, right: int,
                              within: SubspaceBasis | None = None) -> SubspaceBasis:
         v = within if within is not None else SubspaceBasis.full(self.field, self.dim)
-        rows = [self.component(row, left=left, right=right) for row in v.rows]
-        return SubspaceBasis(self.field, self.dim, rows)
+        return SubspaceBasis.of_raw(self.field, self.dim, [
+            self._component_raw(row, left, right) for row in v.raw])
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +619,12 @@ class CoradicalAnalysis:
         centre = q.center()
         if centre.dim == q.dim:
             # H*/J is commutative: it splits directly, and each primitive
-            # idempotent spans its own 1-dimensional block
-            embedded = q.split_commutative()
-            blocks = [rref_rows(field, [z])[0] for z in embedded]
+            # idempotent z spans a 1-dimensional block, canonical row z
+            # over its leading entry
+            embedded, blocks = q.split_commutative(), []
+            for z in map(functools.partial(raw_values, field), embedded):
+                inv = ops.inv(next(x for x in z if not ops.is_zero(x)))
+                blocks.append([box(field, [ops.mul(inv, x) for x in z])])
         else:
             zmap = q.subalgebra_on(list(centre.rows), q.unit)
             embedded = [zmap.embed(e) for e in zmap.algebra.split_commutative()]
@@ -645,11 +646,11 @@ class CoradicalAnalysis:
                         f"simple block of dimension {bdim} has minimal left "
                         f"ideals of dimension {r}; the block is a division "
                         "algebra over the base field, extend the field")
-            sub = SubspaceBasis(field, H.dim, duals[t])
+            sub = SubspaceBasis.of_raw(field, H.dim, duals[t])
             require(H.is_subcoalgebra(sub), "perp pullback not a subcoalgebra")
             grouplike = None
             if bdim == 1:
-                v = nonzero_raw(field, sub.rows[0])
+                v = sub.raw[0]
                 ev = H._counit_raw(v)
                 require(not ops.is_zero(ev), "counit vanishes on a simple")
                 inv = ops.inv(ev)
@@ -663,14 +664,14 @@ class CoradicalAnalysis:
                                          for x in row)))
         comps = [SimpleComponent(i, sub, r, g, z, f, rows)
                  for i, (sub, r, g, z, f, rows) in enumerate(raw)]
-        total = SubspaceBasis(field, H.dim,
-                              [row for c in comps for row in c.subspace.rows])
+        total = SubspaceBasis.of_raw(field, H.dim, [
+            dict(row) for c in comps for row in c.subspace.raw])
         require(total == self.filtration[0], "simples do not sum to the coradical")
         return comps
 
-    def _dual_vectors(self, blocks: list[list[tuple]]) -> list[list[tuple]]:
+    def _dual_vectors(self, blocks: list[list[tuple]]) -> list[list[dict]]:
         """For each block, the vectors of H dual to its rows in the basis
-        M = [rows of J; rows of every block] of H*.
+        M = [rows of J; rows of every block] of H*, as sparse raw vectors.
 
         C_t, the span of the duals of block t, is the perp of J and the
         other blocks, so one inversion of M gives every simple
@@ -680,16 +681,15 @@ class CoradicalAnalysis:
         """
         field, n = self.coalgebra.field, self.coalgebra.dim
         ops = field.ops
-        rows = list(self.radical.rows) + [row for block in blocks
-                                          for row in block]
-        work = [raw_values(field, row) + [ops.one if j == i else ops.zero
-                                          for j in range(n)]
+        rows = [dense_raw(ops, n, r) for r in self.radical.raw] + [
+            raw_values(field, row) for block in blocks for row in block]
+        work = [row + [ops.one if j == i else ops.zero for j in range(n)]
                 for i, row in enumerate(rows)]
         require(len(work) == n and rref_raw(field, work) == list(range(n)),
                 "block/subcoalgebra dimension mismatch")
         out, i = [], self.radical.dim
         for block in blocks:
-            out.append([box(field, [r[n + k] for r in work])
+            out.append([{j: r[n + k] for j, r in enumerate(work)}
                         for k in range(i, i + len(block))])
             i += len(block)
         return out
@@ -730,14 +730,16 @@ class CoradicalAnalysis:
                 funcs.append(f)
                 add_scaled(ops, total, ops.one, fr)
             require(total == unit, "idempotents do not sum to the counit")
-            # f_i restricts to the counit on simple i and to 0 on the others
-            rows = [(comp.index, nonzero_raw(field, row))
-                    for comp in comps for row in comp.subspace.rows]
+            # f_i restricts to the counit on simple i and to 0 on the
+            # others; rows and f_i are lifted once, f_i(row) settled once
+            rows = [(comp.index, row, *lift_pairs(ops, row))
+                    for comp in comps for row in comp.subspace.raw]
             for i, f in enumerate(funcs):
-                fraw = raw_values(field, f)
-                for index, row in rows:
-                    got = functools.reduce(ops.add, [ops.mul(fraw[j], x)
-                                                     for j, x in row])
+                fl, sf = lift_functional(field, f)
+                for index, row, lrow, sr in rows:
+                    terms = [ops.lmul(fl[j], x) for j, x in lrow if j in fl]
+                    got = ops.settle(functools.reduce(ops.ladd, terms),
+                                     sf * sr) if terms else ops.zero
                     want = self.coalgebra._counit_raw(row) if index == i \
                         else ops.zero
                     require(got == want, "restriction property fails")

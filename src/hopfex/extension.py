@@ -28,8 +28,9 @@ padded when the coalgebra grows and an amalgam only remaps indices.
 Values become Scalars at the edges only: graded_positive_part and
 delta_expansion box what their raw routines return, _Grower.adjoin boxes
 a new vector's constants once, extend_coalgebra boxes the witnesses and
-z, g, h, and a public method that takes Scalars is given them at the
-call (find_simple_containing, bicomponent_subspace, SubspaceBasis.cut).
+z, g, h, a public method that takes Scalars is given them at the call
+(find_simple_containing, SubspaceBasis.cut), and subspaces are read
+through their raw rows.
 """
 
 from __future__ import annotations
@@ -151,14 +152,13 @@ def _flag_basis(coalg: Coalgebra, left: int, right: int, maxdeg: int):
     level in which the vector appears.
     """
     ana = coalg.analysis()
-    field = coalg.field
     out = []
-    span = Echelon(field)
+    span = Echelon(coalg.field)
     for d in range(1, maxdeg + 1):
         level = ana.filtration[min(d, ana.depth)]
         comp = coalg.bicomponent_subspace(left, right, within=level)
-        for row in comp.cut(coalg.counit).rows:
-            vec = dict(nonzero_raw(field, row))
+        for row in comp.cut(coalg.counit).raw:
+            vec = dict(row)
             if span.add(vec) is None:
                 out.append((vec, d))
         if d >= ana.depth:
@@ -659,12 +659,11 @@ def extend_coalgebra(coalg: Coalgebra, g: Element, h: Element, z: Element,
     ext = _extend(coalg, g, h, w, n, memo)
     result = ext.result
     result.require_valid()
-    field = result.field
     old = coalg.coradical()
     new = result.coradical()
     require(new.dim == old.dim, "extension changed the coradical")
-    for row in old.rows:
-        require(new.contains_raw(dict(nonzero_raw(field, row))),
+    for row in old.raw:
+        require(new.contains_raw(dict(row)),
                 "extension changed the coradical")
     # the base must sit inside the result unchanged
     require(result.names[:coalg.dim] == coalg.names,

@@ -541,15 +541,11 @@ class HopfAlgebra(Coalgebra):
     def chevalley_check(self) -> bool:
         """Is the coradical closed under product (and antipode, if any)?"""
         h0 = self.coradical()
-        for u in h0.rows:
-            for v in h0.rows:
-                if not h0.contains_vector(self.mul_vec(u, v)):
-                    return False
-        if self.antipode_mat is not None:
-            for u in h0.rows:
-                if not h0.contains_vector(self.antipode_vec(u)):
-                    return False
-        return True
+        if not all(h0.contains_raw(self.algebra._product(u, v))
+                   for u in h0.raw for v in h0.raw):
+            return False
+        return self.antipode_mat is None or all(
+            h0.contains_vector(self.antipode_vec(u)) for u in h0.rows)
 
     def grouplike_order(self, g, bound: int = 100000) -> int:
         vec = g.vec if isinstance(g, Element) else tuple(g)

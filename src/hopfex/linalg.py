@@ -4,9 +4,10 @@ Two routines do every elimination.  rref_raw reduces raw rows in place
 to the canonical reduced row echelon form (pivots 1, pivot columns
 cleared, pivot positions increasing, zero rows dropped), so two
 subspaces are equal iff their canonical bases are equal entry by entry;
-rref_rows, kernel and SubspaceBasis construction call it; over Q it
-eliminates fraction-free on primitive integer rows and divides by the
-pivots once at the end, so it makes no Fraction per step.  Echelon grows
+SubspaceBasis construction (so perp and sum), rref_rows and the other
+eliminations of every layer call it; over Q it eliminates fraction-free
+on primitive integer rows and divides by the pivots once at the end, so
+it makes no Fraction per step.  Echelon grows
 sparse raw rows {key: raw value} one at a time and writes each new row
 over the rows added before it: solve, the minimal-polynomial search and
 the H (x) H systems of the extension and the primitive decomposition
@@ -21,9 +22,10 @@ a sparse raw vector and reads only its nonzero entries.  The rebuild, the
 cut's f . r and combine are sums of products on rows lifted once
 (FieldOps.lift).
 
-Vectors are tuples of Scalars.  Matrices are Mat objects (row major).
-Sizes here are desk scale (dimension a few dozen), so the classical
-O(n^3) algorithms are used without blocking tricks.
+A SubspaceBasis holds its canonical rows as sparse raw pairs; other
+vectors are tuples of Scalars, and matrices Mat objects (row major).
+Sizes are desk scale (dimension a few dozen), so the classical O(n^3)
+algorithms are used without blocking tricks.
 """
 
 from __future__ import annotations
@@ -290,27 +292,7 @@ def rref_rows(field: FieldSpec, rows) -> tuple[list[tuple], list[int]]:
 
 def kernel(m: Mat) -> "SubspaceBasis":
     """Canonical basis of the right null space {v : m @ v = 0}."""
-    return kernel_raw(m.field, [raw_values(m.field, r) for r in m.rows],
-                      m.ncols)
-
-
-def kernel_raw(field: FieldSpec, work: list[list], n: int) -> "SubspaceBasis":
-    """kernel() of the matrix with n columns whose raw rows are work.
-
-    work is row-reduced in place.
-    """
-    pivots = rref_raw(field, work)
-    neg, zero, one = field.ops.neg, field.ops.zero, field.ops.one
-    basis = []
-    for f in (j for j in range(n) if j not in pivots):
-        v = [zero] * n
-        v[f] = one
-        for r, p in zip(work, pivots):
-            v[p] = neg(r[f])
-        basis.append(v)
-    rref_raw(field, basis)
-    return SubspaceBasis(field, n, [box(field, v) for v in basis],
-                         canonical=True)
+    return SubspaceBasis(m.field, m.ncols, m.rows).perp()
 
 
 # ---------------------------------------------------------------------------
@@ -463,53 +445,82 @@ def combine(field: FieldSpec, coeffs, rows) -> tuple:
 # subspaces
 # ---------------------------------------------------------------------------
 
-def _pivot_columns(rows) -> list[int]:
-    """Leading nonzero column of each canonical row."""
-    return [next(j for j, c in enumerate(r) if not c.is_zero()) for r in rows]
+def sparse_raw(ops, vals) -> tuple:
+    """The (index, raw value) pairs of the nonzero entries of a raw vector."""
+    return tuple([(i, x) for i, x in enumerate(vals) if not ops.is_zero(x)])
+
+
+def dense_raw(ops, n: int, pairs) -> list:
+    """The raw vector of length n with the (index, raw value) pairs set."""
+    out = [ops.zero] * n
+    for j, x in pairs:
+        out[j] = x
+    return out
 
 
 class SubspaceBasis:
-    """A subspace of k^n held as a canonical RREF basis (rows).
-
-    pivots holds the pivot column of each row.  The rows' entries off the
-    pivots are lifted once, at the first membership test.
+    """A subspace of k^n held as its canonical RREF basis: raw holds each
+    row as the (index, raw value) pairs of its nonzero entries, in
+    increasing index, and pivots the pivot column of each row.  rref_raw
+    builds them, or cut carries them over; rows boxes them at its first
+    read.  The entries off the pivots are lifted once, at the first
+    membership test.
     """
 
-    __slots__ = ("field", "ambient", "rows", "pivots", "_lifted")
+    __slots__ = ("field", "ambient", "raw", "pivots", "_rows", "_lifted")
 
-    def __init__(self, field: FieldSpec, ambient: int, rows, *, canonical: bool = False):
-        rows = [tuple(r) for r in rows]
-        for r in rows:
-            if len(r) != ambient:
-                raise ShapeMismatch("basis vector length differs from ambient dimension")
-        if canonical:
-            pivots = _pivot_columns(rows)
-        else:
-            rows, pivots = rref_rows(field, rows)
-        self.field = field
-        self.ambient = ambient
-        self.rows = rows
-        self.pivots = pivots
-        self._lifted = None
+    def __init__(self, field: FieldSpec, ambient: int, vectors):
+        """The span of vectors of Scalars, unboxed once and row-reduced."""
+        vectors = [tuple(v) for v in vectors]
+        if any(len(v) != ambient for v in vectors):
+            raise ShapeMismatch("basis vector length differs from ambient dimension")
+        self._reduce(field, ambient, [raw_values(field, v) for v in vectors])
+
+    @classmethod
+    def of_raw(cls, field: FieldSpec, ambient: int, rows) -> "SubspaceBasis":
+        """The span of sparse raw rows {index: raw value}, zeros allowed."""
+        return cls.__new__(cls)._reduce(field, ambient, [
+            dense_raw(field.ops, ambient, r.items()) for r in rows])
+
+    def _reduce(self, field, ambient, work) -> "SubspaceBasis":
+        """Hold the canonical rows of the dense raw rows work."""
+        pivots = rref_raw(field, work)
+        return self._hold(field, ambient,
+                          [sparse_raw(field.ops, r) for r in work], pivots)
+
+    def _hold(self, field, ambient, raw, pivots) -> "SubspaceBasis":
+        self.field, self.ambient = field, ambient
+        self.raw, self.pivots = tuple(raw), list(pivots)
+        self._rows = self._lifted = None
+        return self
 
     @classmethod
     def full(cls, field: FieldSpec, n: int) -> "SubspaceBasis":
-        return cls(field, n, [unit_vec(field, n, i) for i in range(n)], canonical=True)
+        return cls.__new__(cls)._hold(
+            field, n, [((i, field.ops.one),) for i in range(n)], range(n))
 
     @classmethod
     def zero(cls, field: FieldSpec, n: int) -> "SubspaceBasis":
-        return cls(field, n, [], canonical=True)
+        return cls.__new__(cls)._hold(field, n, (), ())
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The canonical rows as tuples of Scalars, boxed at the first read."""
+        if self._rows is None:
+            ops, n = self.field.ops, self.ambient
+            self._rows = [box(self.field, dense_raw(ops, n, r)) for r in self.raw]
+        return self._rows
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.raw)
 
     def __eq__(self, other):
         return (isinstance(other, SubspaceBasis) and self.field == other.field
-                and self.ambient == other.ambient and self.rows == other.rows)
+                and self.ambient == other.ambient and self.raw == other.raw)
 
     def __hash__(self):
-        return hash((self.ambient, tuple(self.rows)))
+        return hash((self.ambient, self.raw))
 
     def contains_vector(self, v: tuple) -> bool:
         try:
@@ -564,10 +575,9 @@ class SubspaceBasis:
         rows[k] lists the nonzero (j, lifted value) of row k off the
         pivots, and minus is -1; all lifted over one scale."""
         if self._lifted is None:
-            field, ops = self.field, self.field.ops
+            ops = self.field.ops
             index = {p: k for k, p in enumerate(self.pivots)}
-            cols = {k: {j: x for j, x in nonzero_raw(field, r) if j not in index}
-                    for k, r in enumerate(self.rows)}
+            cols = {k: dict(r[1:]) for k, r in enumerate(self.raw)}
             cols[-1] = {0: ops.neg(ops.one)}
             rows, scale = lift_columns(ops, cols)
             (_, minus), = rows.pop(-1)
@@ -575,22 +585,28 @@ class SubspaceBasis:
         return self._lifted
 
     def contains(self, other: "SubspaceBasis") -> bool:
-        return all(self.contains_vector(r) for r in other.rows)
+        self._like(other)
+        return all(self.contains_raw(dict(r)) for r in other.raw)
 
     def sum(self, other: "SubspaceBasis") -> "SubspaceBasis":
         self._like(other)
-        return SubspaceBasis(self.field, self.ambient, self.rows + other.rows)
+        return SubspaceBasis.of_raw(self.field, self.ambient,
+                                    [dict(r) for r in self.raw + other.raw])
 
     def intersect(self, other: "SubspaceBasis") -> "SubspaceBasis":
         """self cut by every functional that kills other."""
         self._like(other)
-        out = self
-        for f in other.perp().rows:
-            out = out.cut(f)
-        return out
+        return functools.reduce(SubspaceBasis._cut_raw, other.perp().raw, self)
 
     def cut(self, f: tuple) -> "SubspaceBasis":
-        """{v in self : f . v = 0}, canonical, with no elimination.
+        """{v in self : f . v = 0} for a functional f of Scalars."""
+        if len(f) != self.ambient:
+            raise ShapeMismatch("functional length differs from ambient dimension")
+        return self._cut_raw(nonzero_raw(self.field, f))
+
+    def _cut_raw(self, f) -> "SubspaceBasis":
+        """cut by the functional with nonzero (index, raw value) pairs f,
+        canonical, with no elimination.
 
         Take the last row r_k with f . r_k != 0 and clear f from every
         earlier row with it, then drop r_k.  r_k is 0 before its pivot,
@@ -598,16 +614,14 @@ class SubspaceBasis:
         so each earlier row keeps its pivot and the rows stay canonical.
         Later rows already satisfy f . r = 0.  For the same reason
         f . r_k is f at the pivot of r_k plus f against the lifted
-        entries of r_k off the pivots; the changed rows are computed on
-        raw values and boxed once.
+        entries of r_k off the pivots; the other raw rows are carried
+        over unchanged.
         """
-        if len(f) != self.ambient:
-            raise ShapeMismatch("functional length differs from ambient dimension")
-        field, ops = self.field, self.field.ops
+        ops = self.field.ops
         mul, add = ops.lmul, ops.ladd
         scale, _, rows, minus = self._lifted_rows()
         one = ops.neg(minus)  # a lift is linear: the lift of 1
-        fl, sf = lift_pairs(ops, nonzero_raw(field, f))
+        fl, sf = lift_pairs(ops, f)
         fl = dict(fl)
         vals = []
         for k, p in enumerate(self.pivots):
@@ -620,27 +634,33 @@ class SubspaceBasis:
                   if not ops.is_zero(vals[i])), None)
         if k is None:
             return self
-        inv, rk = ops.inv(vals[k]), nonzero_raw(field, self.rows[k])
-        out = list(self.rows[:k])
+        minus_inv, rk = ops.neg(ops.inv(vals[k])), dict(self.raw[k])
+        out = list(self.raw[:k])
         for i, c in enumerate(vals[:k]):
             if not ops.is_zero(c):
-                c, r = ops.mul(c, inv), raw_values(field, out[i])
-                for j, y in rk:
-                    r[j] = ops.sub(r[j], ops.mul(c, y))
-                out[i] = box(field, r)
-        out.extend(self.rows[k + 1:])
-        return SubspaceBasis(self.field, self.ambient, out, canonical=True)
+                r = dict(out[i])
+                add_scaled(ops, r, ops.mul(c, minus_inv), rk)
+                out[i] = tuple(sorted(r.items()))
+        return SubspaceBasis.__new__(SubspaceBasis)._hold(
+            self.field, self.ambient, out + list(self.raw[k + 1:]),
+            self.pivots[:k] + self.pivots[k + 1:])
 
     def perp(self) -> "SubspaceBasis":
         """Annihilator under the standard dot pairing of k^n with itself.
 
         For a subspace of H in basis coordinates this returns the
         functionals in dual-basis coordinates that kill it, and the
-        construction is its own inverse.
+        construction is its own inverse: e_j - sum_k r_k[j] e_(p_k) for
+        each column j off the pivots p_k of the rows r_k.
         """
-        if not self.rows:
-            return SubspaceBasis.full(self.field, self.ambient)
-        return kernel(Mat(self.field, self.rows, self.ambient))
+        ops, n = self.field.ops, self.ambient
+        if not self.raw:
+            return SubspaceBasis.full(self.field, n)
+        free = {j: {j: ops.one} for j in range(n) if j not in self.pivots}
+        for r, p in zip(self.raw, self.pivots):
+            for j, x in r[1:]:  # a canonical row starts at its pivot
+                free[j][p] = ops.neg(x)
+        return SubspaceBasis.of_raw(self.field, n, free.values())
 
     def _like(self, other: "SubspaceBasis"):
         if self.field != other.field or self.ambient != other.ambient:

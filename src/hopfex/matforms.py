@@ -457,10 +457,9 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
     cm, dm = cbasic.matrix, dbasic.matrix
 
     bico = h.bicomponent_subspace(ci, di, within=h1)
-    brows = bico.rows
-    nb = len(brows)
+    braw = bico.raw
+    nb = len(braw)
     ops = field.ops
-    braw = [nonzero_raw(field, b) for b in brows]
 
     cpos = [(ip, i) for ip in range(r) for i in range(r)]
     dpos = [(j, jp) for j in range(s) for jp in range(s)]
@@ -476,7 +475,7 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
             system.add(raw_pair(ops, b, d))
     comb = system.coords(h._delta_raw(nonzero_raw(field, wvec)))
     sol = box(field, [comb.get(k, ops.zero) for k in range(system.count)])
-    parts = [combine(field, sol[k * nb:(k + 1) * nb], brows) if brows
+    parts = [combine(field, sol[k * nb:(k + 1) * nb], bico.rows) if nb
              else zero_vec(field, dim) for k in range(r * r + s * s)]
     x, y = dict(zip(cpos, parts)), dict(zip(dpos, parts[r * r:]))
 

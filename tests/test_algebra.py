@@ -25,8 +25,7 @@ import pytest
 import hopfex.algebra
 import hopfex.poly
 from hopfex import GF, QQ, FieldSpec
-from hopfex.algebra import (FiniteAlgebra, _divisors, _frobenius_root,
-                            field_roots)
+from hopfex.algebra import FiniteAlgebra, _divisors, field_roots
 from hopfex.errors import (AxiomViolation, LinAlgError,
                            SplittingSearchExhausted)
 from hopfex.linalg import (Mat, SubspaceBasis, kernel, rref_rows, solve,
@@ -35,7 +34,7 @@ from hopfex.poly import char_poly
 from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
                         restricted_poly, sweedler, symmetric, taft,
                         tensor_product)
-from hopfex.scalars import raw_values
+from hopfex.scalars import Scalar, raw_values
 from lifting_cases import (F9, F13, HALF_ROOT, LIFT_FIELDS, QZ5, basis_scales,
                            dense_table, fraction_scalar, fraction_vector,
                            has_denominators, hopf_case, is_canonical,
@@ -77,6 +76,14 @@ def reference_char_poly(m):
     return poly
 
 
+def frobenius_root(c, q):
+    """The q-th root of the Scalar c (q a power of char) in a finite field."""
+    p, deg = c.field.char, c.field.degree
+    while q > 1:
+        c, q = c ** (p ** (deg - 1)), q // p
+    return c
+
+
 def reference_radical(alg):
     """Jacobson radical from full-dimension traces and char polys."""
     n = alg.dim
@@ -99,7 +106,7 @@ def reference_radical(alg):
         for v in ker.rows:
             acc = zero_vec(alg.field, n)
             for c, b in zip(v, current):
-                acc = vec_add(acc, vec_scale(_frobenius_root(c, q), b))
+                acc = vec_add(acc, vec_scale(frobenius_root(c, q), b))
             new.append(acc)
         current = list(rref_rows(alg.field, new)[0])
         q *= p
@@ -406,6 +413,37 @@ def test_restricted3_radical_reaches_the_char_poly_level(monkeypatch):
     alg = restricted_poly(3).dual_algebra()
     assert alg.radical() == reference_radical(alg)[0]
     assert calls and set(calls) == {alg.dim}
+
+
+def test_radical_chain_and_filtration_make_no_scalar(zoo, monkeypatch):
+    # the radical chain of every golden's dual, through the char-p levels
+    # too, and the perp of each power run on raw values: the subspaces
+    # hold no Scalar until their rows are read
+    made = []
+    original = Scalar.__init__
+
+    def counted(self, field, val):
+        made.append(val)
+        original(self, field, val)
+
+    levels = count_char_polys(monkeypatch)
+    chains = {}
+    for stem, h in zoo.items():
+        dual = h.dual_algebra()
+        alg = FiniteAlgebra(dual.field, dual.dim, dual.scalar_constants(),
+                            dual.unit)
+        with monkeypatch.context() as m:
+            m.setattr(Scalar, "__init__", counted)
+            chains[stem] = alg.radical_powers()
+            for power in chains[stem]:
+                power.perp()
+        assert made == [], stem
+    assert levels  # some chain went below the trace-form level
+    # the counter does see the rows being boxed
+    with monkeypatch.context() as m:
+        m.setattr(Scalar, "__init__", counted)
+        chains["taft9"][0].rows
+    assert made
 
 
 CHAR_POLY_FIELDS = [("F_2", GF(2)), ("F_5", GF(5)), ("F_7", GF(7)),
@@ -834,9 +872,9 @@ def test_lifted_kernels_match_the_scalar_references(make):
         assert all(is_canonical(field, y) for y in got.values())
     traces, form = alg.left_traces(), alg._trace_form()
     assert traces == reference_left_traces(alg)
-    assert form == reference_trace_form(alg)
-    assert all(is_canonical(field, x.val)
-               for x in itertools.chain(traces, *form.rows))
+    assert form == [dict(raw_sparse(r)) for r in reference_trace_form(alg).rows]
+    assert all(is_canonical(field, x.val) for x in traces)
+    assert all(is_canonical(field, y) for r in form for y in r.values())
 
 
 @pytest.mark.parametrize("field", [QQ, F13], ids=["Q", "F_13"])

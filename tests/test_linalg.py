@@ -334,13 +334,13 @@ def test_membership_and_cuts_do_not_row_reduce(zoo, monkeypatch):
     spaces = golden_subspaces(h)
     probes = [(s, probe_vectors(h, s), probe_functionals(h, s)) for s in spaces]
     calls = []
-    real = linalg.rref_rows
+    real = linalg.rref_raw
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(linalg, "rref_rows", counted)
+    monkeypatch.setattr(linalg, "rref_raw", counted)
     for space, vectors, functionals in probes:
         for v in vectors:
             space.contains_vector(v)
@@ -522,6 +522,62 @@ def test_rref_raw_over_q_makes_at_most_one_fraction_per_entry(monkeypatch):
 
 def sparse(field, v):
     return dict(nonzero_raw(field, v))
+
+
+# -- a subspace holds its canonical raw rows --------------------------------
+
+def check_raw_canonical(space):
+    """raw rows in increasing index, free of zeros, 1 at their pivot and 0
+    at the other pivots, with increasing pivots, and equal to the
+    reference elimination of the boxed rows."""
+    ops, pivots = space.field.ops, space.pivots
+    assert pivots == sorted(set(pivots)) and len(pivots) == len(space.raw)
+    for r, p in zip(space.raw, pivots):
+        idx = [j for j, _ in r]
+        assert idx == sorted(set(idx)) and 0 <= idx[0] and idx[-1] < space.ambient
+        assert not any(ops.is_zero(x) for _, x in r)
+        assert r[0] == (p, ops.one)
+        assert not set(idx[1:]) & set(pivots)
+        assert all(is_canonical(space.field, x) for _, x in r)
+    assert reference_rref_rows(space.rows) == (space.rows, space.pivots)
+
+
+def check_representation(space, functional, other):
+    """rows boxes raw exactly, the constructor rebuilds the space from
+    rows, and cut, sum and perp hold canonical raw rows, made before any
+    Scalar is boxed."""
+    field, n = space.field, space.ambient
+    assert all(len(r) == n for r in space.rows)
+    assert [tuple(nonzero_raw(field, r)) for r in space.rows] == list(space.raw)
+    again = SubspaceBasis(field, n, space.rows)
+    assert again == space and hash(again) == hash(space)
+    assert again.pivots == space.pivots and again.raw == space.raw
+    check_raw_canonical(space)
+    for made in (space.cut(functional), space.sum(other), space.perp()):
+        assert made is space or made._rows is None
+        check_raw_canonical(made)
+    with pytest.raises(ShapeMismatch):
+        SubspaceBasis(field, n, [zero_vec(field, n + 1)])
+
+
+def test_golden_subspaces_hold_canonical_raw_rows(zoo):
+    for stem, h in zoo.items():
+        spaces = golden_subspaces(h)
+        for space, other in zip(spaces, spaces[1:] + spaces[:1]):
+            for f in probe_functionals(h, space)[:3]:
+                check_representation(space, f, other)
+
+
+@pytest.mark.parametrize("field", RAW_FIELDS, ids=lambda f: f.describe())
+def test_random_subspaces_hold_canonical_raw_rows(field):
+    rng = random.Random(23)
+    for _ in range(15):
+        rows, _ = random_low_rank_rows(field, rng)
+        n = len(rows[0])
+        other = [[random_scalar(field, rng) for _ in range(n)] for _ in range(2)]
+        f = tuple(random_scalar(field, rng) for _ in range(n))
+        check_representation(SubspaceBasis(field, n, rows), f,
+                             SubspaceBasis(field, n, other))
 
 
 @pytest.mark.parametrize("field", RAW_FIELDS, ids=lambda f: f.describe())
