@@ -40,7 +40,7 @@ row-reduced to a basis of eA, and only those rows are multiplied by e.
 An algebra holds only its nonzero structure constants, for each (i, j)
 the (m, raw c_ij^m) in increasing m, and the same lifted (FieldOps.lift):
 over Q as integers over one denominator D.  Every product kernel
-(_product, _basis_products, tensor_mult, the trace form) is then a run
+(_product, _basis_products, _tensor_product, the trace form) is then a run
 of integer multiply-adds, normalised once per nonzero output entry by
 FieldOps.settle, instead of one gcd-normalised Fraction per term.
 
@@ -72,6 +72,7 @@ from fractions import Fraction
 
 from . import poly
 from .errors import (
+    AxiomViolation,
     LinAlgError,
     NonSplitField,
     NoSolution,
@@ -186,30 +187,46 @@ class FiniteAlgebra:
 
     def __init__(self, field: FieldSpec, dim: int, constants: dict,
                  unit: tuple, check: bool = False):
-        self.field = field
-        self.dim = dim
-        self.unit = tuple(unit)
         require_indices("multiplication", constants, dim)
-        is_zero, products = field.ops.is_zero, {}
-        for (i, j, m), c in sorted(zip(constants, raw_values(
-                field, constants.values()))):
-            if not is_zero(c):
-                products.setdefault((i, j), []).append((m, c))
-        self.constants = [[products.get((i, j), ()) for j in range(dim)]
-                          for i in range(dim)]
-        self._radical_powers: list[SubspaceBasis] | None = None
+        self._hold(field, dim, zip(constants, raw_values(
+            field, constants.values())), unit)
         if check:
             bad = self.violations()
             if bad:
                 raise LinAlgError(bad[0])
 
+    @classmethod
+    def of_raw(cls, field: FieldSpec, dim: int, constants: dict,
+               unit: tuple) -> "FiniteAlgebra":
+        """The algebra of the raw constants {(i, j, m): raw c}, indices in
+        range(dim) and zeros allowed, with the unit vector of Scalars."""
+        return cls.__new__(cls)._hold(field, dim, constants.items(), unit)
+
+    def _hold(self, field, dim, items, unit) -> "FiniteAlgebra":
+        """Hold the ((i, j, m), raw c) items as constants, zeros dropped."""
+        if len(unit) != dim:
+            raise AxiomViolation("unit vector length differs from dimension")
+        self.field, self.dim, self.unit = field, dim, tuple(unit)
+        is_zero, products = field.ops.is_zero, {}
+        for (i, j, m), c in sorted(items):
+            if not is_zero(c):
+                products.setdefault((i, j), []).append((m, c))
+        self.constants = [[products.get((i, j), ()) for j in range(dim)]
+                          for i in range(dim)]
+        self._radical_powers: list[SubspaceBasis] | None = None
+        return self
+
+    def raw_constants(self) -> dict:
+        """The nonzero constants as {(i, j, m): raw c}, in (i, j, m) order;
+        FiniteAlgebra.of_raw(field, dim, these, unit) is this algebra."""
+        return {(i, j, m): c for i, row in enumerate(self.constants)
+                for j, tij in enumerate(row) for m, c in tij}
+
     def scalar_constants(self) -> dict:
-        """The nonzero constants as {(i, j, m): Scalar}, in (i, j, m)
-        order; FiniteAlgebra(field, dim, these, unit) is this algebra."""
-        pairs = [((i, j, m), c) for i, row in enumerate(self.constants)
-                 for j, tij in enumerate(row) for m, c in tij]
-        return dict(zip([k for k, _ in pairs],
-                        box(self.field, [c for _, c in pairs])))
+        """raw_constants() boxed; FiniteAlgebra(field, dim, these, unit) is
+        this algebra."""
+        raw = self.raw_constants()
+        return dict(zip(raw, box(self.field, raw.values())))
 
     def violations(self, names=None) -> list[str]:
         """Unit-law failures, then associativity failures, one line each.
@@ -313,13 +330,6 @@ class FiniteAlgebra:
         field = self.field
         return box(field, self._dense(self._product(nonzero_raw(field, u),
                                                     nonzero_raw(field, v))))
-
-    def tensor_mult(self, a: dict, b: dict) -> dict:
-        """Sparse product on A (x) A of two {(j, k): Scalar} tensors."""
-        field = self.field
-        acc = self._tensor_product(zip(a, raw_values(field, a.values())),
-                                   zip(b, raw_values(field, b.values())))
-        return dict(zip(acc, box(field, acc.values())))
 
     def _tensor_product(self, a, b) -> dict:
         """(x(x)y)(x'(x)y') = xx'(x)yy' on the ((j, k), raw value) pairs a
@@ -823,10 +833,8 @@ class QuotientMap:
                      for b, sb in enumerate(cols)
                      for k, c in self._project_raw(
                          alg.constants[sa][sb]).items()}
-        self.algebra = FiniteAlgebra(
-            field, len(cols),
-            dict(zip(constants, box(field, constants.values()))),
-            self.project(alg.unit))
+        self.algebra = FiniteAlgebra.of_raw(field, len(cols), constants,
+                                            self.project(alg.unit))
 
     def _project_raw(self, pairs) -> dict:
         """The section coordinates {k: raw value}, with no zeros, of the
@@ -857,7 +865,7 @@ class SubalgebraMap:
         self.parent = alg
         basis = self.basis = SubspaceBasis(alg.field, alg.dim, rows)
         # a product of basis rows in the span has its coordinates at the
-        # pivots; the constants are boxed once
+        # pivots
         constants = {}
         for (a, u), (b, v) in itertools.product(enumerate(basis.raw), repeat=2):
             prod = alg._product(u, v)
@@ -865,9 +873,8 @@ class SubalgebraMap:
                 raise NoSolution("vector is not in the subspace")
             constants.update(((a, b, k), prod[p]) for k, p in
                              enumerate(basis.pivots) if p in prod)
-        self.algebra = FiniteAlgebra(
-            alg.field, basis.dim, dict(zip(constants, box(
-                alg.field, constants.values()))), self.coords(identity))
+        self.algebra = FiniteAlgebra.of_raw(alg.field, basis.dim, constants,
+                                            self.coords(identity))
 
     def coords(self, v: tuple) -> tuple:
         return self.basis.coords_of(v)

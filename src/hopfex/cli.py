@@ -177,7 +177,7 @@ def _field_extend(obj, spec: str):
 
 def _kind(obj) -> str:
     if isinstance(obj, HopfAlgebra):
-        return "Hopf algebra" if obj.antipode_mat is not None else "bialgebra"
+        return "Hopf algebra" if obj.antipode_raw is not None else "bialgebra"
     return "coalgebra"
 
 

@@ -34,9 +34,9 @@ the sum of those before it, two products each: by induction the family
 is pairwise orthogonal.
 
 Tensors in H (x) H are sparse dicts {(j, k): value} with no zeros, of
-Scalars in comul and delta_vec and of raw values elsewhere: _delta_raw
-multiplies and adds on the comultiplication table lifted once
-(FieldOps.lift) and settles once per tensor entry.
+Scalars in the comul view and delta_vec and of raw values elsewhere:
+comul_raw holds the table, and _delta_raw multiplies and adds on it
+lifted once (FieldOps.lift) and settles once per tensor entry.
 The hit actions read a functional lifted once (lift_functional); the
 coradical idempotents keep theirs (IdempotentFamily.lifted), so
 component and bicomponent_subspace do not lift them again.
@@ -64,7 +64,6 @@ from .linalg import (
     dense_raw,
     raw_pair,
     rref_raw,
-    t2_add_term,
     tensor_legs,
     unit_vec,
     vec_add,
@@ -73,8 +72,8 @@ from .linalg import (
     vec_sub,
     zero_vec,
 )
-from .scalars import (FieldSpec, Scalar, box, lift_pairs, nonzero_raw,
-                      raw_values, settle_all)
+from .scalars import (FieldSpec, Scalar, box, lift_columns, lift_pairs,
+                      nonzero_raw, raw_values, settle_all)
 
 
 def lift_functional(field: FieldSpec, f: tuple) -> tuple:
@@ -95,6 +94,15 @@ def as_scalar(field: FieldSpec, v) -> Scalar:
     if isinstance(v, Fraction):
         return field.from_fraction(v)
     raise TypeError(f"cannot coerce {v!r} to a scalar")
+
+
+def raw_table(field: FieldSpec, what: str, entries: dict, dim: int) -> dict:
+    """{key: raw value} of the nonzero entries {key: value}, each value
+    coerced once as by as_scalar; AxiomViolation for an index of a key
+    outside range(dim)."""
+    require_indices(what, entries, dim)
+    raw = {key: as_scalar(field, v).val for key, v in entries.items()}
+    return {key: c for key, c in raw.items() if not field.ops.is_zero(c)}
 
 
 # ---------------------------------------------------------------------------
@@ -185,30 +193,49 @@ class Coalgebra:
     """Coalgebra by structure constants over an exact field.
 
     comul maps (i, j, k) -> scalar with Delta(e_i) = sum e_j (x) e_k
-    weighted by that scalar; counit lists eps(e_i).  Instances are
-    immutable after construction; derived data (dual algebra, coradical
-    analysis) is computed once and cached.
+    weighted by that scalar; counit lists eps(e_i).  comul_raw[i] holds
+    Delta(e_i) as {(j, k): raw value} with no zeros; comul is its boxed
+    view.  Instances are immutable after construction; derived data
+    (dual algebra, coradical analysis) is computed once and cached.
     """
 
     def __init__(self, field: FieldSpec, names, comul, counit, name: str = ""):
-        self.field = field
-        self.names = tuple(str(n) for n in names)
-        self.dim = len(self.names)
-        self.name = name or "coalgebra"
-        if len(set(self.names)) != self.dim:
+        names = tuple(str(n) for n in names)
+        if len(set(names)) != len(names):
             raise AxiomViolation("basis names must be distinct")
-        if len(counit) != self.dim:
+        if len(counit) != len(names):
             raise AxiomViolation("counit length differs from dimension")
-        self.counit = tuple(as_scalar(field, c) for c in counit)
-        table: list[dict] = [dict() for _ in range(self.dim)]
-        require_indices("comultiplication", comul, self.dim)
-        for (i, j, k), val in comul.items():
-            s = as_scalar(field, val)
-            if not s.is_zero():
-                t2_add_term(table[i], (j, k), s)
-        self.comul = tuple(table)
-        self._dual = None
-        self._analysis = None
+        counit = tuple(as_scalar(field, c) for c in counit)
+        table = [{} for _ in names]
+        for (i, j, k), c in raw_table(field, "comultiplication", comul,
+                                      len(names)).items():
+            table[i][(j, k)] = c
+        self._hold(field, names, table, counit, name)
+
+    @classmethod
+    def of_raw(cls, field: FieldSpec, names, comul, counit,
+               name: str = "") -> "Coalgebra":
+        """The coalgebra with Delta(e_i) = comul[i], {(j, k): raw value}
+        with no zeros, and the counit vector of Scalars; the caller
+        guarantees distinct names, indices in range and lengths dim."""
+        return cls.__new__(cls)._hold(field, tuple(names), comul, counit, name)
+
+    def _hold(self, field, names, comul, counit, name) -> "Coalgebra":
+        self.field, self.names, self.dim = field, names, len(names)
+        self.name = name or "coalgebra"
+        self.comul_raw, self.counit = tuple(comul), tuple(counit)
+        self._comul = self._dual = self._analysis = None
+        return self
+
+    @property
+    def comul(self) -> tuple:
+        """Delta(e_i) as {(j, k): Scalar} for each i, boxed at first read."""
+        if self._comul is None:
+            vals = iter(box(self.field, [c for d in self.comul_raw
+                                         for c in d.values()]))
+            self._comul = tuple({key: next(vals) for key in d}
+                                for d in self.comul_raw)
+        return self._comul
 
     # -- basics -------------------------------------------------------------
 
@@ -258,12 +285,9 @@ class Coalgebra:
     def _lifted_comul(self) -> tuple:
         """(scale, lifted): lifted[i] lists the ((j, k), c) of Delta(e_i),
         every c lifted over the one scale."""
-        field = self.field
-        entries = [list(d.items()) for d in self.comul]
-        flat, scale = field.ops.lift(
-            raw_values(field, [c for e in entries for _, c in e]))
-        it = iter(flat)
-        return scale, [[(key, next(it)) for key, _ in e] for e in entries]
+        lifted, scale = lift_columns(self.field.ops,
+                                     dict(enumerate(self.comul_raw)))
+        return scale, lifted
 
     def delta_vec(self, vec) -> dict:
         """Delta(vec) as a sparse tensor {(j, k): Scalar} with no zeros."""
@@ -286,9 +310,14 @@ class Coalgebra:
         return settle_all(ops, acc, sc * scale)
 
     @functools.cached_property
+    def _eps(self) -> list:
+        """The raw values of the counit."""
+        return raw_values(self.field, self.counit)
+
+    @functools.cached_property
     def _lifted_counit(self) -> tuple:
         """(scale, lifted): the counit's values lifted over one scale."""
-        flat, scale = self.field.ops.lift(raw_values(self.field, self.counit))
+        flat, scale = self.field.ops.lift(self._eps)
         return scale, flat
 
     def _counit_raw(self, pairs):
@@ -311,7 +340,7 @@ class Coalgebra:
         todo = [i for i, c in enumerate(vec) if not c.is_zero()]
         support = set(todo)
         while todo:
-            for j, k in self.comul[todo.pop()]:
+            for j, k in self.comul_raw[todo.pop()]:
                 for m in (j, k):
                     if m not in support:
                         support.add(m)
@@ -336,7 +365,7 @@ class Coalgebra:
         if len(vec) != self.dim:
             raise ShapeMismatch(f"vector lengths {self.dim} vs {len(vec)}")
         field = self.field
-        return box(field, [self._counit_raw(nonzero_raw(field, vec))])[0]
+        return Scalar(field, self._counit_raw(nonzero_raw(field, vec)))
 
     def __repr__(self):
         return (f"<{type(self).__name__} {self.name!r} dim={self.dim} "
@@ -417,10 +446,10 @@ class Coalgebra:
     def dual_algebra(self) -> FiniteAlgebra:
         """H* with (f.g)(c) = sum f(c_(1)) g(c_(2)), on the dual basis."""
         if self._dual is None:
-            self._dual = FiniteAlgebra(
+            self._dual = FiniteAlgebra.of_raw(
                 self.field, self.dim,
-                {(j, k, i): c for i in range(self.dim)
-                 for (j, k), c in self.comul[i].items()},
+                {(j, k, i): c for i, d in enumerate(self.comul_raw)
+                 for (j, k), c in d.items()},
                 self.counit)
         return self._dual
 
@@ -457,11 +486,6 @@ class Coalgebra:
         """f harpoon-> h = sum h_(1) f(h_(2)): f eats the right tensor leg."""
         return self._box(self._hit(nonzero_raw(self.field, h),
                                    lift_functional(self.field, f), 1))
-
-    def hit_right(self, h: tuple, f: tuple) -> tuple:
-        """h <-harpoon f = sum f(h_(1)) h_(2): f eats the left tensor leg."""
-        return self._box(self._hit(nonzero_raw(self.field, h),
-                                   lift_functional(self.field, f), 0))
 
     def _hit(self, pairs, f: tuple, leg: int) -> dict:
         """sum c_i f(e_(leg)) e_(other leg) over the terms of Delta(e_i),
@@ -504,20 +528,6 @@ class Coalgebra:
         if right is not None:
             v = self._hit(v.items(), fam.lifted(right), 1)
         return v
-
-    def bicomponent_decomposition_vec(self, h: tuple) -> dict:
-        """All nonzero ^C h ^D; their sum is h."""
-        n = len(self.simple_subcoalgebras())
-        out = {}
-        total = zero_vec(self.field, self.dim)
-        for c in range(n):
-            for d in range(n):
-                v = self.component(h, left=c, right=d)
-                if not vec_is_zero(v):
-                    out[(c, d)] = v
-                    total = vec_add(total, v)
-        require(total == tuple(h), "bicomponents failed to sum back")
-        return out
 
     def bicomponent_subspace(self, left: int, right: int,
                              within: SubspaceBasis | None = None) -> SubspaceBasis:
@@ -639,8 +649,8 @@ class CoradicalAnalysis:
             else:
                 f = q.primitive_idempotent_in(z)
                 # Qf is spanned by the e_i f, the columns of R_f
-                r = SubspaceBasis(field, q.dim,
-                                  q.right_mult_mat(f).columns()).dim
+                r = SubspaceBasis.of_raw(field, q.dim, q._basis_products(
+                    nonzero_raw(field, f), False)).dim
                 if r * r != bdim:
                     raise NonSplitField(
                         f"simple block of dimension {bdim} has minimal left "
@@ -765,15 +775,13 @@ def coalgebra_amalgam(base: Coalgebra, extensions) -> Coalgebra:
         if ext.dim < db:
             raise IncompatibleBase("extension smaller than the base")
         for i in range(db):
-            if ext.comul[i] != base.comul[i] or ext.counit[i] != base.counit[i]:
+            if ext.comul_raw[i] != base.comul_raw[i] \
+                    or ext.counit[i] != base.counit[i]:
                 raise IncompatibleBase(
                     f"extension disagrees with the base on basis vector {i}")
     names = list(base.names)
-    comul: dict = {}
+    comul = list(base.comul_raw)
     counit = list(base.counit)
-    for i in range(db):
-        for (j, k), c in base.comul[i].items():
-            comul[(i, j, k)] = c
     offset = db
     taken = set(names)
     for t, ext in enumerate(extensions, start=1):
@@ -793,10 +801,10 @@ def coalgebra_amalgam(base: Coalgebra, extensions) -> Coalgebra:
             taken.add(nm)
             names.append(nm)
             counit.append(ext.counit[m])
-            for (j, k), c in ext.comul[m].items():
-                comul[(remap(m), remap(j), remap(k))] = c
+            comul.append({(remap(j), remap(k)): c
+                          for (j, k), c in ext.comul_raw[m].items()})
         offset += extra
-    out = Coalgebra(base.field, names, comul, counit,
-                    name=f"amalgam({base.name})")
+    out = Coalgebra.of_raw(base.field, names, comul, counit,
+                           name=f"amalgam({base.name})")
     out.require_valid()
     return out

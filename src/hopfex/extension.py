@@ -26,9 +26,9 @@ Inside, a vector is a sparse dict {index: raw value} and a tensor of
 H (x) H a dict {(a, b): raw value}, both free of zeros, so nothing is
 padded when the coalgebra grows and an amalgam only remaps indices.
 Values become Scalars at the edges only: graded_positive_part and
-delta_expansion box what their raw routines return, _Grower.adjoin boxes
-a new vector's constants once, extend_coalgebra boxes the witnesses and
-z, g, h, a public method that takes Scalars is given them at the call
+delta_expansion box what their raw routines return, _Grower.adjoin hands
+the raw table to Coalgebra.of_raw, extend_coalgebra boxes the witnesses
+and z, g, h, a public method that takes Scalars is given them at the call
 (find_simple_containing, SubspaceBasis.cut), and subspaces are read
 through their raw rows.
 """
@@ -326,19 +326,17 @@ class _Grower:
         require(all(ops.is_zero(coalg._counit_raw(leg.items()))
                     for legs in tensor_legs(middle) for leg in legs.values()),
                 "adjoined middle has counit-visible legs")
-        comul = {(i, j, k): c for i in range(d)
-                 for (j, k), c in coalg.comul[i].items()}
-        new = ([((d, a, d), c) for a, c in sorted(sigma.items())]
-               + [((d, d, b), c) for b, c in sorted(tau.items())]
-               + [((d, a, b), c) for (a, b), c in middle.items()])
-        comul.update(zip([key for key, _ in new],
-                         box(coalg.field, [c for _, c in new])))
+        new = ([((a, d), c) for a, c in sorted(sigma.items())]
+               + [((d, b), c) for b, c in sorted(tau.items())]
+               + list(middle.items()))
         names = list(coalg.names)
         lab = label
         while lab in names:
             lab += "'"
-        self.coalg = Coalgebra(coalg.field, names + [lab], comul,
-                               list(coalg.counit) + [0], name=coalg.name)
+        self.coalg = Coalgebra.of_raw(
+            coalg.field, names + [lab],
+            coalg.comul_raw + ({k: c for k, c in new if not ops.is_zero(c)},),
+            coalg.counit + (coalg.field.boxed_zero,), name=coalg.name)
         return d
 
 
@@ -669,7 +667,7 @@ def extend_coalgebra(coalg: Coalgebra, g: Element, h: Element, z: Element,
     require(result.names[:coalg.dim] == coalg.names,
             "extension renamed the base")
     for i in range(coalg.dim):
-        require(result.comul[i] == coalg.comul[i]
+        require(result.comul_raw[i] == coalg.comul_raw[i]
                 and result.counit[i] == coalg.counit[i],
                 "extension changed the base")
     witnesses = []

@@ -50,6 +50,7 @@ formula.  The two must agree exactly; tests rely on the redundancy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -57,19 +58,19 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import FiniteAlgebra
-from .coalgebra import Coalgebra, Element, SimpleComponent, as_scalar
+from .coalgebra import (Coalgebra, Element, SimpleComponent, as_scalar,
+                        raw_table)
 from .errors import (
-    AxiomViolation,
     HopfError,
     InputError,
     NotCosemisimple,
     ShapeMismatch,
     WitnessNotFound,
     require,
-    require_indices,
 )
 from .linalg import (
     Mat,
+    dense_raw,
     unit_vec,
     vec_add,
     vec_scale,
@@ -184,29 +185,46 @@ class HopfAlgebra(Coalgebra):
     mul maps (i, j, m) -> scalar with e_i e_j = sum c e_m; unit is the
     coefficient vector of 1; antipode, when present, maps (i, m) ->
     scalar with S(e_i) = sum c e_m.  algebra is the FiniteAlgebra of mul
-    and unit, which holds mul as its sparse constants.
+    and unit, which holds mul as its sparse constants.  antipode_raw
+    holds S as the columns {i: {m: raw value}} with no zeros, one per i,
+    or None; antipode_mat is its boxed view.
     """
 
     def __init__(self, field: FieldSpec, names, comul, counit, mul, unit,
                  antipode=None, name: str = ""):
         super().__init__(field, names, comul, counit, name=name)
-        self.unit = tuple(as_scalar(field, c) for c in unit)
-        if len(self.unit) != self.dim:
-            raise AxiomViolation("unit vector length differs from dimension")
-        self.algebra = FiniteAlgebra(
-            field, self.dim,
-            {key: as_scalar(field, val) for key, val in mul.items()},
-            self.unit)
-        if antipode is None:
-            self.antipode_mat = None
-        else:
-            require_indices("antipode", antipode, self.dim)
-            cols = [list(zero_vec(field, self.dim)) for _ in range(self.dim)]
-            for (i, m), val in antipode.items():
-                cols[i][m] = cols[i][m] + as_scalar(field, val)
-            self.antipode_mat = Mat.from_columns(
-                field, [tuple(c) for c in cols], self.dim)
-        self._integral_cache = None
+        unit = tuple(as_scalar(field, c) for c in unit)
+        algebra = FiniteAlgebra.of_raw(field, self.dim, raw_table(
+            field, "multiplication", mul, self.dim), unit)
+        cols = None
+        if antipode is not None:
+            cols = {i: {} for i in range(self.dim)}
+            for (i, m), c in raw_table(field, "antipode", antipode,
+                                       self.dim).items():
+                cols[i][m] = c
+        self._hold_product(algebra, cols)
+
+    @classmethod
+    def of_raw(cls, field: FieldSpec, names, comul, counit,
+               algebra: FiniteAlgebra, antipode=None,
+               name: str = "") -> "HopfAlgebra":
+        """Coalgebra.of_raw with the product of algebra, a FiniteAlgebra of
+        the same dimension, and antipode as antipode_raw holds it."""
+        return super().of_raw(field, names, comul, counit,
+                              name)._hold_product(algebra, antipode)
+
+    def _hold_product(self, algebra, antipode) -> "HopfAlgebra":
+        self.algebra, self.unit = algebra, algebra.unit
+        self.antipode_raw, self._antipode_mat = antipode, None
+        return self
+
+    @property
+    def antipode_mat(self) -> Mat | None:
+        """S as a Mat of Scalars, boxed at first read; None if no antipode."""
+        if self.antipode_raw is not None and self._antipode_mat is None:
+            self._antipode_mat = self.algebra._mult_mat(
+                [self.antipode_raw[i] for i in range(self.dim)])
+        return self._antipode_mat
 
     # -- products ----------------------------------------------------------
 
@@ -217,9 +235,18 @@ class HopfAlgebra(Coalgebra):
         return self.algebra.power(u, n)
 
     def antipode_vec(self, v: tuple) -> tuple:
-        if self.antipode_mat is None:
+        if self.antipode_raw is None:
             raise HopfError("no antipode on this bialgebra")
-        return self.antipode_mat.apply(v)
+        if len(v) != self.dim:
+            raise ShapeMismatch(f"apply {self.dim}x{self.dim} to length "
+                                f"{len(v)}")
+        return self._box(combination(self.field.ops, raw_values(
+            self.field, v), *self._lifted_antipode))
+
+    @functools.cached_property
+    def _lifted_antipode(self) -> tuple:
+        """(cols, scale): the columns of S lifted over one scale."""
+        return lift_columns(self.field.ops, self.antipode_raw)
 
     def one(self) -> Element:
         return Element(self, self.unit)
@@ -244,9 +271,8 @@ class HopfAlgebra(Coalgebra):
             bad.append("comultiplication of 1 is not 1(x)1")
         if self._counit_raw(unit) != ops.one:
             bad.append("counit of 1 is not 1")
-        eps = raw_values(field, self.counit)
-        comul = [list(zip(d, raw_values(field, d.values())))
-                 for d in self.comul]
+        eps = self._eps
+        comul = [list(d.items()) for d in self.comul_raw]
         for i, j in itertools.product(range(dim), repeat=2):
             prod = self.algebra.constants[i][j]
             if self._delta_raw(prod) != \
@@ -256,8 +282,8 @@ class HopfAlgebra(Coalgebra):
             if self._counit_raw(prod) != ops.mul(eps[i], eps[j]):
                 bad.append("counit is not multiplicative on "
                            f"({self.names[i]},{self.names[j]})")
-        if self.antipode_mat is not None:
-            antipode = self._columns(self.antipode_mat)
+        if self.antipode_raw is not None:
+            antipode = self.antipode_raw
             left = [self.algebra._basis_products(antipode[j].items())
                     for j in range(dim)]
             right = [self.algebra._basis_products(antipode[k].items(), False)
@@ -278,11 +304,11 @@ class HopfAlgebra(Coalgebra):
     def involutory(self) -> bool:
         """Whether S o S = id, with S(S(e_i)) read off the nonzero entries
         of the columns of S."""
-        if self.antipode_mat is None:
+        if self.antipode_raw is None:
             return False
         ops = self.field.ops
         mul, add = ops.lmul, ops.ladd
-        cols, scale = lift_columns(ops, self._columns(self.antipode_mat))
+        cols, scale = self._lifted_antipode
         for i, col in cols.items():
             acc: dict = {}
             for m, x in col:
@@ -299,22 +325,17 @@ class HopfAlgebra(Coalgebra):
         return {j: dict(nonzero_raw(field, col))
                 for j, col in enumerate(m.columns())}
 
-    def _unit_times(self, c) -> dict:
-        """c 1 for a raw value c, as {m: raw value} with no zeros."""
+    def _unit_times(self, c, pairs=None) -> dict:
+        """c v for a raw value c, as {m: raw value} with no zeros: v is 1,
+        or the vector with the nonzero (index, raw value) pairs given."""
         ops = self.field.ops
         if ops.is_zero(c):
             return {}
-        unit = nonzero_raw(self.field, self.unit)
-        return {m: ops.mul(c, u) for m, u in unit}
+        if pairs is None:
+            pairs = nonzero_raw(self.field, self.unit)
+        return {m: ops.mul(c, u) for m, u in pairs}
 
     # -- convolution and Hopf powers ---------------------------------------------
-
-    def identity_map(self) -> Mat:
-        return Mat.identity(self.field, self.dim)
-
-    def counit_unit_map(self) -> Mat:
-        cols = [vec_scale(self.counit[i], self.unit) for i in range(self.dim)]
-        return Mat.from_columns(self.field, cols, self.dim)
 
     def convolution(self, f: Mat, g: Mat) -> Mat:
         cols = self._convolve(self._columns(f), self._columns(g),
@@ -355,23 +376,11 @@ class HopfAlgebra(Coalgebra):
             out[i] = settle_all(ops, acc, scale)
         return out
 
-    def hopf_power_map(self, n: int) -> Mat:
-        """[n] = n-fold convolution power of the identity; [0] = u o eps."""
-        if n < 0:
-            raise HopfError("Hopf power maps are defined for n >= 0")
-        if n == 0:
-            return self.counit_unit_map()
-        ident = self.identity_map()
-        m = ident
-        for _ in range(n - 1):
-            m = self.convolution(m, ident)
-        return m
-
     def hopf_power(self, h, n: int):
         """h^[n]; accepts an Element or a coefficient vector.
 
         Computed on the subcoalgebra h spans (module docstring), not
-        through hopf_power_map(n).
+        through the map [n] by n - 1 convolutions.
         """
         if n < 0:
             raise HopfError("Hopf power maps are defined for n >= 0")
@@ -434,8 +443,7 @@ class HopfAlgebra(Coalgebra):
         {m: raw value} with no zeros.  The unit law (u o eps) * id = id
         on C_S is checked first.
         """
-        one = self.field.ops.one
-        eps = raw_values(self.field, self.counit)
+        one, eps = self.field.ops.one, self._eps
         ident = {i: {i: one} for i in support}
         ueps = {i: self._unit_times(eps[i]) for i in support}
         require(self._convolve(ueps, ident, support) == ident,
@@ -475,7 +483,7 @@ class HopfAlgebra(Coalgebra):
             if r in seen:
                 # a cycle that avoids u o eps: impossible when id is
                 # convolution-invertible (antipode present)
-                require(self.antipode_mat is None,
+                require(self.antipode_raw is None,
                         "convolution powers of id repeated without reaching "
                         "u o eps on a Hopf algebra")
                 steps.append(f"power {n} repeats power {seen[r]} without "
@@ -504,9 +512,9 @@ class HopfAlgebra(Coalgebra):
         asserted = False
         if self.involutory():
             # e_i vec is column i of R_vec
-            cols = self.algebra.right_mult_mat(vec).columns()
-            for i, lhs in enumerate(cols):
-                require(lhs == vec_scale(self.counit[i], vec),
+            pairs = nonzero_raw(self.field, vec)
+            for i, lhs in enumerate(self.algebra._basis_products(pairs, False)):
+                require(lhs == self._unit_times(self._eps[i], pairs),
                         "left integral property fails on an involutory Hopf "
                         "algebra")
             asserted = True
@@ -544,8 +552,10 @@ class HopfAlgebra(Coalgebra):
         if not all(h0.contains_raw(self.algebra._product(u, v))
                    for u in h0.raw for v in h0.raw):
             return False
-        return self.antipode_mat is None or all(
-            h0.contains_vector(self.antipode_vec(u)) for u in h0.rows)
+        ops = self.field.ops
+        return self.antipode_raw is None or all(h0.contains_raw(combination(
+            ops, dense_raw(ops, self.dim, u), *self._lifted_antipode))
+            for u in h0.raw)
 
     def grouplike_order(self, g, bound: int = 100000) -> int:
         vec = g.vec if isinstance(g, Element) else tuple(g)
@@ -590,7 +600,7 @@ class HopfAlgebra(Coalgebra):
         steps = []
         p = self.field.char
         cosem = self.is_cosemisimple()
-        if p == 0 and not cosem and self.antipode_mat is not None \
+        if p == 0 and not cosem and self.antipode_raw is not None \
                 and self.chevalley_check():
             w = self.nontrivial_h1_witness()
             steps.append("characteristic 0, not cosemisimple, coradical is "
@@ -602,7 +612,7 @@ class HopfAlgebra(Coalgebra):
                           "in characteristic 0: the witness has infinite "
                           "Hopf order, so no convolution power of id is "
                           "u o eps", steps=steps)
-        if p > 0 and self.antipode_mat is not None and self.is_pointed():
+        if p > 0 and self.antipode_raw is not None and self.is_pointed():
             d = 1
             for g in self.group_likes():
                 o = self.grouplike_order(g)

@@ -150,7 +150,7 @@ class MatrixOverH:
 
     def antipode(self) -> "MatrixOverH":
         s = getattr(self.parent, "antipode_vec", None)
-        if s is None or getattr(self.parent, "antipode_mat", None) is None:
+        if s is None or getattr(self.parent, "antipode_raw", None) is None:
             raise MatrixFormError("entrywise antipode needs a Hopf algebra parent")
         return MatrixOverH(self.parent,
                            [[s(x) for x in row] for row in self.entries])
@@ -310,8 +310,8 @@ def _matrix_units(analysis, comp: SimpleComponent) -> list[list[tuple]]:
     field = q.field
     r = comp.matrix_size
     # Q*f is spanned by the e_i f, the columns of R_f
-    ideal = SubspaceBasis(field, q.dim,
-                          q.right_mult_mat(comp.primitive_idempotent).columns())
+    ideal = SubspaceBasis.of_raw(field, q.dim, q._basis_products(
+        nonzero_raw(field, comp.primitive_idempotent), False))
     require(ideal.dim == r,
             "minimal left ideal dimension disagrees with block size")
     block = comp.block_rows
@@ -413,10 +413,6 @@ class PrimitiveDecomposition:
 
     def matrix(self, ip: int, jp: int) -> MatrixOverH:
         return self.matrices[ip][jp]
-
-    def all_matrices(self):
-        for row in self.matrices:
-            yield from row
 
     def __repr__(self):
         r = len(self.matrices)

@@ -455,9 +455,8 @@ def combination(ops: FieldOps, coeffs, lifted, scale) -> dict:
 
 def box(field: "FieldSpec", vals) -> tuple:
     """A tuple of Scalars of field from canonical raw values; the zeros
-    share one Scalar."""
-    is_zero = field.ops.is_zero
-    zero = Scalar(field, field.ops.zero)
+    are the field's one zero Scalar."""
+    is_zero, zero = field.ops.is_zero, field.boxed_zero
     return tuple([zero if is_zero(v) else Scalar(field, v) for v in vals])
 
 
@@ -472,10 +471,12 @@ class FieldSpec:
     with constant term first.  cyclotomic_order is a char-0 convenience:
     the modulus is then the cyclotomic polynomial of that order and the
     generator t plays the primitive root of unity.  ops is the field's
-    FieldOps table, built once here.
+    FieldOps table and boxed_zero the Scalar 0 that box shares, both
+    built once here.
     """
 
-    __slots__ = ("char", "modulus", "cyclotomic_order", "ops", "_hash")
+    __slots__ = ("char", "modulus", "cyclotomic_order", "ops", "boxed_zero",
+                 "_hash")
 
     def __init__(self, char: int = 0, modulus=None, cyclotomic_order: int | None = None):
         if char < 0 or (char > 0 and not _is_prime(char)):
@@ -510,6 +511,7 @@ class FieldSpec:
         self.modulus = modulus
         self.cyclotomic_order = cyclotomic_order
         self.ops = FieldOps(char, modulus)
+        self.boxed_zero = Scalar(self, self.ops.zero)
         self._hash = hash((char, modulus))
 
     # -- basic protocol ----------------------------------------------------

@@ -70,9 +70,6 @@ class StructureFile:
     def dim(self) -> int:
         return len(self.names)
 
-    def is_bialgebra(self) -> bool:
-        return self.mul is not None
-
     def to_object(self):
         """Build the Coalgebra or HopfAlgebra the file describes."""
         if self.mul is None:
@@ -90,23 +87,16 @@ class StructureFile:
 
 def structure_from_object(obj: Coalgebra) -> StructureFile:
     """Extract the structure constants of a coalgebra or Hopf algebra."""
-    comul = {}
-    for i in range(obj.dim):
-        for (j, k), c in obj.comul[i].items():
-            comul[(i, j, k)] = c
-    mul = None
-    unit = None
-    antipode = None
+    comul = {(i, j, k): c for i, d in enumerate(obj.comul)
+             for (j, k), c in d.items()}
+    mul = unit = antipode = None
     if isinstance(obj, HopfAlgebra):
         mul = obj.algebra.scalar_constants()
         unit = obj.unit
         if obj.antipode_mat is not None:
-            antipode = {}
-            for i in range(obj.dim):
-                col = obj.antipode_mat.column(i)
-                for m, c in enumerate(col):
-                    if not c.is_zero():
-                        antipode[(i, m)] = c
+            antipode = {(i, m): c
+                        for i, col in enumerate(obj.antipode_mat.columns())
+                        for m, c in enumerate(col) if not c.is_zero()}
     return StructureFile(obj.field, obj.names, obj.counit, comul, mul, unit,
                          antipode, name=obj.name)
 

@@ -2,13 +2,14 @@
 algebras, restricted polynomial algebras, and tensor products.
 
 Builders return HopfAlgebra values by explicit structure constants.
-The Taft builder multiplies in its own algebra: FiniteAlgebra.tensor_mult
-for the comultiplication of a monomial, FiniteAlgebra.mult for its
-antipode, so no product rule is written twice.  Nothing here is
-validated eagerly; the test suite runs check_hopf on every builder
-output, cross-checks Taft comultiplications against independently
-computed Gaussian binomial coefficients, and compares taft(n) with a
-closed-form builder that multiplies basis monomials by hand.
+The Taft builder multiplies in its own algebra, on raw values:
+FiniteAlgebra._tensor_product for the comultiplication of a monomial,
+FiniteAlgebra._product for its antipode, so no product rule is written
+twice.  Nothing here is validated eagerly; the test suite runs
+check_hopf on every builder output, cross-checks Taft
+comultiplications against independently computed Gaussian binomial
+coefficients, and compares taft(n) with a closed-form builder that
+multiplies basis monomials by hand.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from __future__ import annotations
 import itertools
 
 from .algebra import FiniteAlgebra
+from .coalgebra import as_scalar
 from .errors import FieldMismatch, HopfError
 from .hopf import HopfAlgebra
-from .linalg import unit_vec, vec_scale
-from .scalars import GF, QQ, FieldSpec, Scalar
+from .linalg import unit_vec
+from .scalars import GF, QQ, FieldSpec, Scalar, box
 
 
 # ---------------------------------------------------------------------------
@@ -109,24 +111,22 @@ def taft(n: int, field: FieldSpec, q: Scalar | None = None) -> HopfAlgebra:
 
     Basis g^a x^b at index b*n + a.  The comultiplication of a general
     monomial is computed by multiplying Delta(g)^a Delta(x)^b inside
-    H (x) H (FiniteAlgebra.tensor_mult on the constants of the two
+    H (x) H (FiniteAlgebra._tensor_product on the constants of the two
     generator rules).
     """
     if n < 2:
         raise HopfError("Taft algebras need n >= 2")
     if q is None:
         q = field.primitive_root_of_unity(n)
-    one = field.one()
+    ops, q_raw = field.ops, as_scalar(field, q).val
+    one = ops.one
+    # q^(b c) for every b, c < n, each power formed once
+    qpow = [one]
+    for _ in range((n - 1) ** 2):
+        qpow.append(ops.mul(qpow[-1], q_raw))
 
     def idx(a: int, b: int) -> int:
         return b * n + a
-
-    def mul_basis(i: int, j: int):
-        a, b = i % n, i // n
-        c, d = j % n, j // n
-        if b + d >= n:
-            return None
-        return idx((a + c) % n, b + d), q ** (b * c)
 
     names = []
     for b in range(n):
@@ -138,39 +138,30 @@ def taft(n: int, field: FieldSpec, q: Scalar | None = None) -> HopfAlgebra:
                 xb = "" if b == 0 else ("x" if b == 1 else f"x^{b}")
                 names.append(ga + xb if not (ga and xb) else f"{ga}{xb}")
     dim = n * n
-    mul = {}
-    for i in range(dim):
-        for j in range(dim):
-            hit = mul_basis(i, j)
-            if hit is not None:
-                mul[(i, j, hit[0])] = hit[1]
-    unit = unit_vec(field, dim, 0)
-    alg = FiniteAlgebra(field, dim, mul, unit)
-    dx = {(idx(0, 1), idx(0, 0)): one, (idx(1, 0), idx(0, 1)): one}
-    comul = {}
-    counit = [0] * dim
+    # (g^a x^b)(g^c x^d) = q^(b c) g^(a+c) x^(b+d)
+    mul = {(idx(a, b), idx(c, d), idx((a + c) % n, b + d)): qpow[b * c]
+           for b, a, d, c in itertools.product(range(n), repeat=4)
+           if b + d < n}
+    alg = FiniteAlgebra.of_raw(field, dim, mul, unit_vec(field, dim, 0))
+    dx = [((idx(0, 1), idx(0, 0)), one), ((idx(1, 0), idx(0, 1)), one)]
+    comul = [None] * dim
     for a in range(n):
-        for b in range(n):
-            d: dict = {(idx(a, 0), idx(a, 0)): one}
-            for _ in range(b):
-                d = alg.tensor_mult(d, dx)
-            for (j, k), c in d.items():
-                comul[(idx(a, b), j, k)] = c
-            counit[idx(a, b)] = 1 if b == 0 else 0
+        comul[a] = d = {(a, a): one}
+        for b in range(1, n):
+            comul[idx(a, b)] = d = alg._tensor_product(d.items(), dx)
+    counit = box(field, [one if i < n else ops.zero for i in range(dim)])
     # S(g) = g^(n-1), S(x) = -g^(n-1) x, extended as an antialgebra map:
     # S(g^a x^b) = S(x)^b S(g)^a
-    sg = unit_vec(field, dim, idx(n - 1, 0))
-    sx = vec_scale(-one, unit_vec(field, dim, idx(n - 1, 1)))
-    antipode = {}
-    for a in range(n):
-        for b in range(n):
-            img = alg.mult(alg.power(sx, b), alg.power(sg, a))
-            for m, c in enumerate(img):
-                if not c.is_zero():
-                    antipode[(idx(a, b), m)] = c
-    label = str(q)
-    return HopfAlgebra(field, names, comul, counit, mul, unit, antipode,
-                       name=f"T_{n * n}(q={label})")
+    sg = [(idx(n - 1, 0), one)]
+    sx = [(idx(n - 1, 1), ops.neg(one))]
+    sg_pow, sx_pow = [{0: one}], [{0: one}]
+    for _ in range(n - 1):
+        sg_pow.append(alg._product(sg_pow[-1].items(), sg))
+        sx_pow.append(alg._product(sx_pow[-1].items(), sx))
+    antipode = {idx(a, b): alg._product(sx_pow[b].items(), sg_pow[a].items())
+                for a in range(n) for b in range(n)}
+    return HopfAlgebra.of_raw(field, names, comul, counit, alg, antipode,
+                              name=f"T_{n * n}(q={q})")
 
 
 def sweedler(field: FieldSpec) -> HopfAlgebra:
@@ -212,36 +203,32 @@ def tensor_product(a: HopfAlgebra, b: HopfAlgebra) -> HopfAlgebra:
     """A (x) B with componentwise product and tensor coalgebra structure."""
     if a.field != b.field:
         raise FieldMismatch("tensor factors over different fields")
-    field = a.field
+    field, mul = a.field, a.field.ops.mul
     names = [f"{na}|{nb}" for na in a.names for nb in b.names]
 
     def idx(i: int, j: int) -> int:
         return i * b.dim + j
 
-    comul = {}
-    for i in range(a.dim):
-        for i2 in range(b.dim):
-            for (j, k), c in a.comul[i].items():
-                for (j2, k2), c2 in b.comul[i2].items():
-                    comul[(idx(i, i2), idx(j, j2), idx(k, k2))] = c * c2
+    comul = [{(idx(j, j2), idx(k, k2)): mul(c, c2)
+              for (j, k), c in da.items() for (j2, k2), c2 in db.items()}
+             for da in a.comul_raw for db in b.comul_raw]
     counit = [a.counit[i] * b.counit[j]
               for i in range(a.dim) for j in range(b.dim)]
-    b_mul = b.algebra.scalar_constants().items()
-    mul = {(idx(i, i2), idx(j, j2), idx(m, m2)): c * c2
-           for (i, j, m), c in a.algebra.scalar_constants().items()
-           for (i2, j2, m2), c2 in b_mul}
+    b_mul = b.algebra.raw_constants().items()
+    products = {(idx(i, i2), idx(j, j2), idx(m, m2)): mul(c, c2)
+                for (i, j, m), c in a.algebra.raw_constants().items()
+                for (i2, j2, m2), c2 in b_mul}
     unit = [a.unit[i] * b.unit[j] for i in range(a.dim) for j in range(b.dim)]
     antipode = None
-    if a.antipode_mat is not None and b.antipode_mat is not None:
-        b_antipode = [((i2, m2), c2)
-                      for i2, col in enumerate(b.antipode_mat.columns())
-                      for m2, c2 in enumerate(col) if c2]
-        antipode = {(idx(i, i2), idx(m, m2)): c * c2
-                    for i, col in enumerate(a.antipode_mat.columns())
-                    for m, c in enumerate(col) if c
-                    for (i2, m2), c2 in b_antipode}
-    return HopfAlgebra(field, names, comul, counit, mul, unit, antipode,
-                       name=f"{a.name} (x) {b.name}")
+    if a.antipode_raw is not None and b.antipode_raw is not None:
+        antipode = {idx(i, i2): {idx(m, m2): mul(c, c2)
+                                 for m, c in sa.items() for m2, c2 in sb.items()}
+                    for i, sa in a.antipode_raw.items()
+                    for i2, sb in b.antipode_raw.items()}
+    return HopfAlgebra.of_raw(
+        field, names, comul, counit,
+        FiniteAlgebra.of_raw(field, len(names), products, unit), antipode,
+        name=f"{a.name} (x) {b.name}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ reference_coalgebra_check is Coalgebra.check as the Scalar loop it was
 before it ran on raw values.  t2_from_pair, t2_flatten and
 tensor_square_subspace are the Scalar tensor helpers that only the tests
 use: u (x) v as a sparse tensor, its dense flattening, and V (x) W.
+tensor_mult, identity_map, counit_unit_map, hopf_power_map, hit_right
+and bicomponent_decomposition_vec are the Scalar readers of hopfex's
+raw kernels that only the tests call.
 """
 
 import functools
@@ -25,7 +28,11 @@ from fractions import Fraction
 from hopfex import GF, QQ, Coalgebra, FieldSpec
 from hopfex.algebra import FiniteAlgebra
 from hopfex.hopf import HopfAlgebra
-from hopfex.linalg import SubspaceBasis, t2_add_term, unit_vec, zero_vec
+from hopfex.coalgebra import lift_functional
+from hopfex.errors import HopfError
+from hopfex.linalg import (Mat, SubspaceBasis, t2_add_term, unit_vec, vec_add,
+                           vec_is_zero, vec_scale, zero_vec)
+from hopfex.scalars import box, nonzero_raw, raw_values
 from hopfex.zoo import dual_group_algebra, sweedler, symmetric, taft
 
 HALF_ROOT = FieldSpec(0, modulus=[Fraction(-1, 2), 0, 1])  # Q[t]/(t^2 - 1/2)
@@ -125,6 +132,55 @@ def tensor_square_subspace(v, w):
         for b in w.rows:
             rows.append(t2_flatten(field, t2_from_pair(a, b), dim))
     return SubspaceBasis(field, dim * w.ambient, rows)
+
+
+def tensor_mult(alg, a: dict, b: dict) -> dict:
+    """Sparse product on A (x) A of two {(j, k): Scalar} tensors, by the
+    raw kernel FiniteAlgebra._tensor_product."""
+    field = alg.field
+    acc = alg._tensor_product(zip(a, raw_values(field, a.values())),
+                              zip(b, raw_values(field, b.values())))
+    return dict(zip(acc, box(field, acc.values())))
+
+
+def identity_map(h) -> Mat:
+    return Mat.identity(h.field, h.dim)
+
+
+def counit_unit_map(h) -> Mat:
+    cols = [vec_scale(h.counit[i], h.unit) for i in range(h.dim)]
+    return Mat.from_columns(h.field, cols, h.dim)
+
+
+def hopf_power_map(h, n: int) -> Mat:
+    """[n] = n-fold convolution power of the identity; [0] = u o eps."""
+    if n < 0:
+        raise HopfError("Hopf power maps are defined for n >= 0")
+    if n == 0:
+        return counit_unit_map(h)
+    m = ident = identity_map(h)
+    for _ in range(n - 1):
+        m = h.convolution(m, ident)
+    return m
+
+
+def hit_right(c, h: tuple, f: tuple) -> tuple:
+    """h <-harpoon f = sum f(h_(1)) h_(2): f eats the left tensor leg."""
+    return c._box(c._hit(nonzero_raw(c.field, h), lift_functional(c.field, f),
+                         0))
+
+
+def bicomponent_decomposition_vec(c, h: tuple) -> dict:
+    """All nonzero ^C h ^D of c; their sum is h."""
+    n = len(c.simple_subcoalgebras())
+    out, total = {}, zero_vec(c.field, c.dim)
+    for left, right in itertools.product(range(n), repeat=2):
+        v = c.component(h, left=left, right=right)
+        if not vec_is_zero(v):
+            out[(left, right)] = v
+            total = vec_add(total, v)
+    assert total == tuple(h), "bicomponents failed to sum back"
+    return out
 
 
 def reference_coalgebra_check(c) -> list[str]:

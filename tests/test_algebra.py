@@ -39,7 +39,7 @@ from lifting_cases import (F9, F13, HALF_ROOT, LIFT_FIELDS, QZ5, basis_scales,
                            dense_table, fraction_scalar, fraction_vector,
                            has_denominators, hopf_case, is_canonical,
                            rebased_coalgebra, rescaled_algebra,
-                           rescaled_coalgebra)
+                           rescaled_coalgebra, tensor_mult)
 
 
 def reference_char_poly(m):
@@ -546,6 +546,21 @@ def test_check_raises_on_a_unit_failure():
         FiniteAlgebra(field, 2, constants, (zero, one), check=True)
 
 
+def test_unit_vector_of_the_wrong_length_is_rejected():
+    # dim 2: a unit of length 1 was once accepted with no violations, and
+    # one of length 3 made violations() raise a bare IndexError
+    field = QQ
+    one, zero = field.one(), field.zero()
+    constants = {(0, 0, 0): one, (0, 1, 1): one, (1, 0, 1): one}
+    raw = {key: c.val for key, c in constants.items()}
+    for unit in ((one,), (one, zero, one)):
+        with pytest.raises(AxiomViolation, match="unit vector length differs"):
+            FiniteAlgebra(field, 2, constants, unit)
+        with pytest.raises(AxiomViolation, match="unit vector length differs"):
+            FiniteAlgebra.of_raw(field, 2, raw, unit)
+    assert FiniteAlgebra(field, 2, constants, (one, zero)).violations() == []
+
+
 def test_check_raises_on_an_associativity_failure():
     # unital, with a^2 = b, ab = ba = a and b^2 = 0: (aa)b = bb = 0 but
     # a(ab) = aa = b
@@ -903,7 +918,7 @@ def test_lifted_kernels_make_no_field_products(field, monkeypatch):
     alg._basis_products(raw_sparse(v), False)
     alg._trace_form()
     alg.left_traces()
-    alg.tensor_mult(coalg.delta_vec(u), coalg.delta_vec(v))
+    tensor_mult(alg, coalg.delta_vec(u), coalg.delta_vec(v))
     space.coords_of(member)
     assert not space.contains_vector(other)
     assert calls == []

@@ -6,24 +6,27 @@ from fractions import Fraction
 
 import pytest
 
-from hopfex import GF, QQ, FieldSpec
-from hopfex.errors import (AxiomViolation, InvariantViolation,
+from hopfex import GF, QQ, Coalgebra, FieldSpec
+from hopfex.algebra import FiniteAlgebra
+from hopfex.errors import (AxiomViolation, FieldMismatch, InvariantViolation,
                            NotCosemisimple, ShapeMismatch)
 from hopfex.hopf import ExponentReport, HopfAlgebra
 from hopfex.linalg import (Mat, SubspaceBasis, t2_add_term, unit_vec, vec_add,
                            vec_dot, vec_scale, zero_vec)
 from hopfex.poly import MinPolySearch, min_poly_of_powers, powers_mod
 from hopfex.scalars import Scalar, box, nonzero_raw, raw_values
-from hopfex.structfile import StructureFile, structure_from_object
+from hopfex.structfile import (StructureFile, emit_structure_file,
+                               structure_from_object)
 from hopfex.zoo import (cyclic, group_algebra, restricted_poly, sweedler,
-                        symmetric, taft)
+                        symmetric, taft, tensor_product)
 
 from golden_defs import golden_objects
-from lifting_cases import (F9, LIFT_FIELDS, QZ5, basis_scales, dense_table,
-                           fraction_scalar, fraction_vector,
-                           has_denominators, hopf_case,
-                           is_canonical, reference_coalgebra_check,
-                           rescaled_hopf, rescaled_vector, t2_from_pair)
+from lifting_cases import (F9, LIFT_FIELDS, QZ5, basis_scales,
+                           counit_unit_map, dense_table, fraction_scalar,
+                           fraction_vector, has_denominators, hopf_case,
+                           hopf_power_map, identity_map, is_canonical,
+                           reference_coalgebra_check, rescaled_hopf,
+                           rescaled_vector, t2_from_pair, tensor_mult)
 
 
 def test_hopf_axioms_pass_on_zoo(zoo):
@@ -49,9 +52,9 @@ def test_antipode_indices_out_of_range_are_rejected():
 def test_antipode_is_convolution_inverse(zoo):
     for stem, obj in zoo.items():
         s = obj.antipode_mat
-        ue = obj.counit_unit_map()
-        assert obj.convolution(s, obj.identity_map()) == ue, stem
-        assert obj.convolution(obj.identity_map(), s) == ue, stem
+        ue = counit_unit_map(obj)
+        assert obj.convolution(s, identity_map(obj)) == ue, stem
+        assert obj.convolution(identity_map(obj), s) == ue, stem
 
 
 def test_involutory_flags(zoo):
@@ -73,7 +76,7 @@ def test_hopf_power_low_cases(zoo):
 def test_hopf_power_maps_compose_by_convolution(zoo):
     for stem in ("kS3", "sweedler", "taft9", "restricted3"):
         h = zoo[stem]
-        maps = [h.hopf_power_map(n) for n in range(9)]
+        maps = [hopf_power_map(h, n) for n in range(9)]
         for m in range(5):
             for n in range(5):
                 assert h.convolution(maps[m], maps[n]) == maps[m + n], stem
@@ -93,10 +96,10 @@ def test_group_algebra_exponents():
         rep = h.exponent()
         assert rep.kind == "finite" and rep.n == want
         # directly: [want] is the counit-unit map, no smaller power is
-        ue = h.counit_unit_map()
-        assert h.hopf_power_map(want) == ue
+        ue = counit_unit_map(h)
+        assert hopf_power_map(h, want) == ue
         for n in range(1, want):
-            assert h.hopf_power_map(n) != ue
+            assert hopf_power_map(h, n) != ue
 
 
 def test_dual_group_algebra_exponent_matches_group(zoo):
@@ -128,10 +131,10 @@ def test_char_zero_infinite_order_classifier(zoo):
         assert rep.criterion
         w = h.element(rep.witness)
         ue = vec_scale(w.eps(), h.one().vec)
-        acc = h.identity_map()
+        acc = identity_map(h)
         for n in range(1, 201):
             assert acc.apply(w.vec) != ue, (stem, n)
-            acc = h.convolution(acc, h.identity_map())
+            acc = h.convolution(acc, identity_map(h))
 
 
 def test_plain_exponent_iteration_exceeds_cap(zoo):
@@ -145,16 +148,16 @@ def test_char_p_classifier_bounds():
     assert rep.kind == "bounded"
     assert rep.bound == 6  # lcm of group-like orders times p^(e+1) = 2*3
     assert rep.n is not None and rep.n <= 6
-    assert h.hopf_power_map(rep.n) == h.counit_unit_map()
+    assert hopf_power_map(h, rep.n) == counit_unit_map(h)
 
     t = taft(3, GF(7))
     rep = t.classify_exponent()
     assert rep.kind == "bounded"
     assert rep.bound == 21  # d = 3 group-like order, depth 2 < 7, so 3*7
     assert rep.n is not None and rep.n <= 21
-    assert t.hopf_power_map(rep.n) == t.counit_unit_map()
+    assert hopf_power_map(t, rep.n) == counit_unit_map(t)
     for n in range(1, rep.n):
-        assert t.hopf_power_map(n) != t.counit_unit_map()
+        assert hopf_power_map(t, n) != counit_unit_map(t)
 
 
 def test_exponent_outcome_stable_under_field_extension():
@@ -251,8 +254,8 @@ def reference_exponent(h, cap: int) -> ExponentReport:
     One convolution per power: the exponent loop as it stood before it
     moved into k[x]/(mu), kept as the oracle for HopfAlgebra.exponent.
     """
-    ueps = h.counit_unit_map()
-    ident = h.identity_map()
+    ueps = counit_unit_map(h)
+    ident = identity_map(h)
     m = ident
     seen: dict = {}
     steps = [f"iterating convolution powers of id up to cap {cap}"]
@@ -276,11 +279,12 @@ def outcome(rep: ExponentReport):
     return rep.kind, rep.n, rep.cap, rep.steps
 
 
-def idempotent_monoid():
-    """The bialgebra k{1, z} with z^2 = z and Delta z = z (x) z; no antipode."""
+def idempotent_monoid(antipode=None):
+    """The bialgebra k{1, z} with z^2 = z and Delta z = z (x) z; no
+    antipode unless one is given."""
     return HopfAlgebra(QQ, ["1", "z"], {(0, 0, 0): 1, (1, 1, 1): 1}, [1, 1],
                        {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1,
-                        (1, 1, 1): 1}, [1, 0], name="monoid")
+                        (1, 1, 1): 1}, [1, 0], antipode, name="monoid")
 
 
 def test_exponent_matches_matrix_loop_on_goldens(zoo):
@@ -305,8 +309,8 @@ def test_exponent_reports_a_repeat_on_a_bialgebra():
 
 
 def test_exponent_repeat_on_a_hopf_algebra_is_an_invariant_violation():
-    h = idempotent_monoid()
-    h.antipode_mat = Mat.identity(QQ, 2)  # not an antipode: S(z) z != 1
+    # the identity is not an antipode: S(z) z != 1
+    h = idempotent_monoid({(0, 0): 1, (1, 1): 1})
     with pytest.raises(InvariantViolation):
         h.exponent(10)
 
@@ -364,7 +368,7 @@ def reference_hopf_order(h, vec, cap):
     spans, kept as its oracle.
     """
     target = vec_scale(h.counit_vec(vec), h.unit)
-    ident = h.identity_map()
+    ident = identity_map(h)
     m = ident
     for n in range(1, cap + 1):
         if m.apply(vec) == target:
@@ -375,8 +379,8 @@ def reference_hopf_order(h, vec, cap):
 
 def power_maps(h, last):
     """[0], [1], ..., [last] as matrices, one convolution each past [1]."""
-    ident = h.identity_map()
-    maps = [h.counit_unit_map(), ident]
+    ident = identity_map(h)
+    maps = [counit_unit_map(h), ident]
     while len(maps) <= last:
         maps.append(h.convolution(maps[-1], ident))
     return maps
@@ -617,7 +621,8 @@ def test_tensor_mult_is_the_componentwise_product(zoo):
         for _ in range(3):
             a = h.comul[rng.randrange(h.dim)]
             b = h.comul[rng.randrange(h.dim)]
-            assert h.algebra.tensor_mult(a, b) == reference_t2_mul(h, a, b), stem
+            assert tensor_mult(h.algebra, a, b) == \
+                reference_t2_mul(h, a, b), stem
 
 
 # -- the Hopf layer on raw values against its Scalar references -------------
@@ -727,8 +732,8 @@ raw_hopf_cases = pytest.mark.parametrize(
 @raw_hopf_cases
 def test_id_powers_match_the_boxed_convolution_powers(make):
     for h in with_rescaling(make)[:2]:
-        ident = h.identity_map()
-        want = h.counit_unit_map()
+        ident = identity_map(h)
+        want = counit_unit_map(h)
         search = ReferenceMinPolySearch(h.field)
         mu = None
         for n, cols in enumerate(h._id_powers(range(h.dim))):
@@ -738,7 +743,7 @@ def test_id_powers_match_the_boxed_convolution_powers(make):
             last = mu is not None and n == len(mu)  # n = deg mu + 1
             # hopf_power_map(n) makes n - 1 convolutions from scratch
             if n <= 1 or last:
-                assert h.hopf_power_map(n) == want, (h.name, n)
+                assert hopf_power_map(h, n) == want, (h.name, n)
             if last:
                 break
             if mu is None:
@@ -747,7 +752,7 @@ def test_id_powers_match_the_boxed_convolution_powers(make):
         # the public convolution, with denominators on both sides
         s = h.antipode_mat
         assert h.convolution(want, s) == reference_convolution(h, want, s)
-        assert h.convolution(s, ident) == h.counit_unit_map() == \
+        assert h.convolution(s, ident) == counit_unit_map(h) == \
             h.convolution(ident, s)
 
 
@@ -841,7 +846,7 @@ def test_hopf_power_path_does_no_scalar_arithmetic(zoo, monkeypatch):
         assert h.hopf_order(vec, 64) == order
     assert calls == []
     # the counter does see the Scalar convolution the kernel replaced
-    reference_convolution(h, h.identity_map(), h.identity_map())
+    reference_convolution(h, identity_map(h), identity_map(h))
     assert "__mul__" in calls and "__add__" in calls
 
 
@@ -887,3 +892,72 @@ def test_char0_extension_arithmetic_makes_no_fraction(zoo, monkeypatch):
     # the counter does see Fraction arithmetic
     Fraction(1, 3) + Fraction(1, 6)
     assert len(made) >= 2
+
+
+# -- the raw tables and their boxed views -------------------------------------
+
+STEMS = [stem for stem, _ in golden_objects()]
+
+
+def raw_rebuild(obj):
+    """obj built again through the raw entries, from its raw tables."""
+    if not isinstance(obj, HopfAlgebra):
+        return Coalgebra.of_raw(obj.field, obj.names, obj.comul_raw,
+                                obj.counit, name=obj.name)
+    alg = FiniteAlgebra.of_raw(obj.field, obj.dim,
+                               obj.algebra.raw_constants(), obj.unit)
+    return HopfAlgebra.of_raw(obj.field, obj.names, obj.comul_raw, obj.counit,
+                              alg, obj.antipode_raw, name=obj.name)
+
+
+def public_views(obj):
+    """Everything a caller reads of obj's structure, boxed."""
+    sf = structure_from_object(obj)
+    return (obj.comul, obj.counit, obj.unit, obj.antipode_mat,
+            obj.algebra.scalar_constants(), emit_structure_file(sf))
+
+
+@pytest.mark.parametrize("stem", STEMS + ["sweedler (x) kS3"])
+def test_public_and_raw_constructors_give_the_same_views(stem, zoo):
+    obj = zoo.get(stem) or tensor_product(zoo["sweedler"],
+                                          group_algebra(symmetric(3), QQ))
+    # the public constructor, given the boxed views, and of_raw, given
+    # the raw tables, build the same object
+    public = structure_from_object(obj).to_object()
+    raw = raw_rebuild(obj)
+    assert public_views(public) == public_views(obj) == public_views(raw)
+    assert public.comul_raw == obj.comul_raw == raw.comul_raw
+    assert public.antipode_raw == obj.antipode_raw == raw.antipode_raw
+    assert public.algebra.constants == raw.algebra.constants
+    coalgebra = Coalgebra(obj.field, obj.names, structure_from_object(
+        obj).comul, obj.counit, name=obj.name)
+    assert coalgebra.comul == Coalgebra.of_raw(
+        obj.field, obj.names, obj.comul_raw, obj.counit).comul == obj.comul
+
+
+def test_public_constructors_still_coerce_and_reject_their_input():
+    f3, half = GF(3), Fraction(1, 2)
+    # ints, Fractions and Scalars of the field are coerced once
+    h = HopfAlgebra(QQ, ["1", "z"], {(0, 0, 0): 1, (1, 1, 1): QQ.one()},
+                    [half, 1], {(0, 0, 0): 1, (0, 1, 1): half}, [1, 0],
+                    {(0, 0): Fraction(2), (1, 1): 0})
+    assert h.comul_raw == ({(0, 0): 1}, {(1, 1): 1})
+    assert h.counit == (QQ.from_fraction(half), QQ.one())
+    assert h.algebra.constants[0][1] == [(1, half)]
+    assert h.antipode_raw == {0: {0: 2}, 1: {}}
+    good = dict(field=QQ, names=["1"], comul={(0, 0, 0): 1}, counit=[1],
+                mul={(0, 0, 0): 1}, unit=[1], antipode={(0, 0): 1})
+    for bad, error in ((f3.one(), FieldMismatch), (1.0, TypeError)):
+        for key in ("comul", "counit", "mul", "unit", "antipode"):
+            args = dict(good)
+            table = args[key]
+            args[key] = [bad] if isinstance(table, list) else \
+                dict.fromkeys(table, bad)
+            with pytest.raises(error):
+                HopfAlgebra(**args)
+            if key in ("comul", "counit"):
+                del args["mul"], args["unit"], args["antipode"]
+                with pytest.raises(error):
+                    Coalgebra(**args)
+    with pytest.raises(FieldMismatch):
+        FiniteAlgebra(QQ, 1, {(0, 0, 0): f3.one()}, (QQ.one(),))

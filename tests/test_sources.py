@@ -83,3 +83,33 @@ def test_extension_runs_on_raw_vectors():
     defined = {node.name for node in linalg.body
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"t2_add", "t2_sub", "t2_scale"}
+
+
+def called_names(node):
+    """The names of the functions and methods called inside node."""
+    return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, (ast.Name, ast.Attribute))}
+
+
+def method(tree, cls, name):
+    owner = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == cls)
+    return next(node for node in owner.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_structure_tables_reach_of_raw_unboxed():
+    # the builders hand raw tables to of_raw: none reads the boxed
+    # product table or boxes constants only to have them unboxed again
+    zoo = ast.parse((SRC / "zoo.py").read_text())
+    assert "scalar_constants" not in called_names(zoo)
+    for path, cls, name in (("algebra.py", "QuotientMap", "__init__"),
+                            ("algebra.py", "SubalgebraMap", "__init__"),
+                            ("extension.py", "_Grower", "adjoin")):
+        tree = ast.parse((SRC / path).read_text())
+        assert "box" not in called_names(method(tree, cls, name)), (cls, name)
+    coalgebra = ast.parse((SRC / "coalgebra.py").read_text())
+    imported = {a.name for node in ast.walk(coalgebra)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "t2_add_term" not in imported

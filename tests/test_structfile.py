@@ -6,6 +6,7 @@ from golden_defs import golden_objects
 from hopfex import GF
 from hopfex.errors import (DuplicateEntry, IndexOutOfRange, ScalarParseError,
                            StructureFileError)
+from hopfex.scalars import Scalar
 from hopfex.structfile import (HEADER, emit_structure_file,
                                parse_structure_file, structure_from_object)
 from lifting_cases import dense_table
@@ -37,9 +38,39 @@ def test_golden_objects_rebuild_and_validate(stem, zoo, golden_dir):
     assert obj.field == want.field
     assert obj.comul == want.comul
     assert obj.counit == want.counit
-    assert sf.is_bialgebra()
+    assert sf.mul is not None
     assert dense_table(obj.algebra) == dense_table(want.algebra)
     assert obj.check_hopf() == []
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_building_a_golden_boxes_only_its_unit(stem, golden_dir,
+                                               monkeypatch):
+    # the parser has made every Scalar: the constructor stores the tables
+    # raw and keeps the counit and unit it was given, the dual algebra
+    # makes none and the quotient by the radical boxes only its unit
+    sf = parse_structure_file((golden_dir / f"{stem}.hopf").read_text())
+    made = []
+    original = Scalar.__init__
+
+    def counted(self, field, val):
+        made.append(val)
+        original(self, field, val)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    obj = sf.to_object()
+    assert made == []
+    dual = obj.dual_algebra()
+    assert len(made) <= obj.dim
+    with monkeypatch.context() as m:
+        m.setattr(Scalar, "__init__", original)
+        radical = dual.radical()
+    del made[:]
+    dual.quotient(radical)
+    assert len(made) <= obj.dim
+    # the counter does see the boxed view being read
+    obj.comul
+    assert made
 
 
 def test_emit_is_deterministic(zoo):
@@ -58,7 +89,7 @@ def test_parse_accepts_comments_and_blank_lines():
         "counit 1\n"
         "comul 0 0 0 1\n")
     sf = parse_structure_file(text)
-    assert sf.dim == 1 and not sf.is_bialgebra()
+    assert sf.dim == 1 and sf.mul is None
     obj = sf.to_object()
     assert obj.check() == []
 
@@ -69,7 +100,7 @@ def test_parse_coalgebra_only_file(zoo, golden_dir):
     kept = [ln for ln in text.splitlines()
             if not ln.startswith(("mul ", "unit ", "antipode "))]
     sf = parse_structure_file("\n".join(kept) + "\n")
-    assert not sf.is_bialgebra()
+    assert sf.mul is None
     assert sf.to_object().check() == []
 
 
