@@ -26,7 +26,8 @@ from .extension import extend_coalgebra
 from .hopf import HopfAlgebra
 from .matforms import basic_multiplicative_matrix, is_multiplicative, \
     primitive_decompose
-from .scalars import FieldSpec
+from .linalg import dense_raw, sum_scaled
+from .scalars import FieldSpec, nonzero_raw
 from .structfile import emit_structure_file, parse_structure_file, \
     structure_from_object
 from .zoo import build_named
@@ -266,24 +267,18 @@ def _cmd_idempotents(obj, args):
             "functional": " ".join(obj.field.format(c) for c in f),
         })
     facts["idempotents"] = out
-    dual = obj.dual_algebra()
-    ok = True
-    eps_sum = None
-    for comp in simples:
-        fi = fam.functional(comp.index)
-        eps_sum = fi if eps_sum is None else tuple(
-            a + b for a, b in zip(eps_sum, fi))
-        for comp2 in simples:
-            prod = dual.mult(fi, fam.functional(comp2.index))
-            want = fi if comp.index == comp2.index else \
-                tuple(obj.field.zero() for _ in range(obj.dim))
-            if prod != want:
-                ok = False
-    if eps_sum != obj.counit:
-        ok = False
-    facts["orthonormal"] = ok
-    facts["sum_is_counit"] = eps_sum == obj.counit
-    return (0 if ok else 1), facts
+    # f_i f_j = delta_ij f_i and sum f_i = eps, on raw values
+    dual, ops = obj.dual_algebra(), obj.field.ops
+    raw = [(comp.index, dict(nonzero_raw(obj.field,
+                                         fam.functional(comp.index))))
+           for comp in simples]
+    ok = all(dual._product(fi.items(), fj.items()) == (fi if i == j else {})
+             for i, fi in raw for j, fj in raw)
+    eps_sum = sum_scaled(ops, [(ops.one, fi) for _, fi in raw])
+    sum_is_counit = dense_raw(ops, obj.dim, eps_sum.items()) == obj._eps
+    facts["orthonormal"] = ok and sum_is_counit
+    facts["sum_is_counit"] = sum_is_counit
+    return (0 if facts["orthonormal"] else 1), facts
 
 
 def _cmd_exponent(obj, args):

@@ -39,7 +39,7 @@ comul_raw holds the table, and _delta_raw multiplies and adds on it
 lifted once (FieldOps.lift) and settles once per tensor entry.
 The hit actions read a functional lifted once (lift_functional); the
 coradical idempotents keep theirs (IdempotentFamily.lifted), so
-component and bicomponent_subspace do not lift them again.
+_component_raw and bicomponent_subspace do not lift them again.
 """
 
 from __future__ import annotations
@@ -482,11 +482,6 @@ class Coalgebra:
 
     # -- hit actions ------------------------------------------------------------
 
-    def hit_left(self, f: tuple, h: tuple) -> tuple:
-        """f harpoon-> h = sum h_(1) f(h_(2)): f eats the right tensor leg."""
-        return self._box(self._hit(nonzero_raw(self.field, h),
-                                   lift_functional(self.field, f), 1))
-
     def _hit(self, pairs, f: tuple, leg: int) -> dict:
         """sum c_i f(e_(leg)) e_(other leg) over the terms of Delta(e_i),
         for the nonzero (i, raw c_i) of a vector, as {m: raw value} with
@@ -510,12 +505,6 @@ class Coalgebra:
     def _box(self, sparse: dict) -> tuple:
         """The vector of Scalars of the raw entries {m: value}."""
         return box(self.field, dense_raw(self.field.ops, self.dim, sparse.items()))
-
-    def component(self, h: tuple, left: int | None = None,
-                  right: int | None = None) -> tuple:
-        """Bicomponent ^C h ^D: left index applies h <- e_C, right e_D -> h."""
-        return self._box(self._component_raw(nonzero_raw(self.field, h),
-                                             left, right))
 
     def _component_raw(self, pairs, left: int | None = None,
                        right: int | None = None) -> dict:

@@ -27,10 +27,10 @@ H (x) H a dict {(a, b): raw value}, both free of zeros, so nothing is
 padded when the coalgebra grows and an amalgam only remaps indices.
 Values become Scalars at the edges only: graded_positive_part and
 delta_expansion box what their raw routines return, _Grower.adjoin hands
-the raw table to Coalgebra.of_raw, extend_coalgebra boxes the witnesses
-and z, g, h, a public method that takes Scalars is given them at the call
-(find_simple_containing, SubspaceBasis.cut), and subspaces are read
-through their raw rows.
+the raw table to Coalgebra.of_raw, extend_coalgebra hands the witness
+grids to MatrixOverH.of_raw and boxes z, g, h, a public method that takes
+Scalars is given them at the call (find_simple_containing,
+SubspaceBasis.cut), and subspaces are read through their raw rows.
 """
 
 from __future__ import annotations
@@ -672,8 +672,7 @@ def extend_coalgebra(coalg: Coalgebra, g: Element, h: Element, z: Element,
                 "extension changed the base")
     witnesses = []
     for grid in ext.grids:
-        mat = MatrixOverH(result, [[result._box(c) for c in row]
-                                   for row in grid])
+        mat = MatrixOverH.of_raw(result, grid)
         require(is_multiplicative(mat), "witness is not multiplicative")
         size = len(grid)
         for u in range(size):

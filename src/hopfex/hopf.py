@@ -68,14 +68,7 @@ from .errors import (
     WitnessNotFound,
     require,
 )
-from .linalg import (
-    Mat,
-    dense_raw,
-    unit_vec,
-    vec_add,
-    vec_scale,
-    zero_vec,
-)
+from .linalg import Mat, dense_raw, sum_scaled
 from .poly import MinPolySearch, min_poly_of_powers, powers_mod
 from .scalars import (FieldSpec, box, combination, lift_columns, nonzero_raw,
                       raw_values, settle_all)
@@ -501,12 +494,16 @@ class HopfAlgebra(Coalgebra):
         return self._integral_result(self.dual_algebra().left_traces())
 
     def integral_dual_basis(self) -> IntegralResult:
-        """The same integral via Lambda = sum e_i* harpoon-> e_i."""
-        acc = zero_vec(self.field, self.dim)
-        for i in range(self.dim):
-            f = unit_vec(self.field, self.dim, i)
-            acc = vec_add(acc, self.hit_left(f, f))
-        return self._integral_result(acc)
+        """The same integral via Lambda = sum e_i* harpoon-> e_i: the sum,
+        over the terms c e_j (x) e_k of every Delta(e_i) with k = i, of
+        c e_j, in one pass over comul_raw."""
+        add = self.field.ops.add
+        acc: dict = {}
+        for i, d in enumerate(self.comul_raw):
+            for (j, k), c in d.items():
+                if k == i:
+                    acc[j] = add(acc[j], c) if j in acc else c
+        return self._integral_result(self._box(acc))
 
     def _integral_result(self, vec: tuple) -> IntegralResult:
         asserted = False
@@ -528,21 +525,23 @@ class HopfAlgebra(Coalgebra):
         from .matforms import basic_multiplicative_matrix
         comps = self.simple_subcoalgebras()
         unit_comp = self.analysis().find_simple_containing(self.unit)
-        total = tuple(self.unit)
+        ops = self.field.ops
+        total = [(ops.one, nonzero_raw(self.field, self.unit))]
         terms = []
         for comp in comps:
             if comp.index == unit_comp:
                 continue
-            basic = basic_multiplicative_matrix(self, comp)
-            tr = zero_vec(self.field, self.dim)
-            for i in range(comp.matrix_size):
-                tr = vec_add(tr, basic.matrix.entry(i, i))
-            r = self.field.from_int(comp.matrix_size)
-            total = vec_add(total, vec_scale(r, tr))
-            terms.append((comp.index, comp.matrix_size, Element(self, tr)))
-        want = self.integral_dual_basis().element.vec
-        require(total == want, "trace decomposition disagrees with the integral")
-        return CosemisimpleIntegral(Element(self, total), unit_comp, terms)
+            raw = basic_multiplicative_matrix(self, comp).matrix.raw
+            tr = sum_scaled(ops, [(ops.one, raw[i][i])
+                                  for i in range(comp.matrix_size)])
+            total.append((self.field.from_int(comp.matrix_size).val, tr))
+            terms.append((comp.index, comp.matrix_size,
+                          Element(self, self._box(tr))))
+        want = self.integral_dual_basis().element
+        require(sum_scaled(ops, total) == dict(nonzero_raw(self.field,
+                                                           want.vec)),
+                "trace decomposition disagrees with the integral")
+        return CosemisimpleIntegral(want, unit_comp, terms)
 
     # -- structure tests ----------------------------------------------------------
 

@@ -9,10 +9,11 @@ eliminations of every layer call it; over Q it eliminates fraction-free
 on primitive integer rows and divides by the pivots once at the end, so
 it makes no Fraction per step.  Echelon grows
 sparse raw rows {key: raw value} one at a time and writes each new row
-over the rows added before it: solve, the minimal-polynomial search and
-the H (x) H systems of the extension and the primitive decomposition
-(keyed by pairs (a, b), never a dense dim^2 ambient) find solutions,
-coordinates and dependencies with it.
+over the rows added before it: the minimal-polynomial search, the matrix
+units and pairing of a basic multiplicative matrix and the H (x) H
+systems of the extension and the primitive decomposition (keyed by pairs
+(a, b), never a dense dim^2 ambient) find solutions, coordinates and
+dependencies with it.
 
 Once a SubspaceBasis is canonical, membership, coordinates and
 hyperplane cuts read its pivots: v lies in the span exactly when its
@@ -22,8 +23,10 @@ a sparse raw vector and reads only its nonzero entries.  The rebuild, the
 cut's f . r and combine are sums of products on rows lifted once
 (FieldOps.lift).
 
-A SubspaceBasis holds its canonical rows as sparse raw pairs; other
-vectors are tuples of Scalars, and matrices Mat objects (row major).
+Internal vectors are sparse raw dicts {index: raw value} (add_scaled,
+sum_scaled), and a SubspaceBasis holds its canonical rows as sparse raw
+pairs.  Tuples of Scalars (the vec_* helpers, combine) and Mat objects
+(row major) are the public, boxed forms.
 Sizes are desk scale (dimension a few dozen), so the classical O(n^3)
 algorithms are used without blocking tricks.
 """
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 from .errors import NoSolution, ShapeMismatch
 from .scalars import (FieldSpec, Scalar, box, combination, lift_columns,
@@ -68,34 +72,8 @@ def vec_scale(c: Scalar, a: tuple) -> tuple:
     return tuple(c * x for x in a)
 
 
-def vec_dot(a: tuple, b: tuple) -> Scalar:
-    if len(a) != len(b):
-        raise ShapeMismatch(f"vector lengths {len(a)} vs {len(b)}")
-    acc = a[0].field.zero() if a else None
-    for x, y in zip(a, b):
-        acc = acc + x * y
-    return acc
-
-
 def vec_is_zero(a: tuple) -> bool:
     return all(x.is_zero() for x in a)
-
-
-# ---------------------------------------------------------------------------
-# sparse tensors: dicts keyed by basis index pairs (or triples), kept
-# clean of explicit zeros, so dict equality is tensor equality
-# ---------------------------------------------------------------------------
-
-def t2_add_term(acc: dict, key: tuple, val: Scalar):
-    """Add val at key, keeping acc clean; keys may be pairs or triples."""
-    if key in acc:
-        s = acc[key] + val
-        if s.is_zero():
-            del acc[key]
-        else:
-            acc[key] = s
-    elif not val.is_zero():
-        acc[key] = val
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +141,17 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"matmul {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        ocols = other.columns()
-        return Mat(self.field,
-                   [tuple(vec_dot(r, c) for c in ocols) for r in self.rows], other.ncols)
+        ocols, zero = other.columns(), self.field.zero()
+        return Mat(self.field, [tuple(sum(map(operator.mul, r, c), zero)
+                                      for c in ocols) for r in self.rows],
+                   other.ncols)
 
     def apply(self, v: tuple) -> tuple:
         """Matrix times column vector."""
         if self.ncols != len(v):
             raise ShapeMismatch(f"apply {self.nrows}x{self.ncols} to length {len(v)}")
-        return tuple(vec_dot(r, v) for r in self.rows)
+        zero = self.field.zero()
+        return tuple(sum(map(operator.mul, r, v), zero) for r in self.rows)
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.field == other.field
@@ -313,6 +293,17 @@ def add_scaled(ops, acc: dict, c, row: dict):
         acc[j] = y
 
 
+def sum_scaled(ops, terms) -> dict:
+    """sum c v over the (raw value c, sparse raw vector v) of terms, as
+    {key: raw value} with no zeros; v is a dict or its (key, raw value)
+    pairs, and a zero c is skipped."""
+    acc: dict = {}
+    for c, v in terms:
+        if not ops.is_zero(c):
+            add_scaled(ops, acc, c, dict(v))
+    return acc
+
+
 def raw_pair(ops, u: list, v: list) -> dict:
     """u (x) v as {(a, b): raw value}, from the nonzero (index, raw value)
     pairs of u and v."""
@@ -364,14 +355,6 @@ class Echelon:
         self.rows = []  # (pivot, {key: raw} with one at pivot, comb)
         self.count = 0
 
-    @classmethod
-    def of_vectors(cls, field: FieldSpec, vecs) -> "Echelon":
-        """The echelon of vectors of Scalars, keyed by index."""
-        out = cls(field)
-        for v in vecs:
-            out.add(dict(nonzero_raw(field, v)))
-        return out
-
     def reduce(self, row: dict) -> tuple[dict, dict]:
         ops = self.ops
         row, comb = dict(row), {}
@@ -405,27 +388,6 @@ class Echelon:
         if remainder:
             raise NoSolution("inconsistent linear system")
         return comb
-
-
-def solve(m: Mat, b: tuple) -> tuple:
-    """One exact solution of m @ x = b (free variables zero), or NoSolution."""
-    if len(b) != m.nrows:
-        raise ShapeMismatch(f"rhs length {len(b)} vs {m.nrows} rows")
-    return solve_columns(m, Mat.from_columns(m.field, [b], m.nrows)).column(0)
-
-
-def solve_columns(m: Mat, rhs: Mat) -> Mat:
-    """Solve m @ X = rhs: each column of rhs reduced against the Echelon
-    of m's columns."""
-    if rhs.nrows != m.nrows:
-        raise ShapeMismatch(f"rhs with {rhs.nrows} rows vs {m.nrows} rows")
-    field = m.field
-    columns = Echelon.of_vectors(field, m.columns())
-    x = [[field.ops.zero] * rhs.ncols for _ in range(m.ncols)]
-    for j, b in enumerate(rhs.columns()):
-        for k, c in columns.coords(dict(nonzero_raw(field, b))).items():
-            x[k][j] = c
-    return Mat(field, [box(field, r) for r in x], rhs.ncols)
 
 
 def combine(field: FieldSpec, coeffs, rows) -> tuple:

@@ -12,6 +12,11 @@ subcoalgebras, decomposes degree-one bicomponent elements into primitive
 matrices, takes Hopf powers of multiplicative matrices, and checks the
 order bound for block upper triangular multiplicative matrices in
 positive characteristic.
+
+A matrix over H holds its entries once, as sparse raw vectors, and an
+entry of the box tensor is a sparse raw tensor {index tuple: raw value};
+products, laws and solves run on them (sum_scaled, _product, _delta_raw,
+_counit_raw, linalg.Echelon), and entries are boxed only when read.
 """
 
 from __future__ import annotations
@@ -22,11 +27,9 @@ from .errors import (DiagonalOrderViolated, FieldMismatch,
                      NotDegreeOne, NotInBicomponent, NotMultiplicative,
                      ShapeMismatch, require)
 from .hopf import pointed_exponent_bound
-from .linalg import (Echelon, Mat, SubspaceBasis, add_scaled, combine,
-                     leg_coords, raw_pair, solve_columns, t2_add_term,
-                     unit_vec, vec_add, vec_dot, vec_is_zero, vec_scale,
-                     vec_sub, zero_vec)
-from .scalars import box, nonzero_raw
+from .linalg import (Echelon, Mat, SubspaceBasis, dense_raw, leg_coords,
+                     raw_pair, sparse_raw, sum_scaled)
+from .scalars import Scalar, combination, nonzero_raw
 
 
 # ---------------------------------------------------------------------------
@@ -36,47 +39,70 @@ from .scalars import box, nonzero_raw
 class MatrixOverH:
     """Dense matrix whose entries are elements of one coalgebra.
 
-    Entries are stored as coordinate tuples; entry(i, j) returns the raw
-    vector and element(i, j) wraps it.  All arithmetic is exact.
+    raw holds each entry once, as the (index, raw value) pairs of its
+    nonzero coordinates in increasing index (the convention of
+    SubspaceBasis.raw); equality and hashing read it, and every law,
+    product and solve runs on it.  entries, and entry(i, j) on it, are
+    the coordinate tuples of Scalars, boxed at the first read;
+    element(i, j) wraps entry(i, j).  All arithmetic is exact.
     """
 
-    __slots__ = ("parent", "nrows", "ncols", "entries")
+    __slots__ = ("parent", "nrows", "ncols", "raw", "_entries")
 
     def __init__(self, parent: Coalgebra, grid):
-        rows = []
-        width = None
-        for row in grid:
-            conv = []
-            for x in row:
-                if isinstance(x, Element):
-                    if x.parent is not parent:
-                        raise FieldMismatch("matrix entry from a different coalgebra")
-                    conv.append(x.vec)
-                else:
-                    v = tuple(as_scalar(parent.field, c) for c in x)
-                    if len(v) != parent.dim:
-                        raise ShapeMismatch("entry vector length differs from dim")
-                    conv.append(v)
-            if width is None:
-                width = len(conv)
-            elif len(conv) != width:
+        """Entries are Elements of parent or coordinate vectors of int,
+        Fraction or Scalar, coerced once."""
+        field = parent.field
+
+        def coerced(x) -> tuple:
+            if isinstance(x, Element):
+                if x.parent is not parent:
+                    raise FieldMismatch("matrix entry from a different coalgebra")
+                return tuple(nonzero_raw(field, x.vec))
+            v = [as_scalar(field, c).val for c in x]
+            if len(v) != parent.dim:
+                raise ShapeMismatch("entry vector length differs from dim")
+            return sparse_raw(field.ops, v)
+
+        self._hold(parent, ([coerced(x) for x in row] for row in grid))
+
+    @classmethod
+    def of_raw(cls, parent: Coalgebra, grid) -> "MatrixOverH":
+        """The matrix of sparse raw entries, each a dict {index: raw value}
+        or its (index, raw value) pairs, with no zeros."""
+        return cls.__new__(cls)._hold(parent, [
+            [tuple(sorted(dict(x).items())) for x in row] for row in grid])
+
+    def _hold(self, parent, rows) -> "MatrixOverH":
+        """Hold the rows of raw entries, checked for shape as they come."""
+        held = []
+        for row in rows:
+            held.append(tuple(row))
+            if len(held[-1]) != len(held[0]):
                 raise ShapeMismatch("ragged matrix rows")
-            rows.append(tuple(conv))
-        if not rows or width == 0:
+        if not held or not held[0]:
             raise ShapeMismatch("empty matrix over H")
-        self.parent = parent
-        self.entries = tuple(rows)
-        self.nrows = len(rows)
-        self.ncols = width
+        self.parent, self.raw, self._entries = parent, tuple(held), None
+        self.nrows, self.ncols = len(held), len(held[0])
+        return self
 
     @classmethod
     def identity(cls, parent, n: int) -> "MatrixOverH":
         one = getattr(parent, "unit", None)
         if one is None:
             raise MatrixFormError("identity matrix needs a unit element on the parent")
-        z = zero_vec(parent.field, parent.dim)
-        return cls(parent, [[one if i == j else z for j in range(n)]
-                            for i in range(n)])
+        one = nonzero_raw(parent.field, one)
+        return cls.of_raw(parent, [[one if i == j else () for j in range(n)]
+                                   for i in range(n)])
+
+    @property
+    def entries(self) -> tuple:
+        """The entries as coordinate tuples of Scalars, boxed at the first
+        read."""
+        if self._entries is None:
+            self._entries = tuple(tuple(self.parent._box(dict(x)) for x in row)
+                                  for row in self.raw)
+        return self._entries
 
     def entry(self, i: int, j: int) -> tuple:
         return self.entries[i][j]
@@ -85,21 +111,25 @@ class MatrixOverH:
         return Element(self.parent, self.entries[i][j])
 
     def __add__(self, other: "MatrixOverH") -> "MatrixOverH":
-        self._like(other)
-        return MatrixOverH(self.parent,
-                           [[vec_add(a, b) for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.entries, other.entries)])
+        return self._plus(other, self.parent.field.ops.one)
 
     def __sub__(self, other: "MatrixOverH") -> "MatrixOverH":
+        ops = self.parent.field.ops
+        return self._plus(other, ops.neg(ops.one))
+
+    def _plus(self, other: "MatrixOverH", c) -> "MatrixOverH":
+        """self + c other, for a raw value c."""
         self._like(other)
-        return MatrixOverH(self.parent,
-                           [[vec_sub(a, b) for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.entries, other.entries)])
+        ops = self.parent.field.ops
+        return MatrixOverH.of_raw(self.parent, [
+            [sum_scaled(ops, [(ops.one, a), (c, b)]) for a, b in zip(ra, rb)]
+            for ra, rb in zip(self.raw, other.raw)])
 
     def scale(self, c) -> "MatrixOverH":
-        c = as_scalar(self.parent.field, c)
-        return MatrixOverH(self.parent,
-                           [[vec_scale(c, x) for x in row] for row in self.entries])
+        ops = self.parent.field.ops
+        c = as_scalar(self.parent.field, c).val
+        return MatrixOverH.of_raw(self.parent, [
+            [sum_scaled(ops, [(c, e)]) for e in row] for row in self.raw])
 
     def __matmul__(self, other: "MatrixOverH") -> "MatrixOverH":
         if other.parent is not self.parent:
@@ -107,21 +137,14 @@ class MatrixOverH:
         if self.ncols != other.nrows:
             raise ShapeMismatch(
                 f"matmul {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        mul = getattr(self.parent, "mul_vec", None)
-        if mul is None:
+        algebra = getattr(self.parent, "algebra", None)
+        if algebra is None:
             raise MatrixFormError("matrix product needs an algebra structure")
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for k in range(other.ncols):
-                acc = zero_vec(self.parent.field, self.parent.dim)
-                for j in range(self.ncols):
-                    a, b = self.entries[i][j], other.entries[j][k]
-                    if not (vec_is_zero(a) or vec_is_zero(b)):
-                        acc = vec_add(acc, mul(a, b))
-                row.append(acc)
-            out.append(row)
-        return MatrixOverH(self.parent, out)
+        ops = self.parent.field.ops
+        return MatrixOverH.of_raw(self.parent, [
+            [sum_scaled(ops, [(ops.one, algebra._product(a, rb[k]))
+                              for a, rb in zip(ra, other.raw) if a and rb[k]])
+             for k in range(other.ncols)] for ra in self.raw])
 
     def power(self, n: int) -> "MatrixOverH":
         if self.nrows != self.ncols:
@@ -140,27 +163,30 @@ class MatrixOverH:
     # -- entrywise structure maps ------------------------------------------------
 
     def delta(self) -> "TensorMatrix":
-        grid = [[dict(self.parent.delta_vec(x)) for x in row] for row in self.entries]
-        return TensorMatrix(self.parent, 2, grid)
+        delta = self.parent._delta_raw
+        return TensorMatrix(self.parent, 2,
+                            [[delta(x) for x in row] for row in self.raw])
 
     def counit(self) -> Mat:
-        return Mat(self.parent.field,
-                   [tuple(self.parent.counit_vec(x) for x in row)
-                    for row in self.entries])
+        field, eps = self.parent.field, self.parent._counit_raw
+        return Mat(field, [tuple(Scalar(field, eps(x)) for x in row)
+                           for row in self.raw])
 
     def antipode(self) -> "MatrixOverH":
-        s = getattr(self.parent, "antipode_vec", None)
-        if s is None or getattr(self.parent, "antipode_raw", None) is None:
+        if getattr(self.parent, "antipode_raw", None) is None:
             raise MatrixFormError("entrywise antipode needs a Hopf algebra parent")
-        return MatrixOverH(self.parent,
-                           [[s(x) for x in row] for row in self.entries])
+        ops, n = self.parent.field.ops, self.parent.dim
+        lifted = self.parent._lifted_antipode
+        return MatrixOverH.of_raw(self.parent, [
+            [combination(ops, dense_raw(ops, n, x), *lifted) for x in row]
+            for row in self.raw])
 
     def __eq__(self, other):
         return (isinstance(other, MatrixOverH) and other.parent is self.parent
-                and other.entries == self.entries)
+                and other.raw == self.raw)
 
     def __hash__(self):
-        return hash((id(self.parent), self.entries))
+        return hash((id(self.parent), self.raw))
 
     def _like(self, other: "MatrixOverH"):
         if other.parent is not self.parent:
@@ -178,42 +204,37 @@ class MatrixOverH:
 class TensorMatrix:
     """Matrix whose entries live in a tensor power of the parent.
 
-    Entries are zero-free dicts mapping basis index tuples of length
-    `depth` to scalars; Element.delta() dicts plug in directly at depth 2.
+    raw holds each entry as a zero-free dict mapping basis index tuples
+    of length depth to raw values; the _delta_raw dicts of the entries
+    plug in directly at depth 2.
     """
 
-    __slots__ = ("parent", "depth", "nrows", "ncols", "entries")
+    __slots__ = ("parent", "depth", "nrows", "ncols", "raw")
 
     def __init__(self, parent: Coalgebra, depth: int, grid):
         self.parent = parent
         self.depth = depth
-        self.entries = tuple(tuple(dict(x) for x in row) for row in grid)
-        self.nrows = len(self.entries)
-        self.ncols = len(self.entries[0]) if self.entries else 0
+        self.raw = tuple(tuple(dict(x) for x in row) for row in grid)
+        self.nrows = len(self.raw)
+        self.ncols = len(self.raw[0]) if self.raw else 0
 
     def __add__(self, other: "TensorMatrix") -> "TensorMatrix":
         if (other.parent is not self.parent or other.depth != self.depth
                 or other.nrows != self.nrows or other.ncols != self.ncols):
             raise ShapeMismatch("tensor matrices do not match")
-        grid = []
-        for ra, rb in zip(self.entries, other.entries):
-            row = []
-            for a, b in zip(ra, rb):
-                acc = dict(a)
-                for key, val in b.items():
-                    t2_add_term(acc, key, val)
-                row.append(acc)
-            grid.append(row)
-        return TensorMatrix(self.parent, self.depth, grid)
+        ops = self.parent.field.ops
+        return TensorMatrix(self.parent, self.depth, [
+            [sum_scaled(ops, [(ops.one, a), (ops.one, b)])
+             for a, b in zip(ra, rb)] for ra, rb in zip(self.raw, other.raw)])
 
     def __eq__(self, other):
         return (isinstance(other, TensorMatrix) and other.parent is self.parent
-                and other.depth == self.depth and other.entries == self.entries)
+                and other.depth == self.depth and other.raw == self.raw)
 
     def __hash__(self):
         return hash((id(self.parent), self.depth,
                      tuple(tuple(frozenset(d.items()) for d in row)
-                           for row in self.entries)))
+                           for row in self.raw)))
 
     def __repr__(self):
         return f"TensorMatrix({self.nrows}x{self.ncols}, depth {self.depth})"
@@ -221,10 +242,9 @@ class TensorMatrix:
 
 def _tensor_grid(m) -> tuple[int, tuple]:
     if isinstance(m, TensorMatrix):
-        return m.depth, m.entries
-    grid = tuple(tuple({(i,): c for i, c in enumerate(x) if not c.is_zero()}
-                       for x in row) for row in m.entries)
-    return 1, grid
+        return m.depth, m.raw
+    return 1, tuple(tuple({(i,): c for i, c in x} for x in row)
+                    for row in m.raw)
 
 
 def mtensor(a, b) -> TensorMatrix:
@@ -236,25 +256,21 @@ def mtensor(a, b) -> TensorMatrix:
     if a.ncols != b.nrows:
         raise ShapeMismatch(
             f"box tensor {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
-    grid = []
-    for i in range(a.nrows):
-        row = []
-        for k in range(b.ncols):
-            acc: dict = {}
-            for j in range(a.ncols):
-                for ka, ca in ga[i][j].items():
-                    for kb, cb in gb[j][k].items():
-                        t2_add_term(acc, ka + kb, ca * cb)
-            row.append(acc)
-        grid.append(row)
-    return TensorMatrix(a.parent, da + db, grid)
+    ops = a.parent.field.ops
+    return TensorMatrix(a.parent, da + db, [
+        [sum_scaled(ops, [(ca, {ka + kb: cb for kb, cb in gb[j][k].items()})
+                          for j in range(a.ncols)
+                          for ka, ca in ga[i][j].items()])
+         for k in range(b.ncols)] for i in range(a.nrows)])
 
 
 def is_multiplicative(g: MatrixOverH) -> bool:
     """Delta(G) = G box G entrywise and counit(G) = I, both exact."""
     if g.nrows != g.ncols:
         raise ShapeMismatch("multiplicative matrices are square")
-    if g.counit() != Mat.identity(g.parent.field, g.nrows):
+    ops, eps = g.parent.field.ops, g.parent._counit_raw
+    if any(eps(x) != (ops.one if i == j else ops.zero)
+           for i, row in enumerate(g.raw) for j, x in enumerate(row)):
         return False
     return g.delta() == mtensor(g, g)
 
@@ -271,14 +287,9 @@ def is_primitive_matrix(w: MatrixOverH, c: MatrixOverH, d: MatrixOverH) -> bool:
 def stack_triangular(c: MatrixOverH, w: MatrixOverH,
                      d: MatrixOverH) -> MatrixOverH:
     """The (r+s) x (r+s) block matrix [[C, W], [0, D]]."""
-    parent = c.parent
-    z = zero_vec(parent.field, parent.dim)
-    grid = []
-    for i in range(c.nrows):
-        grid.append(list(c.entries[i]) + list(w.entries[i]))
-    for j in range(d.nrows):
-        grid.append([z] * c.ncols + list(d.entries[j]))
-    return MatrixOverH(parent, grid)
+    return MatrixOverH.of_raw(c.parent,
+                              [c.raw[i] + w.raw[i] for i in range(c.nrows)]
+                              + [((),) * c.ncols + row for row in d.raw])
 
 
 # ---------------------------------------------------------------------------
@@ -299,43 +310,48 @@ class BasicMultMatrix:
         return f"BasicMultMatrix(simple #{self.simple.index}, {r}x{r})"
 
 
-def _matrix_units(analysis, comp: SimpleComponent) -> list[list[tuple]]:
-    """Matrix units of the dual Wedderburn block, in quotient coordinates.
+def _matrix_units(analysis, comp: SimpleComponent) -> list[list[dict]]:
+    """Matrix units of the dual Wedderburn block, in quotient coordinates,
+    as sparse raw vectors {index: raw value}.
 
     The block acts on its minimal left ideal Q*f; expressing that action
     in a fixed ideal basis is an isomorphism onto M_r, and the units are
-    the preimages of the unit matrices.
+    the preimages of the unit matrices: the coordinates of each unit
+    vector over one Echelon of the flattened action matrices.
     """
     q = analysis.quotient.algebra
-    field = q.field
+    field, ops = q.field, q.field.ops
     r = comp.matrix_size
     # Q*f is spanned by the e_i f, the columns of R_f
     ideal = SubspaceBasis.of_raw(field, q.dim, q._basis_products(
         nonzero_raw(field, comp.primitive_idempotent), False))
     require(ideal.dim == r,
             "minimal left ideal dimension disagrees with block size")
-    block = comp.block_rows
+    block = [nonzero_raw(field, b) for b in comp.block_rows]
     require(len(block) == r * r, "block basis size disagrees with matrix size")
-    action_cols = []
+    action = Echelon(field)
     for b in block:
-        m = Mat.from_columns(field, [ideal.coords_of(q.mult(b, l))
-                                     for l in ideal.rows], r)
-        action_cols.append(tuple(m.rows[u][v] for u in range(r) for v in range(r)))
-    p = Mat.from_columns(field, action_cols, r * r)
-    coeffs = solve_columns(p, Mat.identity(field, r * r))
-    units = [[combine(field, coeffs.column(u * r + v), block)
-              for v in range(r)] for u in range(r)]
+        # b l_v has its coordinates over the ideal basis at the pivots
+        col = {}
+        for v, l in enumerate(ideal.raw):
+            prod = q._product(b, l)
+            if not ideal.contains_raw(prod):
+                raise NoSolution("vector is not in the subspace")
+            col.update((u * r + v, prod[p])
+                       for u, p in enumerate(ideal.pivots) if p in prod)
+        action.add(col)
+    units = [[sum_scaled(ops, [(c, block[t]) for t, c in action.coords(
+        {u * r + v: ops.one}).items()]) for v in range(r)] for u in range(r)]
     for u in range(r):
         for v in range(r):
             for up in range(r):
                 for vp in range(r):
-                    prod = q.mult(units[u][v], units[up][vp])
-                    want = units[u][vp] if v == up else zero_vec(field, q.dim)
-                    require(prod == tuple(want), "matrix unit relations fail")
-    total = zero_vec(field, q.dim)
-    for k in range(r):
-        total = vec_add(total, units[k][k])
-    require(tuple(total) == tuple(comp.central_idempotent),
+                    prod = q._product(units[u][v].items(),
+                                      units[up][vp].items())
+                    want = units[u][vp] if v == up else {}
+                    require(prod == want, "matrix unit relations fail")
+    total = sum_scaled(ops, [(ops.one, units[k][k]) for k in range(r)])
+    require(total == dict(nonzero_raw(field, comp.central_idempotent)),
             "matrix units do not sum to the central idempotent")
     return units
 
@@ -357,33 +373,36 @@ def basic_multiplicative_matrix(h: Coalgebra,
     if simple.index in cache:
         return cache[simple.index]
     comp = analysis.simples()[simple.index]
-    field = h.field
+    field, ops = h.field, h.field.ops
     r = comp.matrix_size
-    units = _matrix_units(analysis, comp)
-    lifted = [[analysis.quotient.lift(units[u][v]) for v in range(r)]
-              for u in range(r)]
-    crows = comp.subspace.rows
-    pairing = Mat(field, [tuple(vec_dot(lifted[u][v], c) for c in crows)
-                          for u in range(r) for v in range(r)])
+    # unit uv pairs with row c_t of the simple as sum_j c_tj unit_uv[j],
+    # the unit written at the section columns of H*: column t of the
+    # pairing sums c_tj {uv: unit_uv[j]}
+    section, at = analysis.quotient.section_cols, {}
+    units = [u for row in _matrix_units(analysis, comp) for u in row]
+    for uv, unit in enumerate(units):
+        for k, x in unit.items():
+            at.setdefault(section[k], {})[uv] = x
+    crows = comp.subspace.raw
+    pairing = Echelon(field)
+    for c in crows:
+        pairing.add(sum_scaled(ops, [(x, at[j]) for j, x in c if j in at]))
+    entries = {(a, b): sum_scaled(ops, [
+        (c, crows[t]) for t, c in pairing.coords({a * r + b: ops.one}).items()])
+        for a in range(r) for b in range(r)}
     matrix = None
     for transpose in (False, True):
-        cols = []
-        for i in range(r):
-            for j in range(r):
-                a, b = (j, i) if transpose else (i, j)
-                cols.append(unit_vec(field, r * r, a * r + b))
-        coeffs = solve_columns(pairing, Mat.from_columns(field, cols, r * r))
-        cand = MatrixOverH(h, [[combine(field, coeffs.column(i * r + j), crows)
-                                for j in range(r)] for i in range(r)])
+        cand = MatrixOverH.of_raw(h, [[entries[(j, i) if transpose else (i, j)]
+                                       for j in range(r)] for i in range(r)])
         if is_multiplicative(cand):
             matrix = cand
             break
     require(matrix is not None, "no dualization orientation is multiplicative")
-    flat = [matrix.entry(i, j) for i in range(r) for j in range(r)]
-    require(SubspaceBasis(field, h.dim, flat).dim == r * r,
+    require(SubspaceBasis.of_raw(field, h.dim, [
+        dict(x) for row in matrix.raw for x in row]).dim == r * r,
             "basic matrix entries are not a basis of the simple")
     if comp.is_grouplike:
-        require(matrix.entry(0, 0) == comp.grouplike,
+        require(matrix.raw[0][0] == tuple(nonzero_raw(field, comp.grouplike)),
                 "group-like simple must recover its group-like")
     result = BasicMultMatrix(comp, matrix)
     cache[simple.index] = result
@@ -434,15 +453,16 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
     if dbasic.matrix.parent is not h:
         raise FieldMismatch("basic matrices from different coalgebras")
     field = h.field
-    dim = h.dim
+    ops = field.ops
     wvec = w.vec if isinstance(w, Element) else tuple(as_scalar(field, c) for c in w)
     analysis = h.analysis()
     filt = analysis.filtration
     h1 = filt[1] if len(filt) > 1 else filt[0]
     if not h1.contains_vector(wvec):
         raise NotDegreeOne("element lies outside filtration degree one")
+    wraw = dict(nonzero_raw(field, wvec))
     ci, di = cbasic.simple.index, dbasic.simple.index
-    if h.component(wvec, left=ci, right=di) != wvec:
+    if h._component_raw(wraw.items(), left=ci, right=di) != wraw:
         raise NotInBicomponent(
             f"element is not fixed by the ({ci}, {di}) bicomponent projection")
     same = ci == di
@@ -450,73 +470,67 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
         raise MatrixFormError(
             "decomposition over one simple must reuse one basic matrix")
     r, s = cbasic.matrix.nrows, dbasic.matrix.nrows
-    cm, dm = cbasic.matrix, dbasic.matrix
+    cm, dm = cbasic.matrix.raw, dbasic.matrix.raw
 
-    bico = h.bicomponent_subspace(ci, di, within=h1)
-    braw = bico.raw
+    braw = h.bicomponent_subspace(ci, di, within=h1).raw
     nb = len(braw)
-    ops = field.ops
 
     cpos = [(ip, i) for ip in range(r) for i in range(r)]
     dpos = [(j, jp) for j in range(s) for jp in range(s)]
     # Delta(w) over the sparse columns c_(i'i) (x) b_t, then b_t (x) d_(jj')
     system = Echelon(field)
-    for key in cpos:
-        c = nonzero_raw(field, cm.entry(*key))
+    for ip, i in cpos:
         for b in braw:
-            system.add(raw_pair(ops, c, b))
-    for key in dpos:
-        d = nonzero_raw(field, dm.entry(*key))
+            system.add(raw_pair(ops, cm[ip][i], b))
+    for j, jp in dpos:
         for b in braw:
-            system.add(raw_pair(ops, b, d))
-    comb = system.coords(h._delta_raw(nonzero_raw(field, wvec)))
-    sol = box(field, [comb.get(k, ops.zero) for k in range(system.count)])
-    parts = [combine(field, sol[k * nb:(k + 1) * nb], bico.rows) if nb
-             else zero_vec(field, dim) for k in range(r * r + s * s)]
+            system.add(raw_pair(ops, b, dm[j][jp]))
+    comb = system.coords(h._delta_raw(wraw.items()))
+    parts = [sum_scaled(ops, [(comb.get(k * nb + t, ops.zero), b)
+                              for t, b in enumerate(braw)])
+             for k in range(r * r + s * s)]
     x, y = dict(zip(cpos, parts)), dict(zip(dpos, parts[r * r:]))
 
-    remainder = zero_vec(field, dim)
-    one, eps = field.one(), h.counit_vec
+    def eps(v: dict):
+        return h._counit_raw(v.items())
+
+    one, minus_one = ops.one, ops.neg(ops.one)
+    remainder: dict = {}
     if same:
         # counit correction: push sum eps(x_i^(i') + y_(i')^(i)) c_(i'i)
         # into the remainder, then recenter every term inside ker eps
-        remainder = combine(field, [eps(x[k]) + eps(y[k]) for k in cpos],
-                            [cm.entry(*k) for k in cpos])
-        x, y = ({(ip, i): combine(field,
-                                  [one] + [-eps(x[(ip, k)]) for k in range(r)],
-                                  [x[(ip, i)]] + [cm.entry(i, k)
-                                                  for k in range(r)])
+        remainder = sum_scaled(ops, [
+            (ops.add(eps(x[(ip, i)]), eps(y[(ip, i)])), cm[ip][i])
+            for ip, i in cpos])
+        x, y = ({(ip, i): sum_scaled(ops, [(one, x[(ip, i)])] + [
+                    (ops.neg(eps(x[(ip, k)])), cm[i][k]) for k in range(r)])
                  for ip, i in cpos},
-                {(j, jp): combine(field,
-                                  [one] + [-eps(y[(l, jp)]) for l in range(s)],
-                                  [y[(j, jp)]] + [dm.entry(l, j)
-                                                  for l in range(s)])
+                {(j, jp): sum_scaled(ops, [(one, y[(j, jp)])] + [
+                    (ops.neg(eps(y[(l, jp)])), dm[l][j]) for l in range(s)])
                  for j, jp in dpos})
-    wprime = vec_sub(wvec, remainder)
+    wprime = sum_scaled(ops, [(one, wraw), (minus_one, remainder)])
 
     for v in list(x.values()) + list(y.values()):
-        require(eps(v).is_zero(), "expansion term with nonzero counit")
-    recon: dict = {}
-    for u, v in ([(cm.entry(*k), x[k]) for k in cpos]
-                 + [(y[k], dm.entry(*k)) for k in dpos]):
-        add_scaled(ops, recon, ops.one, raw_pair(ops, nonzero_raw(field, u),
-                                                 nonzero_raw(field, v)))
-    require(recon == h._delta_raw(nonzero_raw(field, wprime)),
+        require(ops.is_zero(eps(v)), "expansion term with nonzero counit")
+    recon = sum_scaled(ops, [
+        (one, raw_pair(ops, cm[ip][i], x[(ip, i)].items())) for ip, i in cpos]
+        + [(one, raw_pair(ops, y[(j, jp)].items(), dm[j][jp]))
+           for j, jp in dpos])
+    require(recon == h._delta_raw(wprime.items()),
             "expansion does not reconstruct Delta")
-    require(combine(field, [one] * r, [x[(i, i)] for i in range(r)])
-            == tuple(wprime), "diagonal expansion terms do not sum back")
+    require(sum_scaled(ops, [(one, x[(i, i)]) for i in range(r)]) == wprime,
+            "diagonal expansion terms do not sum back")
 
     # the second legs of Delta(x) - sum_k c_ik (x) x_k over the entries of D
-    dbasis = Echelon.of_vectors(field, [dm.entry(*k) for k in dpos])
-    minus_one = ops.neg(ops.one)
+    dbasis = Echelon(field)
+    for j, jp in dpos:
+        dbasis.add(dict(dm[j][jp]))
     grids = [[[[None] * s for _ in range(r)] for _ in range(s)] for _ in range(r)]
     for ip in range(r):
         for i in range(r):
-            t2 = h._delta_raw(nonzero_raw(field, x[(ip, i)]))
-            for k in range(r):
-                add_scaled(ops, t2, minus_one, raw_pair(
-                    ops, nonzero_raw(field, cm.entry(i, k)),
-                    nonzero_raw(field, x[(ip, k)])))
+            t2 = sum_scaled(ops, [(one, h._delta_raw(x[(ip, i)].items()))] + [
+                (minus_one, raw_pair(ops, cm[i][k], x[(ip, k)].items()))
+                for k in range(r)])
             try:
                 per_entry = leg_coords(dbasis, {(k, a): c for (a, k), c
                                                 in t2.items()})
@@ -525,26 +539,23 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
                     "second tensor leg escapes the target simple") from None
             for j in range(s):
                 for jp in range(s):
-                    grids[ip][jp][i][j] = h._box(per_entry[j * s + jp])
+                    grids[ip][jp][i][j] = per_entry[j * s + jp]
     matrices = []
     for ip in range(r):
         row = []
         for jp in range(s):
-            wm = MatrixOverH(h, grids[ip][jp])
-            require(is_primitive_matrix(wm, cm, dm),
+            wm = MatrixOverH.of_raw(h, grids[ip][jp])
+            require(is_primitive_matrix(wm, cbasic.matrix, dbasic.matrix),
                     "decomposition output is not primitive")
             row.append(wm)
         matrices.append(tuple(row))
     matrices = tuple(matrices)
 
-    back = remainder
-    for i in range(r):
-        for j in range(s):
-            back = vec_add(back, matrices[i][j].entry(i, j))
-    require(tuple(back) == tuple(wvec),
-            "primitive matrices do not sum back to w")
+    back = sum_scaled(ops, [(one, remainder)] + [
+        (one, matrices[i][j].raw[i][j]) for i in range(r) for j in range(s)])
+    require(back == wraw, "primitive matrices do not sum back to w")
     return PrimitiveDecomposition(Element(h, wvec), cbasic, dbasic,
-                                  matrices, Element(h, remainder))
+                                  matrices, Element(h, h._box(remainder)))
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +609,8 @@ def block_order_bound_check(z: MatrixOverH, d: int, p: int,
             f"{parent.field.char}")
     if p <= 1:
         raise MatrixFormError("order bound needs positive characteristic")
+    if d < 1:
+        raise MatrixFormError(f"diagonal order must be at least 1, got {d}")
     sizes = list(block_sizes) if block_sizes is not None else [1] * z.nrows
     if sum(sizes) != z.nrows or any(b <= 0 for b in sizes):
         raise ShapeMismatch("block sizes do not partition the matrix")
@@ -608,13 +621,13 @@ def block_order_bound_check(z: MatrixOverH, d: int, p: int,
         for bj in range(bi):
             for i in range(starts[bi], starts[bi + 1]):
                 for j in range(starts[bj], starts[bj + 1]):
-                    if not vec_is_zero(z.entry(i, j)):
+                    if z.raw[i][j]:
                         raise MatrixFormError(
                             "matrix is not upper block triangular")
     for bi in range(len(sizes)):
-        block = MatrixOverH(parent,
-                            [z.entries[i][starts[bi]:starts[bi + 1]]
-                             for i in range(starts[bi], starts[bi + 1])])
+        block = MatrixOverH.of_raw(parent, [
+            z.raw[i][starts[bi]:starts[bi + 1]]
+            for i in range(starts[bi], starts[bi + 1])])
         if block.power(d) != MatrixOverH.identity(parent, sizes[bi]):
             raise DiagonalOrderViolated(
                 f"diagonal block {bi} does not have order dividing {d}")

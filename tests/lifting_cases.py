@@ -14,9 +14,14 @@ reference_coalgebra_check is Coalgebra.check as the Scalar loop it was
 before it ran on raw values.  t2_from_pair, t2_flatten and
 tensor_square_subspace are the Scalar tensor helpers that only the tests
 use: u (x) v as a sparse tensor, its dense flattening, and V (x) W.
-tensor_mult, identity_map, counit_unit_map, hopf_power_map, hit_right
-and bicomponent_decomposition_vec are the Scalar readers of hopfex's
-raw kernels that only the tests call.
+tensor_mult, identity_map, counit_unit_map, hopf_power_map, hit_left,
+hit_right, component and bicomponent_decomposition_vec are the Scalar
+readers of hopfex's
+raw kernels that only the tests call.  vec_dot, t2_add_term, solve and
+solve_columns are the Scalar dot product, the Scalar sparse-tensor
+accumulator and the Mat solvers (each right-hand side reduced against
+one linalg.Echelon of the matrix's columns) that the tests use as
+references.
 """
 
 import functools
@@ -29,8 +34,8 @@ from hopfex import GF, QQ, Coalgebra, FieldSpec
 from hopfex.algebra import FiniteAlgebra
 from hopfex.hopf import HopfAlgebra
 from hopfex.coalgebra import lift_functional
-from hopfex.errors import HopfError
-from hopfex.linalg import (Mat, SubspaceBasis, t2_add_term, unit_vec, vec_add,
+from hopfex.errors import HopfError, ShapeMismatch
+from hopfex.linalg import (Echelon, Mat, SubspaceBasis, unit_vec, vec_add,
                            vec_is_zero, vec_scale, zero_vec)
 from hopfex.scalars import box, nonzero_raw, raw_values
 from hopfex.zoo import dual_group_algebra, sweedler, symmetric, taft
@@ -105,6 +110,51 @@ def dense_table(alg):
     return tuple(tuple(tuple(v) for v in row) for row in table)
 
 
+def vec_dot(a: tuple, b: tuple):
+    if len(a) != len(b):
+        raise ShapeMismatch(f"vector lengths {len(a)} vs {len(b)}")
+    acc = a[0].field.zero() if a else None
+    for x, y in zip(a, b):
+        acc = acc + x * y
+    return acc
+
+
+def t2_add_term(acc: dict, key: tuple, val):
+    """Add the Scalar val at key of a sparse tensor, keeping acc free of
+    zeros; keys may be pairs or triples."""
+    if key in acc:
+        s = acc[key] + val
+        if s.is_zero():
+            del acc[key]
+        else:
+            acc[key] = s
+    elif not val.is_zero():
+        acc[key] = val
+
+
+def solve(m: Mat, b: tuple) -> tuple:
+    """One exact solution of m @ x = b (free variables zero), or NoSolution."""
+    if len(b) != m.nrows:
+        raise ShapeMismatch(f"rhs length {len(b)} vs {m.nrows} rows")
+    return solve_columns(m, Mat.from_columns(m.field, [b], m.nrows)).column(0)
+
+
+def solve_columns(m: Mat, rhs: Mat) -> Mat:
+    """Solve m @ X = rhs: each column of rhs reduced against the Echelon
+    of m's columns."""
+    if rhs.nrows != m.nrows:
+        raise ShapeMismatch(f"rhs with {rhs.nrows} rows vs {m.nrows} rows")
+    field = m.field
+    columns = Echelon(field)
+    for c in m.columns():
+        columns.add(dict(nonzero_raw(field, c)))
+    x = [[field.ops.zero] * rhs.ncols for _ in range(m.ncols)]
+    for j, b in enumerate(rhs.columns()):
+        for k, c in columns.coords(dict(nonzero_raw(field, b))).items():
+            x[k][j] = c
+    return Mat(field, [box(field, r) for r in x], rhs.ncols)
+
+
 def t2_from_pair(u: tuple, v: tuple) -> dict:
     out = {}
     for j, x in enumerate(u):
@@ -164,10 +214,22 @@ def hopf_power_map(h, n: int) -> Mat:
     return m
 
 
+def hit_left(c, f: tuple, h: tuple) -> tuple:
+    """f harpoon-> h = sum h_(1) f(h_(2)): f eats the right tensor leg."""
+    return c._box(c._hit(nonzero_raw(c.field, h), lift_functional(c.field, f),
+                         1))
+
+
 def hit_right(c, h: tuple, f: tuple) -> tuple:
     """h <-harpoon f = sum f(h_(1)) h_(2): f eats the left tensor leg."""
     return c._box(c._hit(nonzero_raw(c.field, h), lift_functional(c.field, f),
                          0))
+
+
+def component(c, h: tuple, left: int | None = None,
+              right: int | None = None) -> tuple:
+    """Bicomponent ^C h ^D of c: left applies h <- e_C, right e_D -> h."""
+    return c._box(c._component_raw(nonzero_raw(c.field, h), left, right))
 
 
 def bicomponent_decomposition_vec(c, h: tuple) -> dict:
@@ -175,7 +237,7 @@ def bicomponent_decomposition_vec(c, h: tuple) -> dict:
     n = len(c.simple_subcoalgebras())
     out, total = {}, zero_vec(c.field, c.dim)
     for left, right in itertools.product(range(n), repeat=2):
-        v = c.component(h, left=left, right=right)
+        v = component(c, h, left=left, right=right)
         if not vec_is_zero(v):
             out[(left, right)] = v
             total = vec_add(total, v)

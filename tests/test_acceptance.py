@@ -12,7 +12,7 @@ import time
 from hopfex import GF, FieldSpec
 from hopfex.cli import run_command
 from hopfex.extension import extend_coalgebra
-from hopfex.linalg import vec_add, vec_dot, vec_is_zero, vec_scale, zero_vec
+from hopfex.linalg import vec_add, vec_is_zero, vec_scale, zero_vec
 from hopfex.matforms import (MatrixOverH, antipode_inverse_check,
                              basic_multiplicative_matrix, is_multiplicative,
                              is_primitive_matrix, matrix_hopf_power, mtensor,
@@ -22,7 +22,7 @@ from hopfex.zoo import restricted_poly, taft
 
 from golden_defs import golden_objects
 from lifting_cases import (counit_unit_map, hopf_power_map, identity_map,
-                           t2_from_pair)
+                           t2_from_pair, vec_dot)
 
 RESULTS = []
 

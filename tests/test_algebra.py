@@ -28,8 +28,8 @@ from hopfex import GF, QQ, FieldSpec
 from hopfex.algebra import FiniteAlgebra, _divisors, field_roots
 from hopfex.errors import (AxiomViolation, LinAlgError,
                            SplittingSearchExhausted)
-from hopfex.linalg import (Mat, SubspaceBasis, kernel, rref_rows, solve,
-                           unit_vec, vec_add, vec_scale, vec_sub, zero_vec)
+from hopfex.linalg import (Mat, SubspaceBasis, kernel, rref_rows, unit_vec,
+                           vec_add, vec_scale, vec_sub, zero_vec)
 from hopfex.poly import char_poly
 from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
                         restricted_poly, sweedler, symmetric, taft,
@@ -39,7 +39,7 @@ from lifting_cases import (F9, F13, HALF_ROOT, LIFT_FIELDS, QZ5, basis_scales,
                            dense_table, fraction_scalar, fraction_vector,
                            has_denominators, hopf_case, is_canonical,
                            rebased_coalgebra, rescaled_algebra,
-                           rescaled_coalgebra, tensor_mult)
+                           rescaled_coalgebra, solve, tensor_mult)
 
 
 def reference_char_poly(m):

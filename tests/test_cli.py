@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from hopfex import QQ
-from hopfex.cli import build_parser, render_text, run_command
+from hopfex.cli import _load, build_parser, render_text, run_command
+from hopfex.coalgebra import IdempotentFamily
 from hopfex.scalars import Scalar
 from hopfex.structfile import HEADER
 from lifting_cases import is_canonical
@@ -308,6 +309,38 @@ def test_idempotents_verified(golden_dir):
         assert code == 0
         assert facts["orthonormal"] is True
         assert facts["sum_is_counit"] is True
+
+
+def reference_idempotent_facts(obj):
+    """(orthonormal, sum_is_counit) as the loops over Scalars decided them."""
+    fam = obj.coradical_idempotents()
+    fs = [fam.functional(c.index) for c in obj.simple_subcoalgebras()]
+    dual, zero = obj.dual_algebra(), tuple(obj.field.zero()
+                                           for _ in range(obj.dim))
+    ok = all(dual.mult(f, g) == (f if i == j else zero)
+             for i, f in enumerate(fs) for j, g in enumerate(fs))
+    summed = tuple(sum(col, obj.field.zero()) for col in zip(*fs))
+    return ok and summed == obj.counit, summed == obj.counit
+
+
+def test_idempotents_facts_match_the_scalar_reference(golden_dir,
+                                                      monkeypatch):
+    for path in sorted(golden_dir.glob("*.hopf")):
+        code, jtext = run(["idempotents", path, "--json"])
+        facts = json.loads(jtext)
+        want = reference_idempotent_facts(_load(str(path)))
+        assert (facts["orthonormal"], facts["sum_is_counit"]) == want
+        assert want == (True, True) and code == 0, path.name
+    # a family that repeats its first functional is neither orthogonal
+    # nor a partition of the counit
+    monkeypatch.setattr(IdempotentFamily, "functional",
+                        lambda self, i: self.functionals[0])
+    path = golden_dir / "kZ6.hopf"
+    code, jtext = run(["idempotents", path, "--json"])
+    facts = json.loads(jtext)
+    assert code == 1
+    assert (facts["orthonormal"], facts["sum_is_counit"]) == \
+        reference_idempotent_facts(_load(str(path))) == (False, False)
 
 
 def test_hopf_order_element_forms(golden_dir):

@@ -6,10 +6,10 @@ from hopfex import GF, QQ, FieldSpec
 from hopfex.errors import NotInComponent
 from hopfex.extension import (delta_expansion, extend_coalgebra,
                               graded_positive_part)
-from hopfex.linalg import t2_add_term, vec_is_zero
+from hopfex.linalg import vec_is_zero
 from hopfex.matforms import is_multiplicative
 from hopfex.zoo import restricted_poly, sweedler, taft
-from lifting_cases import t2_from_pair
+from lifting_cases import t2_add_term, t2_from_pair
 
 
 def entry_name(coalg, vec):

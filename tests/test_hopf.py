@@ -11,8 +11,8 @@ from hopfex.algebra import FiniteAlgebra
 from hopfex.errors import (AxiomViolation, FieldMismatch, InvariantViolation,
                            NotCosemisimple, ShapeMismatch)
 from hopfex.hopf import ExponentReport, HopfAlgebra
-from hopfex.linalg import (Mat, SubspaceBasis, t2_add_term, unit_vec, vec_add,
-                           vec_dot, vec_scale, zero_vec)
+from hopfex.linalg import (Mat, SubspaceBasis, unit_vec, vec_add, vec_scale,
+                           zero_vec)
 from hopfex.poly import MinPolySearch, min_poly_of_powers, powers_mod
 from hopfex.scalars import Scalar, box, nonzero_raw, raw_values
 from hopfex.structfile import (StructureFile, emit_structure_file,
@@ -23,10 +23,11 @@ from hopfex.zoo import (cyclic, group_algebra, restricted_poly, sweedler,
 from golden_defs import golden_objects
 from lifting_cases import (F9, LIFT_FIELDS, QZ5, basis_scales,
                            counit_unit_map, dense_table, fraction_scalar,
-                           fraction_vector, has_denominators, hopf_case,
-                           hopf_power_map, identity_map, is_canonical,
-                           reference_coalgebra_check, rescaled_hopf,
-                           rescaled_vector, t2_from_pair, tensor_mult)
+                           fraction_vector, has_denominators, hit_left,
+                           hopf_case, hopf_power_map, identity_map,
+                           is_canonical, reference_coalgebra_check,
+                           rescaled_hopf, rescaled_vector, t2_add_term,
+                           t2_from_pair, tensor_mult, vec_dot)
 
 
 def test_hopf_axioms_pass_on_zoo(zoo):
@@ -190,6 +191,22 @@ def test_integral_trace_equals_dual_basis_form(zoo):
         a = obj.integral_trace()
         b = obj.integral_dual_basis()
         assert a.element == b.element, stem
+
+
+def test_integral_dual_basis_matches_the_hit_reference(zoo):
+    # Lambda = sum e_i* harpoon-> e_i, one hit_left per basis vector, on
+    # the goldens and on Hopf algebras rescaled to carry denominators
+    cases = list(zoo.items()) + [
+        (name, rescaled_hopf(hopf_case(field), basis_scales(
+            field, hopf_case(field).dim, 11))) for name, field in LIFT_FIELDS]
+    for stem, h in cases:
+        acc = zero_vec(h.field, h.dim)
+        for i in range(h.dim):
+            f = unit_vec(h.field, h.dim, i)
+            acc = vec_add(acc, hit_left(h, f, f))
+        got = h.integral_dual_basis().element.vec
+        assert got == acc, stem
+        assert all(is_canonical(h.field, c.val) for c in got), stem
 
 
 def test_integral_left_invariance_when_involutory(zoo):

@@ -10,15 +10,14 @@ import hopfex.extension
 from hopfex import GF, QQ, Element, FieldSpec, linalg
 from hopfex.errors import FieldMismatch, NoSolution, ShapeMismatch
 from hopfex.linalg import (Echelon, Mat, SubspaceBasis, combine, kernel,
-                           rref_raw, rref_rows, solve, solve_columns,
-                           t2_add_term, unit_vec, vec_add,
+                           rref_raw, rref_rows, unit_vec, vec_add,
                            vec_is_zero, vec_scale, vec_sub, zero_vec)
 from hopfex.extension import extend_coalgebra
 from hopfex.scalars import box, nonzero_raw
 from hopfex.zoo import taft
 from lifting_cases import (F9, HALF_ROOT, LIFT_FIELDS, QZ5, fraction_scalar,
                            fraction_vector, has_denominators, is_canonical,
-                           t2_flatten)
+                           solve, solve_columns, t2_add_term, t2_flatten)
 
 F5 = GF(5)
 

@@ -1,18 +1,29 @@
 """Multiplicative and primitive matrices over a Hopf algebra."""
 
+from fractions import Fraction
+
 import pytest
 
-from hopfex.errors import (DiagonalOrderViolated, MatrixFormError,
-                           NotDegreeOne, NotInBicomponent, NotMultiplicative,
-                           ShapeMismatch)
+from hopfex import GF, QQ
+from hopfex.cli import _matrix_rows
+from hopfex.coalgebra import Element
+from hopfex.errors import (DiagonalOrderViolated, FieldMismatch,
+                           MatrixFormError, NotDegreeOne, NotInBicomponent,
+                           NotMultiplicative, ShapeMismatch)
+from hopfex.extension import extend_coalgebra
 from hopfex.linalg import SubspaceBasis, vec_is_zero
 from hopfex.matforms import (MatrixOverH, antipode_inverse_check,
                              basic_multiplicative_matrix,
                              block_order_bound_check, is_multiplicative,
                              is_primitive_matrix, matrix_hopf_power, mtensor,
                              primitive_decompose, stack_triangular)
+from hopfex.scalars import Scalar
+from hopfex.zoo import sweedler
 
+from golden_defs import golden_objects
 from lifting_cases import bicomponent_decomposition_vec
+
+GOLDENS = golden_objects()
 
 
 def basic_for(h, idx):
@@ -216,3 +227,128 @@ def test_tensor_matrix_algebra(zoo):
     t = mtensor(c, c)
     assert t + t == mtensor(c, c.scale(h.field.from_int(2)))
     assert c.delta() == t
+
+
+def test_block_order_bound_rejects_a_diagonal_order_below_one(zoo):
+    # d = 0 made the bound 0 and held vacuously (z^0 = I); d < 0 failed
+    # inside the matrix power
+    h = zoo["sweedler_f3"]
+    g = h.basis_element(h.index_of("g")).vec
+    x = h.basis_element(h.index_of("x")).vec
+    zero = tuple(h.field.zero() for _ in range(h.dim))
+    z = MatrixOverH(h, [[g, x], [zero, h.one().vec]])
+    for d in (0, -2):
+        with pytest.raises(MatrixFormError, match="at least 1"):
+            block_order_bound_check(z, d=d, p=3)
+    assert block_order_bound_check(z, d=2, p=3).holds
+
+
+def scalar_counter(monkeypatch) -> list:
+    """From now on, the value of every Scalar made is appended to the
+    returned list."""
+    made = []
+    original = Scalar.__init__
+
+    def counted(self, field, val):
+        made.append(val)
+        original(self, field, val)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    return made
+
+
+@pytest.mark.parametrize("build", [b for _, b in GOLDENS],
+                         ids=[stem for stem, _ in GOLDENS])
+def test_basic_matrices_and_their_laws_make_no_scalar(build, monkeypatch):
+    # the matrix units, the pairing, both solves, the candidate entries and
+    # every law run on raw values once the simples are known
+    h = build()
+    simples = h.simple_subcoalgebras()
+    made = scalar_counter(monkeypatch)
+    for comp in simples:
+        m = basic_multiplicative_matrix(h, comp).matrix
+        assert is_multiplicative(m)
+        matrix_hopf_power(m, 3)
+    assert made == []
+    # the counter does see the entries being boxed
+    m.entries
+    assert made
+
+
+def test_extension_witnesses_are_checked_without_scalars(zoo, monkeypatch):
+    h = zoo["taft9_f7"]
+
+    def el(name):
+        return h.basis_element(h.index_of(name))
+
+    ext = extend_coalgebra(h, el("g^2"), h.one(), el("x^2"), 2)
+    assert ext.witnesses
+    made = scalar_counter(monkeypatch)
+    assert all(is_multiplicative(w) for w in ext.witnesses)
+    assert made == []
+
+
+def test_primitive_decompose_boxes_at_most_dim_scalars(monkeypatch):
+    h = sweedler(QQ)
+    cb, db = basic_for(h, 0), basic_for(h, 1)
+    h.coradical_idempotents()
+    x = h.basis_element(h.index_of("x"))
+    made = scalar_counter(monkeypatch)
+    dec = primitive_decompose(x, cb, db)
+    assert len(made) <= h.dim
+    monkeypatch.undo()
+    assert dec.remainder.is_zero()
+    assert sum((h.element(dec.matrix(i, j).entry(i, j)) for i in range(1)
+                for j in range(1)), h.zero()) == x
+
+
+def plain(field, c):
+    """c as an int or Fraction when it lies in the prime field, else c."""
+    coeffs = field.coefficients(c)
+    return c if any(coeffs[1:]) else coeffs[0]
+
+
+def test_matrix_views_agree_on_every_construction(zoo):
+    for stem, h in zoo.items():
+        for comp in h.simple_subcoalgebras():
+            m = basic_multiplicative_matrix(h, comp).matrix
+            grids = [
+                [[m.element(i, j) for j in range(m.ncols)]
+                 for i in range(m.nrows)],
+                [[tuple(plain(h.field, c) for c in x) for x in row]
+                 for row in m.entries],
+            ]
+            for other in [MatrixOverH(h, g) for g in grids] + [
+                    MatrixOverH.of_raw(h, m.raw), MatrixOverH(h, m.entries)]:
+                assert other == m and hash(other) == hash(m), stem
+                assert other.raw == m.raw and other.entries == m.entries
+                assert other.delta() == m.delta() == mtensor(m, m)
+                assert other.counit() == m.counit()
+                assert _matrix_rows(h, other) == _matrix_rows(h, m)
+    # the int/Fraction grid above is exercised beyond Scalars somewhere
+    h = zoo["kS3"]
+    m = basic_multiplicative_matrix(h, h.simple_subcoalgebras()[-1]).matrix
+    assert any(type(plain(h.field, c)) in (int, Fraction)
+               for row in m.entries for x in row for c in x)
+
+
+def test_matrix_constructor_rejects_what_it_did(zoo):
+    h, other = zoo["sweedler"], zoo["kZ2"]
+    g = h.basis_element(h.index_of("g"))
+    with pytest.raises(FieldMismatch):
+        MatrixOverH(h, [[tuple(GF(3).one() for _ in range(h.dim))]])
+    with pytest.raises(FieldMismatch):
+        MatrixOverH(h, [[other.basis_element(0)]])
+    with pytest.raises(TypeError):
+        MatrixOverH(h, [[(1.0, 0, 0, 0)]])
+    with pytest.raises(ShapeMismatch, match="length"):
+        MatrixOverH(h, [[(1, 0, 0)]])
+    with pytest.raises(ShapeMismatch, match="ragged"):
+        MatrixOverH(h, [[g, g], [g]])
+    with pytest.raises(ShapeMismatch, match="empty"):
+        MatrixOverH(h, [])
+    with pytest.raises(ShapeMismatch, match="empty"):
+        MatrixOverH(h, [[]])
+    m = MatrixOverH(h, [[g, (0, Fraction(1, 2), 0, 0)], [(0, 0, 0, 0), 1 * g]])
+    assert m.raw[0][1] == ((1, Fraction(1, 2)),) and m.raw[1][0] == ()
+    assert m.element(0, 1) == Element(h, m.entry(0, 1))

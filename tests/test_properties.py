@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from hopfex.linalg import vec_add, vec_is_zero, vec_scale, zero_vec
 from hopfex.matforms import basic_multiplicative_matrix, matrix_hopf_power
 from golden_defs import golden_objects
-from lifting_cases import (bicomponent_decomposition_vec, hopf_power_map,
-                           t2_flatten, tensor_mult, tensor_square_subspace)
+from lifting_cases import (bicomponent_decomposition_vec, component,
+                           hopf_power_map, t2_flatten, tensor_mult,
+                           tensor_square_subspace)
 
 BUILDERS = dict(golden_objects())
 STEMS = ("sweedler", "taft9", "restricted3", "dual_kS3", "sweedler_f3")
@@ -73,8 +74,8 @@ def test_bicomponent_projection_is_idempotent(stem, pair, coeffs):
     simples = h.simple_subcoalgebras()
     ci, di = (pair[0] % len(simples), pair[1] % len(simples))
     v = combination(h, [h.basis_element(i).vec for i in range(h.dim)], coeffs)
-    once = h.component(v, left=ci, right=di)
-    twice = h.component(once, left=ci, right=di)
+    once = component(h, v, left=ci, right=di)
+    twice = component(h, once, left=ci, right=di)
     assert twice == once
 
 

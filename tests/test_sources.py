@@ -113,3 +113,44 @@ def test_structure_tables_reach_of_raw_unboxed():
     imported = {a.name for node in ast.walk(coalgebra)
                 if isinstance(node, ast.ImportFrom) for a in node.names}
     assert "t2_add_term" not in imported
+
+
+def mat_constructions(node):
+    """(line, name) of every Mat(...), Mat.identity(...) and
+    Mat.from_columns(...) call inside node."""
+    for call in ast.walk(node):
+        if not isinstance(call, ast.Call):
+            continue
+        f = call.func
+        if isinstance(f, ast.Name) and f.id == "Mat":
+            yield call.lineno, "Mat"
+        elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+              and f.value.id == "Mat"):
+            yield call.lineno, f"Mat.{f.attr}"
+
+
+def test_matrices_over_h_run_on_raw_values():
+    # matforms boxes only through the entries view and the returned
+    # remainder, and builds a Mat only where counit() returns one
+    tree = ast.parse((SRC / "matforms.py").read_text())
+    called = called_names(tree)
+    assert not called & {"box", "combine", "zero_vec", "vec_add",
+                         "solve_columns"}
+    counit = method(tree, "MatrixOverH", "counit")
+    inside = set(mat_constructions(counit))
+    assert inside and set(mat_constructions(tree)) == inside
+    # the Scalar solvers and tensor helpers live in the tests
+    for path in SRC.glob("*.py"):
+        defined = {node.name for node in ast.parse(path.read_text()).body
+                   if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"solve", "solve_columns", "vec_dot",
+                              "t2_add_term"}, path.name
+    # extend_coalgebra hands its witness grids to MatrixOverH.of_raw
+    extension = ast.parse((SRC / "extension.py").read_text())
+    extend = next(node for node in extension.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "extend_coalgebra")
+    loop = next(node for node in ast.walk(extend) if isinstance(node, ast.For)
+                and isinstance(node.iter, ast.Attribute)
+                and node.iter.attr == "grids")
+    assert "_box" not in called_names(loop)
