@@ -94,7 +94,7 @@ from .linalg import (
     zero_vec,
 )
 from .poly import MinPolySearch, char_poly
-from .scalars import (FieldSpec, Scalar, box, combination, lift_columns,
+from .scalars import (FieldSpec, box, combination, lift_columns,
                       lift_pairs, nonzero_raw, raw_values, settle_all)
 
 # Newton steps of lift_idempotent: each squares the nilpotent error
@@ -135,7 +135,7 @@ def field_roots(field: FieldSpec, coeffs: list) -> list:
                 if ops.is_zero(poly.evaluate(ops, coeffs, x))]
 
     candidates, last = [ops.zero], []
-    parts = [field.coefficients(Scalar(field, c)) for c in coeffs]
+    parts = [field.raw_coefficients(c) for c in coeffs]
     if not any(any(cs[1:]) for cs in parts):
         den = math.lcm(*(cs[0].denominator for cs in parts))
         ints = [int(cs[0] * den) for cs in parts]

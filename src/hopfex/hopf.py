@@ -25,6 +25,9 @@ steps of |S| columns each.  Two searches use it:
     [n] = [k] holds exactly when the same holds for the residues.  When
     the first cap + 1 powers are independent, no [n] with n <= cap
     equals u o eps or an earlier power, and the search stops there.
+    In characteristic 0 it also stops at mu when mu(0) != 0 and mu has
+    a repeated factor: mu then divides no squarefree x^n - 1, so no
+    power is u o eps and none repeats (exponent docstring).
   * hopf_order and hopf_power take the least S that holds supp(h)
     (Coalgebra.subcoalgebra_support), the subcoalgebra h spans.  Then
     h^[n] = [n](h) = sum_k r[k] h^[k] for r = x^n mod mu_S, so h^[0],
@@ -69,7 +72,8 @@ from .errors import (
     require,
 )
 from .linalg import Mat, dense_raw, sum_scaled
-from .poly import MinPolySearch, min_poly_of_powers, powers_mod
+from .poly import (MinPolySearch, has_repeated_factor, min_poly_of_powers,
+                   powers_mod)
 from .scalars import (FieldSpec, box, combination, lift_columns, nonzero_raw,
                       raw_values, settle_all)
 
@@ -455,18 +459,29 @@ class HopfAlgebra(Coalgebra):
         not a convolution.  mu is found from [0], ..., [cap] at most,
         taken from _id_powers on all indices; if those are independent,
         no power up to the cap is u o eps or a repeat.
+        In characteristic 0, mu(0) != 0 and a repeated factor of mu
+        (poly.has_repeated_factor) decide the search without the loop:
+        x^n - 1 is squarefree in characteristic 0, so mu divides none
+        of them and no residue x^n mod mu equals 1; mu(0) != 0 makes x
+        a unit of k[x]/(mu), so a repeat x^n = x^m with m < n would give
+        x^(n-m) = 1.  The loop would reach the cap with no event, and
+        the same report is returned at once.  This is the case of every
+        non-cosemisimple Hopf algebra with the Chevalley property in
+        characteristic 0, whose exponent is infinite.
         Otherwise the loop, its checks, their order and its first 4096
         remembered powers are those of iterating [n] as matrices, so the
         report is the same.
         """
         cap = default_cap(self.dim) if cap is None else cap
         steps = [f"iterating convolution powers of id up to cap {cap}"]
+        field = self.field
         flat = map(_flatten, self._id_powers(range(self.dim)))
-        mu = min_poly_of_powers(self.field, itertools.islice(flat, cap + 1))
-        if mu is None:
+        mu = min_poly_of_powers(field, itertools.islice(flat, cap + 1))
+        if mu is None or (field.char == 0 and not field.ops.is_zero(mu[0])
+                          and has_repeated_factor(field, mu)):
             steps.append(f"no power up to {cap} equals the convolution unit")
             return ExponentReport("exceeds_cap", cap=cap, steps=steps)
-        residues = powers_mod(self.field, mu)
+        residues = powers_mod(field, mu)
         one = next(residues)
         seen: dict = {}
         for n, r in zip(range(1, cap + 1), residues):
@@ -593,7 +608,9 @@ class HopfAlgebra(Coalgebra):
         d*p^(floor(log_p n)+1) with d the exponent of the group-like
         group and n the coradical filtration depth (just d when n = 0),
         and the exact value is found by iteration inside the bound.
-        Everything else is capped iteration.
+        Everything else is capped iteration (exponent), which in char 0
+        stops at the minimal polynomial mu of id when mu(0) != 0 and mu
+        has a repeated factor, with the report the loop would give.
         """
         cap = default_cap(self.dim) if cap is None else cap
         steps = []

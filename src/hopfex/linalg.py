@@ -47,12 +47,11 @@ from .scalars import (FieldSpec, Scalar, box, combination, lift_columns,
 # ---------------------------------------------------------------------------
 
 def zero_vec(field: FieldSpec, n: int) -> tuple:
-    z = field.zero()
-    return (z,) * n
+    return (field.boxed_zero,) * n
 
 
 def unit_vec(field: FieldSpec, n: int, i: int) -> tuple:
-    z, o = field.zero(), field.one()
+    z, o = field.boxed_zero, field.one()
     return tuple(o if j == i else z for j in range(n))
 
 

@@ -7,7 +7,8 @@ polynomials of field construction (the prime field's FieldOps(char,
 None)), the extension inverses and the minimal polynomials of the
 algebra and Hopf layers all run on this one module.  The searches over
 the powers of an element (MinPolySearch, min_poly_of_powers, powers_mod)
-take the FieldSpec their callers hold; MinPolySearch finds the first
+and the squarefree test (derivative, has_repeated_factor) take the
+FieldSpec their callers hold; MinPolySearch finds the first
 dependent power with linalg.Echelon, the one sparse solver.
 
 char_poly reduces a square matrix to Hessenberg form by similarity
@@ -83,6 +84,14 @@ def gcdext(ops, a: list, b: list) -> tuple[list, list, list]:
     return r0, u0, v0
 
 
+def gcd(ops, a: list, b: list) -> list:
+    """A gcd of a and b (not made monic): gcdext without the cofactors."""
+    a, b = trim(ops, list(a)), trim(ops, list(b))
+    while b:
+        a, b = b, divmod(ops, a, b)[1]
+    return a
+
+
 def evaluate(ops, a: list, x):
     """a(x), by Horner's rule."""
     acc = ops.zero
@@ -106,6 +115,26 @@ def powers_mod(field, mu: list) -> Iterator[tuple]:
         top, shifted = r[-1], (zero,) + r[:-1]
         r = shifted if ops.is_zero(top) else \
             tuple([add(a, mul(top, c)) for a, c in zip(shifted, tail)])
+
+
+def derivative(field, a: list) -> list:
+    """a' = sum k c_k x^(k-1), each c_k times the field's image of k."""
+    ops = field.ops
+    out, k = [], ops.zero
+    for c in a[1:]:
+        k = ops.add(k, ops.one)
+        out.append(ops.mul(k, c))
+    return trim(ops, out)
+
+
+def has_repeated_factor(field, mu: list) -> bool:
+    """Is gcd(mu, mu') nonconstant?
+
+    On a perfect field (every field here) that holds exactly when mu has
+    a repeated irreducible factor, in any characteristic; over F_p it
+    holds when mu' = 0, as for x^p - 1.
+    """
+    return len(gcd(field.ops, mu, derivative(field, mu))) > 1
 
 
 class MinPolySearch:

@@ -595,9 +595,12 @@ class FieldSpec:
 
     def coefficients(self, s: "Scalar") -> tuple:
         """The prime-field coefficients of s, constant term first: degree
-        of them, one on a prime field.  The one place where raw extension
-        values are read back."""
-        v = s.val
+        of them, one on a prime field."""
+        return self.raw_coefficients(s.val)
+
+    def raw_coefficients(self, v) -> tuple:
+        """coefficients of the raw value v: the one place where raw
+        extension values are read back."""
         if not self.modulus:
             return (v,)
         if self.char:
@@ -642,7 +645,11 @@ class FieldSpec:
     def format(self, s: "Scalar") -> str:
         if s.field != self:
             raise FieldMismatch("formatting a scalar from another field")
-        cs = self.coefficients(s)
+        return self.format_raw(s.val)
+
+    def format_raw(self, v) -> str:
+        """The text of the raw value v, as format writes its Scalar."""
+        cs = self.raw_coefficients(v)
         if any(cs[1:]):
             return "[" + ",".join(map(str, cs)) + "]"
         return str(cs[0])

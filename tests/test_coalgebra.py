@@ -20,8 +20,11 @@ from hopfex.errors import (AxiomViolation, FieldMismatch, IncompatibleBase,
                            UnknownSimple)
 from hopfex.linalg import (SubspaceBasis, unit_vec, vec_add, vec_is_zero,
                            zero_vec)
+from hopfex.scalars import Scalar
 from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
                         restricted_poly, sweedler, symmetric, taft)
+
+from golden_defs import golden_objects
 from lifting_cases import (LIFT_FIELDS, basis_scales,
                            bicomponent_decomposition_vec, component,
                            fraction_vector, has_denominators, hit_left,
@@ -205,6 +208,40 @@ def test_simples_span_the_coradical(zoo):
             # simples intersect pairwise trivially, so dims add up
         assert total.dim == sum(s.dim for s in simples), stem
         assert total == obj.coradical(), stem
+
+
+# Scalars made by simple_subcoalgebras() on a fresh golden before the
+# sort key of the simples read raw rows and zero_vec shared the field's zero
+SIMPLES_SCALARS_BEFORE = {
+    "kZ2": 12, "kZ6": 36, "kS3": 36, "dual_kS3": 189, "sweedler": 12,
+    "sweedler_f3": 12, "taft9": 18, "taft9_f7": 18, "taft16": 24,
+    "restricted2": 6, "restricted3": 6, "restricted5": 6,
+    "tensor_kZ2_kZ3": 36, "tensor_sweedler_kZ2_f3": 24}
+
+
+@pytest.mark.parametrize("stem, build", golden_objects(),
+                         ids=[stem for stem, _ in golden_objects()])
+def test_simples_are_sorted_without_boxing_their_rows(stem, build,
+                                                      monkeypatch):
+    h = build()
+    made = []
+    original = Scalar.__init__
+
+    def counted(self, field, val):
+        made.append(val)
+        original(self, field, val)
+
+    with monkeypatch.context() as m:
+        m.setattr(Scalar, "__init__", counted)
+        simples = h.simple_subcoalgebras()
+    assert len(made) <= SIMPLES_SCALARS_BEFORE[stem]
+    assert all(c.subspace._rows is None for c in simples)
+    # the order is the one the text of the boxed rows gives
+    for obj in (h, rescaled_coalgebra(h, basis_scales(h.field, h.dim, 5))):
+        keys = [(c.subspace.dim, tuple(str(x) for row in c.subspace.rows
+                                       for x in row))
+                for c in obj.simple_subcoalgebras()]
+        assert keys == sorted(keys)
 
 
 def test_idempotent_family_basics():

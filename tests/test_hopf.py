@@ -1,16 +1,19 @@
 """Hopf layer: powers, exponents, the order classifier, integrals."""
 
+import copy
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import hopfex.hopf
 from hopfex import GF, QQ, Coalgebra, FieldSpec
 from hopfex.algebra import FiniteAlgebra
+from hopfex.cli import run_command
 from hopfex.errors import (AxiomViolation, FieldMismatch, InvariantViolation,
                            NotCosemisimple, ShapeMismatch)
-from hopfex.hopf import ExponentReport, HopfAlgebra
+from hopfex.hopf import ExponentReport, HopfAlgebra, default_cap
 from hopfex.linalg import (Mat, SubspaceBasis, unit_vec, vec_add, vec_scale,
                            zero_vec)
 from hopfex.poly import MinPolySearch, min_poly_of_powers, powers_mod
@@ -304,10 +307,137 @@ def idempotent_monoid(antipode=None):
                         (1, 1, 1): 1}, [1, 0], antipode, name="monoid")
 
 
+def nilpotent_monoid():
+    """The bialgebra k{1, a, z} with a^2 = z absorbing and every basis
+    element group-like: [3] = [2] != [1], so mu = x^2 (x - 1), a repeated
+    factor with mu(0) = 0."""
+    mul = {(0, j, j): 1 for j in range(3)}
+    mul.update({(1, 0, 1): 1, (2, 0, 2): 1, (1, 1, 2): 1, (1, 2, 2): 1,
+                (2, 1, 2): 1, (2, 2, 2): 1})
+    return HopfAlgebra(QQ, ["1", "a", "z"], {(i, i, i): 1 for i in range(3)},
+                       [1, 1, 1], mul, [1, 0, 0], name="nilmonoid")
+
+
+# the goldens, and three of them on a basis with denominators
+EXPONENT_CASES = [stem for stem, _ in golden_objects()] + [
+    f"{stem} rescaled" for stem in ("sweedler", "taft9", "taft16")]
+
+
+def exponent_case(zoo, case):
+    stem, _, rescaled = case.partition(" ")
+    h = zoo[stem]
+    return rescaled_hopf(h, basis_scales(h.field, h.dim, 11)) if rescaled \
+        else h
+
+
 def test_exponent_matches_matrix_loop_on_goldens(zoo):
-    for stem, h in zoo.items():
-        assert outcome(h.exponent(32)) == outcome(reference_exponent(h, 32)), \
-            stem
+    for case in EXPONENT_CASES:
+        h = exponent_case(zoo, case)
+        for cap in (1, 2, 5, 32):
+            assert str(h.exponent(cap)) == str(reference_exponent(h, cap)), \
+                (case, cap)
+
+
+REFERENCE_REPORTS: dict = {}
+
+
+def cached_reference_exponent(case, h, cap):
+    """reference_exponent(h, cap), iterated once per (case, cap): the
+    matrix loop runs 1024 convolutions on taft16."""
+    if (case, cap) not in REFERENCE_REPORTS:
+        REFERENCE_REPORTS[case, cap] = reference_exponent(h, cap)
+    return copy.deepcopy(REFERENCE_REPORTS[case, cap])
+
+
+@pytest.mark.parametrize("case", EXPONENT_CASES)
+def test_exponent_matches_matrix_loop_at_the_default_cap(zoo, case):
+    h = exponent_case(zoo, case)
+    cap = default_cap(h.dim)
+    want = str(cached_reference_exponent(case, h, cap))
+    assert str(h.exponent()) == want
+    assert str(h.exponent(cap)) == want
+
+
+def reference_reports(monkeypatch, case, argvs):
+    """The CLI's (code, text) for each argv, on the input named by case,
+    with HopfAlgebra.exponent replaced by the matrix loop."""
+    def exponent(self, cap=None):
+        return cached_reference_exponent(
+            case, self, default_cap(self.dim) if cap is None else cap)
+
+    with monkeypatch.context() as m:
+        m.setattr(HopfAlgebra, "exponent", exponent)
+        return [run_command(argv) for argv in argvs]
+
+
+@pytest.mark.parametrize("case", EXPONENT_CASES + [
+    "sweedler --field-extend=-1/2,0,1"])
+def test_exponent_reports_match_the_matrix_loop_in_the_cli(
+        zoo, case, golden_dir, tmp_path, monkeypatch):
+    # exponent and theorem-check, text and --json, byte for byte
+    stem, _, flag = case.partition(" ")
+    if flag == "rescaled":
+        path = tmp_path / f"{stem}.hopf"
+        path.write_text(emit_structure_file(structure_from_object(
+            exponent_case(zoo, case))))
+    else:
+        path = golden_dir / f"{stem}.hopf"
+    extra = [flag] if flag.startswith("--") else []
+    argvs = [[cmd, str(path), *extra, *json_flag]
+             for cmd in ("exponent", "theorem-check")
+             for json_flag in ([], ["--json"])]
+    got = [run_command(argv) for argv in argvs]
+    assert got == reference_reports(monkeypatch, case, argvs)
+    assert all(code == 0 for code, _ in got)
+
+
+class ResidueLoop(Exception):
+    """Raised in place of the residue loop x^n mod mu."""
+
+
+def refuse_residue_loop(monkeypatch):
+    def refuse(field, mu):
+        raise ResidueLoop
+
+    monkeypatch.setattr(hopfex.hopf, "powers_mod", refuse)
+
+
+@pytest.mark.parametrize("stem", ["sweedler", "taft9", "taft16"])
+def test_a_repeated_factor_of_mu_skips_the_residue_loop(zoo, stem,
+                                                        monkeypatch):
+    # char 0, mu(0) != 0 and gcd(mu, mu') != 1: the reports are decided
+    # from mu, with or without the loop
+    for h in (zoo[stem], exponent_case(zoo, f"{stem} rescaled")):
+        want = [str(h.exponent()), str(h.exponent(7)),
+                str(h.classify_exponent())]
+        assert "kind='exceeds_cap'" in want[0]
+        with monkeypatch.context() as m:
+            refuse_residue_loop(m)
+            assert [str(h.exponent()), str(h.exponent(7)),
+                    str(h.classify_exponent())] == want
+
+
+@pytest.mark.parametrize("case", ["restricted2", "sweedler_f3",
+                                  "tensor_kZ2_kZ3", "monoid", "nilmonoid"])
+def test_the_residue_loop_runs_unless_mu_proves_the_cap(zoo, case,
+                                                       monkeypatch):
+    # char p (a repeated factor, even mu' = 0, and a finite exponent),
+    # a squarefree mu, and mu(0) = 0 on bialgebras whose id is not
+    # convolution-invertible
+    h = {"monoid": idempotent_monoid, "nilmonoid": nilpotent_monoid}.get(
+        case, lambda: zoo[case])()
+    refuse_residue_loop(monkeypatch)
+    with pytest.raises(ResidueLoop):
+        h.exponent()
+
+
+def test_exponent_reports_a_repeat_through_a_repeated_factor_of_x():
+    # mu = x^2 (x - 1): x is no unit, and [3] repeats [2]; a repeated
+    # factor alone does not prove the cap
+    h = nilpotent_monoid()
+    rep = h.exponent(10)
+    assert rep.steps[-1].startswith("power 3 repeats power 2 ")
+    assert str(rep) == str(reference_exponent(h, 10))
 
 
 # deg mu = 7 for taft16 over Q(zeta_4): caps on both sides of it
@@ -328,7 +458,7 @@ def test_exponent_reports_a_repeat_on_a_bialgebra():
 def test_exponent_repeat_on_a_hopf_algebra_is_an_invariant_violation():
     # the identity is not an antipode: S(z) z != 1
     h = idempotent_monoid({(0, 0): 1, (1, 1): 1})
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="repeated without reaching"):
         h.exponent(10)
 
 

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hopfex.extension
-from hopfex import GF, QQ, Element, FieldSpec, linalg
+from hopfex import GF, QQ, Element, FieldSpec, linalg, poly
 from hopfex.errors import FieldMismatch, NoSolution, ShapeMismatch
 from hopfex.linalg import (Echelon, Mat, SubspaceBasis, combine, kernel,
                            rref_raw, rref_rows, unit_vec, vec_add,
                            vec_is_zero, vec_scale, vec_sub, zero_vec)
 from hopfex.extension import extend_coalgebra
-from hopfex.scalars import box, nonzero_raw
+from hopfex.scalars import Scalar, box, cyclotomic_polynomial, nonzero_raw
 from hopfex.zoo import taft
 from lifting_cases import (F9, HALF_ROOT, LIFT_FIELDS, QZ5, fraction_scalar,
                            fraction_vector, has_denominators, is_canonical,
@@ -229,9 +229,22 @@ def test_rref_preserves_row_space(int_rows):
     assert before == after
 
 
-def test_unit_and_zero_vectors():
+def test_unit_and_zero_vectors(monkeypatch):
     assert unit_vec(QQ, 3, 1) == qvec([0, 1, 0])
     assert vec_is_zero(zero_vec(F5, 4))
+    # the zeros are the field's one zero Scalar, the one box gives
+    made = []
+    original = Scalar.__init__
+
+    def counted(self, field, val):
+        made.append(val)
+        original(self, field, val)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    for field in RAW_FIELDS:
+        assert all(z is field.boxed_zero for z in zero_vec(field, 4))
+        assert unit_vec(field, 3, 1)[0] is field.boxed_zero
+    assert made == [field.ops.one for field in RAW_FIELDS]  # unit_vec's 1
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +412,53 @@ def raw_types(rows):
 
 RAW_FIELDS = [QQ, F5, GF(2, modulus=[1, 1, 1]),
               FieldSpec(0, cyclotomic_order=3), FieldSpec(0, cyclotomic_order=5)]
+
+
+def raw_poly(field, coeffs):
+    """The raw polynomial with int or Scalar coefficients, constant first."""
+    return poly.trim(field.ops, [
+        (c if isinstance(c, Scalar) else field.from_int(c)).val
+        for c in coeffs])
+
+
+@pytest.mark.parametrize("field", RAW_FIELDS, ids=lambda f: f.describe())
+def test_derivative_of_a_cubic(field):
+    rng = random.Random(17)
+    for _ in range(5):
+        cs = [random_scalar(field, rng) for _ in range(3)] + [field.one()]
+        want = raw_poly(field, [field.from_int(k) * c
+                                for k, c in enumerate(cs)][1:])
+        assert poly.derivative(field, raw_poly(field, cs)) == want
+    assert poly.derivative(field, raw_poly(field, [3])) == []
+    assert poly.derivative(field, []) == []
+
+
+@pytest.mark.parametrize("field", RAW_FIELDS, ids=lambda f: f.describe())
+def test_has_repeated_factor(field):
+    def repeated(coeffs):
+        mu = raw_poly(field, coeffs)
+        d = poly.derivative(field, mu)
+        # the gcd without cofactors is the one gcdext returns
+        assert poly.gcd(field.ops, mu, d) == poly.gcdext(field.ops, mu, d)[0]
+        return poly.has_repeated_factor(field, mu)
+
+    # (x - 1)^2 (x + 1) and (x - zeta)^2
+    assert repeated([1, -1, -1, 1])
+    zeta = field.gen() if field.modulus else field.from_int(2)
+    assert repeated([zeta * zeta, -(zeta + zeta), 1])
+    assert not repeated([-1, 1])
+    p = field.char
+    for n in range(1, 13):
+        if p and n % p == 0:
+            continue
+        assert not repeated(cyclotomic_polynomial(n)), n
+        if not p:  # x^n - 1 is squarefree in characteristic 0
+            assert not repeated([-1] + [0] * (n - 1) + [1]), n
+    if p:
+        # x^p - 1 = (x - 1)^p, and its derivative is 0
+        mu = [-1] + [0] * (p - 1) + [1]
+        assert poly.derivative(field, raw_poly(field, mu)) == []
+        assert repeated(mu)
 
 
 def random_low_rank_rows(field, rng):

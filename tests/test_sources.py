@@ -154,3 +154,19 @@ def test_matrices_over_h_run_on_raw_values():
                 and isinstance(node.iter, ast.Attribute)
                 and node.iter.attr == "grids")
     assert "_box" not in called_names(loop)
+
+
+def test_one_polynomial_derivative():
+    # the squarefree test of the exponent search reads mu' from poly, the
+    # one polynomial toolkit; no other module differentiates on its own
+    for path in SRC.glob("*.py"):
+        defined = {node.name for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        derivatives = sorted(n for n in defined if "deriv" in n.lower())
+        if path.name == "poly.py":
+            assert derivatives == ["derivative"]
+        else:
+            assert not derivatives, (path.name, derivatives)
+    hopf = ast.parse((SRC / "hopf.py").read_text())
+    assert "has_repeated_factor" in called_names(method(hopf, "HopfAlgebra",
+                                                        "exponent"))
