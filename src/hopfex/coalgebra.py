@@ -658,19 +658,9 @@ class CoradicalAnalysis:
                         "normalised 1-dim simple is not group-like")
                 grouplike = H._box(g)
             raw.append((sub, r, grouplike, z, f, blocks[t]))
-        text, zero = field.format_raw, field.format_raw(ops.zero)
-
-        def key(item):
-            # by dimension, then by the text of every entry of the rows
-            out = []
-            for row in item[0].raw:
-                dense = [zero] * H.dim
-                for j, x in row:
-                    dense[j] = text(x)
-                out += dense
-            return item[0].dim, tuple(out)
-
-        raw.sort(key=key)
+        raw.sort(key=lambda item: (item[0].dim, tuple(
+            field.format_raw(x) for row in item[0].raw
+            for x in dense_raw(ops, H.dim, row))))
         comps = [SimpleComponent(i, sub, r, g, z, f, rows)
                  for i, (sub, r, g, z, f, rows) in enumerate(raw)]
         total = SubspaceBasis.of_raw(field, H.dim, [

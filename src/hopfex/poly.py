@@ -84,14 +84,6 @@ def gcdext(ops, a: list, b: list) -> tuple[list, list, list]:
     return r0, u0, v0
 
 
-def gcd(ops, a: list, b: list) -> list:
-    """A gcd of a and b (not made monic): gcdext without the cofactors."""
-    a, b = trim(ops, list(a)), trim(ops, list(b))
-    while b:
-        a, b = b, divmod(ops, a, b)[1]
-    return a
-
-
 def evaluate(ops, a: list, x):
     """a(x), by Horner's rule."""
     acc = ops.zero
@@ -134,7 +126,7 @@ def has_repeated_factor(field, mu: list) -> bool:
     a repeated irreducible factor, in any characteristic; over F_p it
     holds when mu' = 0, as for x^p - 1.
     """
-    return len(gcd(field.ops, mu, derivative(field, mu))) > 1
+    return len(gcdext(field.ops, mu, derivative(field, mu))[0]) > 1
 
 
 class MinPolySearch:

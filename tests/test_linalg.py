@@ -436,11 +436,7 @@ def test_derivative_of_a_cubic(field):
 @pytest.mark.parametrize("field", RAW_FIELDS, ids=lambda f: f.describe())
 def test_has_repeated_factor(field):
     def repeated(coeffs):
-        mu = raw_poly(field, coeffs)
-        d = poly.derivative(field, mu)
-        # the gcd without cofactors is the one gcdext returns
-        assert poly.gcd(field.ops, mu, d) == poly.gcdext(field.ops, mu, d)[0]
-        return poly.has_repeated_factor(field, mu)
+        return poly.has_repeated_factor(field, raw_poly(field, coeffs))
 
     # (x - 1)^2 (x + 1) and (x - zeta)^2
     assert repeated([1, -1, -1, 1])
