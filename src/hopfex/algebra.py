@@ -61,6 +61,14 @@ field_roots' candidates.  A simple block M_r(k) is split by a bounded
 search over its corner basis, their pairwise sums, differences and
 products (primitive_idempotent_in); a search that runs out proves
 nothing and raises SplittingSearchExhausted.
+
+The splitting runs on sparse raw vectors {m: raw value} with no zeros,
+the form _product multiplies: split_commutative, split_idempotent,
+primitive_idempotent_in, lift_idempotent, QuotientMap.lift and
+SubalgebraMap.embed take and return them, and corner_basis returns the
+SubspaceBasis.raw rows of the corner.  Values become Scalars only where
+a public method returns them: mult, power, unit, left_mult_mat and
+QuotientMap.project.
 """
 
 from __future__ import annotations
@@ -80,19 +88,7 @@ from .errors import (
     require,
     require_indices,
 )
-from .linalg import (
-    Echelon,
-    Mat,
-    SubspaceBasis,
-    add_scaled,
-    combine,
-    dense_raw,
-    rref_rows,
-    vec_add,
-    vec_is_zero,
-    vec_sub,
-    zero_vec,
-)
+from .linalg import Echelon, Mat, SubspaceBasis, add_scaled, dense_raw, sum_scaled
 from .poly import MinPolySearch, char_poly
 from .scalars import (FieldSpec, box, combination, lift_columns,
                       lift_pairs, nonzero_raw, raw_values, settle_all)
@@ -129,8 +125,7 @@ def field_roots(field: FieldSpec, coeffs: list) -> list:
     if not coeffs:
         raise LinAlgError("root search on the zero polynomial")
     if field.char:
-        candidates = itertools.chain(
-            [ops.zero], (x.val for x in field._nonzero_elements()))
+        candidates = itertools.chain([ops.zero], field._nonzero_raw())
         return [x for x in candidates
                 if ops.is_zero(poly.evaluate(ops, coeffs, x))]
 
@@ -140,7 +135,7 @@ def field_roots(field: FieldSpec, coeffs: list) -> list:
         den = math.lcm(*(cs[0].denominator for cs in parts))
         ints = [int(cs[0] * den) for cs in parts]
         low = next(c for c in ints if c)
-        rational = [field.from_fraction(Fraction(s * p_, q_)).val
+        rational = [field.raw(Fraction(s * p_, q_))
                     for p_ in _divisors(low) for q_ in _divisors(ints[-1])
                     for s in (1, -1)]
         # when 0 is a root these come last, after the roots of unity, so
@@ -355,10 +350,6 @@ class FiniteAlgebra:
     def left_mult_mat(self, u: tuple) -> Mat:
         return self._mult_mat(self._basis_products(nonzero_raw(self.field, u)))
 
-    def right_mult_mat(self, u: tuple) -> Mat:
-        return self._mult_mat(
-            self._basis_products(nonzero_raw(self.field, u), False))
-
     def _mult_mat(self, cols: list[dict]) -> Mat:
         zero = self.field.ops.zero
         return Mat(self.field,
@@ -366,6 +357,8 @@ class FiniteAlgebra:
                     for m in range(self.dim)], self.dim)
 
     def power(self, u: tuple, n: int) -> tuple:
+        if n < 0:
+            raise ValueError("negative power")
         acc = self.unit
         base = u
         while n:
@@ -523,8 +516,9 @@ class FiniteAlgebra:
     def quotient(self, ideal: SubspaceBasis) -> "QuotientMap":
         return QuotientMap(self, ideal)
 
-    def subalgebra_on(self, rows: list[tuple], identity: tuple) -> "SubalgebraMap":
-        return SubalgebraMap(self, rows, identity)
+    def subalgebra_on(self, basis: SubspaceBasis,
+                      identity: tuple) -> "SubalgebraMap":
+        return SubalgebraMap(self, basis, identity)
 
     def center(self) -> SubspaceBasis:
         """{z : z e_j = e_j z for every j}, the kernel of the rows (j, m)
@@ -548,21 +542,21 @@ class FiniteAlgebra:
 
     # -- idempotents ------------------------------------------------------------
 
-    def lift_idempotent(self, v: tuple) -> tuple:
-        """Newton lift e <- 3e^2 - 2e^3 until exactly idempotent.
+    def lift_idempotent(self, v: dict) -> dict:
+        """Newton lift e <- 3e^2 - 2e^3 of v {m: raw value} until exactly
+        idempotent.
 
         Converges when v is idempotent modulo a nil ideal; quadratic, so
         the iteration count is logarithmic in the nilpotency index, and
         LIFT_ITERATIONS steps cover any nilpotency index below 2^64.
-        The steps run on sparse raw values and the result is boxed once.
         """
         field, ops = self.field, self.field.ops
-        three, minus_two = field.from_int(3).val, field.from_int(-2).val
-        e = dict(nonzero_raw(field, v))
+        three, minus_two = field.raw(3), field.raw(-2)
+        e = dict(v)
         for _ in range(LIFT_ITERATIONS):
             e2 = self._product(e.items(), e.items())
             if e2 == e:
-                return box(field, self._dense(e))
+                return e
             e3 = self._product(e2.items(), e.items())
             e = {}
             for c, power in ((three, e2), (minus_two, e3)):
@@ -589,7 +583,7 @@ class FiniteAlgebra:
         lifted, scale = lift_columns(ops, dict(enumerate(powers)))
         return lambda h: combination(ops, h, lifted, scale)
 
-    def split_idempotent(self, e: tuple, x: tuple) -> tuple | None:
+    def split_idempotent(self, e: dict, x: dict) -> dict | None:
         """Try to split idempotent e using the element x = e x e.
 
         Returns a proper subidempotent 0 != f < e, or None.  Two routes:
@@ -601,48 +595,38 @@ class FiniteAlgebra:
         e, x, x^2, ... that the search for mu builds: e is the unit of
         the corner, and x = e x e.
         """
-        field = self.field
-        mu, powers = self._min_poly(dict(nonzero_raw(field, e)),
-                                    nonzero_raw(field, x))
+        mu, powers = self._min_poly(e, list(x.items()))
         if len(mu) <= 2:
             return None
         at = self._at_powers(powers)
-
-        def at_x(h: list) -> tuple:
-            return box(field, self._dense(at(h)))
-
-        for lam in field_roots(field, mu):
-            nil, away = _eigen_projection(field.ops, mu, lam)
+        for lam in field_roots(self.field, mu):
+            nil, away = _eigen_projection(self.field.ops, mu, lam)
             if away is None:
                 # x - lam*e is nilpotent in the corner; its last nonzero
                 # power spans a proper left ideal of the corner.
-                f = self._left_ideal_idempotent(e, at_x(nil))
-                if f is not None and not vec_is_zero(f) and f != e:
+                f = self._left_ideal_idempotent(e, at(nil))
+                if f and f != e:
                     return f
                 continue
-            f = at_x(away)
-            if vec_is_zero(f) or f == e:
-                continue
-            if self.mult(f, f) == f:
+            f = at(away)
+            if f and f != e and self._product(f.items(), f.items()) == f:
                 return f
         return None
 
-    def _left_ideal_idempotent(self, e: tuple, n: tuple) -> tuple | None:
+    def _left_ideal_idempotent(self, e: dict, n: dict) -> dict | None:
         """Right identity of the left ideal (eAe)n, if one exists.
 
         In a semisimple corner every left ideal is generated by an
         idempotent, which is precisely a right identity of the ideal;
         finding it is a linear solve.
         """
-        field = self.field
-        rows, _ = rref_rows(field, [self.mult(b, n)
-                                    for b in self.corner_basis(e)])
-        if not rows:
+        raw = SubspaceBasis.of_raw(self.field, self.dim, [
+            self._product(b, n.items()) for b in self.corner_basis(e)]).raw
+        if not raw:
             return None
-        # u = sum c_k rows[k] with v u = v for every v in rows: column k
-        # holds the products v rows[k], keyed by (v, entry)
-        raw = [nonzero_raw(field, v) for v in rows]
-        system = Echelon(field)
+        # u = sum c_k raw[k] with v u = v for every v in raw: column k
+        # holds the products v raw[k], keyed by (v, entry)
+        system = Echelon(self.field)
         for b in raw:
             system.add({(i, m): x for i, v in enumerate(raw)
                         for m, x in self._product(v, b).items()})
@@ -651,16 +635,15 @@ class FiniteAlgebra:
                                   for m, x in v})
         except NoSolution:
             return None
-        u = combine(field, box(field, [comb.get(k, field.ops.zero)
-                                       for k in range(len(rows))]), rows)
-        if vec_is_zero(u) or self.mult(u, u) != u:
+        u = sum_scaled(self.field.ops, [(c, raw[k]) for k, c in comb.items()])
+        if not u or self._product(u.items(), u.items()) != u:
             return None
         return u
 
-    def split_commutative(self) -> list[tuple]:
+    def split_commutative(self) -> list[dict]:
         """All primitive idempotents of a commutative semisimple algebra,
-        sorted by their raw coefficient vectors (raw_values), compared
-        entry by entry.
+        as {m: raw value}, sorted by their dense raw coefficient vectors
+        compared entry by entry.
 
         One refinement of a pool of orthogonal idempotents that starts
         at the unit (Eberly-Giesbrecht, J. Symb. Comp. 29 (2000)): for
@@ -699,8 +682,7 @@ class FiniteAlgebra:
             raise NonSplitField(
                 "a simple block of the dual algebra has center larger "
                 "than the base field; recompute over a field extension")
-        dense = sorted(self._dense(e) for e in pool)
-        return [box(field, e) for e in dense]
+        return sorted(pool, key=self._dense)
 
     def _eigen_pieces(self, e: dict, b: int) -> list[dict]:
         """The eigen-components of x = e e_b inside eA, for an idempotent
@@ -730,7 +712,7 @@ class FiniteAlgebra:
         at = self._at_powers(powers)
         return [at(h) for h in projections + [rest] if h]
 
-    def primitive_idempotent_in(self, e: tuple) -> tuple:
+    def primitive_idempotent_in(self, e: dict) -> dict:
         """A primitive idempotent below e, by a bounded splitting search.
 
         Candidates x, tried as e x e: the corner basis, then its pairwise
@@ -741,13 +723,18 @@ class FiniteAlgebra:
         corner = self.corner_basis(e)
         if len(corner) == 1:
             return e
+        ops = self.field.ops
+        one, minus_one = ops.one, ops.neg(ops.one)
         pairs = list(itertools.combinations(corner, 2))
         for x in itertools.chain(
-                corner,
-                (vec_add(a, b) for a, b in pairs),
-                (vec_sub(a, b) for a, b in pairs),
-                (self.mult(a, b) for a, b in itertools.permutations(corner, 2))):
-            f = self.split_idempotent(e, self.mult(self.mult(e, x), e))
+                map(dict, corner),
+                (sum_scaled(ops, [(one, a), (one, b)]) for a, b in pairs),
+                (sum_scaled(ops, [(one, a), (minus_one, b)]) for a, b in pairs),
+                (self._product(a, b)
+                 for a, b in itertools.permutations(corner, 2))):
+            exe = self._product(self._product(e.items(), x.items()).items(),
+                                e.items())
+            f = self.split_idempotent(e, exe)
             if f is not None:
                 return self.primitive_idempotent_in(f)
         raise SplittingSearchExhausted(
@@ -755,13 +742,14 @@ class FiniteAlgebra:
             f"{len(corner)}; the block may be a division algebra over the "
             "base field, or may need a larger search")
 
-    def corner_basis(self, e: tuple) -> list[tuple]:
-        """Canonical basis of eAe = (eA)e: the columns e e_i of L_e are
-        row-reduced to a basis of eA, and only its rows are multiplied by e."""
-        enz = nonzero_raw(self.field, e)
-        ea = SubspaceBasis.of_raw(self.field, self.dim, self._basis_products(enz))
+    def corner_basis(self, e: dict) -> tuple:
+        """Canonical basis of eAe = (eA)e, as SubspaceBasis.raw rows: the
+        columns e e_i of L_e are row-reduced to a basis of eA, and only its
+        rows are multiplied by e."""
+        ea = SubspaceBasis.of_raw(self.field, self.dim,
+                                  self._basis_products(e.items()))
         return SubspaceBasis.of_raw(self.field, self.dim, [
-            self._product(r, enz) for r in ea.raw]).rows
+            self._product(r, e.items()) for r in ea.raw]).raw
 
 
 def _eigen_projection(ops, mu: list, lam) -> tuple[list, list | None]:
@@ -850,20 +838,18 @@ class QuotientMap:
         return box(field, [out.get(k, field.ops.zero)
                            for k in range(len(self.section_cols))])
 
-    def lift(self, q: tuple) -> tuple:
-        """q written at the section columns, zero elsewhere."""
-        out = list(zero_vec(self.parent.field, self.parent.dim))
-        for c, s in zip(q, self.section_cols):
-            out[s] = c
-        return tuple(out)
+    def lift(self, q: dict) -> dict:
+        """q {k: raw value} written at the section columns."""
+        return {self.section_cols[k]: c for k, c in q.items()}
 
 
 class SubalgebraMap:
-    """A unital subalgebra presented on a chosen basis inside the parent."""
+    """A unital subalgebra presented on the canonical rows of its span."""
 
-    def __init__(self, alg: FiniteAlgebra, rows: list[tuple], identity: tuple):
+    def __init__(self, alg: FiniteAlgebra, basis: SubspaceBasis,
+                 identity: tuple):
         self.parent = alg
-        basis = self.basis = SubspaceBasis(alg.field, alg.dim, rows)
+        self.basis = basis
         # a product of basis rows in the span has its coordinates at the
         # pivots
         constants = {}
@@ -874,10 +860,9 @@ class SubalgebraMap:
             constants.update(((a, b, k), prod[p]) for k, p in
                              enumerate(basis.pivots) if p in prod)
         self.algebra = FiniteAlgebra.of_raw(alg.field, basis.dim, constants,
-                                            self.coords(identity))
+                                            basis.coords_of(identity))
 
-    def coords(self, v: tuple) -> tuple:
-        return self.basis.coords_of(v)
-
-    def embed(self, q: tuple) -> tuple:
-        return combine(self.parent.field, q, self.basis.rows)
+    def embed(self, q: dict) -> dict:
+        """The element of the parent with coordinates q {k: raw value}."""
+        return sum_scaled(self.parent.field.ops,
+                          [(c, self.basis.raw[k]) for k, c in q.items()])

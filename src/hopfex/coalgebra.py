@@ -24,6 +24,11 @@ field_roots' candidate roots over a char-0 extension.
 SplittingSearchExhausted is raised when the bounded search inside a
 block finds nothing, which proves nothing.
 
+The splitting hands its results on as sparse raw vectors {m: raw value}
+(FiniteAlgebra's form): the block idempotents, the primitive idempotents
+and the block rows of each SimpleComponent, and the lifted coradical
+idempotents, which are boxed once as the functionals of the family.
+
 The rows of J and the lifted rows of every block form a basis of H*;
 it is inverted once, and the simple subcoalgebra C_t of block t is the
 span of the dual vectors of its rows, the perp of J and the other
@@ -530,7 +535,14 @@ class Coalgebra:
 # ---------------------------------------------------------------------------
 
 class SimpleComponent:
-    """One simple subcoalgebra, with its dual Wedderburn block data."""
+    """One simple subcoalgebra, with its dual Wedderburn block data.
+
+    grouplike is the normalised group-like as a vector of Scalars, or None.
+    The block data is raw, in the coordinates of the quotient H*/J:
+    central_idempotent and primitive_idempotent are sparse raw vectors
+    {m: raw value} with no zeros, and block_rows lists the block's basis
+    in that form.
+    """
 
     __slots__ = ("index", "subspace", "dim", "matrix_size", "is_grouplike",
                  "grouplike", "central_idempotent", "primitive_idempotent",
@@ -621,13 +633,13 @@ class CoradicalAnalysis:
             # idempotent z spans a 1-dimensional block, canonical row z
             # over its leading entry
             embedded, blocks = q.split_commutative(), []
-            for z in map(functools.partial(raw_values, field), embedded):
-                inv = ops.inv(next(x for x in z if not ops.is_zero(x)))
-                blocks.append([box(field, [ops.mul(inv, x) for x in z])])
+            for z in embedded:
+                inv = ops.inv(z[min(z)])
+                blocks.append([{m: ops.mul(inv, x) for m, x in z.items()}])
         else:
-            zmap = q.subalgebra_on(list(centre.rows), q.unit)
+            zmap = q.subalgebra_on(centre, q.unit)
             embedded = [zmap.embed(e) for e in zmap.algebra.split_commutative()]
-            blocks = [q.corner_basis(z) for z in embedded]
+            blocks = [list(map(dict, q.corner_basis(z))) for z in embedded]
         duals = self._dual_vectors([[self.quotient.lift(b) for b in block]
                                     for block in blocks])
         raw = []
@@ -639,7 +651,7 @@ class CoradicalAnalysis:
                 f = q.primitive_idempotent_in(z)
                 # Qf is spanned by the e_i f, the columns of R_f
                 r = SubspaceBasis.of_raw(field, q.dim, q._basis_products(
-                    nonzero_raw(field, f), False)).dim
+                    f.items(), False)).dim
                 if r * r != bdim:
                     raise NonSplitField(
                         f"simple block of dimension {bdim} has minimal left "
@@ -668,9 +680,10 @@ class CoradicalAnalysis:
         require(total == self.filtration[0], "simples do not sum to the coradical")
         return comps
 
-    def _dual_vectors(self, blocks: list[list[tuple]]) -> list[list[dict]]:
-        """For each block, the vectors of H dual to its rows in the basis
-        M = [rows of J; rows of every block] of H*, as sparse raw vectors.
+    def _dual_vectors(self, blocks: list[list[dict]]) -> list[list[dict]]:
+        """For each block of sparse raw rows {m: raw value} of H*, the
+        vectors of H dual to its rows in the basis M = [rows of J; rows of
+        every block] of H*, as sparse raw vectors.
 
         C_t, the span of the duals of block t, is the perp of J and the
         other blocks, so one inversion of M gives every simple
@@ -681,7 +694,7 @@ class CoradicalAnalysis:
         field, n = self.coalgebra.field, self.coalgebra.dim
         ops = field.ops
         rows = [dense_raw(ops, n, r) for r in self.radical.raw] + [
-            raw_values(field, row) for block in blocks for row in block]
+            dense_raw(ops, n, row.items()) for block in blocks for row in block]
         work = [row + [ops.one if j == i else ops.zero for j in range(n)]
                 for i, row in enumerate(rows)]
         require(len(work) == n and rref_raw(field, work) == list(range(n)),
@@ -711,30 +724,29 @@ class CoradicalAnalysis:
             total: dict = {}
             funcs = []
             for comp in comps:
-                lifted = nonzero_raw(field, self.quotient.lift(
-                    comp.central_idempotent))
+                lifted = self.quotient.lift(comp.central_idempotent).items()
                 mask = dict(unit)
                 add_scaled(ops, mask, minus_one, total)
                 x = a._product(a._product(mask.items(), lifted).items(),
                                mask.items())
-                f = a.lift_idempotent(box(field, a._dense(x)))
-                fr = dict(nonzero_raw(field, f))
+                f = a.lift_idempotent(x)
                 # f F = F f = 0 for the sum F of the earlier idempotents:
                 # then f g = f F g = 0 and g f = g F f = 0 for each earlier
                 # g, so by induction the family is pairwise orthogonal
                 if funcs:
-                    require(not a._product(fr.items(), total.items())
-                            and not a._product(total.items(), fr.items()),
+                    require(not a._product(f.items(), total.items())
+                            and not a._product(total.items(), f.items()),
                             "coradical idempotents are not orthogonal")
                 funcs.append(f)
-                add_scaled(ops, total, ops.one, fr)
+                add_scaled(ops, total, ops.one, f)
             require(total == unit, "idempotents do not sum to the counit")
             # f_i restricts to the counit on simple i and to 0 on the
             # others; rows and f_i are lifted once, f_i(row) settled once
             rows = [(comp.index, row, *lift_pairs(ops, row))
                     for comp in comps for row in comp.subspace.raw]
             for i, f in enumerate(funcs):
-                fl, sf = lift_functional(field, f)
+                pairs, sf = lift_pairs(ops, f.items())
+                fl = dict(pairs)
                 for index, row, lrow, sr in rows:
                     terms = [ops.lmul(fl[j], x) for j, x in lrow if j in fl]
                     got = ops.settle(functools.reduce(ops.ladd, terms),
@@ -742,7 +754,8 @@ class CoradicalAnalysis:
                     want = self.coalgebra._counit_raw(row) if index == i \
                         else ops.zero
                     require(got == want, "restriction property fails")
-            self._idempotents = IdempotentFamily(self.coalgebra, funcs)
+            self._idempotents = IdempotentFamily(
+                self.coalgebra, [self.coalgebra._box(f) for f in funcs])
         return self._idempotents
 
 

@@ -549,7 +549,7 @@ class HopfAlgebra(Coalgebra):
             raw = basic_multiplicative_matrix(self, comp).matrix.raw
             tr = sum_scaled(ops, [(ops.one, raw[i][i])
                                   for i in range(comp.matrix_size)])
-            total.append((self.field.from_int(comp.matrix_size).val, tr))
+            total.append((self.field.raw(comp.matrix_size), tr))
             terms.append((comp.index, comp.matrix_size,
                           Element(self, self._box(tr))))
         want = self.integral_dual_basis().element

@@ -19,14 +19,13 @@ Once a SubspaceBasis is canonical, membership, coordinates and
 hyperplane cuts read its pivots: v lies in the span exactly when its
 entries at the pivots rebuild it, and cutting by a functional clears one
 row against the others without leaving canonical form.  Membership takes
-a sparse raw vector and reads only its nonzero entries.  The rebuild, the
-cut's f . r and combine are sums of products on rows lifted once
-(FieldOps.lift).
+a sparse raw vector and reads only its nonzero entries.  The rebuild and
+the cut's f . r are sums of products on rows lifted once (FieldOps.lift).
 
 Internal vectors are sparse raw dicts {index: raw value} (add_scaled,
 sum_scaled), and a SubspaceBasis holds its canonical rows as sparse raw
-pairs.  Tuples of Scalars (the vec_* helpers, combine) and Mat objects
-(row major) are the public, boxed forms.
+pairs.  Tuples of Scalars (the vec_* helpers) and Mat objects (row
+major) are the public, boxed forms.
 Sizes are desk scale (dimension a few dozen), so the classical O(n^3)
 algorithms are used without blocking tricks.
 """
@@ -38,8 +37,8 @@ import math
 import operator
 
 from .errors import NoSolution, ShapeMismatch
-from .scalars import (FieldSpec, Scalar, box, combination, lift_columns,
-                      lift_pairs, nonzero_raw, raw_values)
+from .scalars import (FieldSpec, Scalar, box, lift_columns, lift_pairs,
+                      nonzero_raw, raw_values)
 
 
 # ---------------------------------------------------------------------------
@@ -387,19 +386,6 @@ class Echelon:
         if remainder:
             raise NoSolution("inconsistent linear system")
         return comb
-
-
-def combine(field: FieldSpec, coeffs, rows) -> tuple:
-    """sum coeffs[k] rows[k] for Scalars coeffs and a nonempty list of
-    vectors rows, lifted once, settled once per entry, boxed once."""
-    ops = field.ops
-    lifted, scale = lift_columns(ops, {k: dict(nonzero_raw(field, r))
-                                       for k, r in enumerate(rows)})
-    out = [ops.zero] * len(rows[0])
-    for j, x in combination(ops, raw_values(field, coeffs), lifted,
-                            scale).items():
-        out[j] = x
-    return box(field, out)
 
 
 # ---------------------------------------------------------------------------

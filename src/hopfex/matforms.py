@@ -324,10 +324,10 @@ def _matrix_units(analysis, comp: SimpleComponent) -> list[list[dict]]:
     r = comp.matrix_size
     # Q*f is spanned by the e_i f, the columns of R_f
     ideal = SubspaceBasis.of_raw(field, q.dim, q._basis_products(
-        nonzero_raw(field, comp.primitive_idempotent), False))
+        comp.primitive_idempotent.items(), False))
     require(ideal.dim == r,
             "minimal left ideal dimension disagrees with block size")
-    block = [nonzero_raw(field, b) for b in comp.block_rows]
+    block = [b.items() for b in comp.block_rows]
     require(len(block) == r * r, "block basis size disagrees with matrix size")
     action = Echelon(field)
     for b in block:
@@ -351,7 +351,7 @@ def _matrix_units(analysis, comp: SimpleComponent) -> list[list[dict]]:
                     want = units[u][vp] if v == up else {}
                     require(prod == want, "matrix unit relations fail")
     total = sum_scaled(ops, [(ops.one, units[k][k]) for k in range(r)])
-    require(total == dict(nonzero_raw(field, comp.central_idempotent)),
+    require(total == comp.central_idempotent,
             "matrix units do not sum to the central idempotent")
     return units
 

@@ -553,22 +553,26 @@ class FieldSpec:
     def one(self) -> "Scalar":
         return self.from_int(1)
 
+    def raw(self, x):
+        """The raw value of an int or a Fraction: reduced mod p in
+        characteristic p (DivisionByZero when the denominator is 0 mod p)
+        and padded in an extension field."""
+        x, p = _rational(x), self.char
+        if p:
+            if type(x) is not int:
+                den = x.denominator % p
+                if den == 0:
+                    raise DivisionByZero(
+                        f"denominator {x.denominator} is zero modulo {p}")
+                x = x.numerator * pow(den, p - 2, p)
+            x %= p
+        return self._pad([x]) if self.modulus else x
+
     def from_int(self, n: int) -> "Scalar":
-        c = n % self.char if self.char else _rational(n)
-        return Scalar(self, self._pad([c]) if self.modulus else c)
+        return Scalar(self, self.raw(n))
 
     def from_fraction(self, fr: Fraction) -> "Scalar":
-        fr = _rational(fr)
-        if self.char:
-            den = fr.denominator % self.char
-            if den == 0:
-                raise DivisionByZero(
-                    f"denominator {fr.denominator} is zero modulo {self.char}")
-            val = fr.numerator * pow(den, self.char - 2, self.char) % self.char
-            return self.from_int(val)
-        if self.modulus:
-            return Scalar(self, self._pad([fr]))
-        return Scalar(self, fr)
+        return Scalar(self, self.raw(fr))
 
     def from_coeffs(self, coeffs) -> "Scalar":
         """Element of an extension field from a coefficient list, constant first."""
@@ -686,23 +690,24 @@ class FieldSpec:
         group_order = self.char ** self.degree - 1
         if group_order % n:
             raise NoSuchRoot(f"{self.describe()} has no primitive {n}-th root of unity")
-        for cand in self._nonzero_elements():
+        for raw in self._nonzero_raw():
+            cand = Scalar(self, raw)
             order = _multiplicative_order(cand, group_order)
             if order % n == 0:
                 return cand ** (order // n)
         raise NoSuchRoot(f"{self.describe()} has no primitive {n}-th root of unity")
 
-    def _nonzero_elements(self):
-        """Deterministic enumeration of the nonzero elements of a finite field."""
+    def _nonzero_raw(self):
+        """Deterministic enumeration of the raw nonzero elements of a finite
+        field."""
         if self.char == 0:
             raise FieldError("cannot enumerate an infinite field")
         if not self.modulus:
-            for a in range(1, self.char):
-                yield Scalar(self, a)
+            yield from range(1, self.char)
             return
         for tup in itertools.product(range(self.char), repeat=self.degree):
             if any(tup):
-                yield Scalar(self, tuple(tup))
+                yield tup
 
     # -- embeddings ----------------------------------------------------------
 

@@ -21,7 +21,10 @@ raw kernels that only the tests call.  vec_dot, t2_add_term, solve and
 solve_columns are the Scalar dot product, the Scalar sparse-tensor
 accumulator and the Mat solvers (each right-hand side reduced against
 one linalg.Echelon of the matrix's columns) that the tests use as
-references.
+references.  as_raw and as_boxed convert a vector between its Scalar
+tuple and its sparse raw dict {m: raw value} at the call of a routine
+that takes or returns the other form, and right_mult_mat is R_u as a Mat,
+which only the tests read.
 """
 
 import functools
@@ -35,8 +38,8 @@ from hopfex.algebra import FiniteAlgebra
 from hopfex.hopf import HopfAlgebra
 from hopfex.coalgebra import lift_functional
 from hopfex.errors import HopfError, ShapeMismatch
-from hopfex.linalg import (Echelon, Mat, SubspaceBasis, unit_vec, vec_add,
-                           vec_is_zero, vec_scale, zero_vec)
+from hopfex.linalg import (Echelon, Mat, SubspaceBasis, dense_raw, unit_vec,
+                           vec_add, vec_is_zero, vec_scale, zero_vec)
 from hopfex.scalars import box, nonzero_raw, raw_values
 from hopfex.zoo import dual_group_algebra, sweedler, symmetric, taft
 
@@ -95,6 +98,23 @@ def basis_scales(field, dim, seed):
         if not d.is_zero():
             out.append(d)
     return out
+
+
+def as_raw(obj, vec: tuple) -> dict:
+    """The sparse raw vector {m: raw value} of a vector of Scalars over
+    obj.field."""
+    return dict(nonzero_raw(obj.field, vec))
+
+
+def as_boxed(obj, vec) -> tuple:
+    """The vector of obj.dim Scalars of a sparse raw vector {m: raw value}
+    or its (m, raw value) pairs."""
+    return box(obj.field, dense_raw(obj.field.ops, obj.dim, dict(vec).items()))
+
+
+def right_mult_mat(alg, u: tuple) -> Mat:
+    """R_u, whose column j is e_j u, read off the products by basis vectors."""
+    return alg._mult_mat(alg._basis_products(nonzero_raw(alg.field, u), False))
 
 
 @functools.lru_cache(maxsize=8)

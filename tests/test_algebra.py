@@ -35,11 +35,13 @@ from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
                         restricted_poly, sweedler, symmetric, taft,
                         tensor_product)
 from hopfex.scalars import Scalar, raw_values
-from lifting_cases import (F9, F13, HALF_ROOT, LIFT_FIELDS, QZ5, basis_scales,
-                           dense_table, fraction_scalar, fraction_vector,
-                           has_denominators, hopf_case, is_canonical,
-                           rebased_coalgebra, rescaled_algebra,
-                           rescaled_coalgebra, solve, tensor_mult)
+from golden_defs import golden_objects
+from lifting_cases import (F9, F13, HALF_ROOT, LIFT_FIELDS, QZ5, as_boxed,
+                           as_raw, basis_scales, dense_table, fraction_scalar,
+                           fraction_vector, has_denominators, hopf_case,
+                           is_canonical, rebased_coalgebra, rescaled_algebra,
+                           rescaled_coalgebra, right_mult_mat, solve,
+                           tensor_mult)
 
 
 def reference_char_poly(m):
@@ -132,8 +134,10 @@ def reference_split(alg):
         changed = False
         for idx, e in enumerate(pool):
             for x in cands:
-                f = alg.split_idempotent(e, alg.mult(alg.mult(e, x), e))
+                f = alg.split_idempotent(
+                    as_raw(alg, e), as_raw(alg, alg.mult(alg.mult(e, x), e)))
                 if f is not None:
+                    f = as_boxed(alg, f)
                     pool[idx:idx + 1] = [f, vec_sub(e, f)]
                     changed = True
                     break
@@ -144,7 +148,7 @@ def reference_split(alg):
 
 def reference_primitive_idempotent(alg, e, seed=0):
     """The block search with its 200 seeded random candidates at the end."""
-    corner = alg.corner_basis(e)
+    corner = [as_boxed(alg, r) for r in alg.corner_basis(as_raw(alg, e))]
     if len(corner) == 1:
         return e
     cands = list(corner)
@@ -158,9 +162,11 @@ def reference_primitive_idempotent(alg, e, seed=0):
             v = vec_add(v, vec_scale(alg.field.from_int(rng.randrange(-3, 4)), b))
         cands.append(v)
     for x in cands:
-        f = alg.split_idempotent(e, alg.mult(alg.mult(e, x), e))
+        f = alg.split_idempotent(
+            as_raw(alg, e), as_raw(alg, alg.mult(alg.mult(e, x), e)))
         if f is not None:
-            return reference_primitive_idempotent(alg, f, seed + 1)
+            return reference_primitive_idempotent(alg, as_boxed(alg, f),
+                                                  seed + 1)
     raise AssertionError("reference search exhausted")
 
 
@@ -174,7 +180,7 @@ def kZ2_dual_kS3():
 
 def quotient_and_center(h):
     q = h.analysis().quotient.algebra
-    return q, q.subalgebra_on(list(q.center().rows), q.unit)
+    return q, q.subalgebra_on(q.center(), q.unit)
 
 
 RADICAL_CASES = [
@@ -227,7 +233,7 @@ SPLIT_CASES = [
                          ids=[case[0] for case in SPLIT_CASES])
 def test_split_commutative_matches_restarting_scan(make, size):
     center = quotient_and_center(make())[1].algebra
-    pool = center.split_commutative()
+    pool = [as_boxed(center, e) for e in center.split_commutative()]
     assert len(pool) == size
     # the reference in split_commutative's order, by raw coefficient vector
     assert pool == sorted(reference_split(center),
@@ -362,8 +368,8 @@ def test_block_idempotent_matches_seeded_search(make, m2_blocks):
         z = zmap.embed(e)
         if len(q.corner_basis(z)) == 4:
             blocks += 1
-            assert q.primitive_idempotent_in(z) == \
-                reference_primitive_idempotent(q, z, seed=t)
+            assert as_boxed(q, q.primitive_idempotent_in(z)) == \
+                reference_primitive_idempotent(q, as_boxed(q, z), seed=t)
     assert blocks == m2_blocks
 
 
@@ -382,7 +388,7 @@ def test_rational_quaternions_exhaust_the_search():
     alg = FiniteAlgebra(field, 4, constants, (one, zero, zero, zero),
                         check=True)
     with pytest.raises(SplittingSearchExhausted):
-        alg.primitive_idempotent_in(alg.unit)
+        alg.primitive_idempotent_in(as_raw(alg, alg.unit))
 
 
 def count_char_polys(monkeypatch):
@@ -719,8 +725,9 @@ def basis_product_cases(h):
     q, zmap = quotient_and_center(h)
     pool = zmap.algebra.split_commutative()
     return [("dual", h.dual_algebra(), [h.dual_algebra().unit]),
-            ("quotient", q, [q.unit] + [zmap.embed(e) for e in pool]),
-            ("centre", zmap.algebra, pool)]
+            ("quotient", q,
+             [q.unit] + [as_boxed(q, zmap.embed(e)) for e in pool]),
+            ("centre", zmap.algebra, [as_boxed(zmap.algebra, e) for e in pool])]
 
 
 def test_basis_products_match_the_unit_vector_references(zoo):
@@ -730,10 +737,12 @@ def test_basis_products_match_the_unit_vector_references(zoo):
             units = [unit_vec(alg.field, alg.dim, i) for i in range(alg.dim)]
             for u in units + idempotents:
                 assert alg.left_mult_mat(u) == reference_left_mult_mat(alg, u), where
-                assert alg.right_mult_mat(u) == reference_right_mult_mat(alg, u), where
+                assert right_mult_mat(alg, u) == reference_right_mult_mat(alg, u), where
             assert alg.center() == reference_center(alg), where
             for e in idempotents:
-                assert alg.corner_basis(e) == reference_corner_basis(alg, e), where
+                corner = alg.corner_basis(as_raw(alg, e))
+                assert [as_boxed(alg, r) for r in corner] == \
+                    reference_corner_basis(alg, e), where
             powers = alg.radical_powers()
             assert alg.ideal_powers(powers[0]) == \
                 reference_ideal_powers(alg, powers[0]), where
@@ -786,12 +795,61 @@ def test_basis_product_routines_make_no_products(monkeypatch):
     for level in powers:
         alg._require_right_ideal(level)
     alg.left_mult_mat(alg.unit)
-    alg.right_mult_mat(alg.unit)
+    right_mult_mat(alg, alg.unit)
     assert q.center().dim == len(idempotents)
     for e in idempotents:
         q.corner_basis(e)
     alg.ideal_powers(powers[0])
     assert calls == []
+
+
+SPLITTING_ROUTINES = ("split_commutative", "corner_basis", "split_idempotent",
+                      "primitive_idempotent_in", "lift_idempotent")
+
+SPLITTING_CASES = golden_objects() + [
+    ("kZ12_Q", lambda: group_algebra(cyclic(12), QQ)),
+    ("kZ2_dual_kS3_rebased", lambda: rebased_coalgebra(kZ2_dual_kS3(), 3))]
+
+
+@pytest.mark.parametrize("build", [b for _, b in SPLITTING_CASES],
+                         ids=[stem for stem, _ in SPLITTING_CASES])
+def test_splitting_runs_on_raw_vectors(build, monkeypatch):
+    # with the analysis built, the splitting routines make no Scalar and
+    # the simples and idempotents form no product of Scalar vectors
+    analysis = build().analysis()
+    q = analysis.quotient.algebra
+    commutative = q.center().dim == q.dim
+    made, inside = [], []
+    calls = dict.fromkeys(SPLITTING_ROUTINES, 0)
+    init = Scalar.__init__
+
+    def counted(self, field, val):
+        if inside:
+            made.append(val)
+        init(self, field, val)
+
+    def watched(name, original):
+        def run(*args):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return original(*args)
+            finally:
+                inside.pop()
+        return run
+
+    for name in SPLITTING_ROUTINES:
+        monkeypatch.setattr(FiniteAlgebra, name,
+                            watched(name, getattr(FiniteAlgebra, name)))
+    mults = count_calls(monkeypatch, FiniteAlgebra, "mult")
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    analysis.simples()
+    analysis.idempotents()
+    monkeypatch.undo()
+    assert made == [] and mults == []
+    # a commutative H*/J is split without the block search
+    assert calls["split_commutative"] and calls["lift_idempotent"]
+    assert commutative or all(calls.values())
 
 
 # -- lifted kernels: the Scalar loops they replaced -------------------------

@@ -25,7 +25,7 @@ from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
                         restricted_poly, sweedler, symmetric, taft)
 
 from golden_defs import golden_objects
-from lifting_cases import (LIFT_FIELDS, basis_scales,
+from lifting_cases import (LIFT_FIELDS, as_boxed, as_raw, basis_scales,
                            bicomponent_decomposition_vec, component,
                            fraction_vector, has_denominators, hit_left,
                            hit_right, hopf_case, is_canonical,
@@ -309,7 +309,7 @@ def test_simples_off_the_coradical_raise_invariant_violation():
 
 def test_overlapping_idempotents_raise_invariant_violation(monkeypatch):
     monkeypatch.setattr(FiniteAlgebra, "lift_idempotent",
-                        lambda self, v: self.unit)
+                        lambda self, v: as_raw(self, self.unit))
     with pytest.raises(InvariantViolation, match="not orthogonal"):
         sweedler(QQ).coradical_idempotents()
 
@@ -317,7 +317,7 @@ def test_overlapping_idempotents_raise_invariant_violation(monkeypatch):
 def reference_simple_subspaces(h):
     """Each simple as the perp of J and the lifted blocks of the others."""
     analysis = h.analysis()
-    lifted = [[analysis.quotient.lift(b) for b in c.block_rows]
+    lifted = [[as_boxed(h, analysis.quotient.lift(b)) for b in c.block_rows]
               for c in analysis.simples()]
     out = []
     for t in range(len(lifted)):

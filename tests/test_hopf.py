@@ -266,6 +266,28 @@ def test_power_vec_is_associative_powering(zoo):
     assert h.element(h.power_vec(g.vec, 3)) == h.one()
 
 
+def test_negative_power_vec_raises(monkeypatch):
+    # -1 >> 1 == -1: a loop on n >>= 1 never ends, so the square-and-multiply
+    # is stopped after more products than any power below 2^32 needs
+    h = sweedler(QQ)
+    g = h.basis_element(h.index_of("g")).vec
+    mult, calls = FiniteAlgebra.mult, []
+
+    def bounded(self, u, v):
+        calls.append(1)
+        if len(calls) > 64:
+            raise RuntimeError("power did not stop")
+        return mult(self, u, v)
+
+    monkeypatch.setattr(FiniteAlgebra, "mult", bounded)
+    for n in (-1, -2, -7):
+        with pytest.raises(ValueError, match="negative power"):
+            h.power_vec(g, n)
+    assert calls == []
+    assert h.power_vec(g, 0) == h.unit
+    assert h.power_vec(g, 2) == h.unit
+
+
 # -- the exponent in k[id] = k[x]/(mu) against the loop on matrices ---------
 
 def reference_exponent(h, cap: int) -> ExponentReport:

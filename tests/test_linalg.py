@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import hopfex.extension
 from hopfex import GF, QQ, Element, FieldSpec, linalg, poly
-from hopfex.errors import FieldMismatch, NoSolution, ShapeMismatch
-from hopfex.linalg import (Echelon, Mat, SubspaceBasis, combine, kernel,
+from hopfex.errors import (DivisionByZero, FieldMismatch, NoSolution,
+                           ShapeMismatch)
+from hopfex.linalg import (Echelon, Mat, SubspaceBasis, kernel,
                            rref_raw, rref_rows, unit_vec, vec_add,
                            vec_is_zero, vec_scale, vec_sub, zero_vec)
 from hopfex.extension import extend_coalgebra
@@ -419,6 +420,28 @@ def raw_poly(field, coeffs):
     return poly.trim(field.ops, [
         (c if isinstance(c, Scalar) else field.from_int(c)).val
         for c in coeffs])
+
+
+@pytest.mark.parametrize("field", RAW_FIELDS, ids=lambda f: f.describe())
+def test_raw_of_ints_and_fractions(field):
+    # FieldSpec.raw is the raw value that from_int and from_fraction box,
+    # and b raw(a/b) = raw(a) on the field's own operations
+    ops = field.ops
+    ones = [ops.zero]
+    for _ in range(12):
+        ones.append(ops.add(ones[-1], ops.one))
+    for n in range(-12, 13):
+        assert field.raw(n) == field.from_int(n).val
+        assert field.raw(n) == (ones[n] if n >= 0 else ops.neg(ones[-n]))
+        for d in (1, 2, 3, 4, 7, 9):
+            fr = Fraction(n, d)
+            if field.char and fr.denominator % field.char == 0:
+                with pytest.raises(DivisionByZero):
+                    field.raw(fr)
+                continue
+            x = field.raw(fr)
+            assert x == field.from_fraction(fr).val
+            assert ops.mul(x, field.raw(d)) == field.raw(n)
 
 
 @pytest.mark.parametrize("field", RAW_FIELDS, ids=lambda f: f.describe())
@@ -902,17 +925,3 @@ def test_echelon_matches_the_rref_reference(field):
                     ech.coords(pair_keyed(field, b))
             consistent.add(want is not None)
     assert dependent == consistent == {True, False}
-
-
-@pytest.mark.parametrize("field", [f for _, f in LIFT_FIELDS],
-                         ids=[name for name, _ in LIFT_FIELDS])
-def test_combine_matches_the_boxed_sum(field):
-    rng = random.Random(7)
-    for _ in range(10):
-        n, k = rng.randint(1, 6), rng.randint(1, 4)
-        rows = [fraction_vector(field, rng, n) for _ in range(k)]
-        coeffs = fraction_vector(field, rng, k)
-        want = zero_vec(field, n)
-        for c, r in zip(coeffs, rows):
-            want = vec_add(want, vec_scale(c, r))
-        assert combine(field, coeffs, rows) == want

@@ -85,6 +85,21 @@ def test_extension_runs_on_raw_vectors():
     assert not defined & {"t2_add", "t2_sub", "t2_scale"}
 
 
+def test_splitting_runs_on_raw_vectors():
+    # the splitting of algebra.py takes and returns sparse raw vectors, so
+    # it needs no Scalar-vector helper and no boxed elimination, and the
+    # boxed linear combination that served it is gone from linalg
+    tree = ast.parse((SRC / "algebra.py").read_text())
+    imported = {a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not imported & {"combine", "rref_rows", "vec_add", "vec_sub",
+                           "vec_is_zero", "zero_vec"}
+    linalg = ast.parse((SRC / "linalg.py").read_text())
+    defined = {node.name for node in linalg.body
+               if isinstance(node, ast.FunctionDef)}
+    assert "combine" not in defined
+
+
 def called_names(node):
     """The names of the functions and methods called inside node."""
     return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
