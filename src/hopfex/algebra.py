@@ -88,7 +88,8 @@ from .errors import (
     require,
     require_indices,
 )
-from .linalg import Echelon, Mat, SubspaceBasis, add_scaled, dense_raw, sum_scaled
+from .linalg import (Echelon, Mat, SubspaceBasis, add_scaled, dense_raw,
+                     sparse_raw, sum_scaled)
 from .poly import MinPolySearch, char_poly
 from .scalars import (FieldSpec, box, combination, lift_columns,
                       lift_pairs, nonzero_raw, raw_values, settle_all)
@@ -171,8 +172,9 @@ class FiniteAlgebra:
 
     constants maps (i, j, m) -> Scalar c with e_i e_j = sum c e_m; an index
     outside range(dim) is an AxiomViolation.  unit is the coefficient
-    vector of 1.  self.constants[i][j] lists the nonzero (m, raw c) of
-    e_i e_j in increasing m, and terms is (D, lifted), the same lists with
+    vector of 1; unit_raw holds its raw values, and unit is a read-only
+    view boxed at the first read.  self.constants[i][j] lists the nonzero
+    (m, raw c) of e_i e_j in increasing m, and terms is (D, lifted), the same lists with
     every c lifted over one denominator D (FieldOps.lift), built at the
     first product.  Products walk them as multiply-adds on lifted values
     and settle once per nonzero output entry, so their cost follows the
@@ -184,7 +186,7 @@ class FiniteAlgebra:
                  unit: tuple, check: bool = False):
         require_indices("multiplication", constants, dim)
         self._hold(field, dim, zip(constants, raw_values(
-            field, constants.values())), unit)
+            field, constants.values())), raw_values(field, unit))
         if check:
             bad = self.violations()
             if bad:
@@ -194,14 +196,15 @@ class FiniteAlgebra:
     def of_raw(cls, field: FieldSpec, dim: int, constants: dict,
                unit: tuple) -> "FiniteAlgebra":
         """The algebra of the raw constants {(i, j, m): raw c}, indices in
-        range(dim) and zeros allowed, with the unit vector of Scalars."""
+        range(dim) and zeros allowed, with the unit vector of raw values."""
         return cls.__new__(cls)._hold(field, dim, constants.items(), unit)
 
     def _hold(self, field, dim, items, unit) -> "FiniteAlgebra":
         """Hold the ((i, j, m), raw c) items as constants, zeros dropped."""
         if len(unit) != dim:
             raise AxiomViolation("unit vector length differs from dimension")
-        self.field, self.dim, self.unit = field, dim, tuple(unit)
+        self.field, self.dim, self.unit_raw = field, dim, tuple(unit)
+        self._unit = None
         is_zero, products = field.ops.is_zero, {}
         for (i, j, m), c in sorted(items):
             if not is_zero(c):
@@ -211,9 +214,16 @@ class FiniteAlgebra:
         self._radical_powers: list[SubspaceBasis] | None = None
         return self
 
+    @property
+    def unit(self) -> tuple:
+        """The unit as a vector of Scalars, boxed at the first read."""
+        if self._unit is None:
+            self._unit = box(self.field, self.unit_raw)
+        return self._unit
+
     def raw_constants(self) -> dict:
         """The nonzero constants as {(i, j, m): raw c}, in (i, j, m) order;
-        FiniteAlgebra.of_raw(field, dim, these, unit) is this algebra."""
+        FiniteAlgebra.of_raw(field, dim, these, unit_raw) is this algebra."""
         return {(i, j, m): c for i, row in enumerate(self.constants)
                 for j, tij in enumerate(row) for m, c in tij}
 
@@ -233,7 +243,7 @@ class FiniteAlgebra:
         """
         field, dim = self.field, self.dim
         names = [str(i) for i in range(dim)] if names is None else names
-        unit = nonzero_raw(field, self.unit)
+        unit = sparse_raw(field.ops, self.unit_raw)
         one = field.ops.one
         bad = []
         # 1 e_i and e_i 1 are column i of L_1 and of R_1
@@ -359,14 +369,14 @@ class FiniteAlgebra:
     def power(self, u: tuple, n: int) -> tuple:
         if n < 0:
             raise ValueError("negative power")
-        acc = self.unit
-        base = u
+        acc = sparse_raw(self.field.ops, self.unit_raw)
+        base = nonzero_raw(self.field, u)
         while n:
             if n & 1:
-                acc = self.mult(acc, base)
-            base = self.mult(base, base)
+                acc = self._product(acc, base).items()
+            base = self._product(base, base).items()
             n >>= 1
-        return acc
+        return box(self.field, self._dense(dict(acc)))
 
     # -- radical ---------------------------------------------------------------
 
@@ -516,9 +526,8 @@ class FiniteAlgebra:
     def quotient(self, ideal: SubspaceBasis) -> "QuotientMap":
         return QuotientMap(self, ideal)
 
-    def subalgebra_on(self, basis: SubspaceBasis,
-                      identity: tuple) -> "SubalgebraMap":
-        return SubalgebraMap(self, basis, identity)
+    def subalgebra_on(self, basis: SubspaceBasis) -> "SubalgebraMap":
+        return SubalgebraMap(self, basis)
 
     def center(self) -> SubspaceBasis:
         """{z : z e_j = e_j z for every j}, the kernel of the rows (j, m)
@@ -665,7 +674,7 @@ class FiniteAlgebra:
         extension field it rests on field_roots' list of candidate roots.
         """
         field, n = self.field, self.dim
-        pool = [dict(nonzero_raw(field, self.unit))]
+        pool = [dict(sparse_raw(field.ops, self.unit_raw))]
         changed = True
         while changed and len(pool) < n:
             changed = False
@@ -821,8 +830,9 @@ class QuotientMap:
                      for b, sb in enumerate(cols)
                      for k, c in self._project_raw(
                          alg.constants[sa][sb]).items()}
+        unit = self._project_raw(sparse_raw(ops, alg.unit_raw)).items()
         self.algebra = FiniteAlgebra.of_raw(field, len(cols), constants,
-                                            self.project(alg.unit))
+                                            dense_raw(ops, len(cols), unit))
 
     def _project_raw(self, pairs) -> dict:
         """The section coordinates {k: raw value}, with no zeros, of the
@@ -846,12 +856,10 @@ class QuotientMap:
 class SubalgebraMap:
     """A unital subalgebra presented on the canonical rows of its span."""
 
-    def __init__(self, alg: FiniteAlgebra, basis: SubspaceBasis,
-                 identity: tuple):
-        self.parent = alg
-        self.basis = basis
-        # a product of basis rows in the span has its coordinates at the
-        # pivots
+    def __init__(self, alg: FiniteAlgebra, basis: SubspaceBasis):
+        self.parent, self.basis, ops = alg, basis, alg.field.ops
+        # a product of basis rows, or the unit, in the span has its
+        # coordinates at the pivots
         constants = {}
         for (a, u), (b, v) in itertools.product(enumerate(basis.raw), repeat=2):
             prod = alg._product(u, v)
@@ -859,8 +867,10 @@ class SubalgebraMap:
                 raise NoSolution("vector is not in the subspace")
             constants.update(((a, b, k), prod[p]) for k, p in
                              enumerate(basis.pivots) if p in prod)
-        self.algebra = FiniteAlgebra.of_raw(alg.field, basis.dim, constants,
-                                            basis.coords_of(identity))
+        if not basis.contains_raw(dict(sparse_raw(ops, alg.unit_raw))):
+            raise NoSolution("vector is not in the subspace")
+        self.algebra = FiniteAlgebra.of_raw(alg.field, basis.dim, constants, [
+            alg.unit_raw[p] for p in basis.pivots])
 
     def embed(self, q: dict) -> dict:
         """The element of the parent with coordinates q {k: raw value}."""

@@ -26,7 +26,7 @@ from .extension import extend_coalgebra
 from .hopf import HopfAlgebra
 from .matforms import basic_multiplicative_matrix, is_multiplicative, \
     primitive_decompose
-from .linalg import dense_raw, sum_scaled
+from .linalg import sparse_raw, sum_scaled
 from .scalars import FieldSpec, nonzero_raw
 from .structfile import emit_structure_file, parse_structure_file, \
     structure_from_object
@@ -275,7 +275,7 @@ def _cmd_idempotents(obj, args):
     ok = all(dual._product(fi.items(), fj.items()) == (fi if i == j else {})
              for i, fi in raw for j, fj in raw)
     eps_sum = sum_scaled(ops, [(ops.one, fi) for _, fi in raw])
-    sum_is_counit = dense_raw(ops, obj.dim, eps_sum.items()) == obj._eps
+    sum_is_counit = eps_sum == dict(sparse_raw(ops, obj.counit_raw))
     facts["orthonormal"] = ok and sum_is_counit
     facts["sum_is_counit"] = sum_is_counit
     return (0 if facts["orthonormal"] else 1), facts

@@ -69,6 +69,7 @@ from .linalg import (
     dense_raw,
     raw_pair,
     rref_raw,
+    sparse_raw,
     tensor_legs,
     unit_vec,
     vec_add,
@@ -78,7 +79,7 @@ from .linalg import (
     zero_vec,
 )
 from .scalars import (FieldSpec, Scalar, box, lift_columns, lift_pairs,
-                      nonzero_raw, raw_values, settle_all)
+                      nonzero_raw, settle_all)
 
 
 def lift_functional(field: FieldSpec, f: tuple) -> tuple:
@@ -199,9 +200,9 @@ class Coalgebra:
 
     comul maps (i, j, k) -> scalar with Delta(e_i) = sum e_j (x) e_k
     weighted by that scalar; counit lists eps(e_i).  comul_raw[i] holds
-    Delta(e_i) as {(j, k): raw value} with no zeros; comul is its boxed
-    view.  Instances are immutable after construction; derived data
-    (dual algebra, coradical analysis) is computed once and cached.
+    Delta(e_i) as {(j, k): raw value} with no zeros, counit_raw the raw
+    eps(e_i); comul and counit are their boxed views.  Instances are
+    immutable; derived data (dual algebra, analysis) is cached.
     """
 
     def __init__(self, field: FieldSpec, names, comul, counit, name: str = ""):
@@ -210,7 +211,7 @@ class Coalgebra:
             raise AxiomViolation("basis names must be distinct")
         if len(counit) != len(names):
             raise AxiomViolation("counit length differs from dimension")
-        counit = tuple(as_scalar(field, c) for c in counit)
+        counit = tuple(as_scalar(field, c).val for c in counit)
         table = [{} for _ in names]
         for (i, j, k), c in raw_table(field, "comultiplication", comul,
                                       len(names)).items():
@@ -221,15 +222,15 @@ class Coalgebra:
     def of_raw(cls, field: FieldSpec, names, comul, counit,
                name: str = "") -> "Coalgebra":
         """The coalgebra with Delta(e_i) = comul[i], {(j, k): raw value}
-        with no zeros, and the counit vector of Scalars; the caller
+        with no zeros, and the counit vector of raw values; the caller
         guarantees distinct names, indices in range and lengths dim."""
         return cls.__new__(cls)._hold(field, tuple(names), comul, counit, name)
 
     def _hold(self, field, names, comul, counit, name) -> "Coalgebra":
         self.field, self.names, self.dim = field, names, len(names)
         self.name = name or "coalgebra"
-        self.comul_raw, self.counit = tuple(comul), tuple(counit)
-        self._comul = self._dual = self._analysis = None
+        self.comul_raw, self.counit_raw = tuple(comul), tuple(counit)
+        self._comul = self._counit = self._dual = self._analysis = None
         return self
 
     @property
@@ -241,6 +242,13 @@ class Coalgebra:
             self._comul = tuple({key: next(vals) for key in d}
                                 for d in self.comul_raw)
         return self._comul
+
+    @property
+    def counit(self) -> tuple:
+        """eps(e_i) for each i as a Scalar, boxed at first read."""
+        if self._counit is None:
+            self._counit = box(self.field, self.counit_raw)
+        return self._counit
 
     # -- basics -------------------------------------------------------------
 
@@ -315,17 +323,12 @@ class Coalgebra:
         return settle_all(ops, acc, sc * scale)
 
     @functools.cached_property
-    def _eps(self) -> list:
-        """The raw values of the counit."""
-        return raw_values(self.field, self.counit)
-
-    @functools.cached_property
     def _lifted_counit(self) -> tuple:
         """(scale, lifted): the counit's values lifted over one scale."""
-        flat, scale = self.field.ops.lift(self._eps)
+        flat, scale = self.field.ops.lift(self.counit_raw)
         return scale, flat
 
-    def _counit_raw(self, pairs):
+    def _eps_raw(self, pairs):
         """eps of the vector with nonzero (index, raw value) pairs, as a
         raw value: lifted multiply-adds, settled once."""
         ops = self.field.ops
@@ -352,25 +355,26 @@ class Coalgebra:
                         todo.append(m)
         return sorted(support)
 
-    def is_grouplike(self, vec) -> bool:
-        """Whether eps(vec) = 1 and Delta(vec) = vec (x) vec."""
+    def _pairs(self, vec) -> list:
+        """nonzero_raw of a vector of length dim, else ShapeMismatch."""
         if len(vec) != self.dim:
             raise ShapeMismatch(f"vector lengths {self.dim} vs {len(vec)}")
-        return self._grouplike_raw(nonzero_raw(self.field, vec))
+        return nonzero_raw(self.field, vec)
 
-    def _grouplike_raw(self, pairs) -> bool:
+    def is_grouplike(self, vec) -> bool:
+        """Whether eps(vec) = 1 and Delta(vec) = vec (x) vec."""
+        return self._is_grouplike_raw(self._pairs(vec))
+
+    def _is_grouplike_raw(self, pairs) -> bool:
         """is_grouplike of the vector with nonzero (index, raw value) pairs."""
         ops = self.field.ops
         pairs = list(pairs)
-        return self._counit_raw(pairs) == ops.one and \
+        return self._eps_raw(pairs) == ops.one and \
             self._delta_raw(pairs) == raw_pair(ops, pairs, pairs)
 
     def counit_vec(self, vec) -> Scalar:
         """eps(vec), from the nonzero entries of vec against the counit."""
-        if len(vec) != self.dim:
-            raise ShapeMismatch(f"vector lengths {self.dim} vs {len(vec)}")
-        field = self.field
-        return Scalar(field, self._counit_raw(nonzero_raw(field, vec)))
+        return Scalar(self.field, self._eps_raw(self._pairs(vec)))
 
     def __repr__(self):
         return (f"<{type(self).__name__} {self.name!r} dim={self.dim} "
@@ -396,7 +400,7 @@ class Coalgebra:
             if left != right:
                 bad.append(f"coassociativity fails on {self.names[i]}")
             for side, legs in (("left", columns), ("right", rows)):
-                eps = {k: self._counit_raw(leg.items()) for k, leg in legs.items()}
+                eps = {k: self._eps_raw(leg.items()) for k, leg in legs.items()}
                 if {k: x for k, x in eps.items()
                         if not ops.is_zero(x)} != {i: ops.one}:
                     bad.append(f"{side} counit law fails on {self.names[i]}")
@@ -455,7 +459,7 @@ class Coalgebra:
                 self.field, self.dim,
                 {(j, k, i): c for i, d in enumerate(self.comul_raw)
                  for (j, k), c in d.items()},
-                self.counit)
+                self.counit_raw)
         return self._dual
 
     def analysis(self) -> "CoradicalAnalysis":
@@ -537,7 +541,8 @@ class Coalgebra:
 class SimpleComponent:
     """One simple subcoalgebra, with its dual Wedderburn block data.
 
-    grouplike is the normalised group-like as a vector of Scalars, or None.
+    grouplike_raw is the normalised group-like {j: raw value}, or None;
+    grouplike is its view, a vector of Scalars boxed at the first read.
     The block data is raw, in the coordinates of the quotient H*/J:
     central_idempotent and primitive_idempotent are sparse raw vectors
     {m: raw value} with no zeros, and block_rows lists the block's basis
@@ -545,8 +550,8 @@ class SimpleComponent:
     """
 
     __slots__ = ("index", "subspace", "dim", "matrix_size", "is_grouplike",
-                 "grouplike", "central_idempotent", "primitive_idempotent",
-                 "block_rows")
+                 "grouplike_raw", "_grouplike", "central_idempotent",
+                 "primitive_idempotent", "block_rows")
 
     def __init__(self, index, subspace, matrix_size, grouplike,
                  central_idempotent, primitive_idempotent, block_rows):
@@ -555,10 +560,20 @@ class SimpleComponent:
         self.dim = subspace.dim
         self.matrix_size = matrix_size
         self.is_grouplike = grouplike is not None
-        self.grouplike = grouplike
+        self.grouplike_raw, self._grouplike = grouplike, None
         self.central_idempotent = central_idempotent
         self.primitive_idempotent = primitive_idempotent
         self.block_rows = block_rows
+
+    @property
+    def grouplike(self) -> tuple | None:
+        """The group-like as a vector of Scalars, boxed at the first read;
+        None for a simple of dimension above 1."""
+        if self.is_grouplike and self._grouplike is None:
+            field = self.subspace.field
+            self._grouplike = box(field, dense_raw(
+                field.ops, self.subspace.ambient, self.grouplike_raw.items()))
+        return self._grouplike
 
     def __repr__(self):
         kind = "group-like" if self.is_grouplike else f"{self.matrix_size}x{self.matrix_size}"
@@ -637,7 +652,7 @@ class CoradicalAnalysis:
                 inv = ops.inv(z[min(z)])
                 blocks.append([{m: ops.mul(inv, x) for m, x in z.items()}])
         else:
-            zmap = q.subalgebra_on(centre, q.unit)
+            zmap = q.subalgebra_on(centre)
             embedded = [zmap.embed(e) for e in zmap.algebra.split_commutative()]
             blocks = [list(map(dict, q.corner_basis(z))) for z in embedded]
         duals = self._dual_vectors([[self.quotient.lift(b) for b in block]
@@ -662,13 +677,13 @@ class CoradicalAnalysis:
             grouplike = None
             if bdim == 1:
                 v = sub.raw[0]
-                ev = H._counit_raw(v)
+                ev = H._eps_raw(v)
                 require(not ops.is_zero(ev), "counit vanishes on a simple")
                 inv = ops.inv(ev)
                 g = {j: ops.mul(inv, x) for j, x in v}
-                require(H._grouplike_raw(g.items()),
+                require(H._is_grouplike_raw(g.items()),
                         "normalised 1-dim simple is not group-like")
-                grouplike = H._box(g)
+                grouplike = g
             raw.append((sub, r, grouplike, z, f, blocks[t]))
         raw.sort(key=lambda item: (item[0].dim, tuple(
             field.format_raw(x) for row in item[0].raw
@@ -706,9 +721,10 @@ class CoradicalAnalysis:
             i += len(block)
         return out
 
-    def find_simple_containing(self, vec: tuple) -> int:
+    def find_simple_containing(self, vec: dict) -> int:
+        """The simple holding the sparse raw vector {index: raw value}."""
         for c in self.simples():
-            if c.subspace.contains_vector(vec):
+            if c.subspace.contains_raw(vec):
                 return c.index
         raise UnknownSimple("vector lies in no single simple subcoalgebra")
 
@@ -719,7 +735,7 @@ class CoradicalAnalysis:
             comps = self.simples()
             a = self.dual
             field, ops = a.field, a.field.ops
-            unit = dict(nonzero_raw(field, a.unit))
+            unit = dict(sparse_raw(ops, a.unit_raw))
             minus_one = ops.neg(ops.one)
             total: dict = {}
             funcs = []
@@ -751,7 +767,7 @@ class CoradicalAnalysis:
                     terms = [ops.lmul(fl[j], x) for j, x in lrow if j in fl]
                     got = ops.settle(functools.reduce(ops.ladd, terms),
                                      sf * sr) if terms else ops.zero
-                    want = self.coalgebra._counit_raw(row) if index == i \
+                    want = self.coalgebra._eps_raw(row) if index == i \
                         else ops.zero
                     require(got == want, "restriction property fails")
             self._idempotents = IdempotentFamily(
@@ -778,12 +794,12 @@ def coalgebra_amalgam(base: Coalgebra, extensions) -> Coalgebra:
             raise IncompatibleBase("extension smaller than the base")
         for i in range(db):
             if ext.comul_raw[i] != base.comul_raw[i] \
-                    or ext.counit[i] != base.counit[i]:
+                    or ext.counit_raw[i] != base.counit_raw[i]:
                 raise IncompatibleBase(
                     f"extension disagrees with the base on basis vector {i}")
     names = list(base.names)
     comul = list(base.comul_raw)
-    counit = list(base.counit)
+    counit = list(base.counit_raw)
     offset = db
     taken = set(names)
     for t, ext in enumerate(extensions, start=1):
@@ -802,7 +818,7 @@ def coalgebra_amalgam(base: Coalgebra, extensions) -> Coalgebra:
                 k2 += 1
             taken.add(nm)
             names.append(nm)
-            counit.append(ext.counit[m])
+            counit.append(ext.counit_raw[m])
             comul.append({(remap(j), remap(k)): c
                           for (j, k), c in ext.comul_raw[m].items()})
         offset += extra

@@ -27,10 +27,10 @@ H (x) H a dict {(a, b): raw value}, both free of zeros, so nothing is
 padded when the coalgebra grows and an amalgam only remaps indices.
 Values become Scalars at the edges only: graded_positive_part and
 delta_expansion box what their raw routines return, _Grower.adjoin hands
-the raw table to Coalgebra.of_raw, extend_coalgebra hands the witness
-grids to MatrixOverH.of_raw and boxes z, g, h, a public method that takes
-Scalars is given them at the call (find_simple_containing,
-SubspaceBasis.cut), and subspaces are read through their raw rows.
+the raw tables to Coalgebra.of_raw, and extend_coalgebra hands the
+witness grids to MatrixOverH.of_raw, sums their corners on raw values
+and boxes z, g, h.  Simples are found (find_simple_containing), and
+subspaces read and cut by the counit, on raw vectors.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 from .coalgebra import Coalgebra, Element, coalgebra_amalgam
 from .errors import InvariantViolation, NoSolution, NotInComponent, require
 from .linalg import (Echelon, add_scaled, leg_coords, raw_pair, rref_raw,
-                     tensor_legs)
+                     sparse_raw, sum_scaled, tensor_legs)
 from .matforms import MatrixOverH, is_multiplicative
 from .scalars import box, combination, lift_columns, nonzero_raw
 
@@ -82,12 +82,12 @@ def graded_positive_part(z: Element, g: Element, h: Element, n: int):
 
 def _positive_part(coalg: Coalgebra, g: dict, h: dict, z: dict, n: int):
     """graded_positive_part on raw vectors."""
-    if not (coalg._grouplike_raw(g.items()) and coalg._grouplike_raw(h.items())):
+    if not (coalg._is_grouplike_raw(g.items()) and coalg._is_grouplike_raw(h.items())):
         raise NotInComponent("flanking elements must be group-like")
     ops = coalg.field.ops
     w = dict(z)
     # distinct group-likes span distinct simples
-    eps = coalg._counit_raw(z.items()) if g == h else ops.zero
+    eps = coalg._eps_raw(z.items()) if g == h else ops.zero
     if not ops.is_zero(eps):
         add_scaled(ops, w, ops.neg(eps), g)
     if n < 0:
@@ -97,10 +97,10 @@ def _positive_part(coalg: Coalgebra, g: dict, h: dict, z: dict, n: int):
     ok = level.contains_raw(w)
     if ok:
         ok = coalg._component_raw(
-            w.items(), ana.find_simple_containing(coalg._box(g)),
-            ana.find_simple_containing(coalg._box(h))) == w
+            w.items(), ana.find_simple_containing(g),
+            ana.find_simple_containing(h)) == w
     if ok:
-        require(ops.is_zero(coalg._counit_raw(w.items())),
+        require(ops.is_zero(coalg._eps_raw(w.items())),
                 "positive part of a bicomponent has a nonzero counit")
     return (ok, w)
 
@@ -154,10 +154,11 @@ def _flag_basis(coalg: Coalgebra, left: int, right: int, maxdeg: int):
     ana = coalg.analysis()
     out = []
     span = Echelon(coalg.field)
+    eps = sparse_raw(coalg.field.ops, coalg.counit_raw)
     for d in range(1, maxdeg + 1):
         level = ana.filtration[min(d, ana.depth)]
         comp = coalg.bicomponent_subspace(left, right, within=level)
-        for row in comp.cut(coalg.counit).raw:
+        for row in comp._cut_raw(eps).raw:
             vec = dict(row)
             if span.add(vec) is None:
                 out.append((vec, d))
@@ -223,7 +224,7 @@ def _factor_middle(coalg: Coalgebra, middle: dict, gi: int, hi: int, n: int):
                 if da + db > n:
                     require(ops.is_zero(lam[a][b]),
                             "expansion coefficient violates the degree bound")
-        kel = dict(nonzero_raw(field, s.grouplike))
+        kel = dict(s.grouplike_raw)
         ys = lift_columns(ops, {b: v for b, (v, _) in enumerate(rights)})
         for d in sorted({da for _, da in lefts}):
             sel = [a for a, (_, da) in enumerate(lefts) if da == d]
@@ -271,8 +272,8 @@ def _expand(coalg: Coalgebra, g: dict, h: dict, z: dict, n: int):
         return w, middle, []
     ana = coalg.analysis()
     return w, middle, _factor_middle(
-        coalg, middle, ana.find_simple_containing(coalg._box(g)),
-        ana.find_simple_containing(coalg._box(h)), n)
+        coalg, middle, ana.find_simple_containing(g),
+        ana.find_simple_containing(h), n)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,7 @@ class _Grower:
         d = coalg.dim
         require(_is_two_cocycle(coalg, middle, sigma, tau),
                 "adjoined middle is not a two-cocycle")
-        require(all(ops.is_zero(coalg._counit_raw(leg.items()))
+        require(all(ops.is_zero(coalg._eps_raw(leg.items()))
                     for legs in tensor_legs(middle) for leg in legs.values()),
                 "adjoined middle has counit-visible legs")
         new = ([((a, d), c) for a, c in sorted(sigma.items())]
@@ -336,7 +337,7 @@ class _Grower:
         self.coalg = Coalgebra.of_raw(
             coalg.field, names + [lab],
             coalg.comul_raw + ({k: c for k, c in new if not ops.is_zero(c)},),
-            coalg.counit + (coalg.field.boxed_zero,), name=coalg.name)
+            coalg.counit_raw + (ops.zero,), name=coalg.name)
         return d
 
 
@@ -359,7 +360,7 @@ def _solve_skew(coalg: Coalgebra, sigma: dict, tau: dict, mid: dict):
         r = system.coords(mid)
     except NoSolution:
         return None
-    require(ops.is_zero(coalg._counit_raw(r.items())),
+    require(ops.is_zero(coalg._eps_raw(r.items())),
             "skew-primitive solution has a nonzero counit")
     return r
 
@@ -432,8 +433,8 @@ def _coideal_witness(gr: _Grower, corner_idx: int, g: dict, h: dict, n: int):
     coalg = gr.coalg
     field = coalg.field
     ana = coalg.analysis()
-    require(coalg._grouplike_raw(g.items()), "coideal corner g is not group-like")
-    gi = ana.find_simple_containing(coalg._box(g))
+    require(coalg._is_grouplike_raw(g.items()), "coideal corner g is not group-like")
+    gi = ana.find_simple_containing(g)
     corner = {corner_idx: field.ops.one}
     members = []
     span = Echelon(field)
@@ -446,9 +447,9 @@ def _coideal_witness(gr: _Grower, corner_idx: int, g: dict, h: dict, n: int):
         mid = _reduced_delta(coalg, g, vec, rvec)
         if not mid:
             continue
-        require(coalg._grouplike_raw(rvec.items()),
+        require(coalg._is_grouplike_raw(rvec.items()),
                 "coideal flank is not group-like")
-        ri = ana.find_simple_containing(coalg._box(rvec))
+        ri = ana.find_simple_containing(rvec)
         for d, _, kel, x, _y in _factor_middle(coalg, mid, gi, ri, deg):
             if span.add(x) is not None:
                 continue
@@ -470,7 +471,7 @@ def _coideal_witness(gr: _Grower, corner_idx: int, g: dict, h: dict, n: int):
     for u in range(size):
         for w in range(u + 1, size):
             require(not grid[w][u], "coideal matrix not triangular")
-        require(coalg._grouplike_raw(grid[u][u].items()),
+        require(coalg._is_grouplike_raw(grid[u][u].items()),
                 "coideal diagonal entry is not group-like")
     require(grid[0][size - 1] == corner, "coideal corner entry moved")
     require(grid[0][0] == g and grid[size - 1][size - 1] == h,
@@ -668,7 +669,7 @@ def extend_coalgebra(coalg: Coalgebra, g: Element, h: Element, z: Element,
             "extension renamed the base")
     for i in range(coalg.dim):
         require(result.comul_raw[i] == coalg.comul_raw[i]
-                and result.counit[i] == coalg.counit[i],
+                and result.counit_raw[i] == coalg.counit_raw[i],
                 "extension changed the base")
     witnesses = []
     for grid in ext.grids:
@@ -677,12 +678,16 @@ def extend_coalgebra(coalg: Coalgebra, g: Element, h: Element, z: Element,
         size = len(grid)
         for u in range(size):
             require(not any(grid[u][:u]), "witness is not upper-triangular")
-            require(result._grouplike_raw(grid[u][u].items()),
+            require(result._is_grouplike_raw(grid[u][u].items()),
                     "witness diagonal is not group-like")
         require(grid[0][0] == g and grid[size - 1][size - 1] == h,
                 "witness has the wrong flanks")
         witnesses.append(mat)
-    out = ExtendedCoalgebra(
+    # designated_sum() == z, read on the raw top-right entries
+    ops = result.field.ops
+    require(sum_scaled(ops, [(ops.one, grid[0][-1]) for grid in ext.grids])
+            == w, "designated entries do not sum to z")
+    return ExtendedCoalgebra(
         base=coalg,
         result=result,
         new_basis=result.names[coalg.dim:],
@@ -692,6 +697,3 @@ def extend_coalgebra(coalg: Coalgebra, g: Element, h: Element, z: Element,
         h=Element(result, result._box(h)),
         n=n,
     )
-    require(out.designated_sum() == out.z,
-            "designated entries do not sum to z")
-    return out

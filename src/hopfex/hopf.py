@@ -71,7 +71,7 @@ from .errors import (
     WitnessNotFound,
     require,
 )
-from .linalg import Mat, dense_raw, sum_scaled
+from .linalg import Mat, dense_raw, sparse_raw, sum_scaled
 from .poly import (MinPolySearch, has_repeated_factor, min_poly_of_powers,
                    powers_mod)
 from .scalars import (FieldSpec, box, combination, lift_columns, nonzero_raw,
@@ -182,17 +182,17 @@ class HopfAlgebra(Coalgebra):
     mul maps (i, j, m) -> scalar with e_i e_j = sum c e_m; unit is the
     coefficient vector of 1; antipode, when present, maps (i, m) ->
     scalar with S(e_i) = sum c e_m.  algebra is the FiniteAlgebra of mul
-    and unit, which holds mul as its sparse constants.  antipode_raw
-    holds S as the columns {i: {m: raw value}} with no zeros, one per i,
-    or None; antipode_mat is its boxed view.
+    and unit, held raw (constants, unit_raw); unit is its boxed unit.
+    antipode_raw holds S as the columns {i: {m: raw value}} with no
+    zeros, one per i, or None; antipode_mat is its boxed view.
     """
 
     def __init__(self, field: FieldSpec, names, comul, counit, mul, unit,
                  antipode=None, name: str = ""):
         super().__init__(field, names, comul, counit, name=name)
-        unit = tuple(as_scalar(field, c) for c in unit)
         algebra = FiniteAlgebra.of_raw(field, self.dim, raw_table(
-            field, "multiplication", mul, self.dim), unit)
+            field, "multiplication", mul, self.dim),
+            [as_scalar(field, c).val for c in unit])
         cols = None
         if antipode is not None:
             cols = {i: {} for i in range(self.dim)}
@@ -211,9 +211,14 @@ class HopfAlgebra(Coalgebra):
                               name)._hold_product(algebra, antipode)
 
     def _hold_product(self, algebra, antipode) -> "HopfAlgebra":
-        self.algebra, self.unit = algebra, algebra.unit
+        self.algebra = algebra
         self.antipode_raw, self._antipode_mat = antipode, None
         return self
+
+    @property
+    def unit(self) -> tuple:
+        """The unit as a vector of Scalars: the view algebra.unit."""
+        return self.algebra.unit
 
     @property
     def antipode_mat(self) -> Mat | None:
@@ -262,13 +267,13 @@ class HopfAlgebra(Coalgebra):
         bad = self.check() + self.algebra.violations(self.names)
         field, dim = self.field, self.dim
         ops = field.ops
-        unit = nonzero_raw(field, self.unit)
+        unit = sparse_raw(ops, self.algebra.unit_raw)
         if self._delta_raw(unit) != {(j, k): ops.mul(x, y)
                                      for j, x in unit for k, y in unit}:
             bad.append("comultiplication of 1 is not 1(x)1")
-        if self._counit_raw(unit) != ops.one:
+        if self._eps_raw(unit) != ops.one:
             bad.append("counit of 1 is not 1")
-        eps = self._eps
+        eps = self.counit_raw
         comul = [list(d.items()) for d in self.comul_raw]
         for i, j in itertools.product(range(dim), repeat=2):
             prod = self.algebra.constants[i][j]
@@ -276,7 +281,7 @@ class HopfAlgebra(Coalgebra):
                     self.algebra._tensor_product(comul[i], comul[j]):
                 bad.append("comultiplication is not multiplicative on "
                            f"({self.names[i]},{self.names[j]})")
-            if self._counit_raw(prod) != ops.mul(eps[i], eps[j]):
+            if self._eps_raw(prod) != ops.mul(eps[i], eps[j]):
                 bad.append("counit is not multiplicative on "
                            f"({self.names[i]},{self.names[j]})")
         if self.antipode_raw is not None:
@@ -329,7 +334,7 @@ class HopfAlgebra(Coalgebra):
         if ops.is_zero(c):
             return {}
         if pairs is None:
-            pairs = nonzero_raw(self.field, self.unit)
+            pairs = sparse_raw(ops, self.algebra.unit_raw)
         return {m: ops.mul(c, u) for m, u in pairs}
 
     # -- convolution and Hopf powers ---------------------------------------------
@@ -394,7 +399,7 @@ class HopfAlgebra(Coalgebra):
         """
         vec = h.vec if isinstance(h, Element) else tuple(h)
         cap = default_cap(self.dim) if cap is None else cap
-        target = self._unit_times(self.counit_vec(vec).val)
+        target = self._unit_times(self._eps_raw(self._pairs(vec)))
         powers = itertools.islice(self._hopf_powers(vec), 1, None)
         return next((n for n, p in zip(range(1, cap + 1), powers)
                      if p == target), None)
@@ -440,7 +445,7 @@ class HopfAlgebra(Coalgebra):
         {m: raw value} with no zeros.  The unit law (u o eps) * id = id
         on C_S is checked first.
         """
-        one, eps = self.field.ops.one, self._eps
+        one, eps = self.field.ops.one, self.counit_raw
         ident = {i: {i: one} for i in support}
         ueps = {i: self._unit_times(eps[i]) for i in support}
         require(self._convolve(ueps, ident, support) == ident,
@@ -526,7 +531,7 @@ class HopfAlgebra(Coalgebra):
             # e_i vec is column i of R_vec
             pairs = nonzero_raw(self.field, vec)
             for i, lhs in enumerate(self.algebra._basis_products(pairs, False)):
-                require(lhs == self._unit_times(self._eps[i], pairs),
+                require(lhs == self._unit_times(self.counit_raw[i], pairs),
                         "left integral property fails on an involutory Hopf "
                         "algebra")
             asserted = True
@@ -539,9 +544,10 @@ class HopfAlgebra(Coalgebra):
                 "integral decomposition needs H equal to its coradical")
         from .matforms import basic_multiplicative_matrix
         comps = self.simple_subcoalgebras()
-        unit_comp = self.analysis().find_simple_containing(self.unit)
         ops = self.field.ops
-        total = [(ops.one, nonzero_raw(self.field, self.unit))]
+        unit = dict(sparse_raw(ops, self.algebra.unit_raw))
+        unit_comp = self.analysis().find_simple_containing(unit)
+        total = [(ops.one, unit)]
         terms = []
         for comp in comps:
             if comp.index == unit_comp:
@@ -572,12 +578,13 @@ class HopfAlgebra(Coalgebra):
             for u in h0.raw)
 
     def grouplike_order(self, g, bound: int = 100000) -> int:
-        vec = g.vec if isinstance(g, Element) else tuple(g)
-        acc = vec
+        pairs = nonzero_raw(self.field, g.vec if isinstance(g, Element) else g)
+        unit = dict(sparse_raw(self.field.ops, self.algebra.unit_raw))
+        acc = dict(pairs)
         for n in range(1, bound + 1):
-            if acc == self.unit:
+            if acc == unit:
                 return n
-            acc = self.mul_vec(acc, vec)
+            acc = self.algebra._product(acc.items(), pairs)
         raise HopfError("group-like order exceeds sanity bound")
 
     def nontrivial_h1_witness(self) -> Element:
@@ -586,11 +593,11 @@ class HopfAlgebra(Coalgebra):
             raise WitnessNotFound("cosemisimple: H_1 carries no witness")
         filt = self.coradical_filtration()
         h1 = filt[1]
-        ana = self.analysis()
-        unit_idx = ana.find_simple_containing(self.unit)
+        unit = sparse_raw(self.field.ops, self.algebra.unit_raw)
+        unit_idx = self.analysis().find_simple_containing(dict(unit))
         for comp in self.simple_subcoalgebras():
             v = self.bicomponent_subspace(comp.index, unit_idx, within=h1)
-            plus = v.cut(self.counit)
+            plus = v._cut_raw(sparse_raw(self.field.ops, self.counit_raw))
             if plus.dim:
                 return Element(self, plus.rows[0])
         raise WitnessNotFound(

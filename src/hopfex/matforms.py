@@ -16,7 +16,7 @@ positive characteristic.
 A matrix over H holds its entries once, as sparse raw vectors, and an
 entry of the box tensor is a sparse raw tensor {index tuple: raw value};
 products, laws and solves run on them (sum_scaled, _product, _delta_raw,
-_counit_raw, linalg.Echelon), and entries are boxed only when read.
+_eps_raw, linalg.Echelon), and entries are boxed only when read.
 """
 
 from __future__ import annotations
@@ -88,10 +88,10 @@ class MatrixOverH:
 
     @classmethod
     def identity(cls, parent, n: int) -> "MatrixOverH":
-        one = getattr(parent, "unit", None)
-        if one is None:
+        algebra = getattr(parent, "algebra", None)
+        if algebra is None:
             raise MatrixFormError("identity matrix needs a unit element on the parent")
-        one = nonzero_raw(parent.field, one)
+        one = sparse_raw(parent.field.ops, algebra.unit_raw)
         return cls.of_raw(parent, [[one if i == j else () for j in range(n)]
                                    for i in range(n)])
 
@@ -168,7 +168,7 @@ class MatrixOverH:
                             [[delta(x) for x in row] for row in self.raw])
 
     def counit(self) -> Mat:
-        field, eps = self.parent.field, self.parent._counit_raw
+        field, eps = self.parent.field, self.parent._eps_raw
         return Mat(field, [tuple(Scalar(field, eps(x)) for x in row)
                            for row in self.raw])
 
@@ -268,7 +268,7 @@ def is_multiplicative(g: MatrixOverH) -> bool:
     """Delta(G) = G box G entrywise and counit(G) = I, both exact."""
     if g.nrows != g.ncols:
         raise ShapeMismatch("multiplicative matrices are square")
-    ops, eps = g.parent.field.ops, g.parent._counit_raw
+    ops, eps = g.parent.field.ops, g.parent._eps_raw
     if any(eps(x) != (ops.one if i == j else ops.zero)
            for i, row in enumerate(g.raw) for j, x in enumerate(row)):
         return False
@@ -402,7 +402,7 @@ def basic_multiplicative_matrix(h: Coalgebra,
         dict(x) for row in matrix.raw for x in row]).dim == r * r,
             "basic matrix entries are not a basis of the simple")
     if comp.is_grouplike:
-        require(matrix.raw[0][0] == tuple(nonzero_raw(field, comp.grouplike)),
+        require(dict(matrix.raw[0][0]) == comp.grouplike_raw,
                 "group-like simple must recover its group-like")
     result = BasicMultMatrix(comp, matrix)
     cache[simple.index] = result
@@ -492,7 +492,7 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
     x, y = dict(zip(cpos, parts)), dict(zip(dpos, parts[r * r:]))
 
     def eps(v: dict):
-        return h._counit_raw(v.items())
+        return h._eps_raw(v.items())
 
     one, minus_one = ops.one, ops.neg(ops.one)
     remainder: dict = {}

@@ -15,13 +15,13 @@ multiplies basis monomials by hand.
 from __future__ import annotations
 
 import itertools
+import re
 
 from .algebra import FiniteAlgebra
 from .coalgebra import as_scalar
 from .errors import FieldMismatch, HopfError
 from .hopf import HopfAlgebra
-from .linalg import unit_vec
-from .scalars import GF, QQ, FieldSpec, Scalar, box
+from .scalars import GF, QQ, FieldSpec, Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +56,8 @@ class Group:
 
 
 def cyclic(n: int) -> Group:
+    if n < 1:
+        raise HopfError(f"cyclic groups need n >= 1, got {n}")
     names = ["1"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
     return Group(list(range(n)), lambda a, b: (a + b) % n, names, f"Z{n}")
 
@@ -142,14 +144,14 @@ def taft(n: int, field: FieldSpec, q: Scalar | None = None) -> HopfAlgebra:
     mul = {(idx(a, b), idx(c, d), idx((a + c) % n, b + d)): qpow[b * c]
            for b, a, d, c in itertools.product(range(n), repeat=4)
            if b + d < n}
-    alg = FiniteAlgebra.of_raw(field, dim, mul, unit_vec(field, dim, 0))
+    alg = FiniteAlgebra.of_raw(field, dim, mul, [one] + [ops.zero] * (dim - 1))
     dx = [((idx(0, 1), idx(0, 0)), one), ((idx(1, 0), idx(0, 1)), one)]
     comul = [None] * dim
     for a in range(n):
         comul[a] = d = {(a, a): one}
         for b in range(1, n):
             comul[idx(a, b)] = d = alg._tensor_product(d.items(), dx)
-    counit = box(field, [one if i < n else ops.zero for i in range(dim)])
+    counit = [one if i < n else ops.zero for i in range(dim)]
     # S(g) = g^(n-1), S(x) = -g^(n-1) x, extended as an antialgebra map:
     # S(g^a x^b) = S(x)^b S(g)^a
     sg = [(idx(n - 1, 0), one)]
@@ -174,6 +176,8 @@ def sweedler(field: FieldSpec) -> HopfAlgebra:
 def restricted_poly(p: int) -> HopfAlgebra:
     """k[x]/(x^p) over F_p with x primitive: Delta x = x(x)1 + 1(x)x."""
     field = GF(p)
+    if not field.char:  # GF(0) is Q; GF rejects the other non-primes
+        raise HopfError(f"restricted{p} needs a prime p")
     names = ["1"] + ["x" if m == 1 else f"x^{m}" for m in range(1, p)]
     binom = [[0] * (p + 1) for _ in range(p + 1)]
     for m in range(p + 1):
@@ -212,13 +216,12 @@ def tensor_product(a: HopfAlgebra, b: HopfAlgebra) -> HopfAlgebra:
     comul = [{(idx(j, j2), idx(k, k2)): mul(c, c2)
               for (j, k), c in da.items() for (j2, k2), c2 in db.items()}
              for da in a.comul_raw for db in b.comul_raw]
-    counit = [a.counit[i] * b.counit[j]
-              for i in range(a.dim) for j in range(b.dim)]
+    counit = [mul(x, y) for x in a.counit_raw for y in b.counit_raw]
     b_mul = b.algebra.raw_constants().items()
     products = {(idx(i, i2), idx(j, j2), idx(m, m2)): mul(c, c2)
                 for (i, j, m), c in a.algebra.raw_constants().items()
                 for (i2, j2, m2), c2 in b_mul}
-    unit = [a.unit[i] * b.unit[j] for i in range(a.dim) for j in range(b.dim)]
+    unit = [mul(x, y) for x in a.algebra.unit_raw for y in b.algebra.unit_raw]
     antipode = None
     if a.antipode_raw is not None and b.antipode_raw is not None:
         antipode = {idx(i, i2): {idx(m, m2): mul(c, c2)
@@ -241,29 +244,37 @@ def build_named(name: str, field: FieldSpec | None = None) -> HopfAlgebra:
     Names: kZ<n>, kS3, dual-kZ<n>, dual-kS3, sweedler, taft<n>,
     restricted<p>.  When field is omitted each example picks its
     canonical one (rationals, smallest cyclotomic field containing the
-    needed root of unity, or F_p).
+    needed root of unity, or F_p).  A size that is not an integer
+    raises HopfError, as does a size the example rejects.
     """
     if name.startswith("kZ"):
-        n = int(name[2:])
-        return group_algebra(cyclic(n), field or QQ)
+        return group_algebra(cyclic(_size(name, "kZ")), field or QQ)
     if name == "kS3":
         return group_algebra(symmetric(3), field or QQ)
     if name.startswith("dual-kZ"):
-        n = int(name[7:])
-        return dual_group_algebra(cyclic(n), field or QQ)
+        return dual_group_algebra(cyclic(_size(name, "dual-kZ")), field or QQ)
     if name == "dual-kS3":
         return dual_group_algebra(symmetric(3), field or QQ)
     if name == "sweedler":
         return sweedler(field or QQ)
     if name.startswith("taft"):
-        n = int(name[4:])
+        n = _size(name, "taft")
         return taft(n, field or FieldSpec(0, cyclotomic_order=n))
     if name.startswith("restricted"):
-        p = int(name[10:])
+        p = _size(name, "restricted")
         if field is not None and field != GF(p):
             raise HopfError(f"restricted{p} is only defined over F_{p}")
         return restricted_poly(p)
     raise HopfError(f"unknown zoo example {name!r}")
+
+
+def _size(name: str, prefix: str) -> int:
+    """The integer written after prefix in the catalog name."""
+    size = name[len(prefix):]
+    if not re.fullmatch(r"-?[0-9]+", size):
+        raise HopfError(f"zoo example {name!r} needs an integer size after "
+                        f"{prefix!r}")
+    return int(size)
 
 
 ZOO_NAMES = ["kZ2", "kZ3", "kZ6", "kS3", "dual-kZ2", "dual-kZ3", "dual-kS3",

@@ -180,7 +180,7 @@ def kZ2_dual_kS3():
 
 def quotient_and_center(h):
     q = h.analysis().quotient.algebra
-    return q, q.subalgebra_on(q.center(), q.unit)
+    return q, q.subalgebra_on(q.center())
 
 
 RADICAL_CASES = [
@@ -563,7 +563,7 @@ def test_unit_vector_of_the_wrong_length_is_rejected():
         with pytest.raises(AxiomViolation, match="unit vector length differs"):
             FiniteAlgebra(field, 2, constants, unit)
         with pytest.raises(AxiomViolation, match="unit vector length differs"):
-            FiniteAlgebra.of_raw(field, 2, raw, unit)
+            FiniteAlgebra.of_raw(field, 2, raw, [c.val for c in unit])
     assert FiniteAlgebra(field, 2, constants, (one, zero)).violations() == []
 
 
@@ -850,6 +850,33 @@ def test_splitting_runs_on_raw_vectors(build, monkeypatch):
     # a commutative H*/J is split without the block search
     assert calls["split_commutative"] and calls["lift_idempotent"]
     assert commutative or all(calls.values())
+
+
+@pytest.mark.parametrize("build", [b for _, b in SPLITTING_CASES],
+                         ids=[stem for stem, _ in SPLITTING_CASES])
+def test_quotient_and_centre_take_the_raw_unit(build, monkeypatch):
+    # H*/J and the subalgebra on its centre read their units off the
+    # parent's raw unit, so building them makes no Scalar
+    dual = build().dual_algebra()
+    radical = dual.radical()
+    made = []
+    init = Scalar.__init__
+
+    def counted(self, field, val):
+        made.append(val)
+        init(self, field, val)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    qmap = dual.quotient(radical)
+    q = qmap.algebra
+    centre = q.center()
+    zmap = q.subalgebra_on(centre)
+    monkeypatch.undo()
+    assert made == []
+    # the projection of the parent's unit, and its coordinates on the
+    # centre
+    assert q.unit == qmap.project(dual.unit)
+    assert zmap.algebra.unit == centre.coords_of(q.unit)
 
 
 # -- lifted kernels: the Scalar loops they replaced -------------------------

@@ -450,6 +450,15 @@ def test_zoo_dump_unknown_name():
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["kZ0", "kZ-1", "dual-kZ0", "kZ", "kZabc",
+                                  "taftx", "restricted", "restricted0"])
+def test_zoo_dump_malformed_size_exits_two(name):
+    # a size that is missing, not an integer, below 1 or not prime is an
+    # input error: no traceback, and no object built from it
+    code, text = run(["zoo-dump", name])
+    assert code == 2 and text.startswith("input error: "), (code, text)
+
+
 def test_mult_matrix_simple_selection(golden_dir):
     code, jtext = run(["mult-matrix", path_of(golden_dir, "dual_kS3"),
                        "--simple", "2", "--json"])

@@ -1072,11 +1072,13 @@ def raw_rebuild(obj):
     """obj built again through the raw entries, from its raw tables."""
     if not isinstance(obj, HopfAlgebra):
         return Coalgebra.of_raw(obj.field, obj.names, obj.comul_raw,
-                                obj.counit, name=obj.name)
+                                obj.counit_raw, name=obj.name)
     alg = FiniteAlgebra.of_raw(obj.field, obj.dim,
-                               obj.algebra.raw_constants(), obj.unit)
-    return HopfAlgebra.of_raw(obj.field, obj.names, obj.comul_raw, obj.counit,
-                              alg, obj.antipode_raw, name=obj.name)
+                               obj.algebra.raw_constants(),
+                               obj.algebra.unit_raw)
+    return HopfAlgebra.of_raw(obj.field, obj.names, obj.comul_raw,
+                              obj.counit_raw, alg, obj.antipode_raw,
+                              name=obj.name)
 
 
 def public_views(obj):
@@ -1096,12 +1098,75 @@ def test_public_and_raw_constructors_give_the_same_views(stem, zoo):
     raw = raw_rebuild(obj)
     assert public_views(public) == public_views(obj) == public_views(raw)
     assert public.comul_raw == obj.comul_raw == raw.comul_raw
+    assert public.counit_raw == obj.counit_raw == raw.counit_raw
+    assert public.algebra.unit_raw == obj.algebra.unit_raw \
+        == raw.algebra.unit_raw
     assert public.antipode_raw == obj.antipode_raw == raw.antipode_raw
     assert public.algebra.constants == raw.algebra.constants
     coalgebra = Coalgebra(obj.field, obj.names, structure_from_object(
         obj).comul, obj.counit, name=obj.name)
     assert coalgebra.comul == Coalgebra.of_raw(
-        obj.field, obj.names, obj.comul_raw, obj.counit).comul == obj.comul
+        obj.field, obj.names, obj.comul_raw, obj.counit_raw).comul == obj.comul
+    assert coalgebra.counit_raw == obj.counit_raw
+
+
+def test_views_of_the_raw_tables_are_read_only(zoo):
+    # an assignable view would silently diverge from the raw table that
+    # the computations read
+    h = zoo["sweedler"]
+    comp = next(c for c in h.simple_subcoalgebras() if c.is_grouplike)
+    for owner, name in ((h, "comul"), (h, "counit"), (h, "unit"),
+                        (h.algebra, "unit"), (comp, "grouplike")):
+        view = getattr(owner, name)
+        with pytest.raises(AttributeError):
+            setattr(owner, name, view)
+        assert getattr(owner, name) is view, name
+    assert comp.grouplike == box(h.field, h.algebra._dense(comp.grouplike_raw))
+    assert h.is_grouplike(comp.grouplike)
+
+
+def test_grouplike_orders_make_no_scalar(zoo, monkeypatch):
+    # classify_exponent on the pointed char-p goldens reads the order of
+    # each group-like on raw values
+    made, inside, orders = [], [], []
+    init, order = Scalar.__init__, HopfAlgebra.grouplike_order
+
+    def counted(self, field, val):
+        if inside:
+            made.append(val)
+        init(self, field, val)
+
+    def watched(self, g, *args):
+        inside.append(g)
+        try:
+            orders.append((self, g, order(self, g, *args)))
+        finally:
+            inside.pop()
+        return orders[-1][2]
+
+    pointed = [stem for stem, h in zoo.items()
+               if h.field.char and h.is_pointed()]
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    monkeypatch.setattr(HopfAlgebra, "grouplike_order", watched)
+    kinds = [zoo[stem].classify_exponent().kind for stem in pointed]
+    monkeypatch.undo()
+    assert pointed and set(kinds) == {"bounded"} and made == []
+    # each order is that of the boxed products
+    assert len(orders) > len(pointed)
+    for h, g, n in orders:
+        powers = [h.power_vec(g.vec, k) for k in range(1, n + 1)]
+        assert powers[-1] == h.unit and h.unit not in powers[:-1]
+
+
+def test_hopf_order_rejects_a_vector_of_the_wrong_length(zoo):
+    # the length is checked before eps is read or a power is formed
+    h = zoo["sweedler"]
+    one = QQ.one()
+    for vec in ((one,) * 3, (one,) * 5):
+        for call in (h.hopf_order, h.counit_vec, h.is_grouplike):
+            with pytest.raises(ShapeMismatch) as err:
+                call(vec)
+            assert str(err.value) == f"vector lengths 4 vs {len(vec)}"
 
 
 def test_public_constructors_still_coerce_and_reject_their_input():

@@ -114,20 +114,67 @@ def method(tree, cls, name):
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
+def unboxed_views(tree):
+    """(line, view) of every unit, counit or grouplike view passed to
+    nonzero_raw, raw_values or _box inside tree."""
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and isinstance(
+                call.func, (ast.Name, ast.Attribute)) and (
+                getattr(call.func, "id", None) or call.func.attr) in {
+                "nonzero_raw", "raw_values", "_box"}:
+            for arg in call.args:
+                if isinstance(arg, ast.Attribute) and arg.attr in {
+                        "unit", "counit", "grouplike"}:
+                    yield call.lineno, arg.attr
+
+
+def class_members(tree, cls):
+    """(methods, attributes): the names def'd in class cls and the
+    attributes its methods assign on self."""
+    owner = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == cls)
+    methods = {node.name for node in owner.body
+               if isinstance(node, ast.FunctionDef)}
+    attributes = {t.attr for node in ast.walk(owner)
+                  if isinstance(node, ast.Assign)
+                  for target in node.targets for t in ast.walk(target)
+                  if isinstance(t, ast.Attribute)
+                  and isinstance(t.value, ast.Name) and t.value.id == "self"}
+    return methods, attributes
+
+
 def test_structure_tables_reach_of_raw_unboxed():
     # the builders hand raw tables to of_raw: none reads the boxed
     # product table or boxes constants only to have them unboxed again
     zoo = ast.parse((SRC / "zoo.py").read_text())
     assert "scalar_constants" not in called_names(zoo)
+    # a quotient or subalgebra takes its unit from the parent's raw one,
+    # not through the boxing projection
     for path, cls, name in (("algebra.py", "QuotientMap", "__init__"),
                             ("algebra.py", "SubalgebraMap", "__init__"),
                             ("extension.py", "_Grower", "adjoin")):
         tree = ast.parse((SRC / path).read_text())
-        assert "box" not in called_names(method(tree, cls, name)), (cls, name)
+        called = called_names(method(tree, cls, name))
+        assert not called & {"box", "project"}, (cls, name)
     coalgebra = ast.parse((SRC / "coalgebra.py").read_text())
     imported = {a.name for node in ast.walk(coalgebra)
                 if isinstance(node, ast.ImportFrom) for a in node.names}
     assert "t2_add_term" not in imported
+    # the unit, the counit and the group-likes are read raw: no module
+    # unboxes their views, and the second raw copy of the counit is gone
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        assert not list(unboxed_views(tree)), path.name
+        assert "_eps" not in {node.name for node in ast.walk(tree)
+                              if isinstance(node, ast.FunctionDef)}, path.name
+    # no private method of Coalgebra is named as another member less its
+    # underscore, as _counit_raw(pairs) once was beside counit_raw (a
+    # private attribute caching the view of the same name is the one
+    # pattern allowed)
+    methods, attributes = class_members(coalgebra, "Coalgebra")
+    clashes = sorted(m for m in methods if m.startswith("_")
+                     and m[1:] in methods | attributes)
+    assert not clashes
 
 
 def mat_constructions(node):

@@ -286,6 +286,19 @@ def test_build_named_catalogue():
         build_named("nonsense")
 
 
+def test_build_named_rejects_malformed_sizes():
+    # each raised StopIteration or ValueError, or built F_0[x]/(x^0) over Q
+    for name in ("kZ0", "kZ-1", "dual-kZ0", "kZ", "kZabc", "taftx",
+                 "restricted", "restricted0"):
+        with pytest.raises(HopfError):
+            build_named(name)
+    with pytest.raises(HopfError, match="n >= 1"):
+        cyclic(0)
+    with pytest.raises(HopfError, match="prime"):
+        restricted_poly(0)
+    assert build_named("kZ03").names == build_named("kZ3").names
+
+
 def test_symmetric_group_table_is_a_group():
     s3 = symmetric(3)
     n = len(s3)
