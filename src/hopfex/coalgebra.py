@@ -363,9 +363,9 @@ class Coalgebra:
 
     def is_grouplike(self, vec) -> bool:
         """Whether eps(vec) = 1 and Delta(vec) = vec (x) vec."""
-        return self._is_grouplike_raw(self._pairs(vec))
+        return self._grouplike_raw(self._pairs(vec))
 
-    def _is_grouplike_raw(self, pairs) -> bool:
+    def _grouplike_raw(self, pairs) -> bool:
         """is_grouplike of the vector with nonzero (index, raw value) pairs."""
         ops = self.field.ops
         pairs = list(pairs)
@@ -681,7 +681,7 @@ class CoradicalAnalysis:
                 require(not ops.is_zero(ev), "counit vanishes on a simple")
                 inv = ops.inv(ev)
                 g = {j: ops.mul(inv, x) for j, x in v}
-                require(H._is_grouplike_raw(g.items()),
+                require(H._grouplike_raw(g.items()),
                         "normalised 1-dim simple is not group-like")
                 grouplike = g
             raw.append((sub, r, grouplike, z, f, blocks[t]))

@@ -82,7 +82,7 @@ def graded_positive_part(z: Element, g: Element, h: Element, n: int):
 
 def _positive_part(coalg: Coalgebra, g: dict, h: dict, z: dict, n: int):
     """graded_positive_part on raw vectors."""
-    if not (coalg._is_grouplike_raw(g.items()) and coalg._is_grouplike_raw(h.items())):
+    if not (coalg._grouplike_raw(g.items()) and coalg._grouplike_raw(h.items())):
         raise NotInComponent("flanking elements must be group-like")
     ops = coalg.field.ops
     w = dict(z)
@@ -433,7 +433,7 @@ def _coideal_witness(gr: _Grower, corner_idx: int, g: dict, h: dict, n: int):
     coalg = gr.coalg
     field = coalg.field
     ana = coalg.analysis()
-    require(coalg._is_grouplike_raw(g.items()), "coideal corner g is not group-like")
+    require(coalg._grouplike_raw(g.items()), "coideal corner g is not group-like")
     gi = ana.find_simple_containing(g)
     corner = {corner_idx: field.ops.one}
     members = []
@@ -447,7 +447,7 @@ def _coideal_witness(gr: _Grower, corner_idx: int, g: dict, h: dict, n: int):
         mid = _reduced_delta(coalg, g, vec, rvec)
         if not mid:
             continue
-        require(coalg._is_grouplike_raw(rvec.items()),
+        require(coalg._grouplike_raw(rvec.items()),
                 "coideal flank is not group-like")
         ri = ana.find_simple_containing(rvec)
         for d, _, kel, x, _y in _factor_middle(coalg, mid, gi, ri, deg):
@@ -471,7 +471,7 @@ def _coideal_witness(gr: _Grower, corner_idx: int, g: dict, h: dict, n: int):
     for u in range(size):
         for w in range(u + 1, size):
             require(not grid[w][u], "coideal matrix not triangular")
-        require(coalg._is_grouplike_raw(grid[u][u].items()),
+        require(coalg._grouplike_raw(grid[u][u].items()),
                 "coideal diagonal entry is not group-like")
     require(grid[0][size - 1] == corner, "coideal corner entry moved")
     require(grid[0][0] == g and grid[size - 1][size - 1] == h,
@@ -678,7 +678,7 @@ def extend_coalgebra(coalg: Coalgebra, g: Element, h: Element, z: Element,
         size = len(grid)
         for u in range(size):
             require(not any(grid[u][:u]), "witness is not upper-triangular")
-            require(result._is_grouplike_raw(grid[u][u].items()),
+            require(result._grouplike_raw(grid[u][u].items()),
                     "witness diagonal is not group-like")
         require(grid[0][0] == g and grid[size - 1][size - 1] == h,
                 "witness has the wrong flanks")
