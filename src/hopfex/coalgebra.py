@@ -202,7 +202,8 @@ class Coalgebra:
     weighted by that scalar; counit lists eps(e_i).  comul_raw[i] holds
     Delta(e_i) as {(j, k): raw value} with no zeros, counit_raw the raw
     eps(e_i); comul and counit are their boxed views.  Instances are
-    immutable; derived data (dual algebra, analysis) is cached.
+    immutable after construction; derived data (dual algebra, coradical
+    analysis) is computed once and cached.
     """
 
     def __init__(self, field: FieldSpec, names, comul, counit, name: str = ""):

@@ -182,7 +182,7 @@ class HopfAlgebra(Coalgebra):
     mul maps (i, j, m) -> scalar with e_i e_j = sum c e_m; unit is the
     coefficient vector of 1; antipode, when present, maps (i, m) ->
     scalar with S(e_i) = sum c e_m.  algebra is the FiniteAlgebra of mul
-    and unit, held raw (constants, unit_raw); unit is its boxed unit.
+    and unit, held raw (constants, unit_raw); unit reads algebra.unit.
     antipode_raw holds S as the columns {i: {m: raw value}} with no
     zeros, one per i, or None; antipode_mat is its boxed view.
     """
