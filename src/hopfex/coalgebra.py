@@ -89,25 +89,32 @@ def lift_functional(field: FieldSpec, f: tuple) -> tuple:
     return dict(pairs), scale
 
 
-def as_scalar(field: FieldSpec, v) -> Scalar:
+def as_raw(field: FieldSpec, v):
+    """The raw value of a Scalar of field, an int or a Fraction: no
+    Scalar is made.  FieldMismatch for a Scalar of another field,
+    TypeError for anything else, DivisionByZero for a Fraction whose
+    denominator is zero in the field."""
     if isinstance(v, Scalar):
         if v.field != field:
             raise FieldMismatch(f"scalar over {v.field.describe()} used in a "
                                 f"{field.describe()} coalgebra")
-        return v
-    if isinstance(v, int):
-        return field.from_int(v)
-    if isinstance(v, Fraction):
-        return field.from_fraction(v)
+        return v.val
+    if isinstance(v, (int, Fraction)):
+        return field.raw(v)
     raise TypeError(f"cannot coerce {v!r} to a scalar")
+
+
+def as_scalar(field: FieldSpec, v) -> Scalar:
+    raw = as_raw(field, v)
+    return v if isinstance(v, Scalar) else Scalar(field, raw)
 
 
 def raw_table(field: FieldSpec, what: str, entries: dict, dim: int) -> dict:
     """{key: raw value} of the nonzero entries {key: value}, each value
-    coerced once as by as_scalar; AxiomViolation for an index of a key
-    outside range(dim)."""
+    coerced once by as_raw; AxiomViolation for an index of a key outside
+    range(dim)."""
     require_indices(what, entries, dim)
-    raw = {key: as_scalar(field, v).val for key, v in entries.items()}
+    raw = {key: as_raw(field, v) for key, v in entries.items()}
     return {key: c for key, c in raw.items() if not field.ops.is_zero(c)}
 
 
@@ -212,7 +219,7 @@ class Coalgebra:
             raise AxiomViolation("basis names must be distinct")
         if len(counit) != len(names):
             raise AxiomViolation("counit length differs from dimension")
-        counit = tuple(as_scalar(field, c).val for c in counit)
+        counit = tuple(as_raw(field, c) for c in counit)
         table = [{} for _ in names]
         for (i, j, k), c in raw_table(field, "comultiplication", comul,
                                       len(names)).items():

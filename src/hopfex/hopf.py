@@ -61,7 +61,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import FiniteAlgebra
-from .coalgebra import (Coalgebra, Element, SimpleComponent, as_scalar,
+from .coalgebra import (Coalgebra, Element, SimpleComponent, as_raw,
                         raw_table)
 from .errors import (
     HopfError,
@@ -192,7 +192,7 @@ class HopfAlgebra(Coalgebra):
         super().__init__(field, names, comul, counit, name=name)
         algebra = FiniteAlgebra.of_raw(field, self.dim, raw_table(
             field, "multiplication", mul, self.dim),
-            [as_scalar(field, c).val for c in unit])
+            [as_raw(field, c) for c in unit])
         cols = None
         if antipode is not None:
             cols = {i: {} for i in range(self.dim)}
@@ -578,9 +578,14 @@ class HopfAlgebra(Coalgebra):
             for u in h0.raw)
 
     def grouplike_order(self, g, bound: int = 100000) -> int:
-        pairs = nonzero_raw(self.field, g.vec if isinstance(g, Element) else g)
+        return self._grouplike_order(dict(nonzero_raw(
+            self.field, g.vec if isinstance(g, Element) else g)), bound)
+
+    def _grouplike_order(self, g: dict, bound: int = 100000) -> int:
+        """The multiplicative order of the group-like {j: raw value} g."""
+        pairs = list(g.items())
         unit = dict(sparse_raw(self.field.ops, self.algebra.unit_raw))
-        acc = dict(pairs)
+        acc = dict(g)
         for n in range(1, bound + 1):
             if acc == unit:
                 return n
@@ -637,9 +642,10 @@ class HopfAlgebra(Coalgebra):
                           "u o eps", steps=steps)
         if p > 0 and self.antipode_raw is not None and self.is_pointed():
             d = 1
-            for g in self.group_likes():
-                o = self.grouplike_order(g)
-                d = d * o // math.gcd(d, o)
+            for comp in self.simple_subcoalgebras():
+                if comp.is_grouplike:
+                    o = self._grouplike_order(comp.grouplike_raw)
+                    d = d * o // math.gcd(d, o)
             n = len(self.coradical_filtration()) - 1
             bound = pointed_exponent_bound(d, p, n)
             steps.append(f"characteristic {p}, pointed; group-like group "

@@ -21,7 +21,8 @@ _eps_raw, linalg.Echelon), and entries are boxed only when read.
 
 from __future__ import annotations
 
-from .coalgebra import Coalgebra, Element, SimpleComponent, as_scalar
+from .coalgebra import (Coalgebra, Element, SimpleComponent, as_raw,
+                        as_scalar)
 from .errors import (DiagonalOrderViolated, FieldMismatch,
                      InvariantViolation, MatrixFormError, NoSolution,
                      NotDegreeOne, NotInBicomponent, NotMultiplicative,
@@ -59,7 +60,7 @@ class MatrixOverH:
                 if x.parent is not parent:
                     raise FieldMismatch("matrix entry from a different coalgebra")
                 return tuple(nonzero_raw(field, x.vec))
-            v = [as_scalar(field, c).val for c in x]
+            v = [as_raw(field, c) for c in x]
             if len(v) != parent.dim:
                 raise ShapeMismatch("entry vector length differs from dim")
             return sparse_raw(field.ops, v)
@@ -127,7 +128,7 @@ class MatrixOverH:
 
     def scale(self, c) -> "MatrixOverH":
         ops = self.parent.field.ops
-        c = as_scalar(self.parent.field, c).val
+        c = as_raw(self.parent.field, c)
         return MatrixOverH.of_raw(self.parent, [
             [sum_scaled(ops, [(c, e)]) for e in row] for row in self.raw])
 

@@ -26,16 +26,20 @@ from prime-field coefficients, and FieldSpec.coefficients the one place
 where they are read back; no other module looks inside them.
 
 Every FieldSpec owns one FieldOps table, built with the field: add, sub,
-neg, mul, inv and is_zero on raw values.  An extension multiplies
-coefficient lists and folds the terms of degree d .. 2d-2 back with a
-precomputed table of t^k mod modulus; addition is coefficient-wise.  On a
-char-0 extension all of this is integer arithmetic (an algebraic number
-as an integer vector over one denominator, H. Cohen, A Course in
-Computational Algebraic Number Theory, GTM 138, section 4.2): the table
-holds D t^k mod modulus, D the lcm of its denominators (1 on every
-cyclotomic field), and each result divides out one multi-argument gcd.
-Only the inverse, cached per value, runs the extended Euclid on
-rationals.
+neg, mul, inv and is_zero on raw values.  An extension's add, sub, neg
+and mul are straight-line Python functions, written out coefficient by
+coefficient from the field's table of t^k mod modulus (k = d .. 2d-2) and
+compiled once per table (_extension_kernels): a product is the product
+of the coefficient lists with its terms of degree d .. 2d-2 folded back
+through the table, a sum is coefficient-wise, and no loop, list or zip
+runs per operation.  On a char-0 extension all of this is integer
+arithmetic (an algebraic number as an integer vector over one
+denominator, H. Cohen, A Course in Computational Algebraic Number
+Theory, GTM 138, section 4.2): the table holds D t^k mod modulus, D the
+lcm of its denominators (1 on every cyclotomic field), a result over
+denominator 1 is returned as it is and any other divides out one
+multi-argument gcd.  Over F_p each coefficient is reduced once.  Only
+the inverse, cached per value, runs the extended Euclid on rationals.
 
 Scalar's operators delegate to the table, and the hot loops (rref_rows,
 FiniteAlgebra.mult) run on raw values directly: they unbox once with
@@ -50,8 +54,8 @@ and FieldOps.settle turns each nonzero output entry back into one
 canonical raw value: one divmod on Q (and one gcd when the entry is
 not an integer), one reduction mod p on F_p.  An
 extension field lifts by the identity, so the same kernels run on its
-own mul and add; on a char-0 extension those are already integer
-operations with one gcd per result.
+own generated mul and add; on a char-0 extension those are already
+integer operations with at most one gcd per result.
 
 No floating point anywhere: a raw value over Q is never divided with
 '/', which would turn two ints into a float.
@@ -130,6 +134,7 @@ def _is_irreducible(coeffs: list, p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 _INV_CACHE_SIZE = 1024  # inverses remembered per extension field
+_KERNEL_CACHE_SIZE = 64  # extension fields whose compiled kernels are kept
 
 
 # Q: a raw value is an int when the element is an integer and a Fraction
@@ -207,11 +212,14 @@ class FieldOps:
     extension field lifts by the identity (scale 1), its lmul and ladd
     are its own mul and add, and settle returns acc.
 
-    On a char-0 extension of degree d the raw values are integer tuples
-    (n_0, ..., n_{d-1}, den) (module docstring).  add, sub and mul work
-    on ints and divide out one gcd per result, skipped when the
-    denominator is 1; is_zero is one tuple comparison with zero; inv runs
-    the extended Euclid on Q's raw values, once per value (lru_cache).
+    On an extension field add, sub, neg and mul are the straight-line
+    functions that _extension_kernels compiles from the reduction table,
+    shared by every FieldSpec of the same field.  On a char-0 extension
+    of degree d the raw values are integer tuples (n_0, ..., n_{d-1},
+    den) (module docstring): add, sub and mul work on ints and divide out
+    one gcd per result, skipped when the denominator is 1; is_zero is one
+    tuple comparison with zero; inv runs the extended Euclid on Q's raw
+    values, once per value (lru_cache).
     """
 
     __slots__ = ("zero", "one", "add", "sub", "neg", "mul", "inv", "is_zero",
@@ -254,127 +262,124 @@ class FieldOps:
                 row = [x + lead * y for x, y in zip(row, top)]
                 if p:
                     row = [x % p for x in row]
-        if not p:
-            self._rational_extension(d, modulus, rows)
-            return
-        # red[k - d] holds the nonzero (i, c) of t^k mod modulus
-        red = [[(i, c) for i, c in enumerate(r) if c] for r in rows]
-
-        def mul(a, b):
-            prod = [0] * (2 * d - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        if y:
-                            prod[i + j] += x * y
-            out = prod[:d]
-            for k, terms in enumerate(red, d):
-                c = prod[k]
-                if c:
-                    for i, y in terms:
-                        out[i] += c * y
-            return tuple([x % p for x in out])
-
-        # a pass inverts few distinct values many times (pivots, leading
-        # coefficients), so the extended Euclid runs once per value
-        prime = FieldOps(p, None)
-
-        @functools.lru_cache(maxsize=_INV_CACHE_SIZE)
-        def inv(a):
-            g, u, _ = poly.gcdext(prime, a, modulus)
-            require(len(g) == 1, "modulus is irreducible, gcd must be a unit")
-            c = pow(g[0], p - 2, p)
-            return tuple([x * c % p for x in u]) + (0,) * (d - len(u))
-
-        self.zero, self.one = (0,) * d, (1,) + (0,) * (d - 1)
-        self.add = lambda a, b: tuple([(x + y) % p for x, y in zip(a, b)])
-        self.sub = lambda a, b: tuple([(x - y) % p for x, y in zip(a, b)])
-        self.neg = lambda a: tuple([-x % p for x in a])
-        self.mul = mul
-        self.inv = inv
-        self.is_zero = lambda a: not any(a)
-        self._identity_lift()
-
-    def _rational_extension(self, d: int, modulus: tuple, rows: list):
-        """Q[t]/(modulus) on integer tuples (n_0, ..., n_{d-1}, den)."""
-        # the reduction table over one denominator: D t^k mod modulus
-        D = math.lcm(*(c.denominator for r in rows for c in r))
-        red = [[(i, int(c * D)) for i, c in enumerate(r) if c] for r in rows]
-        span = range(d)
-
-        def canon(nums):
-            # nums ends with a positive denominator; divide out the content
-            if nums[-1] != 1:
-                g = math.gcd(*nums)
-                if g != 1:
-                    return tuple([x // g for x in nums])
-            return tuple(nums)
-
-        def add(a, b):
-            da, db = a[-1], b[-1]
-            if da == db:
-                nums = [x + y for x, y in zip(a, b)]
-                nums[-1] = da
-            else:
-                nums = [x * db + y * da for x, y in zip(a, b)]
-                nums[-1] = da * db
-            return canon(nums)
-
-        def sub(a, b):
-            da, db = a[-1], b[-1]
-            if da == db:
-                nums = [x - y for x, y in zip(a, b)]
-                nums[-1] = da
-            else:
-                nums = [x * db - y * da for x, y in zip(a, b)]
-                nums[-1] = da * db
-            return canon(nums)
-
-        def neg(a):
-            nums = [-x for x in a]
-            nums[-1] = a[-1]
-            return tuple(nums)
-
-        def mul(a, b):
-            prod = [0] * (2 * d - 1)
-            for i in span:
-                x = a[i]
-                if x:
-                    for j in span:
-                        y = b[j]
-                        if y:
-                            prod[i + j] += x * y
-            out = prod[:d] if D == 1 else [D * c for c in prod[:d]]
-            for k, terms in enumerate(red, d):
-                c = prod[k]
-                if c:
-                    for i, y in terms:
-                        out[i] += c * y
-            out.append(a[-1] * b[-1] * D)
-            return canon(out)
-
-        # the extended Euclid runs on Q's raw values, once per value
-        rationals = FieldOps(0, None)
-
-        @functools.lru_cache(maxsize=_INV_CACHE_SIZE)
-        def inv(a):
-            den = a[-1]
-            g, u, _ = poly.gcdext(
-                rationals, [_settle_rational(x, den) for x in a[:-1]], modulus)
-            require(len(g) == 1, "modulus is irreducible, gcd must be a unit")
-            c = rationals.inv(g[0])
-            return _integer_tuple([rationals.mul(x, c) for x in u], d)
-
-        self.zero, self.one = (0,) * d + (1,), (1,) + (0,) * (d - 1) + (1,)
-        self.add, self.sub, self.neg, self.mul, self.inv = add, sub, neg, mul, inv
-        self.is_zero = functools.partial(operator.eq, self.zero)
-        self._identity_lift()
-
-    def _identity_lift(self):
+        if p:
+            D, table = 1, tuple(tuple(r) for r in rows)
+            self.zero, self.one = (0,) * d, (1,) + (0,) * (d - 1)
+            self.is_zero = lambda a: not any(a)
+        else:
+            # the reduction table over one denominator: D t^k mod modulus
+            D = math.lcm(*(c.denominator for r in rows for c in r))
+            table = tuple(tuple(int(c * D) for c in r) for r in rows)
+            self.zero, self.one = (0,) * d + (1,), (1,) + (0,) * (d - 1) + (1,)
+            self.is_zero = functools.partial(operator.eq, self.zero)
+        self.add, self.sub, self.neg, self.mul = _extension_kernels(p, d, table, D)
         # kernels run on this field's own mul and add
         self.lift = lambda vals: (list(vals), 1)
         self.settle = lambda acc, scale: acc
         self.lmul, self.ladd = self.mul, self.add
+
+        # a pass inverts few distinct values many times (pivots, leading
+        # coefficients), so the extended Euclid, on the prime field's raw
+        # values, runs once per value
+        prime = FieldOps(p, None)
+
+        @functools.lru_cache(maxsize=_INV_CACHE_SIZE)
+        def inv(a):
+            coeffs = a if p else [_settle_rational(x, a[-1]) for x in a[:-1]]
+            g, u, _ = poly.gcdext(prime, coeffs, modulus)
+            require(len(g) == 1, "modulus is irreducible, gcd must be a unit")
+            c = prime.inv(g[0])
+            u = [prime.mul(x, c) for x in u]
+            return tuple(u) + (0,) * (d - len(u)) if p else _integer_tuple(u, d)
+
+        self.inv = inv
+
+
+@functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _extension_kernels(p: int, d: int, table: tuple, D: int) -> tuple:
+    """add, sub, neg and mul on the raw values of an extension of degree d
+    of F_p (p prime) or Q (p = 0), compiled once per table from
+    straight-line source, so every FieldSpec of one field shares them.
+    table[k - d] holds D t^k mod modulus for k = d .. 2d-2 (D = 1 over
+    F_p).  The source is written from names and from p, d, D and the
+    entries of table, which must be ints, so no input text reaches exec."""
+    require(all(type(x) is int for x in (p, d, D, *itertools.chain(*table))),
+            "extension kernels are written from ints only")
+    namespace = {"gcd": math.gcd}
+    exec(_kernel_source(p, d, table, D), namespace)
+    return tuple(namespace[name] for name in ("add", "sub", "neg", "mul"))
+
+
+def _kernel_source(p: int, d: int, table: tuple, D: int) -> str:
+    """The source of _extension_kernels: every coefficient is written out,
+    so no loop, list or zip runs per operation.
+
+    Over F_p each result coefficient is reduced once, % p.  Over Q a raw
+    value is (n_0, ..., n_{d-1}, den); a result over den = 1 is returned
+    as it is, any other divides out one multi-argument gcd.  The integer
+    formulas are those of the loop fold: the product of the coefficient
+    lists, its terms of degree d .. 2d-2 folded back through table."""
+    span = range(d)
+
+    def tup(items):
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+    def names(x):
+        return [f"{x}{i}" for i in span] + ([] if p else [f"{x}d"])
+
+    def unpack(x):
+        return f"    {tup(names(x))[1:-1]} = {x}"
+
+    def scaled(c, name):
+        # + c * name, c a nonzero int; over F_p the residue nearest zero
+        if p and 2 * c > p:
+            c -= p
+        sign, c = (" - ", -c) if c < 0 else (" + ", c)
+        return sign + (name if c == 1 else f"{c}*{name}")
+
+    # coefficient k of the product of the two coefficient lists
+    conv = [" + ".join(f"a{i}*b{k - i}" for i in span if 0 <= k - i < d)
+            for k in range(2 * d - 1)]
+    folded = []
+    for i in span:
+        head = conv[i] if D == 1 else f"{D}*({conv[i]})"
+        folded.append(head + "".join(scaled(row[i], f"c{k}")
+                                     for k, row in enumerate(table, d) if row[i]))
+    mul = ["def mul(a, b):", unpack("a"), unpack("b")]
+    mul += [f"    c{k} = {conv[k]}" for k in range(d, 2 * d - 1)]
+    lines = []
+    if p:
+        for name, op in (("add", "+"), ("sub", "-")):
+            lines += [f"def {name}(a, b):", unpack("a"), unpack("b"),
+                      "    return " + tup([f"(a{i} {op} b{i}) % {p}" for i in span])]
+        lines += ["def neg(a):", unpack("a"),
+                  "    return " + tup([f"-a{i} % {p}" for i in span])]
+        lines += mul + ["    return " + tup([f"({f}) % {p}" for f in folded])]
+        return "\n".join(lines) + "\n"
+
+    n = [f"n{i}" for i in span]
+    # the canonical raw value of (n_0, ..., n_{d-1}) over den > 1
+    canon = [f"    g = gcd({', '.join(n)}, den)",
+             "    if g == 1:",
+             f"        return {tup(n + ['den'])}",
+             "    return " + tup([f"{x} // g" for x in n + ["den"]])]
+    for name, op in (("add", "+"), ("sub", "-")):
+        lines += [f"def {name}(a, b):", unpack("a"), unpack("b"),
+                  "    if ad == bd:"]
+        lines += [f"        n{i} = a{i} {op} b{i}" for i in span]
+        lines += ["        if ad == 1:",
+                  f"            return {tup(n + ['1'])}",
+                  "        den = ad",
+                  "    else:"]
+        lines += [f"        n{i} = a{i}*bd {op} b{i}*ad" for i in span]
+        lines += ["        den = ad*bd"] + canon
+    lines += ["def neg(a):", unpack("a"),
+              "    return " + tup([f"-a{i}" for i in span] + ["ad"])]
+    lines += mul + [f"    n{i} = {f}" for i, f in enumerate(folded)]
+    lines += ["    den = ad*bd" + ("" if D == 1 else f"*{D}"),
+              "    if den == 1:",
+              f"        return {tup(n + ['1'])}"] + canon
+    return "\n".join(lines) + "\n"
 
 
 def _integer_tuple(coeffs, d: int) -> tuple:

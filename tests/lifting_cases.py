@@ -24,7 +24,10 @@ one linalg.Echelon of the matrix's columns) that the tests use as
 references.  as_raw and as_boxed convert a vector between its Scalar
 tuple and its sparse raw dict {m: raw value} at the call of a routine
 that takes or returns the other form, and right_mult_mat is R_u as a Mat,
-which only the tests read.
+which only the tests read.  loop_extension_ops is the arithmetic of an
+extension field as the coefficient loops it ran on before its kernels
+were generated as straight-line code: the reference they are checked
+against.
 """
 
 import functools
@@ -380,6 +383,73 @@ def has_denominators(values) -> bool:
                for c in s.field.coefficients(s)):
             return True
     return False
+
+
+def loop_extension_ops(field) -> dict:
+    """{"add", "sub", "neg", "mul"} of an extension field's raw values as
+    coefficient loops: the product of the coefficient lists folds its
+    terms of degree d .. 2d-2 back with a table of t^k mod modulus, and a
+    char-0 result divides out the gcd of its integers unless its
+    denominator is 1."""
+    p, modulus, d = field.char, field.modulus, field.degree
+    top = [(-c) % p if p else -c for c in modulus[:d]]  # t^d
+    rows, row = [], top
+    for _ in range(d - 1):
+        rows.append(row)
+        lead = row[-1]
+        row = [0] + row[:-1]
+        if lead:
+            row = [x + lead * y for x, y in zip(row, top)]
+            if p:
+                row = [x % p for x in row]
+    # the table over one denominator: D t^k mod modulus (D = 1 over F_p)
+    D = 1 if p else math.lcm(*(c.denominator for r in rows for c in r))
+    red = [[(i, int(c * D)) for i, c in enumerate(r) if c] for r in rows]
+
+    def fold(a, b):
+        prod = [0] * (2 * d - 1)
+        for i in range(d):
+            if a[i]:
+                for j in range(d):
+                    if b[j]:
+                        prod[i + j] += a[i] * b[j]
+        out = [D * c for c in prod[:d]]
+        for k, terms in enumerate(red, d):
+            if prod[k]:
+                for i, y in terms:
+                    out[i] += prod[k] * y
+        return out
+
+    if p:
+        return {"add": lambda a, b: tuple([(x + y) % p for x, y in zip(a, b)]),
+                "sub": lambda a, b: tuple([(x - y) % p for x, y in zip(a, b)]),
+                "neg": lambda a: tuple([-x % p for x in a]),
+                "mul": lambda a, b: tuple([x % p for x in fold(a, b)])}
+
+    def canon(nums):
+        if nums[-1] != 1:
+            g = math.gcd(*nums)
+            if g != 1:
+                return tuple([x // g for x in nums])
+        return tuple(nums)
+
+    def add(a, b, sign=1):
+        da, db = a[-1], b[-1]
+        if da == db:
+            nums = [x + sign * y for x, y in zip(a, b)]
+            nums[-1] = da
+        else:
+            nums = [x * db + sign * y * da for x, y in zip(a, b)]
+            nums[-1] = da * db
+        return canon(nums)
+
+    def neg(a):
+        nums = [-x for x in a]
+        nums[-1] = a[-1]
+        return tuple(nums)
+
+    return {"add": add, "sub": lambda a, b: add(a, b, -1), "neg": neg,
+            "mul": lambda a, b: canon(fold(a, b) + [a[-1] * b[-1] * D])}
 
 
 def is_canonical(field, raw) -> bool:

@@ -11,17 +11,18 @@ import hopfex.hopf
 from hopfex import GF, QQ, Coalgebra, FieldSpec
 from hopfex.algebra import FiniteAlgebra
 from hopfex.cli import run_command
-from hopfex.errors import (AxiomViolation, FieldMismatch, InvariantViolation,
-                           NotCosemisimple, ShapeMismatch)
-from hopfex.hopf import ExponentReport, HopfAlgebra, default_cap
+from hopfex.errors import (AxiomViolation, DivisionByZero, FieldMismatch,
+                           InvariantViolation, NotCosemisimple, ShapeMismatch)
+from hopfex.hopf import Element, ExponentReport, HopfAlgebra, default_cap
 from hopfex.linalg import (Mat, SubspaceBasis, unit_vec, vec_add, vec_scale,
                            zero_vec)
 from hopfex.poly import MinPolySearch, min_poly_of_powers, powers_mod
 from hopfex.scalars import Scalar, box, nonzero_raw, raw_values
 from hopfex.structfile import (StructureFile, emit_structure_file,
                                structure_from_object)
-from hopfex.zoo import (cyclic, group_algebra, restricted_poly, sweedler,
-                        symmetric, taft, tensor_product)
+from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
+                        restricted_poly, sweedler, symmetric, taft,
+                        tensor_product)
 
 from golden_defs import golden_objects
 from lifting_cases import (F9, LIFT_FIELDS, QZ5, basis_scales,
@@ -1134,9 +1135,9 @@ def test_views_of_the_raw_tables_are_read_only(zoo):
 
 def test_grouplike_orders_make_no_scalar(zoo, monkeypatch):
     # classify_exponent on the pointed char-p goldens reads the order of
-    # each group-like on raw values
+    # each group-like off its raw form, SimpleComponent.grouplike_raw
     made, inside, orders = [], [], []
-    init, order = Scalar.__init__, HopfAlgebra.grouplike_order
+    init, order = Scalar.__init__, HopfAlgebra._grouplike_order
 
     def counted(self, field, val):
         if inside:
@@ -1154,15 +1155,20 @@ def test_grouplike_orders_make_no_scalar(zoo, monkeypatch):
     pointed = [stem for stem, h in zoo.items()
                if h.field.char and h.is_pointed()]
     monkeypatch.setattr(Scalar, "__init__", counted)
-    monkeypatch.setattr(HopfAlgebra, "grouplike_order", watched)
+    monkeypatch.setattr(HopfAlgebra, "_grouplike_order", watched)
+    # nor are the group-likes boxed as Elements first
+    monkeypatch.setattr(HopfAlgebra, "group_likes", None)
     kinds = [zoo[stem].classify_exponent().kind for stem in pointed]
     monkeypatch.undo()
     assert pointed and set(kinds) == {"bounded"} and made == []
-    # each order is that of the boxed products
+    # each order is that of the boxed products, and the public
+    # grouplike_order of the boxed group-like agrees
     assert len(orders) > len(pointed)
     for h, g, n in orders:
-        powers = [h.power_vec(g.vec, k) for k in range(1, n + 1)]
+        vec = box(h.field, h.algebra._dense(g))
+        powers = [h.power_vec(vec, k) for k in range(1, n + 1)]
         assert powers[-1] == h.unit and h.unit not in powers[:-1]
+        assert h.grouplike_order(Element(h, vec)) == h.grouplike_order(vec) == n
 
 
 def test_public_constructors_still_coerce_and_reject_their_input():
@@ -1191,3 +1197,34 @@ def test_public_constructors_still_coerce_and_reject_their_input():
                     Coalgebra(**args)
     with pytest.raises(FieldMismatch):
         FiniteAlgebra(QQ, 1, {(0, 0, 0): f3.one()}, (QQ.one(),))
+
+
+def test_constructors_read_ints_and_fractions_without_scalars(monkeypatch):
+    # int and Fraction entries are read with FieldSpec.raw, so the zoo
+    # builders that pass ints (zoo-dump's kG and k^G) make no Scalar
+    fields = [QQ, GF(5), F9, QZ5]
+    made, init = [], Scalar.__init__
+
+    def counted(self, field, val):
+        made.append(val)
+        init(self, field, val)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    built = [build(symmetric(3), field) for field in fields
+             for build in (group_algebra, dual_group_algebra)]
+    half = HopfAlgebra(QQ, ["1"], {(0, 0, 0): Fraction(2, 2)}, [1],
+                       {(0, 0, 0): 1}, [Fraction(1)], {(0, 0): 1})
+    monkeypatch.undo()
+    assert made == [] and all(h.check_hopf() == [] for h in built + [half])
+    assert half.counit_raw == (1,) and half.comul_raw == ({(0, 0): 1},)
+    # the errors and their messages are those of the Scalar coercion
+    f3 = GF(3)
+    for bad, error, message in (
+            (f3.one(), FieldMismatch, "scalar over F_3 used in a Q coalgebra"),
+            (1.0, TypeError, "cannot coerce 1.0 to a scalar")):
+        with pytest.raises(error, match=message):
+            Coalgebra(QQ, ["1"], {(0, 0, 0): bad}, [1])
+    with pytest.raises(DivisionByZero, match="denominator 3 is zero modulo 3"):
+        Coalgebra(f3, ["1"], {(0, 0, 0): 1}, [Fraction(1, 3)])
+    with pytest.raises(DivisionByZero, match="denominator 3 is zero modulo 3"):
+        f3.from_fraction(Fraction(1, 3))

@@ -17,7 +17,8 @@ from hopfex import poly
 from hopfex.scalars import (MAX_EXTENSION_DEGREE, Scalar,
                             cyclotomic_polynomial, raw_values)
 
-from lifting_cases import HALF_ROOT, QZ5, is_canonical
+from lifting_cases import (F9, HALF_ROOT, QZ5, is_canonical,
+                           loop_extension_ops)
 
 F4 = GF(2, modulus=[1, 1, 1])
 Q_I = FieldSpec(0, cyclotomic_order=4)
@@ -371,6 +372,69 @@ def test_reduction_table_product_matches_long_division_over_q_zeta5():
         got = field.ops.mul(field.from_coeffs(a).val, field.from_coeffs(b).val)
         assert coeffs_of(field, got) == reference_product(field, a, b), (a, b)
         assert is_canonical(field, got)
+
+
+# the generated kernels against the loops, on every kind of extension:
+# cyclotomic, a table denominator of 2, degree MAX_EXTENSION_DEGREE, and
+# finite fields of degree 2 and 3
+KERNEL_FIELDS = [Q_W, Q_I, QZ5, HALF_ROOT, FieldSpec(0, cyclotomic_order=17),
+                 F4, F9, GF(5, modulus=[1, 1, 0, 1])]
+
+
+def random_raw(field, rng):
+    """A seeded canonical raw value of an extension field: zero one time
+    in eight, each coefficient zero one time in four, numerators of
+    either sign and some of 70 bits, over Q each coefficient over 1, 2, 3
+    or 6."""
+    if rng.random() < 0.125:
+        return field.ops.zero
+    coeffs = []
+    for _ in range(field.degree):
+        n = 0 if rng.random() < 0.25 else rng.choice(
+            (rng.randint(-9, 9), rng.randint(-2 ** 70, 2 ** 70)))
+        if field.char:
+            coeffs.append(n % field.char)
+        else:
+            coeffs.append(Fraction(n, rng.choice((1, 2, 3, 6))))
+    return field._pad(coeffs)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.describe())
+def test_generated_extension_kernels_match_the_loops(field):
+    ops, ref = field.ops, loop_extension_ops(field)
+    rng = random.Random(30)
+    values = [ops.zero, ops.one] + [random_raw(field, rng) for _ in range(40)]
+    dens = set()
+    for a in values:
+        got, want = ops.neg(a), ref["neg"](a)
+        assert got == want and is_canonical(field, got), a
+        for b in values:
+            for name in ("add", "sub", "mul"):
+                got = getattr(ops, name)(a, b)
+                assert got == ref[name](a, b), (name, a, b)
+                assert is_canonical(field, got), (name, got)
+            if not field.char:
+                dens.add("unequal" if a[-1] != b[-1] else
+                         "equal, 1" if a[-1] == 1 else "equal, > 1")
+    if not field.char:
+        assert dens == {"unequal", "equal, 1", "equal, > 1"}
+
+
+def test_fields_of_one_modulus_share_compiled_kernels():
+    makers = [lambda: FieldSpec(0, cyclotomic_order=5),
+              lambda: FieldSpec(0, modulus=[Fraction(-1, 2), 0, 1]),
+              lambda: GF(3, modulus=[1, 0, 1])]
+    kernels = []
+    for make in makers:
+        a, b = make(), make()
+        assert a is not b
+        kernels += [a.ops.add, a.ops.sub, a.ops.neg, a.ops.mul]
+        assert all(f is g for f, g in zip(kernels[-4:], (
+            b.ops.add, b.ops.sub, b.ops.neg, b.ops.mul)))
+    # Q(zeta_4) by its order and by its modulus t^2 + 1 is one field
+    assert FieldSpec(0, cyclotomic_order=4).ops.mul is \
+        FieldSpec(0, modulus=[1, 0, 1]).ops.mul
+    assert len(set(kernels)) == 4 * len(makers)
 
 
 def test_cached_extension_inverse_matches_the_extended_euclid():

@@ -66,6 +66,27 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} asserts at lines {lines}; use require()"
 
 
+def code_runner_calls(node, func=None):
+    """(innermost enclosing function, name) of every call of exec, eval
+    or compile by bare name under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from code_runner_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
+                and child.func.id in ("exec", "eval", "compile"):
+            yield func, child.func.id
+        yield from code_runner_calls(child, func)
+
+
+def test_exec_runs_only_in_the_kernel_generator():
+    # scalars._extension_kernels compiles the source it writes from the
+    # ints of a reduction table; no other code of hopfex runs text
+    sites = [(path.name, func, name) for path in sorted(SRC.glob("*.py"))
+             for func, name in code_runner_calls(ast.parse(path.read_text()))]
+    assert sites == [("scalars.py", "_extension_kernels", "exec")]
+
+
 SCALAR_VECTOR_HELPERS = {"zero_vec", "unit_vec", "vec_add", "vec_sub",
                          "vec_scale", "vec_is_zero"}
 
