@@ -92,7 +92,7 @@ from .linalg import (Echelon, Mat, SubspaceBasis, add_scaled, dense_raw,
                      sparse_raw, sum_scaled)
 from .poly import MinPolySearch, char_poly
 from .scalars import (FieldSpec, box, combination, lift_columns,
-                      lift_pairs, nonzero_raw, raw_values, settle_all)
+                      nonzero_raw, raw_values)
 
 # Newton steps of lift_idempotent: each squares the nilpotent error
 LIFT_ITERATIONS = 64
@@ -284,9 +284,9 @@ class FiniteAlgebra:
         raw value) pairs u and v of two vectors: multiply-adds on lifted
         values, settled once per output entry."""
         ops = self.field.ops
-        u, su = lift_pairs(ops, u)
-        v, sv = lift_pairs(ops, v)
-        return settle_all(ops, self._lifted_product(u, v),
+        u, su = ops.lift_pairs(u)
+        v, sv = ops.lift_pairs(v)
+        return ops.settle_all(self._lifted_product(u, v),
                           su * sv * self.terms[0])
 
     def _lifted_product(self, u, v) -> dict:
@@ -310,11 +310,12 @@ class FiniteAlgebra:
         """u e_j (left) or e_j u, for every j, as {m: raw value} with no
         zeros: the columns of L_u (or R_u), from one pass over the nonzero
         (index, raw value) pairs u and the terms they meet, settled once
-        per output entry."""
+        per output entry; a column no term touched is returned empty as
+        it is."""
         ops = self.field.ops
         mul, add = ops.lmul, ops.ladd
         denom, terms = self.terms
-        u, su = lift_pairs(ops, u)
+        u, su = ops.lift_pairs(u)
         cols: list[dict] = [{} for _ in range(self.dim)]
         for i, c in u:
             # u_i e_i e_j, or e_j u_i e_i, for every j
@@ -324,7 +325,7 @@ class FiniteAlgebra:
                     y = mul(c, t)
                     col[m] = add(col[m], y) if m in col else y
         scale = su * denom
-        return [settle_all(ops, col, scale) for col in cols]
+        return [ops.settle_all(col, scale) if col else col for col in cols]
 
     def _dense(self, sparse: dict) -> list:
         """The raw vector with the entries of {m: raw value} sparse."""
@@ -343,8 +344,8 @@ class FiniteAlgebra:
         ops = self.field.ops
         mul, add = ops.lmul, ops.ladd
         denom, terms = self.terms
-        a, sa = lift_pairs(ops, a)
-        b, sb = lift_pairs(ops, b)
+        a, sa = ops.lift_pairs(a)
+        b, sb = ops.lift_pairs(b)
         acc: dict = {}
         for (j, k), c in a:
             for (j2, k2), c2 in b:
@@ -355,7 +356,7 @@ class FiniteAlgebra:
                         y = mul(ct, t2)
                         key = (m, m2)
                         acc[key] = add(acc[key], y) if key in acc else y
-        return settle_all(ops, acc, sa * sb * denom * denom)
+        return ops.settle_all(acc, sa * sb * denom * denom)
 
     def left_mult_mat(self, u: tuple) -> Mat:
         return self._mult_mat(self._basis_products(nonzero_raw(self.field, u)))
@@ -395,7 +396,7 @@ class FiniteAlgebra:
     def left_traces(self) -> tuple:
         """tau_m = Tr L_{e_m} = sum_k c_mk^k for every basis element e_m."""
         ops = self.field.ops
-        taus = settle_all(ops, self._lifted_traces(), self.terms[0])
+        taus = ops.settle_all(self._lifted_traces(), self.terms[0])
         return box(self.field, self._dense(taus))
 
     def _trace_form(self) -> list[dict]:
@@ -414,7 +415,7 @@ class FiniteAlgebra:
                     if m in taus:
                         y = mul(t, taus[m])
                         acc[j] = add(acc[j], y) if j in acc else y
-            rows.append(settle_all(ops, acc, denom * denom))
+            rows.append(ops.settle_all(acc, denom * denom))
         return rows
 
     def radical(self) -> SubspaceBasis:
@@ -514,7 +515,7 @@ class FiniteAlgebra:
             scale = sl * sg * self.terms[0]
             nxt = SubspaceBasis.of_raw(field, self.dim, [
                 p for u in last.values() for v in gens.values()
-                if (p := settle_all(ops, self._lifted_product(u, v), scale))])
+                if (p := ops.settle_all(self._lifted_product(u, v), scale))])
             if nxt.dim >= out[-1].dim:
                 raise LinAlgError("ideal is not nilpotent; algebra data corrupt")
             out.append(nxt)
@@ -545,7 +546,7 @@ class FiniteAlgebra:
                 row = rows.setdefault((j, m), {})
                 c = mul(minus_one, c)
                 row[k] = add(row[k], c) if k in row else c
-        settled = (settle_all(ops, r, denom) for r in rows.values())
+        settled = (ops.settle_all(r, denom) for r in rows.values())
         return SubspaceBasis.of_raw(self.field, dim,
                                     [r for r in settled if r]).perp()
 

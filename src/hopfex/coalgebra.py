@@ -42,9 +42,15 @@ Tensors in H (x) H are sparse dicts {(j, k): value} with no zeros, of
 Scalars in the comul view and delta_vec and of raw values elsewhere:
 comul_raw holds the table, and _delta_raw multiplies and adds on it
 lifted once (FieldOps.lift) and settles once per tensor entry.
-The hit actions read a functional lifted once (lift_functional); the
-coradical idempotents keep theirs (IdempotentFamily.lifted), so
-_component_raw and bicomponent_subspace do not lift them again.
+The hit actions read functionals lifted once (lift_functionals) and hit
+with all of them in one pass over Delta.  A coalgebra is immutable, so it
+builds one bicomponent table, at the first bicomponent asked of it: the
+(l, r) component of every basis vector, from one left hit per basis
+vector and one right hit per nonzero left component, with the coradical
+idempotents lifted once (IdempotentFamily.lifted).  _component_raw, and
+through it bicomponent_subspace and the extension layer, is then a
+lifted combination of the table's columns; a side left open is the sum
+over that side, since the idempotents sum to the counit.
 """
 
 from __future__ import annotations
@@ -78,15 +84,28 @@ from .linalg import (
     vec_sub,
     zero_vec,
 )
-from .scalars import (FieldSpec, Scalar, box, lift_columns, lift_pairs,
-                      nonzero_raw, settle_all)
+from .scalars import FieldSpec, Scalar, box, lift_columns, nonzero_raw
 
 
 def lift_functional(field: FieldSpec, f: tuple) -> tuple:
     """({k: lifted value}, scale) for the nonzero entries f_k of a
     functional of Scalars, lifted over one scale (FieldOps.lift)."""
-    pairs, scale = lift_pairs(field.ops, nonzero_raw(field, f))
+    pairs, scale = field.ops.lift_pairs(nonzero_raw(field, f))
     return dict(pairs), scale
+
+
+def lift_functionals(field: FieldSpec, functionals) -> tuple:
+    """(index, scales) for functionals f_0, f_1, ... of Scalars, each
+    lifted once by lift_functional: index[k] lists the (l, lifted f_l(e_k))
+    of the nonzero f_l(e_k), and scales[l] is the scale of f_l."""
+    index: dict = {}
+    scales = []
+    for l, f in enumerate(functionals):
+        lifted, scale = lift_functional(field, f)
+        scales.append(scale)
+        for k, x in lifted.items():
+            index.setdefault(k, []).append((l, x))
+    return index, scales
 
 
 def as_raw(field: FieldSpec, v):
@@ -322,13 +341,13 @@ class Coalgebra:
         ops = self.field.ops
         mul, add = ops.lmul, ops.ladd
         scale, table = self._lifted_comul
-        coeffs, sc = lift_pairs(ops, pairs)
+        coeffs, sc = ops.lift_pairs(pairs)
         acc: dict = {}
         for i, c in coeffs:
             for key, t in table[i]:
                 y = mul(c, t)
                 acc[key] = add(acc[key], y) if key in acc else y
-        return settle_all(ops, acc, sc * scale)
+        return ops.settle_all(acc, sc * scale)
 
     @functools.cached_property
     def _lifted_counit(self) -> tuple:
@@ -342,7 +361,7 @@ class Coalgebra:
         ops = self.field.ops
         mul, add = ops.lmul, ops.ladd
         scale, eps = self._lifted_counit
-        coeffs, sc = lift_pairs(ops, pairs)
+        coeffs, sc = ops.lift_pairs(pairs)
         terms = [mul(c, eps[i]) for i, c in coeffs]
         if not terms:
             return ops.zero
@@ -499,25 +518,57 @@ class Coalgebra:
 
     # -- hit actions ------------------------------------------------------------
 
-    def _hit(self, pairs, f: tuple, leg: int) -> dict:
+    def _hit(self, pairs, family: tuple, leg: int) -> list[dict]:
         """sum c_i f(e_(leg)) e_(other leg) over the terms of Delta(e_i),
-        for the nonzero (i, raw c_i) of a vector, as {m: raw value} with
-        no zeros.  f is a functional as lift_functional gives it; the
-        vector is lifted once and each entry is settled once."""
+        for the nonzero (i, raw c_i) of a vector and each functional f of
+        family, as one {m: raw value} with no zeros per functional, in
+        one pass over Delta.  family is (index, scales) as
+        lift_functionals gives it; the vector is lifted once and each
+        entry is settled once."""
         ops = self.field.ops
         mul, add = ops.lmul, ops.ladd
         scale, table = self._lifted_comul
-        coeffs, hs = lift_pairs(ops, pairs)
-        fl, fs = f
-        acc: dict = {}
+        index, scales = family
+        coeffs, hs = ops.lift_pairs(pairs)
+        accs = [{} for _ in scales]
         for i, c in coeffs:
             for key, t in table[i]:
-                x = fl.get(key[leg])
-                if x is not None:
-                    y = mul(mul(c, t), x)
-                    m = key[1 - leg]
-                    acc[m] = add(acc[m], y) if m in acc else y
-        return settle_all(ops, acc, hs * scale * fs)
+                fs = index.get(key[leg])
+                if fs is not None:
+                    ct, m = mul(c, t), key[1 - leg]
+                    for l, x in fs:
+                        y, acc = mul(ct, x), accs[l]
+                        acc[m] = add(acc[m], y) if m in acc else y
+        hs = hs * scale
+        return [ops.settle_all(acc, hs * s) if acc else acc
+                for acc, s in zip(accs, scales)]
+
+    @functools.cached_property
+    def _bicomponents(self) -> tuple:
+        """(scale, table, n): table[i] maps each (l, r) with a nonzero
+        bicomponent e_r -> (e_i <- e_l) of the basis vector e_i, for the
+        n coradical idempotents e_l and e_r, to its (m, lifted value)
+        pairs, all over one scale.
+
+        One sweep over Delta with every idempotent at once: one left hit
+        per basis vector, then one right hit per nonzero left component.
+        A coalgebra is immutable, so the table is built once.
+        """
+        ops = self.field.ops
+        family = self.coradical_idempotents().lifted
+        one = ops.one
+        cols: dict = {}
+        for i in range(self.dim):
+            for l, left in enumerate(self._hit([(i, one)], family, 0)):
+                if left:
+                    for r, v in enumerate(self._hit(left.items(), family, 1)):
+                        if v:
+                            cols[i, l, r] = v
+        lifted, scale = lift_columns(ops, cols)
+        table = [{} for _ in range(self.dim)]
+        for (i, l, r), col in lifted.items():
+            table[i][l, r] = col
+        return scale, table, len(family[1])
 
     def _box(self, sparse: dict) -> tuple:
         """The vector of Scalars of the raw entries {m: value}."""
@@ -525,15 +576,27 @@ class Coalgebra:
 
     def _component_raw(self, pairs, left: int | None = None,
                        right: int | None = None) -> dict:
-        """component of the vector with nonzero (index, raw value) pairs,
-        as {m: raw value} with no zeros."""
-        fam = self.coradical_idempotents()
-        v = dict(pairs)
-        if left is not None:
-            v = self._hit(v.items(), fam.lifted(left), 0)
-        if right is not None:
-            v = self._hit(v.items(), fam.lifted(right), 1)
-        return v
+        """e_right -> (v <- e_left) for the vector v with nonzero (index,
+        raw value) pairs, as {m: raw value} with no zeros: a combination
+        of the columns of the bicomponent table.  A side given as None
+        sums over every idempotent of that side, which sum to the counit,
+        so it is not hit."""
+        scale, table, n = self._bicomponents
+        for side in (left, right):
+            if side is not None and not 0 <= side < n:
+                raise UnknownSimple(f"no simple subcoalgebra with index {side}")
+        ops = self.field.ops
+        mul, add, one = ops.lmul, ops.ladd, ops.one
+        coeffs, sc = ops.lift_pairs(pairs)
+        acc: dict = {}
+        for i, c in coeffs:
+            for (l, r), col in table[i].items():
+                if left not in (None, l) or right not in (None, r):
+                    continue
+                for m, x in col:
+                    y = x if c == one else mul(c, x)
+                    acc[m] = add(acc[m], y) if m in acc else y
+        return ops.settle_all(acc, sc * scale)
 
     def bicomponent_subspace(self, left: int, right: int,
                              within: SubspaceBasis | None = None) -> SubspaceBasis:
@@ -599,7 +662,6 @@ class IdempotentFamily:
     def __init__(self, coalgebra: Coalgebra, functionals: list[tuple]):
         self.coalgebra = coalgebra
         self.functionals = tuple(tuple(f) for f in functionals)
-        self._lifted: list = [None] * len(self.functionals)
 
     def __len__(self):
         return len(self.functionals)
@@ -609,12 +671,10 @@ class IdempotentFamily:
             raise UnknownSimple(f"no simple subcoalgebra with index {i}")
         return self.functionals[i]
 
-    def lifted(self, i: int) -> tuple:
-        """functional(i) as lift_functional gives it, lifted once."""
-        f = self.functional(i)
-        if self._lifted[i] is None:
-            self._lifted[i] = lift_functional(self.coalgebra.field, f)
-        return self._lifted[i]
+    @functools.cached_property
+    def lifted(self) -> tuple:
+        """The functionals as lift_functionals gives them, lifted once."""
+        return lift_functionals(self.coalgebra.field, self.functionals)
 
     def __iter__(self):
         return iter(self.functionals)
@@ -766,10 +826,10 @@ class CoradicalAnalysis:
             require(total == unit, "idempotents do not sum to the counit")
             # f_i restricts to the counit on simple i and to 0 on the
             # others; rows and f_i are lifted once, f_i(row) settled once
-            rows = [(comp.index, row, *lift_pairs(ops, row))
+            rows = [(comp.index, row, *ops.lift_pairs(row))
                     for comp in comps for row in comp.subspace.raw]
             for i, f in enumerate(funcs):
-                pairs, sf = lift_pairs(ops, f.items())
+                pairs, sf = ops.lift_pairs(f.items())
                 fl = dict(pairs)
                 for index, row, lrow, sr in rows:
                     terms = [ops.lmul(fl[j], x) for j, x in lrow if j in fl]

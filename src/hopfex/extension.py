@@ -30,7 +30,11 @@ delta_expansion box what their raw routines return, _Grower.adjoin hands
 the raw tables to Coalgebra.of_raw, and extend_coalgebra hands the
 witness grids to MatrixOverH.of_raw, sums their corners on raw values
 and boxes z, g, h.  Simples are found (find_simple_containing), and
-subspaces read and cut by the counit, on raw vectors.
+subspaces read and cut by the counit, on raw vectors.  Bicomponents, of
+z in graded_positive_part, of each leg of a middle tensor in
+_middle_block and of a filtration level in _flag_basis, are read off
+the bicomponent table that each coalgebra, base or grown, builds once;
+the flag bases are row-reduced as sparse rows (linalg.rref_sparse).
 """
 
 from __future__ import annotations

@@ -75,7 +75,7 @@ from .linalg import Mat, dense_raw, sparse_raw, sum_scaled
 from .poly import (MinPolySearch, has_repeated_factor, min_poly_of_powers,
                    powers_mod)
 from .scalars import (FieldSpec, box, combination, lift_columns, nonzero_raw,
-                      raw_values, settle_all)
+                      raw_values)
 
 
 def pointed_exponent_bound(d: int, p: int, n: int) -> int:
@@ -317,7 +317,7 @@ class HopfAlgebra(Coalgebra):
                 for k, y in cols[m]:
                     z = mul(x, y)
                     acc[k] = add(acc[k], z) if k in acc else z
-            if settle_all(ops, acc, scale * scale) != {i: ops.one}:
+            if ops.settle_all(acc, scale * scale) != {i: ops.one}:
                 return False
         return True
 
@@ -375,7 +375,7 @@ class HopfAlgebra(Coalgebra):
                             for m, t in tk:
                                 z = mul(cxy, t)
                                 acc[m] = add(acc[m], z) if m in acc else z
-            out[i] = settle_all(ops, acc, scale)
+            out[i] = ops.settle_all(acc, scale)
         return out
 
     def hopf_power(self, h, n: int):

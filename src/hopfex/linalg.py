@@ -1,13 +1,18 @@
 """Exact linear algebra over a FieldSpec, on raw field values.
 
-Two routines do every elimination.  rref_raw reduces raw rows in place
-to the canonical reduced row echelon form (pivots 1, pivot columns
-cleared, pivot positions increasing, zero rows dropped), so two
-subspaces are equal iff their canonical bases are equal entry by entry;
-SubspaceBasis construction (so perp and sum), rref_rows and the other
-eliminations of every layer call it; over Q it eliminates fraction-free
-on primitive integer rows and divides by the pivots once at the end, so
-it makes no Fraction per step.  Echelon grows
+Two routines do every elimination.  rref_sparse reduces sparse raw rows
+{index: raw value} to the canonical reduced row echelon form (pivots 1,
+pivot columns cleared, pivot positions increasing, zero rows dropped),
+so two subspaces are equal iff their canonical bases are equal entry by
+entry.  It takes the rows one at a time, reduces each at the pivots
+kept so far, pivots it at its least remaining index and clears that
+index from the kept rows, and reads only nonzero entries; SubspaceBasis
+construction (so perp, sum, the radical chain, the filtration, the
+simples and the bicomponents) calls it, and rref_raw is its dense,
+in-place form for rref_rows and the eliminations of the other layers
+that hold dense rows.  Over Q it eliminates fraction-free on primitive
+integer rows and divides by the pivots once at the end, so it makes no
+Fraction per step.  Echelon grows
 sparse raw rows {key: raw value} one at a time and writes each new row
 over the rows added before it: the minimal-polynomial search, the matrix
 units and pairing of a basic multiplicative matrix and the H (x) H
@@ -37,8 +42,8 @@ import math
 import operator
 
 from .errors import NoSolution, ShapeMismatch
-from .scalars import (FieldSpec, Scalar, box, lift_columns, lift_pairs,
-                      nonzero_raw, raw_values)
+from .scalars import (FieldSpec, Scalar, box, lift_columns, nonzero_raw,
+                      raw_values)
 
 
 # ---------------------------------------------------------------------------
@@ -183,78 +188,113 @@ class Mat:
 # canonical row reduction
 # ---------------------------------------------------------------------------
 
-def rref_raw(field: FieldSpec, work: list[list]) -> list[int]:
-    """Canonical RREF of raw rows, in place; returns the pivot columns.
+def rref_sparse(field: FieldSpec, ambient: int, rows) -> tuple[list, list]:
+    """Canonical RREF of sparse raw rows {index: raw value} of k^ambient,
+    zeros allowed; returns (rows, pivots).
 
-    work is a list of equal-length lists of canonical raw values of field.
-    On return it holds only the reduced rows: each has a leading 1 at its
-    pivot, pivot positions strictly increase, and pivot columns are
-    cleared elsewhere.  Only the pivot row's nonzero entries are carried
-    into the other rows.  This is the one elimination routine.
+    Each returned row is the (index, raw value) pairs of its nonzero
+    entries in increasing index, led by a 1 at its pivot; the pivots
+    strictly increase and each pivot column is cleared in every other
+    row.  ShapeMismatch on an index outside range(ambient).  This is the
+    one elimination routine.
+
+    The rows are taken one at a time.  A row is reduced at the pivots of
+    the rows kept so far, pivoted at its least remaining index, and then
+    cleared from the kept rows; so the kept rows stay fully reduced, and
+    only the nonzero entries of a row are ever read.  The canonical RREF
+    of a span is unique, so the rows and pivots are those of the dense
+    column-by-column loop.
 
     Over Q it runs fraction-free (after Bareiss, Math. Comp. 22 (1968)):
-    the rows are scaled to primitive integer rows (FieldOps.lift), and a
-    row r is cleared at the pivot p of row s by r <- (p / g) r - (r_p / g)
-    s with g = gcd(p, r_p), then divided by its content (_cleared).  Each
-    row stays a nonzero multiple of the row the field loop would hold, so
-    the same entries vanish and the pivots and swaps are the same; a kept
-    row is divided by its pivot entry once per entry at the end.
+    every row is held as a primitive integer row (FieldOps.lift_pairs),
+    a row r is cleared at the pivot p of a row s by r <- (s_p / g) r -
+    (r_p / g) s with g = gcd(s_p, r_p) (_cleared), a new row is divided
+    by its content once it is reduced and a kept row each time it is
+    cleared, and a kept row is divided by its pivot entry once per entry
+    at the end, so no Fraction is made per step.
     """
     ops = field.ops
-    is_zero, mul, sub = ops.is_zero, ops.mul, ops.sub
+    is_zero = ops.is_zero
     integral = not field.char and not field.modulus
-    if integral:  # each row as a primitive integer row
-        work[:] = [_cleared(ops.lift(r)[0], 1, 0, ()) for r in work]
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    row_idx = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(row_idx, len(work))
-                          if not is_zero(work[i][col])), None)
-        if pivot_row is None:
-            continue
-        work[row_idx], work[pivot_row] = work[pivot_row], work[row_idx]
-        prow = work[row_idx]
-        # entries before col are zero in every row from row_idx on
-        terms = [(j, prow[j]) for j in range(col, ncols)
-                 if not is_zero(prow[j])]
-        if not integral:
-            inv = ops.inv(prow[col])
-            terms = [(j, mul(inv, y)) for j, y in terms]
-            for j, y in terms:
-                prow[j] = y
-        for i, r in enumerate(work):
-            c = r[col]
-            if i != row_idx and not is_zero(c):
-                if integral:
-                    work[i] = _cleared(r, prow[col], c, terms)
-                    continue
-                for j, y in terms:
-                    r[j] = sub(r[j], mul(c, y))
-        pivots.append(col)
-        row_idx += 1
-        if row_idx == len(work):
-            break
-    del work[row_idx:]
-    if integral:
-        for r, col in zip(work, pivots):
-            p = r[col]
-            if p != 1:
-                r[:] = [ops.settle(x, p) if x else 0 for x in r]
-    return pivots
+    kept: dict = {}  # pivot -> row, zero at every other pivot
+    for row in rows:
+        if row and (min(row) < 0 or max(row) >= ambient):
+            raise ShapeMismatch("vector index outside the ambient dimension")
+        if integral:
+            r = {j: x for j, x in row.items() if x}
+            if not r:
+                continue
+            pairs, scale = ops.lift_pairs(r.items())
+            r = _primitive(dict(pairs) if scale != 1 else r)
+            for p in [p for p in r if p in kept]:
+                r = _cleared(r, p, kept[p])
+            if not r:
+                continue
+            r = _primitive(r)
+            q = min(r)
+            for p, s in kept.items():
+                if q in s:
+                    kept[p] = _primitive(_cleared(s, q, r))
+        else:
+            r = {j: x for j, x in row.items() if not is_zero(x)}
+            for p in [p for p in r if p in kept]:
+                add_scaled(ops, r, ops.neg(r[p]), kept[p])
+            if not r:
+                continue
+            q = min(r)
+            if r[q] != ops.one:
+                inv = ops.inv(r[q])
+                r = {j: ops.mul(inv, x) for j, x in r.items()}
+            for s in kept.values():
+                c = s.get(q)
+                if c is not None:
+                    add_scaled(ops, s, ops.neg(c), r)
+        kept[q] = r
+    pivots = sorted(kept)
+    out = []
+    settle = ops.settle
+    for p in pivots:
+        r = kept[p]
+        d = r[p]
+        if integral and d != 1:
+            r = {j: settle(x, d) for j, x in r.items()}
+        out.append(tuple(sorted(r.items())))
+    return out, pivots
 
 
-def _cleared(r: list, p: int, c: int, terms) -> list:
-    """The primitive integer row of (p / g) r - (c / g) s, g = gcd(p, c),
-    for the nonzero (j, s_j) terms of a row s."""
-    g = math.gcd(p, c)
-    a, b = p // g, c // g
+def _primitive(r: dict) -> dict:
+    """The integer row {index: int}, no zeros, divided by its content."""
+    g = math.gcd(*r.values())
+    return {j: x // g for j, x in r.items()} if g > 1 else r
+
+
+def _cleared(r: dict, p, s: dict) -> dict:
+    """(s_p / g) r - (r_p / g) s, g = gcd(s_p, r_p), on integer rows
+    {index: int} with no zeros: zero at p, and zeros dropped.  r is
+    changed in place when s_p / g is 1."""
+    sp, c = s[p], r[p]
+    g = math.gcd(sp, c)
+    a, b = sp // g, c // g
     if a != 1:
-        r = [a * x for x in r]
-    for j, y in terms:
-        r[j] -= b * y
-    g = math.gcd(*r)
-    return [x // g for x in r] if g > 1 else r
+        r = {j: a * x for j, x in r.items()}
+    get = r.get
+    for j, y in s.items():
+        x = get(j, 0) - b * y
+        if x:
+            r[j] = x
+        else:
+            del r[j]
+    return r
+
+
+def rref_raw(field: FieldSpec, work: list[list]) -> list[int]:
+    """Canonical RREF of equal-length lists of raw values of field, in
+    place (rref_sparse); returns the pivot columns.  On return work
+    holds only the reduced rows, as lists of raw values."""
+    ncols = len(work[0]) if work else 0
+    rows, pivots = rref_sparse(field, ncols, [dict(enumerate(r)) for r in work])
+    work[:] = [dense_raw(field.ops, ncols, r) for r in rows]
+    return pivots
 
 
 def rref_rows(field: FieldSpec, rows) -> tuple[list[tuple], list[int]]:
@@ -408,8 +448,8 @@ def dense_raw(ops, n: int, pairs) -> list:
 class SubspaceBasis:
     """A subspace of k^n held as its canonical RREF basis: raw holds each
     row as the (index, raw value) pairs of its nonzero entries, in
-    increasing index, and pivots the pivot column of each row.  rref_raw
-    builds them, or cut carries them over; rows boxes them at its first
+    increasing index, and pivots the pivot column of each row.
+    rref_sparse builds them, or cut carries them over; rows boxes them at its first
     read.  The entries off the pivots are lifted once, at the first
     membership test.
     """
@@ -421,19 +461,15 @@ class SubspaceBasis:
         vectors = [tuple(v) for v in vectors]
         if any(len(v) != ambient for v in vectors):
             raise ShapeMismatch("basis vector length differs from ambient dimension")
-        self._reduce(field, ambient, [raw_values(field, v) for v in vectors])
+        self._hold(field, ambient, *rref_sparse(
+            field, ambient, [dict(nonzero_raw(field, v)) for v in vectors]))
 
     @classmethod
     def of_raw(cls, field: FieldSpec, ambient: int, rows) -> "SubspaceBasis":
-        """The span of sparse raw rows {index: raw value}, zeros allowed."""
-        return cls.__new__(cls)._reduce(field, ambient, [
-            dense_raw(field.ops, ambient, r.items()) for r in rows])
-
-    def _reduce(self, field, ambient, work) -> "SubspaceBasis":
-        """Hold the canonical rows of the dense raw rows work."""
-        pivots = rref_raw(field, work)
-        return self._hold(field, ambient,
-                          [sparse_raw(field.ops, r) for r in work], pivots)
+        """The span of sparse raw rows {index: raw value}, zeros allowed;
+        ShapeMismatch on an index outside range(ambient)."""
+        return cls.__new__(cls)._hold(field, ambient,
+                                      *rref_sparse(field, ambient, rows))
 
     def _hold(self, field, ambient, raw, pivots) -> "SubspaceBasis":
         self.field, self.ambient = field, ambient
@@ -506,7 +542,7 @@ class SubspaceBasis:
         ops = self.field.ops
         mul, add = ops.lmul, ops.ladd
         scale, index, rows, minus = self._lifted_rows()
-        vals, sc = lift_pairs(ops, vec.items())
+        vals, sc = ops.lift_pairs(vec.items())
         acc: dict = {}
         for j, x in vals:
             k = index.get(j)
@@ -568,7 +604,7 @@ class SubspaceBasis:
         mul, add = ops.lmul, ops.ladd
         scale, _, rows, minus = self._lifted_rows()
         one = ops.neg(minus)  # a lift is linear: the lift of 1
-        fl, sf = lift_pairs(ops, f)
+        fl, sf = ops.lift_pairs(f)
         fl = dict(fl)
         vals = []
         for k, p in enumerate(self.pivots):

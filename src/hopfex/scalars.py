@@ -187,6 +187,38 @@ def _lift_rationals(vals) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in vals], d
 
 
+# pairs of these types are read more than once without a copy
+_REREADABLE = (list, tuple, type({}.items()))
+
+
+def _lift_rational_pairs(pairs) -> tuple:
+    """(key, rational) pairs as (key, integer numerator) pairs over the
+    lcm of the denominators; the pairs themselves, scale 1, when every
+    value is an int."""
+    if type(pairs) not in _REREADABLE:
+        pairs = list(pairs)
+    dens = {v.denominator for _, v in pairs if type(v) is not int}
+    if not dens:
+        return pairs, 1
+    d = math.lcm(*dens)
+    return [(k, v.numerator * (d // v.denominator)) for k, v in pairs], d
+
+
+def _settle_rationals(acc: dict, scale: int) -> dict:
+    """{key: raw value} of the integers of acc over scale, zeros dropped:
+    one divmod per nonzero entry, none over scale 1."""
+    if scale == 1:
+        return {k: a for k, a in acc.items() if a}
+    return {k: _settle_rational(a, scale) for k, a in acc.items() if a}
+
+
+def _identity_pairs(pairs) -> tuple:
+    """lift_pairs of a field whose lift is the identity: the pairs
+    themselves, scale 1, with no copy unless they are a one-shot
+    iterator, which a kernel could not read twice."""
+    return (pairs if type(pairs) in _REREADABLE else list(pairs)), 1
+
+
 class FieldOps:
     """Arithmetic on the canonical raw values of one field.
 
@@ -212,6 +244,15 @@ class FieldOps:
     extension field lifts by the identity (scale 1), its lmul and ladd
     are its own mul and add, and settle returns acc.
 
+    lift_pairs(pairs) lifts the values of (key, raw value) pairs and
+    returns (lifted pairs, scale); settle_all(acc, scale) settles every
+    entry of {key: lifted value} and drops the zeros.  Where the lift is
+    the identity (F_p, every extension field, and Q when every value is
+    an int) lift_pairs returns a list, a tuple or a dict's items as they
+    are, with no copy, and any other iterable as a list.  settle_all is
+    one comprehension: % p on F_p, a zero test only on an extension
+    field, and on Q a divmod per entry only when the scale is not 1.
+
     On an extension field add, sub, neg and mul are the straight-line
     functions that _extension_kernels compiles from the reduction table,
     shared by every FieldSpec of the same field.  On a char-0 extension
@@ -223,7 +264,7 @@ class FieldOps:
     """
 
     __slots__ = ("zero", "one", "add", "sub", "neg", "mul", "inv", "is_zero",
-                 "lift", "settle", "lmul", "ladd")
+                 "lift", "settle", "lmul", "ladd", "lift_pairs", "settle_all")
 
     def __init__(self, char: int, modulus: tuple | None):
         if modulus:
@@ -239,6 +280,9 @@ class FieldOps:
             self.inv = lambda a: pow(a, p - 2, p)
             self.lift = lambda vals: (list(vals), 1)
             self.settle = lambda acc, scale: acc % p
+            self.lift_pairs = _identity_pairs
+            self.settle_all = lambda acc, scale: {
+                k: y for k, a in acc.items() if (y := a % p)}
         else:
             self.zero, self.one = 0, 1
             self.add, self.sub = _add_rationals, _sub_rationals
@@ -246,6 +290,8 @@ class FieldOps:
             self.inv = _invert_rational
             self.lift = _lift_rationals
             self.settle = _settle_rational
+            self.lift_pairs = _lift_rational_pairs
+            self.settle_all = _settle_rationals
         self.is_zero = operator.not_
         self.lmul, self.ladd = operator.mul, operator.add
 
@@ -274,8 +320,12 @@ class FieldOps:
             self.is_zero = functools.partial(operator.eq, self.zero)
         self.add, self.sub, self.neg, self.mul = _extension_kernels(p, d, table, D)
         # kernels run on this field's own mul and add
+        zero = self.zero
         self.lift = lambda vals: (list(vals), 1)
         self.settle = lambda acc, scale: acc
+        self.lift_pairs = _identity_pairs
+        self.settle_all = lambda acc, scale: {
+            k: a for k, a in acc.items() if a != zero}
         self.lmul, self.ladd = self.mul, self.add
 
         # a pass inverts few distinct values many times (pivots, leading
@@ -413,25 +463,6 @@ def nonzero_raw(field: "FieldSpec", vec) -> list:
             if not is_zero(x)]
 
 
-def lift_pairs(ops: FieldOps, pairs) -> tuple[list, object]:
-    """The (key, raw value) pairs with their values lifted, and the scale."""
-    pairs = list(pairs)
-    vals, scale = ops.lift([v for _, v in pairs])
-    return [(k, x) for (k, _), x in zip(pairs, vals)], scale
-
-
-def settle_all(ops: FieldOps, acc: dict, scale) -> dict:
-    """{key: raw value} of the lifted entries of acc over scale, zeros
-    dropped: one settle per entry."""
-    settle, is_zero = ops.settle, ops.is_zero
-    out = {}
-    for k, a in acc.items():
-        y = settle(a, scale)
-        if not is_zero(y):
-            out[k] = y
-    return out
-
-
 def lift_columns(ops: FieldOps, cols: dict) -> tuple[dict, object]:
     """The sparse raw columns {i: {m: raw value}} as {i: [(m, lifted)]},
     every value lifted over one scale, and the scale."""
@@ -448,14 +479,14 @@ def combination(ops: FieldOps, coeffs, lifted, scale) -> dict:
     entry is settled once.
     """
     mul, add, is_zero = ops.lmul, ops.ladd, ops.is_zero
-    cs, sc = lift_pairs(ops, [(k, c) for k, c in enumerate(coeffs)
+    cs, sc = ops.lift_pairs([(k, c) for k, c in enumerate(coeffs)
                               if not is_zero(c)])
     acc: dict = {}
     for k, c in cs:
         for m, x in lifted[k]:
             y = mul(c, x)
             acc[m] = add(acc[m], y) if m in acc else y
-    return settle_all(ops, acc, sc * scale)
+    return ops.settle_all(acc, sc * scale)
 
 
 def box(field: "FieldSpec", vals) -> tuple:
@@ -484,7 +515,8 @@ class FieldSpec:
                  "_hash")
 
     def __init__(self, char: int = 0, modulus=None, cyclotomic_order: int | None = None):
-        if char < 0 or (char > 0 and not _is_prime(char)):
+        if type(char) is not int or char < 0 or (
+                char > 0 and not _is_prime(char)):
             raise FieldError(f"characteristic must be 0 or prime, got {char}")
         if cyclotomic_order is not None:
             if char != 0:

@@ -27,7 +27,8 @@ that takes or returns the other form, and right_mult_mat is R_u as a Mat,
 which only the tests read.  loop_extension_ops is the arithmetic of an
 extension field as the coefficient loops it ran on before its kernels
 were generated as straight-line code: the reference they are checked
-against.
+against.  dense_rref_raw is the dense column-by-column elimination that
+linalg.rref_sparse replaced, kept as its reference.
 """
 
 import functools
@@ -39,7 +40,7 @@ from fractions import Fraction
 from hopfex import GF, QQ, Coalgebra, FieldSpec
 from hopfex.algebra import FiniteAlgebra
 from hopfex.hopf import HopfAlgebra
-from hopfex.coalgebra import lift_functional
+from hopfex.coalgebra import lift_functionals
 from hopfex.errors import HopfError, ShapeMismatch
 from hopfex.linalg import (Echelon, Mat, SubspaceBasis, dense_raw, unit_vec,
                            vec_add, vec_is_zero, vec_scale, zero_vec)
@@ -239,14 +240,14 @@ def hopf_power_map(h, n: int) -> Mat:
 
 def hit_left(c, f: tuple, h: tuple) -> tuple:
     """f harpoon-> h = sum h_(1) f(h_(2)): f eats the right tensor leg."""
-    return c._box(c._hit(nonzero_raw(c.field, h), lift_functional(c.field, f),
-                         1))
+    return c._box(c._hit(nonzero_raw(c.field, h),
+                         lift_functionals(c.field, [f]), 1)[0])
 
 
 def hit_right(c, h: tuple, f: tuple) -> tuple:
     """h <-harpoon f = sum f(h_(1)) h_(2): f eats the left tensor leg."""
-    return c._box(c._hit(nonzero_raw(c.field, h), lift_functional(c.field, f),
-                         0))
+    return c._box(c._hit(nonzero_raw(c.field, h),
+                         lift_functionals(c.field, [f]), 0)[0])
 
 
 def component(c, h: tuple, left: int | None = None,
@@ -450,6 +451,71 @@ def loop_extension_ops(field) -> dict:
 
     return {"add": add, "sub": lambda a, b: add(a, b, -1), "neg": neg,
             "mul": lambda a, b: canon(fold(a, b) + [a[-1] * b[-1] * D])}
+
+
+def dense_rref_raw(field, work: list[list]) -> list[int]:
+    """Canonical RREF of dense raw rows, in place, as the column-by-column
+    loop linalg ran before its elimination took sparse rows: the
+    reference of linalg.rref_sparse.  Returns the pivot columns.
+
+    Over Q it runs fraction-free on primitive integer rows: a row r is
+    cleared at the pivot p of row s by r <- (p / g) r - (r_p / g) s with
+    g = gcd(p, r_p), then divided by its content, and a kept row is
+    divided by its pivot entry once per entry at the end.
+    """
+    ops = field.ops
+    is_zero, mul, sub = ops.is_zero, ops.mul, ops.sub
+    integral = not field.char and not field.modulus
+
+    def cleared(r, p, c, terms):
+        g = math.gcd(p, c)
+        a, b = p // g, c // g
+        if a != 1:
+            r = [a * x for x in r]
+        for j, y in terms:
+            r[j] -= b * y
+        g = math.gcd(*r)
+        return [x // g for x in r] if g > 1 else r
+
+    if integral:  # each row as a primitive integer row
+        work[:] = [cleared(ops.lift(r)[0], 1, 0, ()) for r in work]
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    row_idx = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(row_idx, len(work))
+                          if not is_zero(work[i][col])), None)
+        if pivot_row is None:
+            continue
+        work[row_idx], work[pivot_row] = work[pivot_row], work[row_idx]
+        prow = work[row_idx]
+        # entries before col are zero in every row from row_idx on
+        terms = [(j, prow[j]) for j in range(col, ncols)
+                 if not is_zero(prow[j])]
+        if not integral:
+            inv = ops.inv(prow[col])
+            terms = [(j, mul(inv, y)) for j, y in terms]
+            for j, y in terms:
+                prow[j] = y
+        for i, r in enumerate(work):
+            c = r[col]
+            if i != row_idx and not is_zero(c):
+                if integral:
+                    work[i] = cleared(r, prow[col], c, terms)
+                    continue
+                for j, y in terms:
+                    r[j] = sub(r[j], mul(c, y))
+        pivots.append(col)
+        row_idx += 1
+        if row_idx == len(work):
+            break
+    del work[row_idx:]
+    if integral:
+        for r, col in zip(work, pivots):
+            p = r[col]
+            if p != 1:
+                r[:] = [ops.settle(x, p) if x else 0 for x in r]
+    return pivots
 
 
 def is_canonical(field, raw) -> bool:

@@ -20,7 +20,7 @@ from hopfex.errors import (AxiomViolation, FieldMismatch, IncompatibleBase,
                            UnknownSimple)
 from hopfex.linalg import (SubspaceBasis, unit_vec, vec_add, vec_is_zero,
                            zero_vec)
-from hopfex.scalars import Scalar
+from hopfex.scalars import Scalar, nonzero_raw
 from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
                         restricted_poly, sweedler, symmetric, taft)
 
@@ -580,3 +580,45 @@ def test_component_lifts_each_idempotent_functional_once(monkeypatch):
         for i, (c, d) in itertools.product(range(h.dim), pairs):
             component(h, unit_vec(QQ, h.dim, i), left=c, right=d)
     assert len(lifted) == len(fam) and set(lifted) == set(fam.functionals)
+
+
+def extend_results():
+    """The results of the four extensions of the benchmark's extend
+    workload: x^n in the (g^n, 1) bicomponent of taft9 over Q(zeta_3) and
+    over F_7 and of restricted5 at degree 2, of taft16 over Q(zeta_4) at
+    degree 3."""
+    from hopfex.extension import extend_coalgebra
+    out = []
+    for h, n in ((taft(3, FieldSpec(0, cyclotomic_order=3)), 2),
+                 (taft(3, GF(7)), 2), (restricted_poly(5), 2),
+                 (taft(4, FieldSpec(0, cyclotomic_order=4)), 3)):
+        g = h.unit
+        if "g" in h.names:
+            g = h.power_vec(h.basis_element(h.index_of("g")).vec, n)
+        z = h.basis_element(h.index_of(f"x^{n}"))
+        out.append(extend_coalgebra(h, h.element(g), h.one(), z, n).result)
+    return out
+
+
+def test_bicomponent_table_equals_the_two_hit_passes(zoo):
+    pointed = [h for h in zoo.values() if h.is_pointed()]
+    for coalg in pointed + extend_results():
+        field, ops = coalg.field, coalg.field.ops
+        fam = coalg.coradical_idempotents()
+        hits = [hopfex.coalgebra.lift_functionals(field, [f]) for f in fam]
+        rng = random.Random(coalg.dim)
+        vecs = [[(i, ops.one)] for i in range(coalg.dim)] + [
+            nonzero_raw(field, fraction_vector(field, rng, coalg.dim))]
+        for v in vecs:
+            for c in range(len(fam)):
+                left = coalg._hit(v, hits[c], 0)[0]
+                assert coalg._component_raw(v, left=c) == left
+                assert coalg._component_raw(v, right=c) == \
+                    coalg._hit(v, hits[c], 1)[0]
+                for d in range(len(fam)):
+                    assert coalg._component_raw(v, c, d) == \
+                        coalg._hit(left.items(), hits[d], 1)[0]
+            assert coalg._component_raw(v) == dict(v)
+    h = pointed[0]
+    with pytest.raises(UnknownSimple):
+        h._component_raw([(0, 1)], right=len(h.coradical_idempotents()))

@@ -10,15 +10,16 @@ import hopfex.extension
 from hopfex import GF, QQ, Element, FieldSpec, linalg, poly
 from hopfex.errors import (DivisionByZero, FieldMismatch, NoSolution,
                            ShapeMismatch)
-from hopfex.linalg import (Echelon, Mat, SubspaceBasis, kernel,
-                           rref_raw, rref_rows, unit_vec, vec_add,
-                           vec_is_zero, vec_scale, vec_sub, zero_vec)
+from hopfex.linalg import (Echelon, Mat, SubspaceBasis, dense_raw, kernel,
+                           rref_raw, rref_rows, rref_sparse, unit_vec,
+                           vec_add, vec_is_zero, vec_scale, vec_sub, zero_vec)
 from hopfex.extension import extend_coalgebra
 from hopfex.scalars import Scalar, box, cyclotomic_polynomial, nonzero_raw
 from hopfex.zoo import taft
-from lifting_cases import (F9, HALF_ROOT, LIFT_FIELDS, QZ5, fraction_scalar,
-                           fraction_vector, has_denominators, is_canonical,
-                           solve, solve_columns, t2_add_term, t2_flatten)
+from lifting_cases import (F9, HALF_ROOT, LIFT_FIELDS, QZ5, dense_rref_raw,
+                           fraction_scalar, fraction_vector, has_denominators,
+                           is_canonical, solve, solve_columns, t2_add_term,
+                           t2_flatten)
 
 F5 = GF(5)
 
@@ -347,13 +348,13 @@ def test_membership_and_cuts_do_not_row_reduce(zoo, monkeypatch):
     spaces = golden_subspaces(h)
     probes = [(s, probe_vectors(h, s), probe_functionals(h, s)) for s in spaces]
     calls = []
-    real = linalg.rref_raw
+    real = linalg.rref_sparse
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(linalg, "rref_raw", counted)
+    monkeypatch.setattr(linalg, "rref_sparse", counted)
     for space, vectors, functionals in probes:
         for v in vectors:
             space.contains_vector(v)
@@ -521,6 +522,67 @@ def test_rref_raw_matches_the_scalar_reference(field):
         assert all(is_canonical(field, x) for r in work for x in r)
 
 
+def random_sparse_rows(field, rng, ambient):
+    """Seeded sparse raw rows of k^ambient, some of them dependent: zero
+    rows (empty, or with explicit zero entries), repeated rows, and over
+    a char-0 field 70-bit and negative numerators and Fractions."""
+    ops = field.ops
+
+    def value():
+        if field.char:
+            coeffs = [rng.randrange(field.char) for _ in range(field.degree)]
+        else:
+            big = rng.random() < 0.3
+            coeffs = [Fraction(rng.randint(-2 ** 70, 2 ** 70) if big
+                               else rng.randint(-9, 9),
+                               rng.choice([1, 1, 2, 3, 2 ** 70 - 1]))
+                      for _ in range(field.degree)]
+        return field.from_coeffs(coeffs).val if field.modulus \
+            else field.raw(coeffs[0])
+
+    base = [{j: value() for j in range(ambient) if rng.random() < 0.3}
+            for _ in range(rng.randint(1, ambient))]
+    rows = list(base)
+    for _ in range(rng.randint(0, 3)):  # dependent rows
+        acc: dict = {}
+        for row in rng.sample(base, min(2, len(base))):
+            linalg.add_scaled(ops, acc, value() or ops.one, row)
+        rows.append(acc)
+    rows += [{}, {rng.randrange(ambient): ops.zero}]
+    rows += [dict(rng.choice(base)) for _ in range(2)]  # repeated rows
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("field", RAW_FIELDS, ids=lambda f: f.describe())
+def test_rref_sparse_matches_the_dense_reference(field):
+    rng = random.Random(31)
+    for _ in range(25):
+        ambient = rng.randint(1, 9)
+        rows = random_sparse_rows(field, rng, ambient)
+        work = [dense_raw(field.ops, ambient, r.items()) for r in rows]
+        want = dense_rref_raw(field, work)
+        got, pivots = rref_sparse(field, ambient, rows)
+        assert pivots == want
+        assert [dense_raw(field.ops, ambient, r) for r in got] == work
+        assert all(list(r) == sorted(r) and r[0][0] == p
+                   and r[0][1] == field.ops.one and is_canonical(field, x)
+                   and not field.ops.is_zero(x) for r, p in zip(got, pivots)
+                   for _, x in r)
+        # rref_raw is its dense form
+        dense = [dense_raw(field.ops, ambient, r.items()) for r in rows]
+        assert rref_raw(field, dense) == want and dense == work
+
+
+def test_sparse_elimination_rejects_an_index_outside_the_ambient():
+    for row in ({-1: 1}, {3: 1}, {0: 1, 3: 0}):
+        with pytest.raises(ShapeMismatch):
+            SubspaceBasis.of_raw(QQ, 3, [row])
+        with pytest.raises(ShapeMismatch):
+            rref_sparse(F5, 3, [{0: 1}, row])
+    assert SubspaceBasis.of_raw(QQ, 3, [{2: 1, 0: 0}]).raw == (((2, 1),),)
+
+
 def test_rref_rows_rejects_rows_from_two_fields():
     f7 = GF(7)
     with pytest.raises(FieldMismatch):
@@ -576,7 +638,7 @@ def test_rref_raw_over_q_makes_at_most_one_fraction_per_entry(monkeypatch):
     rng = random.Random(5)
     rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)]
             for _ in range(7)]
-    work = [[QQ.from_fraction(x).val for x in r] for r in rows]
+    sparse = [{j: QQ.raw(x) for j, x in enumerate(r) if x} for r in rows]
     made = []
     original = Fraction.__dict__["__new__"]
 
@@ -585,10 +647,10 @@ def test_rref_raw_over_q_makes_at_most_one_fraction_per_entry(monkeypatch):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting)
-    rref_raw(QQ, work)
+    got, _ = rref_sparse(QQ, 8, sparse)
     monkeypatch.undo()
-    entries = sum(len(r) for r in work)
-    assert entries and any(type(x) is Fraction for r in work for x in r)
+    entries = sum(len(r) for r in got)
+    assert entries and any(type(x) is Fraction for r in got for _, x in r)
     assert len(made) <= entries
     # the counter does see the field loop's Fractions
     monkeypatch.setattr(Fraction, "__new__", counting)

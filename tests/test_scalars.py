@@ -146,6 +146,15 @@ def test_extension_degree_cap():
         FieldSpec(0, cyclotomic_order=4 * (MAX_EXTENSION_DEGREE + 1))
 
 
+def test_non_integer_characteristic_rejected():
+    from hopfex.errors import FieldError
+    for make in (lambda: GF(5.0),
+                 lambda: FieldSpec(3.0, modulus=[1, 0, 1]),
+                 lambda: FieldSpec(0.0, cyclotomic_order=3)):
+        with pytest.raises(FieldError, match="characteristic must be"):
+            make()
+
+
 def test_small_cyclotomic_orders_normalize_to_prime_field():
     assert FieldSpec(0, cyclotomic_order=1) == QQ
     assert FieldSpec(0, cyclotomic_order=2) == QQ
@@ -591,6 +600,42 @@ def test_rational_lift_and_settle_match_fractions():
                        (3, 6), (-2 ** 95 - 1, 2 ** 5)):
         got = ops.settle(acc, scale)
         assert got == Fraction(acc, scale) and is_canonical(QQ, got)
+
+
+@pytest.mark.parametrize("field", FIELDS + [F9, HALF_ROOT],
+                         ids=lambda f: f.describe())
+def test_lift_pairs_and_settle_all_match_lift_and_settle(field):
+    ops, rng = field.ops, random.Random(71)
+
+    def sample():
+        if field.char:
+            cs = [rng.randrange(field.char) for _ in range(field.degree)]
+        else:
+            cs = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
+                  for _ in range(field.degree)]
+        if field.modulus:
+            return field.from_coeffs(cs).val
+        return field.from_fraction(cs[0]).val
+
+    rereadable = (list, tuple, type({}.items()))
+    for _ in range(20):
+        pairs = [(k, sample()) for k in range(rng.randint(0, 6))]
+        lifted, scale = ops.lift([v for _, v in pairs])
+        want = list(zip(range(len(pairs)), lifted))
+        for form in (pairs, tuple(pairs), dict(pairs).items(), iter(pairs),
+                     (p for p in pairs)):
+            got, sc = ops.lift_pairs(form)
+            assert sc == scale and list(got) == want and list(got) == want
+            if scale == 1 and type(form) in rereadable:
+                assert got is form  # no copy
+        # unreduced sums of lifted products, and a zero entry
+        acc = {k: ops.ladd(x, ops.lmul(x, x)) for k, x in want}
+        acc[len(pairs)] = ops.lmul(lifted[0], ops.lift([ops.zero])[0][0]) \
+            if lifted else ops.zero
+        for s2 in (scale, scale * scale):
+            settled = {k: ops.settle(a, s2) for k, a in acc.items()}
+            assert ops.settle_all(acc, s2) == {
+                k: y for k, y in settled.items() if not ops.is_zero(y)}
 
 
 # Every token Fraction accepted before integers got their fast path;
