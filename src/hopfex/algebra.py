@@ -45,8 +45,9 @@ of integer multiply-adds, normalised once per nonzero output entry by
 FieldOps.settle, instead of one gcd-normalised Fraction per term.
 
 Splitting the semisimple quotient is deterministic.  The centre is
-split in one refinement pass over its basis (split_commutative): each
-piece e of a pool of orthogonal idempotents is replaced by the
+split in one refinement pass over its basis (split_commutative): the
+pool of orthogonal idempotents starts from the basis vectors that are
+already orthogonal idempotents, and each piece e is replaced by the
 eigen-components of x = e b in eA, one CRT idempotent per root of the
 minimal polynomial of x that field_roots finds, and one piece for the
 factors with no root found.  n orthogonal idempotents of an
@@ -655,16 +656,24 @@ class FiniteAlgebra:
         as {m: raw value}, sorted by their dense raw coefficient vectors
         compared entry by entry.
 
-        One refinement of a pool of orthogonal idempotents that starts
-        at the unit (Eberly-Giesbrecht, J. Symb. Comp. 29 (2000)): for
-        each basis vector b in turn, every piece e is replaced by the
-        eigen-components of x = e e_b inside eA, one CRT idempotent
-        h_lam(x) per root lam of the minimal polynomial mu of x that
-        field_roots finds, and one piece for the factors of mu with no
-        root found (_eigen_pieces).  n = dim A orthogonal idempotents of
-        an n-dimensional algebra are all primitive, so the refinement
-        stops when the pool holds n pieces, with no primitivity test;
-        passes over the basis repeat while the one before split a piece.
+        One refinement of a pool of orthogonal idempotents
+        (Eberly-Giesbrecht, J. Symb. Comp. 29 (2000)).  The pool starts
+        from the basis vectors that are orthogonal idempotents, read off
+        the constants with no product (_basis_idempotents), and 1 minus
+        their sum when that is nonzero: orthogonal idempotents summing
+        to 1.  Then for each basis vector b in turn, every piece e is
+        replaced by the eigen-components of x = e e_b inside eA, one CRT
+        idempotent h_lam(x) per root lam of the minimal polynomial mu of
+        x that field_roots finds, and one piece for the factors of mu
+        with no root found (_eigen_pieces).  n = dim A orthogonal
+        idempotents of an n-dimensional algebra are all primitive, so
+        the refinement stops when the pool holds n pieces, with no
+        primitivity test; with n basis idempotents (the dual of a group
+        algebra on its delta functions) nothing is refined.  Passes over
+        the basis repeat while the one before split a piece.  Every
+        piece of the pool is a sum of primitive idempotents, and those
+        of a commutative semisimple algebra are unique, so the sorted
+        result is the same from any starting pool.
 
         When a pass splits nothing and fewer than n pieces remain, some
         piece e has eA = k^m with m >= 2 or is not split.  If it is k^m,
@@ -674,8 +683,13 @@ class FiniteAlgebra:
         field_roots is exhaustive and the raise is a proof; over a char-0
         extension field it rests on field_roots' list of candidate roots.
         """
-        field, n = self.field, self.dim
-        pool = [dict(sparse_raw(field.ops, self.unit_raw))]
+        ops, n = self.field.ops, self.dim
+        taken = self._basis_idempotents()
+        pool = [{i: ops.one} for i in taken]
+        rest = dict(sparse_raw(ops, self.unit_raw))
+        add_scaled(ops, rest, ops.neg(ops.one), dict.fromkeys(taken, ops.one))
+        if rest:
+            pool.append(rest)
         changed = True
         while changed and len(pool) < n:
             changed = False
@@ -693,6 +707,25 @@ class FiniteAlgebra:
                 "a simple block of the dual algebra has center larger "
                 "than the base field; recompute over a field extension")
         return sorted(pool, key=self._dense)
+
+    def _basis_idempotents(self) -> list[int]:
+        """The i, increasing, whose basis vectors e_i are orthogonal
+        idempotents, taken greedily off the constants with no product:
+        e_i e_i = e_i, and e_i e_j = e_j e_i = 0 for every j taken before."""
+        one, c = self.field.ops.one, self.constants
+        taken: list[int] = []
+        for i, row in enumerate(c):
+            if row[i] == [(i, one)] and not any(row[j] or c[j][i]
+                                                for j in taken):
+                taken.append(i)
+        return taken
+
+    def is_commutative(self) -> bool:
+        """Whether e_i e_j = e_j e_i for every i < j, compared on the
+        constants with no product."""
+        c = self.constants
+        return all(c[i][j] == c[j][i]
+                   for i in range(self.dim) for j in range(i + 1, self.dim))
 
     def _eigen_pieces(self, e: dict, b: int) -> list[dict]:
         """The eigen-components of x = e e_b inside eA, for an idempotent
@@ -752,12 +785,15 @@ class FiniteAlgebra:
             f"{len(corner)}; the block may be a division algebra over the "
             "base field, or may need a larger search")
 
-    def corner_basis(self, e: dict) -> tuple:
+    def corner_basis(self, e: dict, central: bool = False) -> tuple:
         """Canonical basis of eAe = (eA)e, as SubspaceBasis.raw rows: the
         columns e e_i of L_e are row-reduced to a basis of eA, and only its
-        rows are multiplied by e."""
+        rows are multiplied by e.  For a central e, eAe = eA e = e e A =
+        eA, so central=True returns that basis as it is."""
         ea = SubspaceBasis.of_raw(self.field, self.dim,
                                   self._basis_products(e.items()))
+        if central:
+            return ea.raw
         return SubspaceBasis.of_raw(self.field, self.dim, [
             self._product(r, e.items()) for r in ea.raw]).raw
 
@@ -812,11 +848,15 @@ class QuotientMap:
     section part, so projecting needs no solve: section coordinate j is
     v[s_j] - sum_i v[pivot_i] row_i[s_j].  The quotient's constants are
     the projections of the parent's nonzero products e_{s_a} e_{s_b}.
+    The quotient by the zero ideal (every cosemisimple input's H*/J) is
+    the parent itself, with the identity section: algebra is alg, and
+    no constant is copied.  An ideal over another field or ambient
+    dimension is a FieldMismatch or ShapeMismatch.
     """
 
     def __init__(self, alg: FiniteAlgebra, ideal: SubspaceBasis):
         self.parent = alg
-        self.ideal = ideal
+        self.ideal = ideal.require_in(alg.field, alg.dim)
         field, ops = alg.field, alg.field.ops
         cols = self.section_cols = [j for j in range(alg.dim)
                                     if j not in ideal.pivots]
@@ -827,6 +867,9 @@ class QuotientMap:
         self._images = {s: {k: ops.one} for s, k in index.items()}
         for p, r in zip(ideal.pivots, ideal.raw):
             self._images[p] = {index[s]: ops.neg(c) for s, c in r if s in index}
+        if not ideal.dim:
+            self.algebra = alg
+            return
         constants = {(a, b, k): c for a, sa in enumerate(cols)
                      for b, sb in enumerate(cols)
                      for k, c in self._project_raw(
@@ -855,9 +898,12 @@ class QuotientMap:
 
 
 class SubalgebraMap:
-    """A unital subalgebra presented on the canonical rows of its span."""
+    """A unital subalgebra presented on the canonical rows of its span; a
+    span over another field or ambient dimension is a FieldMismatch or
+    ShapeMismatch."""
 
     def __init__(self, alg: FiniteAlgebra, basis: SubspaceBasis):
+        basis.require_in(alg.field, alg.dim)
         self.parent, self.basis, ops = alg, basis, alg.field.ops
         # a product of basis rows, or the unit, in the span has its
         # coordinates at the pivots

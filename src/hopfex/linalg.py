@@ -41,7 +41,7 @@ import functools
 import math
 import operator
 
-from .errors import NoSolution, ShapeMismatch
+from .errors import FieldMismatch, NoSolution, ShapeMismatch
 from .scalars import (FieldSpec, Scalar, box, lift_columns, nonzero_raw,
                       raw_values)
 
@@ -644,6 +644,18 @@ class SubspaceBasis:
             for j, x in r[1:]:  # a canonical row starts at its pivot
                 free[j][p] = ops.neg(x)
         return SubspaceBasis.of_raw(self.field, n, free.values())
+
+    def require_in(self, field: FieldSpec, ambient: int) -> "SubspaceBasis":
+        """self, once it is known to be a subspace of field^ambient:
+        FieldMismatch for another field, ShapeMismatch for another
+        ambient dimension."""
+        if self.field != field:
+            raise FieldMismatch(f"subspace over {self.field.describe()} used "
+                                f"over {field.describe()}")
+        if self.ambient != ambient:
+            raise ShapeMismatch(f"subspace of k^{self.ambient} used in "
+                                f"dimension {ambient}")
+        return self
 
     def _like(self, other: "SubspaceBasis"):
         if self.field != other.field or self.ambient != other.ambient:

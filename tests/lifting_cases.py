@@ -28,7 +28,11 @@ which only the tests read.  loop_extension_ops is the arithmetic of an
 extension field as the coefficient loops it ran on before its kernels
 were generated as straight-line code: the reference they are checked
 against.  dense_rref_raw is the dense column-by-column elimination that
-linalg.rref_sparse replaced, kept as its reference.
+linalg.rref_sparse replaced, kept as its reference.  unit_pool_split is
+FiniteAlgebra.split_commutative as it ran before its pool started from
+the basis idempotents: the refinement from the unit alone, the
+reference of a differential test and what runs _eigen_pieces in
+the tests of that routine.
 """
 
 import functools
@@ -41,9 +45,10 @@ from hopfex import GF, QQ, Coalgebra, FieldSpec
 from hopfex.algebra import FiniteAlgebra
 from hopfex.hopf import HopfAlgebra
 from hopfex.coalgebra import lift_functionals
-from hopfex.errors import HopfError, ShapeMismatch
-from hopfex.linalg import (Echelon, Mat, SubspaceBasis, dense_raw, unit_vec,
-                           vec_add, vec_is_zero, vec_scale, zero_vec)
+from hopfex.errors import HopfError, NonSplitField, ShapeMismatch
+from hopfex.linalg import (Echelon, Mat, SubspaceBasis, dense_raw, sparse_raw,
+                           unit_vec, vec_add, vec_is_zero, vec_scale,
+                           zero_vec)
 from hopfex.scalars import box, nonzero_raw, raw_values
 from hopfex.zoo import dual_group_algebra, sweedler, symmetric, taft
 
@@ -536,3 +541,28 @@ def is_canonical(field, raw) -> bool:
         return type(raw) is int and 0 <= raw < field.char
     return type(raw) is int or (type(raw) is Fraction
                                 and raw.denominator > 1)
+
+
+def unit_pool_split(alg) -> list[dict]:
+    """split_commutative with its pool started at the unit alone: for
+    each basis vector b in turn every piece e becomes alg._eigen_pieces(e,
+    b), passes repeat while the one before split a piece, and the
+    refinement stops at dim pieces; fewer at the end raise NonSplitField.
+    Sorted as split_commutative sorts."""
+    n = alg.dim
+    pool = [dict(sparse_raw(alg.field.ops, alg.unit_raw))]
+    changed = True
+    while changed and len(pool) < n:
+        changed = False
+        for b in range(n):
+            i = 0
+            while i < len(pool) < n:
+                parts = alg._eigen_pieces(pool[i], b)
+                pool[i:i + 1] = parts
+                i += len(parts)
+                changed = changed or len(parts) > 1
+            if len(pool) == n:
+                break
+    if len(pool) < n:
+        raise NonSplitField("the refinement from the unit ended short")
+    return sorted(pool, key=alg._dense)

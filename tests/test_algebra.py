@@ -26,7 +26,7 @@ import hopfex.algebra
 import hopfex.poly
 from hopfex import GF, QQ, FieldSpec
 from hopfex.algebra import FiniteAlgebra, _divisors, field_roots
-from hopfex.errors import (AxiomViolation, LinAlgError,
+from hopfex.errors import (AxiomViolation, LinAlgError, NonSplitField,
                            SplittingSearchExhausted)
 from hopfex.linalg import (Mat, SubspaceBasis, kernel, rref_rows, unit_vec,
                            vec_add, vec_scale, vec_sub, zero_vec)
@@ -41,7 +41,7 @@ from lifting_cases import (F9, F13, HALF_ROOT, LIFT_FIELDS, QZ5, as_boxed,
                            fraction_vector, has_denominators, hopf_case,
                            is_canonical, rebased_coalgebra, rescaled_algebra,
                            rescaled_coalgebra, right_mult_mat, solve,
-                           tensor_mult)
+                           tensor_mult, unit_pool_split)
 
 
 def reference_char_poly(m):
@@ -263,7 +263,9 @@ def root_path_pieces(alg, e, b):
 def test_eigen_pieces_match_the_root_path(make, monkeypatch):
     # an idempotent x = e e_b (mu = t^2 - t) is split into [e - x, x]
     # without the root search; every call, that case included, gives the
-    # pieces of the roots of mu, in the same order
+    # pieces of the roots of mu, in the same order.  split_commutative
+    # refines nothing on a centre whose basis is already idempotent, so
+    # the refinement from the unit drives _eigen_pieces here
     center = quotient_and_center(make())[1].algebra
     calls = []
     original = FiniteAlgebra._eigen_pieces
@@ -274,7 +276,7 @@ def test_eigen_pieces_match_the_root_path(make, monkeypatch):
         return pieces
 
     monkeypatch.setattr(FiniteAlgebra, "_eigen_pieces", recorded)
-    center.split_commutative()
+    unit_pool_split(center)
     monkeypatch.undo()
     assert calls
     for e, b, pieces in calls:
@@ -284,8 +286,8 @@ def test_eigen_pieces_match_the_root_path(make, monkeypatch):
 def test_eigen_pieces_split_an_idempotent_without_the_root_search(
         monkeypatch):
     # the centre of the dual of kZ12 is spanned by the delta functions,
-    # so every x = e e_b is 0, e or an idempotent that splits e; a zero x
-    # needs no minimal polynomial
+    # so every x = e e_b of the refinement from the unit is 0, e or an
+    # idempotent that splits e; a zero x needs no minimal polynomial
     center = quotient_and_center(group_algebra(cyclic(12), QQ))[1].algebra
     roots = count_calls(monkeypatch, hopfex.algebra, "field_roots")
     pieces = count_calls(monkeypatch, FiniteAlgebra, "_eigen_pieces")
@@ -297,7 +299,7 @@ def test_eigen_pieces_split_an_idempotent_without_the_root_search(
         return min_poly(self, e, x)
 
     monkeypatch.setattr(FiniteAlgebra, "_min_poly", recorded)
-    assert len(center.split_commutative()) == 12
+    assert len(unit_pool_split(center)) == 12
     assert roots == []
     assert all(xs) and 0 < len(xs) < len(pieces)
 
@@ -313,6 +315,89 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def q_times_kz2():
+    """Q x QZ2 on the basis u = (1, 0), v = (0, 1 + g), w = (0, g): u is
+    the one basis idempotent, and 1 - u = v - w is not a basis vector."""
+    one = QQ.one()
+    constants = {(0, 0, 0): one, (1, 1, 1): QQ.from_int(2), (1, 2, 1): one,
+                 (2, 1, 1): one, (2, 2, 1): one, (2, 2, 2): -one}
+    return FiniteAlgebra(QQ, 3, constants, (one, one, -one), check=True)
+
+
+def commutative_cases():
+    """(id, algebra): the centres of SPLIT_CASES and of every golden's
+    H*/J, each commutative H*/J itself, and Q x QZ2 on a basis with one
+    idempotent."""
+    cases = [(name, quotient_and_center(make())[1].algebra)
+             for name, make, _ in SPLIT_CASES]
+    for stem, build in golden_objects():
+        q, zmap = quotient_and_center(build())
+        cases.append((f"{stem}-centre", zmap.algebra))
+        if q.is_commutative():
+            cases.append((f"{stem}-quotient", q))
+    return cases + [("Q_x_QZ2", q_times_kz2())]
+
+
+def test_split_commutative_matches_the_refinement_from_the_unit():
+    # the pool started from the basis idempotents ends at the same
+    # primitive idempotents, in the same order, as the pool started at
+    # the unit; both kinds of start occur
+    starts = set()
+    for name, alg in commutative_cases():
+        assert alg.is_commutative(), name
+        assert alg.split_commutative() == unit_pool_split(alg), name
+        taken = len(alg._basis_idempotents())
+        starts.add("all" if taken == alg.dim else "some" if taken else "none")
+    assert starts == {"all", "some", "none"}
+    assert q_times_kz2()._basis_idempotents() == [0]
+
+
+def test_split_commutative_raises_non_split_like_the_refinement_from_the_unit():
+    # QZ3 = Q x Q(zeta_3) on 1, g, g^2: the unit is a basis idempotent,
+    # and t^2 + t + 1 has no rational root
+    alg = group_algebra(cyclic(3), QQ).algebra
+    assert alg._basis_idempotents() == [0]
+    with pytest.raises(NonSplitField):
+        unit_pool_split(alg)
+    with pytest.raises(NonSplitField):
+        alg.split_commutative()
+
+
+def test_kz12_analyses_run_no_eigen_pieces(monkeypatch):
+    # the dual of a group algebra is split on its delta functions, which
+    # are the basis idempotents: nothing is refined
+    pieces = count_calls(monkeypatch, FiniteAlgebra, "_eigen_pieces")
+    for field in (QQ, GF(13)):
+        h = group_algebra(cyclic(12), field)
+        assert len(h.simple_subcoalgebras()) == 12
+        assert len(h.coradical_idempotents()) == 12
+    assert pieces == []
+
+
+def test_is_commutative_matches_the_centre(zoo):
+    for stem, h in zoo.items():
+        for alg in (h.dual_algebra(), h.analysis().quotient.algebra):
+            assert alg.is_commutative() == (alg.center().dim == alg.dim), stem
+
+
+def test_quotient_by_zero_is_the_parent(zoo):
+    # kS3 over Q is cosemisimple: J = 0 and H*/J is H* itself, with the
+    # identity section and no constant copied
+    h = zoo["kS3"]
+    a = h.dual_algebra()
+    qmap = h.analysis().quotient
+    assert qmap.ideal.dim == 0 and qmap.algebra is a
+    qmap = a.quotient(SubspaceBasis.zero(a.field, a.dim))
+    assert qmap.algebra is a and qmap.section_cols == list(range(a.dim))
+    for i in range(a.dim):
+        e = unit_vec(a.field, a.dim, i)
+        assert qmap.project(e) == e
+        assert qmap.lift({i: a.field.ops.one}) == {i: a.field.ops.one}
+    # a nonzero ideal still gives an algebra of its own
+    b = zoo["sweedler"].dual_algebra()
+    assert b.quotient(b.radical()).algebra is not b
 
 
 def test_split_commutative_tests_no_piece_for_primitivity(monkeypatch):
@@ -829,11 +914,11 @@ def test_splitting_runs_on_raw_vectors(build, monkeypatch):
         init(self, field, val)
 
     def watched(name, original):
-        def run(*args):
+        def run(*args, **kwargs):
             calls[name] += 1
             inside.append(name)
             try:
-                return original(*args)
+                return original(*args, **kwargs)
             finally:
                 inside.pop()
         return run

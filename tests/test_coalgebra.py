@@ -18,8 +18,8 @@ from hopfex.coalgebra import coalgebra_amalgam
 from hopfex.errors import (AxiomViolation, FieldMismatch, IncompatibleBase,
                            InvariantViolation, NonSplitField, ShapeMismatch,
                            UnknownSimple)
-from hopfex.linalg import (SubspaceBasis, unit_vec, vec_add, vec_is_zero,
-                           zero_vec)
+from hopfex.linalg import (SubspaceBasis, tensor_legs, unit_vec, vec_add,
+                           vec_is_zero, zero_vec)
 from hopfex.scalars import Scalar, nonzero_raw
 from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
                         restricted_poly, sweedler, symmetric, taft)
@@ -375,6 +375,42 @@ def test_sweedler_subcoalgebras_by_hand(zoo):
     # Delta x = x (x) 1 + g (x) x needs g
     assert not h.is_subcoalgebra(SubspaceBasis(QQ, h.dim, [one, x]))
     assert h.is_subcoalgebra(SubspaceBasis(QQ, h.dim, [one, g, x]))
+
+
+def test_a_left_coideal_is_rejected_only_by_the_pivot_rows(zoo):
+    # span{g, x}: Delta x = x (x) 1 + g (x) x has its columns x and g in
+    # the span, so Delta maps it into V (x) H; only the row of Delta x at
+    # the pivot x, which is 1, leaves V
+    h = zoo["sweedler"]
+    g, x = (unit_vec(QQ, h.dim, h.index_of(n)) for n in ("g", "x"))
+    space = SubspaceBasis(QQ, h.dim, [g, x])
+    for row in space.raw:
+        columns, _ = tensor_legs(h._delta_raw(row))
+        assert all(space.contains_raw(leg) for leg in columns.values())
+    _, rows = tensor_legs(h._delta_raw(space.raw[1]))
+    assert not space.contains_raw(rows[h.index_of("x")])
+    assert not tensor_square_oracle(h, space)
+    assert not h.is_subcoalgebra(space)
+
+
+@pytest.mark.parametrize("shift, field, error", [
+    (-1, QQ, ShapeMismatch), (1, QQ, ShapeMismatch), (2, QQ, ShapeMismatch),
+    (0, GF(3), FieldMismatch)], ids=["dim-1", "dim+1", "dim+2", "F_3"])
+def test_subspaces_of_another_ambient_or_field_are_rejected(zoo, shift, field,
+                                                            error):
+    # each was once accepted (a verdict or a 0-dimensional quotient) or
+    # failed with a bare KeyError or IndexError
+    h = zoo["sweedler"]
+    dual = h.dual_algebra()
+    space = SubspaceBasis.full(field, h.dim + shift)
+    with pytest.raises(error):
+        h.is_subcoalgebra(space)
+    with pytest.raises(error):
+        dual.quotient(space)
+    with pytest.raises(error):
+        dual.subalgebra_on(space)
+    with pytest.raises(error):
+        h.bicomponent_subspace(0, 1, within=space)
 
 
 def test_bicomponent_decomposition_of_degree_one(zoo):
