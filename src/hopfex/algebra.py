@@ -228,12 +228,6 @@ class FiniteAlgebra:
         return {(i, j, m): c for i, row in enumerate(self.constants)
                 for j, tij in enumerate(row) for m, c in tij}
 
-    def scalar_constants(self) -> dict:
-        """raw_constants() boxed; FiniteAlgebra(field, dim, these, unit) is
-        this algebra."""
-        raw = self.raw_constants()
-        return dict(zip(raw, box(self.field, raw.values())))
-
     def violations(self, names=None) -> list[str]:
         """Unit-law failures, then associativity failures, one line each.
 
@@ -872,25 +866,19 @@ class QuotientMap:
             return
         constants = {(a, b, k): c for a, sa in enumerate(cols)
                      for b, sb in enumerate(cols)
-                     for k, c in self._project_raw(
+                     for k, c in self.project(
                          alg.constants[sa][sb]).items()}
-        unit = self._project_raw(sparse_raw(ops, alg.unit_raw)).items()
+        unit = self.project(sparse_raw(ops, alg.unit_raw)).items()
         self.algebra = FiniteAlgebra.of_raw(field, len(cols), constants,
                                             dense_raw(ops, len(cols), unit))
 
-    def _project_raw(self, pairs) -> dict:
+    def project(self, pairs) -> dict:
         """The section coordinates {k: raw value}, with no zeros, of the
         vector with nonzero (index, raw value) pairs."""
         ops, out = self.parent.field.ops, {}
         for m, c in pairs:
             add_scaled(ops, out, c, self._images[m])
         return out
-
-    def project(self, v: tuple) -> tuple:
-        field = self.parent.field
-        out = self._project_raw(nonzero_raw(field, v))
-        return box(field, [out.get(k, field.ops.zero)
-                           for k in range(len(self.section_cols))])
 
     def lift(self, q: dict) -> dict:
         """q {k: raw value} written at the section columns."""

@@ -27,7 +27,7 @@ from .hopf import HopfAlgebra
 from .matforms import basic_multiplicative_matrix, is_multiplicative, \
     primitive_decompose
 from .linalg import sparse_raw, sum_scaled
-from .scalars import FieldSpec, nonzero_raw
+from .scalars import FieldSpec, nonzero_raw, parse_rational
 from .structfile import emit_structure_file, parse_structure_file, \
     structure_from_object
 from .zoo import build_named
@@ -164,9 +164,7 @@ def _field_extend(obj, spec: str):
     if not isinstance(obj, HopfAlgebra):
         raise InputError("--field-extend needs a bialgebra file")
     try:
-        coeffs = [c.strip() for c in spec.split(",")]
-        from fractions import Fraction
-        modulus = [Fraction(c) for c in coeffs]
+        modulus = [parse_rational(c.strip()) for c in spec.split(",")]
     except (ValueError, ZeroDivisionError):
         raise InputError(f"cannot parse modulus {spec!r}")
     try:

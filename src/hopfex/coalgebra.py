@@ -443,23 +443,22 @@ class Coalgebra:
     def extend_scalars(self, bigger: FieldSpec) -> "Coalgebra":
         """The same structure constants read in an extension field.
 
-        A HopfAlgebra (or bialgebra) stays one: every table of its
-        structure file is converted.
+        A HopfAlgebra (or bialgebra) stays one: one embedding of raw
+        values (FieldSpec.embedding) is applied to every table of its
+        structure file.
         """
         from .structfile import StructureFile, structure_from_object
 
-        sf = structure_from_object(self)
-        conv = bigger.convert
+        sf, emb = structure_from_object(self), bigger.embedding(self.field)
 
-        def converted(entries):
-            return None if entries is None else {
-                key: conv(c) for key, c in entries.items()}
+        def embedded(entries: dict) -> dict:
+            return {key: emb(c) for key, c in entries.items()}
 
         return StructureFile(
-            bigger, sf.names, [conv(c) for c in sf.counit],
-            converted(sf.comul), converted(sf.mul),
-            None if sf.unit is None else [conv(c) for c in sf.unit],
-            converted(sf.antipode),
+            bigger, sf.names, map(emb, sf.counit), map(embedded, sf.comul),
+            sf.mul and embedded(sf.mul), sf.unit and map(emb, sf.unit),
+            sf.antipode and {i: embedded(col)
+                             for i, col in sf.antipode.items()},
             name=f"{self.name} (x) {bigger.describe()}").to_object()
 
     def is_subcoalgebra(self, v: SubspaceBasis) -> bool:
@@ -766,9 +765,11 @@ class CoradicalAnalysis:
                         "normalised 1-dim simple is not group-like")
                 grouplike = g
             raw.append((sub, r, grouplike, z, f, blocks[t]))
+        zero = field.format_raw(ops.zero)
         raw.sort(key=lambda item: (item[0].dim, tuple(
-            field.format_raw(x) for row in item[0].raw
-            for x in dense_raw(ops, H.dim, row))))
+            text.get(j, zero) for text in (
+                {j: field.format_raw(x) for j, x in row} for row in item[0].raw)
+            for j in range(H.dim))))
         comps = [SimpleComponent(i, sub, r, g, z, f, rows)
                  for i, (sub, r, g, z, f, rows) in enumerate(raw)]
         total = SubspaceBasis.of_raw(field, H.dim, [

@@ -162,7 +162,7 @@ def _flag_basis(coalg: Coalgebra, left: int, right: int, maxdeg: int):
     for d in range(1, maxdeg + 1):
         level = ana.filtration[min(d, ana.depth)]
         comp = coalg.bicomponent_subspace(left, right, within=level)
-        for row in comp._cut_raw(eps).raw:
+        for row in comp.cut(eps).raw:
             vec = dict(row)
             if span.add(vec) is None:
                 out.append((vec, d))

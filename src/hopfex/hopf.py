@@ -602,7 +602,7 @@ class HopfAlgebra(Coalgebra):
         unit_idx = self.analysis().find_simple_containing(dict(unit))
         for comp in self.simple_subcoalgebras():
             v = self.bicomponent_subspace(comp.index, unit_idx, within=h1)
-            plus = v._cut_raw(sparse_raw(self.field.ops, self.counit_raw))
+            plus = v.cut(sparse_raw(self.field.ops, self.counit_raw))
             if plus.dim:
                 return Element(self, plus.rows[0])
         raise WitnessNotFound(

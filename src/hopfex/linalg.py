@@ -505,26 +505,6 @@ class SubspaceBasis:
     def __hash__(self):
         return hash((self.ambient, self.raw))
 
-    def contains_vector(self, v: tuple) -> bool:
-        try:
-            self.coords_of(v)
-        except NoSolution:
-            return False
-        return True
-
-    def coords_of(self, v: tuple) -> tuple:
-        """Coefficients of v over the canonical basis rows, or NoSolution.
-
-        Each row is 1 at its pivot and every other row is 0 there, so
-        the only candidates are v's entries at the pivots; v lies in the
-        span exactly when they rebuild it (contains_raw).
-        """
-        if len(v) != self.ambient:
-            raise ShapeMismatch("vector length differs from ambient dimension")
-        if not self.contains_raw(dict(nonzero_raw(self.field, v))):
-            raise NoSolution("vector is not in the subspace")
-        return tuple(v[p] for p in self.pivots)
-
     def contains_raw(self, vec: dict) -> bool:
         """Whether the sparse raw vector vec {index: raw value}, free of
         zeros, lies in the span; ShapeMismatch on an index outside
@@ -579,17 +559,12 @@ class SubspaceBasis:
     def intersect(self, other: "SubspaceBasis") -> "SubspaceBasis":
         """self cut by every functional that kills other."""
         self._like(other)
-        return functools.reduce(SubspaceBasis._cut_raw, other.perp().raw, self)
+        return functools.reduce(SubspaceBasis.cut, other.perp().raw, self)
 
-    def cut(self, f: tuple) -> "SubspaceBasis":
-        """{v in self : f . v = 0} for a functional f of Scalars."""
-        if len(f) != self.ambient:
-            raise ShapeMismatch("functional length differs from ambient dimension")
-        return self._cut_raw(nonzero_raw(self.field, f))
-
-    def _cut_raw(self, f) -> "SubspaceBasis":
-        """cut by the functional with nonzero (index, raw value) pairs f,
-        canonical, with no elimination.
+    def cut(self, f) -> "SubspaceBasis":
+        """{v in self : f . v = 0} for the functional with nonzero (index,
+        raw value) pairs f, canonical, with no elimination; ShapeMismatch
+        on an index outside range(ambient).
 
         Take the last row r_k with f . r_k != 0 and clear f from every
         earlier row with it, then drop r_k.  r_k is 0 before its pivot,
@@ -606,6 +581,8 @@ class SubspaceBasis:
         one = ops.neg(minus)  # a lift is linear: the lift of 1
         fl, sf = ops.lift_pairs(f)
         fl = dict(fl)
+        if fl and (min(fl) < 0 or max(fl) >= self.ambient):
+            raise ShapeMismatch("functional index outside the ambient dimension")
         vals = []
         for k, p in enumerate(self.pivots):
             terms = [mul(fl[j], y) for j, y in rows[k] if j in fl]

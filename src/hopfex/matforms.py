@@ -459,9 +459,11 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
     analysis = h.analysis()
     filt = analysis.filtration
     h1 = filt[1] if len(filt) > 1 else filt[0]
-    if not h1.contains_vector(wvec):
-        raise NotDegreeOne("element lies outside filtration degree one")
+    if len(wvec) != h.dim:
+        raise ShapeMismatch("vector length differs from ambient dimension")
     wraw = dict(nonzero_raw(field, wvec))
+    if not h1.contains_raw(wraw):
+        raise NotDegreeOne("element lies outside filtration degree one")
     ci, di = cbasic.simple.index, dbasic.simple.index
     if h._component_raw(wraw.items(), left=ci, right=di) != wraw:
         raise NotInBicomponent(

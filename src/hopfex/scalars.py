@@ -67,6 +67,8 @@ import functools
 import itertools
 import math
 import operator
+import re
+import sys
 from fractions import Fraction
 
 from . import poly
@@ -613,12 +615,17 @@ class FieldSpec:
 
     def from_coeffs(self, coeffs) -> "Scalar":
         """Element of an extension field from a coefficient list, constant first."""
+        return Scalar(self, self.raw_from_coeffs(coeffs))
+
+    def raw_from_coeffs(self, coeffs):
+        """The raw value of the extension element with the coefficient
+        list coeffs, constant first, reduced by the modulus."""
         if not self.modulus:
             raise FieldError("coefficient lists only make sense in an extension field")
         cs = [_coerce_prime_coeff(c, self.char) for c in coeffs]
         if len(cs) > self.degree:
             cs = poly.divmod(FieldOps(self.char, None), cs, self.modulus)[1]
-        return Scalar(self, self._pad(cs))
+        return self._pad(cs)
 
     def gen(self) -> "Scalar":
         """The residue of t, i.e. the extension generator."""
@@ -652,35 +659,34 @@ class FieldSpec:
     # -- scalar text format --------------------------------------------------
 
     def parse(self, text: str) -> "Scalar":
-        """Parse 'a', 'a/b', an exact decimal such as '0.5' or '1e3', or a
-        coefficient list '[c0,c1,...]' of those."""
+        """parse_raw(text) as a Scalar."""
+        return Scalar(self, self.parse_raw(text))
+
+    def parse_raw(self, text: str):
+        """The raw value of 'a', 'a/b', an exact decimal such as '0.5' or
+        '1e3', or a coefficient list '[c0,c1,...]' of those;
+        ScalarParseError for anything else, a denominator that vanishes in
+        the field included."""
         text = text.strip()
         try:
-            if text.startswith("["):
-                if not text.endswith("]"):
-                    raise ValueError("unterminated coefficient list")
-                body = text[1:-1].strip()
-                parts = [p.strip() for p in body.split(",")] if body else []
-                fracs = [_parse_rational(p) if p else 0 for p in parts]
-                if not self.modulus:
-                    if len(fracs) > 1 and any(fracs[1:]):
-                        raise ValueError("coefficient list too long for a prime field")
-                    return self.from_fraction(fracs[0] if fracs else 0)
-                if len(fracs) > self.degree:
-                    raise ValueError(
-                        f"coefficient list longer than extension degree {self.degree}")
-                if self.char:
-                    coeffs = []
-                    for fr in fracs:
-                        den = fr.denominator % self.char
-                        if den == 0:
-                            raise ValueError("denominator vanishes modulo the characteristic")
-                        coeffs.append(fr.numerator * pow(den, self.char - 2, self.char)
-                                      % self.char)
-                    return self.from_coeffs(coeffs)
-                return self.from_coeffs(fracs)
-            return self.from_fraction(_parse_rational(text))
-        except (ValueError, ZeroDivisionError) as exc:
+            if not text.startswith("["):
+                return self.raw(parse_rational(text))
+            if not text.endswith("]"):
+                raise ValueError("unterminated coefficient list")
+            body = text[1:-1].strip()
+            parts = [p.strip() for p in body.split(",")] if body else []
+            fracs = [parse_rational(p) if p else 0 for p in parts]
+            if not self.modulus:
+                if len(fracs) > 1 and any(fracs[1:]):
+                    raise ValueError("coefficient list too long for a prime field")
+                return self.raw(fracs[0] if fracs else 0)
+            if len(fracs) > self.degree:
+                raise ValueError(
+                    f"coefficient list longer than extension degree {self.degree}")
+            if self.char and any(fr.denominator % self.char == 0 for fr in fracs):
+                raise ValueError("denominator vanishes modulo the characteristic")
+            return self.raw_from_coeffs(fracs)
+        except (ValueError, ZeroDivisionError, DivisionByZero) as exc:
             raise ScalarParseError(f"cannot parse scalar {text!r}: {exc}") from None
 
     def format(self, s: "Scalar") -> str:
@@ -750,20 +756,26 @@ class FieldSpec:
 
     def convert(self, s: "Scalar") -> "Scalar":
         """Embed a scalar of a (subfield) FieldSpec into this field."""
-        if s.field == self:
-            return s
-        if s.field.char != self.char:
+        return s if s.field == self else Scalar(self, self.embedding(s.field)(s.val))
+
+    def embedding(self, small: "FieldSpec"):
+        """The map of raw values of small into this field: the identity
+        when small is this field, else small must be the prime field of
+        this extension; IncompatibleExtension otherwise."""
+        if small == self:
+            return lambda v: v
+        if small.char != self.char:
             raise IncompatibleExtension(
-                f"cannot embed {s.field.describe()} into {self.describe()}: "
+                f"cannot embed {small.describe()} into {self.describe()}: "
                 "characteristics differ")
-        if s.field.modulus is not None:
+        if small.modulus is not None:
             raise IncompatibleExtension(
-                f"cannot embed {s.field.describe()} into {self.describe()}: "
+                f"cannot embed {small.describe()} into {self.describe()}: "
                 "only prime fields embed automatically")
         if self.modulus is None:
             raise IncompatibleExtension(
-                f"cannot embed {s.field.describe()} into {self.describe()}")
-        return self.from_coeffs([s.val])
+                f"cannot embed {small.describe()} into {self.describe()}")
+        return lambda v: self._pad([v])
 
 
 def _is_prime(n: int) -> bool:
@@ -789,12 +801,26 @@ def _coerce_prime_coeff(c, p: int):
     return _rational(c)
 
 
-def _parse_rational(text: str):
+_EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)(\d+(?:_\d+)*)?"
+                       r"(?:\.(\d+(?:_\d+)*)?)?[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
+def parse_rational(text: str):
     """The canonical raw value over Q of a rational literal: int() for
-    the ASCII integers -?[0-9]+, Fraction's own syntax for the rest."""
+    the ASCII integers -?[0-9]+, Fraction's own syntax for the rest.
+    ValueError, as int() raises it, when the numerator or denominator
+    would exceed sys.get_int_max_str_digits() digits; an exponent is
+    checked before its power of ten is formed."""
     digits = text[1:] if text[:1] == "-" else text
     if digits.isascii() and digits.isdigit():
         return int(text)
+    literal, limit = _EXPONENT.fullmatch(text), sys.get_int_max_str_digits()
+    if literal and limit:
+        whole, frac, exp = (g.replace("_", "") for g in literal.groups(""))
+        exp = int(exp)
+        if max(len((whole + frac).lstrip("0") or "0") + exp,
+               len(frac) - exp + 1) > limit:
+            raise ValueError(f"numerator or denominator exceeds {limit} digits")
     return _rational(text)
 
 

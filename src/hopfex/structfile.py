@@ -19,10 +19,15 @@ algebra by its structure constants:
 
 Scalars are fractions ('2', '-5/7'), exact decimals ('0.5', '1e3') or,
 in extension fields, coefficient lists of those, constant-first
-('[0,1]').  Each distinct scalar token is parsed once per file.  '#'
-starts a comment; blank lines are ignored.  The emitter is canonical: fixed directive order, sparse blocks
-sorted by index, zero entries omitted, full-length coefficient lists.
-Canonical files round-trip byte-identically through parse and emit.
+('[0,1]').  A literal whose numerator or denominator would have more
+digits than sys.get_int_max_str_digits() allows is a ScalarParseError.
+Each distinct scalar token is parsed once per file, straight to a raw
+field value (FieldSpec.parse_raw): a StructureFile holds raw tables and
+makes no Scalar, and neither does the emitter.  '#' starts a comment;
+blank lines are ignored.  The emitter is canonical: fixed directive
+order, sparse blocks sorted by index, zero entries omitted, full-length
+coefficient lists.  Canonical files round-trip byte-identically through
+parse and emit.
 
 Presence of mul and unit makes the file a bialgebra; antipode makes it
 a Hopf algebra.  Parsing reports the first error with its line number.
@@ -30,8 +35,7 @@ a Hopf algebra.  Parsing reports the first error with its line number.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from .algebra import FiniteAlgebra
 from .coalgebra import Coalgebra
 from .errors import (
     DuplicateEntry,
@@ -40,16 +44,20 @@ from .errors import (
     StructureFileError,
 )
 from .hopf import HopfAlgebra
-from .scalars import FieldSpec
+from .scalars import FieldSpec, parse_rational
 
 HEADER = "hopfex structure v1"
 
 
 class StructureFile:
-    """Parsed contents of a structure-constant file.
+    """Parsed contents of a structure-constant file, held as raw field
+    values in the forms the of_raw constructors take.
 
-    comul maps (i, j, k) to a scalar, mul (when present) maps (i, j, m),
-    antipode (when present) maps (i, m) with S(e_i) = sum scalar e_m.
+    comul[i] is Delta(e_i) as {(j, k): raw value} and counit the raw
+    eps(e_i); mul (when present) maps (i, j, m) to the raw c of
+    e_i e_j = sum c e_m and unit is the raw unit vector; antipode (when
+    present) holds S(e_i) = sum c e_m as the columns {i: {m: raw c}},
+    one per i.  No table holds a zero.
     """
 
     __slots__ = ("field", "names", "counit", "comul", "mul", "unit",
@@ -60,10 +68,10 @@ class StructureFile:
         self.field = field
         self.names = tuple(names)
         self.counit = tuple(counit)
-        self.comul = dict(comul)
-        self.mul = dict(mul) if mul is not None else None
+        self.comul = tuple(comul)
+        self.mul = mul
         self.unit = tuple(unit) if unit is not None else None
-        self.antipode = dict(antipode) if antipode is not None else None
+        self.antipode = antipode
         self.name = name
 
     @property
@@ -71,12 +79,15 @@ class StructureFile:
         return len(self.names)
 
     def to_object(self):
-        """Build the Coalgebra or HopfAlgebra the file describes."""
+        """Build the Coalgebra or HopfAlgebra the file describes, anew on
+        every call, from the raw tables as they are."""
         if self.mul is None:
-            return Coalgebra(self.field, self.names, self.comul, self.counit,
-                             name=self.name)
-        return HopfAlgebra(self.field, self.names, self.comul, self.counit,
-                           self.mul, self.unit, self.antipode, name=self.name)
+            return Coalgebra.of_raw(self.field, self.names, self.comul,
+                                    self.counit, name=self.name)
+        return HopfAlgebra.of_raw(
+            self.field, self.names, self.comul, self.counit,
+            FiniteAlgebra.of_raw(self.field, self.dim, self.mul, self.unit),
+            self.antipode, name=self.name)
 
     def __repr__(self):
         kind = "coalgebra"
@@ -86,19 +97,13 @@ class StructureFile:
 
 
 def structure_from_object(obj: Coalgebra) -> StructureFile:
-    """Extract the structure constants of a coalgebra or Hopf algebra."""
-    comul = {(i, j, k): c for i, d in enumerate(obj.comul)
-             for (j, k), c in d.items()}
+    """The raw structure constants of a coalgebra or Hopf algebra."""
     mul = unit = antipode = None
     if isinstance(obj, HopfAlgebra):
-        mul = obj.algebra.scalar_constants()
-        unit = obj.unit
-        if obj.antipode_mat is not None:
-            antipode = {(i, m): c
-                        for i, col in enumerate(obj.antipode_mat.columns())
-                        for m, c in enumerate(col) if not c.is_zero()}
-    return StructureFile(obj.field, obj.names, obj.counit, comul, mul, unit,
-                         antipode, name=obj.name)
+        mul, unit = obj.algebra.raw_constants(), obj.algebra.unit_raw
+        antipode = obj.antipode_raw
+    return StructureFile(obj.field, obj.names, obj.counit_raw, obj.comul_raw,
+                         mul, unit, antipode, name=obj.name)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +118,7 @@ def _check_name_token(name: str):
 
 def emit_structure_file(sf: StructureFile) -> str:
     """Canonical text for a StructureFile; parse(emit(sf)) reproduces sf."""
-    field = sf.field
+    field, fmt = sf.field, sf.field.format_raw
     out = [HEADER]
     if sf.name:
         out.append(f"name {sf.name}")
@@ -122,27 +127,23 @@ def emit_structure_file(sf: StructureFile) -> str:
         out.append(f"field cyclotomic {field.cyclotomic_order}")
     elif field.modulus is not None:
         out.append("field modulus "
-                   + " ".join(str(Fraction(c)) for c in field.modulus))
+                   + " ".join(map(str, field.modulus)))
     out.append(f"dim {sf.dim}")
     for name in sf.names:
         _check_name_token(name)
     out.append("basis " + " ".join(sf.names))
-    out.append("counit " + " ".join(field.format(c) for c in sf.counit))
-    for (i, j, k) in sorted(sf.comul):
-        c = sf.comul[(i, j, k)]
-        if not c.is_zero():
-            out.append(f"comul {i} {j} {k} {field.format(c)}")
+    out.append("counit " + " ".join(map(fmt, sf.counit)))
+    for i, delta in enumerate(sf.comul):
+        for (j, k) in sorted(delta):
+            out.append(f"comul {i} {j} {k} {fmt(delta[(j, k)])}")
     if sf.mul is not None:
         for (i, j, m) in sorted(sf.mul):
-            c = sf.mul[(i, j, m)]
-            if not c.is_zero():
-                out.append(f"mul {i} {j} {m} {field.format(c)}")
-        out.append("unit " + " ".join(field.format(c) for c in sf.unit))
-        if sf.antipode is not None:
-            for (i, m) in sorted(sf.antipode):
-                c = sf.antipode[(i, m)]
-                if not c.is_zero():
-                    out.append(f"antipode {i} {m} {field.format(c)}")
+            out.append(f"mul {i} {j} {m} {fmt(sf.mul[(i, j, m)])}")
+        out.append("unit " + " ".join(map(fmt, sf.unit)))
+        for i in sorted(sf.antipode or ()):
+            col = sf.antipode[i]
+            for m in sorted(col):
+                out.append(f"antipode {i} {m} {fmt(col[m])}")
     return "\n".join(out) + "\n"
 
 
@@ -161,14 +162,12 @@ class _Parser:
         self.dim: int | None = None
         self.names = None
         self.counit = None
-        self.comul: dict = {}
+        self.comul: list = []  # Delta(e_i) for each i, from dim on
         self.mul: dict = {}
         self.unit = None
-        self.antipode: dict = {}
-        self.saw_mul = False
-        self.saw_antipode = False
-        # token -> Scalar: a file repeats a few distinct scalar tokens
-        # many times; only successful parses are kept
+        self.antipode: dict = {}  # the column of each i, from dim on
+        # token -> raw value: a file repeats a few distinct scalar
+        # tokens many times; only successful parses are kept
         self.scalars: dict = {}
 
     def fail(self, msg: str, lineno: int, cls=StructureFileError):
@@ -209,7 +208,7 @@ class _Parser:
         if s is None:
             field = self.need_field(lineno)
             try:
-                s = self.scalars[tok] = field.parse(tok)
+                s = self.scalars[tok] = field.parse_raw(tok)
             except ScalarParseError as exc:
                 self.fail(str(exc), lineno, ScalarParseError)
         return s
@@ -245,14 +244,12 @@ class _Parser:
             elif head == "counit":
                 self.counit = self.parse_vector(toks[1:], "counit", lineno)
             elif head == "comul":
-                self.handle_triple(toks, lineno, self.comul, "comul")
+                self.handle_triple(toks, lineno, "comul")
             elif head == "mul":
-                self.saw_mul = True
-                self.handle_triple(toks, lineno, self.mul, "mul")
+                self.handle_triple(toks, lineno, "mul")
             elif head == "unit":
                 self.unit = self.parse_vector(toks[1:], "unit", lineno)
             elif head == "antipode":
-                self.saw_antipode = True
                 self.handle_antipode(toks, lineno)
             else:
                 self.fail(f"unknown directive {head!r}", lineno)
@@ -277,7 +274,7 @@ class _Parser:
             if self.modulus is not None:
                 self.fail("duplicate field modulus", lineno, DuplicateEntry)
             try:
-                self.modulus = [Fraction(t) for t in toks[2:]]
+                self.modulus = [parse_rational(t) for t in toks[2:]]
             except (ValueError, ZeroDivisionError):
                 self.fail("modulus coefficients must be fractions", lineno,
                           ScalarParseError)
@@ -301,6 +298,8 @@ class _Parser:
         if d < 1:
             self.fail("dim must be positive", lineno)
         self.dim = d
+        self.comul = [{} for _ in range(d)]
+        self.antipode = {i: {} for i in range(d)}
         self.need_field(lineno)
 
     def handle_basis(self, toks, lineno: int):
@@ -314,26 +313,28 @@ class _Parser:
             self.fail("basis names must be distinct", lineno, DuplicateEntry)
         self.names = tuple(names)
 
-    def handle_triple(self, toks, lineno: int, table: dict, what: str):
+    def handle_triple(self, toks, lineno: int, what: str):
         if len(toks) != 5:
             self.fail(f"{what} takes three indices and a scalar", lineno)
         i = self.parse_index(toks[1], lineno)
         j = self.parse_index(toks[2], lineno)
         k = self.parse_index(toks[3], lineno)
-        if (i, j, k) in table:
+        table, key = ((self.mul, (i, j, k)) if what == "mul"
+                      else (self.comul[i], (j, k)))
+        if key in table:
             self.fail(f"duplicate {what} entry ({i}, {j}, {k})", lineno,
                       DuplicateEntry)
-        table[(i, j, k)] = self.parse_scalar(toks[4], lineno)
+        table[key] = self.parse_scalar(toks[4], lineno)
 
     def handle_antipode(self, toks, lineno: int):
         if len(toks) != 4:
             self.fail("antipode takes two indices and a scalar", lineno)
         i = self.parse_index(toks[1], lineno)
-        m = self.parse_index(toks[2], lineno)
-        if (i, m) in self.antipode:
+        m, col = self.parse_index(toks[2], lineno), self.antipode[i]
+        if m in col:
             self.fail(f"duplicate antipode entry ({i}, {m})", lineno,
                       DuplicateEntry)
-        self.antipode[(i, m)] = self.parse_scalar(toks[3], lineno)
+        col[m] = self.parse_scalar(toks[3], lineno)
 
     def finish(self) -> StructureFile:
         last = len(self.lines)
@@ -343,20 +344,27 @@ class _Parser:
             self.fail("missing basis", last)
         if self.counit is None:
             self.fail("missing counit", last)
-        if not self.comul:
+        if not any(self.comul):
             self.fail("missing comul block", last)
-        if self.saw_mul and self.unit is None:
+        # tables keep explicit zeros so far: a block that appeared is not empty
+        has_mul, has_antipode = bool(self.mul), any(self.antipode.values())
+        if has_mul and self.unit is None:
             self.fail("mul block without a unit vector", last)
-        if self.unit is not None and not self.saw_mul:
+        if self.unit is not None and not has_mul:
             self.fail("unit vector without a mul block", last)
-        if self.saw_antipode and not self.saw_mul:
+        if has_antipode and not has_mul:
             self.fail("antipode without a mul block", last)
+        # explicit zeros are dropped only now, after the duplicate checks
+        is_zero = self.field.ops.is_zero
+
+        def nonzero(table: dict) -> dict:
+            return {key: c for key, c in table.items() if not is_zero(c)}
+
         return StructureFile(
-            self.field, self.names, self.counit, self.comul,
-            self.mul if self.saw_mul else None,
-            self.unit,
-            self.antipode if self.saw_antipode else None,
-            name=self.name)
+            self.field, self.names, self.counit, map(nonzero, self.comul),
+            nonzero(self.mul) if has_mul else None, self.unit,
+            {i: nonzero(col) for i, col in self.antipode.items()}
+            if has_antipode else None, name=self.name)
 
 
 def parse_structure_file(text: str) -> StructureFile:

@@ -9,7 +9,8 @@ integral, two finite extensions and a prime field larger than any
 denominator.
 
 dense_table is the dense reference table that the Scalar reference
-loops of the tests read, built from an algebra's sparse constants, and
+loops of the tests read, built from an algebra's sparse constants,
+scalar_constants is those constants boxed, {(i, j, m): Scalar}, and
 reference_coalgebra_check is Coalgebra.check as the Scalar loop it was
 before it ran on raw values.  t2_from_pair, t2_flatten and
 tensor_square_subspace are the Scalar tensor helpers that only the tests
@@ -126,6 +127,13 @@ def right_mult_mat(alg, u: tuple) -> Mat:
     return alg._mult_mat(alg._basis_products(nonzero_raw(alg.field, u), False))
 
 
+def scalar_constants(alg) -> dict:
+    """alg.raw_constants() boxed: FiniteAlgebra(field, dim, these, unit)
+    is alg."""
+    raw = alg.raw_constants()
+    return dict(zip(raw, box(alg.field, raw.values())))
+
+
 @functools.lru_cache(maxsize=8)
 def dense_table(alg):
     """table[i][j], the coefficient tuple of e_i e_j as Scalars, for
@@ -134,7 +142,7 @@ def dense_table(alg):
     zero = alg.field.zero()
     table = [[[zero] * alg.dim for _ in range(alg.dim)]
              for _ in range(alg.dim)]
-    for (i, j, m), c in alg.scalar_constants().items():
+    for (i, j, m), c in scalar_constants(alg).items():
         table[i][j][m] = c
     return tuple(tuple(tuple(v) for v in row) for row in table)
 
@@ -309,7 +317,7 @@ def rescaled_mul(alg, scales):
     1 = sum u_m / d_m e'_m."""
     inv = [d.inverse() for d in scales]
     terms = {(i, j, m): c * scales[i] * scales[j] * inv[m]
-             for (i, j, m), c in alg.scalar_constants().items()}
+             for (i, j, m), c in scalar_constants(alg).items()}
     return terms, tuple(u * d for u, d in zip(alg.unit, inv))
 
 

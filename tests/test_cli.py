@@ -370,6 +370,34 @@ def test_element_parse_failures(golden_dir):
     assert code == 2  # --element is required here
 
 
+def test_literals_beyond_the_digit_limit_exit_two(golden_dir, tmp_path):
+    # every text-to-rational conversion bounds the digits before forming
+    # a power of ten: files, --element and --field-extend
+    sweedler = path_of(golden_dir, "sweedler")
+    huge = tmp_path / "huge.hopf"
+    huge.write_text(f"{HEADER}\nfield characteristic 0\ndim 1\nbasis e\n"
+                    "counit 1\ncomul 0 0 0 1e-2000000\n")
+    modulus = tmp_path / "modulus.hopf"
+    modulus.write_text(f"{HEADER}\nfield characteristic 0\n"
+                       "field modulus 1e99999999 0 1\ndim 1\n")
+    for argv, where in (
+            (["validate", huge], "line 6: cannot parse scalar"),
+            (["validate", modulus], "line 3: modulus coefficients"),
+            (["hopf-order", sweedler, "--element", "1e5000 0 0 0"],
+             "cannot parse scalar '1e5000'"),
+            (["exponent", sweedler, "--field-extend", "1e99999999,0,1"],
+             "cannot parse modulus")):
+        code, text = run(argv)
+        assert code == 2 and text.startswith("input error: ") and where in text
+    # and no traceback reaches the terminal
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfex.cli", "hopf-order", sweedler,
+         "--element", "1e5000 0 0 0"], env=child_env(),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert proc.stdout.startswith("input error: ")
+
+
 def test_decompose_facts(golden_dir):
     code, jtext = run(["decompose", path_of(golden_dir, "sweedler"),
                        "--element", "x", "--simple", "0", "--simple", "1",

@@ -18,20 +18,21 @@ from hopfex.coalgebra import coalgebra_amalgam
 from hopfex.errors import (AxiomViolation, FieldMismatch, IncompatibleBase,
                            InvariantViolation, NonSplitField, ShapeMismatch,
                            UnknownSimple)
-from hopfex.linalg import (SubspaceBasis, tensor_legs, unit_vec, vec_add,
-                           vec_is_zero, zero_vec)
+from hopfex.linalg import (SubspaceBasis, dense_raw, tensor_legs, unit_vec,
+                           vec_add, vec_is_zero, zero_vec)
 from hopfex.scalars import Scalar, nonzero_raw
 from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
-                        restricted_poly, sweedler, symmetric, taft)
+                        restricted_poly, sweedler, symmetric, taft,
+                        tensor_product)
 
 from golden_defs import golden_objects
 from lifting_cases import (LIFT_FIELDS, as_boxed, as_raw, basis_scales,
                            bicomponent_decomposition_vec, component,
                            fraction_vector, has_denominators, hit_left,
                            hit_right, hopf_case, is_canonical,
-                           reference_coalgebra_check, rescaled_coalgebra,
-                           t2_add_term, t2_flatten, t2_from_pair,
-                           tensor_square_subspace)
+                           rebased_coalgebra, reference_coalgebra_check,
+                           rescaled_coalgebra, t2_add_term, t2_flatten,
+                           t2_from_pair, tensor_square_subspace)
 
 
 def test_axiom_check_passes_on_zoo(zoo):
@@ -351,8 +352,8 @@ def test_simples_and_idempotents_match_the_pairwise_references(zoo):
 def tensor_square_oracle(h, space):
     """Delta(space) inside space (x) space, asked in the dim^2 ambient."""
     target = tensor_square_subspace(space, space)
-    return all(target.contains_vector(t2_flatten(h.field, h.delta_vec(r), h.dim))
-               for r in space.rows)
+    return all(target.contains_raw(as_raw(target, t2_flatten(
+        h.field, h.delta_vec(r), h.dim))) for r in space.rows)
 
 
 def test_is_subcoalgebra_matches_the_tensor_square_oracle(zoo):
@@ -361,7 +362,8 @@ def test_is_subcoalgebra_matches_the_tensor_square_oracle(zoo):
         filt = h.coradical_filtration()
         spaces = list(filt) + [c.subspace for c in h.simple_subcoalgebras()]
         # the positive part of H_1 is not a subcoalgebra on these inputs
-        spaces.append(filt[min(1, len(filt) - 1)].cut(h.counit))
+        spaces.append(filt[min(1, len(filt) - 1)].cut(
+            as_raw(h, h.counit).items()))
         for space in spaces:
             want = tensor_square_oracle(h, space)
             assert h.is_subcoalgebra(space) == want, stem
@@ -424,7 +426,7 @@ def test_bicomponent_decomposition_of_degree_one(zoo):
     assert left != right  # x sits across the two group-like simples
     # membership: x lies in the (left, right) bicomponent of H_1
     sub = h.bicomponent_subspace(left, right)
-    assert sub.contains_vector(x)
+    assert sub.contains_raw(as_raw(h, x))
 
 
 def test_bicomponents_sum_back(zoo):
@@ -658,3 +660,37 @@ def test_bicomponent_table_equals_the_two_hit_passes(zoo):
     h = pointed[0]
     with pytest.raises(UnknownSimple):
         h._component_raw([(0, 1)], right=len(h.coradical_idempotents()))
+
+
+# the six inputs of the coradical benchmark, the dense one re-based
+CORADICAL_INPUTS = [
+    lambda: taft(5, FieldSpec(0, cyclotomic_order=5)),
+    lambda: group_algebra(cyclic(12), QQ),
+    lambda: group_algebra(cyclic(12), GF(13)),
+    lambda: tensor_product(sweedler(GF(3)), group_algebra(cyclic(3), GF(3))),
+    lambda: taft(3, GF(2, modulus=[1, 1, 1])),
+    lambda: rebased_coalgebra(tensor_product(
+        group_algebra(cyclic(2), QQ), dual_group_algebra(symmetric(3), QQ)), 7),
+]
+
+
+def formatted_dense_key(comp):
+    """The order the simples were sorted by when every entry of every
+    dense row was formatted, zeros included."""
+    field, sub = comp.subspace.field, comp.subspace
+    return sub.dim, tuple(field.format_raw(x) for row in sub.raw
+                          for x in dense_raw(field.ops, sub.ambient, row))
+
+
+def test_simples_keep_the_order_of_the_fully_formatted_key(zoo):
+    # formatting only the nonzero entries sorts the simples as before; the
+    # keys of distinct subspaces differ, so the order is determined.  On
+    # the re-based cyclic group algebras the zeros sit beside negative
+    # entries, where the text of zero decides the order
+    objs = list(zoo.values()) + [make() for make in CORADICAL_INPUTS] + [
+        rebased_coalgebra(group_algebra(cyclic(n), QQ), seed)
+        for n in (3, 4, 6) for seed in (0, 1)]
+    for h in objs:
+        simples = h.simple_subcoalgebras()
+        assert sorted(simples, key=formatted_dense_key) == simples, h.name
+        assert len({formatted_dense_key(c) for c in simples}) == len(simples)

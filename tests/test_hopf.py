@@ -30,8 +30,9 @@ from lifting_cases import (F9, LIFT_FIELDS, QZ5, basis_scales,
                            fraction_vector, has_denominators, hit_left,
                            hopf_case, hopf_power_map, identity_map,
                            is_canonical, reference_coalgebra_check,
-                           rescaled_hopf, rescaled_vector, t2_add_term,
-                           t2_from_pair, tensor_mult, vec_dot)
+                           rescaled_hopf, rescaled_vector,
+                           scalar_constants, t2_add_term, t2_from_pair,
+                           tensor_mult, vec_dot)
 
 
 def test_hopf_axioms_pass_on_zoo(zoo):
@@ -44,14 +45,15 @@ def test_antipode_indices_out_of_range_are_rejected():
     # a negative one must not wrap round to S(e_3), nor a large one raise
     # a bare IndexError
     h = sweedler(QQ)
-    sf = structure_from_object(h)
-    assert (3, 2) in sf.antipode
+    flat = {(i, m): c for i, col in h.antipode_raw.items()
+            for m, c in col.items()}
+    assert (3, 2) in flat
     for bad in ((-1, 2), (9, 2), (3, 4)):
-        antipode = dict(sf.antipode)
+        antipode = dict(flat)
         antipode[bad] = antipode.pop((3, 2))
         with pytest.raises(AxiomViolation, match="antipode index"):
-            HopfAlgebra(QQ, h.names, sf.comul, h.counit, sf.mul, h.unit,
-                        antipode)
+            HopfAlgebra(QQ, h.names, boxed_comul(h), h.counit,
+                        h.algebra.raw_constants(), h.unit, antipode)
 
 
 def test_antipode_is_convolution_inverse(zoo):
@@ -756,24 +758,34 @@ def reference_check_hopf(h) -> list[str]:
 
 
 def one_entry_mutation(h, kind: str, rng):
-    """h with one entry of its mul, comul, antipode, unit or counit moved."""
+    """h with one entry of its mul, comul, antipode, unit or counit moved,
+    rebuilt from its raw structure file."""
     sf = structure_from_object(h)
-    n, field = sf.dim, sf.field
-    parts = {"mul": sf.mul, "comul": sf.comul, "antipode": sf.antipode,
+    n, ops = sf.dim, sf.field.ops
+    parts = {"mul": sf.mul,
+             "comul": {(i, j, k): c for i, d in enumerate(sf.comul)
+                       for (j, k), c in d.items()},
+             "antipode": {(i, m): c for i, col in sf.antipode.items()
+                          for m, c in col.items()},
              "unit": dict(enumerate(sf.unit)),
              "counit": dict(enumerate(sf.counit))}
     arity = {"mul": 3, "comul": 3, "antipode": 2, "unit": 1, "counit": 1}[kind]
     key = tuple(rng.randrange(n) for _ in range(arity))
     key = key[0] if arity == 1 else key
     moved = parts[kind] = dict(parts[kind])
-    moved[key] = moved.get(key, field.zero()) + field.from_int(
-        rng.choice([1, -1, 2]))
+    moved[key] = ops.add(moved.get(key, ops.zero),
+                         sf.field.raw(rng.choice([1, -1, 2])))
+    comul, antipode = [{} for _ in range(n)], {i: {} for i in range(n)}
+    for (i, j, k), c in parts["comul"].items():
+        if not ops.is_zero(c):
+            comul[i][(j, k)] = c
+    for (i, m), c in parts["antipode"].items():
+        if not ops.is_zero(c):
+            antipode[i][m] = c
     return StructureFile(
-        field, sf.names, [parts["counit"][i] for i in range(n)],
-        {k: v for k, v in parts["comul"].items() if not v.is_zero()},
-        {k: v for k, v in parts["mul"].items() if not v.is_zero()},
-        [parts["unit"][i] for i in range(n)],
-        {k: v for k, v in parts["antipode"].items() if not v.is_zero()},
+        sf.field, sf.names, [parts["counit"][i] for i in range(n)], comul,
+        {k: v for k, v in parts["mul"].items() if not ops.is_zero(v)},
+        [parts["unit"][i] for i in range(n)], antipode,
         name=sf.name).to_object()
 
 
@@ -1089,11 +1101,30 @@ def raw_rebuild(obj):
                               name=obj.name)
 
 
+def boxed_comul(obj) -> dict:
+    """obj's comultiplication as {(i, j, k): Scalar}, the form the public
+    constructors take."""
+    return {(i, j, k): c for i, d in enumerate(obj.comul)
+            for (j, k), c in d.items()}
+
+
+def public_rebuild(obj):
+    """obj built again through the public constructor, from its boxed
+    views."""
+    mat = obj.antipode_mat
+    antipode = None if mat is None else {
+        (i, m): c for i, col in enumerate(mat.columns())
+        for m, c in enumerate(col) if not c.is_zero()}
+    return HopfAlgebra(obj.field, obj.names, boxed_comul(obj), obj.counit,
+                       scalar_constants(obj.algebra), obj.unit, antipode,
+                       name=obj.name)
+
+
 def public_views(obj):
     """Everything a caller reads of obj's structure, boxed."""
     sf = structure_from_object(obj)
     return (obj.comul, obj.counit, obj.unit, obj.antipode_mat,
-            obj.algebra.scalar_constants(), emit_structure_file(sf))
+            scalar_constants(obj.algebra), emit_structure_file(sf))
 
 
 @pytest.mark.parametrize("stem", STEMS + ["sweedler (x) kS3"])
@@ -1101,18 +1132,19 @@ def test_public_and_raw_constructors_give_the_same_views(stem, zoo):
     obj = zoo.get(stem) or tensor_product(zoo["sweedler"],
                                           group_algebra(symmetric(3), QQ))
     # the public constructor, given the boxed views, and of_raw, given
-    # the raw tables, build the same object
-    public = structure_from_object(obj).to_object()
-    raw = raw_rebuild(obj)
-    assert public_views(public) == public_views(obj) == public_views(raw)
-    assert public.comul_raw == obj.comul_raw == raw.comul_raw
-    assert public.counit_raw == obj.counit_raw == raw.counit_raw
-    assert public.algebra.unit_raw == obj.algebra.unit_raw \
-        == raw.algebra.unit_raw
-    assert public.antipode_raw == obj.antipode_raw == raw.antipode_raw
-    assert public.algebra.constants == raw.algebra.constants
-    coalgebra = Coalgebra(obj.field, obj.names, structure_from_object(
-        obj).comul, obj.counit, name=obj.name)
+    # the raw tables directly or through the structure file, build the
+    # same object
+    public = public_rebuild(obj)
+    for raw in (raw_rebuild(obj), structure_from_object(obj).to_object()):
+        assert public_views(public) == public_views(obj) == public_views(raw)
+        assert public.comul_raw == obj.comul_raw == raw.comul_raw
+        assert public.counit_raw == obj.counit_raw == raw.counit_raw
+        assert public.algebra.unit_raw == obj.algebra.unit_raw \
+            == raw.algebra.unit_raw
+        assert public.antipode_raw == obj.antipode_raw == raw.antipode_raw
+        assert public.algebra.constants == raw.algebra.constants
+    coalgebra = Coalgebra(obj.field, obj.names, boxed_comul(obj), obj.counit,
+                          name=obj.name)
     assert coalgebra.comul == Coalgebra.of_raw(
         obj.field, obj.names, obj.comul_raw, obj.counit_raw).comul == obj.comul
     assert coalgebra.counit_raw == obj.counit_raw

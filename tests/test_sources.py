@@ -170,13 +170,15 @@ def test_structure_tables_reach_of_raw_unboxed():
     zoo = ast.parse((SRC / "zoo.py").read_text())
     assert "scalar_constants" not in called_names(zoo)
     # a quotient or subalgebra takes its unit from the parent's raw one,
-    # not through the boxing projection
+    # and the one projection of a quotient is raw: nothing boxes
+    algebra = ast.parse((SRC / "algebra.py").read_text())
+    assert "box" not in called_names(method(algebra, "QuotientMap", "project"))
     for path, cls, name in (("algebra.py", "QuotientMap", "__init__"),
                             ("algebra.py", "SubalgebraMap", "__init__"),
                             ("extension.py", "_Grower", "adjoin")):
         tree = ast.parse((SRC / path).read_text())
         called = called_names(method(tree, cls, name))
-        assert not called & {"box", "project"}, (cls, name)
+        assert "box" not in called, (cls, name)
     coalgebra = ast.parse((SRC / "coalgebra.py").read_text())
     imported = {a.name for node in ast.walk(coalgebra)
                 if isinstance(node, ast.ImportFrom) for a in node.names}
@@ -196,6 +198,25 @@ def test_structure_tables_reach_of_raw_unboxed():
     clashes = sorted(m for m in methods if m.startswith("_")
                      and m[1:] in methods | attributes)
     assert not clashes
+
+
+def test_structure_files_run_on_raw_values():
+    # the text edge reads, builds and writes raw values: structfile boxes
+    # nothing, no text reaches Fraction outside scalars.parse_rational,
+    # and the boxed copies of the tables and of the subspace operations
+    # are gone
+    structfile = ast.parse((SRC / "structfile.py").read_text())
+    assert not called_names(structfile) & {"box", "parse", "format",
+                                           "as_scalar", "Scalar"}
+    for path in ("cli.py", "structfile.py"):
+        assert "Fraction" not in called_names(
+            ast.parse((SRC / path).read_text())), path
+    for path, gone in (("algebra.py", {"scalar_constants"}),
+                       ("linalg.py", {"coords_of", "contains_vector"})):
+        defined = {node.name for node in ast.walk(
+            ast.parse((SRC / path).read_text()))
+            if isinstance(node, ast.FunctionDef)}
+        assert not defined & gone, path
 
 
 def mat_constructions(node):

@@ -1,9 +1,13 @@
 """Structure-file parsing and canonical emission."""
 
+import sys
+import time
+from fractions import Fraction
+
 import pytest
 
 from golden_defs import golden_objects
-from hopfex import GF
+from hopfex import GF, FieldSpec
 from hopfex.errors import (DuplicateEntry, IndexOutOfRange, ScalarParseError,
                            StructureFileError)
 from hopfex.scalars import Scalar
@@ -46,9 +50,9 @@ def test_golden_objects_rebuild_and_validate(stem, zoo, golden_dir):
 @pytest.mark.parametrize("stem", STEMS)
 def test_building_a_golden_boxes_only_its_unit(stem, golden_dir,
                                                monkeypatch):
-    # the parser has made every Scalar: the constructor stores every
-    # table raw, the unit and the counit included, and neither the dual
-    # algebra nor its quotient by the radical makes one
+    # the structure file holds raw tables and of_raw stores them as they
+    # are, the unit and the counit included, and neither the dual
+    # algebra nor its quotient by the radical makes a Scalar
     sf = parse_structure_file((golden_dir / f"{stem}.hopf").read_text())
     made = []
     original = Scalar.__init__
@@ -217,12 +221,22 @@ GROUPLIKES = (
     "comul 1 1 1 {last}\n")
 
 
-def test_scalar_tokens_parse_once_per_file():
+def test_scalar_tokens_parse_once_per_file(monkeypatch):
+    parsed = []
+    original = FieldSpec.parse_raw
+
+    def counted(self, tok):
+        parsed.append(tok)
+        return original(self, tok)
+
+    monkeypatch.setattr(FieldSpec, "parse_raw", counted)
     sf = parse_structure_file(GROUPLIKES.format(last="1"))
-    ones = [sf.counit[0], sf.comul[(0, 0, 0)], sf.comul[(1, 1, 1)]]
-    assert all(s is ones[0] for s in ones)
-    assert sf.counit[1] == ones[0] and sf.counit[1] is not ones[0]
-    assert all(type(s.val) is int for s in ones + [sf.counit[1]])
+    # '1' appears three times and '1.0' once: each token is parsed once,
+    # and the two give the same raw value
+    assert sorted(parsed) == ["1", "1.0"]
+    ones = [sf.counit[0], sf.comul[0][(0, 0)], sf.comul[1][(1, 1)],
+            sf.counit[1]]
+    assert ones == [1] * 4 and all(type(s) is int for s in ones)
     assert sf.to_object().check() == []
 
 
@@ -235,3 +249,112 @@ def test_scalar_errors_keep_their_line_numbers():
     with pytest.raises(ScalarParseError) as ei:
         parse_structure_file(text)
     assert ei.value.line == 6
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_parse_build_and_emit_make_no_scalar(stem, golden_dir, monkeypatch):
+    # parsing makes at most the one boxed_zero of the file's new field;
+    # building the object, emitting it and, over a prime field, extending
+    # its scalars make none
+    text = (golden_dir / f"{stem}.hopf").read_text()
+    made = []
+    original = Scalar.__init__
+
+    def counted(self, field, val):
+        made.append(self)
+        original(self, field, val)
+
+    bigger = FieldSpec(0, cyclotomic_order=4)
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    sf = parse_structure_file(text)
+    assert made in ([], [sf.field.boxed_zero])
+    assert not made or made[0] is sf.field.boxed_zero
+    del made[:]
+    obj = sf.to_object()
+    assert emit_structure_file(sf) == text
+    assert emit_structure_file(structure_from_object(obj)) == text
+    if obj.field.char == 0 and obj.field.modulus is None:
+        emit_structure_file(structure_from_object(obj.extend_scalars(bigger)))
+    assert made == []
+
+
+def test_to_object_builds_a_new_object_each_call(golden_dir):
+    sf = parse_structure_file((golden_dir / "sweedler.hopf").read_text())
+    a, b = sf.to_object(), sf.to_object()
+    assert a is not b and a.comul == b.comul and a.check_hopf() == []
+
+
+@pytest.mark.parametrize("block, first, second", [
+    ("comul", "comul 1 0 0 0", "comul 1 0 0 1"),
+    ("mul", "mul 0 0 0 0", "mul 0 0 0 1"),
+    ("antipode", "antipode 0 0 0", "antipode 0 0 1")])
+def test_explicit_zero_entries_count_as_duplicates(block, first, second):
+    # a zero entry is dropped only after the duplicate check
+    tail = "mul 0 0 0 1\nmul 1 1 1 1\nunit 1 1\n" if block != "mul" \
+        else "mul 1 1 1 1\nunit 1 1\n"
+    text = GROUPLIKES.format(last="1") + tail
+    with pytest.raises(DuplicateEntry) as ei:
+        parse_structure_file(text + f"{first}\n{second}\n")
+    assert ei.value.line == text.count("\n") + 2
+    assert str(ei.value).startswith(f"line {ei.value.line}: duplicate {block}")
+
+
+def test_explicit_zero_entries_are_dropped():
+    zeros = ["comul 1 0 0 0", "mul 0 1 0 0", "antipode 1 0 0"]
+    lines = ["mul 0 0 0 1", "mul 1 1 1 1", "unit 1 1", "antipode 0 0 1",
+             "antipode 1 1 1"]
+    text = GROUPLIKES.format(last="1") + "\n".join(lines + zeros) + "\n"
+    sf = parse_structure_file(text)
+    assert sf.comul == ({(0, 0): 1}, {(1, 1): 1})
+    assert sf.mul == {(0, 0, 0): 1, (1, 1, 1): 1}
+    assert sf.antipode == {0: {0: 1}, 1: {1: 1}}
+    obj = sf.to_object()
+    assert obj.comul_raw == sf.comul and obj.antipode_raw == sf.antipode
+    without = GROUPLIKES.format(last="1") + "\n".join(lines) + "\n"
+    assert emit_structure_file(sf) == emit_structure_file(
+        parse_structure_file(without))
+
+
+HUGE_LITERALS = ["1e99999999", "1e-2000000", "1e5000", "-2.5E+4400",
+                 "0e99999999", "1_0e9_999_999", "[1e5000]",
+                 "1" + "0" * 5000]
+
+
+@pytest.mark.parametrize("tok", HUGE_LITERALS)
+def test_literals_beyond_the_digit_limit_are_parse_errors(tok):
+    # the exponent is checked before its power of ten is formed, so each
+    # fails at once and with its line, as a 5,001-digit integer does
+    text = GROUPLIKES.format(last=tok)
+    start = time.perf_counter()
+    with pytest.raises(ScalarParseError) as ei:
+        parse_structure_file(text)
+    assert time.perf_counter() - start < 1
+    assert ei.value.line == 7 and "cannot parse scalar" in str(ei.value)
+    modulus = f"{HEADER}\nfield characteristic 0\nfield modulus {tok} 0 1\n"
+    with pytest.raises(ScalarParseError) as ei:
+        parse_structure_file(modulus.replace("[", "").replace("]", ""))
+    assert ei.value.line == 3
+    assert str(ei.value) == "line 3: modulus coefficients must be fractions"
+
+
+def test_literals_at_the_digit_limit_still_parse():
+    limit = sys.get_int_max_str_digits()
+    q = GF(0)
+    assert q.parse_raw(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert q.parse_raw(f"1e-{limit - 1}").denominator == 10 ** (limit - 1)
+    for tok in (f"1e{limit}", f"1e-{limit}", f"0.5e{limit}"):
+        with pytest.raises(ScalarParseError, match="exceeds"):
+            q.parse_raw(tok)
+    for tok, want in (("0.5", q.raw(Fraction(1, 2))), ("1e3", 1000),
+                      ("1_000", 1000), ("-5/7", q.raw(Fraction(-5, 7))),
+                      ("2.50e-1", q.raw(Fraction(1, 4)))):
+        assert q.parse_raw(tok) == want
+        assert q.parse(tok).val == want
+
+
+def test_a_denominator_zero_in_the_field_is_a_parse_error():
+    text = GROUPLIKES.format(last="1/3").replace(
+        "characteristic 0", "characteristic 3")
+    with pytest.raises(ScalarParseError) as ei:
+        parse_structure_file(text)
+    assert ei.value.line == 7 and "zero modulo 3" in str(ei.value)
