@@ -68,8 +68,8 @@ the form _product multiplies: split_commutative, split_idempotent,
 primitive_idempotent_in, lift_idempotent, QuotientMap.lift and
 SubalgebraMap.embed take and return them, and corner_basis returns the
 SubspaceBasis.raw rows of the corner.  Values become Scalars only where
-a public method returns them: mult, power, unit, left_mult_mat and
-QuotientMap.project.
+a public method returns them: mult, power, unit, left_traces and
+left_mult_mat.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ from .errors import (
 from .linalg import (Echelon, Mat, SubspaceBasis, add_scaled, dense_raw,
                      sparse_raw, sum_scaled)
 from .poly import MinPolySearch, char_poly
-from .scalars import (FieldSpec, box, combination, lift_columns,
-                      nonzero_raw, raw_values)
+from .scalars import (FieldSpec, box, box_sparse, combination,
+                      lift_columns, nonzero_raw, raw_values)
 
 # Newton steps of lift_idempotent: each squares the nilpotent error
 LIFT_ITERATIONS = 64
@@ -329,8 +329,8 @@ class FiniteAlgebra:
     def mult(self, u: tuple, v: tuple) -> tuple:
         """u v, from the nonzero entries of u and v and terms, on raw values."""
         field = self.field
-        return box(field, self._dense(self._product(nonzero_raw(field, u),
-                                                    nonzero_raw(field, v))))
+        return box_sparse(field, self.dim, self._product(
+            nonzero_raw(field, u), nonzero_raw(field, v)).items())
 
     def _tensor_product(self, a, b) -> dict:
         """(x(x)y)(x'(x)y') = xx'(x)yy' on the ((j, k), raw value) pairs a
@@ -363,16 +363,22 @@ class FiniteAlgebra:
                     for m in range(self.dim)], self.dim)
 
     def power(self, u: tuple, n: int) -> tuple:
+        field = self.field
+        return box_sparse(field, self.dim,
+                          self._power(nonzero_raw(field, u), n).items())
+
+    def _power(self, u, n: int) -> dict:
+        """u^n by squaring, for the nonzero (index, raw value) pairs u, as
+        {m: raw value} with no zeros."""
         if n < 0:
             raise ValueError("negative power")
         acc = sparse_raw(self.field.ops, self.unit_raw)
-        base = nonzero_raw(self.field, u)
         while n:
             if n & 1:
-                acc = self._product(acc, base).items()
-            base = self._product(base, base).items()
+                acc = self._product(acc, u).items()
+            u = self._product(u, u).items()
             n >>= 1
-        return box(self.field, self._dense(dict(acc)))
+        return dict(acc)
 
     # -- radical ---------------------------------------------------------------
 
@@ -389,10 +395,13 @@ class FiniteAlgebra:
         return taus
 
     def left_traces(self) -> tuple:
-        """tau_m = Tr L_{e_m} = sum_k c_mk^k for every basis element e_m."""
-        ops = self.field.ops
-        taus = ops.settle_all(self._lifted_traces(), self.terms[0])
-        return box(self.field, self._dense(taus))
+        """tau_m = Tr L_{e_m} = sum_k c_mk^k for every basis element e_m,
+        the view of _traces."""
+        return box_sparse(self.field, self.dim, self._traces().items())
+
+    def _traces(self) -> dict:
+        """The nonzero tau_m as {m: raw value}."""
+        return self.field.ops.settle_all(self._lifted_traces(), self.terms[0])
 
     def _trace_form(self) -> list[dict]:
         """Gram matrix Tr L_{e_i e_j} = sum_m c_ij^m tau_m, in O(n^3), as

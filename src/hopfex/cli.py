@@ -27,7 +27,7 @@ from .hopf import HopfAlgebra
 from .matforms import basic_multiplicative_matrix, is_multiplicative, \
     primitive_decompose
 from .linalg import sparse_raw, sum_scaled
-from .scalars import FieldSpec, nonzero_raw, parse_rational
+from .scalars import FieldSpec, parse_rational
 from .structfile import emit_structure_file, parse_structure_file, \
     structure_from_object
 from .zoo import build_named
@@ -157,7 +157,8 @@ def _parse_element(obj, spec: str) -> Element:
     if len(toks) != obj.dim:
         raise InputError(
             f"element needs {obj.dim} coefficients, got {len(toks)}")
-    return Element(obj, tuple(obj.field.parse(t) for t in toks))
+    return Element.of_raw(obj, sparse_raw(obj.field.ops, [
+        obj.field.parse_raw(t) for t in toks]))
 
 
 def _field_extend(obj, spec: str):
@@ -187,14 +188,9 @@ def _need_hopf(obj) -> HopfAlgebra:
     return obj
 
 
-def _fmt(obj, vec) -> str:
-    return obj.format_element(vec if isinstance(vec, tuple) else vec.vec)
-
-
 def _matrix_rows(obj, mat) -> list:
-    return ["  |  ".join(_fmt(obj, mat.entry(u, v))
-                         for v in range(mat.ncols))
-            for u in range(mat.nrows)]
+    return ["  |  ".join(obj._format_raw(entry) for entry in row)
+            for row in mat.raw]
 
 
 def _base_facts(command: str, obj) -> dict:
@@ -224,7 +220,7 @@ def _cmd_coradical(obj, args):
     facts = _base_facts("coradical", obj)
     facts["coradical_dimension"] = rad.dim
     facts["cosemisimple"] = rad.dim == obj.dim
-    facts["basis"] = [_fmt(obj, row) for row in rad.rows]
+    facts["basis"] = [obj._format_raw(row) for row in rad.raw]
     return 0, facts
 
 
@@ -245,7 +241,7 @@ def _cmd_simples(obj, args):
             "index": comp.index,
             "dimension": comp.dim,
             "matrix_size": comp.matrix_size,
-            "grouplike": _fmt(obj, comp.grouplike)
+            "grouplike": obj._format_raw(sorted(comp.grouplike_raw.items()))
             if comp.is_grouplike else None,
         }
         out.append(entry)
@@ -257,19 +253,15 @@ def _cmd_idempotents(obj, args):
     fam = obj.coradical_idempotents()
     simples = obj.simple_subcoalgebras()
     facts = _base_facts("idempotents", obj)
-    out = []
-    for comp in simples:
-        f = fam.functional(comp.index)
-        out.append({
-            "index": comp.index,
-            "functional": " ".join(obj.field.format(c) for c in f),
-        })
-    facts["idempotents"] = out
+    dual, field, ops = obj.dual_algebra(), obj.field, obj.field.ops
+    raw = [(comp.index, dict(fam.raw[comp.index])) for comp in simples]
+    zero = field.format_raw(ops.zero)
+    facts["idempotents"] = [{
+        "index": i,
+        "functional": " ".join(field.format_raw(f[m]) if m in f else zero
+                               for m in range(obj.dim)),
+    } for i, f in raw]
     # f_i f_j = delta_ij f_i and sum f_i = eps, on raw values
-    dual, ops = obj.dual_algebra(), obj.field.ops
-    raw = [(comp.index, dict(nonzero_raw(obj.field,
-                                         fam.functional(comp.index))))
-           for comp in simples]
     ok = all(dual._product(fi.items(), fj.items()) == (fi if i == j else {})
              for i, fi in raw for j, fj in raw)
     eps_sum = sum_scaled(ops, [(ops.one, fi) for _, fi in raw])
@@ -305,7 +297,7 @@ def _cmd_hopf_order(obj, args):
     cap = args.cap
     order = h.hopf_order(el, cap)
     facts = _base_facts("hopf-order", obj)
-    facts["element"] = _fmt(h, el)
+    facts["element"] = h._format_raw(el.raw)
     facts["order"] = order
     facts["exceeded_cap"] = order is None
     return 0, facts
@@ -316,15 +308,15 @@ def _cmd_integral(obj, args):
     tr = h.integral_trace()
     db = h.integral_dual_basis()
     facts = _base_facts("integral", obj)
-    facts["trace_form"] = _fmt(h, tr.element)
-    facts["dual_basis_form"] = _fmt(h, db.element)
-    agree = tr.element.vec == db.element.vec
+    facts["trace_form"] = h._format_raw(tr.element.raw)
+    facts["dual_basis_form"] = h._format_raw(db.element.raw)
+    agree = tr.element == db.element
     facts["agree"] = agree
     facts["left_integral_verified"] = tr.asserted
     try:
         dec = h.cosemisimple_integral_decomposition()
         facts["cosemisimple_decomposition"] = [
-            {"simple": idx, "coefficient": r, "trace": _fmt(h, t)}
+            {"simple": idx, "coefficient": r, "trace": h._format_raw(t.raw)}
             for idx, r, t in dec.terms
         ]
     except NotCosemisimple:
@@ -364,10 +356,10 @@ def _cmd_decompose(obj, args):
     db = cb if di == ci else basic_multiplicative_matrix(obj, simples[di])
     dec = primitive_decompose(el, cb, db)
     facts = _base_facts("decompose", obj)
-    facts["element"] = _fmt(obj, el)
+    facts["element"] = obj._format_raw(el.raw)
     facts["left_simple"] = ci
     facts["right_simple"] = di
-    facts["remainder"] = _fmt(obj, dec.remainder)
+    facts["remainder"] = obj._format_raw(dec.remainder.raw)
     facts["matrices"] = [
         {"block": f"({ip}, {jp})",
          "rows": _matrix_rows(obj, dec.matrix(ip, jp))}
@@ -399,7 +391,7 @@ def _cmd_extend(obj, args):
         {"order": w.nrows, "rows": _matrix_rows(res, w)}
         for w in ext.witnesses
     ]
-    facts["designated_sum"] = _fmt(res, ext.designated_sum())
+    facts["designated_sum"] = res._format_raw(ext.designated_sum().raw)
     facts["coradical_unchanged"] = \
         res.coradical().dim == obj.coradical().dim
     return 0, facts
@@ -415,7 +407,7 @@ def _cmd_theorem_check(obj, args):
     facts["cap"] = rep.cap
     facts["criterion"] = rep.criterion
     if rep.witness is not None:
-        facts["witness"] = _fmt(h, rep.witness)
+        facts["witness"] = h._format_raw(rep.witness.raw)
     facts["steps"] = [str(s) for s in rep.steps]
     return 0, facts
 

@@ -29,7 +29,9 @@ block finds nothing, which proves nothing.
 The splitting hands its results on as sparse raw vectors {m: raw value}
 (FiniteAlgebra's form): the block idempotents, the primitive idempotents
 and the block rows of each SimpleComponent, and the lifted coradical
-idempotents, which are boxed once as the functionals of the family.
+idempotents, which IdempotentFamily holds raw and boxes as its
+functionals only when they are read.  An Element, too, holds raw pairs
+and is boxed only when its vec is read.
 
 The rows of J and the lifted rows of every block form a basis of H*;
 it is inverted once, and the simple subcoalgebra C_t of block t is the
@@ -41,7 +43,7 @@ the sum of those before it, two products each: by induction the family
 is pairwise orthogonal.
 
 Tensors in H (x) H are sparse dicts {(j, k): value} with no zeros, of
-Scalars in the comul view and delta_vec and of raw values elsewhere:
+Scalars in the comul view and Element.delta and of raw values elsewhere:
 comul_raw holds the table, and _delta_raw multiplies and adds on it
 lifted once (FieldOps.lift) and settles once per tensor entry.
 The hit actions read functionals lifted once (lift_functionals) and hit
@@ -78,34 +80,24 @@ from .linalg import (
     raw_pair,
     rref_raw,
     sparse_raw,
+    sum_scaled,
     tensor_legs,
-    unit_vec,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
-    zero_vec,
 )
-from .scalars import FieldSpec, Scalar, box, lift_columns, nonzero_raw
-
-
-def lift_functional(field: FieldSpec, f: tuple) -> tuple:
-    """({k: lifted value}, scale) for the nonzero entries f_k of a
-    functional of Scalars, lifted over one scale (FieldOps.lift)."""
-    pairs, scale = field.ops.lift_pairs(nonzero_raw(field, f))
-    return dict(pairs), scale
+from .scalars import (FieldSpec, Scalar, box, box_sparse, lift_columns,
+                      nonzero_raw)
 
 
 def lift_functionals(field: FieldSpec, functionals) -> tuple:
-    """(index, scales) for functionals f_0, f_1, ... of Scalars, each
-    lifted once by lift_functional: index[k] lists the (l, lifted f_l(e_k))
+    """(index, scales) for functionals f_0, f_1, ..., each given by the
+    (k, raw value) pairs of its nonzero entries and lifted once over one
+    scale (FieldOps.lift_pairs): index[k] lists the (l, lifted f_l(e_k))
     of the nonzero f_l(e_k), and scales[l] is the scale of f_l."""
     index: dict = {}
     scales = []
     for l, f in enumerate(functionals):
-        lifted, scale = lift_functional(field, f)
+        lifted, scale = field.ops.lift_pairs(f)
         scales.append(scale)
-        for k, x in lifted.items():
+        for k, x in lifted:
             index.setdefault(k, []).append((l, x))
     return index, scales
 
@@ -116,18 +108,13 @@ def as_raw(field: FieldSpec, v):
     TypeError for anything else, DivisionByZero for a Fraction whose
     denominator is zero in the field."""
     if isinstance(v, Scalar):
-        if v.field != field:
+        if v.field is not field and v.field != field:
             raise FieldMismatch(f"scalar over {v.field.describe()} used in a "
                                 f"{field.describe()} coalgebra")
         return v.val
     if isinstance(v, (int, Fraction)):
         return field.raw(v)
     raise TypeError(f"cannot coerce {v!r} to a scalar")
-
-
-def as_scalar(field: FieldSpec, v) -> Scalar:
-    raw = as_raw(field, v)
-    return v if isinstance(v, Scalar) else Scalar(field, raw)
 
 
 def raw_table(field: FieldSpec, what: str, entries: dict, dim: int) -> dict:
@@ -144,79 +131,114 @@ def raw_table(field: FieldSpec, what: str, entries: dict, dim: int) -> dict:
 # ---------------------------------------------------------------------------
 
 class Element:
-    """A coalgebra element: a coefficient vector bound to its parent.
+    """A coalgebra element: its coordinates bound to its parent.
 
-    Addition, subtraction and scalar multiples always work; * between
-    elements delegates to the parent when it carries a product (bi- or
+    raw holds the (index, raw value) pairs of the nonzero coordinates in
+    increasing index (the convention of SubspaceBasis.raw); equality,
+    hashing, arithmetic, delta, eps and repr run on it, and vec is the
+    coefficient vector of Scalars, boxed at the first read.
+    Element(parent, vec) is the one coercion of a coefficient vector:
+    ShapeMismatch unless it has length dim, and each coordinate read by
+    as_raw (a Scalar of the field, an int or a Fraction).  of_raw takes
+    raw pairs.  * between elements needs a parent with a product (bi- or
     Hopf algebras).
     """
 
-    __slots__ = ("parent", "vec")
+    __slots__ = ("parent", "raw", "_vec")
 
     def __init__(self, parent: "Coalgebra", vec):
+        vec, field = tuple(vec), parent.field
+        if len(vec) != parent.dim:
+            raise ShapeMismatch(f"vector lengths {parent.dim} vs {len(vec)}")
+        self._hold(parent, sparse_raw(field.ops,
+                                      [as_raw(field, c) for c in vec]))
+
+    @classmethod
+    def of_raw(cls, parent: "Coalgebra", vec) -> "Element":
+        """The element with the nonzero coordinates vec, a dict {index: raw
+        value} or its (index, raw value) pairs, with no zeros."""
+        return cls.__new__(cls)._hold(parent, tuple(sorted(dict(vec).items())))
+
+    def _hold(self, parent, raw) -> "Element":
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "vec", tuple(vec))
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "_vec", None)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("Element is immutable")
 
+    @property
+    def vec(self) -> tuple:
+        """The coefficient vector of Scalars, boxed at the first read."""
+        if self._vec is None:
+            object.__setattr__(self, "_vec", box_sparse(
+                self.parent.field, self.parent.dim, self.raw))
+        return self._vec
+
     def delta(self) -> dict:
-        return self.parent.delta_vec(self.vec)
+        """Delta of the element as a sparse tensor {(j, k): Scalar}."""
+        acc = self.parent._delta_raw(self.raw)
+        return dict(zip(acc, box(self.parent.field, acc.values())))
 
     def eps(self) -> Scalar:
-        return self.parent.counit_vec(self.vec)
+        return Scalar(self.parent.field, self.parent._eps_raw(self.raw))
 
     def __add__(self, other: "Element") -> "Element":
         self._like(other)
-        return Element(self.parent, vec_add(self.vec, other.vec))
+        ops = self.parent.field.ops
+        return Element.of_raw(self.parent, sum_scaled(
+            ops, [(ops.one, self.raw), (ops.one, other.raw)]))
 
     def __sub__(self, other: "Element") -> "Element":
-        self._like(other)
-        return Element(self.parent, vec_sub(self.vec, other.vec))
+        return self + -other
 
     def __neg__(self) -> "Element":
-        return Element(self.parent, vec_scale(-self.parent.field.one(), self.vec))
+        ops = self.parent.field.ops
+        return self._scaled(ops.neg(ops.one))
 
     def __mul__(self, other):
-        if isinstance(other, Element):
-            self._like(other)
-            mul = getattr(self.parent, "mul_vec", None)
-            if mul is None:
-                raise TypeError("parent coalgebra has no product")
-            return Element(self.parent, mul(self.vec, other.vec))
-        return Element(self.parent,
-                       vec_scale(as_scalar(self.parent.field, other), self.vec))
+        if not isinstance(other, Element):
+            return self._scaled(as_raw(self.parent.field, other))
+        self._like(other)
+        return Element.of_raw(self.parent, self._algebra()._product(
+            self.raw, other.raw))
 
-    def __rmul__(self, other):
-        return Element(self.parent,
-                       vec_scale(as_scalar(self.parent.field, other), self.vec))
+    __rmul__ = __mul__
+
+    def _scaled(self, c) -> "Element":
+        """c self, for a raw value c."""
+        return Element.of_raw(self.parent, sum_scaled(self.parent.field.ops,
+                                                      [(c, self.raw)]))
 
     def __pow__(self, n: int) -> "Element":
-        mul = getattr(self.parent, "mul_vec", None)
-        if mul is None or n < 0:
+        if n < 0:
             raise TypeError("power needs an algebra product and n >= 0")
-        out = getattr(self.parent, "unit")
-        acc = Element(self.parent, out)
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        return Element.of_raw(self.parent, self._algebra()._power(self.raw, n))
+
+    def _algebra(self):
+        """The algebra of the parent; TypeError when it has no product."""
+        algebra = getattr(self.parent, "algebra", None)
+        if algebra is None:
+            raise TypeError("parent coalgebra has no product")
+        return algebra
 
     def is_zero(self) -> bool:
-        return vec_is_zero(self.vec)
+        return not self.raw
 
     def __eq__(self, other):
         return (isinstance(other, Element) and other.parent is self.parent
-                and other.vec == self.vec)
+                and other.raw == self.raw)
 
     def __hash__(self):
-        return hash((id(self.parent), self.vec))
+        return hash((id(self.parent), self.raw))
 
     def _like(self, other: "Element"):
         if other.parent is not self.parent:
             raise FieldMismatch("elements of different coalgebras")
 
     def __repr__(self):
-        return self.parent.format_element(self.vec)
+        return self.parent._format_raw(self.raw)
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +304,26 @@ class Coalgebra:
     # -- basics -------------------------------------------------------------
 
     def basis_element(self, i: int) -> Element:
-        return Element(self, unit_vec(self.field, self.dim, i))
+        require_indices("basis element", [(i,)], self.dim)
+        return Element.of_raw(self, [(i, self.field.ops.one)])
 
     def element(self, coeffs) -> Element:
-        """Element from a coefficient list or a {basis name: coeff} dict."""
+        """Element from a coefficient vector (Element's one coercion) or a
+        {basis name: coeff} dict; an Element of this coalgebra is returned
+        as it is, and one of another is a FieldMismatch."""
+        if isinstance(coeffs, Element):
+            if coeffs.parent is not self:
+                raise FieldMismatch("element of a different coalgebra")
+            return coeffs
         if isinstance(coeffs, dict):
-            vec = list(zero_vec(self.field, self.dim))
+            vec = [0] * self.dim
             for name, c in coeffs.items():
-                vec[self.index_of(name)] = as_scalar(self.field, c)
-            return Element(self, vec)
-        return Element(self, [as_scalar(self.field, c) for c in coeffs])
+                vec[self.index_of(name)] = c
+            coeffs = vec
+        return Element(self, coeffs)
 
     def zero(self) -> Element:
-        return Element(self, zero_vec(self.field, self.dim))
+        return Element.of_raw(self, ())
 
     def index_of(self, name: str) -> int:
         try:
@@ -303,11 +332,15 @@ class Coalgebra:
             raise AxiomViolation(f"no basis vector named {name!r}") from None
 
     def format_element(self, vec) -> str:
+        """The text of a coefficient vector of Scalars."""
+        return self._format_raw(nonzero_raw(self.field, vec))
+
+    def _format_raw(self, pairs) -> str:
+        """The text of the vector with the nonzero (index, raw value)
+        pairs, in increasing index."""
         terms = []
-        for i, c in enumerate(vec):
-            if c.is_zero():
-                continue
-            s = str(c)
+        for i, c in pairs:
+            s = self.field.format_raw(c)
             if s == "1":
                 terms.append(self.names[i])
             elif s == "-1":
@@ -330,12 +363,6 @@ class Coalgebra:
         lifted, scale = lift_columns(self.field.ops,
                                      dict(enumerate(self.comul_raw)))
         return scale, lifted
-
-    def delta_vec(self, vec) -> dict:
-        """Delta(vec) as a sparse tensor {(j, k): Scalar} with no zeros."""
-        field = self.field
-        acc = self._delta_raw(nonzero_raw(field, vec))
-        return dict(zip(acc, box(field, acc.values())))
 
     def _delta_raw(self, pairs) -> dict:
         """Delta of the vector with nonzero (index, raw value) pairs, as
@@ -372,9 +399,10 @@ class Coalgebra:
     def subcoalgebra_support(self, vec) -> list[int]:
         """The least S containing supp(vec) with every (j, k) of Delta(e_i),
         i in S, in S x S; sorted.  span{e_i : i in S} is then the least
-        subcoalgebra spanned by basis vectors that contains vec.
+        subcoalgebra spanned by basis vectors that contains vec, an
+        Element or a vector.
         """
-        todo = [i for i, c in enumerate(vec) if not c.is_zero()]
+        todo = [i for i, _ in self.element(vec).raw]
         support = set(todo)
         while todo:
             for j, k in self.comul_raw[todo.pop()]:
@@ -384,15 +412,10 @@ class Coalgebra:
                         todo.append(m)
         return sorted(support)
 
-    def _pairs(self, vec) -> list:
-        """nonzero_raw of a vector of length dim, else ShapeMismatch."""
-        if len(vec) != self.dim:
-            raise ShapeMismatch(f"vector lengths {self.dim} vs {len(vec)}")
-        return nonzero_raw(self.field, vec)
-
     def is_grouplike(self, vec) -> bool:
-        """Whether eps(vec) = 1 and Delta(vec) = vec (x) vec."""
-        return self._grouplike_raw(self._pairs(vec))
+        """Whether eps(vec) = 1 and Delta(vec) = vec (x) vec, for an
+        Element or a vector."""
+        return self._grouplike_raw(self.element(vec).raw)
 
     def _grouplike_raw(self, pairs) -> bool:
         """is_grouplike of the vector with nonzero (index, raw value) pairs."""
@@ -402,8 +425,8 @@ class Coalgebra:
             self._delta_raw(pairs) == raw_pair(ops, pairs, pairs)
 
     def counit_vec(self, vec) -> Scalar:
-        """eps(vec), from the nonzero entries of vec against the counit."""
-        return Scalar(self.field, self._eps_raw(self._pairs(vec)))
+        """eps(vec) for an Element or a vector."""
+        return self.element(vec).eps()
 
     def __repr__(self):
         return (f"<{type(self).__name__} {self.name!r} dim={self.dim} "
@@ -524,8 +547,8 @@ class Coalgebra:
         return all(c.dim == 1 for c in self.simple_subcoalgebras())
 
     def group_likes(self) -> list[Element]:
-        return [Element(self, c.grouplike) for c in self.simple_subcoalgebras()
-                if c.is_grouplike]
+        return [Element.of_raw(self, c.grouplike_raw)
+                for c in self.simple_subcoalgebras() if c.is_grouplike]
 
     # -- hit actions ------------------------------------------------------------
 
@@ -581,10 +604,6 @@ class Coalgebra:
             table[i][l, r] = col
         return scale, table, len(family[1])
 
-    def _box(self, sparse: dict) -> tuple:
-        """The vector of Scalars of the raw entries {m: value}."""
-        return box(self.field, dense_raw(self.field.ops, self.dim, sparse.items()))
-
     def _component_raw(self, pairs, left: int | None = None,
                        right: int | None = None) -> dict:
         """e_right -> (v <- e_left) for the vector v with nonzero (index,
@@ -624,8 +643,7 @@ class Coalgebra:
 class SimpleComponent:
     """One simple subcoalgebra, with its dual Wedderburn block data.
 
-    grouplike_raw is the normalised group-like {j: raw value}, or None;
-    grouplike is its view, a vector of Scalars boxed at the first read.
+    grouplike_raw is the normalised group-like {j: raw value}, or None.
     The block data is raw, in the coordinates of the quotient H*/J:
     central_idempotent and primitive_idempotent are sparse raw vectors
     {m: raw value} with no zeros, and block_rows lists the block's basis
@@ -633,8 +651,8 @@ class SimpleComponent:
     """
 
     __slots__ = ("index", "subspace", "dim", "matrix_size", "is_grouplike",
-                 "grouplike_raw", "_grouplike", "central_idempotent",
-                 "primitive_idempotent", "block_rows")
+                 "grouplike_raw", "central_idempotent", "primitive_idempotent",
+                 "block_rows")
 
     def __init__(self, index, subspace, matrix_size, grouplike,
                  central_idempotent, primitive_idempotent, block_rows):
@@ -643,20 +661,10 @@ class SimpleComponent:
         self.dim = subspace.dim
         self.matrix_size = matrix_size
         self.is_grouplike = grouplike is not None
-        self.grouplike_raw, self._grouplike = grouplike, None
+        self.grouplike_raw = grouplike
         self.central_idempotent = central_idempotent
         self.primitive_idempotent = primitive_idempotent
         self.block_rows = block_rows
-
-    @property
-    def grouplike(self) -> tuple | None:
-        """The group-like as a vector of Scalars, boxed at the first read;
-        None for a simple of dimension above 1."""
-        if self.is_grouplike and self._grouplike is None:
-            field = self.subspace.field
-            self._grouplike = box(field, dense_raw(
-                field.ops, self.subspace.ambient, self.grouplike_raw.items()))
-        return self._grouplike
 
     def __repr__(self):
         kind = "group-like" if self.is_grouplike else f"{self.matrix_size}x{self.matrix_size}"
@@ -666,27 +674,40 @@ class SimpleComponent:
 class IdempotentFamily:
     """Orthonormal coradical idempotents {e_C} in H*, one per simple.
 
-    Invariants (checked at construction): e_C e_D = delta e_C, the sum
-    is the counit, and each e_C restricts on the coradical as the
-    projection onto its simple.
+    raw holds each functional as the (index, raw value) pairs of its
+    nonzero entries in increasing index; functionals, and functional(i)
+    on it, are the vectors of Scalars, boxed at the first read.
+    Invariants (checked by CoradicalAnalysis.idempotents): e_C e_D =
+    delta e_C, the sum is the counit, and each e_C restricts on the
+    coradical as the projection onto its simple.
     """
 
-    def __init__(self, coalgebra: Coalgebra, functionals: list[tuple]):
+    def __init__(self, coalgebra: Coalgebra, raw):
         self.coalgebra = coalgebra
-        self.functionals = tuple(tuple(f) for f in functionals)
+        self.raw = tuple(tuple(sorted(dict(f).items())) for f in raw)
+        self._functionals = None
 
     def __len__(self):
-        return len(self.functionals)
+        return len(self.raw)
+
+    @property
+    def functionals(self) -> tuple:
+        """The functionals as vectors of Scalars, boxed at the first read."""
+        if self._functionals is None:
+            c = self.coalgebra
+            self._functionals = tuple(box_sparse(c.field, c.dim, f)
+                                      for f in self.raw)
+        return self._functionals
 
     def functional(self, i: int) -> tuple:
-        if not 0 <= i < len(self.functionals):
+        if not 0 <= i < len(self.raw):
             raise UnknownSimple(f"no simple subcoalgebra with index {i}")
         return self.functionals[i]
 
     @functools.cached_property
     def lifted(self) -> tuple:
         """The functionals as lift_functionals gives them, lifted once."""
-        return lift_functionals(self.coalgebra.field, self.functionals)
+        return lift_functionals(self.coalgebra.field, self.raw)
 
     def __iter__(self):
         return iter(self.functionals)
@@ -852,8 +873,7 @@ class CoradicalAnalysis:
                     want = self.coalgebra._eps_raw(row) if index == i \
                         else ops.zero
                     require(got == want, "restriction property fails")
-            self._idempotents = IdempotentFamily(
-                self.coalgebra, [self.coalgebra._box(f) for f in funcs])
+            self._idempotents = IdempotentFamily(self.coalgebra, funcs)
         return self._idempotents
 
 

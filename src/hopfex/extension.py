@@ -25,12 +25,14 @@ designated corners sum back to z.
 Inside, a vector is a sparse dict {index: raw value} and a tensor of
 H (x) H a dict {(a, b): raw value}, both free of zeros, so nothing is
 padded when the coalgebra grows and an amalgam only remaps indices.
-Values become Scalars at the edges only: graded_positive_part and
-delta_expansion box what their raw routines return, _Grower.adjoin hands
-the raw tables to Coalgebra.of_raw, and extend_coalgebra hands the
-witness grids to MatrixOverH.of_raw, sums their corners on raw values
-and boxes z, g, h.  Simples are found (find_simple_containing), and
-subspaces read and cut by the counit, on raw vectors.  Bicomponents, of
+Elements come in and go out raw: their raw pairs are read as these
+dicts, graded_positive_part and delta_expansion wrap what their raw
+routines return with Element.of_raw, _Grower.adjoin hands the raw tables
+to Coalgebra.of_raw, and extend_coalgebra hands the witness grids to
+MatrixOverH.of_raw, sums their corners on raw values and wraps z, g, h.
+Only DeltaExpansion.middle() boxes, when it is read.  Simples are found
+(find_simple_containing), and subspaces read and cut by the counit, on
+raw vectors.  Bicomponents, of
 z in graded_positive_part, of each leg of a middle tensor in
 _middle_block and of a filtration level in _flag_basis, are read off
 the bicomponent table that each coalgebra, base or grown, builds once;
@@ -44,7 +46,7 @@ from .errors import InvariantViolation, NoSolution, NotInComponent, require
 from .linalg import (Echelon, add_scaled, leg_coords, raw_pair, rref_raw,
                      sparse_raw, sum_scaled, tensor_legs)
 from .matforms import MatrixOverH, is_multiplicative
-from .scalars import box, combination, lift_columns, nonzero_raw
+from .scalars import box, combination, lift_columns
 
 
 def _reduced_delta(coalg: Coalgebra, g: dict, v: dict, h: dict) -> dict:
@@ -57,12 +59,12 @@ def _reduced_delta(coalg: Coalgebra, g: dict, v: dict, h: dict) -> dict:
     return out
 
 
-def _unboxed(z: Element, g: Element, h: Element):
+def _raw_vectors(z: Element, g: Element, h: Element):
     """(parent, g, h, z) with the elements as raw vectors."""
     coalg = z.parent
     if g.parent is not coalg or h.parent is not coalg:
         raise NotInComponent("z, g, h must live in one coalgebra")
-    return (coalg, *(dict(nonzero_raw(coalg.field, e.vec)) for e in (g, h, z)))
+    return (coalg, *(dict(e.raw) for e in (g, h, z)))
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +81,9 @@ def graded_positive_part(z: Element, g: Element, h: Element, n: int):
     Raises NotInComponent when g or h is not group-like in the parent
     of z, or when the three elements live in different coalgebras.
     """
-    coalg, g, h, z = _unboxed(z, g, h)
+    coalg, g, h, z = _raw_vectors(z, g, h)
     ok, w = _positive_part(coalg, g, h, z, n)
-    return ok, Element(coalg, coalg._box(w))
+    return ok, Element.of_raw(coalg, w)
 
 
 def _positive_part(coalg: Coalgebra, g: dict, h: dict, z: dict, n: int):
@@ -253,11 +255,11 @@ def delta_expansion(z: Element, g: Element, h: Element, n: int) -> DeltaExpansio
     must be pointed; raises NotInComponent otherwise.  Degree-one (and
     empty) middles give an expansion with no terms.
     """
-    coalg, graw, hraw, zraw = _unboxed(z, g, h)
+    coalg, graw, hraw, zraw = _raw_vectors(z, g, h)
     w, middle, terms = _expand(coalg, graw, hraw, zraw, n)
 
     def el(v):
-        return Element(coalg, coalg._box(v))
+        return Element.of_raw(coalg, v)
 
     return DeltaExpansion(el(w), g, h, n, [
         (d, serial, el(k), el(x), el(y)) for d, serial, k, x, y in terms],
@@ -653,7 +655,7 @@ def extend_coalgebra(coalg: Coalgebra, g: Element, h: Element, z: Element,
     """
     if n < 1:
         raise NotInComponent("degree must be at least 1")
-    parent, g, h, z = _unboxed(z, g, h)
+    parent, g, h, z = _raw_vectors(z, g, h)
     ok, w = _positive_part(parent, g, h, z, n)
     if not ok:
         raise NotInComponent(
@@ -696,8 +698,8 @@ def extend_coalgebra(coalg: Coalgebra, g: Element, h: Element, z: Element,
         result=result,
         new_basis=result.names[coalg.dim:],
         witnesses=witnesses,
-        z=Element(result, result._box(w)),
-        g=Element(result, result._box(g)),
-        h=Element(result, result._box(h)),
+        z=Element.of_raw(result, w),
+        g=Element.of_raw(result, g),
+        h=Element.of_raw(result, h),
         n=n,
     )

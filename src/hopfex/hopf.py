@@ -44,7 +44,9 @@ each output entry once, and g = id is the column {k: 1}, so no unit
 vectors are built.  The search eliminates rows keyed by (column, entry),
 mu and the residues x^n mod mu (poly.powers_mod) are tuples of raw
 values, and the exponent loop remembers residues by those tuples.
-Values are boxed only where a public method returns them.
+An element is read as its raw pairs (Coalgebra.element coerces a vector
+once) and returned by Element.of_raw; values are boxed only where a
+public method returns a vector of Scalars.
 
 Integrals of the dual are computed twice on purpose: once through
 traces of left multiplications on H*, once through the dual-basis hit
@@ -67,15 +69,14 @@ from .errors import (
     HopfError,
     InputError,
     NotCosemisimple,
-    ShapeMismatch,
     WitnessNotFound,
     require,
 )
 from .linalg import Mat, dense_raw, sparse_raw, sum_scaled
 from .poly import (MinPolySearch, has_repeated_factor, min_poly_of_powers,
                    powers_mod)
-from .scalars import (FieldSpec, box, combination, lift_columns, nonzero_raw,
-                      raw_values)
+from .scalars import (FieldSpec, box_sparse, combination, lift_columns,
+                      nonzero_raw)
 
 
 def pointed_exponent_bound(d: int, p: int, n: int) -> int:
@@ -124,16 +125,16 @@ class ExponentReport:
 
     kind is one of "finite", "exceeds_cap", "provably_infinite",
     "bounded"; n is the exact exponent when known, bound the proven
-    upper bound for the "bounded" kind, witness an element vector whose
-    Hopf powers never return to eps(w)*1 for the "provably_infinite"
-    kind.  steps collects a human-readable decision log.
+    upper bound for the "bounded" kind, witness an Element whose Hopf
+    powers never return to eps(w)*1 for the "provably_infinite" kind.
+    steps collects a human-readable decision log.
     """
 
     kind: str
     n: int | None = None
     cap: int | None = None
     bound: int | None = None
-    witness: tuple | None = None
+    witness: Element | None = None
     criterion: str = ""
     steps: list = dataclass_field(default_factory=list)
 
@@ -230,20 +231,17 @@ class HopfAlgebra(Coalgebra):
 
     # -- products ----------------------------------------------------------
 
-    def mul_vec(self, u: tuple, v: tuple) -> tuple:
-        return self.algebra.mult(u, v)
-
     def power_vec(self, u: tuple, n: int) -> tuple:
         return self.algebra.power(u, n)
 
-    def antipode_vec(self, v: tuple) -> tuple:
+    def antipode_vec(self, v) -> tuple:
+        """S(v) for an Element or a vector, as a vector of Scalars."""
         if self.antipode_raw is None:
             raise HopfError("no antipode on this bialgebra")
-        if len(v) != self.dim:
-            raise ShapeMismatch(f"apply {self.dim}x{self.dim} to length "
-                                f"{len(v)}")
-        return self._box(combination(self.field.ops, raw_values(
-            self.field, v), *self._lifted_antipode))
+        ops, dim = self.field.ops, self.dim
+        v = dense_raw(ops, dim, self.element(v).raw)
+        return box_sparse(self.field, dim, combination(
+            ops, v, *self._lifted_antipode).items())
 
     @functools.cached_property
     def _lifted_antipode(self) -> tuple:
@@ -251,7 +249,8 @@ class HopfAlgebra(Coalgebra):
         return lift_columns(self.field.ops, self.antipode_raw)
 
     def one(self) -> Element:
-        return Element(self, self.unit)
+        return Element.of_raw(self, sparse_raw(self.field.ops,
+                                               self.algebra.unit_raw))
 
     # -- axioms ---------------------------------------------------------------
 
@@ -386,10 +385,11 @@ class HopfAlgebra(Coalgebra):
         """
         if n < 0:
             raise HopfError("Hopf power maps are defined for n >= 0")
+        powers = self._hopf_powers(self.element(h).raw)
+        power = next(itertools.islice(powers, n, None))
         if isinstance(h, Element):
-            return Element(self, self.hopf_power(h.vec, n))
-        power = next(itertools.islice(self._hopf_powers(tuple(h)), n, None))
-        return box(self.field, self.algebra._dense(power))
+            return Element.of_raw(self, power)
+        return box_sparse(self.field, self.dim, power.items())
 
     def hopf_order(self, h, cap: int | None = None) -> int | None:
         """Least n >= 1 with h^[n] = eps(h)*1, or None past the cap.
@@ -397,32 +397,30 @@ class HopfAlgebra(Coalgebra):
         Makes no full convolution: h^[1], h^[2], ... come from the
         subcoalgebra h spans, then from x^n mod mu_S (module docstring).
         """
-        vec = h.vec if isinstance(h, Element) else tuple(h)
+        pairs = self.element(h).raw
         cap = default_cap(self.dim) if cap is None else cap
-        target = self._unit_times(self._eps_raw(self._pairs(vec)))
-        powers = itertools.islice(self._hopf_powers(vec), 1, None)
+        target = self._unit_times(self._eps_raw(pairs))
+        powers = itertools.islice(self._hopf_powers(pairs), 1, None)
         return next((n for n, p in zip(range(1, cap + 1), powers)
                      if p == target), None)
 
-    def _hopf_powers(self, vec: tuple) -> Iterator[dict]:
-        """h^[0], h^[1], h^[2], ... for h = vec, lazily and forever, each
-        as {m: raw value} with no zeros.
+    def _hopf_powers(self, pairs) -> Iterator[dict]:
+        """h^[0], h^[1], h^[2], ... for the h with the nonzero (index, raw
+        value) pairs, lazily and forever, each as {m: raw value} with no
+        zeros.
 
         The powers [n] restricted to the subcoalgebra C_S that h spans
         (module docstring) are iterated until their minimal polynomial
         mu_S is known, each h^[n] being yielded before [n] is tested for
         dependence; from then on h^[n] is read off x^n mod mu_S.
         """
-        if len(vec) != self.dim:
-            raise ShapeMismatch(f"element of length {len(vec)} in dimension "
-                                f"{self.dim}")
         field = self.field
         ops = field.ops
-        support = self.subcoalgebra_support(vec)
+        support = self.subcoalgebra_support(Element.of_raw(self, pairs))
         if not support:  # h = 0, and so is every h^[n]
             yield from itertools.repeat({})
-        raw = raw_values(field, vec)
-        coeffs = [raw[i] for i in support]
+        raw = dict(pairs)
+        coeffs = [raw.get(i, ops.zero) for i in support]
         search = MinPolySearch(field)
         values = []  # h^[0], h^[1], ..., h^[deg mu_S]
         for cols in self._id_powers(support):
@@ -511,31 +509,35 @@ class HopfAlgebra(Coalgebra):
 
     def integral_trace(self) -> IntegralResult:
         """Integral of the dual via traces of left multiplications on H*."""
-        return self._integral_result(self.dual_algebra().left_traces())
+        return self._integral_result(self.dual_algebra()._traces())
 
     def integral_dual_basis(self) -> IntegralResult:
         """The same integral via Lambda = sum e_i* harpoon-> e_i: the sum,
         over the terms c e_j (x) e_k of every Delta(e_i) with k = i, of
         c e_j, in one pass over comul_raw."""
-        add = self.field.ops.add
+        ops = self.field.ops
         acc: dict = {}
         for i, d in enumerate(self.comul_raw):
             for (j, k), c in d.items():
                 if k == i:
-                    acc[j] = add(acc[j], c) if j in acc else c
-        return self._integral_result(self._box(acc))
+                    acc[j] = ops.add(acc[j], c) if j in acc else c
+        # a sum may cancel to zero, and an Element holds no zeros
+        return self._integral_result({j: c for j, c in acc.items()
+                                      if not ops.is_zero(c)})
 
-    def _integral_result(self, vec: tuple) -> IntegralResult:
+    def _integral_result(self, raw: dict) -> IntegralResult:
+        """The result for the integral {m: raw value} with no zeros."""
+        element = Element.of_raw(self, raw)
         asserted = False
         if self.involutory():
-            # e_i vec is column i of R_vec
-            pairs = nonzero_raw(self.field, vec)
+            # e_i Lambda is column i of R_Lambda
+            pairs = element.raw
             for i, lhs in enumerate(self.algebra._basis_products(pairs, False)):
                 require(lhs == self._unit_times(self.counit_raw[i], pairs),
                         "left integral property fails on an involutory Hopf "
                         "algebra")
             asserted = True
-        return IntegralResult(Element(self, vec), asserted)
+        return IntegralResult(element, asserted)
 
     def cosemisimple_integral_decomposition(self) -> CosemisimpleIntegral:
         """Lambda_0 = 1 + sum over non-unit simples of r_D * tr(basic matrix)."""
@@ -557,10 +559,9 @@ class HopfAlgebra(Coalgebra):
                                   for i in range(comp.matrix_size)])
             total.append((self.field.raw(comp.matrix_size), tr))
             terms.append((comp.index, comp.matrix_size,
-                          Element(self, self._box(tr))))
+                          Element.of_raw(self, tr)))
         want = self.integral_dual_basis().element
-        require(sum_scaled(ops, total) == dict(nonzero_raw(self.field,
-                                                           want.vec)),
+        require(sum_scaled(ops, total) == dict(want.raw),
                 "trace decomposition disagrees with the integral")
         return CosemisimpleIntegral(want, unit_comp, terms)
 
@@ -578,8 +579,8 @@ class HopfAlgebra(Coalgebra):
             for u in h0.raw)
 
     def grouplike_order(self, g, bound: int = 100000) -> int:
-        return self._grouplike_order(dict(nonzero_raw(
-            self.field, g.vec if isinstance(g, Element) else g)), bound)
+        """The multiplicative order of a group-like Element or vector."""
+        return self._grouplike_order(dict(self.element(g).raw), bound)
 
     def _grouplike_order(self, g: dict, bound: int = 100000) -> int:
         """The multiplicative order of the group-like {j: raw value} g."""
@@ -604,7 +605,7 @@ class HopfAlgebra(Coalgebra):
             v = self.bicomponent_subspace(comp.index, unit_idx, within=h1)
             plus = v.cut(sparse_raw(self.field.ops, self.counit_raw))
             if plus.dim:
-                return Element(self, plus.rows[0])
+                return Element.of_raw(self, plus.raw[0])
         raise WitnessNotFound(
             "no nonzero (^C H_1 ^1)+ component; input violates the "
             "non-cosemisimple hypothesis")
@@ -635,7 +636,7 @@ class HopfAlgebra(Coalgebra):
                          "a Hopf subalgebra")
             steps.append(f"witness {w!r} lies in a (^C H_1 ^1)+ component")
             return ExponentReport(
-                "provably_infinite", cap=cap, witness=w.vec,
+                "provably_infinite", cap=cap, witness=w,
                 criterion="non-cosemisimple with Hopf-subalgebra coradical "
                           "in characteristic 0: the witness has infinite "
                           "Hopf order, so no convolution power of id is "

@@ -29,8 +29,8 @@ the cut's f . r are sums of products on rows lifted once (FieldOps.lift).
 
 Internal vectors are sparse raw dicts {index: raw value} (add_scaled,
 sum_scaled), and a SubspaceBasis holds its canonical rows as sparse raw
-pairs.  Tuples of Scalars (the vec_* helpers) and Mat objects (row
-major) are the public, boxed forms.
+pairs.  Mat objects (row major) of Scalars are the public, boxed form of
+a matrix; a vector is an Element of a coalgebra (coalgebra.Element).
 Sizes are desk scale (dimension a few dozen), so the classical O(n^3)
 algorithms are used without blocking tricks.
 """
@@ -42,41 +42,8 @@ import math
 import operator
 
 from .errors import FieldMismatch, NoSolution, ShapeMismatch
-from .scalars import (FieldSpec, Scalar, box, lift_columns, nonzero_raw,
-                      raw_values)
-
-
-# ---------------------------------------------------------------------------
-# vector helpers
-# ---------------------------------------------------------------------------
-
-def zero_vec(field: FieldSpec, n: int) -> tuple:
-    return (field.boxed_zero,) * n
-
-
-def unit_vec(field: FieldSpec, n: int, i: int) -> tuple:
-    z, o = field.boxed_zero, field.one()
-    return tuple(o if j == i else z for j in range(n))
-
-
-def vec_add(a: tuple, b: tuple) -> tuple:
-    if len(a) != len(b):
-        raise ShapeMismatch(f"vector lengths {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: tuple, b: tuple) -> tuple:
-    if len(a) != len(b):
-        raise ShapeMismatch(f"vector lengths {len(a)} vs {len(b)}")
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c: Scalar, a: tuple) -> tuple:
-    return tuple(c * x for x in a)
-
-
-def vec_is_zero(a: tuple) -> bool:
-    return all(x.is_zero() for x in a)
+from .scalars import (FieldSpec, Scalar, box, box_sparse, lift_columns,
+                      nonzero_raw, raw_values)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +71,8 @@ class Mat:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Mat":
-        return cls(field, [unit_vec(field, n, i) for i in range(n)], n)
+        return cls(field, [box_sparse(field, n, [(i, field.ops.one)])
+                           for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, field: FieldSpec, cols, nrows: int | None = None) -> "Mat":
@@ -130,16 +98,19 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._like(other)
-        return Mat(self.field,
-                   [vec_add(a, b) for a, b in zip(self.rows, other.rows)], self.ncols)
+        rows = zip(self.rows, other.rows)
+        return Mat(self.field, [tuple(map(operator.add, a, b))
+                                for a, b in rows], self.ncols)
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._like(other)
-        return Mat(self.field,
-                   [vec_sub(a, b) for a, b in zip(self.rows, other.rows)], self.ncols)
+        rows = zip(self.rows, other.rows)
+        return Mat(self.field, [tuple(map(operator.sub, a, b))
+                                for a, b in rows], self.ncols)
 
     def scale(self, c: Scalar) -> "Mat":
-        return Mat(self.field, [vec_scale(c, r) for r in self.rows], self.ncols)
+        return Mat(self.field, [tuple(c * x for x in r) for r in self.rows],
+                   self.ncols)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
@@ -164,7 +135,7 @@ class Mat:
         return hash((self.ncols, tuple(self.rows)))
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(r) for r in self.rows)
+        return all(x.is_zero() for r in self.rows for x in r)
 
     def trace(self) -> Scalar:
         if self.nrows != self.ncols:
@@ -490,8 +461,8 @@ class SubspaceBasis:
     def rows(self) -> list[tuple]:
         """The canonical rows as tuples of Scalars, boxed at the first read."""
         if self._rows is None:
-            ops, n = self.field.ops, self.ambient
-            self._rows = [box(self.field, dense_raw(ops, n, r)) for r in self.raw]
+            self._rows = [box_sparse(self.field, self.ambient, r)
+                          for r in self.raw]
         return self._rows
 
     @property

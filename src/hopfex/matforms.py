@@ -16,13 +16,15 @@ positive characteristic.
 A matrix over H holds its entries once, as sparse raw vectors, and an
 entry of the box tensor is a sparse raw tensor {index tuple: raw value};
 products, laws and solves run on them (sum_scaled, _product, _delta_raw,
-_eps_raw, linalg.Echelon), and entries are boxed only when read.
+_eps_raw, linalg.Echelon).  An entry given as a vector is coerced once
+(Coalgebra.element), an entry read as an Element or the elements of a
+PrimitiveDecomposition are raw (Element.of_raw), and entries are boxed
+only when the entries view is read.
 """
 
 from __future__ import annotations
 
-from .coalgebra import (Coalgebra, Element, SimpleComponent, as_raw,
-                        as_scalar)
+from .coalgebra import Coalgebra, Element, SimpleComponent, as_raw
 from .errors import (DiagonalOrderViolated, FieldMismatch,
                      InvariantViolation, MatrixFormError, NoSolution,
                      NotDegreeOne, NotInBicomponent, NotMultiplicative,
@@ -30,7 +32,7 @@ from .errors import (DiagonalOrderViolated, FieldMismatch,
 from .hopf import pointed_exponent_bound
 from .linalg import (Echelon, Mat, SubspaceBasis, dense_raw, leg_coords,
                      raw_pair, sparse_raw, sum_scaled)
-from .scalars import Scalar, combination, nonzero_raw
+from .scalars import Scalar, box_sparse, combination
 
 
 # ---------------------------------------------------------------------------
@@ -52,20 +54,9 @@ class MatrixOverH:
 
     def __init__(self, parent: Coalgebra, grid):
         """Entries are Elements of parent or coordinate vectors of int,
-        Fraction or Scalar, coerced once."""
-        field = parent.field
-
-        def coerced(x) -> tuple:
-            if isinstance(x, Element):
-                if x.parent is not parent:
-                    raise FieldMismatch("matrix entry from a different coalgebra")
-                return tuple(nonzero_raw(field, x.vec))
-            v = [as_raw(field, c) for c in x]
-            if len(v) != parent.dim:
-                raise ShapeMismatch("entry vector length differs from dim")
-            return sparse_raw(field.ops, v)
-
-        self._hold(parent, ([coerced(x) for x in row] for row in grid))
+        Fraction or Scalar, each coerced once by parent.element."""
+        self._hold(parent, ([parent.element(x).raw for x in row]
+                            for row in grid))
 
     @classmethod
     def of_raw(cls, parent: Coalgebra, grid) -> "MatrixOverH":
@@ -101,7 +92,8 @@ class MatrixOverH:
         """The entries as coordinate tuples of Scalars, boxed at the first
         read."""
         if self._entries is None:
-            self._entries = tuple(tuple(self.parent._box(dict(x)) for x in row)
+            field, dim = self.parent.field, self.parent.dim
+            self._entries = tuple(tuple(box_sparse(field, dim, x) for x in row)
                                   for row in self.raw)
         return self._entries
 
@@ -109,7 +101,7 @@ class MatrixOverH:
         return self.entries[i][j]
 
     def element(self, i: int, j: int) -> Element:
-        return Element(self.parent, self.entries[i][j])
+        return Element.of_raw(self.parent, self.raw[i][j])
 
     def __add__(self, other: "MatrixOverH") -> "MatrixOverH":
         return self._plus(other, self.parent.field.ops.one)
@@ -197,8 +189,8 @@ class MatrixOverH:
                 f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
 
     def __repr__(self):
-        fmt = self.parent.format_element
-        body = "; ".join(", ".join(fmt(x) for x in row) for row in self.entries)
+        fmt = self.parent._format_raw
+        body = "; ".join(", ".join(fmt(x) for x in row) for row in self.raw)
         return f"MatrixOverH({self.nrows}x{self.ncols}: [{body}])"
 
 
@@ -455,13 +447,10 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
         raise FieldMismatch("basic matrices from different coalgebras")
     field = h.field
     ops = field.ops
-    wvec = w.vec if isinstance(w, Element) else tuple(as_scalar(field, c) for c in w)
+    wraw = dict(h.element(w).raw)
     analysis = h.analysis()
     filt = analysis.filtration
     h1 = filt[1] if len(filt) > 1 else filt[0]
-    if len(wvec) != h.dim:
-        raise ShapeMismatch("vector length differs from ambient dimension")
-    wraw = dict(nonzero_raw(field, wvec))
     if not h1.contains_raw(wraw):
         raise NotDegreeOne("element lies outside filtration degree one")
     ci, di = cbasic.simple.index, dbasic.simple.index
@@ -557,8 +546,8 @@ def primitive_decompose(w, cbasic: BasicMultMatrix,
     back = sum_scaled(ops, [(one, remainder)] + [
         (one, matrices[i][j].raw[i][j]) for i in range(r) for j in range(s)])
     require(back == wraw, "primitive matrices do not sum back to w")
-    return PrimitiveDecomposition(Element(h, wvec), cbasic, dbasic,
-                                  matrices, Element(h, h._box(remainder)))
+    return PrimitiveDecomposition(Element.of_raw(h, wraw), cbasic, dbasic,
+                                  matrices, Element.of_raw(h, remainder))
 
 
 # ---------------------------------------------------------------------------

@@ -144,11 +144,12 @@ _KERNEL_CACHE_SIZE = 64  # extension fields whose compiled kernels are kept
 # result that happens to be integral is turned back into an int.
 
 def _rational(x):
-    """The canonical raw value over Q of an int, a Fraction, or anything
-    Fraction accepts."""
-    if type(x) is int:
-        return x
-    x = Fraction(x)
+    """The canonical raw value over Q of an int or a Fraction; TypeError
+    for anything else, as text is read by parse_rational alone."""
+    if isinstance(x, int):
+        return int(x)
+    if not isinstance(x, Fraction):
+        raise TypeError(f"expected an int or a Fraction, got {x!r}")
     return x.numerator if x.denominator == 1 else x
 
 
@@ -498,6 +499,16 @@ def box(field: "FieldSpec", vals) -> tuple:
     return tuple([zero if is_zero(v) else Scalar(field, v) for v in vals])
 
 
+def box_sparse(field: "FieldSpec", n: int, pairs) -> tuple:
+    """The vector of Scalars of length n with the nonzero (index, raw
+    value) pairs set and the field's one zero Scalar elsewhere: the view
+    of every sparse raw vector."""
+    out = [field.boxed_zero] * n
+    for i, x in pairs:
+        out[i] = Scalar(field, x)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # field specification
 # ---------------------------------------------------------------------------
@@ -790,8 +801,9 @@ def _is_prime(n: int) -> bool:
 
 
 def _coerce_prime_coeff(c, p: int):
-    if isinstance(c, Scalar):
-        raise FieldError("modulus coefficients must be plain numbers")
+    if not isinstance(c, (int, Fraction)):
+        raise FieldError(f"modulus coefficients must be ints or Fractions, "
+                         f"got {c!r}")
     if p:
         if isinstance(c, Fraction):
             if c.denominator % p == 0:
@@ -821,7 +833,7 @@ def parse_rational(text: str):
         if max(len((whole + frac).lstrip("0") or "0") + exp,
                len(frac) - exp + 1) > limit:
             raise ValueError(f"numerator or denominator exceeds {limit} digits")
-    return _rational(text)
+    return _rational(Fraction(text))
 
 
 def _multiplicative_order(s: "Scalar", bound: int) -> int:

@@ -25,7 +25,13 @@ one linalg.Echelon of the matrix's columns) that the tests use as
 references.  as_raw and as_boxed convert a vector between its Scalar
 tuple and its sparse raw dict {m: raw value} at the call of a routine
 that takes or returns the other form, and right_mult_mat is R_u as a Mat,
-which only the tests read.  loop_extension_ops is the arithmetic of an
+which only the tests read.  zero_vec, unit_vec, vec_add, vec_sub,
+vec_scale and vec_is_zero are the Scalar-vector helpers that Element
+replaced in hopfex, kept as the boxed reference of its arithmetic;
+delta_vec and mul_vec are Delta and the product of vectors of Scalars
+through Element, reference_mult the product as a loop over the dense
+table, and reference_format the text of a vector of Scalars as
+Coalgebra.format_element wrote it from the Scalars.  loop_extension_ops is the arithmetic of an
 extension field as the coefficient loops it ran on before its kernels
 were generated as straight-line code: the reference they are checked
 against.  dense_rref_raw is the dense column-by-column elimination that
@@ -42,14 +48,12 @@ import math
 import random
 from fractions import Fraction
 
-from hopfex import GF, QQ, Coalgebra, FieldSpec
+from hopfex import GF, QQ, Coalgebra, Element, FieldSpec
 from hopfex.algebra import FiniteAlgebra
 from hopfex.hopf import HopfAlgebra
 from hopfex.coalgebra import lift_functionals
 from hopfex.errors import HopfError, NonSplitField, ShapeMismatch
-from hopfex.linalg import (Echelon, Mat, SubspaceBasis, dense_raw, sparse_raw,
-                           unit_vec, vec_add, vec_is_zero, vec_scale,
-                           zero_vec)
+from hopfex.linalg import Echelon, Mat, SubspaceBasis, dense_raw, sparse_raw
 from hopfex.scalars import box, nonzero_raw, raw_values
 from hopfex.zoo import dual_group_algebra, sweedler, symmetric, taft
 
@@ -120,6 +124,87 @@ def as_boxed(obj, vec) -> tuple:
     """The vector of obj.dim Scalars of a sparse raw vector {m: raw value}
     or its (m, raw value) pairs."""
     return box(obj.field, dense_raw(obj.field.ops, obj.dim, dict(vec).items()))
+
+
+def zero_vec(field, n: int) -> tuple:
+    return (field.boxed_zero,) * n
+
+
+def unit_vec(field, n: int, i: int) -> tuple:
+    z, o = field.boxed_zero, field.one()
+    return tuple(o if j == i else z for j in range(n))
+
+
+def vec_add(a: tuple, b: tuple) -> tuple:
+    if len(a) != len(b):
+        raise ShapeMismatch(f"vector lengths {len(a)} vs {len(b)}")
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vec_sub(a: tuple, b: tuple) -> tuple:
+    if len(a) != len(b):
+        raise ShapeMismatch(f"vector lengths {len(a)} vs {len(b)}")
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def vec_scale(c, a: tuple) -> tuple:
+    return tuple(c * x for x in a)
+
+
+def vec_is_zero(a: tuple) -> bool:
+    return all(x.is_zero() for x in a)
+
+
+def delta_vec(h, vec) -> dict:
+    """Delta(vec) as {(j, k): Scalar}: Element.delta of the vector."""
+    return Element(h, vec).delta()
+
+
+def mul_vec(h, u, v) -> tuple:
+    """u v as a vector of Scalars: Element.__mul__ of the vectors."""
+    return (Element(h, u) * Element(h, v)).vec
+
+
+def reference_mult(alg, u, v):
+    """FiniteAlgebra.mult as a Scalar loop over every entry of the dense
+    table."""
+    table = dense_table(alg)
+    out = list(zero_vec(alg.field, alg.dim))
+    for i, ui in enumerate(u):
+        if ui.is_zero():
+            continue
+        for j, vj in enumerate(v):
+            if vj.is_zero():
+                continue
+            c = ui * vj
+            for m, t in enumerate(table[i][j]):
+                if not t.is_zero():
+                    out[m] = out[m] + c * t
+    return tuple(out)
+
+
+def reference_format(h, vec) -> str:
+    """The text of a vector of Scalars, as Coalgebra.format_element wrote
+    it from the Scalars before it formatted raw values."""
+    terms = []
+    for i, c in enumerate(vec):
+        if c.is_zero():
+            continue
+        s = str(c)
+        if s == "1":
+            terms.append(h.names[i])
+        elif s == "-1":
+            terms.append("-" + h.names[i])
+        elif all(ch.isdigit() for ch in s.lstrip("-")):
+            terms.append(f"{s}*{h.names[i]}")
+        else:
+            terms.append(f"({s})*{h.names[i]}")
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += (" - " + t[1:]) if t.startswith("-") else (" + " + t)
+    return out
 
 
 def right_mult_mat(alg, u: tuple) -> Mat:
@@ -253,20 +338,20 @@ def hopf_power_map(h, n: int) -> Mat:
 
 def hit_left(c, f: tuple, h: tuple) -> tuple:
     """f harpoon-> h = sum h_(1) f(h_(2)): f eats the right tensor leg."""
-    return c._box(c._hit(nonzero_raw(c.field, h),
-                         lift_functionals(c.field, [f]), 1)[0])
+    family = lift_functionals(c.field, [nonzero_raw(c.field, f)])
+    return as_boxed(c, c._hit(nonzero_raw(c.field, h), family, 1)[0])
 
 
 def hit_right(c, h: tuple, f: tuple) -> tuple:
     """h <-harpoon f = sum f(h_(1)) h_(2): f eats the left tensor leg."""
-    return c._box(c._hit(nonzero_raw(c.field, h),
-                         lift_functionals(c.field, [f]), 0)[0])
+    family = lift_functionals(c.field, [nonzero_raw(c.field, f)])
+    return as_boxed(c, c._hit(nonzero_raw(c.field, h), family, 0)[0])
 
 
 def component(c, h: tuple, left: int | None = None,
               right: int | None = None) -> tuple:
     """Bicomponent ^C h ^D of c: left applies h <- e_C, right e_D -> h."""
-    return c._box(c._component_raw(nonzero_raw(c.field, h), left, right))
+    return as_boxed(c, c._component_raw(nonzero_raw(c.field, h), left, right))
 
 
 def bicomponent_decomposition_vec(c, h: tuple) -> dict:

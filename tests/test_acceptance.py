@@ -12,7 +12,6 @@ import time
 from hopfex import GF, FieldSpec
 from hopfex.cli import run_command
 from hopfex.extension import extend_coalgebra
-from hopfex.linalg import vec_add, vec_is_zero, vec_scale, zero_vec
 from hopfex.matforms import (MatrixOverH, antipode_inverse_check,
                              basic_multiplicative_matrix, is_multiplicative,
                              is_primitive_matrix, matrix_hopf_power, mtensor,
@@ -22,7 +21,8 @@ from hopfex.zoo import restricted_poly, taft
 
 from golden_defs import golden_objects
 from lifting_cases import (counit_unit_map, hopf_power_map, identity_map,
-                           t2_from_pair, vec_dot)
+                           mul_vec, t2_from_pair, vec_add, vec_dot,
+                           vec_is_zero, vec_scale, zero_vec)
 
 RESULTS = []
 
@@ -261,7 +261,7 @@ def test_criterion_09():
             lam = tr.element.vec
             for i in range(h.dim):
                 e = h.basis_element(i)
-                assert h.mul_vec(e.vec, lam) == vec_scale(e.eps(), lam), \
+                assert mul_vec(h, e.vec, lam) == vec_scale(e.eps(), lam), \
                     (stem, i)
         if h.is_cosemisimple():
             dec = h.cosemisimple_integral_decomposition()
@@ -329,7 +329,7 @@ def test_criterion_11():
     def vec(name):
         return h.basis_element(h.index_of(name)).vec
 
-    q = h.mul_vec(vec("x"), vec("g"))[h.index_of("gx")]
+    q = mul_vec(h, vec("x"), vec("g"))[h.index_of("gx")]
     zero = zero_vec(h.field, h.dim)
     z = MatrixOverH(h, [
         [vec("g^2"), vec_scale(h.field.one() + q, vec("gx")), vec("x^2")],

@@ -28,21 +28,22 @@ from hopfex import GF, QQ, FieldSpec
 from hopfex.algebra import FiniteAlgebra, _divisors, field_roots
 from hopfex.errors import (AxiomViolation, LinAlgError, NonSplitField,
                            SplittingSearchExhausted)
-from hopfex.linalg import (Mat, SubspaceBasis, kernel, rref_rows, unit_vec,
-                           vec_add, vec_scale, vec_sub, zero_vec)
+from hopfex.linalg import Mat, SubspaceBasis, kernel, rref_rows
 from hopfex.poly import char_poly
 from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
                         restricted_poly, sweedler, symmetric, taft,
                         tensor_product)
 from hopfex.scalars import Scalar, raw_values
 from golden_defs import golden_objects
-from lifting_cases import (F9, F13, HALF_ROOT, LIFT_FIELDS, QZ5, as_boxed,
-                           as_raw, basis_scales, dense_table, fraction_scalar,
-                           fraction_vector, has_denominators, hopf_case,
-                           is_canonical, rebased_coalgebra, rescaled_algebra,
+from lifting_cases import (F13, F9, HALF_ROOT, LIFT_FIELDS, QZ5, as_boxed,
+                           as_raw, basis_scales, delta_vec, dense_table,
+                           fraction_scalar, fraction_vector, has_denominators,
+                           hopf_case, is_canonical, rebased_coalgebra,
+                           reference_mult, rescaled_algebra,
                            rescaled_coalgebra, right_mult_mat,
                            scalar_constants, solve, tensor_mult,
-                           unit_pool_split)
+                           unit_pool_split, unit_vec, vec_add, vec_scale,
+                           vec_sub, zero_vec)
 
 
 def reference_char_poly(m):
@@ -718,24 +719,6 @@ def test_constructor_keeps_no_dense_table():
     assert alg.mult(e7, alg.unit) == e7
 
 
-def reference_mult(alg, u, v):
-    """FiniteAlgebra.mult as a Scalar loop over every entry of the dense
-    table."""
-    table = dense_table(alg)
-    out = list(zero_vec(alg.field, alg.dim))
-    for i, ui in enumerate(u):
-        if ui.is_zero():
-            continue
-        for j, vj in enumerate(v):
-            if vj.is_zero():
-                continue
-            c = ui * vj
-            for m, t in enumerate(table[i][j]):
-                if not t.is_zero():
-                    out[m] = out[m] + c * t
-    return tuple(out)
-
-
 def test_mult_matches_the_dense_reference(zoo):
     rng = random.Random(3)
     for stem, h in zoo.items():
@@ -1092,7 +1075,7 @@ def test_lifted_kernels_make_no_field_products(field, monkeypatch):
     alg._basis_products(raw_sparse(v), False)
     alg._trace_form()
     alg.left_traces()
-    tensor_mult(alg, coalg.delta_vec(u), coalg.delta_vec(v))
+    tensor_mult(alg, delta_vec(coalg, u), delta_vec(coalg, v))
     assert space.contains_raw(as_raw(alg, member))
     assert not space.contains_raw(as_raw(alg, other))
     assert calls == []

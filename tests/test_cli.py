@@ -10,8 +10,8 @@ import pytest
 
 from hopfex import QQ
 from hopfex.cli import _load, build_parser, render_text, run_command
-from hopfex.coalgebra import IdempotentFamily
-from hopfex.scalars import Scalar
+from hopfex.coalgebra import CoradicalAnalysis, IdempotentFamily
+from hopfex.scalars import FieldSpec, Scalar
 from hopfex.structfile import HEADER
 from lifting_cases import is_canonical
 
@@ -333,8 +333,13 @@ def test_idempotents_facts_match_the_scalar_reference(golden_dir,
         assert want == (True, True) and code == 0, path.name
     # a family that repeats its first functional is neither orthogonal
     # nor a partition of the counit
-    monkeypatch.setattr(IdempotentFamily, "functional",
-                        lambda self, i: self.functionals[0])
+    real = CoradicalAnalysis.idempotents
+
+    def repeated(self):
+        fam = real(self)
+        return IdempotentFamily(fam.coalgebra, [fam.raw[0]] * len(fam))
+
+    monkeypatch.setattr(CoradicalAnalysis, "idempotents", repeated)
     path = golden_dir / "kZ6.hopf"
     code, jtext = run(["idempotents", path, "--json"])
     facts = json.loads(jtext)
@@ -528,19 +533,28 @@ Q_STEMS = ["kZ2", "kZ6", "kS3", "dual_kS3", "sweedler", "tensor_kZ2_kZ3"]
 
 
 def test_reports_over_q_make_only_canonical_rationals(golden_dir, monkeypatch):
-    # over Q a Scalar holds an int or a Fraction with denominator > 1:
-    # never a float and never a Fraction with denominator 1
+    # over Q a Scalar, and a raw value that a report formats, is an int or
+    # a Fraction with denominator > 1: never a float and never a Fraction
+    # with denominator 1
     made, bad = [], []
-    real_init = Scalar.__init__
+    real_init, real_format = Scalar.__init__, FieldSpec.format_raw
 
-    def checked_init(self, field, val):
+    def check(field, val):
         if field == QQ:
             made.append(type(val))
             if not is_canonical(QQ, val):
                 bad.append(val)
+
+    def checked_init(self, field, val):
+        check(field, val)
         real_init(self, field, val)
 
+    def checked_format(self, val):
+        check(self, val)
+        return real_format(self, val)
+
     monkeypatch.setattr(Scalar, "__init__", checked_init)
+    monkeypatch.setattr(FieldSpec, "format_raw", checked_format)
     for stem in Q_STEMS:
         for cmd in REPORT_COMMANDS:
             if "--element" in cmd and stem != "sweedler":

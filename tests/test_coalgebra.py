@@ -12,14 +12,15 @@ from fractions import Fraction
 import pytest
 
 import hopfex.coalgebra
-from hopfex import GF, QQ, Coalgebra, FieldSpec
+from hopfex import GF, QQ, Coalgebra, Element, FieldSpec
 from hopfex.algebra import FiniteAlgebra
 from hopfex.coalgebra import coalgebra_amalgam
+from hopfex.extension import extend_coalgebra
 from hopfex.errors import (AxiomViolation, FieldMismatch, IncompatibleBase,
                            InvariantViolation, NonSplitField, ShapeMismatch,
                            UnknownSimple)
-from hopfex.linalg import (SubspaceBasis, dense_raw, tensor_legs, unit_vec,
-                           vec_add, vec_is_zero, zero_vec)
+from hopfex.linalg import SubspaceBasis, dense_raw, tensor_legs
+from hopfex.matforms import MatrixOverH
 from hopfex.scalars import Scalar, nonzero_raw
 from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
                         restricted_poly, sweedler, symmetric, taft,
@@ -27,12 +28,15 @@ from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
 
 from golden_defs import golden_objects
 from lifting_cases import (LIFT_FIELDS, as_boxed, as_raw, basis_scales,
-                           bicomponent_decomposition_vec, component,
-                           fraction_vector, has_denominators, hit_left,
-                           hit_right, hopf_case, is_canonical,
+                           bicomponent_decomposition_vec, component, delta_vec,
+                           fraction_scalar, fraction_vector, has_denominators,
+                           hit_left, hit_right, hopf_case, is_canonical,
                            rebased_coalgebra, reference_coalgebra_check,
+                           reference_format, reference_mult,
                            rescaled_coalgebra, t2_add_term, t2_flatten,
-                           t2_from_pair, tensor_square_subspace)
+                           t2_from_pair, tensor_square_subspace, unit_vec,
+                           vec_add, vec_dot, vec_is_zero, vec_scale, vec_sub,
+                           zero_vec)
 
 
 def test_axiom_check_passes_on_zoo(zoo):
@@ -353,7 +357,7 @@ def tensor_square_oracle(h, space):
     """Delta(space) inside space (x) space, asked in the dim^2 ambient."""
     target = tensor_square_subspace(space, space)
     return all(target.contains_raw(as_raw(target, t2_flatten(
-        h.field, h.delta_vec(r), h.dim))) for r in space.rows)
+        h.field, delta_vec(h, r), h.dim))) for r in space.rows)
 
 
 def test_is_subcoalgebra_matches_the_tensor_square_oracle(zoo):
@@ -491,7 +495,7 @@ def test_is_grouplike_matches_the_simples(zoo):
     for stem, h in zoo.items():
         for comp in h.simple_subcoalgebras():
             if comp.is_grouplike:
-                g = comp.grouplike
+                g = as_boxed(h, comp.grouplike_raw)
                 assert h.is_grouplike(g), stem
                 two_g = tuple(c + c for c in g)
                 assert not h.is_grouplike(two_g), stem
@@ -507,7 +511,7 @@ def test_is_grouplike_matches_the_simples(zoo):
 def reference_is_grouplike(h, vec):
     """is_grouplike as it stood before it ran on raw values."""
     return h.counit_vec(vec) == h.field.one() and \
-        h.delta_vec(vec) == t2_from_pair(vec, vec)
+        delta_vec(h, vec) == t2_from_pair(vec, vec)
 
 
 def test_is_grouplike_matches_the_t2_from_pair_reference(zoo):
@@ -549,7 +553,7 @@ def test_delta_vec_matches_the_scalar_reference(field):
     vecs = [fraction_vector(field, rng, h.dim) for _ in range(4)]
     units = [unit_vec(field, h.dim, i) for i in range(h.dim)]
     for v in vecs + units:
-        got = coalg.delta_vec(v)
+        got = delta_vec(coalg, v)
         assert got == reference_delta_vec(coalg, v)
         assert all(is_canonical(field, c.val) and not c.is_zero()
                    for c in got.values())
@@ -606,18 +610,19 @@ def test_component_lifts_each_idempotent_functional_once(monkeypatch):
     h = rescaled_coalgebra(hopf_case(QQ), basis_scales(QQ, 6, 7))
     fam = h.coradical_idempotents()
     lifted = []
-    original = hopfex.coalgebra.lift_functional
+    original = hopfex.coalgebra.lift_functionals
 
-    def counted(field, f):
-        lifted.append(f)
-        return original(field, f)
+    def counted(field, functionals):
+        functionals = list(functionals)
+        lifted.extend(functionals)
+        return original(field, functionals)
 
-    monkeypatch.setattr(hopfex.coalgebra, "lift_functional", counted)
+    monkeypatch.setattr(hopfex.coalgebra, "lift_functionals", counted)
     pairs = list(itertools.product(range(len(fam)), repeat=2))
     for _ in range(3):
         for i, (c, d) in itertools.product(range(h.dim), pairs):
             component(h, unit_vec(QQ, h.dim, i), left=c, right=d)
-    assert len(lifted) == len(fam) and set(lifted) == set(fam.functionals)
+    assert len(lifted) == len(fam) and set(lifted) == set(fam.raw)
 
 
 def extend_results():
@@ -643,7 +648,8 @@ def test_bicomponent_table_equals_the_two_hit_passes(zoo):
     for coalg in pointed + extend_results():
         field, ops = coalg.field, coalg.field.ops
         fam = coalg.coradical_idempotents()
-        hits = [hopfex.coalgebra.lift_functionals(field, [f]) for f in fam]
+        hits = [hopfex.coalgebra.lift_functionals(field, [f])
+                for f in fam.raw]
         rng = random.Random(coalg.dim)
         vecs = [[(i, ops.one)] for i in range(coalg.dim)] + [
             nonzero_raw(field, fraction_vector(field, rng, coalg.dim))]
@@ -694,3 +700,142 @@ def test_simples_keep_the_order_of_the_fully_formatted_key(zoo):
         simples = h.simple_subcoalgebras()
         assert sorted(simples, key=formatted_dense_key) == simples, h.name
         assert len({formatted_dense_key(c) for c in simples}) == len(simples)
+
+
+# -- elements on raw values ---------------------------------------------------
+
+def test_vectors_are_coerced_once_at_the_edge():
+    h = sweedler(QQ)
+    one, g = h.basis_element(0), h.basis_element(1)
+    # an index outside the basis is an error, not the zero element
+    for i in (99, 4, -1):
+        with pytest.raises(AxiomViolation, match="basis element index"):
+            h.basis_element(i)
+    # a vector of the wrong length fails at construction
+    for vec in ((1, 0), (1, 0, 0, 0, 0), ()):
+        with pytest.raises(ShapeMismatch) as err:
+            Element(h, vec)
+        assert str(err.value) == f"vector lengths 4 vs {len(vec)}"
+    # a float or a str is a TypeError, a Scalar of another field a
+    # FieldMismatch, wherever a vector is taken
+    bad = [((1.0, 0, 0, 0), TypeError), (("1", 0, 0, 0), TypeError),
+           ((GF(5).one(), 0, 0, 0), FieldMismatch)]
+    takers = [lambda v: Element(h, v), h.element, h.counit_vec,
+              h.is_grouplike, h.subcoalgebra_support, h.antipode_vec,
+              lambda v: h.hopf_order(v, 4), lambda v: h.hopf_power(v, 2),
+              h.grouplike_order, lambda v: MatrixOverH(h, [[v]])]
+    for vec, error in bad:
+        for take in takers:
+            with pytest.raises(error):
+                take(vec)
+    # ints and Fractions are accepted everywhere a vector is
+    for vec in ((1, 0, 0, 0), (Fraction(2, 2), 0, 0, 0)):
+        assert Element(h, vec) == h.element(vec) == one
+        assert Element(h, vec).eps() == QQ.one() == h.counit_vec(vec)
+        assert h.is_grouplike(vec) and h.hopf_order(vec) == 1
+        assert h.grouplike_order(vec) == 1
+        assert h.hopf_power(vec, 3) == one.vec
+        assert h.antipode_vec(vec) == one.vec
+        assert h.subcoalgebra_support(vec) == [0]
+        assert MatrixOverH(h, [[vec]]).element(0, 0) == one
+    assert h.grouplike_order((0, 1, 0, 0)) == 2 == h.grouplike_order(g)
+    half = (Fraction(1, 2), 0, Fraction(-3, 4), 0)
+    assert Element(h, half).raw == ((0, Fraction(1, 2)), (2, Fraction(-3, 4)))
+    assert h.element({"1": Fraction(1, 2), "x": Fraction(-3, 4),
+                      "g": 0}) == Element(h, half)
+    # an Element of another coalgebra is not read as this one's
+    with pytest.raises(FieldMismatch):
+        h.hopf_order(sweedler(QQ).basis_element(0))
+
+
+@pytest.mark.parametrize("stem", [stem for stem, _ in golden_objects()])
+def test_elements_match_the_boxed_reference(zoo, stem):
+    # Element runs on raw pairs; the vec_* helpers, the dense product and
+    # the Scalar loops of delta, eps and format are the reference
+    h = zoo[stem]
+    field = h.field
+    rng = random.Random(f"elements {stem}")
+    vecs = [fraction_vector(field, rng, h.dim) for _ in range(3)] + [
+        zero_vec(field, h.dim), h.unit, unit_vec(field, h.dim,
+                                                 rng.randrange(h.dim))]
+    scalars = [3, -1, 0, Fraction(4, 11), fraction_scalar(field, rng)]
+    if field.modulus:
+        scalars.append(field.gen())
+    for u in vecs:
+        a = Element(h, u)
+        assert a.vec == u and a.raw == tuple(nonzero_raw(field, u))
+        assert a == Element.of_raw(h, dict(a.raw)) == h.element(a)
+        assert hash(a) == hash(Element.of_raw(h, a.raw))
+        assert a.is_zero() == vec_is_zero(u)
+        assert (-a).vec == vec_scale(-field.one(), u)
+        assert a.eps() == vec_dot(u, h.counit)
+        assert a.delta() == reference_delta_vec(h, u)
+        assert repr(a) == reference_format(h, u) == h.format_element(u)
+        for c in scalars:
+            s = c if isinstance(c, Scalar) else field.from_fraction(
+                Fraction(c))
+            assert (a * c).vec == vec_scale(s, u) == (c * a).vec
+        power = h.unit
+        for n in range(4):
+            assert (a ** n).vec == power, (stem, n)
+            power = reference_mult(h.algebra, power, u)
+        for v in vecs:
+            b = Element(h, v)
+            assert (a + b).vec == vec_add(u, v)
+            assert (a - b).vec == vec_sub(u, v)
+            assert (a * b).vec == reference_mult(h.algebra, u, v)
+            assert (a == b) == (u == v)
+            assert (hash(a) == hash(b)) or u != v
+            for e in (a + b, a - b, a * b):
+                assert [i for i, _ in e.raw] == sorted({i for i, _ in e.raw})
+                assert not any(field.ops.is_zero(x) for _, x in e.raw)
+
+
+def counted_scalars(monkeypatch) -> list:
+    """The values of the Scalars made from now on, in order."""
+    made, init = [], Scalar.__init__
+
+    def counted(self, field, val):
+        made.append(val)
+        init(self, field, val)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    return made
+
+
+def test_raw_elements_and_idempotents_make_no_scalar(monkeypatch):
+    # the coradical idempotents, the extension's z, g and h, the Hopf
+    # orders and the integrals are held raw, and boxed only when read
+    f3, q3, q4 = GF(3), FieldSpec(0, cyclotomic_order=3), \
+        FieldSpec(0, cyclotomic_order=4)
+    coradical = [
+        taft(5, FieldSpec(0, cyclotomic_order=5)),
+        group_algebra(cyclic(12), QQ), group_algebra(cyclic(12), GF(13)),
+        tensor_product(sweedler(f3), group_algebra(cyclic(3), f3)),
+        taft(3, GF(2, modulus=[1, 1, 1])),
+        tensor_product(group_algebra(cyclic(2), QQ),
+                       dual_group_algebra(symmetric(3), QQ))]
+    # the benchmark runs the last one on a dense, re-based basis
+    coradical.append(rebased_coalgebra(coradical[-1], 7))
+    extensions = []
+    for h, n in ((taft(3, q3), 2), (taft(4, q4), 3)):
+        g = h.element(h.power_vec(h.basis_element(1).vec, n))
+        extensions.append((h, g, h.one(),
+                           h.basis_element(h.index_of(f"x^{n}")), n))
+    taft16, kz12 = taft(4, q4), group_algebra(cyclic(12), QQ)
+    orders = [(taft16, taft16.basis_element(1) + taft16.basis_element(2)),
+              (taft16, taft16.basis_element(taft16.index_of("x"))),
+              (kz12, kz12.basis_element(5).vec)]
+    made = counted_scalars(monkeypatch)
+    for h in coradical:
+        h.coradical_idempotents()
+    assert made == []
+    for h, g, one, z, n in extensions:
+        ext = extend_coalgebra(h, g, one, z, n)
+        assert ext.designated_sum() == ext.z
+    assert made == []
+    for h, el in orders:
+        h.hopf_order(el, 64)
+    for h in (taft16, kz12):
+        assert h.integral_trace().element == h.integral_dual_basis().element
+    assert made == []

@@ -11,15 +11,15 @@ from hopfex import GF, QQ, Element, FieldSpec, linalg, poly
 from hopfex.errors import (DivisionByZero, FieldMismatch, NoSolution,
                            ShapeMismatch)
 from hopfex.linalg import (Echelon, Mat, SubspaceBasis, dense_raw, kernel,
-                           rref_raw, rref_rows, rref_sparse, unit_vec,
-                           vec_add, vec_is_zero, vec_scale, vec_sub, zero_vec)
+                           rref_raw, rref_rows, rref_sparse)
 from hopfex.extension import extend_coalgebra
 from hopfex.scalars import Scalar, box, cyclotomic_polynomial, nonzero_raw
 from hopfex.zoo import taft
-from lifting_cases import (F9, HALF_ROOT, LIFT_FIELDS, QZ5, dense_rref_raw,
-                           fraction_scalar, fraction_vector, has_denominators,
-                           is_canonical, solve, solve_columns, t2_add_term,
-                           t2_flatten)
+from lifting_cases import (F9, HALF_ROOT, LIFT_FIELDS, QZ5, as_boxed,
+                           dense_rref_raw, fraction_scalar, fraction_vector,
+                           has_denominators, is_canonical, solve,
+                           solve_columns, t2_add_term, t2_flatten, unit_vec,
+                           vec_add, vec_is_zero, vec_scale, vec_sub, zero_vec)
 
 F5 = GF(5)
 
@@ -860,7 +860,7 @@ def dense_skew_system(coalg, sigma, tau, mid):
     system (m, b) of the H (x) H ambient, as the solver once built it,
     from the raw vectors sigma, tau and the raw tensor mid."""
     field, dim = coalg.field, coalg.dim
-    sigma, tau = coalg._box(sigma), coalg._box(tau)
+    sigma, tau = as_boxed(coalg, sigma), as_boxed(coalg, tau)
     mid = dict(zip(mid, box(field, mid.values())))
     cols = []
     for e in range(dim):
@@ -896,7 +896,7 @@ def test_solve_without_zero_rows_matches_the_full_reference(z, g, h):
             want = value_or_none(lambda r: reference_solve(m, r), rhs)
             assert value_or_none(lambda r: solve(m, r), rhs) == want
             got = hopfex.extension._solve_skew(coalg, sigma, tau, tensor)
-            assert (None if got is None else coalg._box(got)) == want
+            assert (None if got is None else as_boxed(coalg, got)) == want
             assert (want is None) == (rhs is not b)
 
 

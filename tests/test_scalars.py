@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from hopfex import GF, QQ, FieldSpec
-from hopfex.errors import (DivisionByZero, FieldMismatch,
+from hopfex.errors import (DivisionByZero, FieldError, FieldMismatch,
                            IncompatibleExtension, NoSuchRoot,
                            ReducibleModulus, ScalarParseError)
 from hopfex import poly
@@ -696,3 +698,65 @@ def test_raw_values_checks_the_field_of_a_one_shot_iterator():
         raw_values(f7, mixed)
     with pytest.raises(FieldMismatch):
         raw_values(QQ, iter([QQ.one(), f7.one()]))
+
+
+def test_raw_values_are_read_from_ints_and_fractions_only():
+    # a str or a float reaches no Fraction: text is read by parse_rational
+    # alone, and a float is not an exact value
+    for field in (QQ, GF(5), F4, Q_I):
+        for bad in ("1e9999999", "1/2", 0.1, 0.5, 1.0, None):
+            with pytest.raises(TypeError):
+                field.raw(bad)
+            with pytest.raises(TypeError):
+                field.from_fraction(bad)
+        assert field.raw(True) == field.raw(1)
+        assert field.raw(Fraction(4, 2)) == field.raw(2)
+    assert QQ.raw(Fraction(-3, 6)) == Fraction(-1, 2)
+    assert GF(5).raw(Fraction(1, 2)) == 3
+
+
+def test_modulus_coefficients_are_ints_or_fractions():
+    for char, bad in ((5, 2.7), (5, "2"), (0, 0.5), (0, "1/2"),
+                      (3, QQ.one()), (0, None)):
+        with pytest.raises(FieldError, match="ints or Fractions"):
+            FieldSpec(char, modulus=[bad, 0, 1])
+    with pytest.raises(FieldError, match="ints or Fractions"):
+        F4.from_coeffs([0.5, 1])
+    # the int and Fraction forms still give the same field
+    assert GF(5, modulus=[Fraction(4, 2), 0, 1]) == GF(5, modulus=[2, 0, 1])
+    assert FieldSpec(0, modulus=[Fraction(-1, 2), 0, 1]) == HALF_ROOT
+
+
+def test_text_is_read_only_by_parse_rational():
+    # the messages of parse_raw, of a field modulus line and of
+    # --field-extend, which read text through parse_rational
+    from hopfex.cli import run_command
+    from hopfex.structfile import parse_structure_file
+    cases = [("x", "Invalid literal for Fraction: 'x'"),
+             ("1e99999999", "numerator or denominator exceeds "
+                            f"{sys.get_int_max_str_digits()} digits"),
+             ("[1,2]", "coefficient list too long for a prime field")]
+    for text, why in cases:
+        with pytest.raises(ScalarParseError) as err:
+            QQ.parse_raw(text)
+        assert str(err.value) == f"cannot parse scalar {text!r}: {why}"
+    with pytest.raises(ScalarParseError) as err:
+        GF(3).parse_raw("1/3")
+    assert str(err.value) == \
+        "cannot parse scalar '1/3': denominator 3 is zero modulo 3"
+    assert (QQ.parse_raw("0.5"), GF(5).parse_raw("1/2")) == (Fraction(1, 2), 3)
+    head = "hopfex structure v1\nfield characteristic 5\nfield modulus "
+    for coeffs in ("1/0 0 1", "1e99999999 0 1", "x 0 1"):
+        with pytest.raises(ScalarParseError) as err:
+            parse_structure_file(head + coeffs + "\ndim 1\n")
+        assert str(err.value) == \
+            "line 3: modulus coefficients must be fractions"
+    golden = pathlib.Path(__file__).parent / "golden" / "sweedler.hopf"
+    for spec, out in (
+            ("1,0,x", "cannot parse modulus '1,0,x'"),
+            ("1e99999999,0,1", "cannot parse modulus '1e99999999,0,1'"),
+            ("1,0,1.5", "scalar extension failed: extension modulus must "
+                        "be monic")):
+        assert run_command(["exponent", str(golden),
+                            f"--field-extend={spec}"]) == \
+            (2, f"input error: {out}\n")

@@ -274,3 +274,62 @@ def test_one_polynomial_derivative():
     hopf = ast.parse((SRC / "hopf.py").read_text())
     assert "has_repeated_factor" in called_names(method(hopf, "HopfAlgebra",
                                                         "exponent"))
+
+
+CROSSING_CALLS = {"box", "box_sparse", "Scalar", "nonzero_raw", "raw_values"}
+
+# The functions outside scalars.py that turn raw values into Scalars, or
+# Scalars into raw values: the views boxed at their first read and the
+# public entry points that take or return vectors of Scalars.  Everything
+# else hands raw values on, so a new crossing is a new line here.
+CROSSINGS = {
+    ("algebra.py", "FiniteAlgebra.__init__"),
+    ("algebra.py", "FiniteAlgebra.unit"),
+    ("algebra.py", "FiniteAlgebra.mult"),
+    ("algebra.py", "FiniteAlgebra.left_mult_mat"),
+    ("algebra.py", "FiniteAlgebra._mult_mat"),
+    ("algebra.py", "FiniteAlgebra.power"),
+    ("algebra.py", "FiniteAlgebra.left_traces"),
+    ("coalgebra.py", "Element.vec"),
+    ("coalgebra.py", "Element.delta"),
+    ("coalgebra.py", "Element.eps"),
+    ("coalgebra.py", "Coalgebra.comul"),
+    ("coalgebra.py", "Coalgebra.counit"),
+    ("coalgebra.py", "Coalgebra.format_element"),
+    ("coalgebra.py", "IdempotentFamily.functionals"),
+    ("extension.py", "DeltaExpansion.middle"),
+    ("hopf.py", "HopfAlgebra.antipode_vec"),
+    ("hopf.py", "HopfAlgebra._columns"),
+    ("hopf.py", "HopfAlgebra.hopf_power"),
+    ("linalg.py", "Mat.identity"),
+    ("linalg.py", "rref_rows"),
+    ("linalg.py", "SubspaceBasis.__init__"),
+    ("linalg.py", "SubspaceBasis.rows"),
+    ("matforms.py", "MatrixOverH.entries"),
+    ("matforms.py", "MatrixOverH.counit"),
+}
+
+
+def crossing_functions(node, prefix=""):
+    """The qualified names of the functions under node that call one of
+    CROSSING_CALLS by name or as an attribute."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from crossing_functions(child, prefix + child.name + ".")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if called_names(child) & CROSSING_CALLS:
+                yield prefix + child.name
+
+
+def test_scalars_cross_only_at_the_views_and_the_boxed_entry_points():
+    found = {(path.name, name) for path in SRC.glob("*.py")
+             if path.name != "scalars.py"
+             for name in crossing_functions(ast.parse(path.read_text()))}
+    assert found == CROSSINGS
+    # the helpers that boxed a raw result for the next routine to unbox,
+    # and the coercions that Element(parent, vec) replaced, are gone
+    for path in SRC.glob("*.py"):
+        defined = {node.name for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"_box", "as_scalar", "lift_functional",
+                              "_pairs"}, path.name

@@ -11,7 +11,7 @@ from hopfex.structfile import emit_structure_file, structure_from_object
 from hopfex.zoo import (build_named, cyclic, dual_group_algebra,
                         group_algebra, restricted_poly, sweedler, symmetric,
                         taft, tensor_product)
-from lifting_cases import dense_table
+from lifting_cases import (dense_table, mul_vec)
 
 
 def qint(field, q, m):
@@ -42,7 +42,7 @@ def test_taft_comultiplication_against_q_binomials(n, field):
     h = taft(n, field)
     # read q off the relation x g = q (g x)
     gi, xi, gxi = h.index_of("g"), h.index_of("x"), h.index_of("gx")
-    q = h.mul_vec(h.basis_element(xi).vec, h.basis_element(gi).vec)[gxi]
+    q = mul_vec(h, h.basis_element(xi).vec, h.basis_element(gi).vec)[gxi]
     assert qint(field, q, n).is_zero()  # q is a primitive n-th root
 
     def idx(a, j):
@@ -65,7 +65,7 @@ def test_taft_relations_and_antipode():
     h = taft(3, field)
     g = h.basis_element(h.index_of("g"))
     x = h.basis_element(h.index_of("x"))
-    q = h.mul_vec(x.vec, g.vec)[h.index_of("gx")]
+    q = mul_vec(h, x.vec, g.vec)[h.index_of("gx")]
     assert g ** 3 == h.one()
     assert (x ** 3).is_zero()
     assert x * g == q * (g * x)
@@ -194,7 +194,7 @@ def test_group_algebra_structure():
     # multiplication is the group law
     for i in range(6):
         for j in range(6):
-            prod = h.mul_vec(h.basis_element(i).vec, h.basis_element(j).vec)
+            prod = mul_vec(h, h.basis_element(i).vec, h.basis_element(j).vec)
             assert prod == h.basis_element(g6.mul_index(i, j)).vec
         # antipode sends a group element to its inverse
         assert h.antipode_vec(h.basis_element(i).vec) == \
@@ -219,7 +219,7 @@ def test_dual_group_algebra_structure():
         [QQ.one() if i == e else QQ.zero() for i in range(6)]
     for i in range(6):
         for j in range(6):
-            prod = h.mul_vec(h.basis_element(i).vec, h.basis_element(j).vec)
+            prod = mul_vec(h, h.basis_element(i).vec, h.basis_element(j).vec)
             want = h.basis_element(i).vec if i == j else \
                 tuple(QQ.zero() for _ in range(6))
             assert prod == want
