@@ -87,13 +87,12 @@ from .errors import (
     NoSolution,
     SplittingSearchExhausted,
     require,
-    require_indices,
 )
 from .linalg import (Echelon, Mat, SubspaceBasis, add_scaled, dense_raw,
                      sparse_raw, sum_scaled)
 from .poly import MinPolySearch, char_poly
 from .scalars import (FieldSpec, box, box_sparse, combination,
-                      lift_columns, nonzero_raw, raw_values)
+                      lift_columns, raw_table, read_vector)
 
 # Newton steps of lift_idempotent: each squares the nilpotent error
 LIFT_ITERATIONS = 64
@@ -185,9 +184,8 @@ class FiniteAlgebra:
 
     def __init__(self, field: FieldSpec, dim: int, constants: dict,
                  unit: tuple, check: bool = False):
-        require_indices("multiplication", constants, dim)
-        self._hold(field, dim, zip(constants, raw_values(
-            field, constants.values())), raw_values(field, unit))
+        table = raw_table(field, "multiplication", constants, dim)
+        self._hold(field, dim, table.items(), [field.raw(c) for c in unit])
         if check:
             bad = self.violations()
             if bad:
@@ -327,10 +325,11 @@ class FiniteAlgebra:
         return dense_raw(self.field.ops, self.dim, sparse.items())
 
     def mult(self, u: tuple, v: tuple) -> tuple:
-        """u v, from the nonzero entries of u and v and terms, on raw values."""
-        field = self.field
-        return box_sparse(field, self.dim, self._product(
-            nonzero_raw(field, u), nonzero_raw(field, v)).items())
+        """u v, from the nonzero entries of u and v (read_vector) and terms,
+        on raw values."""
+        field, dim = self.field, self.dim
+        return box_sparse(field, dim, self._product(
+            read_vector(field, dim, u), read_vector(field, dim, v)).items())
 
     def _tensor_product(self, a, b) -> dict:
         """(x(x)y)(x'(x)y') = xx'(x)yy' on the ((j, k), raw value) pairs a
@@ -354,7 +353,8 @@ class FiniteAlgebra:
         return ops.settle_all(acc, sa * sb * denom * denom)
 
     def left_mult_mat(self, u: tuple) -> Mat:
-        return self._mult_mat(self._basis_products(nonzero_raw(self.field, u)))
+        return self._mult_mat(self._basis_products(
+            read_vector(self.field, self.dim, u)))
 
     def _mult_mat(self, cols: list[dict]) -> Mat:
         zero = self.field.ops.zero
@@ -363,9 +363,9 @@ class FiniteAlgebra:
                     for m in range(self.dim)], self.dim)
 
     def power(self, u: tuple, n: int) -> tuple:
-        field = self.field
-        return box_sparse(field, self.dim,
-                          self._power(nonzero_raw(field, u), n).items())
+        field, dim = self.field, self.dim
+        return box_sparse(field, dim, self._power(
+            read_vector(field, dim, u), n).items())
 
     def _power(self, u, n: int) -> dict:
         """u^n by squaring, for the nonzero (index, raw value) pairs u, as
@@ -484,7 +484,7 @@ class FiniteAlgebra:
         ker = SubspaceBasis.of_raw(field, d, cond).perp()
         lifted = lift_columns(ops, dict(enumerate(map(dict, basis))))
         return SubspaceBasis.of_raw(field, self.dim, [combination(
-            ops, [_frobenius_root(field, c, q) for c in dense_raw(ops, d, r)],
+            ops, [(k, _frobenius_root(field, c, q)) for k, c in r],
             *lifted) for r in ker.raw])
 
     def _require_right_ideal(self, level: SubspaceBasis):
@@ -595,7 +595,7 @@ class FiniteAlgebra:
         once."""
         ops = self.field.ops
         lifted, scale = lift_columns(ops, dict(enumerate(powers)))
-        return lambda h: combination(ops, h, lifted, scale)
+        return lambda h: combination(ops, enumerate(h), lifted, scale)
 
     def split_idempotent(self, e: dict, x: dict) -> dict | None:
         """Try to split idempotent e using the element x = e x e.

@@ -60,7 +60,6 @@ over that side, since the idempotents sum to the counit.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from .algebra import FiniteAlgebra
 from .errors import (
@@ -68,7 +67,6 @@ from .errors import (
     FieldMismatch,
     IncompatibleBase,
     NonSplitField,
-    ShapeMismatch,
     UnknownSimple,
     require,
     require_indices,
@@ -76,15 +74,14 @@ from .errors import (
 from .linalg import (
     SubspaceBasis,
     add_scaled,
-    dense_raw,
     raw_pair,
-    rref_raw,
+    rref_sparse,
     sparse_raw,
     sum_scaled,
     tensor_legs,
 )
 from .scalars import (FieldSpec, Scalar, box, box_sparse, lift_columns,
-                      nonzero_raw)
+                      raw_table, read_vector)
 
 
 def lift_functionals(field: FieldSpec, functionals) -> tuple:
@@ -102,30 +99,6 @@ def lift_functionals(field: FieldSpec, functionals) -> tuple:
     return index, scales
 
 
-def as_raw(field: FieldSpec, v):
-    """The raw value of a Scalar of field, an int or a Fraction: no
-    Scalar is made.  FieldMismatch for a Scalar of another field,
-    TypeError for anything else, DivisionByZero for a Fraction whose
-    denominator is zero in the field."""
-    if isinstance(v, Scalar):
-        if v.field is not field and v.field != field:
-            raise FieldMismatch(f"scalar over {v.field.describe()} used in a "
-                                f"{field.describe()} coalgebra")
-        return v.val
-    if isinstance(v, (int, Fraction)):
-        return field.raw(v)
-    raise TypeError(f"cannot coerce {v!r} to a scalar")
-
-
-def raw_table(field: FieldSpec, what: str, entries: dict, dim: int) -> dict:
-    """{key: raw value} of the nonzero entries {key: value}, each value
-    coerced once by as_raw; AxiomViolation for an index of a key outside
-    range(dim)."""
-    require_indices(what, entries, dim)
-    raw = {key: as_raw(field, v) for key, v in entries.items()}
-    return {key: c for key, c in raw.items() if not field.ops.is_zero(c)}
-
-
 # ---------------------------------------------------------------------------
 # elements
 # ---------------------------------------------------------------------------
@@ -137,21 +110,17 @@ class Element:
     increasing index (the convention of SubspaceBasis.raw); equality,
     hashing, arithmetic, delta, eps and repr run on it, and vec is the
     coefficient vector of Scalars, boxed at the first read.
-    Element(parent, vec) is the one coercion of a coefficient vector:
-    ShapeMismatch unless it has length dim, and each coordinate read by
-    as_raw (a Scalar of the field, an int or a Fraction).  of_raw takes
-    raw pairs.  * between elements needs a parent with a product (bi- or
-    Hopf algebras).
+    Element(parent, vec) reads a coefficient vector with the one vector
+    reader, read_vector: ShapeMismatch unless it has length dim, and each
+    coordinate read by FieldSpec.raw (a Scalar of the field, an int or a
+    Fraction).  of_raw takes raw pairs.  * between elements needs a
+    parent with a product (bi- or Hopf algebras).
     """
 
     __slots__ = ("parent", "raw", "_vec")
 
     def __init__(self, parent: "Coalgebra", vec):
-        vec, field = tuple(vec), parent.field
-        if len(vec) != parent.dim:
-            raise ShapeMismatch(f"vector lengths {parent.dim} vs {len(vec)}")
-        self._hold(parent, sparse_raw(field.ops,
-                                      [as_raw(field, c) for c in vec]))
+        self._hold(parent, read_vector(parent.field, parent.dim, vec))
 
     @classmethod
     def of_raw(cls, parent: "Coalgebra", vec) -> "Element":
@@ -199,7 +168,7 @@ class Element:
 
     def __mul__(self, other):
         if not isinstance(other, Element):
-            return self._scaled(as_raw(self.parent.field, other))
+            return self._scaled(self.parent.field.raw(other))
         self._like(other)
         return Element.of_raw(self.parent, self._algebra()._product(
             self.raw, other.raw))
@@ -262,7 +231,7 @@ class Coalgebra:
             raise AxiomViolation("basis names must be distinct")
         if len(counit) != len(names):
             raise AxiomViolation("counit length differs from dimension")
-        counit = tuple(as_raw(field, c) for c in counit)
+        counit = tuple([field.raw(c) for c in counit])
         table = [{} for _ in names]
         for (i, j, k), c in raw_table(field, "comultiplication", comul,
                                       len(names)).items():
@@ -332,8 +301,8 @@ class Coalgebra:
             raise AxiomViolation(f"no basis vector named {name!r}") from None
 
     def format_element(self, vec) -> str:
-        """The text of a coefficient vector of Scalars."""
-        return self._format_raw(nonzero_raw(self.field, vec))
+        """The text of a coefficient vector (read_vector)."""
+        return self._format_raw(read_vector(self.field, self.dim, vec))
 
     def _format_raw(self, pairs) -> str:
         """The text of the vector with the nonzero (index, raw value)
@@ -805,23 +774,28 @@ class CoradicalAnalysis:
 
         C_t, the span of the duals of block t, is the perp of J and the
         other blocks, so one inversion of M gives every simple
-        subcoalgebra.  [M | I] is row-reduced to [I | M^-1], and the dual
-        of row i of M is column i of M^-1; an M that is not a basis means
-        the blocks and J do not fill H*.
+        subcoalgebra.  The sparse [M | I] is row-reduced to [I | M^-1]
+        (rref_sparse), and the dual of row k of M is column k of M^-1; an
+        M that is not a basis means the blocks and J do not fill H*.
         """
         field, n = self.coalgebra.field, self.coalgebra.dim
-        ops = field.ops
-        rows = [dense_raw(ops, n, r) for r in self.radical.raw] + [
-            dense_raw(ops, n, row.items()) for block in blocks for row in block]
-        work = [row + [ops.one if j == i else ops.zero for j in range(n)]
-                for i, row in enumerate(rows)]
-        require(len(work) == n and rref_raw(field, work) == list(range(n)),
+        one = field.ops.one
+        rows = [dict(r) for r in self.radical.raw] + [
+            row for block in blocks for row in block]
+        require(len(rows) == n, "block/subcoalgebra dimension mismatch")
+        inverse, pivots = rref_sparse(field, 2 * n, [
+            {**row, n + k: one} for k, row in enumerate(rows)])
+        require(pivots == list(range(n)),
                 "block/subcoalgebra dimension mismatch")
-        out, i = [], self.radical.dim
+        duals: dict = {}  # k -> column k of M^-1, {j: raw value}
+        for j, r in enumerate(inverse):
+            for m, x in r:
+                if m >= n:
+                    duals.setdefault(m - n, {})[j] = x
+        out, k = [], self.radical.dim
         for block in blocks:
-            out.append([{j: r[n + k] for j, r in enumerate(work)}
-                        for k in range(i, i + len(block))])
-            i += len(block)
+            out.append([duals.get(t, {}) for t in range(k, k + len(block))])
+            k += len(block)
         return out
 
     def find_simple_containing(self, vec: dict) -> int:

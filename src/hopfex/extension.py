@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from .coalgebra import Coalgebra, Element, coalgebra_amalgam
 from .errors import InvariantViolation, NoSolution, NotInComponent, require
-from .linalg import (Echelon, add_scaled, leg_coords, raw_pair, rref_raw,
+from .linalg import (Echelon, add_scaled, leg_coords, raw_pair, rref_sparse,
                      sparse_raw, sum_scaled, tensor_legs)
 from .matforms import MatrixOverH, is_multiplicative
 from .scalars import box, combination, lift_columns
@@ -222,23 +222,25 @@ def _factor_middle(coalg: Coalgebra, middle: dict, gi: int, hi: int, n: int):
         except NoSolution:
             raise InvariantViolation(
                 "middle leaves the expected bicomponents") from None
-        lam = [[comb.get(a * len(rights) + b, ops.zero)
-                for b in range(len(rights))] for a in range(len(lefts))]
+        # lam[a] = {b: lam[a][b]}, the nonzero coefficients
+        lam = [{} for _ in lefts]
+        for k, c in comb.items():
+            a, b = divmod(k, len(rights))
+            lam[a][b] = c
         # staircase: no coefficient pairs a degree with more than n minus it
-        for a, (_, da) in enumerate(lefts):
-            for b, (_, db) in enumerate(rights):
-                if da + db > n:
-                    require(ops.is_zero(lam[a][b]),
-                            "expansion coefficient violates the degree bound")
+        for (_, da), row in zip(lefts, lam):
+            require(all(da + rights[b][1] <= n for b in row),
+                    "expansion coefficient violates the degree bound")
         kel = dict(s.grouplike_raw)
         ys = lift_columns(ops, {b: v for b, (v, _) in enumerate(rights)})
         for d in sorted({da for _, da in lefts}):
             sel = [a for a, (_, da) in enumerate(lefts) if da == d]
             xs = lift_columns(ops, {t: lefts[a][0] for t, a in enumerate(sel)})
-            reduced = [list(lam[a]) for a in sel]
-            piv = rref_raw(field, reduced)
-            for t, prow in enumerate(reduced):
-                xv = combination(ops, [lam[a][piv[t]] for a in sel], *xs)
+            reduced, piv = rref_sparse(field, len(rights),
+                                       [lam[a] for a in sel])
+            for t, (p, prow) in enumerate(zip(piv, reduced)):
+                xv = combination(ops, [(k, lam[a][p]) for k, a in
+                                       enumerate(sel) if p in lam[a]], *xs)
                 yv = combination(ops, prow, *ys)
                 entries.append((d, ki, t + 1, kel, xv, yv))
                 add_scaled(ops, recovered, ops.one,

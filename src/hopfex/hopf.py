@@ -63,8 +63,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import FiniteAlgebra
-from .coalgebra import (Coalgebra, Element, SimpleComponent, as_raw,
-                        raw_table)
+from .coalgebra import Coalgebra, Element, SimpleComponent
 from .errors import (
     HopfError,
     InputError,
@@ -72,11 +71,11 @@ from .errors import (
     WitnessNotFound,
     require,
 )
-from .linalg import Mat, dense_raw, sparse_raw, sum_scaled
+from .linalg import Mat, sparse_raw, sum_scaled
 from .poly import (MinPolySearch, has_repeated_factor, min_poly_of_powers,
                    powers_mod)
 from .scalars import (FieldSpec, box_sparse, combination, lift_columns,
-                      nonzero_raw)
+                      raw_table, read_vector)
 
 
 def pointed_exponent_bound(d: int, p: int, n: int) -> int:
@@ -191,9 +190,7 @@ class HopfAlgebra(Coalgebra):
     def __init__(self, field: FieldSpec, names, comul, counit, mul, unit,
                  antipode=None, name: str = ""):
         super().__init__(field, names, comul, counit, name=name)
-        algebra = FiniteAlgebra.of_raw(field, self.dim, raw_table(
-            field, "multiplication", mul, self.dim),
-            [as_raw(field, c) for c in unit])
+        algebra = FiniteAlgebra(field, self.dim, mul, unit)
         cols = None
         if antipode is not None:
             cols = {i: {} for i in range(self.dim)}
@@ -238,10 +235,9 @@ class HopfAlgebra(Coalgebra):
         """S(v) for an Element or a vector, as a vector of Scalars."""
         if self.antipode_raw is None:
             raise HopfError("no antipode on this bialgebra")
-        ops, dim = self.field.ops, self.dim
-        v = dense_raw(ops, dim, self.element(v).raw)
-        return box_sparse(self.field, dim, combination(
-            ops, v, *self._lifted_antipode).items())
+        return box_sparse(self.field, self.dim, combination(
+            self.field.ops, self.element(v).raw,
+            *self._lifted_antipode).items())
 
     @functools.cached_property
     def _lifted_antipode(self) -> tuple:
@@ -290,14 +286,15 @@ class HopfAlgebra(Coalgebra):
             right = [self.algebra._basis_products(antipode[k].items(), False)
                      for k in range(dim)]
             for i in range(dim):
-                keys = [key for key, _ in comul[i]]
-                coeffs = [c for _, c in comul[i]]
                 want = self._unit_times(eps[i])
+                # the sum of c prods[j, k] over the terms c e_j (x) e_k
                 for axiom, prods in (
-                        ("m(S(x)id)Delta", [left[j][k] for j, k in keys]),
-                        ("m(id(x)S)Delta", [right[k][j] for j, k in keys])):
-                    lifted, scale = lift_columns(ops, dict(enumerate(prods)))
-                    if combination(ops, coeffs, lifted, scale) != want:
+                        ("m(S(x)id)Delta", {(j, k): left[j][k]
+                                            for (j, k), _ in comul[i]}),
+                        ("m(id(x)S)Delta", {(j, k): right[k][j]
+                                            for (j, k), _ in comul[i]})):
+                    if combination(ops, comul[i],
+                                   *lift_columns(ops, prods)) != want:
                         bad.append(f"antipode axiom {axiom} fails on "
                                    f"{self.names[i]}")
         return bad
@@ -322,8 +319,8 @@ class HopfAlgebra(Coalgebra):
 
     def _columns(self, m: Mat) -> dict:
         """The columns of m as {j: {row: raw value}} with no zeros."""
-        field = self.field
-        return {j: dict(nonzero_raw(field, col))
+        field, dim = self.field, self.dim
+        return {j: dict(read_vector(field, dim, col))
                 for j, col in enumerate(m.columns())}
 
     def _unit_times(self, c, pairs=None) -> dict:
@@ -419,21 +416,17 @@ class HopfAlgebra(Coalgebra):
         support = self.subcoalgebra_support(Element.of_raw(self, pairs))
         if not support:  # h = 0, and so is every h^[n]
             yield from itertools.repeat({})
-        raw = dict(pairs)
-        coeffs = [raw.get(i, ops.zero) for i in support]
         search = MinPolySearch(field)
         values = []  # h^[0], h^[1], ..., h^[deg mu_S]
         for cols in self._id_powers(support):
-            lifted, scale = lift_columns(ops, cols)
-            values.append(combination(ops, coeffs,
-                                       [lifted[i] for i in support], scale))
+            values.append(combination(ops, pairs, *lift_columns(ops, cols)))
             yield values[-1]
             mu = search.add(_flatten(cols))
             if mu is not None:
                 break
         lifted, scale = lift_columns(ops, dict(enumerate(values)))
         for r in itertools.islice(powers_mod(field, mu), len(values), None):
-            yield combination(ops, r, lifted, scale)
+            yield combination(ops, enumerate(r), lifted, scale)
 
     def _id_powers(self, support) -> Iterator[dict]:
         """[0], [1], [2], ... restricted to C_S for S = support, forever.
@@ -575,23 +568,36 @@ class HopfAlgebra(Coalgebra):
             return False
         ops = self.field.ops
         return self.antipode_raw is None or all(h0.contains_raw(combination(
-            ops, dense_raw(ops, self.dim, u), *self._lifted_antipode))
-            for u in h0.raw)
+            ops, u, *self._lifted_antipode)) for u in h0.raw)
 
-    def grouplike_order(self, g, bound: int = 100000) -> int:
-        """The multiplicative order of a group-like Element or vector."""
-        return self._grouplike_order(dict(self.element(g).raw), bound)
+    def grouplike_order(self, g) -> int:
+        """The multiplicative order of a group-like Element or vector;
+        HopfError when it is not group-like."""
+        pairs = self.element(g).raw
+        if not self._grouplike_raw(pairs):
+            raise HopfError("not group-like")
+        return self._grouplike_order(dict(pairs))
 
-    def _grouplike_order(self, g: dict, bound: int = 100000) -> int:
-        """The multiplicative order of the group-like {j: raw value} g."""
+    def _grouplike_order(self, g: dict) -> int:
+        """The multiplicative order of the group-like {j: raw value} g.
+
+        Its powers are group-like, and distinct group-likes are linearly
+        independent, so among g, ..., g^(dim+1) two agree; if g is
+        invertible, 1 is then among g, ..., g^dim.  Past dim powers g has
+        no inverse: HopfError on a bialgebra without antipode, and
+        InvariantViolation when the antipode should give one.
+        """
         pairs = list(g.items())
         unit = dict(sparse_raw(self.field.ops, self.algebra.unit_raw))
         acc = dict(g)
-        for n in range(1, bound + 1):
+        for n in range(1, self.dim + 1):
             if acc == unit:
                 return n
             acc = self.algebra._product(acc.items(), pairs)
-        raise HopfError("group-like order exceeds sanity bound")
+        require(self.antipode_raw is None,
+                "a group-like of a Hopf algebra has no power equal to 1")
+        raise HopfError("group-like has no inverse: none of its first "
+                        f"{self.dim} powers is 1")
 
     def nontrivial_h1_witness(self) -> Element:
         """A nonzero element of some (^C H_1 ^1)+ for non-cosemisimple H."""

@@ -1,24 +1,24 @@
 """Exact linear algebra over a FieldSpec, on raw field values.
 
-Two routines do every elimination.  rref_sparse reduces sparse raw rows
-{index: raw value} to the canonical reduced row echelon form (pivots 1,
-pivot columns cleared, pivot positions increasing, zero rows dropped),
-so two subspaces are equal iff their canonical bases are equal entry by
-entry.  It takes the rows one at a time, reduces each at the pivots
-kept so far, pivots it at its least remaining index and clears that
-index from the kept rows, and reads only nonzero entries; SubspaceBasis
-construction (so perp, sum, the radical chain, the filtration, the
-simples and the bicomponents) calls it, and rref_raw is its dense,
-in-place form for rref_rows and the eliminations of the other layers
-that hold dense rows.  Over Q it eliminates fraction-free on primitive
-integer rows and divides by the pivots once at the end, so it makes no
-Fraction per step.  Echelon grows
-sparse raw rows {key: raw value} one at a time and writes each new row
-over the rows added before it: the minimal-polynomial search, the matrix
-units and pairing of a basic multiplicative matrix and the H (x) H
-systems of the extension and the primitive decomposition (keyed by pairs
-(a, b), never a dense dim^2 ambient) find solutions, coordinates and
-dependencies with it.
+One routine does every canonical elimination, and one class every
+solve.  rref_sparse reduces sparse raw rows {index: raw value} to the
+canonical reduced row echelon form (pivots 1, pivot columns cleared,
+pivot positions increasing, zero rows dropped), so two subspaces are
+equal iff their canonical bases are equal entry by entry.  It takes the
+rows one at a time, reduces each at the pivots kept so far, pivots it
+at its least remaining index and clears that index from the kept rows,
+and reads only nonzero entries.  SubspaceBasis construction (so perp,
+sum, the radical chain, the filtration, the simples and the
+bicomponents), rref_rows, the inversion of the basis of H* behind the
+simple subcoalgebras and the factoring of the extension layer call it.
+Over Q it eliminates fraction-free on primitive integer rows and
+divides by the pivots once at the end, so it makes no Fraction per
+step.  Echelon grows sparse raw rows {key: raw value} one at a time and
+writes each new row over the rows added before it: the
+minimal-polynomial search, the matrix units and pairing of a basic
+multiplicative matrix and the H (x) H systems of the extension and the
+primitive decomposition (keyed by pairs (a, b), never a dense dim^2
+ambient) find solutions, coordinates and dependencies with it.
 
 Once a SubspaceBasis is canonical, membership, coordinates and
 hyperplane cuts read its pivots: v lies in the span exactly when its
@@ -42,8 +42,8 @@ import math
 import operator
 
 from .errors import FieldMismatch, NoSolution, ShapeMismatch
-from .scalars import (FieldSpec, Scalar, box, box_sparse, lift_columns,
-                      nonzero_raw, raw_values)
+from .scalars import (FieldSpec, Scalar, box_sparse, lift_columns,
+                      read_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -258,25 +258,17 @@ def _cleared(r: dict, p, s: dict) -> dict:
     return r
 
 
-def rref_raw(field: FieldSpec, work: list[list]) -> list[int]:
-    """Canonical RREF of equal-length lists of raw values of field, in
-    place (rref_sparse); returns the pivot columns.  On return work
-    holds only the reduced rows, as lists of raw values."""
-    ncols = len(work[0]) if work else 0
-    rows, pivots = rref_sparse(field, ncols, [dict(enumerate(r)) for r in work])
-    work[:] = [dense_raw(field.ops, ncols, r) for r in rows]
-    return pivots
-
-
 def rref_rows(field: FieldSpec, rows) -> tuple[list[tuple], list[int]]:
     """Canonical RREF of a list of row vectors; returns (rows, pivot columns).
 
-    Zero rows are dropped.  The rows are unboxed once, reduced by rref_raw
-    and boxed once; FieldMismatch when an entry is not in field.
+    Zero rows are dropped.  Each row is read once (read_vector) at the
+    length of the first, reduced by rref_sparse and boxed once.
     """
-    work = [raw_values(field, r) for r in rows]
-    pivots = rref_raw(field, work)
-    return [box(field, r) for r in work], pivots
+    rows = [tuple(r) for r in rows]
+    n = len(rows[0]) if rows else 0
+    reduced, pivots = rref_sparse(
+        field, n, [dict(read_vector(field, n, r)) for r in rows])
+    return [box_sparse(field, n, r) for r in reduced], pivots
 
 
 def kernel(m: Mat) -> "SubspaceBasis":
@@ -428,12 +420,10 @@ class SubspaceBasis:
     __slots__ = ("field", "ambient", "raw", "pivots", "_rows", "_lifted")
 
     def __init__(self, field: FieldSpec, ambient: int, vectors):
-        """The span of vectors of Scalars, unboxed once and row-reduced."""
-        vectors = [tuple(v) for v in vectors]
-        if any(len(v) != ambient for v in vectors):
-            raise ShapeMismatch("basis vector length differs from ambient dimension")
-        self._hold(field, ambient, *rref_sparse(
-            field, ambient, [dict(nonzero_raw(field, v)) for v in vectors]))
+        """The span of vectors of length ambient, each read once
+        (read_vector) and row-reduced."""
+        self._hold(field, ambient, *rref_sparse(field, ambient, [
+            dict(read_vector(field, ambient, v)) for v in vectors]))
 
     @classmethod
     def of_raw(cls, field: FieldSpec, ambient: int, rows) -> "SubspaceBasis":

@@ -24,13 +24,13 @@ only when the entries view is read.
 
 from __future__ import annotations
 
-from .coalgebra import Coalgebra, Element, SimpleComponent, as_raw
+from .coalgebra import Coalgebra, Element, SimpleComponent
 from .errors import (DiagonalOrderViolated, FieldMismatch,
                      InvariantViolation, MatrixFormError, NoSolution,
                      NotDegreeOne, NotInBicomponent, NotMultiplicative,
                      ShapeMismatch, require)
 from .hopf import pointed_exponent_bound
-from .linalg import (Echelon, Mat, SubspaceBasis, dense_raw, leg_coords,
+from .linalg import (Echelon, Mat, SubspaceBasis, leg_coords,
                      raw_pair, sparse_raw, sum_scaled)
 from .scalars import Scalar, box_sparse, combination
 
@@ -120,7 +120,7 @@ class MatrixOverH:
 
     def scale(self, c) -> "MatrixOverH":
         ops = self.parent.field.ops
-        c = as_raw(self.parent.field, c)
+        c = self.parent.field.raw(c)
         return MatrixOverH.of_raw(self.parent, [
             [sum_scaled(ops, [(c, e)]) for e in row] for row in self.raw])
 
@@ -168,11 +168,9 @@ class MatrixOverH:
     def antipode(self) -> "MatrixOverH":
         if getattr(self.parent, "antipode_raw", None) is None:
             raise MatrixFormError("entrywise antipode needs a Hopf algebra parent")
-        ops, n = self.parent.field.ops, self.parent.dim
-        lifted = self.parent._lifted_antipode
+        ops, lifted = self.parent.field.ops, self.parent._lifted_antipode
         return MatrixOverH.of_raw(self.parent, [
-            [combination(ops, dense_raw(ops, n, x), *lifted) for x in row]
-            for row in self.raw])
+            [combination(ops, x, *lifted) for x in row] for row in self.raw])
 
     def __eq__(self, other):
         return (isinstance(other, MatrixOverH) and other.parent is self.parent

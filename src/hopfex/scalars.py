@@ -41,10 +41,13 @@ denominator 1 is returned as it is and any other divides out one
 multi-argument gcd.  Over F_p each coefficient is reduced once.  Only
 the inverse, cached per value, runs the extended Euclid on rationals.
 
-Scalar's operators delegate to the table, and the hot loops (rref_rows,
-FiniteAlgebra.mult) run on raw values directly: they unbox once with
-raw_values and box once with box.  Boxing always goes through
-Scalar(field, v), so counting Scalar.__init__ counts every Scalar made.
+Scalar's operators delegate to the table, and the hot loops run on raw
+values directly.  A public value becomes raw in one place: FieldSpec.raw
+reads a Scalar of the field, an int or a Fraction, and read_vector reads
+a vector with it, checking its length, as the nonzero (index, raw value)
+pairs every entry point takes; raw_table reads a structure table the
+same way.  Boxing always goes through Scalar(field, v), so counting
+Scalar.__init__ counts every Scalar made.
 
 Sums of products are evaluated with delayed normalisation.  FieldOps.lift
 turns raw values into integers over one common scale (numerators over
@@ -80,7 +83,9 @@ from .errors import (
     NoSuchRoot,
     ReducibleModulus,
     ScalarParseError,
+    ShapeMismatch,
     require,
+    require_indices,
 )
 
 MAX_EXTENSION_DEGREE = 16
@@ -444,26 +449,26 @@ def _integer_tuple(coeffs, d: int) -> tuple:
     return tuple(nums) + (0,) * (d - len(nums)) + (den,)
 
 
-def raw_values(field: "FieldSpec", vec) -> list:
-    """The raw values of an iterable of Scalars of field, read in one
-    pass with each entry's field.
-
-    FieldMismatch when an entry belongs to another field.
-    """
-    vals = []
-    for x in vec:
-        if x.field is not field and x.field != field:
-            raise FieldMismatch(
-                f"scalars from {field.describe()} and {x.field.describe()}")
-        vals.append(x.val)
-    return vals
+def read_vector(field: "FieldSpec", n: int, vec) -> tuple:
+    """The (index, raw value) pairs of the nonzero entries of the vector
+    vec of length n, in increasing index, each entry read by
+    FieldSpec.raw; ShapeMismatch for any other length.  The one reader
+    of a public vector."""
+    vec = tuple(vec)
+    if len(vec) != n:
+        raise ShapeMismatch(f"vector lengths {n} vs {len(vec)}")
+    raw, is_zero = field.raw, field.ops.is_zero
+    return tuple([(i, x) for i, c in enumerate(vec)
+                  if not is_zero(x := raw(c))])
 
 
-def nonzero_raw(field: "FieldSpec", vec) -> list:
-    """(index, raw value) of the nonzero entries of a vector of Scalars."""
-    is_zero = field.ops.is_zero
-    return [(i, x) for i, x in enumerate(raw_values(field, vec))
-            if not is_zero(x)]
+def raw_table(field: "FieldSpec", what: str, entries: dict, dim: int) -> dict:
+    """{key: raw value} of the nonzero entries {key: value} of a structure
+    table, each value read by FieldSpec.raw; AxiomViolation for an index
+    of a key outside range(dim)."""
+    require_indices(what, entries, dim)
+    raw, is_zero = field.raw, field.ops.is_zero
+    return {key: x for key, c in entries.items() if not is_zero(x := raw(c))}
 
 
 def lift_columns(ops: FieldOps, cols: dict) -> tuple[dict, object]:
@@ -475,15 +480,16 @@ def lift_columns(ops: FieldOps, cols: dict) -> tuple[dict, object]:
 
 
 def combination(ops: FieldOps, coeffs, lifted, scale) -> dict:
-    """sum of coeffs[k] lifted[k] as {m: raw value} with no zeros.
+    """sum of c lifted[k] over the (k, raw value c) pairs coeffs, as {m:
+    raw value} with no zeros.
 
-    coeffs are raw values, zero ones skipped; lifted[k] lists the (m,
-    lifted value) of a vector, all over scale (lift_columns).  Each
-    entry is settled once.
+    A zero c is skipped, so a dense coefficient list, a polynomial's
+    included, is passed as enumerate(r); lifted[k] lists the (m, lifted
+    value) of a vector, all over scale (lift_columns).  Each entry is
+    settled once.
     """
     mul, add, is_zero = ops.lmul, ops.ladd, ops.is_zero
-    cs, sc = ops.lift_pairs([(k, c) for k, c in enumerate(coeffs)
-                              if not is_zero(c)])
+    cs, sc = ops.lift_pairs([(k, c) for k, c in coeffs if not is_zero(c)])
     acc: dict = {}
     for k, c in cs:
         for m, x in lifted[k]:
@@ -604,9 +610,19 @@ class FieldSpec:
         return self.from_int(1)
 
     def raw(self, x):
-        """The raw value of an int or a Fraction: reduced mod p in
-        characteristic p (DivisionByZero when the denominator is 0 mod p)
-        and padded in an extension field."""
+        """The raw value of a Scalar of this field, an int or a Fraction,
+        with no Scalar made: the one coercion of a public value.  An int
+        or a Fraction is reduced mod p in characteristic p
+        (DivisionByZero when the denominator is 0 mod p) and padded in an
+        extension field.  FieldMismatch for a Scalar of another field,
+        TypeError for anything else."""
+        if isinstance(x, Scalar):
+            if x.field is not self and x.field != self:
+                raise FieldMismatch(f"scalar over {x.field.describe()} used "
+                                    f"in a {self.describe()} coalgebra")
+            return x.val
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"cannot coerce {x!r} to a scalar")
         x, p = _rational(x), self.char
         if p:
             if type(x) is not int:

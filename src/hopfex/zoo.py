@@ -18,7 +18,6 @@ import itertools
 import re
 
 from .algebra import FiniteAlgebra
-from .coalgebra import as_raw
 from .errors import FieldMismatch, HopfError
 from .hopf import HopfAlgebra
 from .scalars import GF, QQ, FieldSpec, Scalar
@@ -120,7 +119,7 @@ def taft(n: int, field: FieldSpec, q: Scalar | None = None) -> HopfAlgebra:
         raise HopfError("Taft algebras need n >= 2")
     if q is None:
         q = field.primitive_root_of_unity(n)
-    ops, q_raw = field.ops, as_raw(field, q)
+    ops, q_raw = field.ops, field.raw(q)
     one = ops.one
     # q^(b c) for every b, c < n, each power formed once
     qpow = [one]

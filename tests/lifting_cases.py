@@ -54,7 +54,7 @@ from hopfex.hopf import HopfAlgebra
 from hopfex.coalgebra import lift_functionals
 from hopfex.errors import HopfError, NonSplitField, ShapeMismatch
 from hopfex.linalg import Echelon, Mat, SubspaceBasis, dense_raw, sparse_raw
-from hopfex.scalars import box, nonzero_raw, raw_values
+from hopfex.scalars import box, read_vector
 from hopfex.zoo import dual_group_algebra, sweedler, symmetric, taft
 
 HALF_ROOT = FieldSpec(0, modulus=[Fraction(-1, 2), 0, 1])  # Q[t]/(t^2 - 1/2)
@@ -117,7 +117,8 @@ def basis_scales(field, dim, seed):
 def as_raw(obj, vec: tuple) -> dict:
     """The sparse raw vector {m: raw value} of a vector of Scalars over
     obj.field."""
-    return dict(nonzero_raw(obj.field, vec))
+    vec = tuple(vec)
+    return dict(read_vector(obj.field, len(vec), vec))
 
 
 def as_boxed(obj, vec) -> tuple:
@@ -209,7 +210,8 @@ def reference_format(h, vec) -> str:
 
 def right_mult_mat(alg, u: tuple) -> Mat:
     """R_u, whose column j is e_j u, read off the products by basis vectors."""
-    return alg._mult_mat(alg._basis_products(nonzero_raw(alg.field, u), False))
+    return alg._mult_mat(alg._basis_products(
+        read_vector(alg.field, alg.dim, u), False))
 
 
 def scalar_constants(alg) -> dict:
@@ -269,10 +271,11 @@ def solve_columns(m: Mat, rhs: Mat) -> Mat:
     field = m.field
     columns = Echelon(field)
     for c in m.columns():
-        columns.add(dict(nonzero_raw(field, c)))
+        columns.add(dict(read_vector(field, m.nrows, c)))
     x = [[field.ops.zero] * rhs.ncols for _ in range(m.ncols)]
     for j, b in enumerate(rhs.columns()):
-        for k, c in columns.coords(dict(nonzero_raw(field, b))).items():
+        b = dict(read_vector(field, m.nrows, b))
+        for k, c in columns.coords(b).items():
             x[k][j] = c
     return Mat(field, [box(field, r) for r in x], rhs.ncols)
 
@@ -310,8 +313,8 @@ def tensor_mult(alg, a: dict, b: dict) -> dict:
     """Sparse product on A (x) A of two {(j, k): Scalar} tensors, by the
     raw kernel FiniteAlgebra._tensor_product."""
     field = alg.field
-    acc = alg._tensor_product(zip(a, raw_values(field, a.values())),
-                              zip(b, raw_values(field, b.values())))
+    acc = alg._tensor_product([(k, field.raw(x)) for k, x in a.items()],
+                              [(k, field.raw(x)) for k, x in b.items()])
     return dict(zip(acc, box(field, acc.values())))
 
 
@@ -338,20 +341,21 @@ def hopf_power_map(h, n: int) -> Mat:
 
 def hit_left(c, f: tuple, h: tuple) -> tuple:
     """f harpoon-> h = sum h_(1) f(h_(2)): f eats the right tensor leg."""
-    family = lift_functionals(c.field, [nonzero_raw(c.field, f)])
-    return as_boxed(c, c._hit(nonzero_raw(c.field, h), family, 1)[0])
+    family = lift_functionals(c.field, [read_vector(c.field, c.dim, f)])
+    return as_boxed(c, c._hit(read_vector(c.field, c.dim, h), family, 1)[0])
 
 
 def hit_right(c, h: tuple, f: tuple) -> tuple:
     """h <-harpoon f = sum f(h_(1)) h_(2): f eats the left tensor leg."""
-    family = lift_functionals(c.field, [nonzero_raw(c.field, f)])
-    return as_boxed(c, c._hit(nonzero_raw(c.field, h), family, 0)[0])
+    family = lift_functionals(c.field, [read_vector(c.field, c.dim, f)])
+    return as_boxed(c, c._hit(read_vector(c.field, c.dim, h), family, 0)[0])
 
 
 def component(c, h: tuple, left: int | None = None,
               right: int | None = None) -> tuple:
     """Bicomponent ^C h ^D of c: left applies h <- e_C, right e_D -> h."""
-    return as_boxed(c, c._component_raw(nonzero_raw(c.field, h), left, right))
+    return as_boxed(c, c._component_raw(read_vector(c.field, c.dim, h),
+                                        left, right))
 
 
 def bicomponent_decomposition_vec(c, h: tuple) -> dict:

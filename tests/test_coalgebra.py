@@ -16,12 +16,12 @@ from hopfex import GF, QQ, Coalgebra, Element, FieldSpec
 from hopfex.algebra import FiniteAlgebra
 from hopfex.coalgebra import coalgebra_amalgam
 from hopfex.extension import extend_coalgebra
-from hopfex.errors import (AxiomViolation, FieldMismatch, IncompatibleBase,
-                           InvariantViolation, NonSplitField, ShapeMismatch,
-                           UnknownSimple)
-from hopfex.linalg import SubspaceBasis, dense_raw, tensor_legs
+from hopfex.errors import (AxiomViolation, FieldMismatch, HopfexError,
+                           IncompatibleBase, InvariantViolation,
+                           NonSplitField, ShapeMismatch, UnknownSimple)
+from hopfex.linalg import SubspaceBasis, dense_raw, rref_rows, tensor_legs
 from hopfex.matforms import MatrixOverH
-from hopfex.scalars import Scalar, nonzero_raw
+from hopfex.scalars import Scalar, read_vector
 from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
                         restricted_poly, sweedler, symmetric, taft,
                         tensor_product)
@@ -652,7 +652,8 @@ def test_bicomponent_table_equals_the_two_hit_passes(zoo):
                 for f in fam.raw]
         rng = random.Random(coalg.dim)
         vecs = [[(i, ops.one)] for i in range(coalg.dim)] + [
-            nonzero_raw(field, fraction_vector(field, rng, coalg.dim))]
+            read_vector(field, coalg.dim,
+                        fraction_vector(field, rng, coalg.dim))]
         for v in vecs:
             for c in range(len(fam)):
                 left = coalg._hit(v, hits[c], 0)[0]
@@ -707,37 +708,63 @@ def test_simples_keep_the_order_of_the_fully_formatted_key(zoo):
 def test_vectors_are_coerced_once_at_the_edge():
     h = sweedler(QQ)
     one, g = h.basis_element(0), h.basis_element(1)
+    unit = one.vec
     # an index outside the basis is an error, not the zero element
     for i in (99, 4, -1):
         with pytest.raises(AxiomViolation, match="basis element index"):
             h.basis_element(i)
-    # a vector of the wrong length fails at construction
+    # every entry point that takes a vector reads it as Element(h, v)
+    # does (read_vector): the boxed products, matrix and text, a span and
+    # a row reduction, which reads its rows at the length of the first
+    takers = [lambda v: Element(h, v), h.element, h.counit_vec,
+              h.is_grouplike, h.subcoalgebra_support, h.antipode_vec,
+              lambda v: h.hopf_order(v, 4), lambda v: h.hopf_power(v, 2),
+              h.grouplike_order, lambda v: MatrixOverH(h, [[v]]),
+              lambda v: h.algebra.mult(v, unit),
+              lambda v: h.algebra.power(v, 2), lambda v: h.power_vec(v, 2),
+              h.algebra.left_mult_mat, h.format_element,
+              lambda v: SubspaceBasis(QQ, 4, [v]),
+              lambda v: rref_rows(QQ, [unit, v])]
+    # a vector of the wrong length fails wherever a vector is taken
     for vec in ((1, 0), (1, 0, 0, 0, 0), ()):
-        with pytest.raises(ShapeMismatch) as err:
-            Element(h, vec)
-        assert str(err.value) == f"vector lengths 4 vs {len(vec)}"
+        for take in takers:
+            with pytest.raises(ShapeMismatch) as err:
+                take(vec)
+            assert str(err.value) == f"vector lengths 4 vs {len(vec)}"
     # a float or a str is a TypeError, a Scalar of another field a
     # FieldMismatch, wherever a vector is taken
     bad = [((1.0, 0, 0, 0), TypeError), (("1", 0, 0, 0), TypeError),
            ((GF(5).one(), 0, 0, 0), FieldMismatch)]
-    takers = [lambda v: Element(h, v), h.element, h.counit_vec,
-              h.is_grouplike, h.subcoalgebra_support, h.antipode_vec,
-              lambda v: h.hopf_order(v, 4), lambda v: h.hopf_power(v, 2),
-              h.grouplike_order, lambda v: MatrixOverH(h, [[v]])]
     for vec, error in bad:
         for take in takers:
             with pytest.raises(error):
                 take(vec)
-    # ints and Fractions are accepted everywhere a vector is
+
+    def outcome(take, vec):
+        try:
+            return take(vec)
+        except HopfexError as exc:
+            return type(exc), str(exc)
+
+    # ints and Fractions are accepted everywhere a vector is, with the
+    # result, or the hopfex error, of the vector of Scalars
+    for vec in ((1, 0, 0, 0), (Fraction(2, 2), 0, 0, 0),
+                (0, 2, Fraction(-1, 3), 1)):
+        boxed = Element(h, vec).vec
+        for take in takers:
+            assert outcome(take, vec) == outcome(take, boxed)
     for vec in ((1, 0, 0, 0), (Fraction(2, 2), 0, 0, 0)):
         assert Element(h, vec) == h.element(vec) == one
         assert Element(h, vec).eps() == QQ.one() == h.counit_vec(vec)
         assert h.is_grouplike(vec) and h.hopf_order(vec) == 1
         assert h.grouplike_order(vec) == 1
-        assert h.hopf_power(vec, 3) == one.vec
-        assert h.antipode_vec(vec) == one.vec
+        assert h.hopf_power(vec, 3) == unit
+        assert h.antipode_vec(vec) == unit
         assert h.subcoalgebra_support(vec) == [0]
         assert MatrixOverH(h, [[vec]]).element(0, 0) == one
+        assert h.algebra.mult(vec, vec) == h.power_vec(vec, 2) == unit
+        assert h.format_element(vec) == "1"
+        assert rref_rows(QQ, [vec]) == ([unit], [0])
     assert h.grouplike_order((0, 1, 0, 0)) == 2 == h.grouplike_order(g)
     half = (Fraction(1, 2), 0, Fraction(-3, 4), 0)
     assert Element(h, half).raw == ((0, Fraction(1, 2)), (2, Fraction(-3, 4)))
@@ -763,7 +790,7 @@ def test_elements_match_the_boxed_reference(zoo, stem):
         scalars.append(field.gen())
     for u in vecs:
         a = Element(h, u)
-        assert a.vec == u and a.raw == tuple(nonzero_raw(field, u))
+        assert a.vec == u and a.raw == read_vector(field, h.dim, u)
         assert a == Element.of_raw(h, dict(a.raw)) == h.element(a)
         assert hash(a) == hash(Element.of_raw(h, a.raw))
         assert a.is_zero() == vec_is_zero(u)

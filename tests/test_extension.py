@@ -1,14 +1,18 @@
 """One-dimensional coalgebra extensions and their witness matrices."""
 
+import random
+
 import pytest
 
 from hopfex import GF, QQ, FieldSpec
 from hopfex.errors import NotInComponent
-from hopfex.extension import (delta_expansion, extend_coalgebra,
-                              graded_positive_part)
+from hopfex.extension import (_factor_middle, _flag_basis, delta_expansion,
+                              extend_coalgebra, graded_positive_part)
+from hopfex.linalg import add_scaled, raw_pair
 from hopfex.matforms import is_multiplicative
-from hopfex.zoo import restricted_poly, sweedler, taft
-from lifting_cases import (mul_vec, t2_add_term, t2_from_pair, vec_is_zero)
+from hopfex.zoo import restricted_poly, sweedler, taft, tensor_product
+from lifting_cases import (dense_rref_raw, mul_vec, t2_add_term,
+                           t2_from_pair, vec_is_zero)
 
 
 def entry_name(coalg, vec):
@@ -280,3 +284,47 @@ def test_flanks_must_be_group_like_not_just_in_a_simple():
     x, g = h.basis_element(h.index_of("x")), h.basis_element(h.index_of("g"))
     with pytest.raises(NotInComponent, match="group-like"):
         graded_positive_part(x, 2 * g, h.one(), 1)
+
+
+def test_factor_middle_on_middles_of_rank_two():
+    # k[x]/(x^3) (x) k[y]/(y^3) over F_3 has two primitives, a = x|1 and
+    # b = 1|x, so a middle may need two terms of one degree, and a
+    # reduced coefficient row two entries, which the goldens' extensions
+    # never need
+    h = tensor_product(restricted_poly(3), restricted_poly(3))
+    ops, one = h.field.ops, h.analysis().find_simple_containing({0: 1})
+    a, b, x2 = ({h.index_of(name): 1} for name in ("x|1", "1|x", "x^2|1"))
+    ab = {**a, **b}
+
+    def middle(terms):
+        acc = {}
+        for u, v in terms:
+            add_scaled(ops, acc, ops.one,
+                       raw_pair(ops, sorted(u.items()), sorted(v.items())))
+        return acc
+
+    cases = [
+        ([(a, ab)], 2, [(1, 1, a, ab)]),
+        ([(a, a), (a, b), (b, a)], 2, [(1, 1, a, b), (1, 2, ab, a)]),
+        ([(x2, ab), (a, ab), (ab, x2)], 3,
+         [(1, 1, a, ab), (1, 2, ab, x2), (2, 1, x2, ab)]),
+    ]
+    for terms, n, want in cases:
+        got = _factor_middle(h, middle(terms), one, one, n)
+        assert [(d, k, x, y) for d, k, _, x, y in got] == want
+    # seeded middles: as many terms of each degree as the rank of its
+    # coefficient rows (the function itself proves the reconstruction)
+    flags = _flag_basis(h, one, one, 2)
+    rng = random.Random(3)
+    for _ in range(20):
+        lam = [[rng.randrange(3) if da + db <= 3 else 0
+                for _, db in flags] for _, da in flags]
+        terms = [(u, {j: c * x % 3 for j, x in v.items()})
+                 for (u, _), row in zip(flags, lam)
+                 for (v, _), c in zip(flags, row) if c]
+        got = _factor_middle(h, middle(terms), one, one, 3)
+        for d in (1, 2):
+            rows = [list(row) for row, (_, da) in zip(lam, flags) if da == d]
+            rank = len(dense_rref_raw(h.field, rows)) if rows else 0
+            assert sum(e[0] == d for e in got) == rank
+

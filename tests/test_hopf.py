@@ -12,11 +12,12 @@ from hopfex import GF, QQ, Coalgebra, FieldSpec
 from hopfex.algebra import FiniteAlgebra
 from hopfex.cli import run_command
 from hopfex.errors import (AxiomViolation, DivisionByZero, FieldMismatch,
-                           InvariantViolation, NotCosemisimple, ShapeMismatch)
+                           HopfError, InvariantViolation, NotCosemisimple,
+                           ShapeMismatch)
 from hopfex.hopf import Element, ExponentReport, HopfAlgebra, default_cap
 from hopfex.linalg import Mat, SubspaceBasis
 from hopfex.poly import MinPolySearch, min_poly_of_powers, powers_mod
-from hopfex.scalars import Scalar, box, nonzero_raw, raw_values
+from hopfex.scalars import Scalar, box, read_vector
 from hopfex.structfile import (StructureFile, emit_structure_file,
                                structure_from_object)
 from hopfex.zoo import (cyclic, dual_group_algebra, group_algebra,
@@ -189,6 +190,59 @@ def test_hopf_order_of_elements(zoo):
     assert h.grouplike_order(g) == 2
     assert zoo["taft9"].grouplike_order(
         zoo["taft9"].basis_element(1)) == 3
+
+
+def reference_grouplike_order(h, vec, bound=1000):
+    """The least n with vec^n = 1, from boxed powers, or None."""
+    return next((n for n in range(1, bound + 1)
+                 if h.power_vec(vec, n) == h.unit), None)
+
+
+def test_grouplike_order_checks_its_input_before_any_product(zoo,
+                                                             monkeypatch):
+    # a vector that is not group-like is bad input: HopfError at once,
+    # with no product formed
+    h = zoo["sweedler"]
+    products = []
+    product = FiniteAlgebra._product
+
+    def counted(self, *args):
+        products.append(1)
+        return product(self, *args)
+
+    monkeypatch.setattr(FiniteAlgebra, "_product", counted)
+    x, one = h.basis_element(h.index_of("x")), h.one()
+    for vec in (x, one * 2, one + x, h.zero()):
+        with pytest.raises(HopfError, match="not group-like"):
+            h.grouplike_order(vec)
+    assert products == []
+    assert h.grouplike_order(one) == 1 and products == []
+
+
+def test_grouplike_order_stops_after_dim_powers():
+    # z is group-like with z^2 = z: no power is 1, so z has no inverse;
+    # with the identity as antipode that contradicts the antipode
+    z = (0, 1)
+    with pytest.raises(HopfError, match="no inverse") as err:
+        idempotent_monoid().grouplike_order(z)
+    assert type(err.value) is HopfError
+    with pytest.raises(InvariantViolation, match="has no power equal to 1"):
+        idempotent_monoid({(0, 0): 1, (1, 1): 1}).grouplike_order(z)
+    assert idempotent_monoid().grouplike_order((1, 0)) == 1
+
+
+def test_grouplike_orders_of_the_goldens(zoo):
+    # the order of every group-like of every golden is that of its boxed
+    # powers, which reach 1 within dim steps
+    seen = 0
+    for stem, h in zoo.items():
+        if not isinstance(h, HopfAlgebra):
+            continue
+        for g in h.group_likes():
+            n = h.grouplike_order(g)
+            assert n == reference_grouplike_order(h, g.vec) <= h.dim, stem
+            seen += 1
+    assert seen > len(zoo)
 
 
 def test_integral_trace_equals_dual_basis_form(zoo):
@@ -519,7 +573,7 @@ def test_min_poly_of_powers_stops_at_the_first_dependency(zoo):
         p = h.unit
         while True:
             taken.append(p)
-            yield dict(nonzero_raw(h.field, p))
+            yield dict(read_vector(h.field, h.dim, p))
             p = mul_vec(h, p, mul_vec(h, g, x))
 
     mu = min_poly_of_powers(h.field, powers())
@@ -880,7 +934,7 @@ def reference_powers_mod(field, mu):
 
 def raw_columns(m):
     """The columns of a Mat as {j: {row: raw value}} with no zeros."""
-    return {j: dict(nonzero_raw(m.field, col))
+    return {j: dict(read_vector(m.field, m.nrows, col))
             for j, col in enumerate(m.columns())}
 
 
@@ -949,14 +1003,15 @@ def test_min_poly_search_and_powers_mod_match_the_scalar_references(make):
     for h in with_rescaling(make)[:2]:
         field = h.field
         rng = random.Random(5)
-        x = dict(nonzero_raw(field, fraction_vector(field, rng, h.dim)))
+        x = dict(read_vector(field, h.dim,
+                             fraction_vector(field, rng, h.dim)))
         # the powers of id under convolution, and of x in the algebra
         id_powers = itertools.islice(h._id_powers(range(h.dim)),
                                      h.dim ** 2 + 1)
         x_powers = itertools.accumulate(
             itertools.repeat(x, h.dim),
             lambda p, y: h.algebra._product(p.items(), y.items()),
-            initial=dict(nonzero_raw(field, h.unit)))
+            initial=dict(read_vector(field, h.dim, h.unit)))
         sequences = [id_powers, x_powers]  # consumed up to mu only
         for seq, keyed in zip(sequences, (True, False)):
             raw, ref = MinPolySearch(field), ReferenceMinPolySearch(field)
@@ -1066,7 +1121,7 @@ def test_char0_extension_arithmetic_makes_no_fraction(zoo, monkeypatch):
     vals = [fraction_scalar(QZ5, rng).val for _ in range(60)]
     assert has_denominators(Scalar(QZ5, v) for v in vals)
     h = zoo["taft16"]
-    comul = [list(zip(d, raw_values(h.field, d.values()))) for d in h.comul]
+    comul = [[(k, x.val) for k, x in d.items()] for d in h.comul]
     made = count_fractions(monkeypatch)
     for a, b in zip(vals, vals[1:]):
         for r in (ops.add(a, b), ops.sub(a, b), ops.neg(a), ops.mul(a, b)):
@@ -1230,6 +1285,20 @@ def test_public_constructors_still_coerce_and_reject_their_input():
                     Coalgebra(**args)
     with pytest.raises(FieldMismatch):
         FiniteAlgebra(QQ, 1, {(0, 0, 0): f3.one()}, (QQ.one(),))
+    # FiniteAlgebra reads its table and unit as the other constructors do
+    assert FiniteAlgebra(QQ, 1, {(0, 0, 0): 1}, (1,)).unit == (QQ.one(),)
+    table = {(0, 0, 0): 1, (0, 1, 1): Fraction(2, 2), (1, 0, 1): 1,
+             (1, 1, 1): half, (1, 1, 0): 0}
+    read = FiniteAlgebra(QQ, 2, table, (Fraction(3, 3), 0))
+    boxed = FiniteAlgebra(QQ, 2, {key: QQ.from_fraction(Fraction(c))
+                                  for key, c in table.items()},
+                          (QQ.one(), QQ.zero()))
+    assert read.raw_constants() == boxed.raw_constants() == {
+        (0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 1): half}
+    assert read.unit_raw == boxed.unit_raw == (1, 0)
+    for table, unit in (({(0, 0, 0): 1.0}, (1,)), ({(0, 0, 0): 1}, (1.0,))):
+        with pytest.raises(TypeError, match="cannot coerce 1.0"):
+            FiniteAlgebra(QQ, 1, table, unit)
 
 
 def test_constructors_read_ints_and_fractions_without_scalars(monkeypatch):

@@ -11,9 +11,9 @@ from hopfex import GF, QQ, Element, FieldSpec, linalg, poly
 from hopfex.errors import (DivisionByZero, FieldMismatch, NoSolution,
                            ShapeMismatch)
 from hopfex.linalg import (Echelon, Mat, SubspaceBasis, dense_raw, kernel,
-                           rref_raw, rref_rows, rref_sparse)
+                           rref_rows, rref_sparse)
 from hopfex.extension import extend_coalgebra
-from hopfex.scalars import Scalar, box, cyclotomic_polynomial, nonzero_raw
+from hopfex.scalars import Scalar, box, cyclotomic_polynomial, read_vector
 from hopfex.zoo import taft
 from lifting_cases import (F9, HALF_ROOT, LIFT_FIELDS, QZ5, as_boxed,
                            dense_rref_raw, fraction_scalar, fraction_vector,
@@ -311,7 +311,7 @@ def test_cut_matches_the_reference(zoo):
             for f in probe_functionals(h, space):
                 want = reference_intersect(
                     space, SubspaceBasis(h.field, h.dim, [f]).perp())
-                got = space.cut(nonzero_raw(h.field, f))
+                got = space.cut(read_vector(h.field, h.dim, f))
                 assert got == want and got.pivots == want.pivots, stem
                 seen.add(got.dim == space.dim)
     assert seen == {True, False}
@@ -362,7 +362,7 @@ def test_membership_and_cuts_do_not_row_reduce(zoo, monkeypatch):
         for v in vectors:
             space.contains_raw(sparse(h.field, v))
         for f in functionals:
-            space.cut(nonzero_raw(h.field, f))
+            space.cut(read_vector(h.field, h.dim, f))
         h.is_subcoalgebra(space)
     assert calls == []
     # the counter does see an elimination
@@ -511,13 +511,22 @@ def test_rref_rows_matches_the_scalar_reference(field):
         assert all(is_canonical(field, x.val) for r in got[0] for x in r)
 
 
+def dense_rref(field, rows):
+    """(reduced rows as lists of raw values, pivots): rref_sparse on the
+    raw values of equal-length rows of Scalars, zeros included."""
+    n = len(rows[0]) if rows else 0
+    got, pivots = rref_sparse(field, n, [dict(enumerate(x.val for x in r))
+                                         for r in rows])
+    return [dense_raw(field.ops, n, r) for r in got], pivots
+
+
 @pytest.mark.parametrize("field", RAW_FIELDS, ids=lambda f: f.describe())
 def test_rref_raw_matches_the_scalar_reference(field):
+    # the one elimination on the raw values of dense rows
     rng = random.Random(11)
     for _ in range(15):
         rows, _ = random_low_rank_rows(field, rng)
-        work = [[x.val for x in r] for r in rows]
-        pivots = rref_raw(field, work)
+        work, pivots = dense_rref(field, rows)
         want_rows, want_pivots = reference_rref_rows(rows)
         assert pivots == want_pivots
         assert len(work) == len(want_rows)
@@ -572,9 +581,6 @@ def test_rref_sparse_matches_the_dense_reference(field):
                    and r[0][1] == field.ops.one and is_canonical(field, x)
                    and not field.ops.is_zero(x) for r, p in zip(got, pivots)
                    for _, x in r)
-        # rref_raw is its dense form
-        dense = [dense_raw(field.ops, ambient, r.items()) for r in rows]
-        assert rref_raw(field, dense) == want and dense == work
 
 
 def test_sparse_elimination_rejects_an_index_outside_the_ambient():
@@ -630,8 +636,8 @@ def rational_cases():
 def test_rref_raw_over_q_matches_the_reference(name):
     rows = q_rows(rational_cases()[name])
     want_rows, want_pivots = reference_rref_rows(rows)
-    work = [[x.val for x in r] for r in rows]
-    assert rref_raw(QQ, work) == want_pivots
+    work, pivots = dense_rref(QQ, rows)
+    assert pivots == want_pivots
     assert work == [[x.val for x in r] for r in want_rows]
     assert all(is_canonical(QQ, x) for r in work for x in r)
     assert rref_rows(QQ, rows) == (want_rows, want_pivots)
@@ -664,7 +670,7 @@ def test_rref_raw_over_q_makes_at_most_one_fraction_per_entry(monkeypatch):
 
 
 def sparse(field, v):
-    return dict(nonzero_raw(field, v))
+    return dict(read_vector(field, len(v), v))
 
 
 # -- a subspace holds its canonical raw rows --------------------------------
@@ -691,13 +697,13 @@ def check_representation(space, functional, other):
     Scalar is boxed."""
     field, n = space.field, space.ambient
     assert all(len(r) == n for r in space.rows)
-    assert [tuple(nonzero_raw(field, r)) for r in space.rows] == list(space.raw)
+    assert [read_vector(field, n, r) for r in space.rows] == list(space.raw)
     again = SubspaceBasis(field, n, space.rows)
     assert again == space and hash(again) == hash(space)
     assert again.pivots == space.pivots and again.raw == space.raw
     check_raw_canonical(space)
-    for made in (space.cut(nonzero_raw(field, functional)), space.sum(other),
-                 space.perp()):
+    for made in (space.cut(read_vector(field, n, functional)),
+                 space.sum(other), space.perp()):
         assert made is space or made._rows is None
         check_raw_canonical(made)
     with pytest.raises(ShapeMismatch):
@@ -765,7 +771,7 @@ def test_cut_on_raw_values_matches_the_reference(field):
                   [field.one()] * n, zero_vec(field, n)):
             want = reference_intersect(
                 space, SubspaceBasis(field, n, [tuple(f)]).perp())
-            got = space.cut(nonzero_raw(field, f))
+            got = space.cut(read_vector(field, n, f))
             assert got == want and got.pivots == want.pivots
             kept.add(got.dim == space.dim)
     assert kept == {True, False}
@@ -918,7 +924,7 @@ ECHELON_FIELDS = [("F_2", GF(2)), ("F_5", F5), ("F_9", F9), ("Q", QQ),
 def pair_keyed(field, vec):
     """vec as a sparse raw row keyed by the pairs (i // 3, i % 3), which
     sort as the indices do."""
-    return {divmod(i, 3): x for i, x in nonzero_raw(field, vec)}
+    return {divmod(i, 3): x for i, x in read_vector(field, len(vec), vec)}
 
 
 def dense_of_pairs(field, row, n):

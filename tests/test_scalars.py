@@ -14,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 from hopfex import GF, QQ, FieldSpec
 from hopfex.errors import (DivisionByZero, FieldError, FieldMismatch,
                            IncompatibleExtension, NoSuchRoot,
-                           ReducibleModulus, ScalarParseError)
+                           ReducibleModulus, ScalarParseError,
+                           ShapeMismatch)
 from hopfex import poly
 from hopfex.scalars import (MAX_EXTENSION_DEGREE, Scalar,
-                            cyclotomic_polynomial, raw_values)
+                            cyclotomic_polynomial, read_vector)
 
 from lifting_cases import (F9, HALF_ROOT, QZ5, is_canonical,
                            loop_extension_ops)
@@ -691,13 +692,18 @@ def test_char0_extension_inverses_hold_only_ints(field):
 
 
 def test_raw_values_checks_the_field_of_a_one_shot_iterator():
+    # read_vector, the one vector reader, reads a one-shot iterator once
     f7 = GF(7)
-    assert raw_values(f7, (f7.from_int(k) for k in (1, 9))) == [1, 2]
+    assert read_vector(f7, 2, (f7.from_int(k) for k in (1, 9))) == \
+        ((0, 1), (1, 2))
+    assert read_vector(f7, 3, iter([0, f7.from_int(7), 8])) == ((2, 1),)
     mixed = (x for x in (f7.from_int(3), GF(5).from_int(3)))
     with pytest.raises(FieldMismatch):
-        raw_values(f7, mixed)
+        read_vector(f7, 2, mixed)
     with pytest.raises(FieldMismatch):
-        raw_values(QQ, iter([QQ.one(), f7.one()]))
+        read_vector(QQ, 2, iter([QQ.one(), f7.one()]))
+    with pytest.raises(ShapeMismatch, match="vector lengths 3 vs 2"):
+        read_vector(f7, 3, (x for x in (1, 2)))
 
 
 def test_raw_values_are_read_from_ints_and_fractions_only():

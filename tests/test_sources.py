@@ -137,12 +137,12 @@ def method(tree, cls, name):
 
 def unboxed_views(tree):
     """(line, view) of every unit, counit or grouplike view passed to
-    nonzero_raw, raw_values or _box inside tree."""
+    read_vector or _box inside tree."""
     for call in ast.walk(tree):
         if isinstance(call, ast.Call) and isinstance(
                 call.func, (ast.Name, ast.Attribute)) and (
                 getattr(call.func, "id", None) or call.func.attr) in {
-                "nonzero_raw", "raw_values", "_box"}:
+                "read_vector", "_box"}:
             for arg in call.args:
                 if isinstance(arg, ast.Attribute) and arg.attr in {
                         "unit", "counit", "grouplike"}:
@@ -276,20 +276,20 @@ def test_one_polynomial_derivative():
                                                         "exponent"))
 
 
-CROSSING_CALLS = {"box", "box_sparse", "Scalar", "nonzero_raw", "raw_values"}
+CROSSING_CALLS = {"box", "box_sparse", "Scalar", "read_vector"}
 
 # The functions outside scalars.py that turn raw values into Scalars, or
 # Scalars into raw values: the views boxed at their first read and the
 # public entry points that take or return vectors of Scalars.  Everything
 # else hands raw values on, so a new crossing is a new line here.
 CROSSINGS = {
-    ("algebra.py", "FiniteAlgebra.__init__"),
     ("algebra.py", "FiniteAlgebra.unit"),
     ("algebra.py", "FiniteAlgebra.mult"),
     ("algebra.py", "FiniteAlgebra.left_mult_mat"),
     ("algebra.py", "FiniteAlgebra._mult_mat"),
     ("algebra.py", "FiniteAlgebra.power"),
     ("algebra.py", "FiniteAlgebra.left_traces"),
+    ("coalgebra.py", "Element.__init__"),
     ("coalgebra.py", "Element.vec"),
     ("coalgebra.py", "Element.delta"),
     ("coalgebra.py", "Element.eps"),
@@ -327,9 +327,11 @@ def test_scalars_cross_only_at_the_views_and_the_boxed_entry_points():
              for name in crossing_functions(ast.parse(path.read_text()))}
     assert found == CROSSINGS
     # the helpers that boxed a raw result for the next routine to unbox,
-    # and the coercions that Element(parent, vec) replaced, are gone
+    # the coercions that FieldSpec.raw and read_vector replaced, and the
+    # dense elimination that rref_sparse replaced are gone
     for path in SRC.glob("*.py"):
         defined = {node.name for node in ast.walk(ast.parse(path.read_text()))
                    if isinstance(node, ast.FunctionDef)}
         assert not defined & {"_box", "as_scalar", "lift_functional",
-                              "_pairs"}, path.name
+                              "_pairs", "raw_values", "nonzero_raw",
+                              "as_raw", "rref_raw"}, path.name
