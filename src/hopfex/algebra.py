@@ -38,11 +38,12 @@ read them off directly.  The corner eAe is (eA)e: the columns of L_e are
 row-reduced to a basis of eA, and only those rows are multiplied by e.
 
 An algebra holds only its nonzero structure constants, for each (i, j)
-the (m, raw c_ij^m) in increasing m, and the same lifted (FieldOps.lift):
-over Q as integers over one denominator D.  Every product kernel
-(_product, _basis_products, _tensor_product, the trace form) is then a run
-of integer multiply-adds, normalised once per nonzero output entry by
-FieldOps.settle, instead of one gcd-normalised Fraction per term.
+the (m, raw c_ij^m) in increasing m, and the same lifted
+(FieldOps.lift_pairs): over Q as integers over one denominator D.  Every
+product kernel (_product, _basis_products, _tensor_product, the trace
+form) is then a run of integer multiply-adds, normalised once per nonzero
+output entry by FieldOps.settle, instead of one gcd-normalised Fraction
+per term.
 
 Splitting the semisimple quotient is deterministic.  The centre is
 split in one refinement pass over its basis (split_commutative): the
@@ -174,11 +175,12 @@ class FiniteAlgebra:
     outside range(dim) is an AxiomViolation.  unit is the coefficient
     vector of 1; unit_raw holds its raw values, and unit is a read-only
     view boxed at the first read.  self.constants[i][j] lists the nonzero
-    (m, raw c) of e_i e_j in increasing m, and terms is (D, lifted), the same lists with
-    every c lifted over one denominator D (FieldOps.lift), built at the
-    first product.  Products walk them as multiply-adds on lifted values
-    and settle once per nonzero output entry, so their cost follows the
-    nonzero constants, not dim^3 per pair.  check=True raises
+    (m, raw c) of e_i e_j in increasing m, and terms is (lifted, D), the
+    same lists with every c lifted over one denominator D
+    (FieldOps.lift_pairs), built at the first product.  Products walk them
+    as multiply-adds on lifted values and settle once per nonzero output
+    entry, so their cost follows the nonzero constants, not dim^3 per
+    pair.  check=True raises
     LinAlgError on the first of violations().
     """
 
@@ -261,16 +263,16 @@ class FiniteAlgebra:
 
     @functools.cached_property
     def terms(self) -> tuple:
-        """(D, lifted): the constants with every c lifted over the one
+        """(lifted, D): the constants with every c lifted over the one
         denominator D.  With D = 1 the lift is the identity, and lifted
         is constants itself."""
-        flat, denom = self.field.ops.lift(
-            [c for row in self.constants for tij in row for _, c in tij])
+        pairs, denom = self.field.ops.lift_pairs(
+            [t for row in self.constants for tij in row for t in tij])
         if denom == 1:
-            return 1, self.constants
-        it = iter(flat)
-        return denom, [[[(m, next(it)) for m, _ in tij] for tij in row]
-                       for row in self.constants]
+            return self.constants, 1
+        it = iter(pairs)
+        return [[list(itertools.islice(it, len(tij))) for tij in row]
+                for row in self.constants], denom
 
     def _product(self, u, v) -> dict:
         """u v as {m: raw value} with no zeros, from the nonzero (index,
@@ -280,13 +282,13 @@ class FiniteAlgebra:
         u, su = ops.lift_pairs(u)
         v, sv = ops.lift_pairs(v)
         return ops.settle_all(self._lifted_product(u, v),
-                          su * sv * self.terms[0])
+                          su * sv * self.terms[1])
 
     def _lifted_product(self, u, v) -> dict:
         """u v for lifted (index, value) pairs u and v, as {m: lifted
         value} over their scales times the denominator of terms."""
         mul, add = self.field.ops.lmul, self.field.ops.ladd
-        terms = self.terms[1]
+        terms = self.terms[0]
         acc: dict = {}
         for i, x in u:
             row = terms[i]
@@ -307,7 +309,7 @@ class FiniteAlgebra:
         it is."""
         ops = self.field.ops
         mul, add = ops.lmul, ops.ladd
-        denom, terms = self.terms
+        terms, denom = self.terms
         u, su = ops.lift_pairs(u)
         cols: list[dict] = [{} for _ in range(self.dim)]
         for i, c in u:
@@ -337,7 +339,7 @@ class FiniteAlgebra:
         the lifted terms of e_j e_j' and e_k e_k', settled once per entry."""
         ops = self.field.ops
         mul, add = ops.lmul, ops.ladd
-        denom, terms = self.terms
+        terms, denom = self.terms
         a, sa = ops.lift_pairs(a)
         b, sb = ops.lift_pairs(b)
         acc: dict = {}
@@ -387,7 +389,7 @@ class FiniteAlgebra:
         lifted over the denominator D of terms."""
         add = self.field.ops.ladd
         taus: dict = {}
-        for m, row in enumerate(self.terms[1]):
+        for m, row in enumerate(self.terms[0]):
             for k, tmk in enumerate(row):
                 for idx, t in tmk:
                     if idx == k:
@@ -401,7 +403,7 @@ class FiniteAlgebra:
 
     def _traces(self) -> dict:
         """The nonzero tau_m as {m: raw value}."""
-        return self.field.ops.settle_all(self._lifted_traces(), self.terms[0])
+        return self.field.ops.settle_all(self._lifted_traces(), self.terms[1])
 
     def _trace_form(self) -> list[dict]:
         """Gram matrix Tr L_{e_i e_j} = sum_m c_ij^m tau_m, in O(n^3), as
@@ -409,7 +411,7 @@ class FiniteAlgebra:
         settled once per entry."""
         ops = self.field.ops
         mul, add = ops.lmul, ops.ladd
-        denom, terms = self.terms
+        terms, denom = self.terms
         taus = self._lifted_traces()
         rows = []
         for row in terms:
@@ -516,7 +518,7 @@ class FiniteAlgebra:
             # the rows of I and of the last power are lifted once; each
             # product u v is settled once, and only the nonzero ones are
             # eliminated, once per power
-            scale = sl * sg * self.terms[0]
+            scale = sl * sg * self.terms[1]
             nxt = SubspaceBasis.of_raw(field, self.dim, [
                 p for u in last.values() for v in gens.values()
                 if (p := ops.settle_all(self._lifted_product(u, v), scale))])
@@ -539,8 +541,8 @@ class FiniteAlgebra:
         with entry c_kj^m - c_jk^m at k, read off the lifted terms."""
         ops, dim = self.field.ops, self.dim
         mul, add = ops.lmul, ops.ladd
-        denom, terms = self.terms
-        minus_one = ops.lift([ops.neg(ops.one)])[0][0]
+        terms, denom = self.terms
+        minus_one = ops.neg(ops.one)  # the lift is the identity on it
         rows: dict = {}
         for j, k in itertools.product(range(dim), repeat=2):
             for m, c in terms[k][j]:
@@ -595,7 +597,7 @@ class FiniteAlgebra:
         once."""
         ops = self.field.ops
         lifted, scale = lift_columns(ops, dict(enumerate(powers)))
-        return lambda h: combination(ops, enumerate(h), lifted, scale)
+        return lambda h: combination(ops, sparse_raw(ops, h), lifted, scale)
 
     def split_idempotent(self, e: dict, x: dict) -> dict | None:
         """Try to split idempotent e using the element x = e x e.

@@ -44,17 +44,18 @@ is pairwise orthogonal.
 
 Tensors in H (x) H are sparse dicts {(j, k): value} with no zeros, of
 Scalars in the comul view and Element.delta and of raw values elsewhere:
-comul_raw holds the table, and _delta_raw multiplies and adds on it
-lifted once (FieldOps.lift) and settles once per tensor entry.
-The hit actions read functionals lifted once (lift_functionals) and hit
-with all of them in one pass over Delta.  A coalgebra is immutable, so it
-builds one bicomponent table, at the first bicomponent asked of it: the
-(l, r) component of every basis vector, from one left hit per basis
-vector and one right hit per nonzero left component, with the coradical
-idempotents lifted once (IdempotentFamily.lifted).  _component_raw, and
-through it bicomponent_subspace and the extension layer, is then a
-lifted combination of the table's columns; a side left open is the sum
-over that side, since the idempotents sum to the counit.
+comul_raw holds the table.  Delta, eps and the bicomponents are linear
+maps on lifted tables, each built once: _delta_raw is a
+scalars.combination of the lifted columns of Delta, and _eps_raw a
+scalars.dot with the lifted counit.  The hit actions read functionals
+lifted once (lift_functionals) and hit with all of them in one pass over
+Delta.  A coalgebra is immutable, so it builds one bicomponent table, at
+the first bicomponent asked of it: the (l, r) component of every basis
+vector, from one left hit per basis vector and one right hit per nonzero
+left component, with the coradical idempotents lifted once
+(IdempotentFamily.lifted).  _component_raw, and through it
+bicomponent_subspace and the extension layer, is then one combination
+of the (l, r) columns of that table.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ from .linalg import (
     sum_scaled,
     tensor_legs,
 )
-from .scalars import (FieldSpec, Scalar, box, box_sparse, lift_columns,
-                      raw_table, read_vector)
+from .scalars import (FieldSpec, Scalar, box, box_sparse, combination, dot,
+                      lift_columns, raw_table, read_vector)
 
 
 def lift_functionals(field: FieldSpec, functionals) -> tuple:
@@ -327,43 +328,27 @@ class Coalgebra:
 
     @functools.cached_property
     def _lifted_comul(self) -> tuple:
-        """(scale, lifted): lifted[i] lists the ((j, k), c) of Delta(e_i),
+        """(lifted, scale): lifted[i] lists the ((j, k), c) of Delta(e_i),
         every c lifted over the one scale."""
-        lifted, scale = lift_columns(self.field.ops,
-                                     dict(enumerate(self.comul_raw)))
-        return scale, lifted
+        return lift_columns(self.field.ops, dict(enumerate(self.comul_raw)))
 
     def _delta_raw(self, pairs) -> dict:
         """Delta of the vector with nonzero (index, raw value) pairs, as
-        {(j, k): raw value} with no zeros, settled once per entry."""
-        ops = self.field.ops
-        mul, add = ops.lmul, ops.ladd
-        scale, table = self._lifted_comul
-        coeffs, sc = ops.lift_pairs(pairs)
-        acc: dict = {}
-        for i, c in coeffs:
-            for key, t in table[i]:
-                y = mul(c, t)
-                acc[key] = add(acc[key], y) if key in acc else y
-        return ops.settle_all(acc, sc * scale)
+        {(j, k): raw value} with no zeros."""
+        return combination(self.field.ops, pairs, *self._lifted_comul)
 
     @functools.cached_property
     def _lifted_counit(self) -> tuple:
-        """(scale, lifted): the counit's values lifted over one scale."""
-        flat, scale = self.field.ops.lift(self.counit_raw)
-        return scale, flat
+        """(lifted, scale): {i: eps(e_i)} over the nonzero eps(e_i),
+        lifted over one scale."""
+        ops = self.field.ops
+        lifted, scale = ops.lift_pairs(sparse_raw(ops, self.counit_raw))
+        return dict(lifted), scale
 
     def _eps_raw(self, pairs):
         """eps of the vector with nonzero (index, raw value) pairs, as a
-        raw value: lifted multiply-adds, settled once."""
-        ops = self.field.ops
-        mul, add = ops.lmul, ops.ladd
-        scale, eps = self._lifted_counit
-        coeffs, sc = ops.lift_pairs(pairs)
-        terms = [mul(c, eps[i]) for i, c in coeffs]
-        if not terms:
-            return ops.zero
-        return ops.settle(functools.reduce(add, terms), sc * scale)
+        raw value."""
+        return dot(self.field.ops, pairs, *self._lifted_counit)
 
     def subcoalgebra_support(self, vec) -> list[int]:
         """The least S containing supp(vec) with every (j, k) of Delta(e_i),
@@ -530,7 +515,7 @@ class Coalgebra:
         entry is settled once."""
         ops = self.field.ops
         mul, add = ops.lmul, ops.ladd
-        scale, table = self._lifted_comul
+        table, scale = self._lifted_comul
         index, scales = family
         coeffs, hs = ops.lift_pairs(pairs)
         accs = [{} for _ in scales]
@@ -548,10 +533,11 @@ class Coalgebra:
 
     @functools.cached_property
     def _bicomponents(self) -> tuple:
-        """(scale, table, n): table[i] maps each (l, r) with a nonzero
-        bicomponent e_r -> (e_i <- e_l) of the basis vector e_i, for the
-        n coradical idempotents e_l and e_r, to its (m, lifted value)
-        pairs, all over one scale.
+        """(table, scale, n): table maps (l, r), for two of the n
+        coradical idempotents e_l and e_r, to {i: the (m, lifted value)
+        pairs of e_r -> (e_i <- e_l)} over the basis vectors e_i where
+        that bicomponent is nonzero, all over one scale; a pair (l, r)
+        with no nonzero column is left out.
 
         One sweep over Delta with every idempotent at once: one left hit
         per basis vector, then one right hit per nonzero left component.
@@ -568,34 +554,21 @@ class Coalgebra:
                         if v:
                             cols[i, l, r] = v
         lifted, scale = lift_columns(ops, cols)
-        table = [{} for _ in range(self.dim)]
+        table: dict = {}
         for (i, l, r), col in lifted.items():
-            table[i][l, r] = col
-        return scale, table, len(family[1])
+            table.setdefault((l, r), {})[i] = col
+        return table, scale, len(family[1])
 
-    def _component_raw(self, pairs, left: int | None = None,
-                       right: int | None = None) -> dict:
+    def _component_raw(self, pairs, left: int, right: int) -> dict:
         """e_right -> (v <- e_left) for the vector v with nonzero (index,
-        raw value) pairs, as {m: raw value} with no zeros: a combination
-        of the columns of the bicomponent table.  A side given as None
-        sums over every idempotent of that side, which sum to the counit,
-        so it is not hit."""
-        scale, table, n = self._bicomponents
+        raw value) pairs, as {m: raw value} with no zeros: one combination
+        of the (left, right) columns of the bicomponent table."""
+        table, scale, n = self._bicomponents
         for side in (left, right):
-            if side is not None and not 0 <= side < n:
+            if not 0 <= side < n:
                 raise UnknownSimple(f"no simple subcoalgebra with index {side}")
-        ops = self.field.ops
-        mul, add, one = ops.lmul, ops.ladd, ops.one
-        coeffs, sc = ops.lift_pairs(pairs)
-        acc: dict = {}
-        for i, c in coeffs:
-            for (l, r), col in table[i].items():
-                if left not in (None, l) or right not in (None, r):
-                    continue
-                for m, x in col:
-                    y = x if c == one else mul(c, x)
-                    acc[m] = add(acc[m], y) if m in acc else y
-        return ops.settle_all(acc, sc * scale)
+        return combination(self.field.ops, pairs, table.get((left, right), {}),
+                           scale)
 
     def bicomponent_subspace(self, left: int, right: int,
                              within: SubspaceBasis | None = None) -> SubspaceBasis:
@@ -834,19 +807,19 @@ class CoradicalAnalysis:
                 add_scaled(ops, total, ops.one, f)
             require(total == unit, "idempotents do not sum to the counit")
             # f_i restricts to the counit on simple i and to 0 on the
-            # others; rows and f_i are lifted once, f_i(row) settled once
-            rows = [(comp.index, row, *ops.lift_pairs(row))
-                    for comp in comps for row in comp.subspace.raw]
+            # others: the f_i(row) of every i are one combination per row
+            # of the columns {i: f_i(e_j)}, lifted once
+            cols: dict = {}
             for i, f in enumerate(funcs):
-                pairs, sf = ops.lift_pairs(f.items())
-                fl = dict(pairs)
-                for index, row, lrow, sr in rows:
-                    terms = [ops.lmul(fl[j], x) for j, x in lrow if j in fl]
-                    got = ops.settle(functools.reduce(ops.ladd, terms),
-                                     sf * sr) if terms else ops.zero
-                    want = self.coalgebra._eps_raw(row) if index == i \
-                        else ops.zero
-                    require(got == want, "restriction property fails")
+                for j, x in f.items():
+                    cols.setdefault(j, {})[i] = x
+            lifted, scale = lift_columns(ops, cols)
+            for comp in comps:
+                for row in comp.subspace.raw:
+                    eps = self.coalgebra._eps_raw(row)
+                    want = {} if ops.is_zero(eps) else {comp.index: eps}
+                    require(combination(ops, row, lifted, scale) == want,
+                            "restriction property fails")
             self._idempotents = IdempotentFamily(self.coalgebra, funcs)
         return self._idempotents
 

@@ -300,22 +300,13 @@ class HopfAlgebra(Coalgebra):
         return bad
 
     def involutory(self) -> bool:
-        """Whether S o S = id, with S(S(e_i)) read off the nonzero entries
-        of the columns of S."""
+        """Whether S o S = id: S(S(e_i)) is one combination of the lifted
+        columns of S, with the entries of column i."""
         if self.antipode_raw is None:
             return False
         ops = self.field.ops
-        mul, add = ops.lmul, ops.ladd
-        cols, scale = self._lifted_antipode
-        for i, col in cols.items():
-            acc: dict = {}
-            for m, x in col:
-                for k, y in cols[m]:
-                    z = mul(x, y)
-                    acc[k] = add(acc[k], z) if k in acc else z
-            if ops.settle_all(acc, scale * scale) != {i: ops.one}:
-                return False
-        return True
+        return all(combination(ops, col.items(), *self._lifted_antipode)
+                   == {i: ops.one} for i, col in self.antipode_raw.items())
 
     def _columns(self, m: Mat) -> dict:
         """The columns of m as {j: {row: raw value}} with no zeros."""
@@ -352,8 +343,8 @@ class HopfAlgebra(Coalgebra):
         """
         ops = self.field.ops
         mul, add = ops.lmul, ops.ladd
-        denom, terms = self.algebra.terms
-        sc, comul = self._lifted_comul
+        terms, denom = self.algebra.terms
+        comul, sc = self._lifted_comul
         f, sf = lift_columns(ops, f)
         g, sg = lift_columns(ops, g)
         scale = sc * sf * sg * denom
@@ -426,7 +417,7 @@ class HopfAlgebra(Coalgebra):
                 break
         lifted, scale = lift_columns(ops, dict(enumerate(values)))
         for r in itertools.islice(powers_mod(field, mu), len(values), None):
-            yield combination(ops, enumerate(r), lifted, scale)
+            yield combination(ops, sparse_raw(ops, r), lifted, scale)
 
     def _id_powers(self, support) -> Iterator[dict]:
         """[0], [1], [2], ... restricted to C_S for S = support, forever.

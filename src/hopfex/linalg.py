@@ -24,8 +24,9 @@ Once a SubspaceBasis is canonical, membership, coordinates and
 hyperplane cuts read its pivots: v lies in the span exactly when its
 entries at the pivots rebuild it, and cutting by a functional clears one
 row against the others without leaving canonical form.  Membership takes
-a sparse raw vector and reads only its nonzero entries.  The rebuild and
-the cut's f . r are sums of products on rows lifted once (FieldOps.lift).
+a sparse raw vector and reads only its nonzero entries.  The rebuild is
+a sum of products on rows lifted once (FieldOps.lift_pairs), and the
+cut's f . r a scalars.dot of each row with f, lifted once per cut.
 
 Internal vectors are sparse raw dicts {index: raw value} (add_scaled,
 sum_scaled), and a SubspaceBasis holds its canonical rows as sparse raw
@@ -42,7 +43,7 @@ import math
 import operator
 
 from .errors import FieldMismatch, NoSolution, ShapeMismatch
-from .scalars import (FieldSpec, Scalar, box_sparse, lift_columns,
+from .scalars import (FieldSpec, Scalar, box_sparse, dot, lift_columns,
                       read_vector)
 
 
@@ -482,7 +483,7 @@ class SubspaceBasis:
             raise ShapeMismatch("vector index outside the ambient dimension")
         ops = self.field.ops
         mul, add = ops.lmul, ops.ladd
-        scale, index, rows, minus = self._lifted_rows()
+        rows, scale, index, minus = self._lifted_rows()
         vals, sc = ops.lift_pairs(vec.items())
         acc: dict = {}
         for j, x in vals:
@@ -495,9 +496,9 @@ class SubspaceBasis:
         return all(is_zero(settle(a, scale)) for a in acc.values())
 
     def _lifted_rows(self) -> tuple:
-        """(scale, index, rows, minus): index maps each pivot to its row,
-        rows[k] lists the nonzero (j, lifted value) of row k off the
-        pivots, and minus is -1; all lifted over one scale."""
+        """(rows, scale, index, minus): rows[k] lists the nonzero (j,
+        lifted value) of row k off the pivots, index maps each pivot to
+        its row, and minus is -1; all lifted over one scale."""
         if self._lifted is None:
             ops = self.field.ops
             index = {p: k for k, p in enumerate(self.pivots)}
@@ -505,7 +506,7 @@ class SubspaceBasis:
             cols[-1] = {0: ops.neg(ops.one)}
             rows, scale = lift_columns(ops, cols)
             (_, minus), = rows.pop(-1)
-            self._lifted = (scale, index, rows, minus)
+            self._lifted = (rows, scale, index, minus)
         return self._lifted
 
     def contains(self, other: "SubspaceBasis") -> bool:
@@ -531,26 +532,16 @@ class SubspaceBasis:
         earlier row with it, then drop r_k.  r_k is 0 before its pivot,
         which lies after every earlier pivot, and 0 at the other pivots,
         so each earlier row keeps its pivot and the rows stay canonical.
-        Later rows already satisfy f . r = 0.  For the same reason
-        f . r_k is f at the pivot of r_k plus f against the lifted
-        entries of r_k off the pivots; the other raw rows are carried
-        over unchanged.
+        Later rows already satisfy f . r = 0.  f is lifted once, and
+        each f . r is one dot; the other raw rows are carried over
+        unchanged.
         """
         ops = self.field.ops
-        mul, add = ops.lmul, ops.ladd
-        scale, _, rows, minus = self._lifted_rows()
-        one = ops.neg(minus)  # a lift is linear: the lift of 1
         fl, sf = ops.lift_pairs(f)
         fl = dict(fl)
         if fl and (min(fl) < 0 or max(fl) >= self.ambient):
             raise ShapeMismatch("functional index outside the ambient dimension")
-        vals = []
-        for k, p in enumerate(self.pivots):
-            terms = [mul(fl[j], y) for j, y in rows[k] if j in fl]
-            if p in fl:
-                terms.append(mul(fl[p], one))
-            vals.append(ops.settle(functools.reduce(add, terms), sf * scale)
-                        if terms else ops.zero)
+        vals = [dot(ops, r, fl, sf) for r in self.raw]
         k = next((i for i in reversed(range(self.dim))
                   if not ops.is_zero(vals[i])), None)
         if k is None:

@@ -49,16 +49,20 @@ pairs every entry point takes; raw_table reads a structure table the
 same way.  Boxing always goes through Scalar(field, v), so counting
 Scalar.__init__ counts every Scalar made.
 
-Sums of products are evaluated with delayed normalisation.  FieldOps.lift
-turns raw values into integers over one common scale (numerators over
-the lcm of the denominators on Q; the values themselves, scale 1, on
-F_p), a kernel multiplies and adds those integers with no reduction,
-and FieldOps.settle turns each nonzero output entry back into one
-canonical raw value: one divmod on Q (and one gcd when the entry is
-not an integer), one reduction mod p on F_p.  An
-extension field lifts by the identity, so the same kernels run on its
-own generated mul and add; on a char-0 extension those are already
-integer operations with at most one gcd per result.
+Sums of products are evaluated with delayed normalisation.
+FieldOps.lift_pairs, the one lift, turns the values of (key, raw value)
+pairs into integers over one common scale (numerators over the lcm of
+the denominators on Q; the values themselves, scale 1, on F_p), a
+kernel multiplies and adds those integers with no reduction, and
+FieldOps.settle turns each nonzero output entry back into one canonical
+raw value: one divmod on Q (and one gcd when the entry is not an
+integer), one reduction mod p on F_p.  An extension field lifts by the
+identity, so the same kernels run on its own generated mul and add; on
+a char-0 extension those are already integer operations with at most
+one gcd per result.  Every linear sum of lifted products runs through
+combination, which returns a vector, or dot, which returns one value;
+a cached lifted table is (lifted, scale), the order lift_pairs and
+lift_columns return.
 
 No floating point anywhere: a raw value over Q is never divided with
 '/', which would turn two ints into a float.
@@ -185,16 +189,6 @@ def _settle_rational(acc: int, scale: int):
     return Fraction(acc, scale) if r else q
 
 
-def _lift_rationals(vals) -> tuple[list[int], int]:
-    """Integer numerators of rationals over the lcm of their denominators."""
-    vals = list(vals)
-    dens = {v.denominator for v in vals if type(v) is not int}
-    if not dens:
-        return vals, 1
-    d = math.lcm(*dens)
-    return [v.numerator * (d // v.denominator) for v in vals], d
-
-
 # pairs of these types are read more than once without a copy
 _REREADABLE = (list, tuple, type({}.items()))
 
@@ -239,27 +233,27 @@ class FieldOps:
     result with denominator 1 is returned as its numerator.  inv returns
     an int exactly when the value is +-1/n.
 
-    lift and settle delay normalisation in sums of products.  lift(vals)
-    returns (lifted, scale): on Q, integers over one common scale, the lcm
-    of the denominators; on F_p, the values themselves with scale 1.
-    Lifted values are multiplied with lmul and added with ladd; on Q and
-    F_p these are plain integer operations, never reduced mod p, so a
+    lift_pairs and settle delay normalisation in sums of products.
+    lift_pairs(pairs) lifts the values of (key, raw value) pairs and
+    returns (lifted pairs, scale): on Q, integers over one common scale,
+    the lcm of the denominators; on F_p, the values themselves with scale
+    1.  Lifted values are multiplied with lmul and added with ladd; on Q
+    and F_p these are plain integer operations, never reduced mod p, so a
     product of lifted values lies over the product of their scales.
     settle(acc, scale) returns the canonical raw value of acc over scale:
     on Q the int quotient when scale divides acc, else Fraction(acc,
-    scale); acc % p on F_p.  A kernel settles once per
-    output entry, so it normalises once per entry, not once per term.  An
-    extension field lifts by the identity (scale 1), its lmul and ladd
-    are its own mul and add, and settle returns acc.
+    scale); acc % p on F_p.  A kernel settles once per output entry, so
+    it normalises once per entry, not once per term.  An extension field
+    lifts by the identity (scale 1), its lmul and ladd are its own mul
+    and add, and settle returns acc.
 
-    lift_pairs(pairs) lifts the values of (key, raw value) pairs and
-    returns (lifted pairs, scale); settle_all(acc, scale) settles every
-    entry of {key: lifted value} and drops the zeros.  Where the lift is
-    the identity (F_p, every extension field, and Q when every value is
-    an int) lift_pairs returns a list, a tuple or a dict's items as they
-    are, with no copy, and any other iterable as a list.  settle_all is
-    one comprehension: % p on F_p, a zero test only on an extension
-    field, and on Q a divmod per entry only when the scale is not 1.
+    settle_all(acc, scale) settles every entry of {key: lifted value} and
+    drops the zeros.  Where the lift is the identity (F_p, every
+    extension field, and Q when every value is an int) lift_pairs returns
+    a list, a tuple or a dict's items as they are, with no copy, and any
+    other iterable as a list.  settle_all is one comprehension: % p on
+    F_p, a zero test only on an extension field, and on Q a divmod per
+    entry only when the scale is not 1.
 
     On an extension field add, sub, neg and mul are the straight-line
     functions that _extension_kernels compiles from the reduction table,
@@ -272,7 +266,7 @@ class FieldOps:
     """
 
     __slots__ = ("zero", "one", "add", "sub", "neg", "mul", "inv", "is_zero",
-                 "lift", "settle", "lmul", "ladd", "lift_pairs", "settle_all")
+                 "settle", "lmul", "ladd", "lift_pairs", "settle_all")
 
     def __init__(self, char: int, modulus: tuple | None):
         if modulus:
@@ -286,7 +280,6 @@ class FieldOps:
             self.neg = lambda a: -a % p
             self.mul = lambda a, b: a * b % p
             self.inv = lambda a: pow(a, p - 2, p)
-            self.lift = lambda vals: (list(vals), 1)
             self.settle = lambda acc, scale: acc % p
             self.lift_pairs = _identity_pairs
             self.settle_all = lambda acc, scale: {
@@ -296,7 +289,6 @@ class FieldOps:
             self.add, self.sub = _add_rationals, _sub_rationals
             self.neg, self.mul = operator.neg, _mul_rationals
             self.inv = _invert_rational
-            self.lift = _lift_rationals
             self.settle = _settle_rational
             self.lift_pairs = _lift_rational_pairs
             self.settle_all = _settle_rationals
@@ -329,7 +321,6 @@ class FieldOps:
         self.add, self.sub, self.neg, self.mul = _extension_kernels(p, d, table, D)
         # kernels run on this field's own mul and add
         zero = self.zero
-        self.lift = lambda vals: (list(vals), 1)
         self.settle = lambda acc, scale: acc
         self.lift_pairs = _identity_pairs
         self.settle_all = lambda acc, scale: {
@@ -474,28 +465,46 @@ def raw_table(field: "FieldSpec", what: str, entries: dict, dim: int) -> dict:
 def lift_columns(ops: FieldOps, cols: dict) -> tuple[dict, object]:
     """The sparse raw columns {i: {m: raw value}} as {i: [(m, lifted)]},
     every value lifted over one scale, and the scale."""
-    flat, scale = ops.lift([x for col in cols.values() for x in col.values()])
-    it = iter(flat)
-    return {i: [(m, next(it)) for m in col] for i, col in cols.items()}, scale
+    pairs, scale = ops.lift_pairs([x for col in cols.values()
+                                   for x in col.items()])
+    it = iter(pairs)
+    return {i: list(itertools.islice(it, len(col)))
+            for i, col in cols.items()}, scale
 
 
-def combination(ops: FieldOps, coeffs, lifted, scale) -> dict:
-    """sum of c lifted[k] over the (k, raw value c) pairs coeffs, as {m:
-    raw value} with no zeros.
+def combination(ops: FieldOps, pairs, lifted, scale) -> dict:
+    """sum of c lifted[k] over the (k, raw value c) pairs, as {m: raw
+    value} with no zeros: the one kernel of a linear map on lifted
+    columns.
 
-    A zero c is skipped, so a dense coefficient list, a polynomial's
-    included, is passed as enumerate(r); lifted[k] lists the (m, lifted
-    value) of a vector, all over scale (lift_columns).  Each entry is
-    settled once.
+    pairs are free of zeros, so a dense coefficient list, a polynomial's
+    included, is passed through linalg.sparse_raw; lifted[k] lists the
+    (m, lifted value) of a vector, all over scale (lift_columns), and a
+    key absent from lifted is a zero column.  A lifted c equal to 1
+    multiplies nothing (a basis vector's coefficient, on every field).
+    Each entry is settled once.
     """
-    mul, add, is_zero = ops.lmul, ops.ladd, ops.is_zero
-    cs, sc = ops.lift_pairs([(k, c) for k, c in coeffs if not is_zero(c)])
+    mul, add, one = ops.lmul, ops.ladd, ops.one
+    cs, sc = ops.lift_pairs(pairs)
     acc: dict = {}
     for k, c in cs:
-        for m, x in lifted[k]:
-            y = mul(c, x)
+        for m, x in lifted.get(k, ()):
+            y = x if c == one else mul(c, x)
             acc[m] = add(acc[m], y) if m in acc else y
     return ops.settle_all(acc, sc * scale)
+
+
+def dot(ops: FieldOps, pairs, lifted, scale):
+    """sum of c lifted[k] over the (k, raw value c) pairs, free of zeros,
+    as one raw value settled once: the one kernel of a linear functional.
+    lifted maps keys to values lifted over scale; a key absent from it is
+    a zero."""
+    mul = ops.lmul
+    cs, sc = ops.lift_pairs(pairs)
+    terms = [mul(c, lifted[k]) for k, c in cs if k in lifted]
+    if not terms:
+        return ops.zero
+    return ops.settle(functools.reduce(ops.ladd, terms), sc * scale)
 
 
 def box(field: "FieldSpec", vals) -> tuple:
@@ -538,17 +547,24 @@ class FieldSpec:
                 char > 0 and not _is_prime(char)):
             raise FieldError(f"characteristic must be 0 or prime, got {char}")
         if cyclotomic_order is not None:
+            m = cyclotomic_order
+            if type(m) is not int:
+                raise FieldError(f"cyclotomic order must be an int, got {m!r}")
             if char != 0:
                 raise FieldError("cyclotomic shorthand is for characteristic 0")
             if modulus is not None:
                 raise FieldError("give either a modulus or a cyclotomic order, not both")
-            if cyclotomic_order < 1:
+            if m < 1:
                 raise FieldError("cyclotomic order must be positive")
-            if cyclotomic_order <= 2:
+            # phi(m) >= sqrt(m / 2), so a larger m is past the cap unfactored
+            if m > 2 * MAX_EXTENSION_DEGREE ** 2 or _totient(m) > MAX_EXTENSION_DEGREE:
+                raise FieldError(f"extension degree phi({m}) of Q(zeta_{m}) exceeds "
+                                 f"the supported cap {MAX_EXTENSION_DEGREE}")
+            if m <= 2:
                 # the root is rational; no extension needed
                 cyclotomic_order = None
             else:
-                modulus = cyclotomic_polynomial(cyclotomic_order)
+                modulus = cyclotomic_polynomial(m)
         if modulus is not None:
             modulus = [_coerce_prime_coeff(c, char) for c in modulus]
             poly.trim(FieldOps(char, None), modulus)
@@ -814,6 +830,18 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _totient(m: int) -> int:
+    """Euler's phi(m), by trial division."""
+    out, d = m, 2
+    while d * d <= m:
+        if m % d == 0:
+            out -= out // d
+            while m % d == 0:
+                m //= d
+        d += 1
+    return out - out // m if m > 1 else out
 
 
 def _coerce_prime_coeff(c, p: int):

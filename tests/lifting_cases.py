@@ -35,7 +35,10 @@ Coalgebra.format_element wrote it from the Scalars.  loop_extension_ops is the a
 extension field as the coefficient loops it ran on before its kernels
 were generated as straight-line code: the reference they are checked
 against.  dense_rref_raw is the dense column-by-column elimination that
-linalg.rref_sparse replaced, kept as its reference.  unit_pool_split is
+linalg.rref_sparse replaced, kept as its reference, and integer_row the
+Fraction scaling of a rational row to integers that it starts from over
+Q.  RAW_FIELDS is the field of each raw kind, two cyclotomic fields
+among them.  unit_pool_split is
 FiniteAlgebra.split_commutative as it ran before its pool started from
 the basis idempotents: the refinement from the unit alone, the
 reference of a differential test and what runs _eigen_pieces in
@@ -62,6 +65,7 @@ F4 = GF(2, modulus=[1, 1, 1])
 F9 = GF(3, modulus=[1, 0, 1])
 F13 = GF(13)
 QZ5 = FieldSpec(0, cyclotomic_order=5)
+RAW_FIELDS = [QQ, GF(5), F4, FieldSpec(0, cyclotomic_order=3), QZ5]
 
 # (test id, field)
 LIFT_FIELDS = [("Q", QQ), ("Q_sqrt_half", HALF_ROOT), ("F_4", F4), ("F_9", F9),
@@ -351,8 +355,7 @@ def hit_right(c, h: tuple, f: tuple) -> tuple:
     return as_boxed(c, c._hit(read_vector(c.field, c.dim, h), family, 0)[0])
 
 
-def component(c, h: tuple, left: int | None = None,
-              right: int | None = None) -> tuple:
+def component(c, h: tuple, left: int, right: int) -> tuple:
     """Bicomponent ^C h ^D of c: left applies h <- e_C, right e_D -> h."""
     return as_boxed(c, c._component_raw(read_vector(c.field, c.dim, h),
                                         left, right))
@@ -555,6 +558,12 @@ def loop_extension_ops(field) -> dict:
             "mul": lambda a, b: canon(fold(a, b) + [a[-1] * b[-1] * D])}
 
 
+def integer_row(row) -> list[int]:
+    """The rationals of row times the lcm of their denominators."""
+    d = math.lcm(*(Fraction(x).denominator for x in row))
+    return [int(Fraction(x) * d) for x in row]
+
+
 def dense_rref_raw(field, work: list[list]) -> list[int]:
     """Canonical RREF of dense raw rows, in place, as the column-by-column
     loop linalg ran before its elimination took sparse rows: the
@@ -580,7 +589,7 @@ def dense_rref_raw(field, work: list[list]) -> list[int]:
         return [x // g for x in r] if g > 1 else r
 
     if integral:  # each row as a primitive integer row
-        work[:] = [cleared(ops.lift(r)[0], 1, 0, ()) for r in work]
+        work[:] = [cleared(integer_row(r), 1, 0, ()) for r in work]
     ncols = len(work[0]) if work else 0
     pivots: list[int] = []
     row_idx = 0

@@ -692,7 +692,7 @@ def test_constructor_keeps_the_nonzero_constants_in_order():
                         for items in (cs.items(), reversed(cs.items())))
         assert again.constants == first.constants
         assert again.terms == first.terms
-    denom, lifted = first.terms
+    lifted, denom = first.terms
     assert (denom, lifted[0][0], lifted[1][1]) == (6, [(0, 6)],
                                                    [(0, -4), (2, 3)])
     # an index outside range(dim) is an error, not a dropped or wrapped term

@@ -164,6 +164,18 @@ def test_malformed_inputs_exit_two(tmp_path):
         assert "line" in text, name
 
 
+def test_cyclotomic_order_past_the_cap_exits_two(tmp_path):
+    # the degree phi(720720) = 138240 is rejected before the cyclotomic
+    # polynomial, which would take hours, is built
+    f = tmp_path / "big.hopf"
+    f.write_text(f"{HEADER}\nfield characteristic 0\nfield cyclotomic 720720\n"
+                 "dim 1\nbasis e\ncounit 1\ncomul 0 0 0 1\n")
+    code, text = run(["validate", str(f)])
+    assert code == 2
+    assert text.startswith("input error: ") and "line 4: invalid field" in text
+    assert "exceeds the supported cap 16" in text
+
+
 def test_missing_file_exits_two(tmp_path):
     code, text = run(["coradical", str(tmp_path / "absent.hopf")])
     assert code == 2

@@ -15,11 +15,12 @@ from hopfex.linalg import (Echelon, Mat, SubspaceBasis, dense_raw, kernel,
 from hopfex.extension import extend_coalgebra
 from hopfex.scalars import Scalar, box, cyclotomic_polynomial, read_vector
 from hopfex.zoo import taft
-from lifting_cases import (F9, HALF_ROOT, LIFT_FIELDS, QZ5, as_boxed,
-                           dense_rref_raw, fraction_scalar, fraction_vector,
-                           has_denominators, is_canonical, solve,
-                           solve_columns, t2_add_term, t2_flatten, unit_vec,
-                           vec_add, vec_is_zero, vec_scale, vec_sub, zero_vec)
+from lifting_cases import (F9, HALF_ROOT, LIFT_FIELDS, QZ5, RAW_FIELDS,
+                           as_boxed, dense_rref_raw, fraction_scalar,
+                           fraction_vector, has_denominators, is_canonical,
+                           solve, solve_columns, t2_add_term, t2_flatten,
+                           unit_vec, vec_add, vec_is_zero, vec_scale, vec_sub,
+                           zero_vec)
 
 F5 = GF(5)
 
@@ -413,10 +414,6 @@ def raw_types(rows):
     """The type of each raw value, and of each coefficient of a tuple."""
     return [[(type(x.val), tuple(map(type, x.val))
               if isinstance(x.val, tuple) else ()) for x in r] for r in rows]
-
-
-RAW_FIELDS = [QQ, F5, GF(2, modulus=[1, 1, 1]),
-              FieldSpec(0, cyclotomic_order=3), FieldSpec(0, cyclotomic_order=5)]
 
 
 def raw_poly(field, coeffs):

@@ -17,10 +17,12 @@ from hopfex.errors import (DivisionByZero, FieldError, FieldMismatch,
                            ReducibleModulus, ScalarParseError,
                            ShapeMismatch)
 from hopfex import poly
-from hopfex.scalars import (MAX_EXTENSION_DEGREE, Scalar,
-                            cyclotomic_polynomial, read_vector)
+from hopfex.scalars import (MAX_EXTENSION_DEGREE, Scalar, combination,
+                            cyclotomic_polynomial, dot, lift_columns,
+                            read_vector)
 
-from lifting_cases import (F9, HALF_ROOT, QZ5, is_canonical,
+from lifting_cases import (F9, HALF_ROOT, LIFT_FIELDS, QZ5, RAW_FIELDS,
+                           fraction_scalar, fraction_vector, is_canonical,
                            loop_extension_ops)
 
 F4 = GF(2, modulus=[1, 1, 1])
@@ -147,6 +149,40 @@ def test_extension_degree_cap():
     with pytest.raises(FieldError):
         # irreducible but past the supported degree bound
         FieldSpec(0, cyclotomic_order=4 * (MAX_EXTENSION_DEGREE + 1))
+
+
+def test_cyclotomic_orders_past_the_cap_build_no_polynomial(monkeypatch):
+    # phi(m) is known before any polynomial is built, so an order past the
+    # cap fails at once, however many divisors it has (5040 has 60, and
+    # 720720 has 240)
+    import hopfex.scalars
+
+    def unreachable(m):
+        raise AssertionError(f"cyclotomic polynomial of order {m} built")
+
+    monkeypatch.setattr(hopfex.scalars, "cyclotomic_polynomial", unreachable)
+    for m in (51, 68, 513, 5040, 720720, 2 ** 89 - 1):
+        with pytest.raises(FieldError, match=rf"extension degree phi\({m}\) "
+                           "of .* exceeds the supported cap 16"):
+            FieldSpec(0, cyclotomic_order=m)
+
+
+def test_cyclotomic_orders_within_the_cap_match_the_totient():
+    for m in range(1, 2 * MAX_EXTENSION_DEGREE ** 2 + 2):
+        if sympy.totient(m) > MAX_EXTENSION_DEGREE:
+            with pytest.raises(FieldError, match="exceeds the supported cap"):
+                FieldSpec(0, cyclotomic_order=m)
+        else:
+            f = FieldSpec(0, cyclotomic_order=m)
+            assert f.degree == (sympy.totient(m) if m > 2 else 1), m
+
+
+def test_cyclotomic_order_must_be_an_int():
+    # as the characteristic: a float, a str and a bool are not orders
+    for m in (3.0, "5", True, Fraction(5)):
+        with pytest.raises(FieldError,
+                           match="cyclotomic order must be an int, got"):
+            FieldSpec(0, cyclotomic_order=m)
 
 
 def test_non_integer_characteristic_rejected():
@@ -589,7 +625,8 @@ def test_rational_lift_and_settle_match_fractions():
     for _ in range(30):
         fracs = rational_samples(rng, rng.randint(1, 8))
         raws = [QQ.from_fraction(x).val for x in fracs]
-        lifted, scale = ops.lift(raws)
+        pairs, scale = ops.lift_pairs(list(enumerate(raws)))
+        lifted = [v for _, v in pairs]
         assert type(scale) is int and scale >= 1
         assert scale == math.lcm(*(x.denominator for x in fracs))
         assert all(type(v) is int for v in lifted)
@@ -620,10 +657,18 @@ def test_lift_pairs_and_settle_all_match_lift_and_settle(field):
             return field.from_coeffs(cs).val
         return field.from_fraction(cs[0]).val
 
+    def reference_lift(vals):
+        # on Q the numerators over the lcm of the denominators; elsewhere
+        # the values themselves over 1
+        if field.char or field.modulus:
+            return vals, 1
+        d = math.lcm(*(Fraction(v).denominator for v in vals))
+        return [int(Fraction(v) * d) for v in vals], d
+
     rereadable = (list, tuple, type({}.items()))
     for _ in range(20):
         pairs = [(k, sample()) for k in range(rng.randint(0, 6))]
-        lifted, scale = ops.lift([v for _, v in pairs])
+        lifted, scale = reference_lift([v for _, v in pairs])
         want = list(zip(range(len(pairs)), lifted))
         for form in (pairs, tuple(pairs), dict(pairs).items(), iter(pairs),
                      (p for p in pairs)):
@@ -633,8 +678,7 @@ def test_lift_pairs_and_settle_all_match_lift_and_settle(field):
                 assert got is form  # no copy
         # unreduced sums of lifted products, and a zero entry
         acc = {k: ops.ladd(x, ops.lmul(x, x)) for k, x in want}
-        acc[len(pairs)] = ops.lmul(lifted[0], ops.lift([ops.zero])[0][0]) \
-            if lifted else ops.zero
+        acc[len(pairs)] = ops.lmul(lifted[0], ops.zero) if lifted else ops.zero
         for s2 in (scale, scale * scale):
             settled = {k: ops.settle(a, s2) for k, a in acc.items()}
             assert ops.settle_all(acc, s2) == {
@@ -766,3 +810,54 @@ def test_text_is_read_only_by_parse_rational():
         assert run_command(["exponent", str(golden),
                             f"--field-extend={spec}"]) == \
             (2, f"input error: {out}\n")
+
+
+def boxed_combination(field, pairs, cols) -> dict:
+    """sum c cols[k] over the (k, c) of pairs, on Scalars, as {m: raw
+    value} with no zeros; a key absent from cols is a zero column."""
+    acc: dict = {}
+    for k, c in pairs:
+        for m, x in cols.get(k, {}).items():
+            acc[m] = acc.get(m, field.zero()) + Scalar(field, c) * Scalar(field, x)
+    return {m: v.val for m, v in acc.items() if not v.is_zero()}
+
+
+def boxed_dot(field, pairs, f: dict):
+    """sum c f[k] over the (k, c) of pairs with k in f, on Scalars."""
+    return sum((Scalar(field, c) * Scalar(field, f[k])
+                for k, c in pairs if k in f), field.zero()).val
+
+
+@pytest.mark.parametrize(
+    "field", RAW_FIELDS + [f for _, f in LIFT_FIELDS if f not in RAW_FIELDS],
+    ids=lambda f: f.describe())
+def test_combination_and_dot_match_the_scalar_reference(field):
+    # entries with denominators 2 to 7; keys 5 and 6 of the pairs have no
+    # column and no value of f, and every third column is left out
+    ops, rng = field.ops, random.Random(83)
+    scales = set()
+    for _ in range(30):
+        cols = {k: dict(read_vector(field, 5, fraction_vector(field, rng, 5)))
+                for k in range(5) if k % 3 != 2}
+        f = dict(read_vector(field, 5, fraction_vector(field, rng, 5)))
+        pairs = [(k, x) for k in range(7)
+                 if not ops.is_zero(x := fraction_scalar(field, rng).val)]
+        lifted, scale = lift_columns(ops, cols)
+        fl, sf = ops.lift_pairs(list(f.items()))
+        scales.update((scale, sf))
+        want = boxed_combination(field, pairs, cols)
+        want_dot = boxed_dot(field, pairs, f)
+        for form in (list, tuple, lambda ps: dict(ps).items(), iter,
+                     lambda ps: (p for p in ps)):
+            got = combination(ops, form(pairs), lifted, scale)
+            assert got == want
+            assert all(is_canonical(field, x) for x in got.values())
+            got = dot(ops, form(pairs), dict(fl), sf)
+            assert got == want_dot and is_canonical(field, got)
+    # the lift over a scale other than 1 is reached on Q
+    assert (scales != {1}) == (field == QQ)
+    # empty pairs, and pairs that meet no column or no value of f
+    assert combination(ops, [], {0: [(0, ops.one)]}, 1) == {}
+    assert combination(ops, iter([(9, ops.one)]), {0: [(0, ops.one)]}, 1) == {}
+    assert dot(ops, [], {0: ops.one}, 1) == ops.zero
+    assert dot(ops, iter([(9, ops.one)]), {0: ops.one}, 1) == ops.zero

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 import hopfex.errors
+import hopfex.scalars
 
 SRC = pathlib.Path(hopfex.errors.__file__).parent
 ERROR_CLASSES = {name for name, v in vars(hopfex.errors).items()
@@ -335,3 +336,87 @@ def test_scalars_cross_only_at_the_views_and_the_boxed_entry_points():
         assert not defined & {"_box", "as_scalar", "lift_functional",
                               "_pairs", "raw_values", "nonzero_raw",
                               "as_raw", "rref_raw"}, path.name
+
+
+def qualified_functions(node, prefix=""):
+    """(qualified name, function node) of every function under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from qualified_functions(child, prefix + child.name + ".")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+            yield from qualified_functions(child, prefix + child.name + ".")
+
+
+def own_nodes(func):
+    """The nodes of func outside the functions nested in it."""
+    for child in ast.iter_child_nodes(func):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from own_nodes(child)
+
+
+def is_accumulate(node) -> bool:
+    """Whether node is acc[k] = add(acc[k], y) if k in acc else y."""
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Subscript)
+            and isinstance(node.value, ast.IfExp)):
+        return False
+    target, value = node.targets[0], node.value
+    acc, key = ast.dump(target.value), ast.dump(target.slice)
+    test, body = value.test, value.body
+    return (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.ops[0], ast.In)
+            and ast.dump(test.left) == key
+            and ast.dump(test.comparators[0]) == acc
+            and isinstance(body, ast.Call) and len(body.args) == 2
+            and isinstance(body.args[0], ast.Subscript)
+            and ast.dump(body.args[0].value) == acc
+            and ast.dump(body.args[0].slice) == key
+            and ast.dump(body.args[1]) == ast.dump(value.orelse))
+
+
+def is_settled_reduce(node) -> bool:
+    """Whether node is a call of settle on a functools.reduce(...)."""
+    def named(call, name):
+        return isinstance(call, ast.Call) and name in (
+            getattr(call.func, "id", None), getattr(call.func, "attr", None))
+
+    return named(node, "settle") and any(named(a, "reduce") for a in node.args)
+
+
+# The functions that may sum lifted products by hand: the two linear
+# kernels, the bilinear and multi-output ones, the membership rebuild and
+# the one sum of raw values.  Every other linear map is a combination or
+# a dot.
+HAND_WRITTEN_SUMS = {
+    ("scalars.py", "combination"),
+    ("scalars.py", "dot"),
+    ("algebra.py", "FiniteAlgebra._lifted_product"),
+    ("algebra.py", "FiniteAlgebra._basis_products"),
+    ("algebra.py", "FiniteAlgebra._tensor_product"),
+    ("algebra.py", "FiniteAlgebra._lifted_traces"),
+    ("algebra.py", "FiniteAlgebra._trace_form"),
+    ("algebra.py", "FiniteAlgebra.center"),
+    ("coalgebra.py", "Coalgebra._hit"),
+    ("hopf.py", "HopfAlgebra._convolve"),
+    ("hopf.py", "HopfAlgebra.integral_dual_basis"),
+    ("linalg.py", "SubspaceBasis.contains_raw"),
+}
+
+
+def test_linear_sums_run_on_combination_and_dot():
+    accumulates, reduces = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for name, func in qualified_functions(ast.parse(path.read_text())):
+            for node in own_nodes(func):
+                if is_accumulate(node):
+                    accumulates.append((path.name, name))
+                if is_settled_reduce(node):
+                    reduces.append((path.name, name))
+    outside = sorted(set(accumulates) - HAND_WRITTEN_SUMS)
+    assert not outside, f"hand-written lifted sums outside the kernels: {outside}"
+    assert len(accumulates) <= 12, accumulates
+    assert reduces == [("scalars.py", "dot")]
+    # lift_pairs is the one lift
+    assert "lift" not in hopfex.scalars.FieldOps.__slots__
